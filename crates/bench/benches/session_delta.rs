@@ -1,43 +1,27 @@
 //! Per-round recount cost of the session-driven active loop: the sparse
-//! low-rank delta path (`C += L·ΔA·R`) against a full recount of the
-//! anchor-dependent chains, at several confirmed-batch sizes and scales —
-//! plus the downstream **proximity-refresh dimension**: with counting held
-//! on the delta path, the touched-row/col Dice patch
-//! (`ProximityRefresh::Delta` over maintained `MarginSums`) against the
-//! full per-matrix re-normalization (`ProximityRefresh::Full`).
+//! low-rank delta path (`update_anchors`: `C += L·ΔA·R`, the touched-region
+//! Dice patch and the entry-local feature re-gather) against the
+//! full-recount oracle (`recount_anchors`: every anchor-dependent chain
+//! recounted from the merged anchor matrix and re-normalized wholesale), at
+//! several confirmed-batch sizes and scales.
 //!
 //! The acceptance bars: per-round wall-clock of the delta path no worse
-//! than the full-recount path at any batch size, the delta proximity
-//! refresh no worse than the full re-normalization, and bit-identical
-//! results on every path (asserted here on every scenario's setup).
+//! than the full-recount path at any batch size, and bit-identical results
+//! (asserted here on every scenario's setup). The perf gate pairs the two
+//! within one run (`perf_gate --paired delta:full`).
 //!
-//! Three further **per-dimension cells** decompose the hot path so the
-//! perf gate can prove each win independently (paired within one run via
-//! `perf_gate --paired`, trajectory-tracked across runs):
-//!
-//! * `splice`/`add` — in-place row splicing vs add + positive-part rebuild
-//!   of the anchor-chain counts ([`session::CountMerge`]), counting only.
-//! * `region-exact`/`region-union` — diff-exact stack touch regions vs the
-//!   union-of-parts regions ([`session::StackRegions`]), driving the
-//!   featurized refresh.
-//! * `dag`/`levels` — the barrier-free dependency-DAG feature scheduler vs
-//!   the per-level barrier scheduler ([`metadiagram::DiagramSchedule`]).
-//!
-//! Besides the criterion groups, this bench writes
-//! `BENCH_session_delta.json` (mean wall-clock per policy × batch size ×
-//! scale, tiny and table IV) so the perf-trajectory gate tracks the
-//! refresh cost across runs. Set `SESSION_DELTA_RECORD_ONLY=1` to skip the
-//! criterion groups and only write the record (the CI perf-trajectory step
+//! Besides the criterion group, this bench writes
+//! `BENCH_session_delta.json` (mean wall-clock per path × scale × batch
+//! size, tiny and table IV) so the perf-trajectory gate tracks the round
+//! cost across runs. Set `SESSION_DELTA_RECORD_ONLY=1` to skip the
+//! criterion group and only write the record (the CI perf-trajectory step
 //! does this).
 
 use bench::record::BenchRecorder;
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use eval::MetricSummary;
-use hetnet::aligned::anchor_matrix;
 use hetnet::AnchorLink;
-use metadiagram::{proximity_matrices_sched, Catalog, CountEngine, DiagramSchedule, FeatureSet};
-use session::{CountMerge, ProximityRefresh, SessionBuilder, StackRegions};
-use sparsela::Threading;
+use session::{AlignmentSession, Featurized, SessionBuilder, SessionError};
 use std::time::{Duration, Instant};
 
 struct Scenario {
@@ -63,42 +47,27 @@ fn scenario(cfg: &datagen::GeneratorConfig) -> Scenario {
 /// One featurized session per scenario; measurements clone it per
 /// iteration (sessions are value-like), so building is part of setup and
 /// the clone overhead is identical in both arms.
-fn open(s: &Scenario) -> session::AlignmentSession<session::Featurized> {
-    open_counted(s).featurize(s.candidates.clone())
-}
-
-/// A [`session::Counted`] session — the stage the `splice`/`add` cells
-/// measure, so the count-merge dimension is not diluted by the downstream
-/// proximity refresh.
-fn open_counted(s: &Scenario) -> session::AlignmentSession<session::Counted> {
+fn open(s: &Scenario) -> AlignmentSession<Featurized> {
     SessionBuilder::new(s.world.left(), s.world.right())
         .anchors(s.train.clone())
         .count()
         .expect("generated networks share attribute universes")
+        .featurize(s.candidates.clone())
 }
 
-/// The refresh policies must be bit-identical; only the cost differs.
-fn assert_policies_agree(s: &Scenario) {
+/// The delta path must be bit-identical to the full-recount oracle; only
+/// the cost differs.
+fn assert_delta_matches_full(s: &Scenario) {
     let batch = &s.held_out[..5.min(s.held_out.len())];
     let mut delta = open(s);
     let mut full = open(s);
     delta.update_anchors(batch).unwrap();
     full.recount_anchors(batch).unwrap();
     assert_eq!(delta.features().x.data(), full.features().x.data());
-    let mut prox_full = open(s);
-    prox_full
-        .update_anchors_with(batch, ProximityRefresh::Full)
-        .unwrap();
-    assert_eq!(delta.features().x.data(), prox_full.features().x.data());
     for i in 0..delta.catalog().len() {
-        assert_eq!(delta.proximity_of(i), prox_full.proximity_of(i));
+        assert_eq!(delta.proximity_of(i), full.proximity_of(i));
+        assert_eq!(delta.count_of(i), full.count_of(i));
     }
-    // The hot-path dimension knobs are pure tuning: the reference policies
-    // must reproduce the default-path features bit for bit.
-    let mut reference = open(s);
-    reference.set_delta_policies(CountMerge::Rebuild, StackRegions::Union);
-    reference.update_anchors(batch).unwrap();
-    assert_eq!(delta.features().x.data(), reference.features().x.data());
 }
 
 fn bench_round_recount(c: &mut Criterion) {
@@ -109,7 +78,7 @@ fn bench_round_recount(c: &mut Criterion) {
         ("table4", datagen::presets::paper_scale(200, 5)),
     ] {
         let s = scenario(&cfg);
-        assert_policies_agree(&s);
+        assert_delta_matches_full(&s);
         let base = open(&s);
         for batch_size in [1usize, 5, 20] {
             let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
@@ -142,298 +111,54 @@ fn bench_round_recount(c: &mut Criterion) {
     group.finish();
 }
 
-/// The proximity-refresh dimension in isolation: counting stays on the
-/// delta path in both arms; only the Dice normalization differs — the
-/// touched-region patch against the full `O(nnz)` rescan of every changed
-/// matrix. The gap is the tentpole's win and must grow with matrix size,
-/// not with batch size.
-fn bench_prox_refresh(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session_prox_refresh");
-    group.sample_size(10);
-    for (scale, cfg) in [
-        ("small", datagen::presets::small(5)),
-        ("table4", datagen::presets::paper_scale(200, 5)),
-    ] {
-        let s = scenario(&cfg);
-        let base = open(&s);
-        for batch_size in [1usize, 5, 20] {
-            let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
-            for (label, policy) in [
-                ("prox-delta", ProximityRefresh::Delta),
-                ("prox-full", ProximityRefresh::Full),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}/b{batch_size}"), scale),
-                    &(),
-                    |b, _| {
-                        b.iter_batched(
-                            || base.clone(),
-                            |mut session| session.update_anchors_with(&batch, policy).unwrap(),
-                            BatchSize::LargeInput,
-                        )
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
-}
-
-/// The count-merge and stack-region dimensions in isolation: same batch,
-/// same bit-identical results, different work per round. `splice`/`add`
-/// runs at the [`session::Counted`] stage (pure counting); `region-*` runs
-/// the featurized refresh, where tighter regions shrink both the stack
-/// re-combination and the Dice patch.
-fn bench_dimension_cells(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session_delta_dimensions");
-    group.sample_size(10);
-    for (scale, cfg) in [
-        ("small", datagen::presets::small(5)),
-        ("table4", datagen::presets::paper_scale(200, 5)),
-    ] {
-        let s = scenario(&cfg);
-        let counted = open_counted(&s);
-        let featurized = open(&s);
-        for batch_size in [1usize, 5, 20] {
-            let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
-            for (label, merge) in [("splice", CountMerge::Splice), ("add", CountMerge::Rebuild)] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}/b{batch_size}"), scale),
-                    &(),
-                    |b, _| {
-                        b.iter_batched(
-                            || {
-                                let mut session = counted.clone();
-                                session.set_delta_policies(merge, StackRegions::Exact);
-                                session
-                            },
-                            |mut session| session.update_anchors(&batch).unwrap(),
-                            BatchSize::LargeInput,
-                        )
-                    },
-                );
-            }
-            for (label, regions) in [
-                ("region-exact", StackRegions::Exact),
-                ("region-union", StackRegions::Union),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}/b{batch_size}"), scale),
-                    &(),
-                    |b, _| {
-                        b.iter_batched(
-                            || {
-                                let mut session = featurized.clone();
-                                session.set_delta_policies(CountMerge::Splice, regions);
-                                session
-                            },
-                            |mut session| session.update_anchors(&batch).unwrap(),
-                            BatchSize::LargeInput,
-                        )
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
-}
-
-/// The feature-scheduler dimension: a full catalog proximity extraction
-/// under the dependency-DAG scheduler against the per-level barrier
-/// scheduler. Each sample gets a fresh engine — the schedule decides the
-/// order the memo cache fills in, so a warm engine would measure nothing.
-fn bench_feature_schedule(c: &mut Criterion) {
-    let mut group = c.benchmark_group("feature_schedule");
-    group.sample_size(10);
-    let catalog = Catalog::new(FeatureSet::Full);
-    for (scale, cfg) in [
-        ("small", datagen::presets::small(5)),
-        ("table4", datagen::presets::paper_scale(200, 5)),
-    ] {
-        let s = scenario(&cfg);
-        let a = anchor_matrix(
-            s.world.left().n_users(),
-            s.world.right().n_users(),
-            &s.train,
-        )
-        .unwrap();
-        for threads in [2usize, 4] {
-            for (label, schedule) in [
-                ("dag", DiagramSchedule::Dag),
-                ("levels", DiagramSchedule::Levels),
-            ] {
-                group.bench_with_input(
-                    BenchmarkId::new(format!("{label}/t{threads}"), scale),
-                    &(),
-                    |b, _| {
-                        b.iter_batched(
-                            || {
-                                CountEngine::new(s.world.left(), s.world.right(), a.clone())
-                                    .unwrap()
-                            },
-                            |engine| {
-                                proximity_matrices_sched(
-                                    &engine,
-                                    &catalog,
-                                    Threading::Threads(threads),
-                                    schedule,
-                                )
-                            },
-                            BatchSize::LargeInput,
-                        )
-                    },
-                );
-            }
-        }
-    }
-    group.finish();
-}
+/// One round of anchor feedback: [`AlignmentSession::update_anchors`] (the
+/// delta path) or [`AlignmentSession::recount_anchors`] (the oracle).
+type Round = fn(&mut AlignmentSession<Featurized>, &[AnchorLink]) -> Result<usize, SessionError>;
 
 /// Mean wall-clock of one measured round (the session clone is excluded).
 fn time_rounds(
-    base: &session::AlignmentSession<session::Featurized>,
+    base: &AlignmentSession<Featurized>,
     batch: &[AnchorLink],
-    policy: ProximityRefresh,
+    round: Round,
     samples: usize,
 ) -> Duration {
     let mut total = Duration::ZERO;
     for _ in 0..samples {
         let mut session = base.clone();
         let start = Instant::now();
-        session.update_anchors_with(batch, policy).unwrap();
+        round(&mut session, batch).unwrap();
         total += start.elapsed();
     }
     total / samples as u32
 }
 
-/// Mean wall-clock of one counted-stage round under a count-merge policy.
-fn time_merge_rounds(
-    base: &session::AlignmentSession<session::Counted>,
-    batch: &[AnchorLink],
-    merge: CountMerge,
-    samples: usize,
-) -> Duration {
-    let mut total = Duration::ZERO;
-    for _ in 0..samples {
-        let mut session = base.clone();
-        session.set_delta_policies(merge, StackRegions::Exact);
-        let start = Instant::now();
-        session.update_anchors(batch).unwrap();
-        total += start.elapsed();
-    }
-    total / samples as u32
-}
-
-/// Mean wall-clock of one featurized round under a stack-region policy.
-fn time_region_rounds(
-    base: &session::AlignmentSession<session::Featurized>,
-    batch: &[AnchorLink],
-    regions: StackRegions,
-    samples: usize,
-) -> Duration {
-    let mut total = Duration::ZERO;
-    for _ in 0..samples {
-        let mut session = base.clone();
-        session.set_delta_policies(CountMerge::Splice, regions);
-        let start = Instant::now();
-        session.update_anchors(batch).unwrap();
-        total += start.elapsed();
-    }
-    total / samples as u32
-}
-
-/// Mean wall-clock of one cold full-catalog proximity extraction under a
-/// scheduler (fresh engine per sample — the engine build is setup).
-fn time_schedule_rounds(
-    s: &Scenario,
-    catalog: &Catalog,
-    threads: usize,
-    schedule: DiagramSchedule,
-    samples: usize,
-) -> Duration {
-    let a = anchor_matrix(
-        s.world.left().n_users(),
-        s.world.right().n_users(),
-        &s.train,
-    )
-    .unwrap();
-    let mut total = Duration::ZERO;
-    for _ in 0..samples {
-        let engine = CountEngine::new(s.world.left(), s.world.right(), a.clone()).unwrap();
-        let start = Instant::now();
-        let prox =
-            proximity_matrices_sched(&engine, catalog, Threading::Threads(threads), schedule);
-        total += start.elapsed();
-        assert_eq!(prox.len(), catalog.len());
-    }
-    total / samples as u32
-}
-
-/// Writes `BENCH_session_delta.json`: the proximity-refresh metric plus the
-/// three hot-path dimension cells the perf-trajectory gate carries forward
-/// and pairs within a single run (`perf_gate --paired splice:add` etc.).
-/// The legacy `b{n}` cells stay tiny-scale for baseline continuity; the
-/// dimension cells run at tiny *and* table IV scale, where the wins must
-/// hold.
+/// Writes `BENCH_session_delta.json`: one `delta` and one `full` cell per
+/// scale × batch size, which the perf-trajectory gate carries forward and
+/// pairs within a single run (`perf_gate --paired delta:full`).
 fn write_records() {
     let mut recorder = BenchRecorder::new("session_delta");
-    recorder.annotate(
-        "dimensions",
-        "proximity-refresh, splice_vs_add, region_tightness, dag_vs_levels",
-    );
     let no_f1 = MetricSummary {
         mean: f64::NAN,
         std: 0.0,
     };
-
-    // Legacy proximity-refresh cells (tiny, cell names unchanged).
-    let tiny = scenario(&datagen::presets::tiny(5));
-    assert_policies_agree(&tiny);
-    let base = open(&tiny);
-    for batch_size in [1usize, 5, 20] {
-        let batch: Vec<AnchorLink> = tiny.held_out[..batch_size.min(tiny.held_out.len())].to_vec();
-        for (method, policy) in [
-            ("prox-delta", ProximityRefresh::Delta),
-            ("prox-full", ProximityRefresh::Full),
-        ] {
-            let mean = time_rounds(&base, &batch, policy, 20);
-            recorder.record(method, format!("b{batch_size}"), no_f1, mean);
-        }
-    }
-    drop(base);
-
-    // Per-dimension cells at both scales.
-    let catalog = Catalog::new(FeatureSet::Full);
     for (scale, cfg, samples) in [
         ("tiny", datagen::presets::tiny(5), 20usize),
         ("table4", datagen::presets::paper_scale(200, 5), 10),
     ] {
         let s = scenario(&cfg);
-        let counted = open_counted(&s);
-        let featurized = open(&s);
+        assert_delta_matches_full(&s);
+        let base = open(&s);
         for batch_size in [1usize, 5, 20] {
             let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
-            let cell = format!("{scale}-b{batch_size}");
-            for (method, merge) in [("splice", CountMerge::Splice), ("add", CountMerge::Rebuild)] {
-                let mean = time_merge_rounds(&counted, &batch, merge, samples);
-                recorder.record(method, cell.clone(), no_f1, mean);
-            }
-            for (method, regions) in [
-                ("region-exact", StackRegions::Exact),
-                ("region-union", StackRegions::Union),
+            for (method, round) in [
+                (
+                    "delta",
+                    AlignmentSession::<Featurized>::update_anchors as Round,
+                ),
+                ("full", AlignmentSession::<Featurized>::recount_anchors),
             ] {
-                let mean = time_region_rounds(&featurized, &batch, regions, samples);
-                recorder.record(method, cell.clone(), no_f1, mean);
-            }
-        }
-        for threads in [2usize, 4] {
-            let cell = format!("{scale}-t{threads}");
-            for (method, schedule) in [
-                ("dag", DiagramSchedule::Dag),
-                ("levels", DiagramSchedule::Levels),
-            ] {
-                let mean = time_schedule_rounds(&s, &catalog, threads, schedule, samples.min(10));
-                recorder.record(method, cell.clone(), no_f1, mean);
+                let mean = time_rounds(&base, &batch, round, samples);
+                recorder.record(method, format!("{scale}-b{batch_size}"), no_f1, mean);
             }
         }
     }
@@ -450,13 +175,7 @@ fn write_records() {
     println!("wrote {}", path.display());
 }
 
-criterion_group!(
-    benches,
-    bench_round_recount,
-    bench_prox_refresh,
-    bench_dimension_cells,
-    bench_feature_schedule
-);
+criterion_group!(benches, bench_round_recount);
 
 // Custom entry point instead of `criterion_main!`: after the groups run,
 // the perf-trajectory record is written for the gate.

@@ -22,9 +22,8 @@
 //! `new` method must not exceed the `ref` method by tolerance + slack.
 //! This gates the fast path against its reference path inside a single
 //! run — same machine, same load — so it works from the very first CI run
-//! with no baseline at all, and is how the per-dimension cells of
-//! `BENCH_session_delta.json` (`splice:add`, `region-exact:region-union`,
-//! `dag:levels`, `prox-delta:prox-full`) are enforced.
+//! with no baseline at all, and is how `BENCH_session_delta.json`'s delta
+//! path is held against its full-recount oracle (`delta:full`).
 //!
 //! The records are the flat documents written by
 //! [`bench::record::BenchRecorder`];
@@ -402,14 +401,14 @@ mod tests {
     #[test]
     fn paired_gate_fails_when_the_fast_method_loses_within_one_run() {
         let mut fresh = Records::new();
-        fresh.insert(method_key("splice", "table4-b5"), cell(120.0));
-        fresh.insert(method_key("add", "table4-b5"), cell(50.0));
+        fresh.insert(method_key("delta", "table4-b5"), cell(120.0));
+        fresh.insert(method_key("full", "table4-b5"), cell(50.0));
         // A healthy cell of the same pair.
-        fresh.insert(method_key("splice", "tiny-b5"), cell(1.0));
-        fresh.insert(method_key("add", "tiny-b5"), cell(2.0));
-        let report = gate_paired(&fresh, &pairs(&[("splice", "add")]), 0.5, 15.0);
+        fresh.insert(method_key("delta", "tiny-b5"), cell(1.0));
+        fresh.insert(method_key("full", "tiny-b5"), cell(2.0));
+        let report = gate_paired(&fresh, &pairs(&[("delta", "full")]), 0.5, 15.0);
         assert_eq!(report.compared, 2);
-        assert_eq!(report.regressions, vec![method_key("splice", "table4-b5")]);
+        assert_eq!(report.regressions, vec![method_key("delta", "table4-b5")]);
         assert!(report.lines.iter().any(|l| l.contains("PAIRED REGRESSION")));
     }
 
@@ -417,18 +416,18 @@ mod tests {
     fn paired_gate_needs_no_baseline_and_respects_slack() {
         let mut fresh = Records::new();
         // 3x slower but within the absolute slack: CI-runner noise.
-        fresh.insert(method_key("dag", "tiny-t2"), cell(3.0));
-        fresh.insert(method_key("levels", "tiny-t2"), cell(1.0));
-        let report = gate_paired(&fresh, &pairs(&[("dag", "levels")]), 0.5, 15.0);
+        fresh.insert(method_key("delta", "tiny-t2"), cell(3.0));
+        fresh.insert(method_key("full", "tiny-t2"), cell(1.0));
+        let report = gate_paired(&fresh, &pairs(&[("delta", "full")]), 0.5, 15.0);
         assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
         // A missing partner is reported, never failed.
         let mut fresh = Records::new();
-        fresh.insert(method_key("dag", "tiny-t2"), cell(3.0));
-        let report = gate_paired(&fresh, &pairs(&[("dag", "levels")]), 0.5, 15.0);
+        fresh.insert(method_key("delta", "tiny-t2"), cell(3.0));
+        let report = gate_paired(&fresh, &pairs(&[("delta", "full")]), 0.5, 15.0);
         assert_eq!(report.compared, 0);
         assert!(report.regressions.is_empty());
-        assert!(report.lines.iter().any(|l| l.contains("no levels partner")));
+        assert!(report.lines.iter().any(|l| l.contains("no full partner")));
     }
 
     #[test]

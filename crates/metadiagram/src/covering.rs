@@ -121,32 +121,11 @@ pub fn plan_order(coverings: &[CoveringSet]) -> Vec<usize> {
     order
 }
 
-/// Groups [`plan_order`] into **levels** of equal covering-set size,
-/// smallest first. Every Lemma-2 factor of a diagram has a strictly smaller
-/// covering set, so it lives in an earlier level — which makes all members
-/// of one level independent of each other and safe to count concurrently
-/// against a shared engine cache, with a barrier between levels.
-pub fn plan_levels(coverings: &[CoveringSet]) -> Vec<Vec<usize>> {
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    let mut current_size = usize::MAX;
-    for idx in plan_order(coverings) {
-        let size = coverings[idx].len();
-        if levels.is_empty() || size != current_size {
-            levels.push(Vec::new());
-            current_size = size;
-        }
-        levels.last_mut().expect("level pushed above").push(idx);
-    }
-    levels
-}
-
 /// The dependency DAG of a catalog: node `i` depends on node `j` when `j`'s
 /// covering set is a **strict subset** of `i`'s — exactly the Lemma-2
-/// factors the count engine reuses when it assembles `i`. Unlike
-/// [`plan_levels`], which conservatively synchronizes on covering-set
-/// *size*, the DAG lets a scheduler start a diagram the moment its own
-/// factors are done, regardless of what the rest of its size class is
-/// still computing.
+/// factors the count engine reuses when it assembles `i`. The DAG lets a
+/// scheduler start a diagram the moment its own factors are done,
+/// regardless of what the rest of its size class is still computing.
 #[derive(Debug, Clone)]
 pub struct DagPlan {
     deps: Vec<Vec<usize>>,
@@ -377,28 +356,6 @@ mod tests {
         let a = CoveringSet::empty();
         let b = CoveringSet::empty();
         assert_eq!(plan_order(&[a, b]), vec![0, 1]);
-    }
-
-    #[test]
-    fn plan_levels_group_by_size_and_cover_every_index() {
-        let mut small = CoveringSet::empty();
-        small.insert_social(SocialPathId::P1);
-        let mut small2 = CoveringSet::empty();
-        small2.insert_social(SocialPathId::P3);
-        let mut mid = small;
-        mid.insert_social(SocialPathId::P2);
-        let mut big = mid;
-        big.insert_attr(AttrPathId::Timestamp);
-        let levels = plan_levels(&[big, small, mid, small2]);
-        assert_eq!(levels, vec![vec![1, 3], vec![2], vec![0]]);
-        // Flattened levels equal the plan order.
-        let flat: Vec<usize> = levels.into_iter().flatten().collect();
-        assert_eq!(flat, plan_order(&[big, small, mid, small2]));
-    }
-
-    #[test]
-    fn plan_levels_of_empty_input_is_empty() {
-        assert!(plan_levels(&[]).is_empty());
     }
 
     /// A four-node chain-plus-branch: {P1} and {P3} are roots, {P1,P2}

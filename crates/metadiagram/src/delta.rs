@@ -99,42 +99,6 @@ impl From<SparseError> for DeltaError {
     }
 }
 
-/// How [`DeltaCatalogCounts`] merges the low-rank update `L·ΔA·R` into an
-/// anchor-chain count matrix. Both settings are bit-identical; the rebuild
-/// survives as the measured reference of the `splice_vs_add` bench
-/// dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountMerge {
-    /// In-place row splicing ([`CsrMatrix::splice_add_positive`]): only the
-    /// rows the delta touches are rewritten, and margins are repaired
-    /// entry-locally when the positivity filter prunes residue.
-    #[default]
-    Splice,
-    /// The pre-splice path: full `add` + `positive_part` rebuild, with a
-    /// whole-matrix margin rescan whenever pruning fires.
-    Rebuild,
-}
-
-/// How [`DeltaCatalogCounts`] derives the touch-region of a re-combined
-/// stack (Hadamard) count. Counts, margins and downstream features are
-/// bit-identical either way; only the reported regions — and hence the
-/// rows/cols `dice_proximity_delta` rewrites downstream — differ. The
-/// union survives as the measured reference of the `region_tightness`
-/// bench dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StackRegions {
-    /// Region-exact: a Hadamard entry can only change where it exists in
-    /// *every* part (intersection pattern), so only the changed parts'
-    /// touched rows are re-Hadamarded, diffed against the stored rows, and
-    /// spliced in place; the region reports exactly the entries that
-    /// moved. Always a subset of what [`StackRegions::Union`] reports.
-    #[default]
-    Exact,
-    /// The pre-refactor path: full re-Hadamard of the stack and the union
-    /// of the parts' regions as its touch-region.
-    Union,
-}
-
 /// Work counters of a [`DeltaCatalogCounts`] store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
@@ -293,11 +257,6 @@ pub struct DeltaCatalogCounts {
     pub(crate) catalog_pos: Vec<usize>,
     pub(crate) threading: Threading,
     pub(crate) stats: DeltaStats,
-    /// How anchor-chain counts absorb the low-rank update. Not persisted:
-    /// a restored store starts from the default.
-    pub(crate) merge: CountMerge,
-    /// How stack touch-regions are derived. Not persisted either.
-    pub(crate) regions: StackRegions,
 }
 
 impl fmt::Debug for DeltaCatalogCounts {
@@ -358,8 +317,6 @@ impl DeltaCatalogCounts {
                 full_counts: 1,
                 ..DeltaStats::default()
             },
-            merge: CountMerge::default(),
-            regions: StackRegions::default(),
         };
         let mut index: HashMap<Diagram, usize> = HashMap::new();
         for entry in catalog.entries() {
@@ -446,33 +403,6 @@ impl DeltaCatalogCounts {
     /// session's own knob is set from).
     pub fn threading(&self) -> Threading {
         self.threading
-    }
-
-    /// Selects how anchor-chain counts absorb the low-rank update (default
-    /// [`CountMerge::Splice`]). Both settings leave the store bit-identical;
-    /// the rebuild is the measured reference of the `splice_vs_add` bench
-    /// dimension.
-    pub fn set_count_merge(&mut self, merge: CountMerge) {
-        self.merge = merge;
-    }
-
-    /// The current count-merge policy.
-    pub fn count_merge(&self) -> CountMerge {
-        self.merge
-    }
-
-    /// Selects how stack touch-regions are derived (default
-    /// [`StackRegions::Exact`]). Counts, margins and downstream features
-    /// are bit-identical either way; only the reported regions differ. The
-    /// union is the measured reference of the `region_tightness` bench
-    /// dimension.
-    pub fn set_stack_regions(&mut self, regions: StackRegions) {
-        self.regions = regions;
-    }
-
-    /// The current stack-region policy.
-    pub fn stack_regions(&self) -> StackRegions {
-        self.regions
     }
 
     /// Validates the cross-artifact shape invariants a propagation relies
@@ -664,15 +594,13 @@ impl DeltaCatalogCounts {
     /// Returns the changed catalog entries, with per-entry touched regions
     /// on the incremental path.
     ///
-    /// On the incremental path anchor chains absorb `L·ΔA·R` according to
-    /// the [`CountMerge`] policy — in-place row splicing by default, where
-    /// margins fold in the low-rank product's sums and every entry the
-    /// positivity filter prunes is retracted entry-locally, so
+    /// On the incremental path anchor chains absorb `L·ΔA·R` by in-place
+    /// row splicing: margins fold in the low-rank product's sums and every
+    /// entry the positivity filter prunes is retracted entry-locally, so
     /// delta-updated counts keep the exact nnz pattern a full recount
-    /// would produce without a margin rescan. Stacks re-combine according
-    /// to [`StackRegions`] — by default only the candidate rows (where a
-    /// part changed) are re-Hadamarded, diffed against the stored rows and
-    /// spliced, reporting the exactly-changed region.
+    /// would produce without a margin rescan. Stacks re-Hadamard only the
+    /// candidate rows (where a part changed), diff them against the stored
+    /// rows and splice, reporting the exactly-changed region.
     ///
     /// # Errors
     /// Shape violations surface as [`DeltaError::ShapeDrift`] /
@@ -694,26 +622,9 @@ impl DeltaCatalogCounts {
                                 &mut self.sums[i],
                             )?;
                             touched[i] = Some(TouchedRegion::of_pattern(&dc));
-                            match self.merge {
-                                CountMerge::Splice => {
-                                    let sums = &mut self.sums[i];
-                                    self.counts[i].splice_add_positive(&dc, |r, c, v| {
-                                        sums.retract(r, c, v)
-                                    })?;
-                                }
-                                CountMerge::Rebuild => {
-                                    let merged = self.counts[i].add(&dc)?;
-                                    self.counts[i] = match merged.positive_part() {
-                                        // Residue dropped: the maintained
-                                        // sums no longer match — rescan.
-                                        Some(clean) => {
-                                            self.sums[i] = MarginSums::of(&clean);
-                                            clean
-                                        }
-                                        None => merged,
-                                    };
-                                }
-                            }
+                            let sums = &mut self.sums[i];
+                            self.counts[i]
+                                .splice_add_positive(&dc, |r, c, v| sums.retract(r, c, v))?;
                         }
                         None => {
                             let la = spgemm_threaded(
@@ -736,12 +647,7 @@ impl DeltaCatalogCounts {
                     }
                     if delta.is_some() {
                         let parts = parts.clone();
-                        match self.regions {
-                            StackRegions::Exact => {
-                                self.restack_exact(i, &parts, &mut touched, &changed)?
-                            }
-                            StackRegions::Union => self.restack_union(i, &parts, &mut touched)?,
-                        }
+                        self.restack_exact(i, &parts, &mut touched, &changed)?;
                         changed[i] = true;
                         continue;
                     }
@@ -767,8 +673,7 @@ impl DeltaCatalogCounts {
             .collect())
     }
 
-    /// Region-exact re-combination of stack node `i` ([`StackRegions::Exact`]):
-    /// a Hadamard entry exists only where *every* part has one, and a part is
+    /// Region-exact re-combination of stack node `i`: a Hadamard entry exists only where *every* part has one, and a part is
     /// bit-identical outside its touched rows, so the stack can only change
     /// on the union of the changed parts' touched rows. Those candidate rows
     /// are re-Hadamarded (same left-fold association and zero filter as
@@ -891,11 +796,11 @@ impl DeltaCatalogCounts {
         Ok(())
     }
 
-    /// Union-region re-combination of stack node `i` ([`StackRegions::Union`],
-    /// and the dense fallback of [`Self::restack_exact`]): recompute the full
-    /// Hadamard and report the union of the parts' touched regions — a sound
-    /// over-approximation, since a stack entry can only change where one of
-    /// its parts changed. Margins are rewritten over the union rows only.
+    /// Union-region re-combination of stack node `i`, the dense fallback of
+    /// [`Self::restack_exact`]: recompute the full Hadamard and report the
+    /// union of the parts' touched regions — a sound over-approximation,
+    /// since a stack entry can only change where one of its parts changed.
+    /// Margins are rewritten over the union rows only.
     fn restack_union(
         &mut self,
         i: usize,
@@ -1166,93 +1071,33 @@ mod tests {
     }
 
     /// Regression for the pruning repair: when the low-rank product
-    /// drives entries non-positive, the splice path must retract exactly
-    /// the pruned entries from the maintained margins — no full rescan —
-    /// and land bit-equal to the rebuild path. Confirmed-anchor deltas are
-    /// non-negative, so pruning is forced here by negating the chains'
-    /// `Lᵀ` factors, which makes every low-rank product `≤ 0`.
+    /// drives entries non-positive, the splice must retract exactly the
+    /// pruned entries from the maintained margins — no full rescan.
+    /// Confirmed-anchor deltas are non-negative, so pruning is forced here
+    /// by negating the chains' `Lᵀ` factors, which makes every low-rank
+    /// product `≤ 0`.
     #[test]
     fn pruned_entries_repair_margins_without_a_rescan() {
         let w = world();
         let (initial, held_out) = split_links(&w);
-        let mut spliced = store(&w, &initial);
-        for kind in &mut spliced.kinds {
+        let mut s = store(&w, &initial);
+        for kind in &mut s.kinds {
             if let NodeKind::AnchorChain(chain) = kind {
                 chain.lt = chain.lt.scaled(-1.0);
             }
         }
-        let mut rebuilt = spliced.clone();
-        spliced.set_count_merge(CountMerge::Splice);
-        rebuilt.set_count_merge(CountMerge::Rebuild);
-        let nnz_before: usize = spliced.counts.iter().map(CsrMatrix::nnz).sum();
-        let o1 = spliced.update_anchors(&held_out).unwrap();
-        let o2 = rebuilt.update_anchors(&held_out).unwrap();
-        assert_eq!(o1.changed_positions(), o2.changed_positions());
-        for i in 0..spliced.len() {
-            let c = spliced.catalog_count(i);
-            assert_eq!(c, rebuilt.catalog_count(i), "entry {i}: merge paths split");
-            assert_eq!(spliced.catalog_sums(i), rebuilt.catalog_sums(i));
+        let nnz_before: usize = s.counts.iter().map(CsrMatrix::nnz).sum();
+        s.update_anchors(&held_out).unwrap();
+        for i in 0..s.len() {
+            let c = s.catalog_count(i);
             assert!(
-                spliced.catalog_sums(i).matches(c),
+                s.catalog_sums(i).matches(c),
                 "entry {i}: margins drifted after pruning"
             );
             assert!(c.values().iter().all(|&v| v > 0.0), "entry {i}: residue");
         }
-        for (a, b) in spliced.counts.iter().zip(&rebuilt.counts) {
-            assert_eq!(a, b, "materialized nodes diverged");
-        }
-        let nnz_after: usize = spliced.counts.iter().map(CsrMatrix::nnz).sum();
+        let nnz_after: usize = s.counts.iter().map(CsrMatrix::nnz).sum();
         assert!(nnz_after < nnz_before, "no entry was actually pruned");
-    }
-
-    /// All four policy combinations are pure tuning: counts, sums,
-    /// changed sets and region soundness are identical, and the exact
-    /// regions are contained in the union regions.
-    #[test]
-    fn merge_and_region_policies_are_bit_equal() {
-        let w = world();
-        let (initial, held_out) = split_links(&w);
-        let base = store(&w, &initial);
-        let policies = [
-            (CountMerge::Splice, StackRegions::Exact),
-            (CountMerge::Splice, StackRegions::Union),
-            (CountMerge::Rebuild, StackRegions::Exact),
-            (CountMerge::Rebuild, StackRegions::Union),
-        ];
-        let mut runs = Vec::new();
-        for (merge, regions) in policies {
-            let mut s = base.clone();
-            s.set_count_merge(merge);
-            s.set_stack_regions(regions);
-            assert_eq!((s.count_merge(), s.stack_regions()), (merge, regions));
-            let mut outcomes = Vec::new();
-            for batch in held_out.chunks(4) {
-                outcomes.push(s.update_anchors(batch).unwrap());
-            }
-            runs.push((s, outcomes));
-        }
-        let (reference, ref_outcomes) = &runs[0];
-        for (s, outcomes) in &runs[1..] {
-            for i in 0..reference.len() {
-                assert_eq!(s.catalog_count(i), reference.catalog_count(i));
-                assert_eq!(s.catalog_sums(i), reference.catalog_sums(i));
-            }
-            for (o, want) in outcomes.iter().zip(ref_outcomes) {
-                assert_eq!(o.applied, want.applied);
-                assert_eq!(o.changed_positions(), want.changed_positions());
-            }
-        }
-        // Tightness: every exact region is a subset of the union region
-        // reported for the same entry in the same round.
-        let (_, union_outcomes) = &runs[1];
-        for (exact_round, union_round) in ref_outcomes.iter().zip(union_outcomes) {
-            for (e, u) in exact_round.changed.iter().zip(&union_round.changed) {
-                assert_eq!(e.catalog_pos, u.catalog_pos);
-                let (er, ur) = (e.touched.as_ref().unwrap(), u.touched.as_ref().unwrap());
-                assert!(er.rows.iter().all(|r| ur.rows.binary_search(r).is_ok()));
-                assert!(er.cols.iter().all(|c| ur.cols.binary_search(c).is_ok()));
-            }
-        }
     }
 
     /// A malformed store (e.g. restored from a corrupted snapshot) must

@@ -14,36 +14,16 @@
 //!   strict-subset dependency DAG ([`crate::covering::plan_dag`]): a
 //!   diagram starts the moment its own covering-set factors are counted,
 //!   with no barrier between covering-set size classes, while workers
-//!   share the engine's Lemma-2 cache ([`DiagramSchedule::Dag`]; the
-//!   pre-DAG level-barrier schedule survives as [`DiagramSchedule::Levels`]
-//!   for measurement);
+//!   share the engine's Lemma-2 cache;
 //! * **candidate fan-out** — the gather into the dense feature matrix is
 //!   split over contiguous candidate batches.
 
 use crate::catalog::Catalog;
 use crate::count::CountEngine;
-use crate::covering::{plan_dag, plan_levels, plan_order, run_dag};
+use crate::covering::{plan_dag, plan_order, run_dag};
 use crate::proximity::dice_proximity;
 use hetnet::UserId;
 use sparsela::{CsrMatrix, DenseMatrix, Threading};
-
-/// How the catalog's diagrams are scheduled over worker threads. Both
-/// schedules produce bit-identical matrices at any worker count; they
-/// differ only in synchronization cost, which the `dag_vs_levels` bench
-/// dimension measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DiagramSchedule {
-    /// Dependency-graph scheduling ([`crate::covering::plan_dag`] +
-    /// [`crate::covering::run_dag`]): one thread-spawn wave for the whole
-    /// catalog, and a diagram becomes ready the moment its own factors are
-    /// counted.
-    #[default]
-    Dag,
-    /// The pre-DAG reference: covering-set levels
-    /// ([`crate::covering::plan_levels`]) with a thread-spawn wave and a
-    /// join barrier per level.
-    Levels,
-}
 
 /// The extracted feature matrix with column names.
 #[derive(Debug, Clone)]
@@ -76,28 +56,15 @@ pub fn proximity_matrices(engine: &CountEngine<'_>, catalog: &Catalog) -> Vec<Cs
 }
 
 /// [`proximity_matrices`] with the catalog fanned out over worker threads
-/// under the default [`DiagramSchedule::Dag`] schedule. Results are
+/// along the strict-subset dependency DAG ([`plan_dag`] + [`run_dag`]): one
+/// thread-spawn wave for the whole catalog, and a diagram starts the moment
+/// its own Lemma-2 factors are cached. The engine's per-diagram gates make
+/// any interleaving produce the same cached counts, so results are
 /// bit-identical to the serial path at any thread count.
 pub fn proximity_matrices_par(
     engine: &CountEngine<'_>,
     catalog: &Catalog,
     threading: Threading,
-) -> Vec<CsrMatrix> {
-    proximity_matrices_sched(engine, catalog, threading, DiagramSchedule::Dag)
-}
-
-/// [`proximity_matrices_par`] with an explicit [`DiagramSchedule`]. The
-/// schedule changes only synchronization: a diagram's Lemma-2 factors are
-/// guaranteed cached before it runs under either (DAG edges are exactly the
-/// strict covering subsets; levels conservatively order by set size), and
-/// the engine's per-diagram gates make any interleaving produce the same
-/// cached counts, so the output is bit-equal across schedules and worker
-/// counts.
-pub fn proximity_matrices_sched(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    threading: Threading,
-    schedule: DiagramSchedule,
 ) -> Vec<CsrMatrix> {
     let coverings = catalog.coverings();
     let workers = threading.resolve();
@@ -112,42 +79,9 @@ pub fn proximity_matrices_sched(
             .map(|m| m.expect("every catalog index visited"))
             .collect();
     }
-    if schedule == DiagramSchedule::Dag {
-        return run_dag(&plan_dag(&coverings), workers, |idx| {
-            dice_proximity(&engine.count(&catalog.entries()[idx].diagram))
-        });
-    }
-    let mut out: Vec<Option<CsrMatrix>> = vec![None; catalog.len()];
-    for level in plan_levels(&coverings) {
-        let per_worker = level.len().div_ceil(workers);
-        let batches: Vec<Vec<(usize, CsrMatrix)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = level
-                .chunks(per_worker)
-                .map(|idxs| {
-                    scope.spawn(move || {
-                        idxs.iter()
-                            .map(|&idx| {
-                                let counts = engine.count(&catalog.entries()[idx].diagram);
-                                (idx, dice_proximity(&counts))
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("proximity worker panicked"))
-                .collect()
-        });
-        for batch in batches {
-            for (idx, prox) in batch {
-                out[idx] = Some(prox);
-            }
-        }
-    }
-    out.into_iter()
-        .map(|m| m.expect("every catalog index visited"))
-        .collect()
+    run_dag(&plan_dag(&coverings), workers, |idx| {
+        dice_proximity(&engine.count(&catalog.entries()[idx].diagram))
+    })
 }
 
 /// Extracts the dense feature matrix for `candidates`.
@@ -372,25 +306,19 @@ mod tests {
     }
 
     #[test]
-    fn dag_schedule_is_bit_equal_to_levels_schedule() {
+    fn dag_schedule_is_bit_equal_to_serial_at_any_worker_count() {
         let (w, train) = setup();
         let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
         let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
         let serial = proximity_matrices(&serial_engine, &catalog);
-        for threads in [2usize, 4, 8] {
-            for schedule in [DiagramSchedule::Dag, DiagramSchedule::Levels] {
-                let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-                let got = proximity_matrices_sched(
-                    &engine,
-                    &catalog,
-                    sparsela::Threading::Threads(threads),
-                    schedule,
-                );
-                assert_eq!(got, serial, "{schedule:?} at {threads} threads diverged");
-                // The shared cache still guarantees compute-exactly-once.
-                assert!(engine.stats().cache_misses >= catalog.len());
-            }
+        for threads in [1usize, 2, 8] {
+            let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
+            let got =
+                proximity_matrices_par(&engine, &catalog, sparsela::Threading::Threads(threads));
+            assert_eq!(got, serial, "DAG at {threads} threads diverged");
+            // The shared cache still guarantees compute-exactly-once.
+            assert!(engine.stats().cache_misses >= catalog.len());
         }
     }
 

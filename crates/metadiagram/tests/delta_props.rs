@@ -7,9 +7,7 @@
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::{AnchorLink, UserId};
-use metadiagram::{
-    Catalog, CountEngine, CountMerge, DeltaCatalogCounts, FeatureSet, StackRegions, Threading,
-};
+use metadiagram::{Catalog, CountEngine, DeltaCatalogCounts, FeatureSet, Threading};
 use proptest::prelude::*;
 
 fn world(seed: u64) -> datagen::GeneratedWorld {
@@ -75,26 +73,21 @@ proptest! {
         prop_assert_eq!(store.stats().full_counts, 1);
     }
 
-    /// End-to-end region soundness and tightness: after every random
-    /// batch, each changed entry's reported [`metadiagram::TouchedRegion`]
-    /// covers every row that actually changed and every column whose sum
-    /// moved — and the default exact regions are a subset of the
-    /// union-of-parts regions a twin store reports for the same batch.
+    /// End-to-end region soundness: after every random batch, each
+    /// changed entry's reported [`metadiagram::TouchedRegion`] covers every
+    /// row that actually changed and every column whose sum moved, and the
+    /// store stays bit-equal to a fresh count over the merged anchors.
     #[test]
-    fn touched_regions_are_sound_and_exact_is_within_union(
+    fn touched_regions_are_sound_and_counts_match_a_fresh_count(
         seed in 0u64..3,
         initial_k in 1usize..20,
         batches in batches_strategy(),
     ) {
         let w = world(29 + seed * 5);
-        let base = anchor_matrix(
-            w.left().n_users(),
-            w.right().n_users(),
-            &w.truth().links()[..initial_k],
-        )
-        .unwrap();
+        let initial: Vec<AnchorLink> = w.truth().links()[..initial_k].to_vec();
+        let base = anchor_matrix(w.left().n_users(), w.right().n_users(), &initial).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
-        let mut exact = DeltaCatalogCounts::build(
+        let mut store = DeltaCatalogCounts::build(
             w.left(),
             w.right(),
             base,
@@ -102,34 +95,24 @@ proptest! {
             Threading::Serial,
         )
         .unwrap();
-        let mut union = exact.clone();
-        exact.set_count_merge(CountMerge::Splice);
-        exact.set_stack_regions(StackRegions::Exact);
-        union.set_count_merge(CountMerge::Rebuild);
-        union.set_stack_regions(StackRegions::Union);
 
+        let mut merged = initial;
         for batch in &batches {
             let links: Vec<AnchorLink> = batch
                 .iter()
                 .map(|&(l, r)| AnchorLink::new(UserId(l), UserId(r)))
                 .collect();
-            let before: Vec<_> = (0..exact.len())
-                .map(|i| exact.catalog_count(i).clone())
+            let before: Vec<_> = (0..store.len())
+                .map(|i| store.catalog_count(i).clone())
                 .collect();
-            let oe = exact.update_anchors(&links).unwrap();
-            let ou = union.update_anchors(&links).unwrap();
-            prop_assert_eq!(oe.changed_positions(), ou.changed_positions());
+            let outcome = store.update_anchors(&links).unwrap();
+            merged.extend(links);
 
-            for (ce, cu) in oe.changed.iter().zip(&ou.changed) {
-                let re = ce.touched.as_ref().unwrap();
-                let ru = cu.touched.as_ref().unwrap();
-                // Tightness: exact ⊆ union.
-                prop_assert!(re.rows.iter().all(|r| ru.rows.binary_search(r).is_ok()));
-                prop_assert!(re.cols.iter().all(|c| ru.cols.binary_search(c).is_ok()));
-                // Soundness of the tight region against the actual diff.
-                let (old, new) = (&before[ce.catalog_pos], exact.catalog_count(ce.catalog_pos));
+            for chg in &outcome.changed {
+                let region = chg.touched.as_ref().unwrap();
+                let (old, new) = (&before[chg.catalog_pos], store.catalog_count(chg.catalog_pos));
                 for i in 0..new.nrows() {
-                    if re.rows.binary_search(&i).is_err() {
+                    if region.rows.binary_search(&i).is_err() {
                         let old_row: Vec<_> = old.row(i).collect();
                         let new_row: Vec<_> = new.row(i).collect();
                         prop_assert_eq!(old_row, new_row, "row {} escaped the region", i);
@@ -137,7 +120,7 @@ proptest! {
                 }
                 let (old_cols, new_cols) = (old.col_sums(), new.col_sums());
                 for j in 0..new.ncols() {
-                    if re.cols.binary_search(&j).is_err() {
+                    if region.cols.binary_search(&j).is_err() {
                         prop_assert_eq!(
                             old_cols[j],
                             new_cols[j],
@@ -147,9 +130,11 @@ proptest! {
                     }
                 }
             }
-            // Both stores stay bit-equal regardless of policy.
-            for i in 0..exact.len() {
-                prop_assert_eq!(exact.catalog_count(i), union.catalog_count(i));
+            // The oracle: a fresh engine over the merged anchors.
+            let full = anchor_matrix(w.left().n_users(), w.right().n_users(), &merged).unwrap();
+            let engine = CountEngine::new(w.left(), w.right(), full).unwrap();
+            for (i, entry) in catalog.entries().iter().enumerate() {
+                prop_assert_eq!(store.catalog_count(i), &*engine.count(&entry.diagram));
             }
         }
     }

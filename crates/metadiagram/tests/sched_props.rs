@@ -1,16 +1,15 @@
 //! Scheduler-determinism suite, run as a dedicated CI step: the
-//! dependency-DAG feature scheduler and the legacy level-barrier scheduler
-//! must produce **bit-equal** proximity matrices to the serial reference at
-//! every worker count, and the DAG-warmed store build must match the serial
-//! build. Bit-equality holds because every scheduled unit computes the same
+//! dependency-DAG feature scheduler must produce **bit-equal** proximity
+//! matrices to the serial reference at every worker count, and the
+//! DAG-warmed store build must match the serial build. Bit-equality holds because every scheduled unit computes the same
 //! Dice normalization over the same memoized counts — the schedule decides
 //! only *when* each diagram is counted, never *what*.
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::AnchorLink;
 use metadiagram::{
-    proximity_matrices, proximity_matrices_sched, Catalog, CountEngine, DeltaCatalogCounts,
-    DiagramSchedule, FeatureSet, Threading,
+    proximity_matrices, proximity_matrices_par, Catalog, CountEngine, DeltaCatalogCounts,
+    FeatureSet, Threading,
 };
 
 fn world() -> datagen::GeneratedWorld {
@@ -29,21 +28,18 @@ fn schedulers_are_bit_equal_to_serial_at_any_worker_count() {
     assert_eq!(reference.len(), 31);
 
     for workers in [1usize, 2, 8] {
-        for schedule in [DiagramSchedule::Dag, DiagramSchedule::Levels] {
-            // A fresh engine per run: the schedule decides the order the
-            // cache is populated in, so a shared engine would hide
-            // scheduling bugs behind warm hits.
-            let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-            let got =
-                proximity_matrices_sched(&engine, &catalog, Threading::Threads(workers), schedule);
-            assert_eq!(
-                got, reference,
-                "{schedule:?} @ {workers} workers diverged from serial"
-            );
-            // Lemma-2 reuse survives the scheduler: each diagram is
-            // counted exactly once, never recomputed by a racing worker.
-            assert_eq!(engine.stats().cache_misses, catalog.len());
-        }
+        // A fresh engine per run: the schedule decides the order the cache
+        // is populated in, so a shared engine would hide scheduling bugs
+        // behind warm hits.
+        let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
+        let got = proximity_matrices_par(&engine, &catalog, Threading::Threads(workers));
+        assert_eq!(
+            got, reference,
+            "DAG @ {workers} workers diverged from serial"
+        );
+        // Lemma-2 reuse survives the scheduler: each diagram is counted
+        // exactly once, never recomputed by a racing worker.
+        assert_eq!(engine.stats().cache_misses, catalog.len());
     }
 }
 

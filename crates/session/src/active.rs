@@ -4,10 +4,10 @@
 //! module is the incremental variant the session API exists for: after
 //! every external query round, the anchors the oracle confirmed flow back
 //! into the session ([`AlignmentSession::update_anchors`]), the features
-//! are refreshed — by the `L·ΔA·R` delta path or, for reference, by a full
-//! recount — and the loop resumes on the updated instance. The catalog is
-//! fully counted exactly once, at session build; every subsequent round's
-//! counting cost scales with the number of newly confirmed anchors.
+//! are refreshed by the `L·ΔA·R` delta path, and the loop resumes on the
+//! updated instance. The catalog is fully counted exactly once, at session
+//! build; every subsequent round's counting cost scales with the number of
+//! newly confirmed anchors.
 
 use crate::stages::{AlignmentSession, Featurized, Fitted};
 use crate::{AnchorEdge, SessionError};
@@ -15,19 +15,6 @@ use activeiter::driver::ActiveLoop;
 use activeiter::model::FitReport;
 use activeiter::{ModelConfig, Oracle, QueryStrategy};
 use std::time::{Duration, Instant};
-
-/// How confirmed anchors are folded back into the counts between rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecountPolicy {
-    /// Apply the sparse low-rank delta `C += L·ΔA·R` (default). Per-round
-    /// cost scales with `|ΔA|`.
-    #[default]
-    Delta,
-    /// Recount every anchor-dependent chain from the full merged anchor
-    /// matrix. Bit-identical results at full-recount cost — the reference
-    /// the delta path is benchmarked against.
-    FullEachRound,
-}
 
 /// One external round's bookkeeping.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,8 +25,8 @@ pub struct RoundStat {
     pub confirmed: usize,
     /// Genuinely new anchors merged (duplicates skipped).
     pub anchors_applied: usize,
-    /// Wall-clock of the recount + feature refresh, under the chosen
-    /// [`RecountPolicy`]. Zero when no anchor was confirmed.
+    /// Wall-clock of the delta recount + feature refresh. Zero when no
+    /// anchor was confirmed.
     pub recount_time: Duration,
 }
 
@@ -50,8 +37,6 @@ pub struct ActiveRunReport {
     pub fit: FitReport,
     /// Per-round bookkeeping, one entry per external query round.
     pub rounds: Vec<RoundStat>,
-    /// The recount policy the run used.
-    pub policy: RecountPolicy,
 }
 
 impl ActiveRunReport {
@@ -69,14 +54,15 @@ impl ActiveRunReport {
 impl AlignmentSession<Featurized> {
     /// Runs the ActiveIter loop with per-round anchor feedback: converge,
     /// query `strategy`, apply the oracle's answers, fold the confirmed
-    /// anchors back into the counts under `policy`, refresh the features,
-    /// and repeat until the budget is spent or the candidate set runs dry.
+    /// anchors back into the counts through
+    /// [`AlignmentSession::update_anchors`], refresh the features, and
+    /// repeat until the budget is spent or the candidate set runs dry.
     ///
-    /// The two policies produce **bit-identical** fits (the delta recount
+    /// The fit is **bit-identical** to one driven with
+    /// [`AlignmentSession::recount_anchors`] each round (the delta recount
     /// is exact); only the per-round cost differs. The session's stats
-    /// prove the economics: after a [`RecountPolicy::Delta`] run,
-    /// `stats().full_counts == 1` — the build's count — no matter how many
-    /// rounds ran.
+    /// prove the economics: after a run, `stats().full_counts == 1` — the
+    /// build's count — no matter how many rounds ran.
     ///
     /// # Errors
     /// [`SessionError::Delta`] if a confirmed candidate's endpoints fall
@@ -88,7 +74,6 @@ impl AlignmentSession<Featurized> {
         oracle: &dyn Oracle,
         strategy: &mut dyn QueryStrategy,
         config: &ModelConfig,
-        policy: RecountPolicy,
     ) -> Result<(AlignmentSession<Fitted>, ActiveRunReport), SessionError> {
         let mut drv = ActiveLoop::new(self.instance(labeled_pos), config.clone());
         let mut rounds: Vec<RoundStat> = Vec::new();
@@ -117,10 +102,7 @@ impl AlignmentSession<Featurized> {
             let applied = if confirmed.is_empty() {
                 0
             } else {
-                match policy {
-                    RecountPolicy::Delta => self.update_anchors(&confirmed)?,
-                    RecountPolicy::FullEachRound => self.recount_anchors(&confirmed)?,
-                }
+                self.update_anchors(&confirmed)?
             };
             if applied > 0 {
                 drv.replace_features(&self.stage.features.x);
@@ -136,7 +118,6 @@ impl AlignmentSession<Featurized> {
         let report = ActiveRunReport {
             fit: fit.clone(),
             rounds,
-            policy,
         };
         let fitted = AlignmentSession {
             catalog: self.catalog,

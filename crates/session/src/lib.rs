@@ -36,7 +36,10 @@
 //! system* — `update_anchors` exists on `Counted` and `Featurized` only,
 //! so stale fits cannot be observed). Per-round cost scales with `|ΔA|`,
 //! not with the catalog — which is what makes the active-query loop
-//! interactive at paper scale.
+//! interactive at paper scale. [`AlignmentSession::recount_anchors`] is
+//! the single reference path: it recounts from the full merged anchor
+//! matrix, bit-identical to the delta at full cost, and is the oracle the
+//! delta path is tested and benchmarked against.
 //!
 //! Because every stage owns its artifacts, staged state is also
 //! **restartable and shardable**:
@@ -58,7 +61,7 @@
 //! ## Example
 //!
 //! ```
-//! use session::{RecountPolicy, SessionBuilder};
+//! use session::SessionBuilder;
 //! use activeiter::query::ConflictQuery;
 //! use activeiter::{ModelConfig, VecOracle};
 //!
@@ -87,7 +90,6 @@
 //!         &VecOracle::new(truth),
 //!         &mut strategy,
 //!         &config,
-//!         RecountPolicy::Delta,
 //!     )
 //!     .expect("anchors come from the candidate set");
 //! assert_eq!(fitted.stats().full_counts, 1); // counted once, updated since
@@ -106,9 +108,8 @@ pub mod snapshot;
 mod stages;
 pub mod workers;
 
-pub use active::{ActiveRunReport, RecountPolicy, RoundStat};
+pub use active::{ActiveRunReport, RoundStat};
 pub use journal::{CompactionPolicy, Journal, JournalError};
-pub use metadiagram::delta::{CountMerge, StackRegions};
 pub use pool::{PoolError, SessionPool};
 pub use serve::{Coordinator, ServeConfig, ServeError, WorkerSpec};
 pub use sharded::{
@@ -116,7 +117,7 @@ pub use sharded::{
     ShardedSession, ShardedUpdate, StitchedAlignment, StitchedLink,
 };
 pub use snapshot::SnapshotError;
-pub use stages::{AlignmentSession, Counted, Featurized, Fitted, ProximityRefresh, SessionBuilder};
+pub use stages::{AlignmentSession, Counted, Featurized, Fitted, SessionBuilder};
 
 use metadiagram::count::EngineError;
 use metadiagram::DeltaError;

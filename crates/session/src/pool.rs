@@ -97,6 +97,7 @@ use hetnet::UserId;
 use metadiagram::DeltaStats;
 use std::fmt;
 use std::path::{Path, PathBuf};
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -289,8 +290,9 @@ struct CompactorState {
     done: Condvar,
     /// Failed folds, drained by [`SessionPool::flush_compactions`].
     errors: Mutex<Vec<(usize, JournalError)>>,
-    /// Test-only stall (milliseconds) between staging and finishing, so
-    /// regression tests can prove updates flow mid-fold.
+    /// Stall (milliseconds) between staging and finishing, so the unit
+    /// tests can prove updates flow mid-fold.
+    #[cfg(test)]
     stall_ms: AtomicU64,
 }
 
@@ -309,6 +311,7 @@ impl Compactor {
             pending: Mutex::new(0),
             done: Condvar::new(),
             errors: Mutex::new(Vec::new()),
+            #[cfg(test)]
             stall_ms: AtomicU64::new(0),
         });
         let worker_state = Arc::clone(&state);
@@ -340,15 +343,19 @@ impl Compactor {
     }
 }
 
-/// The compactor thread's half of one fold: stage off-lock, optionally
-/// stall (tests), then finish under the slot lock. A slot that was
+/// The compactor thread's half of one fold: stage off-lock (stalled in
+/// unit tests), then finish under the slot lock. A slot that was
 /// vacated or re-journaled in the meantime discards the staged base — the
 /// old pair is still durable.
+#[cfg_attr(not(test), allow(unused_variables))]
 fn run_compaction(job: &CompactionJob, state: &CompactorState) -> Result<(), JournalError> {
     let staged = Journal::stage_compacted_base(&job.base_path, &job.bytes);
-    let stall = state.stall_ms.load(Ordering::Relaxed);
-    if stall > 0 {
-        std::thread::sleep(std::time::Duration::from_millis(stall));
+    #[cfg(test)]
+    {
+        let stall = state.stall_ms.load(Ordering::Relaxed);
+        if stall > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(stall));
+        }
     }
     let mut guard = job.slot.lock().unwrap_or_else(PoisonError::into_inner);
     let journal = guard
@@ -861,11 +868,11 @@ impl SessionPool {
             .unwrap_or(0)
     }
 
-    /// Test hook: stalls the compactor for `ms` milliseconds between
-    /// staging and finishing each fold, so tests can prove updates flow
-    /// while a fold is in flight. Not part of the serving API.
-    #[doc(hidden)]
-    pub fn set_compaction_test_stall(&self, ms: u64) {
+    /// Stalls the compactor for `ms` milliseconds between staging and
+    /// finishing each fold, so tests can prove updates flow while a fold
+    /// is in flight.
+    #[cfg(test)]
+    fn set_compaction_test_stall(&self, ms: u64) {
         let mut compactor = self
             .compactor
             .lock()
@@ -978,5 +985,74 @@ impl SessionPool {
                 expected: "Featurized",
             }),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SessionBuilder;
+    use std::time::{Duration, Instant};
+
+    /// Regression for the inline-compaction gap: a save that triggers the
+    /// compaction policy must NOT hold the slot lock for the fold's
+    /// O(session) staging I/O. With the compactor artificially stalled,
+    /// updates on the same slot must keep completing while the fold is in
+    /// flight, mid-fold updates must survive the fold, and the folded pair
+    /// must reopen bit-equal to the live session.
+    #[test]
+    fn compaction_runs_in_background_and_never_blocks_updates() {
+        let w = datagen::generate(&datagen::presets::tiny(70));
+        let links = w.truth().links();
+        let path =
+            std::env::temp_dir().join(format!("pool-unit-{}-bg-compact.snap", std::process::id()));
+        let mut pool = SessionPool::new(2);
+        pool.set_compaction(CompactionPolicy::EveryN(1));
+        // Stall each fold for 800 ms between staging and finishing — far
+        // longer than any update below takes.
+        pool.set_compaction_test_stall(800);
+        let counted = SessionBuilder::new(w.left(), w.right())
+            .anchors(links[..6].to_vec())
+            .count()
+            .unwrap();
+        let id = pool.insert(counted);
+        pool.attach_journal(id, &path).unwrap();
+
+        pool.update_anchors(id, &links[6..8]).unwrap();
+        let save_started = Instant::now();
+        pool.save(id, &path).unwrap();
+        let save_took = save_started.elapsed();
+        assert_eq!(pool.compaction_backlog(), 1, "the fold must be enqueued");
+        assert!(
+            save_took < Duration::from_millis(400),
+            "save must return without waiting for the stalled fold (took {save_took:?})"
+        );
+
+        // Updates flow while the fold is stalled in the background.
+        let update_started = Instant::now();
+        pool.update_anchors(id, &links[8..10]).unwrap();
+        pool.update_anchors(id, &links[10..12]).unwrap();
+        let updates_took = update_started.elapsed();
+        assert!(
+            updates_took < Duration::from_millis(400),
+            "updates must not block on the in-flight fold (took {updates_took:?})"
+        );
+
+        assert!(pool.flush_compactions().is_empty(), "the fold must succeed");
+        pool.set_compaction_test_stall(0);
+        let (_, _, recs) = pool.journal_stats(id).unwrap().unwrap();
+        assert_eq!(
+            recs, 2,
+            "the two mid-fold updates must survive the fold as journal suffix records"
+        );
+
+        // The folded base + suffix journal reopens bit-equal to the live
+        // session.
+        let n = pool.n_anchors(id).unwrap();
+        let (replayed, _) = Journal::open(&path).unwrap();
+        assert_eq!(replayed.n_anchors(), n);
+
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(Journal::path_for(&path)).ok();
     }
 }

@@ -222,6 +222,12 @@ fn serve_request(
     request: Request,
 ) -> Response {
     match request {
+        // A second open would leak the first session and its journal
+        // handle; the slot keeps serving the session it already has.
+        Request::Open { slot, .. } if slots.contains_key(&slot) => Response::Error {
+            code: ErrorCode::Open,
+            message: "slot already open".to_string(),
+        },
         Request::Open { slot, path } => match pool.open(&path) {
             Ok(id) => {
                 slots.insert(slot, id);

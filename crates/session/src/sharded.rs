@@ -93,12 +93,10 @@ type CandidateJob = Mutex<Option<Vec<(UserId, UserId)>>>;
 
 /// Magic prefix of a sharded-session manifest file.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"MDASHRD\0";
-/// Manifest format version this build writes. Version 2 appends the
-/// per-shard base+journal length table; version 1 manifests (no table)
-/// still open.
+/// Manifest format version this build writes and reads. Version 2
+/// appended the per-shard base+journal length table; any other version is
+/// refused, like a snapshot version bump.
 pub const MANIFEST_VERSION: u32 = 2;
-/// The oldest manifest version this build still reads.
-pub const MANIFEST_MIN_VERSION: u32 = 1;
 /// File name of the manifest inside a [`ShardedSession::save_dir`]
 /// directory.
 pub const MANIFEST_FILE: &str = "manifest.mdashard";
@@ -1036,12 +1034,10 @@ type ManifestParts = (
     Vec<AnchorEdge>,
 );
 
-/// Everything a manifest decodes to, version differences normalized.
+/// Everything a manifest decodes to.
 struct DecodedManifest {
-    version: u32,
     parts: ManifestParts,
-    /// Per-shard `(base_len, journal_len)` as of the last save — present
-    /// from manifest v2 on, empty for v1.
+    /// Per-shard `(base_len, journal_len)` as of the last save.
     shard_lens: Vec<(u64, u64)>,
 }
 
@@ -1049,14 +1045,13 @@ struct DecodedManifest {
 /// directory without opening any shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestInfo {
-    /// The manifest's format version (1 or 2).
+    /// The manifest's format version (always [`MANIFEST_VERSION`]).
     pub version: u32,
     /// Number of shards (matched partition pairs) in the ensemble.
     pub n_shards: usize,
     /// Boundary-ledger anchors recorded in the manifest.
     pub boundary_anchors: usize,
-    /// Per-shard `(base_len, journal_len)` in bytes as of the last save
-    /// — empty for a v1 manifest, which predates the table.
+    /// Per-shard `(base_len, journal_len)` in bytes as of the last save.
     pub shard_lens: Vec<(u64, u64)>,
 }
 
@@ -1070,7 +1065,7 @@ pub fn manifest_info(dir: impl AsRef<Path>) -> Result<ManifestInfo, ShardedError
     let bytes = std::fs::read(dir.as_ref().join(MANIFEST_FILE)).map_err(SnapshotError::Io)?;
     let decoded = decode_manifest(&bytes)?;
     Ok(ManifestInfo {
-        version: decoded.version,
+        version: MANIFEST_VERSION,
         n_shards: decoded.parts.2.pairs.len(),
         boundary_anchors: decoded.parts.3.len(),
         shard_lens: decoded.shard_lens,
@@ -1086,7 +1081,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
         return Err(SnapshotError::BadMagic);
     }
     let version = r.u32()?;
-    if !(MANIFEST_MIN_VERSION..=MANIFEST_VERSION).contains(&version) {
+    if version != MANIFEST_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found: version,
             supported: MANIFEST_VERSION,
@@ -1146,23 +1141,20 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
         }
         boundary_anchors.push(AnchorEdge::new(UserId(l), UserId(rr)));
     }
-    // v2 appends the per-shard (base_len, journal_len) table; v1 ends here.
-    let mut shard_lens = Vec::new();
-    if version >= 2 {
-        let n_shards = p.seq_len(16)?;
-        if n_shards != pairs.len() {
-            return Err(BinError::Malformed(format!(
-                "shard-length table has {n_shards} rows for {} matched pairs",
-                pairs.len()
-            ))
-            .into());
-        }
-        shard_lens.reserve(n_shards);
-        for _ in 0..n_shards {
-            let base_len = p.u64()?;
-            let journal_len = p.u64()?;
-            shard_lens.push((base_len, journal_len));
-        }
+    // The per-shard (base_len, journal_len) table closes the payload.
+    let n_shards = p.seq_len(16)?;
+    if n_shards != pairs.len() {
+        return Err(BinError::Malformed(format!(
+            "shard-length table has {n_shards} rows for {} matched pairs",
+            pairs.len()
+        ))
+        .into());
+    }
+    let mut shard_lens = Vec::with_capacity(n_shards);
+    for _ in 0..n_shards {
+        let base_len = p.u64()?;
+        let journal_len = p.u64()?;
+        shard_lens.push((base_len, journal_len));
     }
     if !p.is_exhausted() {
         return Err(
@@ -1170,7 +1162,6 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
         );
     }
     Ok(DecodedManifest {
-        version,
         parts: (
             left_map,
             right_map,

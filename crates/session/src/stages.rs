@@ -5,7 +5,7 @@ use activeiter::driver::ActiveLoop;
 use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy};
 use hetnet::aligned::anchor_matrix;
 use hetnet::{HetNet, UserId};
-use metadiagram::delta::{CountMerge, DeltaCatalogCounts, DeltaOutcome, DeltaStats, StackRegions};
+use metadiagram::delta::{DeltaCatalogCounts, DeltaOutcome, DeltaStats};
 use metadiagram::{
     dice_proximity, dice_proximity_delta, gather_features, touch_is_dense, Catalog, FeatureMatrix,
     FeatureSet,
@@ -116,23 +116,6 @@ pub struct AlignmentSession<S> {
     pub(crate) stage: S,
 }
 
-/// How [`AlignmentSession::update_anchors`] refreshes the downstream Dice
-/// proximity matrices after an incremental recount.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProximityRefresh {
-    /// Rewrite only rows whose row sum changed and patch entries in
-    /// columns whose column sum changed
-    /// ([`metadiagram::dice_proximity_delta`] over the maintained
-    /// [`sparsela::MarginSums`]) — the default. Per-round normalization
-    /// cost scales with the touched rows/columns, not with `Σ nnz`.
-    #[default]
-    Delta,
-    /// Re-normalize every changed count matrix from scratch (`O(nnz)` per
-    /// matrix) — the reference path the delta refresh is benchmarked
-    /// against. Results are bit-identical; only the cost differs.
-    Full,
-}
-
 /// Stage 1: count matrices and factor chains exist; no features yet.
 #[derive(Debug, Clone)]
 pub struct Counted(());
@@ -191,24 +174,6 @@ impl<S> AlignmentSession<S> {
     /// The worker threading the session was built with.
     pub fn threading(&self) -> Threading {
         self.threading
-    }
-
-    /// Selects the delta hot-path policies for subsequent anchor updates:
-    /// how incremental count deltas are merged into the stored matrices
-    /// ([`CountMerge`]) and how stacked-diagram touch regions are derived
-    /// ([`StackRegions`]).
-    ///
-    /// Both choices are pure tuning — every combination produces
-    /// bit-identical counts, sums and regions-covered changes; only the
-    /// work done per round differs. The defaults
-    /// ([`CountMerge::Splice`], [`StackRegions::Exact`]) are the fast
-    /// paths; the alternatives are the reference paths kept for the
-    /// benchmark dimensions. Policies are runtime state: they are not
-    /// persisted by [`crate::snapshot`], so reopened sessions start from
-    /// the defaults.
-    pub fn set_delta_policies(&mut self, merge: CountMerge, regions: StackRegions) {
-        self.counts.set_count_merge(merge);
-        self.counts.set_stack_regions(regions);
     }
 }
 
@@ -284,62 +249,46 @@ impl AlignmentSession<Featurized> {
     /// # Errors
     /// [`SessionError::Delta`] on out-of-range endpoints (nothing changes).
     pub fn update_anchors(&mut self, edges: &[AnchorEdge]) -> Result<usize, SessionError> {
-        self.update_anchors_with(edges, ProximityRefresh::Delta)
-    }
-
-    /// [`AlignmentSession::update_anchors`] with an explicit
-    /// [`ProximityRefresh`] policy. Both policies produce bit-identical
-    /// proximities and features; [`ProximityRefresh::Full`] exists as the
-    /// measured reference for the delta refresh (see the `session_delta`
-    /// bench).
-    ///
-    /// # Errors
-    /// [`SessionError::Delta`] on out-of-range endpoints (nothing changes).
-    pub fn update_anchors_with(
-        &mut self,
-        edges: &[AnchorEdge],
-        refresh: ProximityRefresh,
-    ) -> Result<usize, SessionError> {
         let outcome = self.counts.update_anchors(edges)?;
-        self.refresh(&outcome, refresh);
+        self.refresh(&outcome);
         Ok(outcome.applied)
     }
 
     /// Like [`AlignmentSession::update_anchors`], but recounts the changed
-    /// chains **from the full merged anchor matrix** instead of applying
-    /// the delta — the reference path incremental updates are benchmarked
-    /// against. Results are bit-identical; only the cost differs.
+    /// chains **from the full merged anchor matrix** and re-normalizes
+    /// their proximities wholesale — the one reference path (oracle) the
+    /// incremental update is tested and benchmarked against. Results are
+    /// bit-identical; only the cost differs.
     ///
     /// # Errors
     /// [`SessionError::Delta`] on out-of-range endpoints (nothing changes).
     pub fn recount_anchors(&mut self, edges: &[AnchorEdge]) -> Result<usize, SessionError> {
         let outcome = self.counts.recount_anchors(edges)?;
-        self.refresh(&outcome, ProximityRefresh::Full);
+        self.refresh(&outcome);
         Ok(outcome.applied)
     }
 
     /// Re-derives proximities and feature values for the changed catalog
     /// entries.
     ///
-    /// With [`ProximityRefresh::Delta`] and a known touched region, each
-    /// changed proximity is patched in its touched rows/columns
-    /// ([`dice_proximity_delta`] over the store's maintained margins) and
-    /// only the affected candidates re-gather — a candidate `(l, r)` can
-    /// change in column `c` only when `l` is a touched row or `r` a
-    /// touched column of `c`'s counts. Columns refreshed without region
+    /// With a known touched region, each changed proximity is patched in
+    /// its touched rows/columns ([`dice_proximity_delta`] over the store's
+    /// maintained margins) and only the affected candidates re-gather — a
+    /// candidate `(l, r)` can change in column `c` only when `l` is a
+    /// touched row or `r` a touched column of `c`'s counts. Columns refreshed without region
     /// info (the full-recount path) re-normalize from scratch and
     /// re-gather wholesale through the same [`gather_features`] kernel
     /// featurization uses. Both paths are bit-identical to a fresh
     /// featurization.
-    fn refresh(&mut self, outcome: &DeltaOutcome, mode: ProximityRefresh) {
+    fn refresh(&mut self, outcome: &DeltaOutcome) {
         if outcome.changed.is_empty() {
             return;
         }
         let mut full_cols: Vec<usize> = Vec::new();
         for chg in &outcome.changed {
             let col = chg.catalog_pos;
-            let region = match (mode, &chg.touched) {
-                (ProximityRefresh::Delta, Some(region))
+            let region = match &chg.touched {
+                Some(region)
                     if !touch_is_dense(
                         self.counts.catalog_count(col),
                         &region.rows,
@@ -348,9 +297,9 @@ impl AlignmentSession<Featurized> {
                 {
                     region
                 }
-                // No region info (full-recount path, explicit Full policy)
-                // or a region dense enough that per-entry patching would
-                // cost more than the wholesale refresh.
+                // No region info (the full-recount path) or a region dense
+                // enough that per-entry patching would cost more than the
+                // wholesale refresh.
                 _ => {
                     self.stage.proximities[col] = dice_proximity(self.counts.catalog_count(col));
                     full_cols.push(col);
@@ -536,39 +485,6 @@ mod tests {
         assert_eq!(incremental.stats().full_counts, 1);
         assert_eq!(incremental.stats().delta_updates, 1);
         assert_eq!(fresh.stats().full_counts, 1);
-    }
-
-    #[test]
-    fn delta_and_full_proximity_refresh_are_bit_identical() {
-        let w = world();
-        let train = w.truth().links()[..8].to_vec();
-        let extra = w.truth().links()[8..20].to_vec();
-        let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
-        let open = || {
-            SessionBuilder::new(w.left(), w.right())
-                .anchors(train.clone())
-                .count()
-                .unwrap()
-                .featurize(candidates.clone())
-        };
-        let mut delta = open();
-        let mut full = open();
-        for batch in extra.chunks(4) {
-            assert_eq!(
-                delta
-                    .update_anchors_with(batch, ProximityRefresh::Delta)
-                    .unwrap(),
-                full.update_anchors_with(batch, ProximityRefresh::Full)
-                    .unwrap()
-            );
-            assert_eq!(delta.features().x.data(), full.features().x.data());
-            for i in 0..delta.catalog().len() {
-                assert_eq!(delta.proximity_of(i), full.proximity_of(i), "prox {i}");
-            }
-        }
-        // Both stayed on the incremental counting path.
-        assert_eq!(delta.stats().full_counts, 1);
-        assert_eq!(full.stats().full_counts, 1);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! Acceptance tests for the session-driven active loop: with a budget of
 //! ≥ 20 queries, the catalog is fully counted **exactly once** (at session
 //! build); every subsequent round flows through `update_anchors`, and the
-//! delta path is bit-identical to recounting from scratch every round.
+//! delta path is bit-identical to recounting from scratch every round
+//! (`recount_anchors`, the full-recount oracle).
 
 use activeiter::query::RandomQuery;
-use activeiter::{ModelConfig, VecOracle};
+use activeiter::{ActiveLoop, FitReport, ModelConfig, Oracle, VecOracle};
 use hetnet::UserId;
-use session::{RecountPolicy, SessionBuilder};
+use session::{AlignmentSession, AnchorEdge, Featurized, SessionBuilder};
 
 struct Problem {
     world: datagen::GeneratedWorld,
@@ -36,28 +37,75 @@ fn problem(seed: u64) -> Problem {
     }
 }
 
-fn run(p: &Problem, policy: RecountPolicy) -> (session::ActiveRunReport, metadiagram::DeltaStats) {
+fn config() -> ModelConfig {
+    ModelConfig {
+        budget: 20,
+        ..Default::default()
+    }
+}
+
+fn featurized(p: &Problem) -> AlignmentSession<Featurized> {
     let train: Vec<_> = p
         .labeled
         .iter()
         .map(|&i| p.world.truth().links()[i])
         .collect();
-    let session = SessionBuilder::new(p.world.left(), p.world.right())
+    SessionBuilder::new(p.world.left(), p.world.right())
         .anchors(train)
         .count()
         .expect("generated networks share attribute universes")
-        .featurize(p.candidates.clone());
-    let config = ModelConfig {
-        budget: 20,
-        ..Default::default()
-    };
+        .featurize(p.candidates.clone())
+}
+
+fn run(p: &Problem) -> (session::ActiveRunReport, metadiagram::DeltaStats) {
     let mut strategy = RandomQuery::new(99);
     let oracle = VecOracle::new(p.truth.clone());
-    let (fitted, report) = session
-        .run_active(p.labeled.clone(), &oracle, &mut strategy, &config, policy)
+    let (fitted, report) = featurized(p)
+        .run_active(p.labeled.clone(), &oracle, &mut strategy, &config())
         .expect("candidates live in the networks' universe");
     let stats = fitted.stats();
     (report, stats)
+}
+
+/// The reference loop: the same rounds as `run_active`, but every
+/// confirming round folds its anchors back through the full-recount
+/// oracle (`recount_anchors`) instead of the delta path. Returns the fit,
+/// the session's stats and the total anchors merged.
+fn run_full_recount(p: &Problem) -> (FitReport, metadiagram::DeltaStats, usize) {
+    let mut session = featurized(p);
+    let mut strategy = RandomQuery::new(99);
+    let oracle = VecOracle::new(p.truth.clone());
+    let mut drv = ActiveLoop::new(session.instance(p.labeled.clone()), config());
+    let mut applied = 0;
+    loop {
+        drv.converge();
+        if drv.remaining() == 0 {
+            break;
+        }
+        let selection = drv.select_queries(&mut strategy);
+        if selection.is_empty() {
+            break;
+        }
+        let mut confirmed: Vec<AnchorEdge> = Vec::new();
+        for idx in selection {
+            let answer = oracle.label(idx);
+            drv.apply_answer(idx, answer);
+            if answer {
+                let (l, r) = session.candidates()[idx];
+                confirmed.push(AnchorEdge::new(l, r));
+            }
+        }
+        if !confirmed.is_empty() {
+            let n = session
+                .recount_anchors(&confirmed)
+                .expect("candidates live in the networks' universe");
+            if n > 0 {
+                drv.replace_features(&session.features().x);
+            }
+            applied += n;
+        }
+    }
+    (drv.finish(), session.stats(), applied)
 }
 
 fn f1(labels: &[f64], truth: &[bool]) -> f64 {
@@ -76,8 +124,8 @@ fn f1(labels: &[f64], truth: &[bool]) -> f64 {
 #[test]
 fn delta_loop_counts_once_and_matches_full_recount_bit_for_bit() {
     let p = problem(41);
-    let (delta_run, delta_stats) = run(&p, RecountPolicy::Delta);
-    let (full_run, full_stats) = run(&p, RecountPolicy::FullEachRound);
+    let (delta_run, delta_stats) = run(&p);
+    let (full_fit, full_stats, full_applied) = run_full_recount(&p);
 
     // Budget ≥ 20 actually spent across multiple rounds.
     assert_eq!(delta_run.fit.queried.len(), 20, "budget fully consumed");
@@ -102,27 +150,24 @@ fn delta_loop_counts_once_and_matches_full_recount_bit_for_bit() {
     );
 
     // Bit-identical models: labels, scores, query trajectory — hence F1.
-    assert_eq!(delta_run.fit.queried, full_run.fit.queried);
-    assert_eq!(delta_run.fit.labels, full_run.fit.labels);
-    assert_eq!(delta_run.fit.scores, full_run.fit.scores);
-    assert_eq!(delta_run.fit.weights, full_run.fit.weights);
+    assert_eq!(delta_run.fit.queried, full_fit.queried);
+    assert_eq!(delta_run.fit.labels, full_fit.labels);
+    assert_eq!(delta_run.fit.scores, full_fit.scores);
+    assert_eq!(delta_run.fit.weights, full_fit.weights);
     let (df1, ff1) = (
         f1(&delta_run.fit.labels, &p.truth),
-        f1(&full_run.fit.labels, &p.truth),
+        f1(&full_fit.labels, &p.truth),
     );
     assert_eq!(df1, ff1, "F1 must be bit-identical");
     assert!(df1 > 0.0, "the fit should find something");
-    assert_eq!(
-        delta_run.total_anchors_applied(),
-        full_run.total_anchors_applied()
-    );
+    assert_eq!(delta_run.total_anchors_applied(), full_applied);
 }
 
 #[test]
 fn session_loop_is_deterministic_under_seed() {
     let p = problem(43);
-    let (a, _) = run(&p, RecountPolicy::Delta);
-    let (b, _) = run(&p, RecountPolicy::Delta);
+    let (a, _) = run(&p);
+    let (b, _) = run(&p);
     assert_eq!(a.fit.labels, b.fit.labels);
     assert_eq!(a.fit.queried, b.fit.queried);
     // Round bookkeeping is deterministic apart from wall-clock.
@@ -140,27 +185,13 @@ fn feature_refresh_feeds_back_into_later_rounds() {
     // The refreshed features must actually differ from the static-feature
     // fit: confirmed anchors strengthen P1–P4 signals mid-loop.
     let p = problem(47);
-    let (run_report, _) = run(&p, RecountPolicy::Delta);
-    let train: Vec<_> = p
-        .labeled
-        .iter()
-        .map(|&i| p.world.truth().links()[i])
-        .collect();
-    let session = SessionBuilder::new(p.world.left(), p.world.right())
-        .anchors(train)
-        .count()
-        .unwrap()
-        .featurize(p.candidates.clone());
-    let config = ModelConfig {
-        budget: 20,
-        ..Default::default()
-    };
+    let (run_report, _) = run(&p);
     let mut strategy = RandomQuery::new(99);
-    let static_fit = session
+    let static_fit = featurized(&p)
         .fit(
             p.labeled.clone(),
             &VecOracle::new(p.truth.clone()),
-            &config,
+            &config(),
             &mut strategy,
         )
         .into_report();

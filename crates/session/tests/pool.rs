@@ -283,63 +283,6 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     std::fs::remove_file(Journal::path_for(&path)).ok();
 }
 
-/// Regression for the inline-compaction gap: a save that triggers the
-/// compaction policy must NOT hold the slot lock for the fold's
-/// O(session) staging I/O. With the compactor artificially stalled,
-/// updates on the same slot must keep completing while the fold is in
-/// flight, mid-fold updates must survive the fold, and the folded pair
-/// must reopen bit-equal to the live session.
-#[test]
-fn compaction_runs_in_background_and_never_blocks_updates() {
-    let w = world(70);
-    let links = w.truth().links();
-    let path = temp_path("bg-compact");
-    let mut pool = SessionPool::new(2);
-    pool.set_compaction(CompactionPolicy::EveryN(1));
-    // Stall each fold for 800 ms between staging and finishing — far
-    // longer than any update below takes.
-    pool.set_compaction_test_stall(800);
-    let id = pool.insert(counted(&w, 6));
-    pool.attach_journal(id, &path).unwrap();
-
-    pool.update_anchors(id, &links[6..8]).unwrap();
-    let save_started = std::time::Instant::now();
-    pool.save(id, &path).unwrap();
-    let save_took = save_started.elapsed();
-    assert_eq!(pool.compaction_backlog(), 1, "the fold must be enqueued");
-    assert!(
-        save_took < std::time::Duration::from_millis(400),
-        "save must return without waiting for the stalled fold (took {save_took:?})"
-    );
-
-    // Updates flow while the fold is stalled in the background.
-    let update_started = std::time::Instant::now();
-    pool.update_anchors(id, &links[8..10]).unwrap();
-    pool.update_anchors(id, &links[10..12]).unwrap();
-    let updates_took = update_started.elapsed();
-    assert!(
-        updates_took < std::time::Duration::from_millis(400),
-        "updates must not block on the in-flight fold (took {updates_took:?})"
-    );
-
-    assert!(pool.flush_compactions().is_empty(), "the fold must succeed");
-    pool.set_compaction_test_stall(0);
-    let (_, _, recs) = pool.journal_stats(id).unwrap().unwrap();
-    assert_eq!(
-        recs, 2,
-        "the two mid-fold updates must survive the fold as journal suffix records"
-    );
-
-    // The folded base + suffix journal reopens bit-equal to the live
-    // session.
-    let n = pool.n_anchors(id).unwrap();
-    let (replayed, _) = Journal::open(&path).unwrap();
-    assert_eq!(replayed.n_anchors(), n);
-
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(Journal::path_for(&path)).ok();
-}
-
 #[test]
 fn save_many_reports_per_slot_failures() {
     let w = world(69);

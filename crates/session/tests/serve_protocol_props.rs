@@ -453,6 +453,87 @@ fn worker_requests_against_unknown_slots_get_typed_errors() {
 }
 
 #[test]
+fn worker_refuses_a_second_open_of_a_live_slot() {
+    let dir = temp_dir("reopen");
+    let (base, n0) = make_base(&dir);
+    // A second base with fewer anchors: had the duplicate Open replaced
+    // the slot's session, the update below would count against it.
+    let w = datagen::generate(&datagen::presets::tiny(91));
+    let other = dir.join("other.snap");
+    let small = SessionBuilder::new(w.left(), w.right())
+        .anchors(w.truth().links()[..2].to_vec())
+        .count()
+        .unwrap();
+    snapshot::save(&small, &other).unwrap();
+    let extra = w.truth().links()[6..9].to_vec();
+
+    let mut input = Vec::new();
+    for (seq, path) in [(1u64, &base), (2, &other)] {
+        input.extend_from_slice(&encode_request(
+            seq,
+            &Request::Open {
+                slot: 7,
+                path: path.display().to_string(),
+            },
+        ));
+    }
+    input.extend_from_slice(&encode_request(
+        3,
+        &Request::UpdateAnchors {
+            slot: 7,
+            edges: extra.clone(),
+        },
+    ));
+    input.extend_from_slice(&encode_request(4, &Request::Shutdown));
+    let mut output = Vec::new();
+    let code = run_worker(
+        &input[..],
+        &mut output,
+        None,
+        session::CompactionPolicy::Never,
+    );
+    assert_eq!(code, 0, "a refused open never kills the worker");
+
+    let responses = drain_responses(&output);
+    assert_eq!(
+        responses[1],
+        (
+            1,
+            Response::Opened {
+                slot: 7,
+                n_anchors: n0 as u64
+            }
+        )
+    );
+    match &responses[2] {
+        (2, Response::Error { code, message }) => {
+            assert_eq!(*code, ErrorCode::Open);
+            assert!(message.contains("slot already open"), "{message}");
+        }
+        other => panic!("expected the duplicate Open refused, got {other:?}"),
+    }
+    match &responses[3] {
+        (
+            3,
+            Response::Updated {
+                slot: 7,
+                applied,
+                n_anchors,
+            },
+        ) => {
+            assert_eq!(*applied, extra.len() as u64);
+            assert_eq!(
+                *n_anchors,
+                (n0 + extra.len()) as u64,
+                "landed on the original"
+            );
+        }
+        other => panic!("expected Updated, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn worker_exit_fault_fires_at_the_exact_request_index() {
     let mut input = Vec::new();
     input.extend_from_slice(&encode_request(1, &Request::Checkpoint { slot: 0 }));

@@ -11,8 +11,8 @@ use activeiter::query::ConflictQuery;
 use activeiter::{FitReport, ModelConfig, Oracle, VecOracle};
 use hetnet::partition::PartitionMap;
 use hetnet::{AnchorLink, UserId};
-use session::sharded::{ShardedConfig, ShardedSession};
-use session::SessionBuilder;
+use session::sharded::{ShardedConfig, ShardedError, ShardedSession};
+use session::{SessionBuilder, SnapshotError};
 use std::path::PathBuf;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -228,7 +228,7 @@ fn boundary_anchors_survive_save_open_round_trip() {
 }
 
 #[test]
-fn manifest_v2_reports_journal_lengths_and_v1_still_opens() {
+fn manifest_v2_reports_journal_lengths_and_v1_is_refused() {
     let world = datagen::generate(&datagen::presets::tiny(53));
     let truth_links = world.truth().links().to_vec();
     let mut sharded = ShardedSession::with_partitions(
@@ -266,8 +266,8 @@ fn manifest_v2_reports_journal_lengths_and_v1_still_opens() {
     );
 
     // Downgrade the manifest to v1 in place: strip the trailing
-    // per-shard length table, stamp version 1, recompute the CRC. The
-    // ensemble must still open (v1 compatibility), minus the lengths.
+    // per-shard length table, stamp version 1, recompute the CRC. A
+    // version bump is a refusal, never a migration.
     let manifest_path = dir.join(session::sharded::MANIFEST_FILE);
     let bytes = std::fs::read(&manifest_path).unwrap();
     let payload = &bytes[12..bytes.len() - 4];
@@ -280,12 +280,19 @@ fn manifest_v2_reports_journal_lengths_and_v1_still_opens() {
     v1.extend_from_slice(&serde::bin::crc32(v1_payload).to_le_bytes());
     std::fs::write(&manifest_path, &v1).unwrap();
 
-    let info_v1 = session::manifest_info(&dir).unwrap();
-    assert_eq!(info_v1.version, 1);
-    assert_eq!(info_v1.n_shards, 1);
-    assert!(info_v1.shard_lens.is_empty(), "v1 predates the table");
-    let reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap();
-    assert_eq!(reopened.n_shards(), 1);
+    let refused = |e: ShardedError| {
+        matches!(
+            e,
+            ShardedError::Manifest(SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        )
+    };
+    assert!(refused(session::manifest_info(&dir).unwrap_err()));
+    assert!(refused(
+        ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err()
+    ));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -11,7 +11,7 @@
 use activeiter::query::ConflictQuery;
 use activeiter::{ModelConfig, VecOracle};
 use proptest::prelude::*;
-use session::{snapshot, RecountPolicy, SessionBuilder};
+use session::{snapshot, SessionBuilder};
 
 fn world(seed: u64) -> datagen::GeneratedWorld {
     datagen::generate(&datagen::presets::tiny(seed))
@@ -118,7 +118,6 @@ fn reopened_sessions_run_active_bit_equal() {
                 &VecOracle::new(truth.clone()),
                 &mut strategy,
                 &config,
-                RecountPolicy::Delta,
             )
             .unwrap()
     };

@@ -1,21 +1,17 @@
-//! Active querying through the session API: per-round timings, full vs delta.
+//! Active querying through the session API: per-round recount timings.
 //!
-//! Builds one world, opens two identical sessions, and drives the same
-//! ActiveIter loop (same seed, same oracle) under both recount policies:
+//! Builds one world, opens a session, and drives the ActiveIter loop with
+//! per-round anchor feedback. Every round applies the sparse low-rank
+//! update `C += L·ΔA·R`, whose cost scales with the handful of anchors the
+//! oracle just confirmed. The downstream refresh is delta-aware too: Dice
+//! proximities are patched only in the touched rows/columns (maintained
+//! margin sums — no `O(nnz)` denominator rescan) and only affected feature
+//! entries re-gather, so the printed per-round recount-ms covers counting
+//! *and* normalization.
 //!
-//! * `RecountPolicy::FullEachRound` — every round recounts the anchor-
-//!   dependent chains from the full merged anchor matrix (the old
-//!   rebuild-per-round behaviour);
-//! * `RecountPolicy::Delta` — every round applies the sparse low-rank
-//!   update `C += L·ΔA·R`, whose cost scales with the handful of anchors
-//!   the oracle just confirmed. The downstream refresh is delta-aware
-//!   too: Dice proximities are patched only in the touched rows/columns
-//!   (maintained margin sums — no `O(nnz)` denominator rescan) and only
-//!   affected feature entries re-gather, so the printed per-round
-//!   recount-ms covers counting *and* normalization on the delta path.
-//!
-//! The fits are bit-identical; only the per-round recount wall-clock
-//! differs — the session counts the full catalog exactly once, at build.
+//! The session counts the full catalog exactly once, at build. The
+//! delta-vs-full-recount cost comparison lives in the `session_delta`
+//! bench (`cargo bench -p bench --bench session_delta`).
 //!
 //! ```sh
 //! cargo run --release --example active_query_demo
@@ -56,59 +52,42 @@ fn main() {
         config.budget
     );
 
-    let mut runs = Vec::new();
-    for policy in [RecountPolicy::FullEachRound, RecountPolicy::Delta] {
-        let build_start = std::time::Instant::now();
-        let session = SessionBuilder::new(world.left(), world.right())
-            .anchors(train.clone())
-            .count()
-            .expect("generated networks share attribute universes")
-            .featurize(candidates.clone());
-        let build_time = build_start.elapsed();
+    let build_start = std::time::Instant::now();
+    let session = SessionBuilder::new(world.left(), world.right())
+        .anchors(train)
+        .count()
+        .expect("generated networks share attribute universes")
+        .featurize(candidates);
+    let build_time = build_start.elapsed();
 
-        let mut strategy = activeiter::query::RandomQuery::new(7);
-        let oracle = VecOracle::new(truth.clone());
-        let (fitted, run) = session
-            .run_active(labeled.clone(), &oracle, &mut strategy, &config, policy)
-            .expect("candidates live in the networks' universe");
+    let mut strategy = activeiter::query::RandomQuery::new(7);
+    let oracle = VecOracle::new(truth);
+    let (fitted, run) = session
+        .run_active(labeled, &oracle, &mut strategy, &config)
+        .expect("candidates live in the networks' universe");
 
+    println!("build + first full count: {:.1} ms", ms(build_time));
+    println!("  round  queried  confirmed  recount-ms");
+    for (i, r) in run.rounds.iter().enumerate() {
         println!(
-            "policy {policy:?}  (build + first full count: {:.1} ms)",
-            ms(build_time)
+            "  {:>5}  {:>7}  {:>9}  {:>10.2}",
+            i + 1,
+            r.queried,
+            r.confirmed,
+            ms(r.recount_time)
         );
-        println!("  round  queried  confirmed  recount-ms");
-        for (i, r) in run.rounds.iter().enumerate() {
-            println!(
-                "  {:>5}  {:>7}  {:>9}  {:>10.2}",
-                i + 1,
-                r.queried,
-                r.confirmed,
-                ms(r.recount_time)
-            );
-        }
-        let stats = fitted.stats();
-        println!(
-            "  totals: {:.2} ms recounting, {} anchors merged, \
-             full catalog counts = {}, delta updates = {}\n",
-            ms(run.total_recount_time()),
-            run.total_anchors_applied(),
-            stats.full_counts,
-            stats.delta_updates,
-        );
-        runs.push(run);
     }
-
-    let (full, delta) = (&runs[0], &runs[1]);
-    assert_eq!(
-        full.fit.labels, delta.fit.labels,
-        "policies must produce bit-identical fits"
-    );
-    assert_eq!(full.fit.queried, delta.fit.queried);
-    let speedup = ms(full.total_recount_time()) / ms(delta.total_recount_time()).max(1e-9);
+    let stats = fitted.stats();
     println!(
-        "bit-identical fits; per-run recount speedup: {:.1}x ({:.2} ms -> {:.2} ms)",
-        speedup,
-        ms(full.total_recount_time()),
-        ms(delta.total_recount_time())
+        "  totals: {:.2} ms recounting, {} anchors merged, \
+         full catalog counts = {}, delta updates = {}",
+        ms(run.total_recount_time()),
+        run.total_anchors_applied(),
+        stats.full_counts,
+        stats.delta_updates,
+    );
+    assert_eq!(
+        stats.full_counts, 1,
+        "every round must go through the delta path"
     );
 }

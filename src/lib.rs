@@ -89,7 +89,7 @@ pub mod prelude {
     pub use hetnet::{AlignedPair, AnchorLink, AnchorSet, HetNet, HetNetBuilder, UserId};
     pub use metadiagram::{Catalog, CountEngine, Diagram, FeatureSet};
     pub use session::{
-        snapshot, ActiveRunReport, AlignmentSession, AnchorEdge, RecountPolicy, SessionBuilder,
-        SessionPool, ShardedConfig, ShardedSession, StitchedAlignment,
+        snapshot, ActiveRunReport, AlignmentSession, AnchorEdge, SessionBuilder, SessionPool,
+        ShardedConfig, ShardedSession, StitchedAlignment,
     };
 }

@@ -243,20 +243,6 @@ impl From<SessionError> for JournalError {
     }
 }
 
-impl JournalError {
-    /// Collapses a journal error into the snapshot error space — for the
-    /// monolithic [`crate::snapshot::save`] wrapper, whose callers signed
-    /// up for [`SnapshotError`]. Only `Io`/`Snapshot` can actually arise
-    /// on that path.
-    pub(crate) fn demote(self) -> SnapshotError {
-        match self {
-            JournalError::Io(e) => SnapshotError::Io(e),
-            JournalError::Snapshot(e) => e,
-            other => SnapshotError::Decode(BinError::Malformed(other.to_string())),
-        }
-    }
-}
-
 /// One decoded journal record.
 enum Record {
     /// A batch of confirmed anchors to fold through the delta path.
@@ -268,7 +254,7 @@ enum Record {
     Compacted { base_len: u64, base_crc: u32 },
 }
 
-fn header_bytes(base_len: u64, base_crc: u32) -> Vec<u8> {
+fn header_bytes((base_len, base_crc): (u64, u32)) -> Vec<u8> {
     let mut w = Writer::with_capacity(HEADER_LEN);
     w.bytes(&JOURNAL_MAGIC);
     w.u32(JOURNAL_VERSION);
@@ -311,32 +297,6 @@ fn compacted_payload(base_len: u64, base_crc: u32) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Counts the `AnchorDelta` frames in a frame-aligned byte run (a journal
-/// suffix carried across a compaction). Tolerates a torn tail — the frame
-/// after the tear is simply not counted, matching what replay would keep.
-fn count_delta_frames(frames: &[u8]) -> u32 {
-    let mut n = 0u32;
-    let mut pos = 0usize;
-    while pos + FRAME_LEN <= frames.len() {
-        let mut r = Reader::new(&frames[pos..pos + FRAME_LEN]);
-        let (Ok(payload_len), Ok(_crc)) = (r.u32(), r.u32()) else {
-            break;
-        };
-        let payload_len = payload_len as usize;
-        let Some(end) = pos
-            .checked_add(FRAME_LEN + payload_len)
-            .filter(|&e| e <= frames.len())
-        else {
-            break;
-        };
-        if frames.get(pos + FRAME_LEN) == Some(&REC_ANCHOR_DELTA) {
-            n += 1;
-        }
-        pos = end;
-    }
-    n
-}
-
 fn decode_payload(bytes: &[u8]) -> Result<Record, JournalError> {
     let mut r = Reader::new(bytes);
     let record = match r.u8()? {
@@ -374,38 +334,40 @@ fn decode_payload(bytes: &[u8]) -> Result<Record, JournalError> {
     Ok(record)
 }
 
-/// Scans the record region (header already consumed) and returns the
-/// decoded records plus the valid length of the file — `< bytes.len()`
-/// exactly when a torn tail must be truncated.
-fn scan(bytes: &[u8]) -> Result<(Vec<Record>, usize), JournalError> {
+/// Scans the record region (header already consumed) and returns each
+/// decoded record with the offset just past its frame. The last offset
+/// (or [`HEADER_LEN`] when there are no records) is the valid length of
+/// the file — `< bytes.len()` exactly when a torn tail must be truncated.
+fn scan(bytes: &[u8]) -> Result<Vec<(Record, usize)>, JournalError> {
     let mut records = Vec::new();
     let mut pos = HEADER_LEN;
     while pos < bytes.len() {
         // A frame that cannot even hold its own prefix is a torn tail.
         let Some(rest) = bytes.len().checked_sub(pos + FRAME_LEN) else {
-            return Ok((records, pos));
+            break;
         };
         let mut r = Reader::new(&bytes[pos..pos + FRAME_LEN]);
         let payload_len = r.u32()? as usize;
         let crc = r.u32()?;
         if payload_len > rest {
             // The payload extends past EOF: torn mid-append.
-            return Ok((records, pos));
+            break;
         }
-        let payload = &bytes[pos + FRAME_LEN..pos + FRAME_LEN + payload_len];
+        let end = pos + FRAME_LEN + payload_len;
+        let payload = &bytes[pos + FRAME_LEN..end];
         if crc32(payload) != crc {
-            if pos + FRAME_LEN + payload_len == bytes.len() {
+            if end == bytes.len() {
                 // The damaged record is the last one — indistinguishable
                 // from a torn append; drop it.
-                return Ok((records, pos));
+                break;
             }
             // Interior damage with intact records after it: refuse.
             return Err(JournalError::Checksum { offset: pos as u64 });
         }
-        records.push(decode_payload(payload)?);
-        pos += FRAME_LEN + payload_len;
+        records.push((decode_payload(payload)?, end));
+        pos = end;
     }
-    Ok((records, pos))
+    Ok(records)
 }
 
 /// An open append handle over a `<base>.jrnl` file paired with its base
@@ -435,6 +397,9 @@ struct PendingCompaction {
     /// at or past this offset were appended mid-compaction and must
     /// survive into the fresh journal.
     fold_mark: u64,
+    /// `AnchorDelta` records appended at or past `fold_mark` — the delta
+    /// count the fresh journal starts with.
+    deltas_after_mark: u32,
 }
 
 /// A new base snapshot written to a synced temporary file by
@@ -467,14 +432,10 @@ impl fmt::Debug for Journal {
     }
 }
 
-/// Writes a fresh header-only journal next to `journal_path` (atomically,
-/// by rename) and reopens it for appending.
-fn write_fresh(
-    journal_path: &Path,
-    base_len: u64,
-    base_crc: u32,
-) -> Result<std::fs::File, JournalError> {
-    snapshot::write_atomic(journal_path, &header_bytes(base_len, base_crc))?;
+/// Writes `bytes` as the whole journal at `journal_path` (atomically, by
+/// rename) and reopens it for appending.
+fn write_fresh(journal_path: &Path, bytes: &[u8]) -> Result<std::fs::File, JournalError> {
+    snapshot::write_atomic(journal_path, bytes)?;
     Ok(std::fs::OpenOptions::new()
         .append(true)
         .open(journal_path)?)
@@ -489,6 +450,27 @@ impl Journal {
         PathBuf::from(p)
     }
 
+    /// The one constructor: an append handle over an already-open journal
+    /// `file` extending the base `(len, crc)` at `base_path`.
+    fn new(
+        base_path: PathBuf,
+        (base_len, base_crc): (u64, u32),
+        file: std::fs::File,
+        journal_len: u64,
+        delta_records: u32,
+    ) -> Journal {
+        Journal {
+            journal_path: Journal::path_for(&base_path),
+            base_path,
+            file,
+            journal_len,
+            delta_records,
+            base_len,
+            base_crc,
+            pending: None,
+        }
+    }
+
     /// Publishes `base_bytes` as the base snapshot at `base_path`
     /// (atomically, by rename) and starts a fresh, empty journal beside
     /// it.
@@ -499,20 +481,9 @@ impl Journal {
     pub fn create(base_path: impl AsRef<Path>, base_bytes: &[u8]) -> Result<Journal, JournalError> {
         let base_path = base_path.as_ref().to_path_buf();
         snapshot::write_atomic(&base_path, base_bytes)?;
-        let base_len = base_bytes.len() as u64;
-        let base_crc = crc32(base_bytes);
-        let journal_path = Journal::path_for(&base_path);
-        let file = write_fresh(&journal_path, base_len, base_crc)?;
-        Ok(Journal {
-            base_path,
-            journal_path,
-            file,
-            journal_len: HEADER_LEN as u64,
-            delta_records: 0,
-            base_len,
-            base_crc,
-            pending: None,
-        })
+        let base = (base_bytes.len() as u64, crc32(base_bytes));
+        let file = write_fresh(&Journal::path_for(&base_path), &header_bytes(base))?;
+        Ok(Journal::new(base_path, base, file, HEADER_LEN as u64, 0))
     }
 
     /// Opens the base snapshot at `base_path`, replays its journal (if
@@ -530,27 +501,17 @@ impl Journal {
         let base_path = base_path.as_ref().to_path_buf();
         let base_bytes = std::fs::read(&base_path).map_err(SnapshotError::Io)?;
         let mut session = snapshot::from_bytes(&base_bytes)?;
-        let base_len = base_bytes.len() as u64;
-        let base_crc = crc32(&base_bytes);
+        let base = (base_bytes.len() as u64, crc32(&base_bytes));
         drop(base_bytes);
 
         let journal_path = Journal::path_for(&base_path);
         let jbytes = match std::fs::read(&journal_path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let file = write_fresh(&journal_path, base_len, base_crc)?;
+                let file = write_fresh(&journal_path, &header_bytes(base))?;
                 return Ok((
                     session,
-                    Journal {
-                        base_path,
-                        journal_path,
-                        file,
-                        journal_len: HEADER_LEN as u64,
-                        delta_records: 0,
-                        base_len,
-                        base_crc,
-                        pending: None,
-                    },
+                    Journal::new(base_path, base, file, HEADER_LEN as u64, 0),
                 ));
             }
             Err(e) => return Err(JournalError::Io(e)),
@@ -570,123 +531,79 @@ impl Journal {
                 supported: JOURNAL_VERSION,
             });
         }
-        let journal_base_len = r.u64()?;
-        let journal_base_crc = r.u32()?;
+        let header = (r.u64()?, r.u32()?);
 
-        if (journal_base_len, journal_base_crc) != (base_len, base_crc) {
-            // The journal extends some other base. The one legitimate way
-            // here: a compaction that crashed after publishing its new
-            // base but before replacing the journal — recognisable by a
-            // `Compacted` record naming exactly the base now on disk.
-            // Records before that marker were folded into the new base;
-            // records after it arrived mid-compaction and must replay onto
-            // it (and survive into the rebuilt journal). Anything else
-            // refuses.
-            let fold = scan(&jbytes).ok().and_then(|(records, _)| {
-                records
-                    .iter()
-                    .rposition(|r| {
-                        matches!(
-                            r,
-                            Record::Compacted {
-                                base_len: l,
-                                base_crc: c,
-                            } if (*l, *c) == (base_len, base_crc)
-                        )
-                    })
-                    .map(|idx| (records, idx))
-            });
-            let Some((records, idx)) = fold else {
-                return Err(JournalError::BaseMismatch { path: journal_path });
-            };
-            let mut fresh = header_bytes(base_len, base_crc);
-            let mut delta_records = 0u32;
-            for record in &records[idx + 1..] {
-                match record {
-                    Record::AnchorDelta(edges) => {
-                        session.update_anchors(edges)?;
-                        delta_records += 1;
-                        fresh.extend_from_slice(&frame(&delta_payload(edges)));
-                    }
-                    Record::Checkpoint { n_anchors } => {
-                        let found = session.n_anchors() as u64;
-                        if *n_anchors != found {
-                            return Err(JournalError::Inconsistent {
-                                expected: *n_anchors,
-                                found,
-                            });
-                        }
-                        fresh.extend_from_slice(&frame(&checkpoint_payload(*n_anchors)));
-                    }
-                    // A later aborted fold's marker: inert, but keep it so
-                    // the rebuilt journal stays a faithful suffix copy.
-                    Record::Compacted { base_len, base_crc } => {
-                        fresh.extend_from_slice(&frame(&compacted_payload(*base_len, *base_crc)));
-                    }
-                }
-            }
-            snapshot::write_atomic(&journal_path, &fresh)?;
-            let file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&journal_path)?;
-            return Ok((
-                session,
-                Journal {
-                    base_path,
-                    journal_path,
-                    file,
-                    journal_len: fresh.len() as u64,
-                    delta_records,
-                    base_len,
-                    base_crc,
-                    pending: None,
-                },
-            ));
-        }
-
-        let (records, valid_len) = scan(&jbytes)?;
+        // `fold` is the index of the `Compacted` marker the base on disk
+        // was folded at, when the header names another base. The one
+        // legitimate way here: a compaction that crashed after publishing
+        // its new base but before replacing the journal — recognisable by
+        // a `Compacted` record naming exactly the base now on disk.
+        // Records before that marker were folded into the new base;
+        // records after it arrived mid-compaction and must replay onto it
+        // (and survive into the rebuilt journal). Anything else refuses.
+        let (records, fold) = if header == base {
+            (scan(&jbytes)?, None)
+        } else {
+            scan(&jbytes)
+                .ok()
+                .and_then(|records| {
+                    let idx = records.iter().rposition(|(r, _)| {
+                        matches!(r, Record::Compacted { base_len, base_crc }
+                            if (*base_len, *base_crc) == base)
+                    })?;
+                    Some((records, Some(idx)))
+                })
+                .ok_or(JournalError::BaseMismatch {
+                    path: journal_path.clone(),
+                })?
+        };
         let mut delta_records = 0u32;
-        for record in records {
+        for (record, _) in &records[fold.map_or(0, |idx| idx + 1)..] {
             match record {
                 Record::AnchorDelta(edges) => {
-                    session.update_anchors(&edges)?;
+                    session.update_anchors(edges)?;
                     delta_records += 1;
                 }
                 Record::Checkpoint { n_anchors } => {
                     let found = session.n_anchors() as u64;
-                    if n_anchors != found {
+                    if *n_anchors != found {
                         return Err(JournalError::Inconsistent {
-                            expected: n_anchors,
+                            expected: *n_anchors,
                             found,
                         });
                     }
                 }
-                // A `Compacted` record under a matching header is an
-                // aborted compaction (the new base never landed): the
-                // deltas before it are already applied, so it is inert.
+                // A replayed `Compacted` record is an aborted compaction
+                // (its base never landed): the deltas before it are
+                // already applied, so it is inert.
                 Record::Compacted { .. } => {}
             }
         }
 
-        let file = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&journal_path)?;
-        if (valid_len as u64) < jbytes.len() as u64 {
-            // Torn tail: reclaim the intact prefix.
-            file.set_len(valid_len as u64)?;
-        }
+        let valid_len = records.last().map_or(HEADER_LEN, |(_, end)| *end);
+        let (file, journal_len) = match fold {
+            None => {
+                let file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&journal_path)?;
+                if valid_len < jbytes.len() {
+                    // Torn tail: reclaim the intact prefix.
+                    file.set_len(valid_len as u64)?;
+                }
+                (file, valid_len)
+            }
+            Some(idx) => {
+                // Finish the interrupted fold exactly as `finish_compact`
+                // would have: a fresh header plus the raw frames after the
+                // marker (a torn tail stays behind).
+                let mut fresh = header_bytes(base);
+                fresh.extend_from_slice(&jbytes[records[idx].1..valid_len]);
+                (write_fresh(&journal_path, &fresh)?, fresh.len())
+            }
+        };
         Ok((
             session,
-            Journal {
-                base_path,
-                journal_path,
-                file,
-                journal_len: valid_len as u64,
-                delta_records,
-                base_len,
-                base_crc,
-                pending: None,
-            },
+            Journal::new(base_path, base, file, journal_len as u64, delta_records),
         ))
     }
 
@@ -703,6 +620,9 @@ impl Journal {
         self.file.write_all(&framed)?;
         self.journal_len += framed.len() as u64;
         self.delta_records += 1;
+        if let Some(p) = self.pending.as_mut() {
+            p.deltas_after_mark += 1;
+        }
         Ok(())
     }
 
@@ -773,6 +693,7 @@ impl Journal {
             new_len,
             new_crc,
             fold_mark: self.journal_len,
+            deltas_after_mark: 0,
         });
         Ok(())
     }
@@ -803,20 +724,7 @@ impl Journal {
         base_path: &Path,
         base_bytes: &[u8],
     ) -> Result<StagedBase, JournalError> {
-        static STAGE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let seq = STAGE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let mut tmp = base_path.as_os_str().to_owned();
-        tmp.push(format!(".cstage.{}-{seq}", std::process::id()));
-        let tmp = PathBuf::from(tmp);
-        let write_synced = || -> std::io::Result<()> {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(base_bytes)?;
-            file.sync_all()
-        };
-        if let Err(e) = write_synced() {
-            std::fs::remove_file(&tmp).ok();
-            return Err(JournalError::Io(e));
-        }
+        let tmp = snapshot::write_synced_sibling(base_path, "cstage", base_bytes)?;
         Ok(StagedBase {
             tmp,
             new_len: base_bytes.len() as u64,
@@ -852,29 +760,24 @@ impl Journal {
         }
         // Records appended after the fold mark (mid-compaction traffic)
         // must survive into the fresh journal.
-        let result = (|| -> Result<(u64, u32), JournalError> {
+        let result = (|| -> Result<u64, JournalError> {
             let jbytes = std::fs::read(&self.journal_path)?;
             let fold = (pending.fold_mark as usize).min(jbytes.len());
-            let suffix = jbytes[fold..].to_vec();
+            let mut fresh = header_bytes((pending.new_len, pending.new_crc));
+            fresh.extend_from_slice(&jbytes[fold..]);
             drop(jbytes);
             std::fs::rename(&staged.tmp, &self.base_path)?;
-            let mut fresh = header_bytes(pending.new_len, pending.new_crc);
-            fresh.extend_from_slice(&suffix);
-            snapshot::write_atomic(&self.journal_path, &fresh)?;
-            self.file = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&self.journal_path)?;
-            Ok((fresh.len() as u64, count_delta_frames(&suffix)))
+            self.file = write_fresh(&self.journal_path, &fresh)?;
+            Ok(fresh.len() as u64)
         })();
         // Pending clears on every outcome: on failure the disk pair is
         // recovered by the next open, and leaving the flag set would
         // block all future compactions of this journal.
         self.pending = None;
-        let (journal_len, delta_records) = result?;
+        self.journal_len = result?;
         self.base_len = pending.new_len;
         self.base_crc = pending.new_crc;
-        self.journal_len = journal_len;
-        self.delta_records = delta_records;
+        self.delta_records = pending.deltas_after_mark;
         Ok(())
     }
 
@@ -915,23 +818,6 @@ impl Journal {
     /// Number of `AnchorDelta` records since the base was last written.
     pub fn delta_records(&self) -> u32 {
         self.delta_records
-    }
-}
-
-/// Writes `base_bytes` as a plain monolithic snapshot at `base_path` and
-/// unlinks any stale sibling journal — the journal-layer primitive
-/// [`crate::snapshot::save`] wraps. Without the unlink, the next
-/// journal-aware open would find a journal pinned to the *previous* base
-/// and refuse with [`JournalError::BaseMismatch`].
-///
-/// # Errors
-/// [`JournalError::Snapshot`] / [`JournalError::Io`] when a write fails.
-pub fn checkpoint_monolithic(base_path: &Path, base_bytes: &[u8]) -> Result<(), JournalError> {
-    snapshot::write_atomic(base_path, base_bytes)?;
-    match std::fs::remove_file(Journal::path_for(base_path)) {
-        Ok(()) => Ok(()),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-        Err(e) => Err(JournalError::Io(e)),
     }
 }
 

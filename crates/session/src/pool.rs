@@ -17,19 +17,26 @@
 //!   `Featurized`) behind its own lock, so independent sessions never
 //!   contend and a batch touching one session many times serializes
 //!   correctly;
-//! * batch operations ([`SessionPool::update_many`] /
-//!   [`SessionPool::save_many`]) fan out over the bounded, panic-safe,
-//!   order-preserving worker runner ([`crate::workers::run_ordered`]) —
-//!   the same pattern `eval::multi` shards pairwise evaluation with —
-//!   returning results in job order.
+//! * batch updates ([`SessionPool::update_many`]) fan out over the
+//!   bounded, panic-safe, order-preserving worker runner
+//!   ([`crate::workers::run_ordered`]) — the same pattern `eval::multi`
+//!   shards pairwise evaluation with — returning results in job order.
+//!
+//! ## One persistence verb
+//!
+//! [`SessionPool::save`] is the only way a slot reaches disk: at the
+//! slot's **home** (the base its journal extends) it appends an fsynced
+//! `Checkpoint` record — O(|ΔA|), not O(session); anywhere else it writes
+//! a fresh base + journal and moves the home there. A slot opened from
+//! disk is at home where it was opened, and no two live slots of one pool
+//! share a base ([`PoolError::AlreadyOpen`]).
 //!
 //! ## Write-ahead journaling
 //!
-//! A slot opened from disk (or explicitly journaled via
-//! [`SessionPool::attach_journal`]) carries a [`Journal`]: every anchor
-//! update is **appended to the journal before it is applied in memory**,
-//! under the slot lock, so the on-disk record is never behind the state
-//! it reconstructs. The ordering contract, precisely:
+//! On a journaled slot every anchor update is **appended to the journal
+//! before it is applied in memory**, under the slot lock, so the on-disk
+//! record is never behind the state it reconstructs. The ordering
+//! contract, precisely:
 //!
 //! 1. the batch is pre-validated against the anchor shape (the exact
 //!    check the delta path performs), so a batch that would be refused in
@@ -41,26 +48,23 @@
 //! If (2) fails, memory is untouched and the journal holds at most a
 //! torn tail, which the next open truncates. A no-op batch (all edges
 //! already known) is journaled too and replays as the same no-op —
-//! replayed stats stay bit-equal. [`SessionPool::save`] on a journaled
-//! slot appends a fsynced `Checkpoint` record — O(|ΔA|), not O(session).
+//! replayed stats stay bit-equal.
 //!
 //! ## Background compaction
 //!
-//! When the pool's [`CompactionPolicy`] ([`SessionPool::set_compaction`])
-//! says a journal has grown enough, [`SessionPool::save`] /
-//! [`SessionPool::checkpoint`] no longer fold it inline — the old
-//! behavior held the slot lock across an O(session) base write, stalling
-//! every concurrent update on that slot for the full compaction. Instead
-//! the caller runs only [`Journal::begin_compact`] under the lock (a
-//! fsynced marker append, O(1)) and hands the fold to a single shared
-//! **compactor thread**, which stages the new base **off-lock** while
-//! updates keep flowing (they land after the fold mark and survive), then
-//! re-takes the lock for [`Journal::finish_compact`] — cheap renames.
+//! The pool evaluates its [`CompactionPolicy`]
+//! ([`SessionPool::set_compaction`]) itself, after every journaled write
+//! — the write-ahead append of [`SessionPool::update_anchors`] and the
+//! checkpoint of [`SessionPool::save`] — so a journal stays bounded
+//! whether or not anyone ever saves. A due fold never runs inline: the
+//! slot lock is held only for [`Journal::begin_compact`] (a fsynced
+//! marker append, O(1)), and a single shared **compactor thread** stages
+//! the new base **off-lock** while updates keep flowing (they land after
+//! the fold mark and survive), then re-takes the lock for
+//! [`Journal::finish_compact`] — cheap renames.
 //! [`SessionPool::flush_compactions`] drains the queue and reports
 //! per-slot failures; a failed fold leaves the base+journal pair exactly
-//! as durable as before and re-arms the policy. Serving tiers that never
-//! call `save` trigger the same machinery via
-//! [`SessionPool::maybe_compact`].
+//! as durable as before and re-arms the policy.
 //!
 //! Fitted stages stay out of the pool by design: a fit is a terminal,
 //! read-only artifact ([`AlignmentSession::into_report`]); serving keeps
@@ -89,12 +93,13 @@
 //! ```
 
 use crate::journal::{self, CompactionPolicy, Journal, JournalError};
-use crate::snapshot::{self, SnapshotError};
+use crate::snapshot;
 use crate::stages::{AlignmentSession, Counted, Featurized};
 use crate::workers::run_ordered;
 use crate::{AnchorEdge, SessionError};
 use hetnet::UserId;
 use metadiagram::DeltaStats;
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 #[cfg(test)]
@@ -145,21 +150,22 @@ pub enum PoolError {
         /// The stage the operation required.
         expected: &'static str,
     },
-    /// Opening or saving a snapshot failed.
-    Snapshot(SnapshotError),
-    /// A journal operation failed (write-ahead append, checkpoint,
+    /// A journal operation failed (write-ahead append, save, checkpoint,
     /// compaction).
     Journal(JournalError),
-    /// The operation needs a journaled slot ([`SessionPool::checkpoint`]
-    /// on a live-inserted session that was never
-    /// [`attach_journal`](SessionPool::attach_journal)ed).
-    Unjournaled(usize),
+    /// A live slot of this pool is already journaled at this base path —
+    /// a second slot would append to the same journal, and replay would
+    /// merge both slots' updates.
+    AlreadyOpen {
+        /// The base snapshot path that is already open.
+        path: PathBuf,
+    },
     /// Opening a specific snapshot file failed — carries the offending
     /// path so a batch open ([`SessionPool::open_many`]) over dozens of
     /// shard files names which one refused, not just how.
     OpenSnapshot {
         /// The snapshot file that failed to open.
-        path: std::path::PathBuf,
+        path: PathBuf,
         /// Why it failed (base snapshot or journal replay).
         source: JournalError,
     },
@@ -180,10 +186,9 @@ impl fmt::Display for PoolError {
             PoolError::WrongStage { id, expected } => {
                 write!(f, "session #{id} is not in the {expected} stage")
             }
-            PoolError::Snapshot(e) => write!(f, "pool snapshot: {e}"),
             PoolError::Journal(e) => write!(f, "pool journal: {e}"),
-            PoolError::Unjournaled(id) => {
-                write!(f, "session #{id} has no journal attached")
+            PoolError::AlreadyOpen { path } => {
+                write!(f, "a live slot is already journaled at {}", path.display())
             }
             PoolError::OpenSnapshot { path, source } => {
                 write!(f, "pool snapshot {}: {source}", path.display())
@@ -196,18 +201,11 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            PoolError::Snapshot(e) => Some(e),
             PoolError::Journal(e) => Some(e),
             PoolError::OpenSnapshot { source, .. } => Some(source),
             PoolError::Session(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<SnapshotError> for PoolError {
-    fn from(e: SnapshotError) -> Self {
-        PoolError::Snapshot(e)
     }
 }
 
@@ -262,21 +260,16 @@ struct Slot {
     journal: Option<Journal>,
 }
 
-impl Slot {
-    fn live(staged: Staged) -> Self {
-        Slot {
-            staged,
-            journal: None,
-        }
-    }
-}
+/// A slot as the pool shares it with the compactor thread. `None` is a
+/// vacated slot.
+type SlotCell = Arc<Mutex<Option<Slot>>>;
 
 /// One fold handed to the compactor thread: the slot to finish on, the
 /// base bytes captured under the lock at `begin_compact` time (the state
 /// at the fold mark — capturing later would fold in post-mark deltas the
 /// suffix replays again), and where to stage them.
 struct CompactionJob {
-    slot: Arc<Mutex<Option<Slot>>>,
+    slot: SlotCell,
     index: usize,
     base_path: PathBuf,
     bytes: Vec<u8>,
@@ -382,7 +375,7 @@ fn run_compaction(job: &CompactionJob, state: &CompactorState) -> Result<(), Jou
 /// A bounded shard manager over many [`AlignmentSession`]s; see the
 /// [module docs](self).
 pub struct SessionPool {
-    slots: Vec<Arc<Mutex<Option<Slot>>>>,
+    slots: Vec<SlotCell>,
     workers: usize,
     compaction: CompactionPolicy,
     compactor: Mutex<Option<Compactor>>,
@@ -442,15 +435,11 @@ impl SessionPool {
         self.workers
     }
 
-    /// Sets when [`SessionPool::save`] folds a slot's journal back into
-    /// its base snapshot (default: [`CompactionPolicy::Never`]).
+    /// Sets when a journaled slot's journal is folded back into its base
+    /// snapshot (default: [`CompactionPolicy::Never`]); evaluated after
+    /// every journaled write.
     pub fn set_compaction(&mut self, policy: CompactionPolicy) {
         self.compaction = policy;
-    }
-
-    /// The pool's current compaction policy.
-    pub fn compaction(&self) -> CompactionPolicy {
-        self.compaction
     }
 
     /// Number of sessions (including vacated slots).
@@ -463,20 +452,28 @@ impl SessionPool {
         self.slots.is_empty()
     }
 
-    fn push(&mut self, slot: Slot) -> SessionId {
-        self.slots.push(Arc::new(Mutex::new(Some(slot))));
+    fn push(&mut self, staged: Staged, journal: Option<Journal>) -> SessionId {
+        self.slots
+            .push(Arc::new(Mutex::new(Some(Slot { staged, journal }))));
         SessionId(self.slots.len() - 1)
     }
 
-    /// Adds a live [`Counted`] session (no journal; attach one with
-    /// [`SessionPool::attach_journal`] to get write-ahead persistence).
+    /// Adds a live [`Counted`] session (no journal; the first
+    /// [`SessionPool::save`] gives it write-ahead persistence).
     pub fn insert(&mut self, session: AlignmentSession<Counted>) -> SessionId {
-        self.push(Slot::live(Staged::Counted(session)))
+        self.push(Staged::Counted(session), None)
     }
 
-    /// Adds a live [`Featurized`] session.
-    pub fn insert_featurized(&mut self, session: AlignmentSession<Featurized>) -> SessionId {
-        self.push(Slot::live(Staged::Featurized(session)))
+    /// The base paths live slots are journaled at. A poisoned slot is
+    /// skipped: its next access vacates it, dropping its journal.
+    fn journaled_paths(&self) -> HashSet<PathBuf> {
+        self.slots
+            .iter()
+            .filter_map(|m| {
+                let guard = m.lock().ok()?;
+                Some(guard.as_ref()?.journal.as_ref()?.base_path().to_path_buf())
+            })
+            .collect()
     }
 
     /// Opens the base snapshot at `path` into a new slot, replaying its
@@ -484,14 +481,19 @@ impl SessionPool {
     /// journal attached, so later updates are write-ahead journaled.
     ///
     /// # Errors
-    /// [`PoolError::Journal`] when the base or journal cannot be
-    /// restored; the pool is unchanged in that case.
+    /// [`PoolError::AlreadyOpen`] when a live slot is journaled at `path`
+    /// (compared by exact [`Path`] equality); [`PoolError::Journal`] when
+    /// the base or journal cannot be restored. The pool is unchanged in
+    /// either case.
     pub fn open(&mut self, path: impl AsRef<Path>) -> Result<SessionId, PoolError> {
+        let path = path.as_ref();
+        if self.journaled_paths().contains(path) {
+            return Err(PoolError::AlreadyOpen {
+                path: path.to_path_buf(),
+            });
+        }
         let (session, journal) = Journal::open(path)?;
-        Ok(self.push(Slot {
-            staged: Staged::Counted(session),
-            journal: Some(journal),
-        }))
+        Ok(self.push(Staged::Counted(session), Some(journal)))
     }
 
     /// Opens many base+journal pairs, sharding the decode/replay work
@@ -499,58 +501,49 @@ impl SessionPool {
     /// path order**. Successfully opened sessions are inserted in path
     /// order too, so ids are deterministic; failed paths consume no slot
     /// and report [`PoolError::OpenSnapshot`] naming the offending file.
+    /// A path a live slot is journaled at — or one repeated earlier in
+    /// `paths` — is refused with [`PoolError::AlreadyOpen`].
     pub fn open_many<P: AsRef<Path> + Sync>(
         &mut self,
         paths: &[P],
     ) -> Vec<Result<SessionId, PoolError>> {
-        let mut opened: Vec<Result<(AlignmentSession<Counted>, Journal), JournalError>> =
-            Vec::with_capacity(paths.len());
+        let mut claimed = self.journaled_paths();
+        let admitted: Vec<bool> = paths
+            .iter()
+            .map(|p| claimed.insert(p.as_ref().to_path_buf()))
+            .collect();
+        let mut opened = Vec::with_capacity(paths.len());
         run_ordered(
             paths.len(),
             self.workers,
-            |i| Journal::open(paths[i].as_ref()),
+            |i| admitted[i].then(|| Journal::open(paths[i].as_ref())),
             |r| opened.push(r),
         );
         opened
             .into_iter()
             .zip(paths)
-            .map(|(r, path)| match r {
-                Ok((session, journal)) => Ok(self.push(Slot {
-                    staged: Staged::Counted(session),
-                    journal: Some(journal),
-                })),
-                Err(source) => Err(PoolError::OpenSnapshot {
-                    path: path.as_ref().to_path_buf(),
-                    source,
-                }),
+            .map(|(r, path)| {
+                let path = path.as_ref().to_path_buf();
+                match r {
+                    Some(Ok((session, journal))) => {
+                        Ok(self.push(Staged::Counted(session), Some(journal)))
+                    }
+                    Some(Err(source)) => Err(PoolError::OpenSnapshot { path, source }),
+                    None => Err(PoolError::AlreadyOpen { path }),
+                }
             })
             .collect()
     }
 
-    /// Journals a live-inserted slot: writes its counted core as the base
-    /// snapshot at `path`, starts a fresh journal beside it, and attaches
-    /// the journal to the slot — from here on updates are write-ahead
-    /// appended. Re-attaching (same slot, any path) replaces the old
-    /// journal handle; the old files stay valid on disk.
-    ///
-    /// # Errors
-    /// Slot errors as elsewhere; [`PoolError::Journal`] when either write
-    /// fails (the slot then keeps its previous journal state).
-    pub fn attach_journal(&self, id: SessionId, path: impl AsRef<Path>) -> Result<(), PoolError> {
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        let journal = Journal::create(path, &slot.staged.core_bytes())?;
-        slot.journal = Some(journal);
-        Ok(())
-    }
-
-    fn slot(&self, id: SessionId) -> Result<MutexGuard<'_, Option<Slot>>, PoolError> {
+    /// Locks one slot, returning its guard together with the shared
+    /// [`SlotCell`] a background fold keeps hold of.
+    fn lock(&self, id: SessionId) -> Result<(&SlotCell, MutexGuard<'_, Option<Slot>>), PoolError> {
         let m = self
             .slots
             .get(id.0)
             .ok_or(PoolError::UnknownSession(id.0))?;
         match m.lock() {
-            Ok(guard) => Ok(guard),
+            Ok(guard) => Ok((m, guard)),
             // A poisoned slot means a panic unwound mid-operation — the
             // session may be torn (counts updated, margins not). Serving
             // it would silently return wrong results, so the slot is
@@ -565,6 +558,10 @@ impl SessionPool {
         }
     }
 
+    fn slot(&self, id: SessionId) -> Result<MutexGuard<'_, Option<Slot>>, PoolError> {
+        self.lock(id).map(|(_, guard)| guard)
+    }
+
     /// Applies newly confirmed anchors to one session, on whichever stage
     /// it is in (a `Featurized` slot also refreshes its downstream
     /// artifacts, exactly like
@@ -574,7 +571,8 @@ impl SessionPool {
     /// On a journaled slot this is **write-ahead**: the batch is
     /// pre-validated, appended to the journal, and only then applied in
     /// memory — all under the slot lock (see the module docs for the
-    /// ordering contract).
+    /// ordering contract) — and the pool's [`CompactionPolicy`] is then
+    /// evaluated, enqueueing a background fold when due.
     ///
     /// # Errors
     /// [`PoolError::UnknownSession`] / [`PoolError::Vacated`] for bad
@@ -583,17 +581,19 @@ impl SessionPool {
     /// [`PoolError::Journal`] when the append fails (the session is
     /// unchanged).
     pub fn update_anchors(&self, id: SessionId, edges: &[AnchorEdge]) -> Result<usize, PoolError> {
-        let mut guard = self.slot(id)?;
+        let (cell, mut guard) = self.lock(id)?;
         let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
         if let Some(j) = slot.journal.as_mut() {
             journal::validate_edges(slot.staged.anchor_shape(), edges)
                 .map_err(PoolError::Session)?;
             j.append(edges)?;
         }
-        match &mut slot.staged {
-            Staged::Counted(s) => Ok(s.update_anchors(edges)?),
-            Staged::Featurized(s) => Ok(s.update_anchors(edges)?),
-        }
+        let applied = match &mut slot.staged {
+            Staged::Counted(s) => s.update_anchors(edges)?,
+            Staged::Featurized(s) => s.update_anchors(edges)?,
+        };
+        self.enqueue_if_due(id, slot, cell);
+        Ok(applied)
     }
 
     /// Applies a batch of per-session updates, sharded across the worker
@@ -660,149 +660,74 @@ impl SessionPool {
         }
     }
 
-    /// Checkpoints a session back to disk — valid from either stage
-    /// (features and fits are derived artifacts a reopening process
-    /// re-derives; the counted core is what is expensive).
+    /// Persists a session — the pool's one persistence verb, valid from
+    /// either stage (features and fits are derived artifacts a reopening
+    /// process re-derives; the counted core is what is expensive).
     ///
     /// When the slot's journal is based at exactly `path`, this is the
-    /// cheap path: an fsynced `Checkpoint` record — O(|ΔA|) — and, when
-    /// the pool's [`CompactionPolicy`] says the journal has grown enough,
-    /// a **background** fold (see the module docs — the slot lock is
-    /// released before the O(session) staging I/O runs; await it with
-    /// [`SessionPool::flush_compactions`]). Otherwise (no journal, or a
-    /// foreign path) the whole counted core is written monolithically,
-    /// unlinking any stale sibling journal.
+    /// cheap path: an fsynced `Checkpoint` record — O(|ΔA|) — after which
+    /// the pool's [`CompactionPolicy`] is evaluated (a due fold runs in
+    /// the **background**; see the module docs, and await it with
+    /// [`SessionPool::flush_compactions`]). Otherwise (no journal yet, or
+    /// another path) the counted core is written as the base at `path`, a
+    /// fresh journal is started beside it, and the slot's home moves
+    /// there: later updates are write-ahead journaled against `path`, and
+    /// the old pair, if any, stays valid on disk at its last state.
     ///
     /// # Errors
-    /// Slot errors as elsewhere; [`PoolError::Journal`] /
-    /// [`PoolError::Snapshot`] when a write fails.
+    /// Slot errors as elsewhere; [`PoolError::Journal`] when a write
+    /// fails (the slot then keeps its previous journal).
     pub fn save(&self, id: SessionId, path: impl AsRef<Path>) -> Result<(), PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
+        let path = path.as_ref();
+        let (cell, mut guard) = self.lock(id)?;
         let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        if slot
-            .journal
-            .as_ref()
-            .is_some_and(|j| j.base_path() == path.as_ref())
-        {
+        match slot.journal.as_mut() {
             // The lock is held across the checkpoint append on purpose:
             // it must be ordered against this slot's write-ahead appends.
-            let n = slot.staged.n_anchors();
-            if let Some(j) = slot.journal.as_mut() {
-                j.checkpoint(n)?;
+            Some(j) if j.base_path() == path => {
+                j.checkpoint(slot.staged.n_anchors())?;
+                self.enqueue_if_due(id, slot, cell);
             }
-            self.enqueue_if_due(id, slot, &arc)?;
-            return Ok(());
+            _ => slot.journal = Some(Journal::create(path, &slot.staged.core_bytes())?),
         }
-        let bytes = slot.staged.core_bytes();
-        drop(guard); // the monolithic write needs no lock
-        Ok(journal::checkpoint_monolithic(path.as_ref(), &bytes)?)
-    }
-
-    /// Checkpoints many sessions, sharding the I/O across the worker
-    /// budget, and returns one result per job **in job order** — a slot
-    /// that errors (vacated, write failure) reports its own failure
-    /// without aborting the rest of the batch, mirroring
-    /// [`SessionPool::open_many`].
-    pub fn save_many<P: AsRef<Path> + Sync>(
-        &self,
-        jobs: &[(SessionId, P)],
-    ) -> Vec<Result<(), PoolError>> {
-        let mut results = Vec::with_capacity(jobs.len());
-        run_ordered(
-            jobs.len(),
-            self.workers,
-            |i| {
-                let (id, path) = &jobs[i];
-                self.save(*id, path.as_ref())
-            },
-            |r| results.push(r),
-        );
-        results
-    }
-
-    /// Appends an fsynced `Checkpoint` record to a journaled slot — the
-    /// durability point of the write-ahead scheme — and enqueues a
-    /// background fold when the pool's [`CompactionPolicy`] is due
-    /// (exactly like [`SessionPool::save`]'s journaled path).
-    ///
-    /// # Errors
-    /// [`PoolError::Unjournaled`] when the slot has no journal; slot and
-    /// journal errors as elsewhere.
-    pub fn checkpoint(&self, id: SessionId) -> Result<(), PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        let n = slot.staged.n_anchors();
-        let j = slot.journal.as_mut().ok_or(PoolError::Unjournaled(id.0))?;
-        j.checkpoint(n)?;
-        self.enqueue_if_due(id, slot, &arc)?;
         Ok(())
     }
 
-    /// Evaluates the pool's [`CompactionPolicy`] against one journaled
-    /// slot and enqueues a background fold when due. Returns whether a
-    /// fold was enqueued. The serving tier calls this after update
-    /// batches so journals are bounded even when nobody calls
-    /// [`SessionPool::save`].
-    ///
-    /// # Errors
-    /// [`PoolError::Unjournaled`] when the slot has no journal; slot and
-    /// journal errors as elsewhere.
-    pub fn maybe_compact(&self, id: SessionId) -> Result<bool, PoolError> {
-        let arc = Arc::clone(
-            self.slots
-                .get(id.0)
-                .ok_or(PoolError::UnknownSession(id.0))?,
-        );
-        let mut guard = self.slot(id)?;
-        let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
-        if slot.journal.is_none() {
-            return Err(PoolError::Unjournaled(id.0));
-        }
-        self.enqueue_if_due(id, slot, &arc)
-    }
-
-    /// Under the slot lock: if the policy says the journal is due, run
-    /// [`Journal::begin_compact`] (the O(1) durable marker) and hand the
-    /// O(session) staging to the compactor thread.
-    fn enqueue_if_due(
-        &self,
-        id: SessionId,
-        slot: &mut Slot,
-        arc: &Arc<Mutex<Option<Slot>>>,
-    ) -> Result<bool, PoolError> {
-        let due = slot
+    /// Under the slot lock, after every journaled write: if the policy
+    /// says the journal is due, run [`Journal::begin_compact`] (the O(1)
+    /// durable marker) and hand the O(session) staging to the compactor
+    /// thread. A failed marker append is reported through
+    /// [`SessionPool::flush_compactions`] like a failed fold — the write
+    /// that triggered it has already succeeded, and the policy re-arms at
+    /// the next journaled write.
+    fn enqueue_if_due(&self, id: SessionId, slot: &mut Slot, cell: &SlotCell) {
+        let Some(j) = slot
             .journal
-            .as_ref()
-            .is_some_and(|j| j.should_compact(self.compaction));
-        if !due {
-            return Ok(false);
-        }
+            .as_mut()
+            .filter(|j| j.should_compact(self.compaction))
+        else {
+            return;
+        };
         let bytes = slot.staged.core_bytes();
-        let Some(j) = slot.journal.as_mut() else {
-            return Ok(false);
-        };
-        j.begin_compact(&bytes)?;
-        let job = CompactionJob {
-            slot: Arc::clone(arc),
-            index: id.0,
-            base_path: j.base_path().to_path_buf(),
-            bytes,
-        };
         let mut compactor = self
             .compactor
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         let c = compactor.get_or_insert_with(Compactor::spawn);
+        if let Err(e) = j.begin_compact(&bytes) {
+            c.state
+                .errors
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push((id.0, e));
+            return;
+        }
+        let job = CompactionJob {
+            slot: Arc::clone(cell),
+            index: id.0,
+            base_path: j.base_path().to_path_buf(),
+            bytes,
+        };
         *c.state
             .pending
             .lock()
@@ -819,9 +744,7 @@ impl SessionPool {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner);
             *pending = pending.saturating_sub(1);
-            return Ok(false);
         }
-        Ok(true)
     }
 
     /// Blocks until every enqueued background fold has finished and
@@ -896,17 +819,6 @@ impl SessionPool {
             .journal
             .as_ref()
             .map(|j| (j.base_len(), j.journal_bytes(), j.delta_records())))
-    }
-
-    /// The base snapshot path a slot's journal extends, or `None` for an
-    /// unjournaled slot.
-    ///
-    /// # Errors
-    /// Slot errors as elsewhere.
-    pub fn journal_base(&self, id: SessionId) -> Result<Option<std::path::PathBuf>, PoolError> {
-        let guard = self.slot(id)?;
-        let slot = guard.as_ref().ok_or(PoolError::Vacated(id.0))?;
-        Ok(slot.journal.as_ref().map(|j| j.base_path().to_path_buf()))
     }
 
     /// True when the slot has been featurized.
@@ -1016,7 +928,7 @@ mod tests {
             .count()
             .unwrap();
         let id = pool.insert(counted);
-        pool.attach_journal(id, &path).unwrap();
+        pool.save(id, &path).unwrap();
 
         pool.update_anchors(id, &links[6..8]).unwrap();
         let save_started = Instant::now();

@@ -12,11 +12,12 @@
 //! process ([`Request::Checkpoint`] is the fsync point, exactly as in
 //! [`crate::journal`]).
 //!
-//! Journals are bounded by **background compaction**: after each update
-//! batch the worker evaluates its [`CompactionPolicy`]
-//! (`SERVE_COMPACT`, default 1 MiB of journal bytes) via
-//! [`SessionPool::maybe_compact`] — the fold stages off-thread while the
-//! request loop keeps serving.
+//! Each wire slot maps to one pool slot and the base path it was opened
+//! from; [`Request::Checkpoint`] is [`SessionPool::save`] to that path.
+//! Journals are bounded by **background compaction**: the pool evaluates
+//! the worker's [`CompactionPolicy`] (`SERVE_COMPACT`, default 1 MiB of
+//! journal bytes) after every journaled write — the fold stages
+//! off-thread while the request loop keeps serving.
 //!
 //! ## Fault injection (`SERVE_FAULT`)
 //!
@@ -41,6 +42,7 @@ use crate::journal::CompactionPolicy;
 use crate::pool::{PoolError, SessionId, SessionPool};
 use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::path::PathBuf;
 
 /// A deterministic crash point parsed from `SERVE_FAULT`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,7 +115,7 @@ pub fn run_worker(
 ) -> i32 {
     let mut pool = SessionPool::new(1);
     pool.set_compaction(compaction);
-    let mut slots: HashMap<u64, SessionId> = HashMap::new();
+    let mut slots: HashMap<u64, (SessionId, PathBuf)> = HashMap::new();
 
     // Readiness handshake: seq 0 is reserved for this one unsolicited
     // frame.
@@ -218,7 +220,7 @@ fn protocol_teardown(e: &ProtocolError) -> Response {
 /// Serves one decoded request against the worker's pool.
 fn serve_request(
     pool: &mut SessionPool,
-    slots: &mut HashMap<u64, SessionId>,
+    slots: &mut HashMap<u64, (SessionId, PathBuf)>,
     request: Request,
 ) -> Response {
     match request {
@@ -230,7 +232,7 @@ fn serve_request(
         },
         Request::Open { slot, path } => match pool.open(&path) {
             Ok(id) => {
-                slots.insert(slot, id);
+                slots.insert(slot, (id, PathBuf::from(path)));
                 match pool.n_anchors(id) {
                     Ok(n) => Response::Opened {
                         slot,
@@ -242,33 +244,25 @@ fn serve_request(
             Err(e) => error_response(ErrorCode::Open, &e),
         },
         Request::UpdateAnchors { slot, edges } => {
-            let Some(&id) = slots.get(&slot) else {
+            let Some(&(id, _)) = slots.get(&slot) else {
                 return unknown_slot(slot);
             };
             match pool.update_anchors(id, &edges) {
-                Ok(applied) => {
-                    // Journal growth is bounded in the background; a
-                    // failed *enqueue* is logged, not fatal — the policy
-                    // re-arms at the next durability point.
-                    if let Err(e) = pool.maybe_compact(id) {
-                        eprintln!("serve-worker: compaction enqueue failed on slot {slot}: {e}");
-                    }
-                    match pool.n_anchors(id) {
-                        Ok(n) => Response::Updated {
-                            slot,
-                            applied: applied as u64,
-                            n_anchors: n as u64,
-                        },
-                        Err(e) => error_response(ErrorCode::Internal, &e),
-                    }
-                }
+                Ok(applied) => match pool.n_anchors(id) {
+                    Ok(n) => Response::Updated {
+                        slot,
+                        applied: applied as u64,
+                        n_anchors: n as u64,
+                    },
+                    Err(e) => error_response(ErrorCode::Internal, &e),
+                },
                 Err(e @ PoolError::Session(_)) => error_response(ErrorCode::Update, &e),
                 Err(e @ PoolError::Journal(_)) => error_response(ErrorCode::Journal, &e),
                 Err(e) => error_response(ErrorCode::Internal, &e),
             }
         }
         Request::Query { slot, pairs } => {
-            let Some(&id) = slots.get(&slot) else {
+            let Some(&(id, _)) = slots.get(&slot) else {
                 return unknown_slot(slot);
             };
             match pool.with_counted(id, |s| {
@@ -291,7 +285,7 @@ fn serve_request(
             }
         }
         Request::Align { slot, left, k } => {
-            let Some(&id) = slots.get(&slot) else {
+            let Some(&(id, _)) = slots.get(&slot) else {
                 return unknown_slot(slot);
             };
             match pool.with_counted(id, |s| {
@@ -322,10 +316,10 @@ fn serve_request(
             }
         }
         Request::Checkpoint { slot } => {
-            let Some(&id) = slots.get(&slot) else {
+            let Some(&(id, ref path)) = slots.get(&slot) else {
                 return unknown_slot(slot);
             };
-            match pool.checkpoint(id) {
+            match pool.save(id, path) {
                 Ok(()) => match pool.n_anchors(id) {
                     Ok(n) => Response::Checkpointed {
                         n_anchors: n as u64,

@@ -33,7 +33,8 @@
 //! measures where the crossover against the global pipeline lands.
 //!
 //! A sharded session persists like the pool it wraps:
-//! [`ShardedSession::save_dir`] writes one snapshot per shard plus a
+//! [`ShardedSession::save_dir`] calls [`SessionPool::save`] once per
+//! shard (one base snapshot + ΔA journal each) and writes a
 //! CRC-checked manifest (partition maps, matching, boundary ledger), and
 //! [`ShardedSession::open_dir`] restores the whole ensemble without
 //! recounting.
@@ -202,8 +203,10 @@ pub struct ShardedConfig {
     /// available hardware thread). Results are bit-identical at any
     /// setting.
     pub workers: usize,
-    /// When [`ShardedSession::save_dir`] folds a shard's ΔA journal back
-    /// into its base snapshot (see [`crate::journal`]). The default
+    /// When a saved shard's ΔA journal is folded back into its base
+    /// snapshot (see [`crate::journal`]); the pool evaluates it after
+    /// every journaled write — each update and each
+    /// [`ShardedSession::save_dir`] checkpoint. The default
     /// bounds each shard's journal at 1 MiB, so replay-on-open stays
     /// cheap while a typical round still persists at k·O(|ΔA_k|).
     pub compaction: CompactionPolicy,
@@ -841,12 +844,14 @@ impl ShardedSession {
     /// table. Routing and features are derived state and are not
     /// persisted — reopen and re-featurize.
     ///
-    /// The **first** save of a shard into `dir` writes its full base and
-    /// attaches a journal; from then on anchor updates are write-ahead
+    /// Each shard persists through [`SessionPool::save`]: the **first**
+    /// save of a shard into `dir` writes its full base and starts a
+    /// journal there; from then on anchor updates are write-ahead
     /// appended per shard, so a later `save_dir` costs k·O(|ΔA_k|) — an
     /// fsynced checkpoint record per shard plus the manifest — with each
     /// journal folded back into its base per
-    /// [`ShardedConfig::compaction`].
+    /// [`ShardedConfig::compaction`], evaluated by the pool after every
+    /// journaled write.
     ///
     /// Every shard is attempted even when one fails (a full-disk or
     /// vacated slot does not abort the batch); the manifest is written
@@ -862,14 +867,7 @@ impl ShardedSession {
         let mut first_err: Option<ShardedError> = None;
         for (i, shard) in self.shards.iter().enumerate() {
             let path = dir.join(shard_file(i));
-            let result = match self.pool.journal_base(shard.session) {
-                Ok(Some(base)) if base == path => self.pool.save(shard.session, &path),
-                // Unjournaled (live-built) or journaled elsewhere: write
-                // the full base here and journal from now on.
-                Ok(_) => self.pool.attach_journal(shard.session, &path),
-                Err(e) => Err(e),
-            };
-            if let Err(e) = result {
+            if let Err(e) = self.pool.save(shard.session, &path) {
                 first_err.get_or_insert(ShardedError::Pool(e));
             }
         }

@@ -42,11 +42,12 @@
 //! # std::fs::remove_file(&path).ok();
 //! ```
 
+use crate::journal::Journal;
 use crate::stages::{AlignmentSession, Counted};
 use metadiagram::{codec as mcodec, Catalog};
 use serde::bin::{crc32, Error as BinError, Reader, Writer};
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The 8-byte file magic: "MDASNAP" + a NUL (Meta-Diagram Alignment
 /// SNAPshot).
@@ -298,35 +299,49 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
     })
 }
 
-/// Writes snapshot `bytes` to `path` atomically-by-rename: bytes go to a
-/// uniquely named `<path>.tmp.<pid>-<n>` sibling first, are fsynced to
-/// stable storage, and only then replace `path` — so a crash (process or
-/// power) mid-write can never leave a half-written file under the
-/// snapshot's name, and concurrent saves to the same path cannot publish
-/// each other's partial writes (last completed rename wins). The parent
-/// directory is fsynced best-effort after the rename (not all platforms
-/// support opening a directory), which is what makes the *rename itself*
-/// durable on crash-consistent filesystems. The one shared write path
-/// for [`save`] and `SessionPool::save`.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+/// Writes `bytes` to a uniquely named, fsynced `<path>.<tag>.<pid>-<n>`
+/// sibling and returns its path (removed again on failure) — the staging
+/// step shared by [`write_atomic`] and `Journal::stage_compacted_base`.
+pub(crate) fn write_synced_sibling(
+    path: &Path,
+    tag: &str,
+    bytes: &[u8],
+) -> std::io::Result<PathBuf> {
     use std::io::Write;
-    static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let seq = SAVE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}-{seq}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
+    tmp.push(format!(".{tag}.{}-{seq}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
     let write_synced = || -> std::io::Result<()> {
         let mut file = std::fs::File::create(&tmp)?;
         file.write_all(bytes)?;
-        // Without this, delayed allocation could persist the rename but
-        // not the data, leaving a torn file under the final name after
-        // power loss — exactly what atomic-by-rename promises against.
+        // Without this, delayed allocation could persist a later rename
+        // but not the data, leaving a torn file under the final name
+        // after power loss — exactly what atomic-by-rename promises
+        // against.
         file.sync_all()
     };
-    if let Err(e) = write_synced() {
-        std::fs::remove_file(&tmp).ok();
-        return Err(SnapshotError::Io(e));
+    match write_synced() {
+        Ok(()) => Ok(tmp),
+        Err(e) => {
+            std::fs::remove_file(&tmp).ok();
+            Err(e)
+        }
     }
+}
+
+/// Writes `bytes` to `path` atomically-by-rename: bytes go to a synced
+/// `<path>.tmp.<pid>-<n>` sibling first ([`write_synced_sibling`]) and
+/// only then replace `path` — so a crash (process or power) mid-write can
+/// never leave a half-written file under the final name, and concurrent
+/// saves to the same path cannot publish each other's partial writes
+/// (last completed rename wins). The parent directory is fsynced
+/// best-effort after the rename (not all platforms support opening a
+/// directory), which is what makes the *rename itself* durable on
+/// crash-consistent filesystems.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
+    let tmp = write_synced_sibling(path, "tmp", bytes)?;
     if let Err(e) = std::fs::rename(&tmp, path) {
         std::fs::remove_file(&tmp).ok();
         return Err(SnapshotError::Io(e));
@@ -345,21 +360,24 @@ pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotErro
 /// the snapshot's name and concurrent saves cannot publish each other's
 /// partial writes (last completed rename wins).
 ///
-/// This is the monolithic checkpoint of the journal layer
-/// ([`crate::journal`]): the whole counted core becomes the new base and
-/// any stale sibling `<path>.jrnl` journal is unlinked, so the file
-/// stands alone. Per-round checkpointing at O(|ΔA|) instead of
-/// O(session) is what [`crate::journal::Journal`] (and the journal-aware
-/// [`crate::SessionPool`]) adds on top.
+/// The monolithic writer for a standalone session: any stale sibling
+/// `<path>.jrnl` journal is unlinked so the file stands alone (the next
+/// journal-aware open would refuse one pinned to the previous base).
+/// Per-round checkpointing at O(|ΔA|) is what [`crate::journal::Journal`]
+/// and [`crate::SessionPool::save`] add on top.
 ///
 /// # Errors
-/// [`SnapshotError::Io`] when writing or renaming fails.
+/// [`SnapshotError::Io`] when writing, renaming, or unlinking fails.
 pub fn save(
     session: &AlignmentSession<Counted>,
     path: impl AsRef<Path>,
 ) -> Result<(), SnapshotError> {
-    crate::journal::checkpoint_monolithic(path.as_ref(), &to_bytes(session))
-        .map_err(crate::journal::JournalError::demote)
+    let path = path.as_ref();
+    write_atomic(path, &to_bytes(session))?;
+    match std::fs::remove_file(Journal::path_for(path)) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(SnapshotError::Io(e)),
+        _ => Ok(()),
+    }
 }
 
 /// Opens the snapshot at `path` as a fresh [`Counted`] session.

@@ -4,7 +4,7 @@
 
 use session::pool::{PoolError, SessionPool};
 use session::{snapshot, CompactionPolicy, Journal, SessionBuilder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn world(seed: u64) -> datagen::GeneratedWorld {
     datagen::generate(&datagen::presets::tiny(seed))
@@ -19,6 +19,13 @@ fn counted(w: &datagen::GeneratedWorld, n: usize) -> session::AlignmentSession<s
 
 fn temp_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pool-test-{}-{tag}.snap", std::process::id()))
+}
+
+/// Removes a base snapshot and the `.jrnl` sibling every pool open or
+/// save leaves beside it.
+fn remove_pair(base: &Path) {
+    std::fs::remove_file(base).ok();
+    std::fs::remove_file(Journal::path_for(base)).ok();
 }
 
 #[test]
@@ -46,7 +53,7 @@ fn open_many_shards_snapshots_and_preserves_path_order() {
         assert_eq!(pool.stats(id).unwrap().full_counts, 1, "reopen recounted");
     }
     for p in &paths {
-        std::fs::remove_file(p).ok();
+        remove_pair(p);
     }
 }
 
@@ -54,10 +61,12 @@ fn open_many_shards_snapshots_and_preserves_path_order() {
 fn open_many_reports_bad_paths_without_consuming_slots() {
     let w = world(62);
     let good = temp_path("good");
+    let good2 = temp_path("good2");
     snapshot::save(&counted(&w, 6), &good).unwrap();
+    snapshot::save(&counted(&w, 7), &good2).unwrap();
     let missing = temp_path("never-written");
     let mut pool = SessionPool::new(2);
-    let results = pool.open_many(&[good.clone(), missing.clone(), good.clone()]);
+    let results = pool.open_many(&[good.clone(), missing.clone(), good2.clone()]);
     assert!(results[0].is_ok());
     match &results[1] {
         Err(PoolError::OpenSnapshot { path, source }) => {
@@ -79,7 +88,8 @@ fn open_many_reports_bad_paths_without_consuming_slots() {
     );
     assert!(results[2].is_ok());
     assert_eq!(pool.len(), 2, "failed open must not consume a slot");
-    std::fs::remove_file(&good).ok();
+    remove_pair(&good);
+    remove_pair(&good2);
 }
 
 #[test]
@@ -195,7 +205,7 @@ fn unknown_ids_and_checkpointing_round_trip() {
         reopened.stats().anchors_applied,
         pool.stats(id).unwrap().anchors_applied
     );
-    std::fs::remove_file(&path).ok();
+    remove_pair(&path);
 }
 
 #[test]
@@ -205,7 +215,7 @@ fn updates_are_write_ahead_journaled() {
     let path = temp_path("wal");
     let mut pool = SessionPool::new(2);
     let id = pool.insert(counted(&w, 6));
-    pool.attach_journal(id, &path).unwrap();
+    pool.save(id, &path).unwrap();
 
     // The delta record lands in the journal before it applies in memory:
     // with no save/checkpoint at all, a fresh open already replays it.
@@ -238,8 +248,7 @@ fn updates_are_write_ahead_journaled() {
     let (replayed, _) = Journal::open(&path).unwrap();
     assert_eq!(replayed.n_anchors(), n);
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(Journal::path_for(&path)).ok();
+    remove_pair(&path);
 }
 
 #[test]
@@ -250,7 +259,7 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     let mut pool = SessionPool::new(1);
     pool.set_compaction(CompactionPolicy::EveryN(2));
     let id = pool.insert(counted(&w, 6));
-    pool.attach_journal(id, &path).unwrap();
+    pool.save(id, &path).unwrap();
 
     // First save: one delta record — below EveryN(2), checkpoint only.
     pool.update_anchors(id, &links[6..8]).unwrap();
@@ -279,12 +288,11 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     let reopened = snapshot::open(&path).unwrap();
     assert_eq!(reopened.n_anchors(), pool.n_anchors(id).unwrap());
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(Journal::path_for(&path)).ok();
+    remove_pair(&path);
 }
 
 #[test]
-fn save_many_reports_per_slot_failures() {
+fn save_reports_per_slot_failures() {
     let w = world(69);
     let mut pool = SessionPool::new(2);
     let a = pool.insert(counted(&w, 5));
@@ -295,19 +303,108 @@ fn save_many_reports_per_slot_failures() {
         .join(format!("no-such-dir-{}", std::process::id()))
         .join("s.snap");
 
-    let results = pool.save_many(&[(a, bad.clone()), (b, good_b.clone()), (a, good_a.clone())]);
     assert!(
-        results[0].is_err(),
+        pool.save(a, &bad).is_err(),
         "unwritable path must fail its own slot"
     );
-    assert!(results[1].is_ok());
-    assert!(
-        results[2].is_ok(),
-        "one failed save must not poison the other jobs"
-    );
+    pool.save(b, &good_b).unwrap();
+    pool.save(a, &good_a)
+        .expect("a failed save must not poison the slot");
     assert_eq!(snapshot::open(&good_a).unwrap().n_anchors(), 5);
     assert_eq!(snapshot::open(&good_b).unwrap().n_anchors(), 6);
 
-    std::fs::remove_file(&good_a).ok();
-    std::fs::remove_file(&good_b).ok();
+    remove_pair(&good_a);
+    remove_pair(&good_b);
+}
+
+#[test]
+fn open_refuses_a_base_a_live_slot_is_journaled_at() {
+    let w = world(71);
+    let base = temp_path("shared");
+    let other = temp_path("shared-other");
+    snapshot::save(&counted(&w, 9), &base).unwrap();
+    snapshot::save(&counted(&w, 7), &other).unwrap();
+
+    let mut pool = SessionPool::new(2);
+    let a = pool.open(&base).unwrap();
+    match pool.open(&base) {
+        Err(PoolError::AlreadyOpen { path }) => assert_eq!(path, base),
+        other => panic!("expected AlreadyOpen, got {other:?}"),
+    }
+    // Batch opens refuse both a live slot's base and a path repeated
+    // within the batch; neither consumes a slot.
+    let results = pool.open_many(&[base.clone(), other.clone(), other.clone()]);
+    assert!(matches!(&results[0], Err(PoolError::AlreadyOpen { path }) if path == &base));
+    assert!(results[1].is_ok());
+    assert!(matches!(&results[2], Err(PoolError::AlreadyOpen { path }) if path == &other));
+    assert_eq!(pool.len(), 2);
+
+    // The one live slot owns the journal: replay sees its updates only.
+    pool.update_anchors(a, &w.truth().links()[9..12]).unwrap();
+    let (replayed, _) = Journal::open(&base).unwrap();
+    assert_eq!(replayed.n_anchors(), 12);
+
+    remove_pair(&base);
+    remove_pair(&other);
+}
+
+#[test]
+fn every_n_policy_folds_without_any_save() {
+    let w = world(72);
+    let links = w.truth().links();
+    let base = temp_path("fold-no-save");
+    snapshot::save(&counted(&w, 6), &base).unwrap();
+    let mut pool = SessionPool::new(1);
+    pool.set_compaction(CompactionPolicy::EveryN(2));
+    let id = pool.open(&base).unwrap();
+    let (base_len0, _, _) = pool.journal_stats(id).unwrap().unwrap();
+
+    pool.update_anchors(id, &links[6..8]).unwrap();
+    pool.update_anchors(id, &links[8..10]).unwrap();
+    assert!(pool.flush_compactions().is_empty(), "the fold must succeed");
+    let (base_len1, _, recs) = pool.journal_stats(id).unwrap().unwrap();
+    assert_eq!(recs, 0, "EveryN(2) must fold at the second update");
+    assert!(base_len1 >= base_len0);
+    // The folded base alone carries the full state.
+    assert_eq!(snapshot::open(&base).unwrap().n_anchors(), 10);
+
+    remove_pair(&base);
+}
+
+#[test]
+fn save_to_another_path_moves_the_slot_home() {
+    let w = world(73);
+    let links = w.truth().links();
+    let old = temp_path("home-old");
+    let new = temp_path("home-new");
+    snapshot::save(&counted(&w, 6), &old).unwrap();
+    let mut pool = SessionPool::new(1);
+    let id = pool.open(&old).unwrap();
+    pool.update_anchors(id, &links[6..8]).unwrap();
+
+    pool.save(id, &new).unwrap();
+    pool.update_anchors(id, &links[8..11]).unwrap();
+    pool.save(id, &new).unwrap();
+
+    let (moved, _) = Journal::open(&new).unwrap();
+    assert_eq!(
+        moved.n_anchors(),
+        11,
+        "later updates replay from the new home"
+    );
+    let (left_behind, _) = Journal::open(&old).unwrap();
+    assert_eq!(
+        left_behind.n_anchors(),
+        8,
+        "the old pair keeps its last state"
+    );
+    // The old base is free again; the new one is claimed.
+    assert!(pool.open(&old).is_ok());
+    assert!(matches!(
+        pool.open(&new),
+        Err(PoolError::AlreadyOpen { .. })
+    ));
+
+    remove_pair(&old);
+    remove_pair(&new);
 }

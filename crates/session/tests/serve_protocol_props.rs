@@ -533,6 +533,43 @@ fn worker_refuses_a_second_open_of_a_live_slot() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Two wire slots on one base path would share one journal, so replay
+/// would merge their updates: the second `Open` is refused.
+#[test]
+fn worker_refuses_a_second_slot_on_a_live_base() {
+    let dir = temp_dir("shared-base");
+    let (base, n0) = make_base(&dir);
+    let mut input = Vec::new();
+    for (seq, slot) in [(1u64, 1u64), (2, 2)] {
+        let path = base.display().to_string();
+        input.extend_from_slice(&encode_request(seq, &Request::Open { slot, path }));
+    }
+    input.extend_from_slice(&encode_request(3, &Request::Shutdown));
+    let mut output = Vec::new();
+    let code = run_worker(
+        &input[..],
+        &mut output,
+        None,
+        session::CompactionPolicy::Never,
+    );
+    assert_eq!(code, 0, "a refused open never kills the worker");
+
+    let responses = drain_responses(&output);
+    let opened = Response::Opened {
+        slot: 1,
+        n_anchors: n0 as u64,
+    };
+    assert_eq!(responses[1], (1, opened));
+    match &responses[2] {
+        (2, Response::Error { code, message }) => {
+            assert_eq!(*code, ErrorCode::Open);
+            assert!(message.contains("already journaled"), "{message}");
+        }
+        other => panic!("expected the shared-base Open refused, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn worker_exit_fault_fires_at_the_exact_request_index() {
     let mut input = Vec::new();

@@ -12,10 +12,12 @@
 //! 2. **Reopen**: `session::snapshot::open` restores the session
 //!    bit-identically (timed — this is what a fresh process pays instead
 //!    of the count).
-//! 3. **Serve**: a `SessionPool` opens one slot per tenant from the same
-//!    snapshot, fans a batch of per-tenant anchor updates over its
-//!    bounded worker pool, and featurizes one tenant for scoring — while
-//!    every slot's `stats()` proves nobody ever recounted.
+//! 3. **Serve**: a `SessionPool` opens one slot per tenant from that
+//!    tenant's own copy of the snapshot (a pooled slot journals its
+//!    updates beside its base, so each needs a base of its own), fans a
+//!    batch of per-tenant anchor updates over its bounded worker pool,
+//!    and featurizes one tenant for scoring — while every slot's
+//!    `stats()` proves nobody ever recounted.
 //!
 //! ```sh
 //! cargo run --release --example snapshot_serving
@@ -36,7 +38,9 @@ fn main() {
         .count()
         .expect("generated networks share attribute universes");
     let build_ms = t.elapsed().as_secs_f64() * 1e3;
-    let path = std::env::temp_dir().join("snapshot_serving_demo.snap");
+    let dir = std::env::temp_dir().join(format!("snapshot-serving-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("demo temp dir");
+    let path = dir.join("demo.snap");
     let t = Instant::now();
     snapshot::save(&counted, &path).expect("save snapshot");
     let save_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -54,10 +58,17 @@ fn main() {
     );
     assert_eq!(reopened.stats().full_counts, 1, "reopen never recounts");
 
-    // 3. Serve: one slot per tenant, all from the same snapshot.
+    // 3. Serve: one slot per tenant, each from its own copy of the
+    // snapshot — the pool refuses two live slots on one base.
     let n_tenants = 4;
     let mut pool = SessionPool::new(0); // 0 = one worker per hardware thread
-    let paths: Vec<_> = (0..n_tenants).map(|_| path.clone()).collect();
+    let paths: Vec<_> = (0..n_tenants)
+        .map(|t| {
+            let tenant = dir.join(format!("tenant-{t}.snap"));
+            std::fs::copy(&path, &tenant).expect("copy tenant base");
+            tenant
+        })
+        .collect();
     let t = Instant::now();
     let ids: Vec<_> = pool
         .open_many(&paths)
@@ -110,5 +121,5 @@ fn main() {
     );
     assert!(!pool.is_featurized(ids[1]).unwrap());
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -115,10 +115,12 @@ pub struct DeltaStats {
 /// The rows and columns of a count matrix that an update touched —
 /// sorted ascending, duplicate-free. Rows outside `rows` are
 /// **bit-identical** to before the update (pattern and values — the
-/// guarantee `dice_proximity_delta` and region-local stack re-Hadamards
-/// rely on when they carry untouched rows over); columns outside `cols`
-/// kept their column sum. Regions may overapproximate (claim more than
-/// actually changed); they must never underapproximate.
+/// guarantee region-local stack re-Hadamards rely on when they carry
+/// untouched rows over); columns outside `cols` kept their column sum.
+/// So a Dice score `2·C[l,r] / (row_sum[l] + col_sum[r])` can move only
+/// where `l` is a touched row or `r` a touched column, which is how the
+/// session re-reads just those features. Regions may overapproximate
+/// (claim more than actually changed); they must never underapproximate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TouchedRegion {
     /// Touched row indices, sorted.
@@ -700,9 +702,9 @@ impl DeltaCatalogCounts {
         }
         cand.sort_unstable();
         cand.dedup();
-        // Same density cutoff idiom as `touch_is_dense`: once the candidate
-        // rows cover a quarter of the stack, per-row re-Hadamard + diff costs
-        // more than one wholesale Hadamard — fall back to the union path
+        // Density cutoff: once the candidate rows cover a quarter of the
+        // stack, per-row re-Hadamard + diff costs more than one wholesale
+        // Hadamard — fall back to the union path
         // (identical values; the reported region degrades to the union,
         // which stays a superset-consistent over-approximation).
         if cand.len() * 4 >= self.counts[i].nrows() {

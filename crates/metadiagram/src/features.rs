@@ -105,43 +105,43 @@ pub fn extract_features_par(
 ) -> FeatureMatrix {
     let proxies = proximity_matrices_par(engine, catalog, threading);
     let names = catalog.names().into_iter().map(String::from).collect();
-    gather_features(&proxies, names, candidates, threading)
+    gather_features(names, candidates, threading, |col, l, r| {
+        proxies[col].get(l, r)
+    })
 }
 
-/// Gathers per-candidate feature rows from already-computed proximity
-/// matrices (one per feature column, in column order; owned or borrowed —
-/// the session's partial column refresh passes `&[&CsrMatrix]`). This is
-/// the shared tail of [`extract_features_par`] and of the session API's
-/// featurization, so both produce bit-identical matrices by construction.
-/// The gather is split over contiguous candidate batches when `threading`
-/// allows; results are identical at any worker count.
-pub fn gather_features<M>(
-    proxies: &[M],
+/// Gathers the dense `candidates × names.len()` feature matrix, reading
+/// each cell as `cell(col, left, right)` with user indices. This is the
+/// shared gather kernel of [`extract_features_par`] (which reads its
+/// proximity matrices) and of the session API's featurization (which
+/// reads counts and their maintained margins through
+/// [`crate::proximity::dice_at`]). The gather is split over contiguous
+/// candidate batches when `threading` allows; each cell is read exactly
+/// once whatever the worker count, so results are identical at any
+/// setting.
+pub fn gather_features<F>(
     names: Vec<String>,
     candidates: &[(UserId, UserId)],
     threading: Threading,
+    cell: F,
 ) -> FeatureMatrix
 where
-    M: std::borrow::Borrow<CsrMatrix> + Sync,
+    F: Fn(usize, usize, usize) -> f64 + Sync,
 {
-    assert_eq!(proxies.len(), names.len(), "one proximity per column");
-    let ncols = proxies.len();
+    let ncols = names.len();
     let mut x = DenseMatrix::zeros(candidates.len(), ncols);
     let workers = threading.resolve().min(candidates.len()).max(1);
     if workers <= 1 {
-        for (col, prox) in proxies.iter().enumerate() {
+        for col in 0..ncols {
             for (row, &(l, r)) in candidates.iter().enumerate() {
-                let v = prox.borrow().get(l.index(), r.index());
-                // srclint: allow(float_eq, reason = "exact sparsity test: skips explicitly-stored zeros, no arithmetic involved")
-                if v != 0.0 {
-                    x[(row, col)] = v;
-                }
+                x[(row, col)] = cell(col, l.index(), r.index());
             }
         }
     } else {
         // Contiguous candidate batches; each worker fills a private buffer
         // that is copied into the shared matrix after the join.
         let per_worker = candidates.len().div_ceil(workers);
+        let cell = &cell;
         let blocks: Vec<(usize, Vec<f64>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = candidates
                 .chunks(per_worker)
@@ -149,13 +149,9 @@ where
                 .map(|(block, batch)| {
                     scope.spawn(move || {
                         let mut buf = vec![0f64; batch.len() * ncols];
-                        for (col, prox) in proxies.iter().enumerate() {
+                        for col in 0..ncols {
                             for (row, &(l, r)) in batch.iter().enumerate() {
-                                let v = prox.borrow().get(l.index(), r.index());
-                                // srclint: allow(float_eq, reason = "exact sparsity test: skips explicitly-stored zeros, no arithmetic involved")
-                                if v != 0.0 {
-                                    buf[row * ncols + col] = v;
-                                }
+                                buf[row * ncols + col] = cell(col, l.index(), r.index());
                             }
                         }
                         (block * per_worker, buf)

@@ -58,5 +58,5 @@ pub use features::{
     proximity_matrices_par, FeatureMatrix,
 };
 pub use path::{MetaPath, Step};
-pub use proximity::{dice_proximity, dice_proximity_delta, touch_is_dense};
+pub use proximity::{dice_at, dice_proximity};
 pub use sparsela::Threading;

@@ -29,10 +29,9 @@ pub fn dice_proximity(counts: &CsrMatrix) -> CsrMatrix {
     indptr.push(0);
     for (i, &row_sum) in row_sums.iter().enumerate() {
         for (j, v) in counts.row(i) {
-            let denom = row_sum + col_sums[j];
-            if v > 0.0 && denom > 0.0 {
+            if let Some(s) = dice(v, row_sum, col_sums[j]) {
                 indices.push(j);
-                values.push(2.0 * v / denom);
+                values.push(s);
             }
         }
         indptr.push(indices.len());
@@ -40,128 +39,25 @@ pub fn dice_proximity(counts: &CsrMatrix) -> CsrMatrix {
     CsrMatrix::from_parts_unchecked(nrows, counts.ncols(), indptr, indices, values)
 }
 
-/// True when a touched region covers enough of `counts` that patching it
-/// entry-by-entry costs more than re-normalizing the matrix outright —
-/// the threshold [`dice_proximity_delta`] falls back to the full pass at,
-/// exposed so callers can route *their* per-entry work (feature
-/// re-gathers) through the same decision. Active-query rounds confirm a
-/// handful of anchors, whose low-rank footprint is local; large batch
-/// merges densify quickly and are better served by the plain rescan.
-///
-/// The quarter-coverage cut is empirical (`session_delta` bench): the
-/// patch path pays a binary search per candidate entry where the full
-/// pass pays a streaming division, so break-even sits well below half
-/// coverage on the dense-rowed count matrices the catalog produces.
-pub fn touch_is_dense(counts: &CsrMatrix, touched_rows: &[usize], touched_cols: &[usize]) -> bool {
-    touched_rows.len() * 4 >= counts.nrows() || touched_cols.len() * 4 >= counts.ncols()
+/// One cell of [`dice_proximity`], read straight from the count matrix
+/// and its margins: `dice_at(c, &MarginSums::of(c), i, j)` has the same
+/// bits as `dice_proximity(c).get(i, j)`, without materializing the
+/// proximity matrix. Counts and margins are exact integers and the
+/// expression is the one the full pass evaluates, so margins maintained
+/// incrementally (bit-equal to a rescan) give bit-equal scores too
+/// (property-tested in `tests/dice_at_props.rs`). Costs one binary search
+/// in row `i`.
+#[inline]
+pub fn dice_at(counts: &CsrMatrix, sums: &MarginSums, i: usize, j: usize) -> f64 {
+    dice(counts.get(i, j), sums.row(i), sums.col(j)).unwrap_or(0.0)
 }
 
-/// Incremental [`dice_proximity`]: refreshes `previous` (the proximity of
-/// the pre-update counts) into the proximity of the updated `counts`,
-/// touching only what an anchor update actually changed.
-///
-/// * `sums` — the **post-update** margins of `counts`, maintained
-///   incrementally (see [`MarginSums`]); the caller never rescans.
-/// * `touched_rows` — rows whose counts (and hence row sum) changed; these
-///   are recomputed from `counts` wholesale, exactly as the full pass
-///   would.
-/// * `touched_cols` — columns whose column sum changed; in every
-///   *untouched* row, entries at these columns are patched (their
-///   numerator is unchanged but the `Σᵢ' C[i',j]` denominator term moved).
-///
-/// Both index sets must be **sorted ascending and duplicate-free**, and
-/// must cover every change: a row outside `touched_rows` must have an
-/// unchanged pattern and row sum, a column outside `touched_cols` an
-/// unchanged column sum. Overapproximation is always safe — recomputing an
-/// unchanged entry reproduces its bits, because counts and margins are
-/// exact integers and the arithmetic (`2·v / (row + col)`) is evaluated in
-/// the same order as [`dice_proximity`]. Under that contract the result is
-/// **bit-equal** to `dice_proximity(counts)` (property-tested in
-/// `tests/prox_delta_props.rs`), at `O(Σ nnz(touched rows) +
-/// |untouched rows|·log|touched_cols| + patches)` arithmetic instead of a
-/// full `O(nnz)` re-normalization.
-///
-/// When the region covers a large fraction of the matrix
-/// ([`touch_is_dense`]) the patch bookkeeping would cost more than the
-/// rescan it avoids, so this falls back to the plain full pass — the
-/// refresh is never slower than [`dice_proximity`] by more than a
-/// constant, and faster when the update was genuinely local.
-///
-/// # Panics
-/// When the shapes of `counts`, `sums` and `previous` disagree — shape
-/// drift means the caller updated one artifact and not the other, which is
-/// a bug, not an input error.
-pub fn dice_proximity_delta(
-    counts: &CsrMatrix,
-    sums: &MarginSums,
-    touched_rows: &[usize],
-    touched_cols: &[usize],
-    previous: &CsrMatrix,
-) -> CsrMatrix {
-    assert_eq!(counts.shape(), sums.shape(), "counts/sums shape drift");
-    assert_eq!(counts.shape(), previous.shape(), "counts/prox shape drift");
-    if touch_is_dense(counts, touched_rows, touched_cols) {
-        return dice_proximity(counts);
-    }
-    let nrows = counts.nrows();
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut indices = Vec::with_capacity(counts.nnz());
-    let mut values = Vec::with_capacity(counts.nnz());
-    indptr.push(0);
-    let mut next_touched = touched_rows.iter().copied().peekable();
-    for i in 0..nrows {
-        if next_touched.peek() == Some(&i) {
-            next_touched.next();
-            // Changed row: re-derive from the counts, as the full pass does.
-            let row_sum = sums.row(i);
-            for (j, v) in counts.row(i) {
-                let denom = row_sum + sums.col(j);
-                if v > 0.0 && denom > 0.0 {
-                    indices.push(j);
-                    values.push(2.0 * v / denom);
-                }
-            }
-        } else {
-            // Unchanged row: its pattern (and the counts') is identical to
-            // the previous proximity row — copy it wholesale, then patch
-            // the entries whose column denominator moved.
-            let (lo, hi) = (previous.indptr()[i], previous.indptr()[i + 1]);
-            let base = values.len();
-            indices.extend_from_slice(&previous.indices()[lo..hi]);
-            values.extend_from_slice(&previous.values()[lo..hi]);
-            let row_cols = &previous.indices()[lo..hi];
-            if let (Some(&first), Some(&last)) = (row_cols.first(), row_cols.last()) {
-                let from = touched_cols.partition_point(|&c| c < first);
-                let upto = touched_cols.partition_point(|&c| c <= last);
-                let in_range = &touched_cols[from..upto];
-                let row_sum = sums.row(i);
-                let mut patch = |pos: usize, j: usize| {
-                    // Pattern equality with `counts` gives the count value
-                    // at the same in-row offset.
-                    let v = counts.values()[counts.indptr()[i] + pos];
-                    let denom = row_sum + sums.col(j);
-                    debug_assert!(v > 0.0 && denom > 0.0, "stored entry with no mass");
-                    values[base + pos] = 2.0 * v / denom;
-                };
-                // Walk whichever side is smaller, binary-searching the other.
-                if in_range.len() <= row_cols.len() {
-                    for &j in in_range {
-                        if let Ok(pos) = row_cols.binary_search(&j) {
-                            patch(pos, j);
-                        }
-                    }
-                } else {
-                    for (pos, &j) in row_cols.iter().enumerate() {
-                        if in_range.binary_search(&j).is_ok() {
-                            patch(pos, j);
-                        }
-                    }
-                }
-            }
-        }
-        indptr.push(indices.len());
-    }
-    CsrMatrix::from_parts_unchecked(nrows, counts.ncols(), indptr, indices, values)
+/// Definition 6 for one count `v` with its row and column sums; `None`
+/// where the pair has no connecting instance.
+#[inline]
+fn dice(v: f64, row_sum: f64, col_sum: f64) -> Option<f64> {
+    let denom = row_sum + col_sum;
+    (v > 0.0 && denom > 0.0).then(|| 2.0 * v / denom)
 }
 
 #[cfg(test)]
@@ -214,25 +110,6 @@ mod tests {
         assert_eq!(s.shape(), (4, 5));
     }
 
-    /// Applies `delta` to `counts` and checks the incremental refresh
-    /// against a fresh full normalization, returning both.
-    fn check_delta(counts: &CsrMatrix, delta: &CsrMatrix) -> (CsrMatrix, CsrMatrix) {
-        let previous = dice_proximity(counts);
-        let mut sums = MarginSums::of(counts);
-        sums.accumulate(delta).unwrap();
-        let merged = counts.add(delta).unwrap();
-        let mut rows: Vec<usize> = (0..delta.nrows())
-            .filter(|&i| delta.row_nnz(i) > 0)
-            .collect();
-        let mut cols: Vec<usize> = delta.indices().to_vec();
-        rows.dedup();
-        cols.sort_unstable();
-        cols.dedup();
-        let incremental = dice_proximity_delta(&merged, &sums, &rows, &cols, &previous);
-        let full = dice_proximity(&merged);
-        (incremental, full)
-    }
-
     #[test]
     fn delta_refresh_is_bit_equal_to_full() {
         let counts = CsrMatrix::from_dense(
@@ -247,7 +124,7 @@ mod tests {
         );
         // Touches row 1 (new entry at col 1 + growth at col 0) and row 2;
         // rows 0 and 3 are untouched but row 0 has entries in touched
-        // columns 0 and 1 — the patch path.
+        // columns 0 and 1, whose denominators moved.
         let delta = CsrMatrix::from_dense(
             4,
             4,
@@ -258,31 +135,20 @@ mod tests {
                 0.0, 0.0, 0.0, 0.0,
             ],
         );
-        let (incremental, full) = check_delta(&counts, &delta);
-        assert_eq!(incremental, full);
-    }
-
-    #[test]
-    fn delta_refresh_with_empty_touch_sets_is_identity() {
-        let counts = CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0]);
-        let prox = dice_proximity(&counts);
-        let sums = MarginSums::of(&counts);
-        let refreshed = dice_proximity_delta(&counts, &sums, &[], &[], &prox);
-        assert_eq!(refreshed, prox);
-    }
-
-    #[test]
-    fn delta_refresh_tolerates_overapproximated_touch_sets() {
-        let counts = CsrMatrix::from_dense(3, 3, &[5.0, 2.0, 0.0, 1.0, 0.0, 4.0, 0.0, 7.0, 3.0]);
-        let delta = CsrMatrix::from_dense(3, 3, &[0.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
-        let previous = dice_proximity(&counts);
+        // Margins maintained through the delta, never rescanned.
         let mut sums = MarginSums::of(&counts);
         sums.accumulate(&delta).unwrap();
         let merged = counts.add(&delta).unwrap();
-        // Claim everything touched: must still equal the full pass exactly.
-        let all: Vec<usize> = (0..3).collect();
-        let incremental = dice_proximity_delta(&merged, &sums, &all, &all, &previous);
-        assert_eq!(incremental, dice_proximity(&merged));
+        let full = dice_proximity(&merged);
+        for i in 0..4 {
+            for j in 0..4 {
+                assert_eq!(
+                    dice_at(&merged, &sums, i, j).to_bits(),
+                    full.get(i, j).to_bits(),
+                    "cell ({i}, {j})"
+                );
+            }
+        }
     }
 
     #[test]

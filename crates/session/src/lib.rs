@@ -19,7 +19,7 @@
 //!                  featurize(candidates)
 //!                                ▼
 //!                    AlignmentSession<Featurized>
-//!                                │ + proximity matrices, feature matrix
+//!                                │ + feature matrix, per-user candidate index
 //!                                │
 //!                  fit(..) / run_active(..)
 //!                                ▼
@@ -75,7 +75,7 @@
 //!     .count()
 //!     .expect("generated networks share attribute universes");
 //!
-//! // Featurized: proximities + the dense feature matrix.
+//! // Featurized: the dense feature matrix, read from counts + margins.
 //! let session = counted.featurize(candidates);
 //! assert_eq!(session.features().n_features(), 31);
 //!

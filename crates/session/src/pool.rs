@@ -29,7 +29,8 @@
 //! `Checkpoint` record — O(|ΔA|), not O(session); anywhere else it writes
 //! a fresh base + journal and moves the home there. A slot opened from
 //! disk is at home where it was opened, and no two live slots of one pool
-//! share a base ([`PoolError::AlreadyOpen`]).
+//! share a base: `open` and `save` both refuse another live slot's home
+//! with [`PoolError::AlreadyOpen`].
 //!
 //! ## Write-ahead journaling
 //!
@@ -464,12 +465,15 @@ impl SessionPool {
         self.push(Staged::Counted(session), None)
     }
 
-    /// The base paths live slots are journaled at. A poisoned slot is
-    /// skipped: its next access vacates it, dropping its journal.
-    fn journaled_paths(&self) -> HashSet<PathBuf> {
+    /// The base paths live slots other than `except` are journaled at,
+    /// locking one slot at a time. A poisoned slot is skipped: its next
+    /// access vacates it, dropping its journal.
+    fn journaled_paths(&self, except: Option<SessionId>) -> HashSet<PathBuf> {
         self.slots
             .iter()
-            .filter_map(|m| {
+            .enumerate()
+            .filter(|&(i, _)| except.is_none_or(|id| id.0 != i))
+            .filter_map(|(_, m)| {
                 let guard = m.lock().ok()?;
                 Some(guard.as_ref()?.journal.as_ref()?.base_path().to_path_buf())
             })
@@ -487,7 +491,7 @@ impl SessionPool {
     /// either case.
     pub fn open(&mut self, path: impl AsRef<Path>) -> Result<SessionId, PoolError> {
         let path = path.as_ref();
-        if self.journaled_paths().contains(path) {
+        if self.journaled_paths(None).contains(path) {
             return Err(PoolError::AlreadyOpen {
                 path: path.to_path_buf(),
             });
@@ -507,7 +511,7 @@ impl SessionPool {
         &mut self,
         paths: &[P],
     ) -> Vec<Result<SessionId, PoolError>> {
-        let mut claimed = self.journaled_paths();
+        let mut claimed = self.journaled_paths(None);
         let admitted: Vec<bool> = paths
             .iter()
             .map(|p| claimed.insert(p.as_ref().to_path_buf()))
@@ -675,10 +679,27 @@ impl SessionPool {
     /// the old pair, if any, stays valid on disk at its last state.
     ///
     /// # Errors
-    /// Slot errors as elsewhere; [`PoolError::Journal`] when a write
-    /// fails (the slot then keeps its previous journal).
+    /// Slot errors as elsewhere; [`PoolError::AlreadyOpen`] when another
+    /// live slot is journaled at `path` (writing there would overwrite
+    /// that slot's base and journal), exactly as [`SessionPool::open`]
+    /// refuses it; [`PoolError::Journal`] when a write fails. In either
+    /// error case the slot keeps its previous journal.
     pub fn save(&self, id: SessionId, path: impl AsRef<Path>) -> Result<(), PoolError> {
         let path = path.as_ref();
+        let at_home = (self.slot(id)?.as_ref())
+            .ok_or(PoolError::Vacated(id.0))?
+            .journal
+            .as_ref()
+            .is_some_and(|j| j.base_path() == path);
+        // Only a move of home can collide with another slot, so a
+        // checkpoint skips the scan. The scan runs while `id` is unlocked:
+        // holding one slot lock while taking another could deadlock two
+        // concurrent saves.
+        if !at_home && self.journaled_paths(Some(id)).contains(path) {
+            return Err(PoolError::AlreadyOpen {
+                path: path.to_path_buf(),
+            });
+        }
         let (cell, mut guard) = self.lock(id)?;
         let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
         match slot.journal.as_mut() {

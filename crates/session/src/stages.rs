@@ -6,10 +6,7 @@ use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy};
 use hetnet::aligned::anchor_matrix;
 use hetnet::{HetNet, UserId};
 use metadiagram::delta::{DeltaCatalogCounts, DeltaOutcome, DeltaStats};
-use metadiagram::{
-    dice_proximity, dice_proximity_delta, gather_features, touch_is_dense, Catalog, FeatureMatrix,
-    FeatureSet,
-};
+use metadiagram::{dice_at, dice_proximity, gather_features, Catalog, FeatureMatrix, FeatureSet};
 use sparsela::{CsrMatrix, Threading};
 
 /// Configures and opens an [`AlignmentSession`].
@@ -127,13 +124,54 @@ impl Counted {
     }
 }
 
-/// Stage 2: [`Counted`] plus per-feature proximity matrices and the dense
-/// candidate feature matrix.
+/// Stage 2: [`Counted`] plus the dense candidate feature matrix, whose
+/// cells are Dice proximities read straight from the counts and their
+/// maintained margins ([`dice_at`]) — no proximity matrix is stored.
 #[derive(Debug, Clone)]
 pub struct Featurized {
     pub(crate) candidates: Vec<(UserId, UserId)>,
-    pub(crate) proximities: Vec<CsrMatrix>,
+    /// Candidate rows by left user — the rows a touched count row reaches.
+    by_left: UserRows,
+    /// Candidate rows by right user — the rows a touched count column
+    /// reaches.
+    by_right: UserRows,
     pub(crate) features: FeatureMatrix,
+}
+
+/// Candidate rows grouped by user: the rows of user `u` are
+/// `rows[start[u]..start[u + 1]]`, ascending. One flat offset array and
+/// one flat row array rather than a `Vec` per user, so the index is two
+/// allocations at any user count.
+#[derive(Debug, Clone)]
+struct UserRows {
+    start: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl UserRows {
+    /// Groups candidate rows by user, where `users` yields each row's
+    /// user (below `n_users`) in row order.
+    fn group(n_users: usize, users: impl Iterator<Item = usize> + Clone) -> Self {
+        let mut start = vec![0usize; n_users + 1];
+        for u in users.clone() {
+            start[u + 1] += 1;
+        }
+        for u in 0..n_users {
+            start[u + 1] += start[u];
+        }
+        let mut next = start[..n_users].to_vec();
+        let mut rows = vec![0usize; start[n_users]];
+        for (row, u) in users.enumerate() {
+            rows[next[u]] = row;
+            next[u] += 1;
+        }
+        UserRows { start, rows }
+    }
+
+    /// The candidate rows of user `u`.
+    fn of(&self, u: usize) -> &[usize] {
+        &self.rows[self.start[u]..self.start[u + 1]]
+    }
 }
 
 /// Stage 3: [`Featurized`] plus a fitted model.
@@ -188,23 +226,32 @@ impl AlignmentSession<Counted> {
         Ok(self.counts.update_anchors(edges)?.applied)
     }
 
-    /// Advances to [`Featurized`]: computes the per-feature Dice proximity
-    /// matrices and gathers the dense `candidates × catalog` feature
-    /// matrix. Bit-identical to
-    /// [`metadiagram::extract_features_par`] over the same anchors.
+    /// Advances to [`Featurized`]: gathers the dense `candidates ×
+    /// catalog` feature matrix, reading every cell's Dice proximity
+    /// straight from the counts and their maintained margins
+    /// ([`dice_at`]), and indexes the candidates by user for later
+    /// refreshes. Bit-identical to [`metadiagram::extract_features_par`]
+    /// over the same anchors.
+    ///
+    /// # Panics
+    /// When a candidate's user lies outside its network's user range.
     pub fn featurize(self, candidates: Vec<(UserId, UserId)>) -> AlignmentSession<Featurized> {
-        let proximities: Vec<CsrMatrix> = (0..self.catalog.len())
-            .map(|i| dice_proximity(self.counts.catalog_count(i)))
-            .collect();
         let names = self.catalog.names().into_iter().map(String::from).collect();
-        let features = gather_features(&proximities, names, &candidates, self.threading);
+        let counts = &self.counts;
+        let features = gather_features(names, &candidates, self.threading, |col, l, r| {
+            dice_at(counts.catalog_count(col), counts.catalog_sums(col), l, r)
+        });
+        let (n_left, n_right) = self.counts.anchor().shape();
+        let by_left = UserRows::group(n_left, candidates.iter().map(|c| c.0.index()));
+        let by_right = UserRows::group(n_right, candidates.iter().map(|c| c.1.index()));
         AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
             threading: self.threading,
             stage: Featurized {
                 candidates,
-                proximities,
+                by_left,
+                by_right,
                 features,
             },
         }
@@ -222,9 +269,11 @@ impl AlignmentSession<Featurized> {
         &self.stage.features
     }
 
-    /// The Dice proximity matrix of catalog feature `i`.
-    pub fn proximity_of(&self, i: usize) -> &CsrMatrix {
-        &self.stage.proximities[i]
+    /// The Dice proximity matrix of catalog feature `i`, normalized on
+    /// demand from its count matrix — a view for tests and debugging; the
+    /// session itself stores no proximity matrices.
+    pub fn proximity_of(&self, i: usize) -> CsrMatrix {
+        dice_proximity(self.count_of(i))
     }
 
     /// Builds an [`AlignmentInstance`] over this session's candidates and
@@ -239,12 +288,11 @@ impl AlignmentSession<Featurized> {
 
     /// Applies newly confirmed anchors incrementally and refreshes exactly
     /// the downstream artifacts that depend on them: the changed count
-    /// matrices (`C += L·ΔA·R`), the touched rows/columns of their
-    /// proximity matrices, and the affected feature *entries* — only
-    /// candidates whose left user sits in a touched row or whose right
-    /// user sits in a touched column are re-gathered. Anchor-free
-    /// attribute features are untouched. Returns the number of genuinely
-    /// new anchors merged.
+    /// matrices (`C += L·ΔA·R`) with their margins, and the affected
+    /// feature *entries* — only candidates whose left user sits in a
+    /// touched row or whose right user sits in a touched column are
+    /// re-read. Anchor-free attribute features are untouched. Returns the
+    /// number of genuinely new anchors merged.
     ///
     /// # Errors
     /// [`SessionError::Delta`] on out-of-range endpoints (nothing changes).
@@ -255,8 +303,8 @@ impl AlignmentSession<Featurized> {
     }
 
     /// Like [`AlignmentSession::update_anchors`], but recounts the changed
-    /// chains **from the full merged anchor matrix** and re-normalizes
-    /// their proximities wholesale — the one reference path (oracle) the
+    /// chains **from the full merged anchor matrix** and re-reads their
+    /// feature columns wholesale — the one reference path (oracle) the
     /// incremental update is tested and benchmarked against. Results are
     /// bit-identical; only the cost differs.
     ///
@@ -268,82 +316,38 @@ impl AlignmentSession<Featurized> {
         Ok(outcome.applied)
     }
 
-    /// Re-derives proximities and feature values for the changed catalog
-    /// entries.
+    /// Re-reads the feature values of the changed catalog entries.
     ///
-    /// With a known touched region, each changed proximity is patched in
-    /// its touched rows/columns ([`dice_proximity_delta`] over the store's
-    /// maintained margins) and only the affected candidates re-gather — a
-    /// candidate `(l, r)` can change in column `c` only when `l` is a
-    /// touched row or `r` a touched column of `c`'s counts. Columns refreshed without region
-    /// info (the full-recount path) re-normalize from scratch and
-    /// re-gather wholesale through the same [`gather_features`] kernel
-    /// featurization uses. Both paths are bit-identical to a fresh
-    /// featurization.
+    /// A cell `(l, r)` of column `c` depends on `C[l, r]`, row sum `l` and
+    /// column sum `r` of `c`'s counts, so with a known touched region only
+    /// the candidates of touched rows (through the left-user index) and of
+    /// touched columns (through the right-user index) are re-read; a
+    /// candidate reached from both sides is simply read twice. A column
+    /// changed without region info (the full-recount path) is re-read
+    /// whole. Every read is [`dice_at`], as in featurization, so both
+    /// paths are bit-identical to a fresh featurization.
     fn refresh(&mut self, outcome: &DeltaOutcome) {
-        if outcome.changed.is_empty() {
-            return;
-        }
-        let mut full_cols: Vec<usize> = Vec::new();
         for chg in &outcome.changed {
             let col = chg.catalog_pos;
-            let region = match &chg.touched {
-                Some(region)
-                    if !touch_is_dense(
-                        self.counts.catalog_count(col),
-                        &region.rows,
-                        &region.cols,
-                    ) =>
-                {
-                    region
-                }
-                // No region info (the full-recount path) or a region dense
-                // enough that per-entry patching would cost more than the
-                // wholesale refresh.
-                _ => {
-                    self.stage.proximities[col] = dice_proximity(self.counts.catalog_count(col));
-                    full_cols.push(col);
-                    continue;
-                }
+            let counts = self.counts.catalog_count(col);
+            let sums = self.counts.catalog_sums(col);
+            let Featurized {
+                candidates,
+                by_left,
+                by_right,
+                features,
+            } = &mut self.stage;
+            let mut reread = |row: usize| {
+                let (l, r) = candidates[row];
+                features.x[(row, col)] = dice_at(counts, sums, l.index(), r.index());
             };
-            if region.is_empty() {
-                // The update's low-rank product vanished for this chain:
-                // counts, sums, proximity and features are all unchanged.
-                continue;
-            }
-            let refreshed = dice_proximity_delta(
-                self.counts.catalog_count(col),
-                self.counts.catalog_sums(col),
-                &region.rows,
-                &region.cols,
-                &self.stage.proximities[col],
-            );
-            self.stage.proximities[col] = refreshed;
-            let prox = &self.stage.proximities[col];
-            for (row, &(l, r)) in self.stage.candidates.iter().enumerate() {
-                if region.rows.binary_search(&l.index()).is_ok()
-                    || region.cols.binary_search(&r.index()).is_ok()
-                {
-                    self.stage.features.x[(row, col)] = prox.get(l.index(), r.index());
+            match &chg.touched {
+                Some(region) => {
+                    let rows = region.rows.iter().flat_map(|&u| by_left.of(u));
+                    let cols = region.cols.iter().flat_map(|&u| by_right.of(u));
+                    rows.chain(cols).for_each(|&row| reread(row));
                 }
-            }
-        }
-        if full_cols.is_empty() {
-            return;
-        }
-        let changed_prox: Vec<&CsrMatrix> = full_cols
-            .iter()
-            .map(|&col| &self.stage.proximities[col])
-            .collect();
-        let sub = gather_features(
-            &changed_prox,
-            vec![String::new(); changed_prox.len()],
-            &self.stage.candidates,
-            self.threading,
-        );
-        for (k, &col) in full_cols.iter().enumerate() {
-            for row in 0..self.stage.candidates.len() {
-                self.stage.features.x[(row, col)] = sub.x[(row, k)];
+                None => (0..candidates.len()).for_each(reread),
             }
         }
     }

@@ -7,6 +7,8 @@
 use activeiter::query::RandomQuery;
 use activeiter::{ActiveLoop, FitReport, ModelConfig, Oracle, VecOracle};
 use hetnet::UserId;
+use metadiagram::FeatureSet;
+use proptest::prelude::*;
 use session::{AlignmentSession, AnchorEdge, Featurized, SessionBuilder};
 
 struct Problem {
@@ -201,4 +203,74 @@ fn feature_refresh_feeds_back_into_later_rounds() {
         run_report.fit.scores, static_fit.scores,
         "anchor feedback had no effect on the features"
     );
+}
+
+fn feature_set(pick: u8) -> FeatureSet {
+    match pick % 4 {
+        0 => FeatureSet::MetaPathsOnly,
+        1 => FeatureSet::PathsAndSocialDiagrams,
+        2 => FeatureSet::PathsAndAttrDiagram,
+        _ => FeatureSet::Full,
+    }
+}
+
+fn edges(pairs: &[(u32, u32)]) -> Vec<AnchorEdge> {
+    pairs
+        .iter()
+        .map(|&(l, r)| AnchorEdge::new(UserId(l), UserId(r)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The per-user candidate index must reach every candidate a touched
+    /// row or column moves: after random `update_anchors` batches the
+    /// features equal a fresh count over the merged anchors, bit for bit.
+    /// Candidate lists repeat users and whole pairs on purpose.
+    #[test]
+    fn featurized_updates_are_bit_equal_to_a_fresh_featurization(
+        seed in 0u64..3,
+        initial_k in 1usize..20,
+        set_pick in 0u8..4,
+        pairs in proptest::collection::vec((0u32..38, 0u32..40), 1..60),
+        repeats in 1usize..20,
+        batches in proptest::collection::vec(
+            proptest::collection::vec((0u32..38, 0u32..40), 1..8),
+            1..4
+        ),
+        threads in 1usize..4
+    ) {
+        let w = datagen::generate(&datagen::presets::tiny(13 + seed * 5));
+        let initial = w.truth().links()[..initial_k].to_vec();
+        // Truth pairs, random pairs, then a prefix of the random pairs
+        // again: users recur across rows and some pairs are duplicates.
+        let mut candidates: Vec<(UserId, UserId)> =
+            initial.iter().map(|l| (l.left, l.right)).collect();
+        candidates.extend(pairs.iter().map(|&(l, r)| (UserId(l), UserId(r))));
+        candidates.extend_from_within(initial_k..initial_k + repeats.min(pairs.len()));
+
+        let build = |anchors: Vec<AnchorEdge>| {
+            SessionBuilder::new(w.left(), w.right())
+                .anchors(anchors)
+                .feature_set(feature_set(set_pick))
+                .threading(sparsela::Threading::Threads(threads))
+                .count()
+                .unwrap()
+                .featurize(candidates.clone())
+        };
+        let mut live = build(initial.clone());
+        let mut merged = initial;
+        for batch in &batches {
+            let batch = edges(batch);
+            live.update_anchors(&batch).unwrap();
+            merged.extend_from_slice(&batch);
+            let fresh = build(merged.clone());
+            let bits = |s: &AlignmentSession<Featurized>| -> Vec<u64> {
+                s.features().x.data().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert_eq!(bits(&live), bits(&fresh));
+        }
+        prop_assert_eq!(live.stats().full_counts, 1);
+    }
 }

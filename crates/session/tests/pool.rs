@@ -408,3 +408,45 @@ fn save_to_another_path_moves_the_slot_home() {
     remove_pair(&old);
     remove_pair(&new);
 }
+
+#[test]
+fn save_refuses_a_base_another_live_slot_holds() {
+    let w = world(74);
+    let links = w.truth().links();
+    let held = temp_path("held");
+    let own = temp_path("held-own");
+    snapshot::save(&counted(&w, 9), &held).unwrap();
+    let mut pool = SessionPool::new(2);
+    let a = pool.open(&held).unwrap();
+    let b = pool.insert(counted(&w, 6));
+    pool.save(b, &own).unwrap();
+
+    // Saving b over a's base would overwrite a's base and journal.
+    match pool.save(b, &held) {
+        Err(PoolError::AlreadyOpen { path }) => assert_eq!(path, held),
+        other => panic!("expected AlreadyOpen, got {other:?}"),
+    }
+    // A slot's own home is a checkpoint, not a conflict.
+    pool.save(a, &held).unwrap();
+
+    // Both slots keep their homes: updates journal and replay apart.
+    pool.update_anchors(a, &links[9..12]).unwrap();
+    pool.update_anchors(b, &links[6..8]).unwrap();
+    pool.save(a, &held).unwrap();
+    pool.save(b, &own).unwrap();
+    assert_eq!(pool.n_anchors(a).unwrap(), 12);
+    assert_eq!(pool.n_anchors(b).unwrap(), 8);
+    let (reopened_a, _) = Journal::open(&held).unwrap();
+    let (reopened_b, _) = Journal::open(&own).unwrap();
+    assert_eq!(reopened_a.n_anchors(), 12);
+    assert_eq!(reopened_b.n_anchors(), 8);
+    for i in 0..reopened_a.catalog().len() {
+        pool.with_counted(a, |s| assert_eq!(s.count_of(i), reopened_a.count_of(i)))
+            .unwrap();
+        pool.with_counted(b, |s| assert_eq!(s.count_of(i), reopened_b.count_of(i)))
+            .unwrap();
+    }
+
+    remove_pair(&held);
+    remove_pair(&own);
+}

@@ -3,11 +3,12 @@
 //! Builds one world, opens a session, and drives the ActiveIter loop with
 //! per-round anchor feedback. Every round applies the sparse low-rank
 //! update `C += L·ΔA·R`, whose cost scales with the handful of anchors the
-//! oracle just confirmed. The downstream refresh is delta-aware too: Dice
-//! proximities are patched only in the touched rows/columns (maintained
-//! margin sums — no `O(nnz)` denominator rescan) and only affected feature
-//! entries re-gather, so the printed per-round recount-ms covers counting
-//! *and* normalization.
+//! oracle just confirmed. The downstream refresh is delta-aware too: no
+//! proximity matrix is stored or rebuilt — only the feature entries of
+//! candidates in a touched row or column are re-read, each as one Dice
+//! score from the counts and their maintained margin sums (no `O(nnz)`
+//! denominator rescan), so the printed per-round recount-ms covers
+//! counting *and* normalization.
 //!
 //! The session counts the full catalog exactly once, at build. The
 //! delta-vs-full-recount cost comparison lives in the `session_delta`

@@ -20,7 +20,8 @@
 //! layer rejects *semantically* broken payloads, whatever their origin:
 //! every CSR re-validates its structural invariants, stack nodes may only
 //! reference earlier nodes (the dependency order a propagation pass relies
-//! on), node kinds must agree with their diagram shapes, factor shapes
+//! on), node kinds must agree with their diagram shapes, a stack may hold
+//! at most one anchor-dependent part, factor shapes
 //! must compose with the anchor matrix, stored margins must match their
 //! count matrix bit-for-bit, and the catalog mapping must agree with the
 //! catalog rebuilt from the stored [`FeatureSet`]. A payload that fails
@@ -271,8 +272,8 @@ pub fn store_encoded_len(store: &DeltaCatalogCounts) -> usize {
 /// # Errors
 /// EOF/length errors on truncated input; [`Error::Malformed`] when any
 /// structural or semantic invariant fails (CSR shape, dependency order,
-/// kind/diagram agreement, factor composition, margin agreement, catalog
-/// mapping).
+/// kind/diagram agreement, a stack over more than one anchor-dependent
+/// part, factor composition, margin agreement, catalog mapping).
 pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalogCounts, Error> {
     let anchor = decode_csr(r)?;
     let (n1, n2) = anchor.shape();
@@ -281,6 +282,7 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
     let mut kinds = Vec::with_capacity(n_nodes);
     let mut counts = Vec::with_capacity(n_nodes);
     let mut sums = Vec::with_capacity(n_nodes);
+    let mut dependent = Vec::with_capacity(n_nodes);
     for i in 0..n_nodes {
         let diagram = decode_diagram(r)?;
         let kind = match r.u8()? {
@@ -343,6 +345,13 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
                 diagram.name()
             )));
         }
+        // The delta path updates a stack from its one moving part's
+        // increment; a stack over two anchor-dependent parts has no such
+        // rule.
+        dependent.push(
+            kind.anchor_dependent(&dependent)
+                .map_err(|msg| Error::Malformed(format!("node {i}: {msg}")))?,
+        );
         let count = decode_csr(r)?;
         if count.shape() != (n1, n2) {
             return Err(Error::Malformed(format!(
@@ -577,6 +586,38 @@ mod tests {
         }
         let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
         assert!(err.to_string().contains("kind does not match"));
+    }
+
+    #[test]
+    fn stack_over_two_anchor_dependent_parts_is_refused() {
+        // Stack([Social(P1), Social(P2)]) names its parts correctly, so the
+        // kind/diagram check passes, but the delta path can update a stack
+        // from one moving part only.
+        let (store, catalog) = store();
+        let mut broken = store.clone();
+        let p1 = broken
+            .order
+            .iter()
+            .position(|d| *d == Diagram::Social(SocialPathId::P1))
+            .expect("catalog has P1");
+        let p2 = broken
+            .order
+            .iter()
+            .position(|d| *d == Diagram::Social(SocialPathId::P2))
+            .expect("catalog has P2");
+        let s = broken
+            .kinds
+            .iter()
+            .position(|k| matches!(k, NodeKind::Stack(p) if p.len() == 2))
+            .expect("catalog has two-part stacks");
+        broken.order[s] = Diagram::Stack(vec![
+            Diagram::Social(SocialPathId::P1),
+            Diagram::Social(SocialPathId::P2),
+        ]);
+        broken.kinds[s] = NodeKind::Stack(vec![p1, p2]);
+        let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
+        assert!(matches!(err, Error::Malformed(_)));
+        assert!(err.to_string().contains("anchor-dependent"), "{err}");
     }
 
     #[test]

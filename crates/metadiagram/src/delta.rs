@@ -11,8 +11,10 @@
 //!   `|ΔA|`, not with the catalog;
 //! * **attribute paths / attribute middle-stackings** never touch `A` and
 //!   are carried over untouched;
-//! * **endpoint stackings** are Hadamard products of already-updated
-//!   factors — an `O(nnz)` re-combination, no SpGEMM.
+//! * **endpoint stackings** `S = C∘B` multiply one anchor-dependent part
+//!   `C` by anchor-free parts `B` (Lemma 1), so `ΔS = ΔC∘B`: a stack
+//!   splices its part's increment times the fixed parts, work over
+//!   `ΔC`'s nonempty rows only, with no SpGEMM and no re-Hadamard.
 //!
 //! All arithmetic is exact (counts are small nonnegative integers stored in
 //! `f64`), so the delta path is **bit-equal** to a full recount from the
@@ -114,13 +116,14 @@ pub struct DeltaStats {
 
 /// The rows and columns of a count matrix that an update touched —
 /// sorted ascending, duplicate-free. Rows outside `rows` are
-/// **bit-identical** to before the update (pattern and values — the
-/// guarantee region-local stack re-Hadamards rely on when they carry
-/// untouched rows over); columns outside `cols` kept their column sum.
-/// So a Dice score `2·C[l,r] / (row_sum[l] + col_sum[r])` can move only
-/// where `l` is a touched row or `r` a touched column, which is how the
-/// session re-reads just those features. Regions may overapproximate
-/// (claim more than actually changed); they must never underapproximate.
+/// **bit-identical** to before the update (pattern and values); columns
+/// outside `cols` kept their column sum. So a Dice score
+/// `2·C[l,r] / (row_sum[l] + col_sum[r])` can move only where `l` is a
+/// touched row or `r` a touched column, which is how the session
+/// re-reads just those features. The incremental path reports the
+/// pattern of the node's increment, so every reported row holds a
+/// changed cell; consumers may treat a region as an overapproximation,
+/// and a region must never underapproximate.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TouchedRegion {
     /// Touched row indices, sorted.
@@ -135,47 +138,12 @@ impl TouchedRegion {
         let rows: Vec<usize> = (0..delta.nrows())
             .filter(|&i| delta.row_nnz(i) > 0)
             .collect();
-        let mut cols: Vec<usize> = delta.indices().to_vec();
-        cols.sort_unstable();
-        cols.dedup();
-        TouchedRegion { rows, cols }
-    }
-
-    /// Merges another region into this one (sorted-set union).
-    fn absorb(&mut self, other: &TouchedRegion) {
-        fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
-            let mut out = Vec::with_capacity(a.len() + b.len());
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() || j < b.len() {
-                match (a.get(i), b.get(j)) {
-                    (Some(&x), Some(&y)) if x == y => {
-                        out.push(x);
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(&x), Some(&y)) if x < y => {
-                        out.push(x);
-                        i += 1;
-                    }
-                    (Some(_), Some(&y)) => {
-                        out.push(y);
-                        j += 1;
-                    }
-                    (Some(&x), None) => {
-                        out.push(x);
-                        i += 1;
-                    }
-                    (None, Some(&y)) => {
-                        out.push(y);
-                        j += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
-            }
-            out
+        let mut hit = vec![false; delta.ncols()];
+        for &c in delta.indices() {
+            hit[c] = true;
         }
-        self.rows = union_sorted(&self.rows, &other.rows);
-        self.cols = union_sorted(&self.cols, &other.cols);
+        let cols: Vec<usize> = (0..delta.ncols()).filter(|&c| hit[c]).collect();
+        TouchedRegion { rows, cols }
     }
 
     /// True when nothing was touched.
@@ -233,6 +201,33 @@ pub(crate) enum NodeKind {
     AnchorFree,
     /// Hadamard of other materialized nodes (indices into the store).
     Stack(Vec<usize>),
+}
+
+impl NodeKind {
+    /// Whether this node's count moves with the anchors, given
+    /// `dependent[p]` for every earlier node `p`. A stack may have at most
+    /// one anchor-dependent part: the increment rule `Δ(C∘B) = ΔC∘B`
+    /// needs every other part fixed. No catalog builds such a stack, so
+    /// finding one means the store is malformed.
+    pub(crate) fn anchor_dependent(&self, dependent: &[bool]) -> Result<bool, String> {
+        match self {
+            NodeKind::AnchorChain(_) => Ok(true),
+            NodeKind::AnchorFree => Ok(false),
+            NodeKind::Stack(parts) => {
+                let moving = parts
+                    .iter()
+                    .filter(|&&p| dependent.get(p) == Some(&true))
+                    .count();
+                if moving > 1 {
+                    return Err(format!(
+                        "stack parts {parts:?} hold {moving} anchor-dependent parts, at most one \
+                         is allowed"
+                    ));
+                }
+                Ok(moving == 1)
+            }
+        }
+    }
 }
 
 /// An owning store of one catalog's count matrices plus everything needed
@@ -410,7 +405,8 @@ impl DeltaCatalogCounts {
     /// Validates the cross-artifact shape invariants a propagation relies
     /// on, **before** any mutation: margins against their counts, factor
     /// chains against the anchor and count shapes, stack parts against
-    /// their stack. Every store this crate builds passes by construction;
+    /// their stack, and at most one anchor-dependent part per stack.
+    /// Every store this crate builds passes by construction;
     /// a malformed snapshot-restored store fails here with a typed error
     /// and the store untouched. `O(catalog)` comparisons.
     fn check_consistent(&self) -> Result<(), DeltaError> {
@@ -424,6 +420,7 @@ impl DeltaCatalogCounts {
                 self.sums.len()
             )));
         }
+        let mut dependent = Vec::with_capacity(n);
         for (i, kind) in self.kinds.iter().enumerate() {
             let shape = self.counts[i].shape();
             if self.sums[i].shape() != shape {
@@ -486,6 +483,10 @@ impl DeltaCatalogCounts {
                     }
                 }
             }
+            let dep = kind
+                .anchor_dependent(&dependent)
+                .map_err(|msg| DeltaError::Inconsistent(format!("stack node {i}: {msg}")))?;
+            dependent.push(dep);
         }
         Ok(())
     }
@@ -521,24 +522,24 @@ impl DeltaCatalogCounts {
         Ok(fresh)
     }
 
-    fn merge_links(&mut self, fresh: &[(usize, usize)]) -> CsrMatrix {
+    /// Adds the pre-validated `fresh` links to the anchor matrix and
+    /// returns them as `ΔA`. The store is unchanged on error.
+    fn merge_links(&mut self, fresh: &[(usize, usize)]) -> Result<CsrMatrix, DeltaError> {
         let (n1, n2) = self.anchor.shape();
         let mut coo = CooMatrix::with_capacity(n1, n2, fresh.len());
         for &(i, j) in fresh {
-            coo.push(i, j, 1.0).expect("fresh links pre-validated");
+            coo.push(i, j, 1.0)?;
         }
         let delta = coo.to_csr();
-        self.anchor = self
-            .anchor
-            .add(&delta)
-            .expect("delta shares the anchor shape");
+        self.anchor = self.anchor.add(&delta)?;
         self.stats.anchors_applied += fresh.len();
-        delta
+        Ok(delta)
     }
 
     /// Applies `ΔA` incrementally: every anchor-chain count gains
-    /// `L·ΔA·R`, every stacking over a changed factor re-Hadamards, and
-    /// anchor-free counts are untouched. Cost scales with `|ΔA|`.
+    /// `L·ΔA·R`, every stacking over a changed part gains that part's
+    /// increment times its fixed parts, and anchor-free counts are
+    /// untouched. Cost scales with `|ΔA|`.
     ///
     /// Links already present (and duplicates within the batch) are skipped;
     /// an all-duplicate batch is a no-op that leaves the stats untouched.
@@ -555,7 +556,7 @@ impl DeltaCatalogCounts {
             return Ok(DeltaOutcome::default());
         }
         self.check_consistent()?;
-        let delta = self.merge_links(&fresh);
+        let delta = self.merge_links(&fresh)?;
         let changed = self.repropagate(Some(&delta))?;
         self.stats.delta_updates += 1;
         Ok(DeltaOutcome {
@@ -585,32 +586,38 @@ impl DeltaCatalogCounts {
         }
         self.check_consistent()?;
         let applied = fresh.len();
-        self.merge_links(&fresh);
+        self.merge_links(&fresh)?;
         let changed = self.repropagate(None)?;
         self.stats.full_counts += 1;
         Ok(DeltaOutcome { applied, changed })
     }
 
     /// One propagation pass in dependency order. `delta` selects the
-    /// incremental path; `None` recomputes chains from the merged anchors.
-    /// Returns the changed catalog entries, with per-entry touched regions
-    /// on the incremental path.
+    /// incremental path; `None` recomputes chains from the merged anchors
+    /// and re-Hadamards every stack over a changed part. Returns the
+    /// changed catalog entries, with per-entry touched regions on the
+    /// incremental path.
     ///
-    /// On the incremental path anchor chains absorb `L·ΔA·R` by in-place
-    /// row splicing: margins fold in the low-rank product's sums and every
-    /// entry the positivity filter prunes is retracted entry-locally, so
-    /// delta-updated counts keep the exact nnz pattern a full recount
-    /// would produce without a margin rescan. Stacks re-Hadamard only the
-    /// candidate rows (where a part changed), diff them against the stored
-    /// rows and splice, reporting the exactly-changed region.
+    /// On the incremental path every changed node keeps its increment for
+    /// the rest of the pass. An anchor chain's increment is `L·ΔA·R`; a
+    /// stack's is its one changed part's increment `∘` each fixed part, in
+    /// part order, so `C∘B + ΔC∘B = (C+ΔC)∘B` (exact integers below
+    /// `2^53`). Each node splices its increment in place: the margins fold
+    /// in the increment's sums and every entry the positivity filter
+    /// prunes is retracted entry-locally. A chain cell pruned at
+    /// `C+ΔC ≤ 0` gives `(C+ΔC)·B ≤ 0` in the stack, which its own splice
+    /// prunes too, so every count keeps the exact nnz pattern of a full
+    /// recount without a margin rescan. A node's touched region is the
+    /// pattern of its increment.
     ///
     /// # Errors
-    /// Shape violations surface as [`DeltaError::ShapeDrift`] /
+    /// Shape violations, and stacks with more than one anchor-dependent
+    /// part, surface as [`DeltaError::ShapeDrift`] /
     /// [`DeltaError::Inconsistent`] via the callers' pre-validation;
     /// kernel-level rejections inside the pass are mapped to
     /// [`DeltaError::Inconsistent`] instead of panicking.
     fn repropagate(&mut self, delta: Option<&CsrMatrix>) -> Result<Vec<ChangedCount>, DeltaError> {
-        let mut touched: Vec<Option<TouchedRegion>> = vec![None; self.order.len()];
+        let mut increments: Vec<Option<CsrMatrix>> = vec![None; self.order.len()];
         let mut changed = vec![false; self.order.len()];
         for i in 0..self.order.len() {
             match &self.kinds[i] {
@@ -623,10 +630,10 @@ impl DeltaCatalogCounts {
                                 &chain.r,
                                 &mut self.sums[i],
                             )?;
-                            touched[i] = Some(TouchedRegion::of_pattern(&dc));
                             let sums = &mut self.sums[i];
                             self.counts[i]
                                 .splice_add_positive(&dc, |r, c, v| sums.retract(r, c, v))?;
+                            increments[i] = Some(dc);
                         }
                         None => {
                             let la = spgemm_threaded(
@@ -644,21 +651,40 @@ impl DeltaCatalogCounts {
                 }
                 NodeKind::AnchorFree => {}
                 NodeKind::Stack(parts) => {
-                    if !parts.iter().any(|&p| changed[p]) {
-                        continue;
-                    }
                     if delta.is_some() {
-                        let parts = parts.clone();
-                        self.restack_exact(i, &parts, &mut touched, &changed)?;
-                        changed[i] = true;
-                        continue;
+                        // check_consistent admits at most one
+                        // anchor-dependent part, so at most one part kept
+                        // an increment.
+                        let Some((moving, inc)) = parts
+                            .iter()
+                            .enumerate()
+                            .find_map(|(k, &p)| increments[p].as_ref().map(|inc| (k, inc)))
+                        else {
+                            continue;
+                        };
+                        let mut ds: Option<CsrMatrix> = None;
+                        for (k, &p) in parts.iter().enumerate() {
+                            if k != moving {
+                                let lhs = ds.as_ref().unwrap_or(inc);
+                                ds = Some(lhs.hadamard(&self.counts[p])?);
+                            }
+                        }
+                        let ds = ds.unwrap_or_else(|| inc.clone());
+                        let sums = &mut self.sums[i];
+                        sums.accumulate(&ds)?;
+                        self.counts[i].splice_add_positive(&ds, |r, c, v| sums.retract(r, c, v))?;
+                        increments[i] = Some(ds);
+                    } else {
+                        if !parts.iter().any(|&p| changed[p]) {
+                            continue;
+                        }
+                        let mut acc = self.counts[parts[0]].clone();
+                        for &p in &parts[1..] {
+                            acc = acc.hadamard(&self.counts[p])?;
+                        }
+                        self.counts[i] = acc;
+                        self.sums[i] = MarginSums::of(&self.counts[i]);
                     }
-                    let mut acc = self.counts[parts[0]].clone();
-                    for &p in &parts[1..] {
-                        acc = acc.hadamard(&self.counts[p])?;
-                    }
-                    self.counts[i] = acc;
-                    self.sums[i] = MarginSums::of(&self.counts[i]);
                     changed[i] = true;
                 }
             }
@@ -670,159 +696,9 @@ impl DeltaCatalogCounts {
             .filter(|&(_, &ord)| changed[ord])
             .map(|(cat, &ord)| ChangedCount {
                 catalog_pos: cat,
-                touched: touched[ord].clone(),
+                touched: increments[ord].as_ref().map(TouchedRegion::of_pattern),
             })
             .collect())
-    }
-
-    /// Region-exact re-combination of stack node `i`: a Hadamard entry exists only where *every* part has one, and a part is
-    /// bit-identical outside its touched rows, so the stack can only change
-    /// on the union of the changed parts' touched rows. Those candidate rows
-    /// are re-Hadamarded (same left-fold association and zero filter as
-    /// [`CsrMatrix::hadamard`], hence bit-equal values), diffed against the
-    /// stored rows, and the rows that actually moved are spliced in place
-    /// with their margins exchanged — the reported region is exact. When the
-    /// candidate rows cover a quarter or more of the stack, the per-row diff
-    /// no longer pays for itself and the node falls back to
-    /// [`Self::restack_union`] (the region degrades to the sound union).
-    fn restack_exact(
-        &mut self,
-        i: usize,
-        parts: &[usize],
-        touched: &mut [Option<TouchedRegion>],
-        part_changed: &[bool],
-    ) -> Result<(), DeltaError> {
-        let mut cand: Vec<usize> = Vec::new();
-        for &p in parts {
-            if part_changed[p] {
-                if let Some(reg) = &touched[p] {
-                    cand.extend_from_slice(&reg.rows);
-                }
-            }
-        }
-        cand.sort_unstable();
-        cand.dedup();
-        // Density cutoff: once the candidate rows cover a quarter of the
-        // stack, per-row re-Hadamard + diff costs more than one wholesale
-        // Hadamard — fall back to the union path
-        // (identical values; the reported region degrades to the union,
-        // which stays a superset-consistent over-approximation).
-        if cand.len() * 4 >= self.counts[i].nrows() {
-            return self.restack_union(i, parts, touched);
-        }
-        let mut rows: Vec<usize> = Vec::new();
-        let mut new_rows: Vec<Vec<(usize, f64)>> = Vec::new();
-        let mut cols: Vec<usize> = Vec::new();
-        for &r in &cand {
-            // Hadamard of the parts restricted to row r.
-            let mut acc: Vec<(usize, f64)> = self.counts[parts[0]].row(r).collect();
-            for &p in &parts[1..] {
-                let part = &self.counts[p];
-                let mut merged = Vec::with_capacity(acc.len().min(part.row_nnz(r)));
-                let mut ia = acc.into_iter().peekable();
-                let mut ib = part.row(r).peekable();
-                while let (Some(&(ca, va)), Some(&(cb, vb))) = (ia.peek(), ib.peek()) {
-                    match ca.cmp(&cb) {
-                        std::cmp::Ordering::Less => {
-                            ia.next();
-                        }
-                        std::cmp::Ordering::Greater => {
-                            ib.next();
-                        }
-                        std::cmp::Ordering::Equal => {
-                            let v = va * vb;
-                            // srclint: allow(float_eq, reason = "exact sparsity test: skips explicitly-stored zeros, no arithmetic involved")
-                            if v != 0.0 {
-                                merged.push((ca, v));
-                            }
-                            ia.next();
-                            ib.next();
-                        }
-                    }
-                }
-                acc = merged;
-            }
-            // Diff against the stored row: record exactly the entries that
-            // moved (integer-valued floats — bitwise equality, no NaN).
-            let mut row_changed = false;
-            let mut io = self.counts[i].row(r).peekable();
-            let mut inw = acc.iter().copied().peekable();
-            loop {
-                match (io.peek().copied(), inw.peek().copied()) {
-                    (Some((co, vo)), Some((cn, vn))) => {
-                        if co < cn {
-                            cols.push(co);
-                            row_changed = true;
-                            io.next();
-                        } else if co > cn {
-                            cols.push(cn);
-                            row_changed = true;
-                            inw.next();
-                        } else {
-                            if vo != vn {
-                                cols.push(co);
-                                row_changed = true;
-                            }
-                            io.next();
-                            inw.next();
-                        }
-                    }
-                    (Some((co, _)), None) => {
-                        cols.push(co);
-                        row_changed = true;
-                        io.next();
-                    }
-                    (None, Some((cn, _))) => {
-                        cols.push(cn);
-                        row_changed = true;
-                        inw.next();
-                    }
-                    (None, None) => break,
-                }
-            }
-            if row_changed {
-                rows.push(r);
-                new_rows.push(acc);
-            }
-        }
-        cols.sort_unstable();
-        cols.dedup();
-        // Exchange margins while the old rows are still in place, then
-        // splice the replacements in.
-        let sums = &mut self.sums[i];
-        for (k, &r) in rows.iter().enumerate() {
-            sums.exchange_row(r, self.counts[i].row(r), new_rows[k].iter().copied());
-        }
-        self.counts[i].splice_rows(&rows, &new_rows)?;
-        touched[i] = Some(TouchedRegion { rows, cols });
-        Ok(())
-    }
-
-    /// Union-region re-combination of stack node `i`, the dense fallback of
-    /// [`Self::restack_exact`]: recompute the full Hadamard and report the
-    /// union of the parts' touched regions — a sound over-approximation,
-    /// since a stack entry can only change where one of its parts changed.
-    /// Margins are rewritten over the union rows only.
-    fn restack_union(
-        &mut self,
-        i: usize,
-        parts: &[usize],
-        touched: &mut [Option<TouchedRegion>],
-    ) -> Result<(), DeltaError> {
-        let mut acc = self.counts[parts[0]].clone();
-        for &p in &parts[1..] {
-            acc = acc.hadamard(&self.counts[p])?;
-        }
-        let mut region = TouchedRegion::default();
-        for &p in parts.iter() {
-            if let Some(part_region) = &touched[p] {
-                region.absorb(part_region);
-            }
-        }
-        self.sums[i].rewrite_rows(&self.counts[i], &acc, &region.rows)?;
-        touched[i] = Some(region);
-        self.counts[i] = acc;
-        Ok(())
     }
 }
 
@@ -1165,6 +1041,24 @@ mod tests {
         assert!(matches!(err, DeltaError::Inconsistent(_)));
         assert!(err.to_string().contains("dependency order"));
         assert_eq!(s.counts, good.counts, "recount mutated a malformed store");
+
+        // A stack over two anchor chains: the increment rule needs every
+        // part but one fixed, so the store is refused before the merge.
+        let mut s = good.clone();
+        let chains: Vec<usize> = (0..s.kinds.len())
+            .filter(|&i| matches!(s.kinds[i], NodeKind::AnchorChain(_)))
+            .take(2)
+            .collect();
+        if let NodeKind::Stack(parts) = &mut s.kinds[stack_at] {
+            *parts = chains;
+        }
+        let err = s.update_anchors(&held_out).unwrap_err();
+        assert!(matches!(err, DeltaError::Inconsistent(_)));
+        assert!(err.to_string().contains("anchor-dependent"));
+        assert_eq!(s.n_anchors(), good.n_anchors(), "store mutated on error");
+        assert_eq!(s.counts, good.counts, "counts mutated on error");
+        assert_eq!(s.sums, good.sums, "margins mutated on error");
+        assert_eq!(s.stats(), good.stats(), "stats mutated on error");
     }
 
     #[test]

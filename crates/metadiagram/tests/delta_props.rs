@@ -7,7 +7,7 @@
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::{AnchorLink, UserId};
-use metadiagram::{Catalog, CountEngine, DeltaCatalogCounts, FeatureSet, Threading};
+use metadiagram::{Catalog, CountEngine, DeltaCatalogCounts, Diagram, FeatureSet, Threading};
 use proptest::prelude::*;
 
 fn world(seed: u64) -> datagen::GeneratedWorld {
@@ -77,6 +77,8 @@ proptest! {
     /// changed entry's reported [`metadiagram::TouchedRegion`] covers every
     /// row that actually changed and every column whose sum moved, and the
     /// store stays bit-equal to a fresh count over the merged anchors.
+    /// Stack regions are also exact: every reported row holds a changed
+    /// cell and every reported column's sum moved.
     #[test]
     fn touched_regions_are_sound_and_counts_match_a_fresh_count(
         seed in 0u64..3,
@@ -125,6 +127,27 @@ proptest! {
                             old_cols[j],
                             new_cols[j],
                             "col {} sum escaped the region",
+                            j
+                        );
+                    }
+                }
+                let entry = &catalog.entries()[chg.catalog_pos];
+                if matches!(entry.diagram, Diagram::Stack(_)) {
+                    for &i in &region.rows {
+                        let old_row: Vec<_> = old.row(i).collect();
+                        let new_row: Vec<_> = new.row(i).collect();
+                        prop_assert!(
+                            old_row != new_row,
+                            "{} reports unchanged row {}",
+                            &entry.name,
+                            i
+                        );
+                    }
+                    for &j in &region.cols {
+                        prop_assert!(
+                            old_cols[j] != new_cols[j],
+                            "{} reports col {} whose sum did not move",
+                            &entry.name,
                             j
                         );
                     }

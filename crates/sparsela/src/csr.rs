@@ -434,67 +434,7 @@ impl CsrMatrix {
         Ok(())
     }
 
-    /// Replaces the listed rows wholesale: `rows` must be strictly
-    /// increasing and `new_rows[k]` holds the full sorted `(col, value)`
-    /// content for `rows[k]`. This is the in-place row exchange behind
-    /// region-local stack re-Hadamards — untouched rows are bulk-moved,
-    /// never re-walked.
-    ///
-    /// # Errors
-    /// [`SparseError::InvalidStructure`] when `rows` is not strictly
-    /// increasing, a row or column index is out of range, `new_rows` has a
-    /// different length than `rows`, or a replacement row's columns are not
-    /// strictly increasing. `self` is unchanged on error.
-    pub fn splice_rows(&mut self, rows: &[usize], new_rows: &[Vec<(usize, f64)>]) -> Result<()> {
-        if rows.len() != new_rows.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "splice_rows: {} rows but {} replacements",
-                rows.len(),
-                new_rows.len()
-            )));
-        }
-        for (k, &r) in rows.iter().enumerate() {
-            if r >= self.nrows {
-                return Err(SparseError::InvalidStructure(format!(
-                    "splice_rows: row {r} >= nrows {}",
-                    self.nrows
-                )));
-            }
-            if k > 0 && rows[k - 1] >= r {
-                return Err(SparseError::InvalidStructure(
-                    "splice_rows: rows not strictly increasing".into(),
-                ));
-            }
-            for w in new_rows[k].windows(2) {
-                if w[0].0 >= w[1].0 {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "splice_rows: replacement for row {r} not strictly increasing"
-                    )));
-                }
-            }
-            if let Some(&(last, _)) = new_rows[k].last() {
-                if last >= self.ncols {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "splice_rows: replacement for row {r} has column {last} >= ncols {}",
-                        self.ncols
-                    )));
-                }
-            }
-        }
-        let lens: Vec<usize> = new_rows.iter().map(Vec::len).collect();
-        let mut new_indices = Vec::with_capacity(lens.iter().sum());
-        let mut new_values = Vec::with_capacity(new_indices.capacity());
-        for row in new_rows {
-            for &(c, v) in row {
-                new_indices.push(c);
-                new_values.push(v);
-            }
-        }
-        self.splice_apply(rows, &lens, &new_indices, &new_values);
-        Ok(())
-    }
-
-    /// Core of the splice family: replaces the contents of `rows` (strictly
+    /// Core of [`CsrMatrix::splice_add_positive`]: replaces the contents of `rows` (strictly
     /// increasing, in range) with the packed rows of `new_indices` /
     /// `new_values` (`lens[k]` entries for `rows[k]`), shifting the
     /// untouched spans with bulk copies. Single-direction in-place moves are
@@ -893,42 +833,6 @@ mod tests {
             .splice_add_positive(&CsrMatrix::zeros(2, 3), |_, _, _| {})
             .is_err());
         assert_eq!(spliced, base, "failed splice must not mutate");
-    }
-
-    #[test]
-    fn splice_rows_replaces_rows_in_place() {
-        let base = sample();
-        // Row 0 shrinks to one entry, row 2 grows to three: mixed shifts.
-        let mut m = base.clone();
-        m.splice_rows(
-            &[0, 2],
-            &[vec![(1, 9.0)], vec![(0, 1.0), (1, 2.0), (2, 3.0)]],
-        )
-        .unwrap();
-        let expected = CsrMatrix::from_dense(3, 3, &[0.0, 9.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0, 3.0]);
-        assert_eq!(m, expected);
-        // Replace with an empty row (pure shrink).
-        let mut m = base.clone();
-        m.splice_rows(&[2], &[vec![]]).unwrap();
-        assert_eq!(m.row_nnz(2), 0);
-        assert_eq!(m.get(0, 0), 1.0);
-    }
-
-    #[test]
-    fn splice_rows_validates_input() {
-        let base = sample();
-        let mut m = base.clone();
-        // Length mismatch.
-        assert!(m.splice_rows(&[0, 1], &[vec![]]).is_err());
-        // Row out of range.
-        assert!(m.splice_rows(&[3], &[vec![]]).is_err());
-        // Rows not strictly increasing.
-        assert!(m.splice_rows(&[1, 1], &[vec![], vec![]]).is_err());
-        // Column out of range.
-        assert!(m.splice_rows(&[0], &[vec![(3, 1.0)]]).is_err());
-        // Replacement columns not sorted.
-        assert!(m.splice_rows(&[0], &[vec![(2, 1.0), (0, 1.0)]]).is_err());
-        assert_eq!(m, base, "failed splice_rows must not mutate");
     }
 
     #[test]

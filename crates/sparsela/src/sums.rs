@@ -8,9 +8,10 @@
 //! that a low-rank count update maintains in `O(nnz(Δ))`:
 //!
 //! * [`MarginSums::accumulate`] folds in the margins of an additive delta
-//!   matrix (the `L·ΔA·R` of an anchor update);
-//! * [`MarginSums::rewrite_rows`] exchanges the contributions of a set of
-//!   replaced rows (the touched rows of a re-Hadamarded stack matrix).
+//!   matrix: the `L·ΔA·R` of an anchor update, or a stack's increment
+//!   `ΔC∘B` (its moving part's increment times its fixed parts);
+//! * [`MarginSums::retract`] takes back each entry the positivity filter
+//!   of [`CsrMatrix::splice_add_positive`] prunes.
 //!
 //! **Exactness.** All counts this library manipulates are small nonnegative
 //! integers stored in `f64`, so every margin is an exact integer and the
@@ -120,61 +121,6 @@ impl MarginSums {
         self.col[col] -= value;
     }
 
-    /// Exchanges the contribution of a single replaced row given explicit
-    /// entry lists — the row-replacement analogue of
-    /// [`MarginSums::rewrite_rows`] for callers that splice rows in place
-    /// ([`CsrMatrix::splice_rows`]) and never materialize a whole "new"
-    /// matrix. Must be called with the *old* row content while it is still
-    /// present. Cost `O(nnz(old) + nnz(new))`.
-    pub fn exchange_row(
-        &mut self,
-        row: usize,
-        old: impl IntoIterator<Item = (usize, f64)>,
-        new: impl IntoIterator<Item = (usize, f64)>,
-    ) {
-        for (j, v) in old {
-            self.col[j] -= v;
-        }
-        let mut row_sum = 0.0;
-        for (j, v) in new {
-            row_sum += v;
-            self.col[j] += v;
-        }
-        self.row[row] = row_sum;
-    }
-
-    /// Exchanges the contributions of the rows in `rows` (sorted or not,
-    /// duplicates ignored by construction of the caller): subtracts `old`'s
-    /// entries and adds `new`'s. Used when a set of rows is *replaced*
-    /// rather than additively updated (re-Hadamarded stack matrices). Cost
-    /// `O(Σ nnz(old rows) + Σ nnz(new rows))`.
-    ///
-    /// # Errors
-    /// [`SparseError::DimMismatch`] when the three shapes disagree (the
-    /// sums may be partially updated only if shapes matched, so the check
-    /// happens up front and failure leaves the sums untouched).
-    pub fn rewrite_rows(&mut self, old: &CsrMatrix, new: &CsrMatrix, rows: &[usize]) -> Result<()> {
-        if old.shape() != self.shape() || new.shape() != self.shape() {
-            return Err(SparseError::DimMismatch {
-                op: "margin rewrite_rows",
-                lhs: old.shape(),
-                rhs: new.shape(),
-            });
-        }
-        for &i in rows {
-            let mut row_sum = 0.0;
-            for (j, v) in old.row(i) {
-                self.col[j] -= v;
-            }
-            for (j, v) in new.row(i) {
-                row_sum += v;
-                self.col[j] += v;
-            }
-            self.row[i] = row_sum;
-        }
-        Ok(())
-    }
-
     /// True when these margins equal a full rescan of `m` bit-for-bit —
     /// the invariant every incremental maintenance path must preserve.
     pub fn matches(&self, m: &CsrMatrix) -> bool {
@@ -229,28 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_rows_exchanges_replaced_rows() {
-        let old = sample();
-        // Replace rows 0 and 2 with different patterns and values.
-        let new = CsrMatrix::from_dense(
-            3,
-            4,
-            &[0.0, 6.0, 0.0, 1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 8.0, 0.0],
-        );
-        let mut s = MarginSums::of(&old);
-        s.rewrite_rows(&old, &new, &[0, 2]).unwrap();
-        assert!(s.matches(&new));
-    }
-
-    #[test]
-    fn rewrite_rows_rejects_shape_mismatch() {
-        let old = sample();
-        let mut s = MarginSums::of(&old);
-        assert!(s.rewrite_rows(&old, &CsrMatrix::zeros(3, 3), &[0]).is_err());
-        assert!(s.matches(&old));
-    }
-
-    #[test]
     fn retract_repairs_a_pruned_entry() {
         // Accumulate a delta that cancels (0, 0), then retract the pruned
         // merged value: the sums must match the spliced matrix exactly.
@@ -267,23 +191,6 @@ mod tests {
             .splice_add_positive(&delta, |r, c, v| s.retract(r, c, v))
             .unwrap();
         assert!(s.matches(&spliced));
-    }
-
-    #[test]
-    fn exchange_row_matches_rewrite_rows() {
-        let old = sample();
-        let new = CsrMatrix::from_dense(
-            3,
-            4,
-            &[0.0, 6.0, 0.0, 1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 8.0, 0.0],
-        );
-        let mut exchanged = MarginSums::of(&old);
-        for &r in &[0usize, 2] {
-            exchanged.exchange_row(r, old.row(r), new.row(r));
-        }
-        let mut rewritten = MarginSums::of(&old);
-        rewritten.rewrite_rows(&old, &new, &[0, 2]).unwrap();
-        assert_eq!(exchanged, rewritten);
     }
 
     #[test]

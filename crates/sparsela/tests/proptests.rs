@@ -199,29 +199,42 @@ proptest! {
     }
 
     #[test]
-    fn splice_rows_matches_a_dense_row_rewrite(
-        (r, c, a) in dense_buffer(6),
-        b_seed in proptest::collection::vec(-3i32..=3, 36),
-        mask in proptest::collection::vec(any::<bool>(), 6)
+    fn increment_splice_of_a_stack_equals_the_rehadamard(
+        (r, c, cells) in (1..=7usize, 1..=7usize).prop_flat_map(|(r, c)| {
+            let cell = (
+                prop_oneof![3 => Just(0u8), 2 => 1u8..=4],
+                prop_oneof![1 => Just(0u8), 2 => 1u8..=3],
+                prop_oneof![2 => Just(0i8), 3 => -4i8..=4],
+            );
+            proptest::collection::vec(cell, r * c).prop_map(move |v| (r, c, v))
+        })
     ) {
-        let base = CsrMatrix::from_dense(r, c, &a);
-        let b: Vec<f64> = (0..r * c).map(|i| f64::from(b_seed[i % b_seed.len()])).collect();
-        let repl = CsrMatrix::from_dense(r, c, &b);
-        let rows: Vec<usize> = (0..r).filter(|&i| mask[i]).collect();
-        let new_rows: Vec<Vec<(usize, f64)>> =
-            rows.iter().map(|&i| repl.row(i).collect()).collect();
-        let mut sums = MarginSums::of(&base);
-        for &i in &rows {
-            sums.exchange_row(i, base.row(i), repl.row(i));
-        }
-        let mut spliced = base.clone();
-        spliced.splice_rows(&rows, &new_rows).unwrap();
-        let mut expected = a.clone();
-        for &i in &rows {
-            expected[i * c..(i + 1) * c].copy_from_slice(&b[i * c..(i + 1) * c]);
-        }
-        prop_assert_eq!(&spliced, &CsrMatrix::from_dense(r, c, &expected));
-        prop_assert!(sums.matches(&spliced));
+        // A stack S = C∘B over a moving count C (nonnegative integers) and
+        // a fixed part B (strictly positive where stored). Splicing the
+        // signed increment D into C prunes cells that fall to ≤ 0; the
+        // stack gets D∘B with the same splice, and must equal the
+        // re-Hadamard of the spliced C bit for bit, margins included.
+        let dense = |f: &dyn Fn(&(u8, u8, i8)) -> f64| -> Vec<f64> { cells.iter().map(f).collect() };
+        let count = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.0)));
+        let fixed = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.1)));
+        let inc = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.2)));
+
+        let mut stack = count.hadamard(&fixed).unwrap();
+        let mut sums = MarginSums::of(&stack);
+        let ds = inc.hadamard(&fixed).unwrap();
+        sums.accumulate(&ds).unwrap();
+        stack
+            .splice_add_positive(&ds, |dr, dc, v| sums.retract(dr, dc, v))
+            .unwrap();
+
+        let mut moved = count.clone();
+        moved.splice_add_positive(&inc, |_, _, _| {}).unwrap();
+        let want = moved.hadamard(&fixed).unwrap();
+        prop_assert_eq!(stack.indptr(), want.indptr());
+        prop_assert_eq!(stack.indices(), want.indices());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&stack), bits(&want));
+        prop_assert!(sums.matches(&stack));
     }
 
     #[test]

@@ -15,15 +15,17 @@
 //!   over);
 //! * [`ActiveLoop::finish`] — the final [`FitReport`].
 //!
-//! `ActiveIterModel::fit` is itself a thin wrapper over this driver, so the
-//! one-shot path and the session-driven path run the very same arithmetic —
-//! a fit driven step by step (without feature refreshes) is bit-identical
-//! to the one-shot call.
+//! [`ActiveLoop::run`] drives those seams to completion against a fixed
+//! feature matrix. `ActiveIterModel::fit` and every other fixed-feature fit
+//! in the workspace call it, so the one-shot path and the session-driven
+//! path run the very same arithmetic — a fit driven step by step (without
+//! feature refreshes) is bit-identical to the one-shot call.
 
 use crate::config::{AcceptRule, ModelConfig};
 use crate::greedy::greedy_select;
 use crate::instance::{with_bias, AlignmentInstance};
 use crate::model::{FitReport, RoundTrace};
+use crate::oracle::Oracle;
 use crate::query::{QueryContext, QueryStrategy};
 use sparsela::dense::l1_distance;
 use sparsela::{DenseMatrix, RidgeSolver};
@@ -247,6 +249,31 @@ impl<'a> ActiveLoop<'a> {
         self.weights = vec![0.0; self.inst.dim()];
     }
 
+    /// Drives the loop to completion over its current features: converge,
+    /// then query `strategy` and apply `oracle`'s answers, until the budget
+    /// is spent or the strategy finds no qualifying candidate (the paper
+    /// surrenders unused budget then, as the candidate set `C` can run
+    /// dry). Returns the final [`FitReport`]. Callers that refresh features
+    /// between rounds step the loop by hand instead.
+    pub fn run(mut self, strategy: &mut dyn QueryStrategy, oracle: &dyn Oracle) -> FitReport {
+        loop {
+            // Internal loop: (1-1) then (1-2) until the labels stabilize.
+            self.converge();
+            // External step (2): query, unless the budget is spent.
+            if self.remaining == 0 {
+                break;
+            }
+            let selection = self.select_queries(strategy);
+            if selection.is_empty() {
+                break;
+            }
+            for idx in selection {
+                self.apply_answer(idx, oracle.label(idx));
+            }
+        }
+        self.finish()
+    }
+
     /// Consumes the loop into its [`FitReport`].
     pub fn finish(self) -> FitReport {
         FitReport {
@@ -292,7 +319,7 @@ pub(crate) fn effective_threshold(rule: AcceptRule, pos_mean: Option<f64>) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{Oracle, VecOracle};
+    use crate::oracle::VecOracle;
     use crate::query::ConflictQuery;
     use hetnet::UserId;
 

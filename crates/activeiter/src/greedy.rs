@@ -143,7 +143,6 @@ pub fn optimal_select(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Ordering;
 
     fn c(pairs: &[(u32, u32)]) -> Vec<(UserId, UserId)> {
         pairs.iter().map(|&(l, r)| (UserId(l), UserId(r))).collect()
@@ -224,14 +223,6 @@ mod tests {
         let scores = vec![0.9, f64::NAN, 0.8, f64::NAN];
         let sel = greedy_select(&scores, &cands, &[], &[], 0.5);
         assert_eq!(sel.labels, vec![1.0, 0.0, 1.0, 0.0]);
-        // The comparator itself orders NaN last and never panics.
-        assert_eq!(cmp_scores_desc(1.0, 0.5), Ordering::Less);
-        assert_eq!(
-            cmp_scores_desc(f64::NAN, f64::NEG_INFINITY),
-            Ordering::Greater
-        );
-        assert_eq!(cmp_scores_desc(f64::NEG_INFINITY, f64::NAN), Ordering::Less);
-        assert_eq!(cmp_scores_desc(f64::NAN, f64::NAN), Ordering::Equal);
         // Even a NaN threshold (every comparison false) must not panic —
         // nothing passes the filter, nothing is selected.
         let sel = greedy_select(&scores, &cands, &[], &[], f64::NAN);

@@ -31,7 +31,7 @@ pub mod greedy;
 pub mod instance;
 pub mod model;
 pub mod oracle;
-pub(crate) mod ord;
+pub mod ord;
 pub mod query;
 pub mod svm;
 pub mod unsupervised;

@@ -125,26 +125,7 @@ impl ActiveIterModel {
         assert!(!inst.is_empty(), "cannot fit an empty instance");
         // Borrowed: the one-shot path never refreshes features, so the
         // instance (and its dense X) is never copied.
-        let mut drv = ActiveLoop::borrowed(inst, self.config.clone());
-        loop {
-            // Internal loop: (1-1) then (1-2) until the labels stabilize.
-            drv.converge();
-
-            // External step (2): query, unless the budget is spent.
-            if drv.remaining() == 0 {
-                break;
-            }
-            let selection = drv.select_queries(self.strategy.as_mut());
-            if selection.is_empty() {
-                // No qualifying candidates: unused budget is surrendered, as
-                // in the paper (the candidate set C can run dry).
-                break;
-            }
-            for idx in selection {
-                drv.apply_answer(idx, oracle.label(idx));
-            }
-        }
-        drv.finish()
+        ActiveLoop::borrowed(inst, self.config.clone()).run(self.strategy.as_mut(), oracle)
     }
 }
 

@@ -1,5 +1,5 @@
 //! NaN-safe score ordering, shared by every ranked selection in this
-//! crate.
+//! workspace.
 //!
 //! Scores come out of floating-point model evaluations; a degenerate
 //! feature vector can make one NaN, and `partial_cmp(..).expect(..)`
@@ -13,7 +13,7 @@ use std::cmp::Ordering;
 
 /// Descending score order with NaN **last**: any real score outranks
 /// NaN. The canonical ranking order ("best first").
-pub(crate) fn cmp_scores_desc(a: f64, b: f64) -> Ordering {
+pub fn cmp_scores_desc(a: f64, b: f64) -> Ordering {
     match (a.is_nan(), b.is_nan()) {
         (true, true) => Ordering::Equal,
         (true, false) => Ordering::Greater, // NaN sorts after b
@@ -39,10 +39,10 @@ mod tests {
 
     #[test]
     fn desc_ranks_real_scores_first() {
-        let mut v = [0.2, f64::NAN, 0.9, 0.5];
+        let mut v = [0.2, f64::NAN, 0.9, f64::INFINITY, 0.5];
         v.sort_by(|a, b| cmp_scores_desc(*a, *b));
-        assert_eq!(v[..3], [0.9, 0.5, 0.2]);
-        assert!(v[3].is_nan());
+        assert_eq!(v[..4], [f64::INFINITY, 0.9, 0.5, 0.2]);
+        assert!(v[4].is_nan());
     }
 
     #[test]
@@ -59,6 +59,8 @@ mod tests {
             assert_eq!(cmp(f64::NAN, f64::NAN), Ordering::Equal);
             assert_eq!(cmp(f64::NAN, 1.0), Ordering::Greater);
             assert_eq!(cmp(1.0, f64::NAN), Ordering::Less);
+            assert_eq!(cmp(f64::NAN, f64::NEG_INFINITY), Ordering::Greater);
+            assert_eq!(cmp(f64::NEG_INFINITY, f64::NAN), Ordering::Less);
         }
     }
 }

@@ -1,12 +1,30 @@
 //! Full-catalog feature extraction on generated worlds — the dominant cost
-//! of one experiment fold — serial and with the diagram/candidate fan-out
-//! at 2 and 4 workers.
+//! of one experiment fold: the delta store's catalog count plus the
+//! candidate gather, serial and with the diagram/candidate fan-out at 2 and
+//! 4 workers.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetnet::aligned::anchor_matrix;
-use metadiagram::{
-    extract_features, extract_features_par, Catalog, CountEngine, FeatureSet, Threading,
-};
+use metadiagram::{extract_features, Catalog, DeltaCatalogCounts, FeatureSet, Threading};
+
+/// Counts `catalog` against `amat` and gathers the candidates' features.
+fn featurize(
+    world: &datagen::GeneratedWorld,
+    amat: &sparsela::CsrMatrix,
+    catalog: &Catalog,
+    candidates: &[(hetnet::UserId, hetnet::UserId)],
+    threading: Threading,
+) -> metadiagram::FeatureMatrix {
+    let store = DeltaCatalogCounts::build(
+        world.left(),
+        world.right(),
+        amat.clone(),
+        catalog,
+        threading,
+    )
+    .unwrap();
+    extract_features(&store, catalog, candidates, threading)
+}
 
 fn bench_extraction(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_extraction");
@@ -28,8 +46,7 @@ fn bench_extraction(c: &mut Criterion) {
                     let amat =
                         anchor_matrix(world.left().n_users(), world.right().n_users(), &train)
                             .unwrap();
-                    let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-                    extract_features(&engine, &catalog, &candidates)
+                    featurize(&world, &amat, &catalog, &candidates, Threading::Serial)
                 })
             });
         }
@@ -37,9 +54,8 @@ fn bench_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel extraction of the full MPMD catalog: the ISSUE-2
-/// covering/feature-extraction speedup preset. Workers share the Lemma-2
-/// cache; results are bit-identical at every thread count.
+/// Serial vs parallel extraction of the full MPMD catalog. Workers share
+/// the Lemma-2 cache; results are bit-identical at every thread count.
 fn bench_extraction_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_extraction_parallel");
     group.sample_size(10);
@@ -50,10 +66,7 @@ fn bench_extraction_parallel(c: &mut Criterion) {
     let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), &train).unwrap();
 
     group.bench_with_input(BenchmarkId::new("serial", "small/MPMD"), &(), |b, _| {
-        b.iter(|| {
-            let engine = CountEngine::new(world.left(), world.right(), amat.clone()).unwrap();
-            extract_features(&engine, &catalog, &candidates)
-        })
+        b.iter(|| featurize(&world, &amat, &catalog, &candidates, Threading::Serial))
     });
     for threads in [2usize, 4] {
         group.bench_with_input(
@@ -61,10 +74,9 @@ fn bench_extraction_parallel(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    let engine =
-                        CountEngine::new(world.left(), world.right(), amat.clone()).unwrap();
-                    extract_features_par(
-                        &engine,
+                    featurize(
+                        &world,
+                        &amat,
                         &catalog,
                         &candidates,
                         Threading::Threads(threads),

@@ -11,7 +11,7 @@ use activeiter::model::iter_mpmd;
 use activeiter::{AlignmentInstance, ModelConfig};
 use eval::{Confusion, LinkSet};
 use hetnet::aligned::anchor_matrix;
-use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+use metadiagram::{extract_features, Catalog, DeltaCatalogCounts, FeatureSet, Threading};
 
 fn main() {
     let opts = bench::HarnessOpts::from_args();
@@ -31,8 +31,16 @@ fn main() {
         &train_anchors,
     )
     .expect("in range");
-    let engine = CountEngine::new(world.left(), world.right(), amat).expect("universes match");
-    let fm = extract_features(&engine, &Catalog::new(FeatureSet::Full), &ls.candidates);
+    let catalog = Catalog::new(FeatureSet::Full);
+    let store = DeltaCatalogCounts::build(
+        world.left(),
+        world.right(),
+        amat,
+        &catalog,
+        Threading::Serial,
+    )
+    .expect("universes match");
+    let fm = extract_features(&store, &catalog, &ls.candidates, Threading::Serial);
     let inst = AlignmentInstance::new(ls.candidates.clone(), &fm.x, train_pos);
     let test = ls.test_indices(0);
 

@@ -32,7 +32,7 @@
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
-use activeiter::{ModelConfig, Oracle, VecOracle};
+use activeiter::{ModelConfig, VecOracle};
 use eval::MetricSummary;
 use hetnet::partition::PartitionMap;
 use hetnet::UserId;
@@ -132,8 +132,8 @@ fn main() {
         let labeled: Vec<usize> = (0..links.len()).step_by(3).collect();
         let truth = vec![true; candidates.len()];
 
-        // Global: one session over the whole pair, the same manual loop
-        // the sharded fit drives per shard.
+        // Global: one session over the whole pair, the same loop the
+        // sharded fit drives per shard.
         let t = Instant::now();
         let session = SessionBuilder::new(world.left(), world.right())
             .anchors(train.clone())
@@ -143,22 +143,10 @@ fn main() {
             .featurize(candidates.clone());
         let oracle = VecOracle::new(truth.clone());
         let mut strategy = ConflictQuery::new(config.similar_tau, config.margin_delta);
-        let mut drv = ActiveLoop::new(session.instance(labeled.clone()), config.clone());
-        loop {
-            drv.converge();
-            if drv.remaining() == 0 {
-                break;
-            }
-            let selection = drv.select_queries(&mut strategy);
-            if selection.is_empty() {
-                break;
-            }
-            for idx in selection {
-                drv.apply_answer(idx, oracle.label(idx));
-            }
-        }
+        let report = ActiveLoop::new(session.instance(labeled.clone()), config.clone())
+            .run(&mut strategy, &oracle);
         // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
-        let global_positives = drv.finish().labels.iter().filter(|&&l| l == 1.0).count();
+        let global_positives = report.labels.iter().filter(|&&l| l == 1.0).count();
         let global = t.elapsed();
         drop(session);
 

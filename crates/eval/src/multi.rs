@@ -10,8 +10,8 @@
 //! highest-scoring pairwise links whose closure stays consistent.
 
 use crate::experiment::effective_threads;
-use crate::ranking::cmp_scores_desc;
 use crate::sampling::LinkSet;
+use activeiter::ord::cmp_scores_desc;
 use activeiter::query::ConflictQuery;
 use activeiter::{ModelConfig, VecOracle};
 use datagen::MultiWorld;

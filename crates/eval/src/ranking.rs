@@ -7,24 +7,9 @@
 //! the true counterpart ranks in the top k, MRR averages the reciprocal
 //! rank.
 
+use activeiter::ord::cmp_scores_desc;
 use hetnet::UserId;
-use std::cmp::Ordering;
 use std::collections::HashMap;
-
-/// Descending comparison of model scores that ranks NaN **last**.
-///
-/// Degenerate fits (e.g. a singular ridge system) can emit NaN scores; a
-/// `partial_cmp(..).expect(..)` here would panic and kill an entire sweep.
-/// Non-NaN scores compare via [`f64::total_cmp`] (so `-0.0`/`0.0` order
-/// deterministically), and NaN sorts after every real score.
-pub(crate) fn cmp_scores_desc(a: f64, b: f64) -> Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => b.total_cmp(&a),
-    }
-}
 
 /// Ranking evaluation over a scored candidate set.
 #[derive(Debug, Clone, PartialEq)]
@@ -209,18 +194,5 @@ mod tests {
         let all_nan = ranking_report(&[c(1, 0), c(1, 1)], &[f64::NAN, f64::NAN], &[true, false]);
         assert_eq!(all_nan.n_queries, 1);
         assert_eq!(all_nan.hits_at_1, 1.0);
-    }
-
-    #[test]
-    fn cmp_scores_desc_orders_nan_last() {
-        use std::cmp::Ordering;
-        assert_eq!(cmp_scores_desc(1.0, 0.5), Ordering::Less); // higher first
-        assert_eq!(cmp_scores_desc(0.5, 1.0), Ordering::Greater);
-        assert_eq!(
-            cmp_scores_desc(f64::NAN, f64::NEG_INFINITY),
-            Ordering::Greater
-        );
-        assert_eq!(cmp_scores_desc(f64::NEG_INFINITY, f64::NAN), Ordering::Less);
-        assert_eq!(cmp_scores_desc(f64::NAN, f64::NAN), Ordering::Equal);
     }
 }

@@ -27,7 +27,7 @@
 use crate::diagram::{AttrPathId, Diagram, SocialPathId};
 use hetnet::{Direction, HetNet, LinkKind, NodeKind};
 use parking_lot::Mutex;
-use sparsela::{spgemm_threaded, Accumulator, CsrMatrix, Threading};
+use sparsela::{spgemm, CsrMatrix};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -108,16 +108,14 @@ pub struct EngineStats {
 /// The engine is `Sync`: [`CountEngine::count`] takes `&self` and may be
 /// called from any number of scoped worker threads concurrently — the
 /// Lemma-2 memoization cache is shared across all of them behind a mutex.
-/// An optional [`Threading`] knob additionally parallelizes the *individual*
-/// SpGEMM products; leave it at `Serial` when callers already fan out over
-/// diagrams (the two levels of parallelism would otherwise oversubscribe).
+/// Parallelism lives at the diagram level (see [`crate::covering::run_dag`]);
+/// each individual SpGEMM product runs serially.
 pub struct CountEngine<'a> {
     left: &'a HetNet,
     right: &'a HetNet,
     anchor: CsrMatrix,
     strategy: AttrCountStrategy,
     caching: bool,
-    threading: Threading,
     cache: Mutex<HashMap<Diagram, Arc<CsrMatrix>>>,
     /// Per-diagram in-flight gates: concurrent callers of the same uncached
     /// diagram serialize on its gate instead of duplicating the product
@@ -181,24 +179,10 @@ impl<'a> CountEngine<'a> {
             anchor,
             strategy,
             caching,
-            threading: Threading::Serial,
             cache: Mutex::new(HashMap::new()),
             pending: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
         })
-    }
-
-    /// Sets the [`Threading`] knob for the engine's internal SpGEMM
-    /// products (builder style).
-    #[must_use]
-    pub fn with_threading(mut self, threading: Threading) -> Self {
-        self.threading = threading;
-        self
-    }
-
-    /// The engine's SpGEMM threading knob.
-    pub fn threading(&self) -> Threading {
-        self.threading
     }
 
     /// The training anchor matrix the engine was wired with.
@@ -245,8 +229,7 @@ impl<'a> CountEngine<'a> {
 
     fn mul(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
         self.stats.lock().spgemm_calls += 1;
-        spgemm_threaded(a, b, Accumulator::Auto, self.threading)
-            .expect("engine-internal shapes are consistent")
+        spgemm(a, b).expect("engine-internal shapes are consistent")
     }
 
     fn had(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
@@ -700,24 +683,6 @@ mod tests {
         assert_eq!(shared.stats().cache_misses, 3);
         let again = shared.count(&Diagram::psi3());
         assert_eq!(&*again, &*expected_psi3);
-    }
-
-    #[test]
-    fn threaded_engine_produces_identical_counts() {
-        let (l, r, a) = tiny_world();
-        let serial = CountEngine::new(&l, &r, a.clone()).unwrap();
-        let par = CountEngine::new(&l, &r, a)
-            .unwrap()
-            .with_threading(Threading::Threads(3));
-        assert_eq!(par.threading(), Threading::Threads(3));
-        for d in [
-            Diagram::Social(SocialPathId::P1),
-            Diagram::Attr(AttrPathId::Location),
-            Diagram::psi2(),
-            Diagram::psi3(),
-        ] {
-            assert_eq!(&*serial.count(&d), &*par.count(&d), "diagram {d:?}");
-        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   `tests/engine_vs_bruteforce.rs`);
 //! * **Lemma 2** — if `C(Ψᵢ) ⊆ C(Ψⱼ)`, any pair connected by Ψⱼ is
 //!   connected by Ψᵢ, so a cached count for Ψᵢ bounds (and, for endpoint
-//!   stackings, *factors*) the computation of Ψⱼ. The
-//!   [`plan_order`] helper topologically orders a catalog so smaller
-//!   covering sets are computed first and larger diagrams reuse them.
+//!   stackings, *factors*) the computation of Ψⱼ. [`plan_dag`] records
+//!   these strict-subset dependencies and [`run_dag`] schedules a catalog
+//!   over them, so smaller covering sets are computed first and larger
+//!   diagrams reuse them.
 
 use crate::diagram::{AttrPathId, SocialPathId};
 
@@ -115,7 +116,7 @@ impl CoveringSet {
 /// first — the evaluation order under which every endpoint-stacked diagram
 /// finds its factors already cached (Lemma 2 reuse). Stable within equal
 /// sizes to keep reports deterministic.
-pub fn plan_order(coverings: &[CoveringSet]) -> Vec<usize> {
+fn plan_order(coverings: &[CoveringSet]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..coverings.len()).collect();
     order.sort_by_key(|&i| (coverings[i].len(), i));
     order
@@ -154,8 +155,9 @@ impl DagPlan {
         &self.dependents[i]
     }
 
-    /// A topological order ([`plan_order`]): every node's dependencies have
-    /// strictly smaller covering sets and therefore precede it.
+    /// A topological order — covering-set size ascending, catalog index
+    /// breaking ties: every node's dependencies have strictly smaller
+    /// covering sets and therefore precede it.
     pub fn topo_order(&self) -> &[usize] {
         &self.topo
     }

@@ -271,8 +271,8 @@ impl DeltaCatalogCounts {
     /// Counts the whole catalog once (the store's single mandatory full
     /// count) and harvests the factor chains for every anchor-dependent
     /// diagram. `threading` fans the initial count out over the covering
-    /// dependency DAG exactly like [`crate::proximity_matrices_par`];
-    /// results are bit-identical at any setting.
+    /// dependency DAG ([`plan_dag`] + [`run_dag`]); results are
+    /// bit-identical at any setting.
     ///
     /// Factor harvesting is eager because the networks are not retained
     /// after the build — a batch caller that never updates pays for it

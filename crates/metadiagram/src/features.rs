@@ -1,29 +1,24 @@
 //! Feature-matrix extraction for candidate anchor links.
 //!
-//! For every catalog entry, the count engine produces the instance count
-//! matrix, [`crate::proximity::dice_proximity`] normalizes it, and the
-//! candidate pairs gather their scores into a dense row — one row per
-//! candidate anchor link, one column per meta diagram. This matrix (plus a
-//! bias column added by the model layer) is the `X` of the paper's joint
-//! objective.
+//! For every catalog entry, a [`DeltaCatalogCounts`] store holds the
+//! instance count matrix and its maintained row/column margins;
+//! [`crate::proximity::dice_at`] reads each candidate's Dice proximity
+//! straight from them into a dense row — one row per candidate anchor
+//! link, one column per meta diagram. This matrix (plus a bias column
+//! added by the model layer) is the `X` of the paper's joint objective.
+//! No proximity matrix is materialized.
 //!
-//! Extraction parallelizes on two axes, both controlled by a
-//! [`Threading`] knob and both **bit-identical** to the serial path:
-//!
-//! * **diagram fan-out** — catalog entries are scheduled over the
-//!   strict-subset dependency DAG ([`crate::covering::plan_dag`]): a
-//!   diagram starts the moment its own covering-set factors are counted,
-//!   with no barrier between covering-set size classes, while workers
-//!   share the engine's Lemma-2 cache;
-//! * **candidate fan-out** — the gather into the dense feature matrix is
-//!   split over contiguous candidate batches.
+//! The store's build already fans the catalog count out over the
+//! covering-set dependency DAG ([`crate::covering::run_dag`]); extraction
+//! adds the **candidate fan-out**: the gather is split over contiguous
+//! candidate batches by a [`Threading`] knob, bit-identical to the serial
+//! path.
 
 use crate::catalog::Catalog;
-use crate::count::CountEngine;
-use crate::covering::{plan_dag, plan_order, run_dag};
-use crate::proximity::dice_proximity;
+use crate::delta::DeltaCatalogCounts;
+use crate::proximity::dice_at;
 use hetnet::UserId;
-use sparsela::{CsrMatrix, DenseMatrix, Threading};
+use sparsela::{DenseMatrix, Threading};
 
 /// The extracted feature matrix with column names.
 #[derive(Debug, Clone)]
@@ -46,95 +41,42 @@ impl FeatureMatrix {
     }
 }
 
-/// Computes the per-diagram proximity matrices for the whole catalog.
-///
-/// Evaluation follows [`plan_order`]: diagrams with smaller covering sets
-/// first, so endpoint stackings find their factors cached (Lemma 2 reuse).
-/// Returns the matrices in *catalog order* regardless of evaluation order.
-pub fn proximity_matrices(engine: &CountEngine<'_>, catalog: &Catalog) -> Vec<CsrMatrix> {
-    proximity_matrices_par(engine, catalog, Threading::Serial)
-}
-
-/// [`proximity_matrices`] with the catalog fanned out over worker threads
-/// along the strict-subset dependency DAG ([`plan_dag`] + [`run_dag`]): one
-/// thread-spawn wave for the whole catalog, and a diagram starts the moment
-/// its own Lemma-2 factors are cached. The engine's per-diagram gates make
-/// any interleaving produce the same cached counts, so results are
-/// bit-identical to the serial path at any thread count.
-pub fn proximity_matrices_par(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    threading: Threading,
-) -> Vec<CsrMatrix> {
-    let coverings = catalog.coverings();
-    let workers = threading.resolve();
-    if workers <= 1 {
-        let mut out: Vec<Option<CsrMatrix>> = vec![None; catalog.len()];
-        for idx in plan_order(&coverings) {
-            let counts = engine.count(&catalog.entries()[idx].diagram);
-            out[idx] = Some(dice_proximity(&counts));
-        }
-        return out
-            .into_iter()
-            .map(|m| m.expect("every catalog index visited"))
-            .collect();
-    }
-    run_dag(&plan_dag(&coverings), workers, |idx| {
-        dice_proximity(&engine.count(&catalog.entries()[idx].diagram))
-    })
-}
-
-/// Extracts the dense feature matrix for `candidates`.
+/// Extracts the dense `candidates × catalog` feature matrix from `store`,
+/// which must count `catalog`.
 ///
 /// Candidates are `(left user, right user)` pairs; rows follow their order.
-pub fn extract_features(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    candidates: &[(UserId, UserId)],
-) -> FeatureMatrix {
-    extract_features_par(engine, catalog, candidates, Threading::Serial)
-}
-
-/// [`extract_features`] with diagram counting *and* the candidate gather
-/// fanned out over worker threads. Bit-identical to the serial path.
-pub fn extract_features_par(
-    engine: &CountEngine<'_>,
-    catalog: &Catalog,
-    candidates: &[(UserId, UserId)],
-    threading: Threading,
-) -> FeatureMatrix {
-    let proxies = proximity_matrices_par(engine, catalog, threading);
-    let names = catalog.names().into_iter().map(String::from).collect();
-    gather_features(names, candidates, threading, |col, l, r| {
-        proxies[col].get(l, r)
-    })
-}
-
-/// Gathers the dense `candidates × names.len()` feature matrix, reading
-/// each cell as `cell(col, left, right)` with user indices. This is the
-/// shared gather kernel of [`extract_features_par`] (which reads its
-/// proximity matrices) and of the session API's featurization (which
-/// reads counts and their maintained margins through
-/// [`crate::proximity::dice_at`]). The gather is split over contiguous
+/// Every cell is [`dice_at`] over the feature's count matrix and its
+/// maintained margins, so the result is bit-equal to normalizing a fresh
+/// count of the store's anchors. The gather is split over contiguous
 /// candidate batches when `threading` allows; each cell is read exactly
 /// once whatever the worker count, so results are identical at any
 /// setting.
-pub fn gather_features<F>(
-    names: Vec<String>,
+///
+/// # Panics
+/// When a candidate's user lies outside its network's user range, or when
+/// `store` counts fewer features than `catalog` holds.
+pub fn extract_features(
+    store: &DeltaCatalogCounts,
+    catalog: &Catalog,
     candidates: &[(UserId, UserId)],
     threading: Threading,
-    cell: F,
-) -> FeatureMatrix
-where
-    F: Fn(usize, usize, usize) -> f64 + Sync,
-{
+) -> FeatureMatrix {
+    let names: Vec<String> = catalog.names().into_iter().map(String::from).collect();
     let ncols = names.len();
+    let cell = |col: usize, l: UserId, r: UserId| {
+        dice_at(
+            store.catalog_count(col),
+            store.catalog_sums(col),
+            l.index(),
+            r.index(),
+        )
+    };
     let mut x = DenseMatrix::zeros(candidates.len(), ncols);
     let workers = threading.resolve().min(candidates.len()).max(1);
     if workers <= 1 {
         for col in 0..ncols {
             for (row, &(l, r)) in candidates.iter().enumerate() {
-                x[(row, col)] = cell(col, l.index(), r.index());
+                x[(row, col)] = cell(col, l, r);
             }
         }
     } else {
@@ -151,7 +93,7 @@ where
                         let mut buf = vec![0f64; batch.len() * ncols];
                         for col in 0..ncols {
                             for (row, &(l, r)) in batch.iter().enumerate() {
-                                buf[row * ncols + col] = cell(col, l.index(), r.index());
+                                buf[row * ncols + col] = cell(col, l, r);
                             }
                         }
                         (block * per_worker, buf)
@@ -176,29 +118,41 @@ where
 mod tests {
     use super::*;
     use crate::catalog::FeatureSet;
+    use crate::count::CountEngine;
+    use crate::proximity::dice_proximity;
     use datagen::presets;
     use hetnet::aligned::anchor_matrix;
+    use sparsela::CsrMatrix;
 
-    fn setup() -> (datagen::GeneratedWorld, Vec<hetnet::AnchorLink>) {
+    fn setup() -> (datagen::GeneratedWorld, CsrMatrix) {
         let w = datagen::generate(&presets::tiny(21));
         // Use the first half of the anchors as "training" anchors.
         let train: Vec<_> = w.truth().links()[..15].to_vec();
-        (w, train)
+        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
+        (w, a)
+    }
+
+    fn store(
+        w: &datagen::GeneratedWorld,
+        a: &CsrMatrix,
+        catalog: &Catalog,
+        threading: Threading,
+    ) -> DeltaCatalogCounts {
+        DeltaCatalogCounts::build(w.left(), w.right(), a.clone(), catalog, threading).unwrap()
     }
 
     #[test]
     fn feature_matrix_shape_and_names() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
+        let counts = store(&w, &a, &catalog, Threading::Serial);
         let candidates: Vec<_> = w
             .truth()
             .iter()
             .map(|l| (l.left, l.right))
             .take(10)
             .collect();
-        let fm = extract_features(&engine, &catalog, &candidates);
+        let fm = extract_features(&counts, &catalog, &candidates, Threading::Serial);
         assert_eq!(fm.n_rows(), 10);
         assert_eq!(fm.n_features(), 31);
         assert_eq!(fm.names.len(), 31);
@@ -210,10 +164,9 @@ mod tests {
 
     #[test]
     fn true_pairs_score_higher_than_mismatched_pairs_on_average() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
+        let counts = store(&w, &a, &catalog, Threading::Serial);
 
         // Held-out true pairs vs deliberately shifted (wrong) pairs.
         let held_out: Vec<_> = w.truth().links()[15..].to_vec();
@@ -224,8 +177,8 @@ mod tests {
             .map(|(a, b)| (a.left, b.right))
             .collect();
 
-        let ft = extract_features(&engine, &catalog, &true_cands);
-        let fw = extract_features(&engine, &catalog, &wrong_cands);
+        let ft = extract_features(&counts, &catalog, &true_cands, Threading::Serial);
+        let fw = extract_features(&counts, &catalog, &wrong_cands, Threading::Serial);
         let mean = |m: &DenseMatrix| m.data().iter().sum::<f64>() / m.data().len() as f64;
         assert!(
             mean(&ft.x) > mean(&fw.x),
@@ -237,16 +190,20 @@ mod tests {
 
     #[test]
     fn plan_order_equals_naive_order_in_results() {
-        // Extraction must be independent of evaluation order.
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
+        // Extraction must be independent of evaluation order: the store
+        // counts in the covering DAG's topological order, the reference
+        // counts each diagram in catalog order with a fresh engine and
+        // normalizes it in full.
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
+        let planned = extract_features(
+            &store(&w, &a, &catalog, Threading::Serial),
+            &catalog,
+            &candidates,
+            Threading::Serial,
+        );
 
-        let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let planned = extract_features(&engine, &catalog, &candidates);
-
-        // Naive: count each diagram in catalog order with a fresh engine.
         let fresh = CountEngine::new(w.left(), w.right(), a).unwrap();
         let mut x = DenseMatrix::zeros(candidates.len(), catalog.len());
         for (col, e) in catalog.entries().iter().enumerate() {
@@ -255,27 +212,21 @@ mod tests {
                 x[(row, col)] = prox.get(l.index(), r.index());
             }
         }
-        assert!(planned.x.max_abs_diff(&x) < 1e-12);
+        assert_eq!(planned.x.data(), x.data());
     }
 
     #[test]
     fn parallel_extraction_is_bit_equal_to_serial() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
+        // The candidate fan-out alone: one serially built store, gathered
+        // over contiguous candidate batches.
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
-
-        let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = extract_features(&serial_engine, &catalog, &candidates);
+        let counts = store(&w, &a, &catalog, Threading::Serial);
+        let serial = extract_features(&counts, &catalog, &candidates, Threading::Serial);
 
         for threads in [2usize, 3, 8] {
-            let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-            let par = extract_features_par(
-                &engine,
-                &catalog,
-                &candidates,
-                sparsela::Threading::Threads(threads),
-            );
+            let par = extract_features(&counts, &catalog, &candidates, Threading::Threads(threads));
             assert_eq!(par.names, serial.names);
             assert_eq!(
                 par.x.data(),
@@ -286,45 +237,35 @@ mod tests {
     }
 
     #[test]
-    fn parallel_proximity_matrices_match_serial() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let catalog = Catalog::new(FeatureSet::Full);
-        let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = proximity_matrices(&serial_engine, &catalog);
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        let par = proximity_matrices_par(&engine, &catalog, sparsela::Threading::Threads(4));
-        assert_eq!(par, serial);
-        // The shared cache must have been reused across workers: stacked
-        // diagrams only pay a Hadamard once their factors are cached, so
-        // misses equal the number of distinct diagrams (factors included).
-        assert!(engine.stats().cache_misses >= catalog.len());
-    }
-
-    #[test]
     fn dag_schedule_is_bit_equal_to_serial_at_any_worker_count() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
+        // The diagram fan-out alone: stores counted over the covering DAG
+        // at several worker counts, gathered serially.
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
-        let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let serial = proximity_matrices(&serial_engine, &catalog);
+        let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
+        let serial = extract_features(
+            &store(&w, &a, &catalog, Threading::Serial),
+            &catalog,
+            &candidates,
+            Threading::Serial,
+        );
         for threads in [1usize, 2, 8] {
-            let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-            let got =
-                proximity_matrices_par(&engine, &catalog, sparsela::Threading::Threads(threads));
-            assert_eq!(got, serial, "DAG at {threads} threads diverged");
-            // The shared cache still guarantees compute-exactly-once.
-            assert!(engine.stats().cache_misses >= catalog.len());
+            let counts = store(&w, &a, &catalog, Threading::Threads(threads));
+            let got = extract_features(&counts, &catalog, &candidates, Threading::Serial);
+            assert_eq!(
+                got.x.data(),
+                serial.x.data(),
+                "DAG at {threads} threads diverged"
+            );
         }
     }
 
     #[test]
     fn empty_candidates_yield_empty_matrix() {
-        let (w, train) = setup();
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
+        let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
-        let fm = extract_features(&engine, &catalog, &[]);
+        let counts = store(&w, &a, &catalog, Threading::Serial);
+        let fm = extract_features(&counts, &catalog, &[], Threading::Serial);
         assert_eq!(fm.n_rows(), 0);
         assert_eq!(fm.n_features(), 6);
     }

@@ -28,7 +28,7 @@
 //! * [`catalog`] — assembly of the full feature catalog
 //!   Φ = P ∪ Ψf² ∪ Ψa² ∪ Ψf,a ∪ Ψf,a² ∪ Ψf²,a² (31 features).
 //! * [`features`] — extraction of the dense feature matrix for a candidate
-//!   anchor-link set.
+//!   anchor-link set, read from a [`delta`] store's counts and margins.
 //! * [`bruteforce`] — exhaustive enumerators used to verify the engine
 //!   (Lemma 1 and count equality are property-tested against these).
 
@@ -53,10 +53,7 @@ pub use delta::{
     ChangedCount, DeltaCatalogCounts, DeltaError, DeltaOutcome, DeltaStats, TouchedRegion,
 };
 pub use diagram::{AttrPathId, Diagram, SocialPathId};
-pub use features::{
-    extract_features, extract_features_par, gather_features, proximity_matrices,
-    proximity_matrices_par, FeatureMatrix,
-};
+pub use features::{extract_features, FeatureMatrix};
 pub use path::{MetaPath, Step};
 pub use proximity::{dice_at, dice_proximity};
 pub use sparsela::Threading;

@@ -1,15 +1,14 @@
 //! Scheduler-determinism suite, run as a dedicated CI step: the
-//! dependency-DAG feature scheduler must produce **bit-equal** proximity
-//! matrices to the serial reference at every worker count, and the
-//! DAG-warmed store build must match the serial build. Bit-equality holds because every scheduled unit computes the same
-//! Dice normalization over the same memoized counts — the schedule decides
-//! only *when* each diagram is counted, never *what*.
+//! dependency-DAG scheduler must produce **bit-equal** counts to a serial
+//! engine at every worker count, and the DAG-warmed store build must match
+//! the serial build. Bit-equality holds because every scheduled unit reads
+//! the same memoized counts — the schedule decides only *when* each
+//! diagram is counted, never *what*.
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::AnchorLink;
 use metadiagram::{
-    proximity_matrices, proximity_matrices_par, Catalog, CountEngine, DeltaCatalogCounts,
-    FeatureSet, Threading,
+    plan_dag, run_dag, Catalog, CountEngine, DeltaCatalogCounts, FeatureSet, Threading,
 };
 
 fn world() -> datagen::GeneratedWorld {
@@ -22,9 +21,15 @@ fn schedulers_are_bit_equal_to_serial_at_any_worker_count() {
     let links: Vec<AnchorLink> = w.truth().links()[..14].to_vec();
     let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &links).unwrap();
     let catalog = Catalog::new(FeatureSet::Full);
+    let plan = plan_dag(&catalog.coverings());
 
+    // The reference: one serial engine counting in catalog order.
     let serial_engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-    let reference = proximity_matrices(&serial_engine, &catalog);
+    let reference: Vec<_> = catalog
+        .entries()
+        .iter()
+        .map(|e| (*serial_engine.count(&e.diagram)).clone())
+        .collect();
     assert_eq!(reference.len(), 31);
 
     for workers in [1usize, 2, 8] {
@@ -32,7 +37,9 @@ fn schedulers_are_bit_equal_to_serial_at_any_worker_count() {
         // is populated in, so a shared engine would hide scheduling bugs
         // behind warm hits.
         let engine = CountEngine::new(w.left(), w.right(), a.clone()).unwrap();
-        let got = proximity_matrices_par(&engine, &catalog, Threading::Threads(workers));
+        let got = run_dag(&plan, workers, |idx| {
+            (*engine.count(&catalog.entries()[idx].diagram)).clone()
+        });
         assert_eq!(
             got, reference,
             "DAG @ {workers} workers diverged from serial"

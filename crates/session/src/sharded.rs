@@ -74,6 +74,7 @@ use crate::stages::SessionBuilder;
 use crate::workers::run_ordered;
 use crate::{AnchorEdge, SessionError};
 use activeiter::driver::ActiveLoop;
+use activeiter::ord::cmp_scores_desc;
 use activeiter::query::ConflictQuery;
 use activeiter::{FitReport, ModelConfig, Oracle};
 use hetnet::partition::{
@@ -120,6 +121,14 @@ pub enum ShardedError {
         /// The stage the operation required.
         expected: &'static str,
     },
+    /// A labeled position passed to [`ShardedSession::fit`] does not index
+    /// the featurized candidate list.
+    LabeledOutOfRange {
+        /// The offending position.
+        index: usize,
+        /// Number of featurized candidates.
+        candidates: usize,
+    },
     /// Two structures that must agree have drifted apart — a user the
     /// partition map routes to a shard is missing from that shard's id
     /// tables, or a shard vanished mid-operation. These invariants used
@@ -142,6 +151,10 @@ impl fmt::Display for ShardedError {
             ShardedError::WrongStage { expected } => {
                 write!(f, "sharded session is not in the {expected} stage")
             }
+            ShardedError::LabeledOutOfRange { index, candidates } => write!(
+                f,
+                "labeled position {index} out of range for {candidates} featurized candidates"
+            ),
             ShardedError::Inconsistent { what } => {
                 write!(f, "sharded session structures disagree: {what}")
             }
@@ -156,7 +169,9 @@ impl std::error::Error for ShardedError {
             ShardedError::Session(e) => Some(e),
             ShardedError::Pool(e) => Some(e),
             ShardedError::Manifest(e) => Some(e),
-            ShardedError::WrongStage { .. } | ShardedError::Inconsistent { .. } => None,
+            ShardedError::WrongStage { .. }
+            | ShardedError::LabeledOutOfRange { .. }
+            | ShardedError::Inconsistent { .. } => None,
         }
     }
 }
@@ -693,6 +708,8 @@ impl ShardedSession {
     ///
     /// # Errors
     /// [`ShardedError::WrongStage`] before featurization;
+    /// [`ShardedError::LabeledOutOfRange`] when a `labeled_pos` entry does
+    /// not index the featurized candidates (checked before any shard fits);
     /// [`ShardedError::Pool`] when a shard slot is gone.
     pub fn fit(
         &self,
@@ -708,8 +725,15 @@ impl ShardedSession {
         // Translate the global labeled set to per-shard local rows.
         let mut labeled_local: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for &gi in labeled_pos {
-            if let Some(Route::Shard(si, row)) = self.routes.get(gi) {
-                labeled_local[*si].push(*row);
+            match self.routes.get(gi) {
+                Some(Route::Shard(si, row)) => labeled_local[*si].push(*row),
+                Some(Route::Pruned) => {}
+                None => {
+                    return Err(ShardedError::LabeledOutOfRange {
+                        index: gi,
+                        candidates: self.routes.len(),
+                    })
+                }
             }
         }
         let weights: Vec<usize> = self.shards.iter().map(|s| s.rows.len()).collect();
@@ -735,22 +759,8 @@ impl ShardedSession {
                 self.pool.with_featurized(shard.session, |s| {
                     let mut strategy =
                         ConflictQuery::new(shard_config.similar_tau, shard_config.margin_delta);
-                    let mut drv =
-                        ActiveLoop::new(s.instance(labeled_local[i].clone()), shard_config.clone());
-                    loop {
-                        drv.converge();
-                        if drv.remaining() == 0 {
-                            break;
-                        }
-                        let selection = drv.select_queries(&mut strategy);
-                        if selection.is_empty() {
-                            break;
-                        }
-                        for idx in selection {
-                            drv.apply_answer(idx, shard_oracle.label(idx));
-                        }
-                    }
-                    drv.finish()
+                    ActiveLoop::new(s.instance(labeled_local[i].clone()), shard_config.clone())
+                        .run(&mut strategy, &shard_oracle)
                 })
             },
             |r| fits.push(r),
@@ -1191,16 +1201,6 @@ fn split_budget(total: usize, weights: &[usize]) -> Vec<usize> {
     quotas
 }
 
-/// Descending, NaN-last score comparison (total order).
-fn cmp_scores_desc(a: f64, b: f64) -> std::cmp::Ordering {
-    match (a.is_nan(), b.is_nan()) {
-        (true, true) => std::cmp::Ordering::Equal,
-        (true, false) => std::cmp::Ordering::Greater,
-        (false, true) => std::cmp::Ordering::Less,
-        (false, false) => b.total_cmp(&a),
-    }
-}
-
 /// An oracle view translating a shard's local rows to global candidate
 /// indices.
 struct RowOracle<'a> {
@@ -1246,15 +1246,6 @@ mod tests {
         assert_eq!(split_budget(7, &[0, 0]), vec![0, 0]);
         // Largest remainder: 7 over [2, 2, 3] → quotas [2, 2, 3].
         assert_eq!(split_budget(7, &[2, 2, 3]), vec![2, 2, 3]);
-    }
-
-    #[test]
-    fn score_order_is_total_and_nan_last() {
-        let mut v = [0.2, f64::NAN, 0.9, f64::INFINITY, 0.2];
-        v.sort_by(|a, b| cmp_scores_desc(*a, *b));
-        assert_eq!(v[0], f64::INFINITY);
-        assert_eq!(v[1], 0.9);
-        assert!(v[4].is_nan());
     }
 
     #[test]

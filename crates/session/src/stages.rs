@@ -6,7 +6,7 @@ use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy};
 use hetnet::aligned::anchor_matrix;
 use hetnet::{HetNet, UserId};
 use metadiagram::delta::{DeltaCatalogCounts, DeltaOutcome, DeltaStats};
-use metadiagram::{dice_at, dice_proximity, gather_features, Catalog, FeatureMatrix, FeatureSet};
+use metadiagram::{dice_at, dice_proximity, extract_features, Catalog, FeatureMatrix, FeatureSet};
 use sparsela::{CsrMatrix, Threading};
 
 /// Configures and opens an [`AlignmentSession`].
@@ -227,20 +227,15 @@ impl AlignmentSession<Counted> {
     }
 
     /// Advances to [`Featurized`]: gathers the dense `candidates ×
-    /// catalog` feature matrix, reading every cell's Dice proximity
-    /// straight from the counts and their maintained margins
-    /// ([`dice_at`]), and indexes the candidates by user for later
-    /// refreshes. Bit-identical to [`metadiagram::extract_features_par`]
-    /// over the same anchors.
+    /// catalog` feature matrix with [`extract_features`], which reads every
+    /// cell's Dice proximity straight from the counts and their maintained
+    /// margins ([`dice_at`]), and indexes the candidates by user for later
+    /// refreshes.
     ///
     /// # Panics
     /// When a candidate's user lies outside its network's user range.
     pub fn featurize(self, candidates: Vec<(UserId, UserId)>) -> AlignmentSession<Featurized> {
-        let names = self.catalog.names().into_iter().map(String::from).collect();
-        let counts = &self.counts;
-        let features = gather_features(names, &candidates, self.threading, |col, l, r| {
-            dice_at(counts.catalog_count(col), counts.catalog_sums(col), l, r)
-        });
+        let features = extract_features(&self.counts, &self.catalog, &candidates, self.threading);
         let (n_left, n_right) = self.counts.anchor().shape();
         let by_left = UserRows::group(n_left, candidates.iter().map(|c| c.0.index()));
         let by_right = UserRows::group(n_right, candidates.iter().map(|c| c.1.index()));
@@ -365,21 +360,8 @@ impl AlignmentSession<Featurized> {
         config: &ModelConfig,
         strategy: &mut dyn QueryStrategy,
     ) -> AlignmentSession<Fitted> {
-        let mut drv = ActiveLoop::new(self.instance(labeled_pos), config.clone());
-        loop {
-            drv.converge();
-            if drv.remaining() == 0 {
-                break;
-            }
-            let selection = drv.select_queries(strategy);
-            if selection.is_empty() {
-                break;
-            }
-            for idx in selection {
-                drv.apply_answer(idx, oracle.label(idx));
-            }
-        }
-        let report = drv.finish();
+        let report =
+            ActiveLoop::new(self.instance(labeled_pos), config.clone()).run(strategy, oracle);
         AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
@@ -433,14 +415,14 @@ mod tests {
     use activeiter::query::ConflictQuery;
     use activeiter::VecOracle;
     use hetnet::aligned::anchor_matrix;
-    use metadiagram::{extract_features_par, CountEngine};
+    use metadiagram::CountEngine;
 
     fn world() -> datagen::GeneratedWorld {
         datagen::generate(&datagen::presets::tiny(23))
     }
 
     #[test]
-    fn featurize_is_bit_equal_to_extract_features_par() {
+    fn featurize_is_bit_equal_to_fresh_engine_proximity() {
         let w = world();
         let train = w.truth().links()[..12].to_vec();
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
@@ -451,12 +433,19 @@ mod tests {
                 .count()
                 .unwrap()
                 .featurize(candidates.clone());
+            // Reference: a fresh engine's counts normalized in full.
             let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
             let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-            let reference =
-                extract_features_par(&engine, session.catalog(), &candidates, threading);
-            assert_eq!(session.features().names, reference.names);
-            assert_eq!(session.features().x.data(), reference.x.data());
+            let catalog = session.catalog();
+            let mut reference = sparsela::DenseMatrix::zeros(candidates.len(), catalog.len());
+            for (col, e) in catalog.entries().iter().enumerate() {
+                let prox = dice_proximity(&engine.count(&e.diagram));
+                for (row, &(l, r)) in candidates.iter().enumerate() {
+                    reference[(row, col)] = prox.get(l.index(), r.index());
+                }
+            }
+            assert_eq!(session.features().names, catalog.names());
+            assert_eq!(session.features().x.data(), reference.data());
         }
     }
 

@@ -5,6 +5,8 @@
 //!    same active loop — at any worker budget.
 //! 2. Boundary-ledger anchors survive a `save_dir`/`open_dir` round-trip
 //!    and re-enter the stitched result as confirmed links.
+//! 3. A labeled position past the featurized candidates is a typed error,
+//!    raised before any shard fits.
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
@@ -119,6 +121,42 @@ fn trivial_partition_is_bit_identical_to_global_session() {
         assert_eq!(got, expected, "{workers} workers");
         assert_eq!(stitched.pruned_candidates, 0);
     }
+}
+
+#[test]
+fn fit_rejects_a_labeled_position_past_the_candidates() {
+    let world = datagen::generate(&datagen::presets::tiny(41));
+    let truth_links = world.truth().links().to_vec();
+    let candidates: Vec<_> = truth_links.iter().map(|l| (l.left, l.right)).collect();
+    let n = candidates.len();
+    let mut sharded = ShardedSession::with_partitions(
+        world.left(),
+        world.right(),
+        PartitionMap::trivial(world.left().n_users()),
+        PartitionMap::trivial(world.right().n_users()),
+        truth_links[..8].to_vec(),
+        &ShardedConfig::default(),
+    )
+    .unwrap();
+    sharded.featurize(candidates).unwrap();
+
+    let oracle = VecOracle::new(vec![true; n]);
+    let config = ModelConfig {
+        budget: 4,
+        ..Default::default()
+    };
+    let err = sharded.fit(&[0, 1, n], &oracle, &config).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ShardedError::LabeledOutOfRange { index, candidates } if index == n && candidates == n
+        ),
+        "{err}"
+    );
+    // Rejected up front: no shard fitted, so the oracle was never asked.
+    assert_eq!(oracle.queries_answered(), 0);
+    // The last valid position still fits.
+    assert!(sharded.fit(&[0, 1, n - 1], &oracle, &config).is_ok());
 }
 
 #[test]

@@ -43,7 +43,7 @@ pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use ridge::RidgeSolver;
 pub use spgemm::{
-    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_par, spgemm_partitioned,
-    spgemm_threaded, spgemm_with, Accumulator, RowPartition, Threading,
+    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_par, spgemm_threaded, spgemm_with,
+    Accumulator, Threading,
 };
 pub use sums::MarginSums;

@@ -65,21 +65,6 @@ impl Threading {
     }
 }
 
-/// How the parallel kernels split the left operand into contiguous row
-/// blocks. Both strategies are **bit-identical** in output — partitioning
-/// never changes the per-row computation, only which worker runs it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RowPartition {
-    /// Equal row *counts* per block. Simple, but a handful of dense hub
-    /// rows among thousands of near-empty ones leaves most workers idle.
-    Even,
-    /// Equal per-row **FLOP estimates** per block (default): blocks are cut
-    /// so each carries ≈ `total_flops / workers`, reusing the same
-    /// `Σ nnz(rhs.row(k))` estimates that drive [`Accumulator::Auto`].
-    #[default]
-    FlopBalanced,
-}
-
 /// Computes `lhs * rhs`.
 ///
 /// # Errors
@@ -104,7 +89,12 @@ pub fn spgemm_par(lhs: &CsrMatrix, rhs: &CsrMatrix, threading: Threading) -> Res
 }
 
 /// The fully general entry point: explicit accumulator strategy and
-/// explicit threading.
+/// explicit threading. The left operand is cut into contiguous row blocks
+/// carrying ≈ `total_flops / workers` each, by the same per-row
+/// `Σ nnz(rhs.row(k))` estimates that drive [`Accumulator::Auto`], so a
+/// handful of dense hub rows among thousands of near-empty ones does not
+/// leave most workers idle. The cut never changes a row's computation, so
+/// the output is bit-identical at any thread count.
 ///
 /// # Errors
 /// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
@@ -113,22 +103,6 @@ pub fn spgemm_threaded(
     rhs: &CsrMatrix,
     acc: Accumulator,
     threading: Threading,
-) -> Result<CsrMatrix> {
-    spgemm_partitioned(lhs, rhs, acc, threading, RowPartition::FlopBalanced)
-}
-
-/// [`spgemm_threaded`] with an explicit [`RowPartition`] strategy. Exists
-/// mainly so the Even-vs-FlopBalanced bit-equality is testable from the
-/// outside; production callers should stay on the default.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
-pub fn spgemm_partitioned(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    acc: Accumulator,
-    threading: Threading,
-    partition: RowPartition,
 ) -> Result<CsrMatrix> {
     if lhs.ncols() != rhs.nrows() {
         return Err(SparseError::DimMismatch {
@@ -148,10 +122,7 @@ pub fn spgemm_partitioned(
     let flops: Vec<usize> = (0..n)
         .map(|i| lhs.row(i).map(|(k, _)| rhs.row_nnz(k)).sum())
         .collect();
-    let ranges = match partition {
-        RowPartition::Even => partition_even(n, workers),
-        RowPartition::FlopBalanced => partition_flop_balanced(&flops, workers),
-    };
+    let ranges = partition_flop_balanced(&flops, workers);
     let flops = &flops;
     let blocks: Vec<BlockOut> = std::thread::scope(|scope| {
         let handles: Vec<_> = ranges
@@ -166,24 +137,12 @@ pub fn spgemm_partitioned(
     Ok(stitch_blocks(n, rhs.ncols(), blocks))
 }
 
-/// Contiguous row blocks of near-equal row count; the last may be shorter.
-fn partition_even(n: usize, workers: usize) -> Vec<Range<usize>> {
-    let chunk = n.div_ceil(workers);
-    (0..workers)
-        .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
 /// Contiguous row blocks cut so each carries ≈ `total / workers` of the
 /// per-row FLOP estimates. A single hub row heavier than the fair share
 /// gets a block of its own; the trailing block absorbs the remainder.
 fn partition_flop_balanced(flops: &[usize], workers: usize) -> Vec<Range<usize>> {
     let n = flops.len();
     let total: usize = flops.iter().sum();
-    if total == 0 {
-        return partition_even(n, workers);
-    }
     let mut ranges: Vec<Range<usize>> = Vec::with_capacity(workers);
     let mut start = 0usize;
     let mut cum: u128 = 0;
@@ -405,34 +364,6 @@ pub fn spgemm_lowrank_with_sums(
     Ok(dc)
 }
 
-/// Multiplies a chain of matrices left to right: `m[0] * m[1] * … * m[k-1]`.
-///
-/// Meta paths of length > 2 use this. Left-to-right order is optimal for the
-/// shapes that occur in practice (user-anchored chains shrink quickly).
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] on any incompatible adjacent pair;
-/// [`SparseError::InvalidStructure`] when `mats` is empty.
-pub fn spgemm_chain(mats: &[&CsrMatrix]) -> Result<CsrMatrix> {
-    spgemm_chain_threaded(mats, Threading::Serial)
-}
-
-/// [`spgemm_chain`] with each product running on the parallel kernel.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] on any incompatible adjacent pair;
-/// [`SparseError::InvalidStructure`] when `mats` is empty.
-pub fn spgemm_chain_threaded(mats: &[&CsrMatrix], threading: Threading) -> Result<CsrMatrix> {
-    let (first, rest) = mats
-        .split_first()
-        .ok_or_else(|| SparseError::InvalidStructure("empty spgemm chain".into()))?;
-    let mut acc = (*first).clone();
-    for m in rest {
-        acc = spgemm_par(&acc, m, threading)?;
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,27 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_multiplies_left_to_right() {
-        let m1 = a();
-        let m2 = b();
-        let m3 = CsrMatrix::from_dense(2, 1, &[1.0, 1.0]);
-        let chained = spgemm_chain(&[&m1, &m2, &m3]).unwrap();
-        let manual = spgemm(&spgemm(&m1, &m2).unwrap(), &m3).unwrap();
-        assert_eq!(chained, manual);
-    }
-
-    #[test]
-    fn chain_rejects_empty() {
-        assert!(spgemm_chain(&[]).is_err());
-    }
-
-    #[test]
-    fn chain_of_one_clones() {
-        let m = a();
-        assert_eq!(spgemm_chain(&[&m]).unwrap(), m);
-    }
-
-    #[test]
     fn threading_resolves_to_at_least_one_worker() {
         assert_eq!(Threading::Serial.resolve(), 1);
         assert_eq!(Threading::Threads(0).resolve(), 1);
@@ -559,16 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_chain_matches_serial_chain() {
-        let m1 = a();
-        let m2 = b();
-        let m3 = CsrMatrix::from_dense(2, 1, &[1.0, 1.0]);
-        let serial = spgemm_chain(&[&m1, &m2, &m3]).unwrap();
-        let par = spgemm_chain_threaded(&[&m1, &m2, &m3], Threading::Threads(2)).unwrap();
-        assert_eq!(par, serial);
-    }
-
-    #[test]
     fn flop_balanced_partition_isolates_hub_rows() {
         // One hub row carrying ~all the FLOPs: the cut closes the hub's
         // block right after it (the even split 0..2|2..4|4..6 would instead
@@ -579,19 +479,9 @@ mod tests {
         // Coverage: the blocks tile 0..6 in order.
         let flat: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
         assert_eq!(flat, (0..6).collect::<Vec<_>>());
-        // All-zero estimates fall back to the even split.
-        assert_eq!(partition_flop_balanced(&[0; 6], 3), partition_even(6, 3));
-    }
-
-    #[test]
-    fn partition_strategies_are_bit_equal() {
-        let serial = spgemm(&a(), &b()).unwrap();
-        for part in [RowPartition::Even, RowPartition::FlopBalanced] {
-            let p = spgemm_partitioned(&a(), &b(), Accumulator::Auto, Threading::Threads(2), part)
-                .unwrap();
-            assert_eq!(p, serial, "{part:?} diverged");
-        }
-        assert_eq!(RowPartition::default(), RowPartition::FlopBalanced);
+        // All-zero estimates reach every fair share at once: leading
+        // single-row blocks, the trailing block takes the rest.
+        assert_eq!(partition_flop_balanced(&[0; 6], 3), vec![0..1, 1..2, 2..6]);
     }
 
     #[test]

@@ -3,8 +3,7 @@
 
 use proptest::prelude::*;
 use sparsela::spgemm::{
-    spgemm_chain, spgemm_lowrank, spgemm_par, spgemm_partitioned, spgemm_with, Accumulator,
-    RowPartition, Threading,
+    spgemm_lowrank, spgemm_par, spgemm_threaded, spgemm_with, Accumulator, Threading,
 };
 use sparsela::{
     spgemm, CholeskyFactor, CooMatrix, CsrMatrix, DenseMatrix, MarginSums, RidgeSolver,
@@ -80,25 +79,19 @@ proptest! {
     }
 
     #[test]
-    fn flop_balanced_partition_is_bit_equal_to_even_split(
+    fn threaded_is_bit_equal_to_serial_for_every_accumulator(
         (a, b) in pair_for_product(12),
         threads in 2usize..=6,
         acc_pick in 0usize..3
     ) {
-        // The FLOP-weighted cut must be invisible in the output: same bits
-        // as the even split and as the serial kernel, for every accumulator
-        // (skewed row distributions included — pair_for_product regularly
-        // produces hub rows next to empty ones).
+        // The FLOP-weighted row cut must be invisible in the output: same
+        // bits as the serial kernel, for every accumulator (skewed row
+        // distributions included — pair_for_product regularly produces hub
+        // rows next to empty ones).
         let acc = [Accumulator::Dense, Accumulator::SortMerge, Accumulator::Auto][acc_pick];
         let serial = spgemm_with(&a, &b, acc).unwrap();
-        let even =
-            spgemm_partitioned(&a, &b, acc, Threading::Threads(threads), RowPartition::Even)
-                .unwrap();
-        let balanced = spgemm_partitioned(
-            &a, &b, acc, Threading::Threads(threads), RowPartition::FlopBalanced,
-        ).unwrap();
-        prop_assert_eq!(&even, &serial);
-        prop_assert_eq!(&balanced, &serial);
+        let threaded = spgemm_threaded(&a, &b, acc, Threading::Threads(threads)).unwrap();
+        prop_assert_eq!(&threaded, &serial);
     }
 
     #[test]
@@ -279,11 +272,11 @@ proptest! {
 
     #[test]
     fn chain_is_associative((a, b) in pair_for_product(6)) {
-        // (a*b)*I == a*(b*I): exercised through spgemm_chain on three factors.
+        // (a*b)*I == a*(b*I) on three factors.
         let id = CsrMatrix::identity(b.ncols());
         let left = spgemm(&spgemm(&a, &b).unwrap(), &id).unwrap();
-        let chained = spgemm_chain(&[&a, &b, &id]).unwrap();
-        prop_assert_eq!(left, chained);
+        let right = spgemm(&a, &spgemm(&b, &id).unwrap()).unwrap();
+        prop_assert_eq!(left, right);
     }
 
     #[test]

@@ -52,15 +52,22 @@ fn different_protocol_seeds_change_fold_assignment() {
 #[test]
 fn feature_extraction_is_deterministic() {
     use hetnet::aligned::anchor_matrix;
-    use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+    use metadiagram::{extract_features, Catalog, DeltaCatalogCounts, FeatureSet, Threading};
     let world = datagen::generate(&datagen::presets::tiny(17));
     let train: Vec<_> = world.truth().links()[..10].to_vec();
     let candidates: Vec<_> = world.truth().iter().map(|a| (a.left, a.right)).collect();
     let catalog = Catalog::new(FeatureSet::Full);
     let run = || {
         let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-        extract_features(&engine, &catalog, &candidates)
+        let store = DeltaCatalogCounts::build(
+            world.left(),
+            world.right(),
+            amat,
+            &catalog,
+            Threading::Serial,
+        )
+        .unwrap();
+        extract_features(&store, &catalog, &candidates, Threading::Serial)
     };
     let a = run();
     let b = run();

@@ -2,7 +2,7 @@
 //! anchors, never the ground truth.
 
 use hetnet::aligned::anchor_matrix;
-use metadiagram::{extract_features, Catalog, CountEngine, FeatureSet};
+use metadiagram::{extract_features, Catalog, DeltaCatalogCounts, FeatureSet, Threading};
 use social_align::prelude::*;
 
 #[test]
@@ -13,8 +13,15 @@ fn anchor_features_depend_only_on_the_training_subset() {
 
     let features_for = |anchors: &[hetnet::AnchorLink]| {
         let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), anchors).unwrap();
-        let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-        extract_features(&engine, &catalog, &candidates)
+        let store = DeltaCatalogCounts::build(
+            world.left(),
+            world.right(),
+            amat,
+            &catalog,
+            Threading::Serial,
+        )
+        .unwrap();
+        extract_features(&store, &catalog, &candidates, Threading::Serial)
     };
 
     let train: Vec<_> = world.truth().links()[..8].to_vec();
@@ -35,8 +42,15 @@ fn empty_anchor_set_zeroes_social_features_only() {
     let candidates: Vec<_> = world.truth().iter().map(|a| (a.left, a.right)).collect();
     let catalog = Catalog::new(FeatureSet::Full);
     let amat = anchor_matrix(world.left().n_users(), world.right().n_users(), &[]).unwrap();
-    let engine = CountEngine::new(world.left(), world.right(), amat).unwrap();
-    let fm = extract_features(&engine, &catalog, &candidates);
+    let store = DeltaCatalogCounts::build(
+        world.left(),
+        world.right(),
+        amat,
+        &catalog,
+        Threading::Serial,
+    )
+    .unwrap();
+    let fm = extract_features(&store, &catalog, &candidates, Threading::Serial);
 
     for (col, entry) in catalog.entries().iter().enumerate() {
         let covering = entry.diagram.covering_set();

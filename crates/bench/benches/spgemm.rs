@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sparsela::spgemm::{spgemm_par, spgemm_with, Accumulator, Threading};
+use sparsela::spgemm::{spgemm_threaded, spgemm_with, Accumulator, Threading};
 use sparsela::{CooMatrix, CsrMatrix};
 
 fn random_sparse(rng: &mut StdRng, nrows: usize, ncols: usize, nnz_per_row: usize) -> CsrMatrix {
@@ -54,7 +54,7 @@ fn bench_spgemm_parallel(c: &mut Criterion) {
             BenchmarkId::new("serial", format!("{n}x{n}@{d}")),
             &(),
             |bch, _| {
-                bch.iter(|| spgemm_par(black_box(&a), black_box(&b), Threading::Serial).unwrap())
+                bch.iter(|| spgemm_with(black_box(&a), black_box(&b), Accumulator::Auto).unwrap())
             },
         );
         for threads in [2usize, 4] {
@@ -63,8 +63,13 @@ fn bench_spgemm_parallel(c: &mut Criterion) {
                 &(),
                 |bch, _| {
                     bch.iter(|| {
-                        spgemm_par(black_box(&a), black_box(&b), Threading::Threads(threads))
-                            .unwrap()
+                        spgemm_threaded(
+                            black_box(&a),
+                            black_box(&b),
+                            Accumulator::Auto,
+                            Threading::Threads(threads),
+                        )
+                        .unwrap()
                     })
                 },
             );

@@ -111,8 +111,9 @@ const REC_COMPACTED: u8 = 3;
 
 /// When a journal-backed save folds the journal back into its base.
 ///
-/// The knob callers hand to [`crate::SessionPool::set_compaction`] and
-/// `ShardedConfig::compaction`; [`Journal::should_compact`] evaluates it.
+/// The knob callers hand to [`crate::SessionPool::set_compaction`] (a
+/// sharded session fixes `Bytes(1 << 20)` on its pool);
+/// [`Journal::should_compact`] evaluates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
     /// Never compact implicitly; the journal grows until an explicit

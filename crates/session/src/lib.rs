@@ -113,8 +113,8 @@ pub use journal::{CompactionPolicy, Journal, JournalError};
 pub use pool::{PoolError, SessionPool};
 pub use serve::{Coordinator, ServeConfig, ServeError, WorkerSpec};
 pub use sharded::{
-    manifest_info, ManifestInfo, RoutingSummary, ShardFitReport, ShardedConfig, ShardedError,
-    ShardedSession, ShardedUpdate, StitchedAlignment, StitchedLink,
+    RoutingSummary, ShardFitReport, ShardedConfig, ShardedError, ShardedSession, ShardedUpdate,
+    StitchedAlignment, StitchedLink,
 };
 pub use snapshot::SnapshotError;
 pub use stages::{AlignmentSession, Counted, Featurized, Fitted, SessionBuilder};

@@ -828,8 +828,7 @@ impl SessionPool {
     /// The journal state of a slot, as
     /// `(base_len, journal_bytes, delta_records)`, or `None` for an
     /// unjournaled slot — lets a serving frontend watch journal growth
-    /// without touching the policy machinery (and feeds the sharded
-    /// tier's manifest v2 shard table).
+    /// without touching the policy machinery.
     ///
     /// # Errors
     /// Slot errors as elsewhere.

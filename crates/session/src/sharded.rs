@@ -34,10 +34,12 @@
 //!
 //! A sharded session persists like the pool it wraps:
 //! [`ShardedSession::save_dir`] calls [`SessionPool::save`] once per
-//! shard (one base snapshot + ΔA journal each) and writes a
-//! CRC-checked manifest (partition maps, matching, boundary ledger), and
-//! [`ShardedSession::open_dir`] restores the whole ensemble without
-//! recounting.
+//! shard (one base snapshot + ΔA journal each) and writes a thin
+//! [`MANIFEST_FILE`] (partition maps, matching, boundary ledger) in the
+//! snapshot container, and [`ShardedSession::open_dir`] restores the
+//! whole ensemble without recounting. Once saved, updates are
+//! write-ahead on both sides: shard edges through each shard's journal,
+//! new boundary anchors through a manifest rewrite.
 //!
 //! ## Example
 //!
@@ -81,12 +83,11 @@ use hetnet::partition::{
     induce_subnet, match_partitions, PartitionConfig, PartitionMap, PartitionMatching,
 };
 use hetnet::{HetNet, HetNetError, UserId};
-use metadiagram::{DeltaStats, FeatureSet};
-use serde::bin::{crc32, Error as BinError, Reader, Writer};
-use sparsela::Threading;
+use metadiagram::DeltaStats;
+use serde::bin::{Error as BinError, Reader, Writer};
 use std::collections::HashMap;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One shard's candidate batch, claimed exactly once by the worker that
@@ -95,13 +96,22 @@ type CandidateJob = Mutex<Option<Vec<(UserId, UserId)>>>;
 
 /// Magic prefix of a sharded-session manifest file.
 pub const MANIFEST_MAGIC: [u8; 8] = *b"MDASHRD\0";
-/// Manifest format version this build writes and reads. Version 2
-/// appended the per-shard base+journal length table; any other version is
-/// refused, like a snapshot version bump.
-pub const MANIFEST_VERSION: u32 = 2;
+/// Manifest format version this build writes and the only one it reads;
+/// any other version is refused, like a snapshot version bump (layout
+/// and history in `docs/SNAPSHOT_FORMAT.md`).
+pub const MANIFEST_VERSION: u32 = 3;
 /// File name of the manifest inside a [`ShardedSession::save_dir`]
 /// directory.
 pub const MANIFEST_FILE: &str = "manifest.mdashard";
+
+/// The manifest's one container section.
+const SECTION_MANIFEST: [u8; 4] = *b"MANI";
+/// WL refinement rounds for partition matching.
+const WL_ROUNDS: usize = 2;
+/// When a saved shard's ΔA journal folds back into its base: past 1 MiB,
+/// so replay-on-open stays cheap while a typical round still persists at
+/// k·O(|ΔA_k|).
+const SHARD_COMPACTION: CompactionPolicy = CompactionPolicy::Bytes(1 << 20);
 
 /// Everything a sharded-session operation can fail with.
 #[derive(Debug)]
@@ -129,12 +139,11 @@ pub enum ShardedError {
         /// Number of featurized candidates.
         candidates: usize,
     },
-    /// Two structures that must agree have drifted apart — a user the
-    /// partition map routes to a shard is missing from that shard's id
-    /// tables, or a shard vanished mid-operation. These invariants used
-    /// to be `expect`s; as typed errors a damaged ensemble (e.g. a
-    /// hand-edited manifest whose maps disagree with the shard
-    /// snapshots) reports instead of aborting the process.
+    /// Two structures that must agree have drifted apart — a shard
+    /// snapshot whose shape differs from the member lists the manifest
+    /// routes into it, a user missing from its own partition's members,
+    /// or a shard that vanished mid-operation. A damaged ensemble reports
+    /// instead of aborting the process.
     Inconsistent {
         /// Which invariant broke.
         what: &'static str,
@@ -200,66 +209,27 @@ impl From<SnapshotError> for ShardedError {
     }
 }
 
-/// Knobs of a [`ShardedSession`].
-#[derive(Debug, Clone)]
+/// Knobs of a [`ShardedSession`]. Everything else is fixed: matching runs
+/// two WL rounds, each shard counts the full catalog serially with the
+/// [`SessionBuilder`] defaults (shards already run concurrently), and a
+/// saved shard's journal folds into its base past 1 MiB.
+#[derive(Debug, Clone, Default)]
 pub struct ShardedConfig {
     /// Community-detection knobs ([`PartitionMap::detect`]).
     pub partition: PartitionConfig,
-    /// WL refinement rounds for partition matching
-    /// ([`hetnet::partition::wl_signatures`]).
-    pub wl_rounds: usize,
-    /// Feature-catalog slice each shard counts.
-    pub feature_set: FeatureSet,
-    /// Worker threading *inside* one shard's count/gather. Shards already
-    /// run concurrently, so the default keeps each shard serial; raise it
-    /// only when shards outnumber cores badly the other way.
-    pub threading: Threading,
-    /// Worker budget for the shard fan-out itself (`0` = one per
-    /// available hardware thread). Results are bit-identical at any
-    /// setting.
+    /// Worker budget for the shard fan-out (`0` = one per available
+    /// hardware thread). Results are bit-identical at any setting.
     pub workers: usize,
-    /// When a saved shard's ΔA journal is folded back into its base
-    /// snapshot (see [`crate::journal`]); the pool evaluates it after
-    /// every journaled write — each update and each
-    /// [`ShardedSession::save_dir`] checkpoint. The default
-    /// bounds each shard's journal at 1 MiB, so replay-on-open stays
-    /// cheap while a typical round still persists at k·O(|ΔA_k|).
-    pub compaction: CompactionPolicy,
 }
 
-impl Default for ShardedConfig {
-    fn default() -> Self {
-        ShardedConfig {
-            partition: PartitionConfig::default(),
-            wl_rounds: 2,
-            feature_set: FeatureSet::Full,
-            threading: Threading::Serial,
-            workers: 0,
-            compaction: CompactionPolicy::Bytes(1 << 20),
-        }
-    }
-}
-
-/// One shard: a pooled session over one matched partition pair, plus the
-/// local↔global id translation tables.
+/// One shard: a pooled session over one matched partition pair — pair
+/// `i` of the matching is shard `i`, its local ids index that pair's
+/// member lists.
 #[derive(Debug)]
 struct Shard {
     session: SessionId,
-    /// Indices into `matching.pairs` — shard `i` serves pair `i`.
-    left_ids: Vec<UserId>,
-    right_ids: Vec<UserId>,
     /// Global candidate index per local feature row (set by `featurize`).
     rows: Vec<usize>,
-}
-
-impl Shard {
-    fn local_left(&self, u: UserId) -> Option<u32> {
-        self.left_ids.binary_search(&u).ok().map(|i| i as u32)
-    }
-
-    fn local_right(&self, u: UserId) -> Option<u32> {
-        self.right_ids.binary_search(&u).ok().map(|i| i as u32)
-    }
 }
 
 /// Where a global candidate went during routing.
@@ -348,7 +318,9 @@ pub struct ShardedSession {
     matching: PartitionMatching,
     shard_of_pair: HashMap<(usize, usize), usize>,
     boundary_anchors: Vec<AnchorEdge>,
-    config: ShardedConfig,
+    /// The directory of the last `save_dir`/`open_dir`: where the shards'
+    /// journals live and where a new boundary anchor is made durable.
+    home: Option<PathBuf>,
     /// Global candidate routes; non-empty exactly when featurized.
     routes: Vec<Route>,
     featurized: bool,
@@ -397,111 +369,114 @@ impl ShardedSession {
         anchors: Vec<AnchorEdge>,
         config: &ShardedConfig,
     ) -> Result<Self, ShardedError> {
-        let matching = match_partitions(
-            left,
-            right,
-            &left_map,
-            &right_map,
-            &anchors,
-            config.wl_rounds,
-        )?;
-        let shard_of_pair: HashMap<(usize, usize), usize> = matching
+        let matching = match_partitions(left, right, &left_map, &right_map, &anchors, WL_ROUNDS)?;
+        let mut sharded = Self::assemble(config, left_map, right_map, matching, Vec::new());
+        // Route the training anchors: in-shard ones seed their shard's
+        // count; pair-spanning ones go to the boundary ledger.
+        let mut shard_anchors: Vec<Vec<AnchorEdge>> =
+            vec![Vec::new(); sharded.matching.pairs.len()];
+        for a in &anchors {
+            match sharded.route(a.left, a.right)? {
+                Some((si, l, r)) => shard_anchors[si].push(AnchorEdge::new(l, r)),
+                None => sharded.boundary_anchors.push(*a),
+            }
+        }
+        // Build the per-shard counted sessions concurrently — each shard
+        // pays a catalog count over its own sub-networks only.
+        let mut built = Vec::with_capacity(shard_anchors.len());
+        let s = &sharded;
+        run_ordered(
+            shard_anchors.len(),
+            s.pool.workers(),
+            |i| {
+                let m = &s.matching.pairs[i];
+                let sub_left = induce_subnet(left, s.left_map.members(m.left));
+                let sub_right = induce_subnet(right, s.right_map.members(m.right));
+                SessionBuilder::new(&sub_left.net, &sub_right.net)
+                    .anchors(shard_anchors[i].clone())
+                    .count()
+            },
+            |r| built.push(r),
+        );
+        for session in built {
+            let session = sharded.pool.insert(session?);
+            sharded.shards.push(Shard {
+                session,
+                rows: Vec::new(),
+            });
+        }
+        Ok(sharded)
+    }
+
+    /// The one constructor body: a shard-less session over `matching`
+    /// with a pool on `config`'s worker budget. Both [`Self::with_partitions`]
+    /// and [`Self::open_dir`] then add shard `i` for pair `i`.
+    fn assemble(
+        config: &ShardedConfig,
+        left_map: PartitionMap,
+        right_map: PartitionMap,
+        matching: PartitionMatching,
+        boundary_anchors: Vec<AnchorEdge>,
+    ) -> Self {
+        let mut pool = SessionPool::new(config.workers);
+        pool.set_compaction(SHARD_COMPACTION);
+        let shard_of_pair = matching
             .pairs
             .iter()
             .enumerate()
             .map(|(i, m)| ((m.left, m.right), i))
             .collect();
-
-        // Route the training anchors: in-shard ones seed their shard's
-        // count; pair-spanning ones go to the boundary ledger.
-        let mut shard_anchors: Vec<Vec<AnchorEdge>> = vec![Vec::new(); matching.pairs.len()];
-        let mut boundary_anchors: Vec<AnchorEdge> = Vec::new();
-        for a in &anchors {
-            let pair = (left_map.part_of(a.left), right_map.part_of(a.right));
-            match shard_of_pair.get(&pair) {
-                Some(&si) => shard_anchors[si].push(*a),
-                None => boundary_anchors.push(*a),
-            }
-        }
-
-        // Build the per-shard counted sessions concurrently — each shard
-        // pays a catalog count over its own sub-networks only.
-        let mut pool = SessionPool::new(config.workers);
-        pool.set_compaction(config.compaction);
-        let workers = pool.workers();
-        let mut built: Vec<
-            Result<crate::stages::AlignmentSession<crate::stages::Counted>, ShardedError>,
-        > = Vec::with_capacity(matching.pairs.len());
-        let mut id_tables: Vec<(Vec<UserId>, Vec<UserId>)> = Vec::new();
-        for m in &matching.pairs {
-            id_tables.push((
-                left_map.members(m.left).to_vec(),
-                right_map.members(m.right).to_vec(),
-            ));
-        }
-        run_ordered(
-            matching.pairs.len(),
-            workers,
-            |i| {
-                let (left_ids, right_ids) = &id_tables[i];
-                let sub_left = induce_subnet(left, left_ids);
-                let sub_right = induce_subnet(right, right_ids);
-                let mut local: Vec<AnchorEdge> = Vec::with_capacity(shard_anchors[i].len());
-                for a in &shard_anchors[i] {
-                    // Routed here by the partition map, so both endpoints
-                    // must be members of the induced sub-networks; a map
-                    // that disagrees with its own member lists reports
-                    // instead of aborting.
-                    let (Some(l), Some(r)) =
-                        (sub_left.local_of(a.left), sub_right.local_of(a.right))
-                    else {
-                        return Err(ShardedError::Inconsistent {
-                            what: "anchor routed to a shard its partition does not contain",
-                        });
-                    };
-                    local.push(AnchorEdge::new(UserId(l as u32), UserId(r as u32)));
-                }
-                SessionBuilder::new(&sub_left.net, &sub_right.net)
-                    .anchors(local)
-                    .feature_set(config.feature_set)
-                    .threading(config.threading)
-                    .count()
-                    .map_err(ShardedError::from)
-            },
-            |r| built.push(r),
-        );
-        let mut shards = Vec::with_capacity(built.len());
-        for (session, (left_ids, right_ids)) in built.into_iter().zip(id_tables) {
-            let id = pool.insert(session?);
-            shards.push(Shard {
-                session: id,
-                left_ids,
-                right_ids,
-                rows: Vec::new(),
-            });
-        }
-        Ok(ShardedSession {
+        ShardedSession {
             pool,
-            shards,
+            shards: Vec::with_capacity(matching.pairs.len()),
             left_map,
             right_map,
             matching,
             shard_of_pair,
             boundary_anchors,
-            config: config.clone(),
+            home: None,
             routes: Vec::new(),
             featurized: false,
-        })
+        }
+    }
+
+    /// Routes the global pair `(l, r)` to the shard owning its partition
+    /// pair as `(shard, local l, local r)` — a binary search in the pair's
+    /// sorted member lists, the lookup `SubNet::local_of` does — or `None`
+    /// when the pair spans unmatched partitions.
+    ///
+    /// # Errors
+    /// [`ShardedError::Partition`] on out-of-range endpoints.
+    fn route(&self, l: UserId, r: UserId) -> Result<Option<(usize, UserId, UserId)>, ShardedError> {
+        for (u, map) in [(l, &self.left_map), (r, &self.right_map)] {
+            if u.index() >= map.n_users() {
+                return Err(HetNetError::NodeOutOfRange {
+                    kind: hetnet::NodeKind::User,
+                    index: u.index(),
+                    count: map.n_users(),
+                }
+                .into());
+            }
+        }
+        let pair = (self.left_map.part_of(l), self.right_map.part_of(r));
+        let Some(&si) = self.shard_of_pair.get(&pair) else {
+            return Ok(None);
+        };
+        let local = |members: &[UserId], u| members.binary_search(&u).ok().map(UserId::from_index);
+        match (
+            local(self.left_map.members(pair.0), l),
+            local(self.right_map.members(pair.1), r),
+        ) {
+            (Some(ll), Some(rr)) => Ok(Some((si, ll, rr))),
+            _ => Err(ShardedError::Inconsistent {
+                what: "a user is missing from its own partition's members",
+            }),
+        }
     }
 
     /// Number of shards (matched partition pairs).
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The configuration this session was built (or reopened) with.
-    pub fn config(&self) -> &ShardedConfig {
-        &self.config
     }
 
     /// The left network's partition map.
@@ -558,9 +533,6 @@ impl ShardedSession {
                 expected: "Counted",
             });
         }
-        for &(l, r) in &candidates {
-            self.check_endpoints(l, r)?;
-        }
         let mut shard_cands: Vec<Vec<(UserId, UserId)>> = vec![Vec::new(); self.shards.len()];
         // Row tables are staged locally and committed only after every
         // shard featurizes, so an error mid-routing (or a failed shard)
@@ -569,17 +541,10 @@ impl ShardedSession {
         let mut routes = Vec::with_capacity(candidates.len());
         let mut pruned = 0usize;
         for (gi, &(l, r)) in candidates.iter().enumerate() {
-            let pair = (self.left_map.part_of(l), self.right_map.part_of(r));
-            match self.shard_of_pair.get(&pair) {
-                Some(&si) => {
-                    let shard = &self.shards[si];
-                    let (Some(ll), Some(rr)) = (shard.local_left(l), shard.local_right(r)) else {
-                        return Err(ShardedError::Inconsistent {
-                            what: "candidate routed to a shard its partition does not contain",
-                        });
-                    };
+            match self.route(l, r)? {
+                Some((si, ll, rr)) => {
                     routes.push(Route::Shard(si, shard_cands[si].len()));
-                    shard_cands[si].push((UserId(ll), UserId(rr)));
+                    shard_cands[si].push((ll, rr));
                     shard_rows[si].push(gi);
                 }
                 None => {
@@ -622,62 +587,33 @@ impl ShardedSession {
         Ok(RoutingSummary { routed, pruned })
     }
 
-    fn check_endpoints(&self, l: UserId, r: UserId) -> Result<(), ShardedError> {
-        if l.index() >= self.left_map.n_users() {
-            return Err(HetNetError::NodeOutOfRange {
-                kind: hetnet::NodeKind::User,
-                index: l.index(),
-                count: self.left_map.n_users(),
-            }
-            .into());
-        }
-        if r.index() >= self.right_map.n_users() {
-            return Err(HetNetError::NodeOutOfRange {
-                kind: hetnet::NodeKind::User,
-                index: r.index(),
-                count: self.right_map.n_users(),
-            }
-            .into());
-        }
-        Ok(())
-    }
-
     /// Applies newly confirmed anchors: in-shard edges go to their shard's
     /// `C += L·ΔA·R` delta path (fanned out as one
     /// [`SessionPool::update_many`] batch, refreshing featurized shards'
     /// downstream artifacts), pair-spanning edges join the boundary
-    /// ledger. Nothing changes on error.
+    /// ledger. On a saved ensemble both sides are write-ahead: each shard
+    /// journals its edges, and new boundary anchors reach the home
+    /// directory's manifest (an atomic rewrite) after the shard updates
+    /// succeed and before the in-memory ledger grows.
+    ///
+    /// An endpoint error changes nothing. A later failure can leave
+    /// earlier shards' updates applied (and journaled); the ledger then
+    /// stays as it was.
     ///
     /// # Errors
     /// [`ShardedError::Partition`] on out-of-range endpoints;
-    /// [`ShardedError::Pool`] when a shard update fails.
+    /// [`ShardedError::Pool`] when a shard update fails;
+    /// [`ShardedError::Manifest`] when the manifest rewrite fails.
     pub fn update_anchors(&mut self, edges: &[AnchorEdge]) -> Result<ShardedUpdate, ShardedError> {
-        for e in edges {
-            self.check_endpoints(e.left, e.right)?;
-        }
         let mut per_shard: Vec<Vec<AnchorEdge>> = vec![Vec::new(); self.shards.len()];
         let mut boundary_new: Vec<AnchorEdge> = Vec::new();
         for e in edges {
-            let pair = (
-                self.left_map.part_of(e.left),
-                self.right_map.part_of(e.right),
-            );
-            match self.shard_of_pair.get(&pair) {
-                Some(&si) => {
-                    let shard = &self.shards[si];
-                    let (Some(l), Some(r)) = (shard.local_left(e.left), shard.local_right(e.right))
-                    else {
-                        return Err(ShardedError::Inconsistent {
-                            what: "anchor routed to a shard its partition does not contain",
-                        });
-                    };
-                    per_shard[si].push(AnchorEdge::new(UserId(l), UserId(r)));
+            match self.route(e.left, e.right)? {
+                Some((si, l, r)) => per_shard[si].push(AnchorEdge::new(l, r)),
+                None if !self.boundary_anchors.contains(e) && !boundary_new.contains(e) => {
+                    boundary_new.push(*e);
                 }
-                None => {
-                    if !self.boundary_anchors.contains(e) && !boundary_new.contains(e) {
-                        boundary_new.push(*e);
-                    }
-                }
+                None => {}
             }
         }
         let jobs: Vec<(SessionId, Vec<AnchorEdge>)> = per_shard
@@ -691,7 +627,13 @@ impl ShardedSession {
             applied += r?;
         }
         let boundary = boundary_new.len();
-        self.boundary_anchors.extend(boundary_new);
+        if boundary > 0 {
+            let ledger = [self.boundary_anchors.as_slice(), &boundary_new].concat();
+            if let Some(home) = &self.home {
+                self.write_manifest(home, &ledger)?;
+            }
+            self.boundary_anchors = ledger;
+        }
         Ok(ShardedUpdate { applied, boundary })
     }
 
@@ -796,19 +738,22 @@ impl ShardedSession {
             let shard = &self.shards[si];
             let local_cands = sr.report.labels.len();
             debug_assert_eq!(local_cands, shard.rows.len());
+            let (left_ids, right_ids) = (
+                self.left_map.members(sr.pair.0),
+                self.right_map.members(sr.pair.1),
+            );
             for row in 0..local_cands {
                 // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
                 if sr.report.labels[row] == 1.0 {
                     // Translate back through this shard's candidate list:
-                    // proximate global ids live in the pool's featurized
-                    // candidates (local ids), so recover them from the id
-                    // tables.
+                    // the pool's featurized candidates hold local ids, the
+                    // pair's member lists map them to global ones.
                     let (l, r) = self
                         .pool
                         .with_featurized(shard.session, |s| s.candidates()[row])?;
                     proposed.push(StitchedLink {
-                        left: shard.left_ids[l.index()],
-                        right: shard.right_ids[r.index()],
+                        left: left_ids[l.index()],
+                        right: right_ids[r.index()],
                         score: sr.report.scores[row],
                         shard: Some(si),
                         confirmed: false,
@@ -847,21 +792,20 @@ impl ShardedSession {
         })
     }
 
-    /// Persists the ensemble to `dir`: one base snapshot + ΔA journal
-    /// per shard (`shard_NNNN.snap` / `.snap.jrnl`) plus the CRC-checked
-    /// [`MANIFEST_FILE`] (v2) holding the partition maps, the matching,
-    /// the boundary-anchor ledger, and the per-shard base+journal length
-    /// table. Routing and features are derived state and are not
-    /// persisted — reopen and re-featurize.
+    /// Persists the ensemble to `dir` and makes `dir` its home: one base
+    /// snapshot + ΔA journal per shard (`shard_NNNN.snap` / `.snap.jrnl`)
+    /// plus [`MANIFEST_FILE`] holding the partition maps, the matching
+    /// and the boundary-anchor ledger. Routing and features are derived
+    /// state and are not persisted — reopen and re-featurize.
     ///
     /// Each shard persists through [`SessionPool::save`]: the **first**
     /// save of a shard into `dir` writes its full base and starts a
     /// journal there; from then on anchor updates are write-ahead
-    /// appended per shard, so a later `save_dir` costs k·O(|ΔA_k|) — an
-    /// fsynced checkpoint record per shard plus the manifest — with each
-    /// journal folded back into its base per
-    /// [`ShardedConfig::compaction`], evaluated by the pool after every
-    /// journaled write.
+    /// appended per shard (and new boundary anchors rewrite the
+    /// manifest), so a later `save_dir` costs k·O(|ΔA_k|) — an fsynced
+    /// checkpoint record per shard plus the manifest — with each journal
+    /// folded back into its base past 1 MiB, evaluated by the pool after
+    /// every journaled write.
     ///
     /// Every shard is attempted even when one fails (a full-disk or
     /// vacated slot does not abort the batch); the manifest is written
@@ -871,122 +815,93 @@ impl ShardedSession {
     /// # Errors
     /// [`ShardedError::Pool`] / [`ShardedError::Manifest`] on write
     /// failures.
-    pub fn save_dir(&self, dir: impl AsRef<Path>) -> Result<(), ShardedError> {
+    pub fn save_dir(&mut self, dir: impl AsRef<Path>) -> Result<(), ShardedError> {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir).map_err(SnapshotError::Io)?;
+        self.home = Some(dir.to_path_buf());
         let mut first_err: Option<ShardedError> = None;
         for (i, shard) in self.shards.iter().enumerate() {
-            let path = dir.join(shard_file(i));
-            if let Err(e) = self.pool.save(shard.session, &path) {
+            if let Err(e) = self.pool.save(shard.session, dir.join(shard_file(i))) {
                 first_err.get_or_insert(ShardedError::Pool(e));
             }
         }
-        // Per-shard saves may have enqueued background folds; the
-        // manifest's byte table must describe the files as they are
-        // after those folds land, so drain them first. A failed fold
-        // leaves its shard durable as-is, but the save still reports it.
+        // Per-shard saves may have enqueued background folds. Drain them
+        // so a fold that fails is reported by this save instead of lost;
+        // the failed shard stays durable as it was.
         for (_id, e) in self.pool.flush_compactions() {
-            first_err.get_or_insert(ShardedError::Pool(crate::pool::PoolError::Journal(e)));
+            first_err.get_or_insert(ShardedError::Pool(PoolError::Journal(e)));
         }
-        if let Some(e) = first_err {
-            return Err(e);
+        match first_err {
+            Some(e) => Err(e),
+            None => Ok(self.write_manifest(dir, &self.boundary_anchors)?),
         }
-        let manifest = self.manifest_bytes()?;
-        snapshot::write_atomic(&dir.join(MANIFEST_FILE), &manifest)?;
-        Ok(())
     }
 
-    fn manifest_bytes(&self) -> Result<Vec<u8>, ShardedError> {
-        let mut payload = Writer::new();
-        encode_map(&mut payload, &self.left_map);
-        encode_map(&mut payload, &self.right_map);
-        payload.usize(self.matching.pairs.len());
+    /// Atomically writes the manifest into `dir` with `ledger` as the
+    /// boundary ledger.
+    fn write_manifest(&self, dir: &Path, ledger: &[AnchorEdge]) -> Result<(), SnapshotError> {
+        let mut w = Writer::new();
+        encode_map(&mut w, &self.left_map);
+        encode_map(&mut w, &self.right_map);
+        w.usize(self.matching.pairs.len());
         for m in &self.matching.pairs {
-            payload.usize(m.left);
-            payload.usize(m.right);
-            payload.f64(m.similarity);
-            payload.usize(m.anchor_votes);
+            w.usize(m.left);
+            w.usize(m.right);
+            w.f64(m.similarity);
+            w.usize(m.anchor_votes);
         }
-        payload.usize_slice(&self.matching.unmatched_left);
-        payload.usize_slice(&self.matching.unmatched_right);
-        payload.usize(self.boundary_anchors.len());
-        for a in &self.boundary_anchors {
-            payload.u32(a.left.0);
-            payload.u32(a.right.0);
+        w.usize_slice(&self.matching.unmatched_left);
+        w.usize_slice(&self.matching.unmatched_right);
+        w.usize(ledger.len());
+        for a in ledger {
+            w.u32(a.left.0);
+            w.u32(a.right.0);
         }
-        // v2: the per-shard base+journal length table, as of this save.
-        // Informational — integrity comes from each journal's CRC pairing
-        // with its base — but it lets ops tooling spot a shard whose
-        // files were swapped or truncated without decoding them.
-        payload.usize(self.shards.len());
-        for shard in &self.shards {
-            let (base_len, journal_len) = match self.pool.journal_stats(shard.session)? {
-                Some((b, j, _)) => (b, j),
-                None => (0, 0),
-            };
-            payload.u64(base_len);
-            payload.u64(journal_len);
-        }
-        let payload = payload.into_bytes();
-        let mut out = Writer::with_capacity(MANIFEST_MAGIC.len() + 4 + payload.len() + 4);
-        out.bytes(&MANIFEST_MAGIC);
-        out.u32(MANIFEST_VERSION);
-        out.bytes(&payload);
-        out.u32(crc32(&payload));
-        Ok(out.into_bytes())
+        let sections = [(SECTION_MANIFEST, w.into_bytes())];
+        let bytes = snapshot::write_container(&MANIFEST_MAGIC, MANIFEST_VERSION, &sections);
+        snapshot::write_atomic(&dir.join(MANIFEST_FILE), &bytes)
     }
 
-    /// Restores a [`ShardedSession::save_dir`] directory: decodes the
-    /// manifest, opens every shard snapshot across the worker budget, and
-    /// rebuilds the routing tables. The session comes back in the counted
-    /// stage (call [`ShardedSession::featurize`] next); `config` supplies
-    /// the runtime knobs (worker budget, threading) — the partition
-    /// structure itself comes from the manifest.
+    /// Restores a [`ShardedSession::save_dir`] directory and makes it the
+    /// ensemble's home: decodes the manifest, opens every shard's
+    /// base+journal across the worker budget, and rebuilds the routing
+    /// tables. The session comes back in the counted stage (call
+    /// [`ShardedSession::featurize`] next); `config` supplies the worker
+    /// budget — the partition structure itself comes from the manifest.
     ///
     /// # Errors
     /// [`ShardedError::Manifest`] on a missing/corrupt manifest;
     /// [`ShardedError::Pool`] when a shard snapshot refuses to open (the
-    /// error names the file).
+    /// error names the file); [`ShardedError::Inconsistent`] when a
+    /// shard's anchor shape differs from the member lists the manifest
+    /// routes into it (a shard file from another ensemble).
     pub fn open_dir(dir: impl AsRef<Path>, config: &ShardedConfig) -> Result<Self, ShardedError> {
         let dir = dir.as_ref();
         let bytes = std::fs::read(dir.join(MANIFEST_FILE)).map_err(SnapshotError::Io)?;
-        let decoded = decode_manifest(&bytes)?;
-        let (left_map, right_map, matching, boundary_anchors) = decoded.parts;
-
-        let mut pool = SessionPool::new(config.workers);
-        pool.set_compaction(config.compaction);
-        let paths: Vec<std::path::PathBuf> = (0..matching.pairs.len())
+        let (left_map, right_map, matching, ledger) = decode_manifest(&bytes)?;
+        let mut sharded = Self::assemble(config, left_map, right_map, matching, ledger);
+        sharded.home = Some(dir.to_path_buf());
+        let paths: Vec<PathBuf> = (0..sharded.matching.pairs.len())
             .map(|i| dir.join(shard_file(i)))
             .collect();
-        let mut shards = Vec::with_capacity(paths.len());
-        for (i, opened) in pool.open_many(&paths).into_iter().enumerate() {
-            let id = opened?;
-            let m = &matching.pairs[i];
-            shards.push(Shard {
-                session: id,
-                left_ids: left_map.members(m.left).to_vec(),
-                right_ids: right_map.members(m.right).to_vec(),
+        let opened = sharded.pool.open_many(&paths);
+        for (session, m) in opened.into_iter().zip(&sharded.matching.pairs) {
+            let session = session?;
+            let expected = (
+                sharded.left_map.members(m.left).len(),
+                sharded.right_map.members(m.right).len(),
+            );
+            if sharded.pool.with_counted(session, |s| s.anchor().shape())? != expected {
+                return Err(ShardedError::Inconsistent {
+                    what: "a shard snapshot's shape differs from its manifest member lists",
+                });
+            }
+            sharded.shards.push(Shard {
+                session,
                 rows: Vec::new(),
             });
         }
-        let shard_of_pair = matching
-            .pairs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ((m.left, m.right), i))
-            .collect();
-        Ok(ShardedSession {
-            pool,
-            shards,
-            left_map,
-            right_map,
-            matching,
-            shard_of_pair,
-            boundary_anchors,
-            config: config.clone(),
-            routes: Vec::new(),
-            featurized: false,
-        })
+        Ok(sharded)
     }
 }
 
@@ -1035,82 +950,20 @@ fn decode_map(r: &mut Reader<'_>) -> Result<PartitionMap, SnapshotError> {
     Ok(PartitionMap::from_raw_parts(part_of, boundary))
 }
 
-type ManifestParts = (
-    PartitionMap,
-    PartitionMap,
-    PartitionMatching,
-    Vec<AnchorEdge>,
-);
-
-/// Everything a manifest decodes to.
-struct DecodedManifest {
-    parts: ManifestParts,
-    /// Per-shard `(base_len, journal_len)` as of the last save.
-    shard_lens: Vec<(u64, u64)>,
-}
-
-/// What [`manifest_info`] reports about a saved sharded-session
-/// directory without opening any shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestInfo {
-    /// The manifest's format version (always [`MANIFEST_VERSION`]).
-    pub version: u32,
-    /// Number of shards (matched partition pairs) in the ensemble.
-    pub n_shards: usize,
-    /// Boundary-ledger anchors recorded in the manifest.
-    pub boundary_anchors: usize,
-    /// Per-shard `(base_len, journal_len)` in bytes as of the last save.
-    pub shard_lens: Vec<(u64, u64)>,
-}
-
-/// Decodes the manifest in `dir` and reports its version and per-shard
-/// base+journal lengths — the ops-facing view of a saved ensemble, no
-/// shard snapshot is touched.
-///
-/// # Errors
-/// [`ShardedError::Manifest`] on a missing/corrupt manifest.
-pub fn manifest_info(dir: impl AsRef<Path>) -> Result<ManifestInfo, ShardedError> {
-    let bytes = std::fs::read(dir.as_ref().join(MANIFEST_FILE)).map_err(SnapshotError::Io)?;
-    let decoded = decode_manifest(&bytes)?;
-    Ok(ManifestInfo {
-        version: MANIFEST_VERSION,
-        n_shards: decoded.parts.2.pairs.len(),
-        boundary_anchors: decoded.parts.3.len(),
-        shard_lens: decoded.shard_lens,
-    })
-}
-
-fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
-    let mut r = Reader::new(bytes);
-    let magic = r
-        .bytes(MANIFEST_MAGIC.len())
-        .map_err(|_| SnapshotError::BadMagic)?;
-    if magic != MANIFEST_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u32()?;
-    if version != MANIFEST_VERSION {
-        return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: MANIFEST_VERSION,
-        });
-    }
-    if r.remaining() < 4 {
-        return Err(BinError::UnexpectedEof {
-            needed: 4,
-            remaining: r.remaining(),
-        }
-        .into());
-    }
-    let payload = r.bytes(r.remaining() - 4)?;
-    let mut tail = Reader::new(bytes);
-    let _ = tail.bytes(bytes.len() - 4)?;
-    let recorded = tail.u32()?;
-    if crc32(payload) != recorded {
-        return Err(SnapshotError::Checksum {
-            section: "MANI".to_string(),
-        });
-    }
+/// Decodes manifest bytes into `(left map, right map, matching, ledger)`.
+fn decode_manifest(
+    bytes: &[u8],
+) -> Result<
+    (
+        PartitionMap,
+        PartitionMap,
+        PartitionMatching,
+        Vec<AnchorEdge>,
+    ),
+    SnapshotError,
+> {
+    let [payload] =
+        snapshot::read_container(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, [SECTION_MANIFEST])?;
     let mut p = Reader::new(payload);
     let left_map = decode_map(&mut p)?;
     let right_map = decode_map(&mut p)?;
@@ -1137,7 +990,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
     let unmatched_left = p.usize_slice()?;
     let unmatched_right = p.usize_slice()?;
     let n_anchors = p.seq_len(8)?;
-    let mut boundary_anchors = Vec::with_capacity(n_anchors);
+    let mut ledger = Vec::with_capacity(n_anchors);
     for _ in 0..n_anchors {
         let l = p.u32()?;
         let rr = p.u32()?;
@@ -1147,41 +1000,19 @@ fn decode_manifest(bytes: &[u8]) -> Result<DecodedManifest, SnapshotError> {
             ))
             .into());
         }
-        boundary_anchors.push(AnchorEdge::new(UserId(l), UserId(rr)));
-    }
-    // The per-shard (base_len, journal_len) table closes the payload.
-    let n_shards = p.seq_len(16)?;
-    if n_shards != pairs.len() {
-        return Err(BinError::Malformed(format!(
-            "shard-length table has {n_shards} rows for {} matched pairs",
-            pairs.len()
-        ))
-        .into());
-    }
-    let mut shard_lens = Vec::with_capacity(n_shards);
-    for _ in 0..n_shards {
-        let base_len = p.u64()?;
-        let journal_len = p.u64()?;
-        shard_lens.push((base_len, journal_len));
+        ledger.push(AnchorEdge::new(UserId(l), UserId(rr)));
     }
     if !p.is_exhausted() {
         return Err(
             BinError::Malformed(format!("{} trailing manifest bytes", p.remaining())).into(),
         );
     }
-    Ok(DecodedManifest {
-        parts: (
-            left_map,
-            right_map,
-            PartitionMatching {
-                pairs,
-                unmatched_left,
-                unmatched_right,
-            },
-            boundary_anchors,
-        ),
-        shard_lens,
-    })
+    let matching = PartitionMatching {
+        pairs,
+        unmatched_left,
+        unmatched_right,
+    };
+    Ok((left_map, right_map, matching, ledger))
 }
 
 /// Splits `total` across `weights` proportionally (largest remainder;

@@ -178,19 +178,34 @@ pub(crate) fn counted_core_to_bytes(
     mcodec::encode_store(store, &mut counts);
     debug_assert_eq!(counts.len(), mcodec::store_encoded_len(store));
 
-    let sections: [([u8; 4], Vec<u8>); 2] = [
-        (SECTION_META, meta.into_bytes()),
-        (SECTION_COUNTS, counts.into_bytes()),
-    ];
+    write_container(
+        &MAGIC,
+        FORMAT_VERSION,
+        &[
+            (SECTION_META, meta.into_bytes()),
+            (SECTION_COUNTS, counts.into_bytes()),
+        ],
+    )
+}
 
-    // Header: magic, version, section count, table checksum (filled after
-    // the table is laid out).
-    let header_len = MAGIC.len() + 4 + 4 + 4;
-    let table_entry_len = 4 + 8 + 8 + 4;
-    let table_len = sections.len() * table_entry_len;
+/// Bytes per section-table entry: id, offset, length, CRC-32.
+const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 4;
+
+/// Frames `sections` in the container every file this crate persists
+/// shares (snapshots and the sharded manifest; layout in
+/// `docs/SNAPSHOT_FORMAT.md`): `magic`, `version`, the section count, the
+/// CRC-32 of the section table, the table (id, absolute offset, length,
+/// CRC-32 per section), then the payloads in table order.
+pub(crate) fn write_container(
+    magic: &[u8; 8],
+    version: u32,
+    sections: &[([u8; 4], Vec<u8>)],
+) -> Vec<u8> {
+    let header_len = magic.len() + 4 + 4 + 4;
+    let table_len = sections.len() * TABLE_ENTRY_LEN;
     let mut table = Writer::with_capacity(table_len);
     let mut offset = header_len + table_len;
-    for (id, payload) in &sections {
+    for (id, payload) in sections {
         table.bytes(id);
         table.u64(offset as u64);
         table.u64(payload.len() as u64);
@@ -200,51 +215,56 @@ pub(crate) fn counted_core_to_bytes(
     let table = table.into_bytes();
 
     let mut out = Writer::with_capacity(offset);
-    out.bytes(&MAGIC);
-    out.u32(FORMAT_VERSION);
+    out.bytes(magic);
+    out.u32(version);
     out.u32(sections.len() as u32);
     out.u32(crc32(&table));
     out.bytes(&table);
-    for (_, payload) in &sections {
+    for (_, payload) in sections {
         out.bytes(payload);
     }
     out.into_bytes()
 }
 
-/// Restores a [`Counted`] session from snapshot bytes.
+/// Reads a [`write_container`] file: checks `magic`, `version`, the table
+/// CRC and every section's bounds and CRC, and returns the payloads of
+/// the `required` section ids in that order. Unknown sections are
+/// ignored: additive sections may appear within a format version.
 ///
 /// # Errors
-/// See [`SnapshotError`] — any deviation from the format refuses the
-/// whole snapshot.
-pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotError> {
+/// Every framing defect as its [`SnapshotError`].
+pub(crate) fn read_container<'a, const N: usize>(
+    bytes: &'a [u8],
+    magic: &[u8; 8],
+    version: u32,
+    required: [[u8; 4]; N],
+) -> Result<[&'a [u8]; N], SnapshotError> {
     let mut r = Reader::new(bytes);
-    let magic = r.bytes(MAGIC.len()).map_err(|_| SnapshotError::BadMagic)?;
-    if magic != MAGIC {
+    let found_magic = r.bytes(magic.len()).map_err(|_| SnapshotError::BadMagic)?;
+    if found_magic != magic {
         return Err(SnapshotError::BadMagic);
     }
-    let version = r.u32()?;
-    if version != FORMAT_VERSION {
+    let found = r.u32()?;
+    if found != version {
         return Err(SnapshotError::UnsupportedVersion {
-            found: version,
-            supported: FORMAT_VERSION,
+            found,
+            supported: version,
         });
     }
     let n_sections = r.u32()? as usize;
     let table_crc = r.u32()?;
-    let table_entry_len = 4 + 8 + 8 + 4;
-    let table_bytes = r.bytes(n_sections * table_entry_len)?;
+    let table_bytes = r.bytes(n_sections * TABLE_ENTRY_LEN)?;
     if crc32(table_bytes) != table_crc {
         return Err(SnapshotError::Checksum {
             section: "TABL".into(),
         });
     }
     let mut table = Reader::new(table_bytes);
-    let mut meta_payload: Option<&[u8]> = None;
-    let mut counts_payload: Option<&[u8]> = None;
+    let mut payloads: [Option<&[u8]>; N] = [None; N];
     for _ in 0..n_sections {
         // `bytes(4)` yields exactly 4 bytes on success, but a decode path
         // never panics on principle (`panic_in_lib`): a width mismatch
-        // surfaces as a malformed-snapshot error like every other defect.
+        // surfaces as a malformed-container error like every other defect.
         let id: [u8; 4] = table.bytes(4)?.try_into().map_err(|_| {
             SnapshotError::Decode(BinError::Malformed("section id is not 4 bytes".into()))
         })?;
@@ -265,21 +285,31 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
                 section: section_name(id),
             });
         }
-        match id {
-            SECTION_META => meta_payload = Some(payload),
-            SECTION_COUNTS => counts_payload = Some(payload),
-            // Unknown sections are ignored: additive sections may appear
-            // within a format version (see docs/SNAPSHOT_FORMAT.md).
-            _ => {}
+        if let Some(i) = required.iter().position(|&want| want == id) {
+            payloads[i] = Some(payload);
         }
     }
-    let meta_payload = meta_payload.ok_or(SnapshotError::MissingSection {
-        section: section_name(SECTION_META),
-    })?;
-    let counts_payload = counts_payload.ok_or(SnapshotError::MissingSection {
-        section: section_name(SECTION_COUNTS),
-    })?;
+    let mut out: [&[u8]; N] = [&[]; N];
+    for ((slot, payload), id) in out.iter_mut().zip(payloads).zip(required) {
+        *slot = payload.ok_or(SnapshotError::MissingSection {
+            section: section_name(id),
+        })?;
+    }
+    Ok(out)
+}
 
+/// Restores a [`Counted`] session from snapshot bytes.
+///
+/// # Errors
+/// See [`SnapshotError`] — any deviation from the format refuses the
+/// whole snapshot.
+pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotError> {
+    let [meta_payload, counts_payload] = read_container(
+        bytes,
+        &MAGIC,
+        FORMAT_VERSION,
+        [SECTION_META, SECTION_COUNTS],
+    )?;
     let mut meta = Reader::new(meta_payload);
     let feature_set = mcodec::decode_feature_set(&mut meta)?;
     let catalog = Catalog::new(feature_set);

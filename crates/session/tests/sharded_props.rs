@@ -7,15 +7,18 @@
 //!    and re-enter the stitched result as confirmed links.
 //! 3. A labeled position past the featurized candidates is a typed error,
 //!    raised before any shard fits.
+//! 4. Persistence is write-ahead on both sides (shard journals and the
+//!    boundary ledger), a later save only grows the journals, and a
+//!    manifest or shard file from elsewhere is refused with a typed error.
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
 use activeiter::{FitReport, ModelConfig, Oracle, VecOracle};
-use hetnet::partition::PartitionMap;
-use hetnet::{AnchorLink, UserId};
-use session::sharded::{ShardedConfig, ShardedError, ShardedSession};
-use session::{SessionBuilder, SnapshotError};
-use std::path::PathBuf;
+use hetnet::partition::{induce_subnet, PartitionMap};
+use hetnet::{AnchorLink, HetNet, UserId};
+use session::sharded::{ShardedConfig, ShardedError, ShardedSession, ShardedUpdate};
+use session::{Journal, SessionBuilder, SnapshotError};
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sharded-test-{}-{tag}", std::process::id()))
@@ -266,7 +269,7 @@ fn boundary_anchors_survive_save_open_round_trip() {
 }
 
 #[test]
-fn manifest_v2_reports_journal_lengths_and_v1_is_refused() {
+fn journaled_save_grows_only_the_journal_and_a_v2_manifest_is_refused() {
     let world = datagen::generate(&datagen::presets::tiny(53));
     let truth_links = world.truth().links().to_vec();
     let mut sharded = ShardedSession::with_partitions(
@@ -278,59 +281,131 @@ fn manifest_v2_reports_journal_lengths_and_v1_is_refused() {
         &ShardedConfig::default(),
     )
     .unwrap();
-    let dir = temp_dir("manifest-v2");
+    let dir = temp_dir("manifest-v3");
 
-    // First save attaches per-shard journals and writes a v2 manifest.
+    // The first save writes each shard's base and starts its journal.
     sharded.save_dir(&dir).unwrap();
-    let info1 = session::manifest_info(&dir).unwrap();
-    assert_eq!(info1.version, session::sharded::MANIFEST_VERSION);
-    assert_eq!(info1.n_shards, 1);
-    assert_eq!(info1.shard_lens.len(), 1);
-    assert!(info1.shard_lens[0].0 > 0, "base length must be recorded");
-    assert!(info1.shard_lens[0].1 > 0, "journal length must be recorded");
+    let base = dir.join("shard_0000.snap");
+    let journal = Journal::path_for(&base);
+    let len = |p: &Path| std::fs::metadata(p).unwrap().len();
+    let (base_len, journal_len) = (len(&base), len(&journal));
+    assert!(base_len > 0 && journal_len > 0);
 
     // A later round persists at journal cost: the base is untouched,
     // only the shard's journal grows.
     sharded.update_anchors(&truth_links[8..12]).unwrap();
     sharded.save_dir(&dir).unwrap();
-    let info2 = session::manifest_info(&dir).unwrap();
     assert_eq!(
-        info2.shard_lens[0].0, info1.shard_lens[0].0,
+        len(&base),
+        base_len,
         "a journaled save must not rewrite the base"
     );
     assert!(
-        info2.shard_lens[0].1 > info1.shard_lens[0].1,
+        len(&journal) > journal_len,
         "a journaled save appends to the journal"
     );
 
-    // Downgrade the manifest to v1 in place: strip the trailing
-    // per-shard length table, stamp version 1, recompute the CRC. A
-    // version bump is a refusal, never a migration.
+    // Stamp version 2 in place: a version bump is a refusal, never a
+    // migration.
     let manifest_path = dir.join(session::sharded::MANIFEST_FILE);
-    let bytes = std::fs::read(&manifest_path).unwrap();
-    let payload = &bytes[12..bytes.len() - 4];
-    let table = 8 + 16 * info2.n_shards;
-    let v1_payload = &payload[..payload.len() - table];
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&bytes[..8]);
-    v1.extend_from_slice(&1u32.to_le_bytes());
-    v1.extend_from_slice(v1_payload);
-    v1.extend_from_slice(&serde::bin::crc32(v1_payload).to_le_bytes());
-    std::fs::write(&manifest_path, &v1).unwrap();
-
-    let refused = |e: ShardedError| {
+    let mut bytes = std::fs::read(&manifest_path).unwrap();
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&manifest_path, &bytes).unwrap();
+    let err = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err();
+    assert!(
         matches!(
-            e,
+            err,
             ShardedError::Manifest(SnapshotError::UnsupportedVersion {
-                found: 1,
-                supported: 2
+                found: 2,
+                supported: 3
             })
-        )
+        ),
+        "{err}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn boundary_anchors_are_write_ahead_like_shard_edges() {
+    // Save, then one in-shard and one boundary edge, then drop without
+    // saving: the reopen must hold both, as a crash would leave them.
+    let world = datagen::generate(&datagen::presets::tiny(43));
+    let n_left = world.left().n_users();
+    let truth_links = world.truth().links().to_vec();
+    let left_assign: Vec<usize> = (0..n_left).map(|u| usize::from(u >= n_left / 2)).collect();
+    let mut anchors = truth_links[..7].to_vec();
+    anchors.extend_from_slice(&truth_links[truth_links.len() - 3..]);
+    let mut sharded = ShardedSession::with_partitions(
+        world.left(),
+        world.right(),
+        PartitionMap::from_assignment(&left_assign, world.left()),
+        PartitionMap::trivial(world.right().n_users()),
+        anchors.clone(),
+        &ShardedConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(sharded.n_shards(), 1);
+    let matched_left = sharded.matching().pairs[0].left;
+    let fresh = |in_shard: bool| {
+        *truth_links
+            .iter()
+            .find(|a| {
+                !anchors.contains(a)
+                    && (sharded.left_partitions().part_of(a.left) == matched_left) == in_shard
+            })
+            .expect("fixture has fresh links on both sides")
     };
-    assert!(refused(session::manifest_info(&dir).unwrap_err()));
-    assert!(refused(
-        ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err()
-    ));
+    let (in_shard, boundary) = (fresh(true), fresh(false));
+
+    let dir = temp_dir("boundary-wal");
+    sharded.save_dir(&dir).unwrap();
+    let update = sharded.update_anchors(&[in_shard, boundary]).unwrap();
+    assert_eq!(
+        update,
+        ShardedUpdate {
+            applied: 1,
+            boundary: 1
+        }
+    );
+    let live_ledger = sharded.boundary_anchors().to_vec();
+    assert!(live_ledger.contains(&boundary));
+    drop(sharded);
+
+    let reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap();
+    assert_eq!(reopened.stats().unwrap().anchors_applied, 1);
+    assert_eq!(reopened.boundary_anchors(), live_ledger.as_slice());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn open_dir_refuses_a_shard_swapped_in_from_another_ensemble() {
+    let world = datagen::generate(&datagen::presets::tiny(47));
+    let mut sharded = ShardedSession::with_partitions(
+        world.left(),
+        world.right(),
+        PartitionMap::trivial(world.left().n_users()),
+        PartitionMap::trivial(world.right().n_users()),
+        world.truth().links()[..5].to_vec(),
+        &ShardedConfig::default(),
+    )
+    .unwrap();
+    let dir = temp_dir("swapped-shard");
+    sharded.save_dir(&dir).unwrap();
+
+    // A half-size session's snapshot under shard 0's name opens fine on
+    // its own, but cannot hold the users the manifest routes into it.
+    let half = |net: &HetNet| {
+        let members: Vec<UserId> = (0..net.n_users() / 2).map(UserId::from_index).collect();
+        induce_subnet(net, &members)
+    };
+    let (left, right) = (half(world.left()), half(world.right()));
+    let small = SessionBuilder::new(&left.net, &right.net).count().unwrap();
+    session::snapshot::save(&small, dir.join("shard_0000.snap")).unwrap();
+
+    let err = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err();
+    assert!(matches!(err, ShardedError::Inconsistent { .. }), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -391,7 +466,7 @@ fn journaled_sharded_round_trip_is_bit_stable() {
 #[test]
 fn open_dir_rejects_a_corrupt_manifest() {
     let world = datagen::generate(&datagen::presets::tiny(47));
-    let sharded = ShardedSession::with_partitions(
+    let mut sharded = ShardedSession::with_partitions(
         world.left(),
         world.right(),
         PartitionMap::trivial(world.left().n_users()),

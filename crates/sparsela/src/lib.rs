@@ -9,7 +9,7 @@
 //! * [`CsrMatrix`] — compressed sparse row storage with the operations the
 //!   meta-path/meta-diagram count engine relies on: [`spgemm()`] (Gustavson
 //!   sparse × sparse product, with a row-partitioned parallel variant
-//!   [`spgemm_par`] controlled by the [`Threading`] knob),
+//!   [`spgemm_threaded`] controlled by the [`Threading`] knob),
 //!   [`CsrMatrix::hadamard`] (the stacking operator
 //!   of meta diagrams), transposition, and row/column reductions;
 //! * [`DenseMatrix`] / dense vectors — the per-candidate feature matrix `X`;
@@ -43,7 +43,7 @@ pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use ridge::RidgeSolver;
 pub use spgemm::{
-    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_par, spgemm_threaded, spgemm_with,
-    Accumulator, Threading,
+    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_threaded, spgemm_with, Accumulator,
+    Threading,
 };
 pub use sums::MarginSums;

@@ -16,9 +16,9 @@
 //! reference).
 //!
 //! The product is embarrassingly parallel over rows of the left operand:
-//! [`spgemm_par`] / [`spgemm_threaded`] split the left operand into
-//! contiguous row blocks, run the Gustavson accumulation per block on scoped
-//! workers, and stitch the per-block CSR outputs. Because row partitioning
+//! [`spgemm_threaded`] splits the left operand into
+//! contiguous row blocks, runs the Gustavson accumulation per block on scoped
+//! workers, and stitches the per-block CSR outputs. Because row partitioning
 //! never changes the per-row computation, the parallel kernels are
 //! **bit-identical** to the serial ones at any thread count.
 
@@ -76,16 +76,6 @@ pub fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
 /// [`spgemm`] with an explicit accumulator strategy (single-threaded).
 pub fn spgemm_with(lhs: &CsrMatrix, rhs: &CsrMatrix, acc: Accumulator) -> Result<CsrMatrix> {
     spgemm_threaded(lhs, rhs, acc, Threading::Serial)
-}
-
-/// Row-partitioned parallel [`spgemm`]: the left operand is split into
-/// contiguous row blocks, one scoped worker accumulates each block, and the
-/// per-block CSR outputs are stitched. Bit-identical to the serial kernel.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
-pub fn spgemm_par(lhs: &CsrMatrix, rhs: &CsrMatrix, threading: Threading) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, Accumulator::Auto, threading)
 }
 
 /// The fully general entry point: explicit accumulator strategy and
@@ -398,7 +388,8 @@ mod tests {
     fn dim_mismatch_rejected() {
         let err = spgemm(&a(), &a()).unwrap_err();
         assert!(matches!(err, SparseError::DimMismatch { op: "spgemm", .. }));
-        let err = spgemm_par(&a(), &a(), Threading::Threads(4)).unwrap_err();
+        let err =
+            spgemm_threaded(&a(), &a(), Accumulator::Auto, Threading::Threads(4)).unwrap_err();
         assert!(matches!(err, SparseError::DimMismatch { op: "spgemm", .. }));
     }
 
@@ -443,10 +434,11 @@ mod tests {
     fn parallel_equals_serial_on_small_product() {
         let serial = spgemm(&a(), &b()).unwrap();
         for t in [1, 2, 3, 8] {
-            let par = spgemm_par(&a(), &b(), Threading::Threads(t)).unwrap();
+            let par =
+                spgemm_threaded(&a(), &b(), Accumulator::Auto, Threading::Threads(t)).unwrap();
             assert_eq!(par, serial, "threads = {t}");
         }
-        let auto = spgemm_par(&a(), &b(), Threading::Auto).unwrap();
+        let auto = spgemm_threaded(&a(), &b(), Accumulator::Auto, Threading::Auto).unwrap();
         assert_eq!(auto, serial);
     }
 
@@ -454,7 +446,7 @@ mod tests {
     fn parallel_handles_more_workers_than_rows() {
         let l = CsrMatrix::from_dense(1, 2, &[1.0, 2.0]);
         let r = CsrMatrix::from_dense(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        let p = spgemm_par(&l, &r, Threading::Threads(16)).unwrap();
+        let p = spgemm_threaded(&l, &r, Accumulator::Auto, Threading::Threads(16)).unwrap();
         assert_eq!(p, spgemm(&l, &r).unwrap());
     }
 
@@ -464,7 +456,7 @@ mod tests {
         // the empty stretch.
         let l = CsrMatrix::from_dense(5, 2, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]);
         let r = CsrMatrix::from_dense(2, 3, &[1.0, 2.0, 0.0, 0.0, 1.0, 3.0]);
-        let p = spgemm_par(&l, &r, Threading::Threads(3)).unwrap();
+        let p = spgemm_threaded(&l, &r, Accumulator::Auto, Threading::Threads(3)).unwrap();
         assert_eq!(p, spgemm(&l, &r).unwrap());
     }
 

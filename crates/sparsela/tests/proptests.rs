@@ -2,9 +2,7 @@
 //! reference implementation on randomly generated matrices.
 
 use proptest::prelude::*;
-use sparsela::spgemm::{
-    spgemm_lowrank, spgemm_par, spgemm_threaded, spgemm_with, Accumulator, Threading,
-};
+use sparsela::spgemm::{spgemm_lowrank, spgemm_threaded, spgemm_with, Accumulator, Threading};
 use sparsela::{
     spgemm, CholeskyFactor, CooMatrix, CsrMatrix, DenseMatrix, MarginSums, RidgeSolver,
 };
@@ -74,7 +72,7 @@ proptest! {
         threads in 1usize..=6
     ) {
         let serial = spgemm(&a, &b).unwrap();
-        let par = spgemm_par(&a, &b, Threading::Threads(threads)).unwrap();
+        let par = spgemm_threaded(&a, &b, Accumulator::Auto, Threading::Threads(threads)).unwrap();
         prop_assert_eq!(par, serial);
     }
 

@@ -13,11 +13,10 @@ use datagen::GeneratedWorld;
 use hetnet::AnchorLink;
 use metadiagram::Threading;
 use serde::{Deserialize, Serialize};
+use session::workers::run_ordered;
 use session::SessionBuilder;
 use sparsela::DenseMatrix;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// One experiment cell's protocol parameters.
@@ -315,10 +314,11 @@ fn run_fold_threaded(
 /// `spec.rotations` times on a bounded worker pool, and aggregates.
 ///
 /// The `spec.threads` budget (0 = auto) is shared between the two layers of
-/// parallelism: fold rotations run on at most that many pool workers —
-/// never one unbounded OS thread per rotation — and whatever budget the
-/// fold layer leaves unused flows into each fold's parallel feature
-/// extraction.
+/// parallelism: fold rotations run through
+/// [`session::workers::run_ordered`] on at most that many workers — never
+/// one unbounded OS thread per rotation — and come back in fold order;
+/// whatever budget the fold layer leaves unused flows into each fold's
+/// parallel feature extraction.
 pub fn run_experiment(world: &GeneratedWorld, spec: &ExperimentSpec, method: Method) -> CellResult {
     let ls = LinkSet::build(world, spec.np_ratio, spec.n_folds, spec.seed);
     let n_rot = spec.rotations.min(spec.n_folds);
@@ -326,33 +326,13 @@ pub fn run_experiment(world: &GeneratedWorld, spec: &ExperimentSpec, method: Met
     let fold_workers = budget.min(n_rot).max(1);
     let extract_threads = (budget / fold_workers).max(1);
 
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, Metrics)>> = Mutex::new(Vec::with_capacity(n_rot));
-    std::thread::scope(|scope| {
-        for _ in 0..fold_workers {
-            let next = &next;
-            let results = &results;
-            let ls = &ls;
-            scope.spawn(move || loop {
-                let fold = next.fetch_add(1, Ordering::Relaxed);
-                if fold >= n_rot {
-                    break;
-                }
-                let run = run_fold_threaded(world, ls, spec, method, fold, extract_threads);
-                results
-                    .lock()
-                    // srclint: allow(panic_in_lib, reason = "a poisoned mutex means a fold worker already panicked; re-raising is intended")
-                    .expect("fold results mutex poisoned")
-                    .push((fold, run.metrics));
-            });
-        }
-    });
-    let mut results = results
-        .into_inner()
-        // srclint: allow(panic_in_lib, reason = "a poisoned mutex means a fold worker already panicked; re-raising is intended")
-        .expect("fold results mutex poisoned after join");
-    results.sort_by_key(|&(fold, _)| fold);
-    let metrics: Vec<Metrics> = results.into_iter().map(|(_, m)| m).collect();
+    let mut metrics: Vec<Metrics> = Vec::with_capacity(n_rot);
+    run_ordered(
+        n_rot,
+        fold_workers,
+        |fold| run_fold_threaded(world, &ls, spec, method, fold, extract_threads).metrics,
+        |m| metrics.push(m),
+    );
     CellResult::from_folds(&metrics)
 }
 

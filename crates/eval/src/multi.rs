@@ -303,7 +303,7 @@ fn pairwise_linkset(world: &MultiWorld, a: usize, b: usize, spec: &MultiSpec) ->
 /// Audits triangle consistency: every composable chain `a→b→c`
 /// (`a < b < c`) is classified as closed, open, or contradictory.
 pub fn consistency_report(alignment: &MultiAlignment, k: usize) -> ConsistencyReport {
-    let map = link_maps(alignment, k);
+    let map = link_maps(alignment);
     let mut report = ConsistencyReport::default();
     for a in 0..k {
         for b in (a + 1)..k {
@@ -334,9 +334,8 @@ pub fn consistency_report(alignment: &MultiAlignment, k: usize) -> ConsistencyRe
 
 type LinkMaps = HashMap<(usize, usize), HashMap<u32, (u32, f64)>>;
 
-fn link_maps(alignment: &MultiAlignment, k: usize) -> LinkMaps {
+fn link_maps(alignment: &MultiAlignment) -> LinkMaps {
     let mut map: LinkMaps = HashMap::new();
-    let _ = k;
     for l in &alignment.links {
         map.entry(l.nets)
             .or_default()
@@ -348,7 +347,7 @@ fn link_maps(alignment: &MultiAlignment, k: usize) -> LinkMaps {
 /// Greedy consistency repair: process links by descending score; accept a
 /// link only when adding it keeps every already-accepted triangle closed.
 /// Returns the repaired alignment (a sub-set of the input links).
-pub fn resolve_by_score(alignment: &MultiAlignment, k: usize) -> MultiAlignment {
+pub fn resolve_by_score(alignment: &MultiAlignment) -> MultiAlignment {
     // Union-find over (net, account) nodes: consistent alignment = every
     // connected component contains at most one account per network.
     let mut parent: HashMap<(usize, u32), (usize, u32)> = HashMap::new();
@@ -404,7 +403,6 @@ pub fn resolve_by_score(alignment: &MultiAlignment, k: usize) -> MultiAlignment 
         members.insert(find(&mut parent, rb), merged);
         accepted.push(*l);
     }
-    let _ = k;
     MultiAlignment { links: accepted }
 }
 
@@ -565,7 +563,7 @@ mod tests {
     #[test]
     fn resolution_eliminates_contradictions() {
         let (world, alignment) = aligned();
-        let resolved = resolve_by_score(&alignment, world.k());
+        let resolved = resolve_by_score(&alignment);
         let after = consistency_report(&resolved, world.k());
         assert_eq!(
             after.contradictions, 0,
@@ -577,7 +575,7 @@ mod tests {
     #[test]
     fn resolution_preserves_or_improves_precision() {
         let (_, alignment) = aligned();
-        let resolved = resolve_by_score(&alignment, 3);
+        let resolved = resolve_by_score(&alignment);
         assert!(
             precision(&resolved) >= precision(&alignment) - 0.05,
             "repair should not destroy precision: {} -> {}",
@@ -645,7 +643,7 @@ mod tests {
         let alignment = MultiAlignment {
             links: vec![mk((0, 1), 0, 0, f64::NAN), mk((0, 1), 1, 0, 0.2)],
         };
-        let resolved = resolve_by_score(&alignment, 2);
+        let resolved = resolve_by_score(&alignment);
         assert_eq!(resolved.links.len(), 1);
         assert_eq!(resolved.links[0].left, UserId(1));
     }
@@ -663,7 +661,7 @@ mod tests {
         let alignment = MultiAlignment {
             links: vec![mk((0, 1), 0, 0, 0.9), mk((0, 1), 1, 0, 0.4)],
         };
-        let resolved = resolve_by_score(&alignment, 2);
+        let resolved = resolve_by_score(&alignment);
         assert_eq!(resolved.links.len(), 1);
         assert_eq!(resolved.links[0].left, UserId(0));
     }

@@ -27,9 +27,9 @@
 //! The header pins the journal to the exact base bytes it extends
 //! (length + CRC-32); a journal found next to a different base refuses
 //! with [`JournalError::BaseMismatch`] rather than replaying deltas onto
-//! the wrong state. Every record is length-prefixed and individually
-//! checksummed, which splits corruption into two cleanly distinguishable
-//! cases on open:
+//! the wrong state. Every record is a length-prefixed, checksummed frame
+//! of the record codec the serve wire shares, which splits corruption
+//! into two cleanly distinguishable cases on open:
 //!
 //! * a **torn tail** — the file ends inside a frame, or the *last* record
 //!   fails its CRC — is the expected residue of a crash mid-append. The
@@ -83,12 +83,13 @@
 //! ([`CompactionPolicy`]) so serving tiers can trade journal growth
 //! against save cost.
 
+use crate::record::{self, Split};
 use crate::snapshot::{self, SnapshotError};
 use crate::stages::{AlignmentSession, Counted};
 use crate::{AnchorEdge, SessionError};
-use hetnet::UserId;
 use metadiagram::DeltaError;
 use serde::bin::{crc32, Error as BinError, Reader, Writer};
+use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -102,8 +103,6 @@ pub const JOURNAL_VERSION: u32 = 1;
 
 /// Fixed header length: magic + version + base_len + base_crc.
 const HEADER_LEN: usize = 8 + 4 + 8 + 4;
-/// Frame overhead per record: payload length + payload CRC.
-const FRAME_LEN: usize = 4 + 4;
 
 const REC_ANCHOR_DELTA: u8 = 1;
 const REC_CHECKPOINT: u8 = 2;
@@ -244,15 +243,57 @@ impl From<SessionError> for JournalError {
     }
 }
 
-/// One decoded journal record.
-enum Record {
+/// One journal record: decoded on replay, borrowed on append.
+enum Record<'a> {
     /// A batch of confirmed anchors to fold through the delta path.
-    AnchorDelta(Vec<AnchorEdge>),
+    AnchorDelta(Cow<'a, [AnchorEdge]>),
     /// A durability marker carrying the writer's anchor count as a
     /// replay cross-check.
     Checkpoint { n_anchors: u64 },
     /// A compaction intent marker naming the new base it produced.
     Compacted { base_len: u64, base_crc: u32 },
+}
+
+impl Record<'_> {
+    /// The record as one frame (layout in the [module docs](self)).
+    fn frame(&self) -> Vec<u8> {
+        record::frame(|w| match self {
+            Record::AnchorDelta(edges) => {
+                w.u8(REC_ANCHOR_DELTA);
+                record::write_pairs(w, edges);
+            }
+            Record::Checkpoint { n_anchors } => {
+                w.u8(REC_CHECKPOINT);
+                w.u64(*n_anchors);
+            }
+            Record::Compacted { base_len, base_crc } => {
+                w.u8(REC_COMPACTED);
+                w.u64(*base_len);
+                w.u32(*base_crc);
+            }
+        })
+    }
+
+    fn decode(payload: &[u8]) -> Result<Record<'static>, JournalError> {
+        let mut r = Reader::new(payload);
+        let record = match r.u8()? {
+            REC_ANCHOR_DELTA => Record::AnchorDelta(Cow::Owned(record::read_pairs(&mut r)?)),
+            REC_CHECKPOINT => Record::Checkpoint {
+                n_anchors: r.u64()?,
+            },
+            REC_COMPACTED => Record::Compacted {
+                base_len: r.u64()?,
+                base_crc: r.u32()?,
+            },
+            kind => {
+                return Err(JournalError::Decode(BinError::Malformed(format!(
+                    "unknown journal record kind {kind}"
+                ))))
+            }
+        };
+        record::expect_end(&r, "a journal record")?;
+        Ok(record)
+    }
 }
 
 fn header_bytes((base_len, base_crc): (u64, u32)) -> Vec<u8> {
@@ -264,109 +305,28 @@ fn header_bytes((base_len, base_crc): (u64, u32)) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(FRAME_LEN + payload.len());
-    w.u32(payload.len() as u32);
-    w.u32(crc32(payload));
-    w.bytes(payload);
-    w.into_bytes()
-}
-
-fn delta_payload(edges: &[AnchorEdge]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(1 + 8 + edges.len() * 8);
-    w.u8(REC_ANCHOR_DELTA);
-    w.u64(edges.len() as u64);
-    for e in edges {
-        w.u32(e.left.0);
-        w.u32(e.right.0);
-    }
-    w.into_bytes()
-}
-
-fn checkpoint_payload(n_anchors: u64) -> Vec<u8> {
-    let mut w = Writer::with_capacity(1 + 8);
-    w.u8(REC_CHECKPOINT);
-    w.u64(n_anchors);
-    w.into_bytes()
-}
-
-fn compacted_payload(base_len: u64, base_crc: u32) -> Vec<u8> {
-    let mut w = Writer::with_capacity(1 + 8 + 4);
-    w.u8(REC_COMPACTED);
-    w.u64(base_len);
-    w.u32(base_crc);
-    w.into_bytes()
-}
-
-fn decode_payload(bytes: &[u8]) -> Result<Record, JournalError> {
-    let mut r = Reader::new(bytes);
-    let record = match r.u8()? {
-        REC_ANCHOR_DELTA => {
-            // Each edge is 8 bytes; `seq_len` bounds the count by the
-            // bytes actually present before the prealloc.
-            let n = r.seq_len(8)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let left = UserId(r.u32()?);
-                let right = UserId(r.u32()?);
-                edges.push(AnchorEdge { left, right });
-            }
-            Record::AnchorDelta(edges)
-        }
-        REC_CHECKPOINT => Record::Checkpoint {
-            n_anchors: r.u64()?,
-        },
-        REC_COMPACTED => Record::Compacted {
-            base_len: r.u64()?,
-            base_crc: r.u32()?,
-        },
-        kind => {
-            return Err(JournalError::Decode(BinError::Malformed(format!(
-                "unknown journal record kind {kind}"
-            ))))
-        }
-    };
-    if !r.is_exhausted() {
-        return Err(JournalError::Decode(BinError::Malformed(format!(
-            "{} trailing bytes in a journal record",
-            r.remaining()
-        ))));
-    }
-    Ok(record)
-}
-
 /// Scans the record region (header already consumed) and returns each
 /// decoded record with the offset just past its frame. The last offset
 /// (or [`HEADER_LEN`] when there are no records) is the valid length of
 /// the file — `< bytes.len()` exactly when a torn tail must be truncated.
-fn scan(bytes: &[u8]) -> Result<Vec<(Record, usize)>, JournalError> {
+/// Journal frames have no size bound: a length past EOF is a torn tail.
+fn scan(bytes: &[u8]) -> Result<Vec<(Record<'static>, usize)>, JournalError> {
     let mut records = Vec::new();
     let mut pos = HEADER_LEN;
-    while pos < bytes.len() {
-        // A frame that cannot even hold its own prefix is a torn tail.
-        let Some(rest) = bytes.len().checked_sub(pos + FRAME_LEN) else {
-            break;
-        };
-        let mut r = Reader::new(&bytes[pos..pos + FRAME_LEN]);
-        let payload_len = r.u32()? as usize;
-        let crc = r.u32()?;
-        if payload_len > rest {
-            // The payload extends past EOF: torn mid-append.
-            break;
-        }
-        let end = pos + FRAME_LEN + payload_len;
-        let payload = &bytes[pos + FRAME_LEN..end];
-        if crc32(payload) != crc {
-            if end == bytes.len() {
-                // The damaged record is the last one — indistinguishable
-                // from a torn append; drop it.
-                break;
+    loop {
+        match record::split_frame(bytes.get(pos..).unwrap_or_default(), u32::MAX) {
+            Split::Intact { payload, end } => {
+                pos += end;
+                records.push((Record::decode(payload)?, pos));
             }
+            // The damaged record is the last one — indistinguishable from
+            // a torn append; drop it.
+            Split::Corrupt { end, .. } if pos + end == bytes.len() => break,
             // Interior damage with intact records after it: refuse.
-            return Err(JournalError::Checksum { offset: pos as u64 });
+            Split::Corrupt { .. } => return Err(JournalError::Checksum { offset: pos as u64 }),
+            // The file ends inside a frame: torn mid-append.
+            Split::Incomplete | Split::TooLarge(_) => break,
         }
-        records.push((decode_payload(payload)?, end));
-        pos = end;
     }
     Ok(records)
 }
@@ -617,9 +577,7 @@ impl Journal {
     /// [`JournalError::Io`] when the append fails; the in-memory session
     /// must then be left unchanged by the caller.
     pub fn append(&mut self, edges: &[AnchorEdge]) -> Result<(), JournalError> {
-        let framed = frame(&delta_payload(edges));
-        self.file.write_all(&framed)?;
-        self.journal_len += framed.len() as u64;
+        self.write_record(&Record::AnchorDelta(Cow::Borrowed(edges)), false)?;
         self.delta_records += 1;
         if let Some(p) = self.pending.as_mut() {
             p.deltas_after_mark += 1;
@@ -634,10 +592,21 @@ impl Journal {
     /// # Errors
     /// [`JournalError::Io`] when the append or sync fails.
     pub fn checkpoint(&mut self, n_anchors: usize) -> Result<(), JournalError> {
-        let framed = frame(&checkpoint_payload(n_anchors as u64));
+        let n_anchors = n_anchors as u64;
+        self.write_record(&Record::Checkpoint { n_anchors }, true)
+    }
+
+    /// Appends one record's frame, fsyncing after it when `sync`. The
+    /// bytes are counted as soon as they are in the file: a failed fsync
+    /// must not leave `journal_len` short, or the next fold mark would
+    /// land inside this frame.
+    fn write_record(&mut self, record: &Record<'_>, sync: bool) -> Result<(), JournalError> {
+        let framed = record.frame();
         self.file.write_all(&framed)?;
-        self.file.sync_data()?;
         self.journal_len += framed.len() as u64;
+        if sync {
+            self.file.sync_data()?;
+        }
         Ok(())
     }
 
@@ -686,10 +655,11 @@ impl Journal {
         }
         let new_len = base_bytes.len() as u64;
         let new_crc = crc32(base_bytes);
-        let framed = frame(&compacted_payload(new_len, new_crc));
-        self.file.write_all(&framed)?;
-        self.file.sync_data()?;
-        self.journal_len += framed.len() as u64;
+        let marker = Record::Compacted {
+            base_len: new_len,
+            base_crc: new_crc,
+        };
+        self.write_record(&marker, true)?;
         self.pending = Some(PendingCompaction {
             new_len,
             new_crc,

@@ -102,6 +102,7 @@
 mod active;
 pub mod journal;
 pub mod pool;
+mod record;
 pub mod serve;
 pub mod sharded;
 pub mod snapshot;

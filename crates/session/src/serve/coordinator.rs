@@ -32,7 +32,7 @@
 //! round-trip per job.
 
 use super::protocol::{
-    decode_frame, decode_response, encode_request, ProtocolError, Request, Response,
+    decode_response, encode_request, FrameReader, ProtocolError, Request, Response,
 };
 use crate::workers::ClaimWindow;
 use crate::AnchorEdge;
@@ -177,6 +177,7 @@ struct PendingEntry {
 /// Mutable per-worker state, under one lock with one condvar. The stdin
 /// handle lives in its own lock so a client writing a large frame never
 /// blocks the reader thread's deposits (which need this lock).
+#[derive(Default)]
 struct WorkerState {
     child: Option<Child>,
     generation: u64,
@@ -194,6 +195,23 @@ struct WorkerState {
     /// re-open order.
     registry: BTreeMap<u64, String>,
     restarts: u32,
+}
+
+impl WorkerState {
+    /// Registers `request` as pending under the next seq; returns the seq
+    /// and the request's frame.
+    fn register(&mut self, request: Request, internal: bool) -> (u64, Vec<u8>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let frame = encode_request(seq, &request);
+        let entry = PendingEntry {
+            request,
+            done: None,
+            internal,
+        };
+        self.pending.insert(seq, entry);
+        (seq, frame)
+    }
 }
 
 struct WorkerShared {
@@ -257,19 +275,15 @@ impl WorkerShared {
             return Err(ServeError::RestartLimit { worker: self.index });
         }
         st.restarts += 1;
-        if st.restarts > self.restart_limit {
-            st.failed = true;
-            st.alive = false;
-            if let Some(mut child) = st.child.take() {
-                child.kill().ok();
-                child.wait().ok();
-            }
-            self.cv.notify_all();
-            return Err(ServeError::RestartLimit { worker: self.index });
-        }
         if let Some(mut child) = st.child.take() {
             child.kill().ok();
             child.wait().ok();
+        }
+        if st.restarts > self.restart_limit {
+            st.failed = true;
+            st.alive = false;
+            self.cv.notify_all();
+            return Err(ServeError::RestartLimit { worker: self.index });
         }
         // Internal re-opens of the dead generation are moot.
         st.pending.retain(|_, e| !e.internal);
@@ -278,22 +292,8 @@ impl WorkerShared {
         // Replay script: every slot first, then the undone requests in
         // seq order — a resubmitted request must find its slot open.
         let mut burst: Vec<u8> = Vec::new();
-        for (&slot, path) in &st.registry {
-            let seq = st.next_seq;
-            st.next_seq += 1;
-            let request = Request::Open {
-                slot,
-                path: path.clone(),
-            };
-            burst.extend_from_slice(&encode_request(seq, &request));
-            st.pending.insert(
-                seq,
-                PendingEntry {
-                    request,
-                    done: None,
-                    internal: true,
-                },
-            );
+        for (slot, path) in st.registry.clone() {
+            burst.extend_from_slice(&st.register(Request::Open { slot, path }, true).1);
         }
         let mut undone: Vec<u64> = st
             .pending
@@ -322,29 +322,15 @@ impl WorkerShared {
 /// The reader thread for one worker generation: drains stdout, deposits
 /// responses by seq, and flags the generation dead on EOF or corruption.
 fn read_responses(shared: Arc<WorkerShared>, generation: u64, stdout: impl Read) {
-    let mut stdout = stdout;
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
-    'stream: loop {
-        let n = match stdout.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        };
-        buf.extend_from_slice(&chunk[..n]);
-        let mut consumed_total = 0usize;
+    let mut frames = FrameReader::new(stdout);
+    // EOF and a pipe error end the stream like corruption does.
+    'stream: while let Ok(true) = frames.fill() {
         loop {
-            let decoded = match decode_frame(&buf[consumed_total..]) {
-                Ok(Some((payload, consumed))) => decode_response(payload).map(|r| (r, consumed)),
+            let (seq, response) = match frames.next(decode_response) {
+                Ok(Some(hit)) => hit,
                 Ok(None) => break,
-                Err(e) => Err(e),
-            };
-            let ((seq, response), consumed) = match decoded {
-                Ok(hit) => hit,
                 Err(_) => break 'stream, // corrupt stream: declare dead
             };
-            consumed_total += consumed;
             let mut st = lock_state(&shared);
             if st.generation != generation {
                 return; // superseded; the new generation has its own reader
@@ -365,7 +351,6 @@ fn read_responses(shared: Arc<WorkerShared>, generation: u64, stdout: impl Read)
             shared.cv.notify_all();
             drop(st);
         }
-        buf.drain(..consumed_total);
     }
     let mut st = lock_state(&shared);
     if st.generation == generation {
@@ -405,15 +390,8 @@ impl Coordinator {
                 deadline: config.deadline,
                 restart_limit: config.restart_limit,
                 state: Mutex::new(WorkerState {
-                    child: None,
-                    generation: 0,
-                    alive: false,
-                    failed: false,
-                    ready: false,
                     next_seq: 1, // seq 0 is the Hello channel
-                    pending: HashMap::new(),
-                    registry: BTreeMap::new(),
-                    restarts: 0,
+                    ..WorkerState::default()
                 }),
                 cv: Condvar::new(),
                 stdin: Mutex::new(None),
@@ -486,17 +464,7 @@ impl Coordinator {
         if !st.alive {
             shared.restart(&mut st)?;
         }
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        let frame = encode_request(seq, &request);
-        st.pending.insert(
-            seq,
-            PendingEntry {
-                request,
-                done: None,
-                internal: false,
-            },
-        );
+        let (seq, frame) = st.register(request, false);
         drop(st); // never hold the state lock across a pipe write
         let mut stdin = shared.stdin.lock().unwrap_or_else(PoisonError::into_inner);
         let write = stdin.as_mut().map(|w| {
@@ -520,32 +488,22 @@ impl Coordinator {
         let mut st = lock_state(shared);
         let mut deadline_at = Instant::now() + shared.deadline;
         loop {
-            if !st.pending.contains_key(&seq) {
+            let Some(entry) = st.pending.get_mut(&seq) else {
                 return Err(ServeError::Unexpected {
                     expected: "a pending entry for this seq",
                 });
-            }
-            if st
-                .pending
-                .get(&seq)
-                .is_some_and(|entry| entry.done.is_some())
-            {
-                let Some(entry) = st.pending.remove(&seq) else {
-                    // Unreachable: checked above under the same lock.
-                    return Err(ServeError::Unexpected {
-                        expected: "a pending entry for this seq",
-                    });
-                };
-                let Some(response) = entry.done else {
-                    return Err(ServeError::Unexpected {
-                        expected: "a completed entry",
-                    });
-                };
+            };
+            if let Some(response) = entry.done.take() {
                 // A successful Open goes on the restart replay script.
-                if let (Request::Open { slot, path }, Response::Opened { .. }) =
-                    (&entry.request, &response)
-                {
-                    st.registry.insert(*slot, path.clone());
+                let opened = match (&entry.request, &response) {
+                    (Request::Open { slot, path }, Response::Opened { .. }) => {
+                        Some((*slot, path.clone()))
+                    }
+                    _ => None,
+                };
+                st.pending.remove(&seq);
+                if let Some((slot, path)) = opened {
+                    st.registry.insert(slot, path);
                 }
                 if let Response::Error { code, message } = response {
                     return Err(ServeError::Worker { code, message });
@@ -613,14 +571,7 @@ impl Coordinator {
         slot: u64,
         edges: Vec<AnchorEdge>,
     ) -> Result<(u64, u64), ServeError> {
-        match self.call(slot, Request::UpdateAnchors { slot, edges })? {
-            Response::Updated {
-                applied, n_anchors, ..
-            } => Ok((applied, n_anchors)),
-            _ => Err(ServeError::Unexpected {
-                expected: "Updated",
-            }),
-        }
+        updated(self.call(slot, Request::UpdateAnchors { slot, edges })?)
     }
 
     /// Applies many update batches, grouped per worker and written as
@@ -651,14 +602,7 @@ impl Coordinator {
         seqs.into_iter()
             .map(|submitted| {
                 let (worker_index, seq) = submitted?;
-                match self.await_seq(&self.workers[worker_index], seq)? {
-                    Response::Updated {
-                        applied, n_anchors, ..
-                    } => Ok((applied, n_anchors)),
-                    _ => Err(ServeError::Unexpected {
-                        expected: "Updated",
-                    }),
-                }
+                updated(self.await_seq(&self.workers[worker_index], seq)?)
             })
             .collect()
     }
@@ -724,21 +668,11 @@ impl Coordinator {
         let Some(mut child) = st.child.take() else {
             return Ok(()); // already down
         };
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.pending.insert(
-            seq,
-            PendingEntry {
-                request: Request::Shutdown,
-                done: None,
-                internal: false,
-            },
-        );
+        let (seq, frame) = st.register(Request::Shutdown, false);
         drop(st);
         {
             let mut stdin = shared.stdin.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(w) = stdin.as_mut() {
-                let frame = encode_request(seq, &Request::Shutdown);
                 w.write_all(&frame).and_then(|()| w.flush()).ok();
             }
             // Dropping stdin closes the pipe — the belt-and-braces exit
@@ -773,6 +707,18 @@ impl Coordinator {
         }
         child.wait().map_err(ServeError::Io)?;
         Ok(())
+    }
+}
+
+/// The `(applied, n_anchors)` of an [`Request::UpdateAnchors`] answer.
+fn updated(response: Response) -> Result<(u64, u64), ServeError> {
+    match response {
+        Response::Updated {
+            applied, n_anchors, ..
+        } => Ok((applied, n_anchors)),
+        _ => Err(ServeError::Unexpected {
+            expected: "Updated",
+        }),
     }
 }
 

@@ -8,13 +8,14 @@
 //! payload  seq u64 | kind u8 | body
 //! ```
 //!
-//! The same frame shape as the ΔA journal (`session::journal`), for the
-//! same reason: a reader over a pipe sees arbitrary prefixes of the
-//! stream, and the length prefix + payload CRC split every anomaly into
-//! exactly two cases — **incomplete** (wait for more bytes; never an
-//! error) and **corrupt** (refuse with a typed [`ProtocolError`]; never a
-//! panic, never a guess). [`decode_frame`] is that split: `Ok(None)`
-//! means wait, `Err` means the stream is unrecoverable.
+//! Frames, anchor-pair lists and the end-of-message check come from the
+//! crate's one record codec, which the ΔA journal (`session::journal`)
+//! shares. A reader over a pipe sees arbitrary prefixes of the stream;
+//! the length prefix + payload CRC split every anomaly into exactly two
+//! cases — **incomplete** (wait for more bytes; never an error) and
+//! **corrupt** (refuse with a typed [`ProtocolError`]; never a panic,
+//! never a guess). [`decode_frame`] is that split: `Ok(None)` means wait,
+//! `Err` means the stream is unrecoverable.
 //!
 //! `len` is bounded by [`MAX_FRAME_LEN`] *before* any allocation, and
 //! every variable-length body field decodes through the vendored
@@ -27,18 +28,18 @@
 //! same seq — after a restart. Seq `0` is reserved for the worker's
 //! unsolicited [`Response::Hello`] handshake.
 
+use crate::record::{self, Split};
 use crate::AnchorEdge;
-use hetnet::UserId;
-use serde::bin::{crc32, Error as BinError, Reader, Writer};
+use serde::bin::{Error as BinError, Reader, Writer};
 use std::fmt;
+use std::io::Read;
+
+pub use crate::record::FRAME_OVERHEAD;
 
 /// Hard upper bound on a frame's payload length (64 MiB). A `len` above
 /// this is refused before any buffering — the guard that keeps a corrupt
 /// or hostile length prefix from ballooning the reader's buffer.
 pub const MAX_FRAME_LEN: u32 = 1 << 26;
-
-/// Frame overhead: the `len` + `crc` prefix.
-pub const FRAME_OVERHEAD: usize = 8;
 
 const REQ_OPEN: u8 = 1;
 const REQ_UPDATE: u8 = 2;
@@ -158,49 +159,31 @@ pub enum Request {
 /// coarse enough to be stable across versions, fine enough for the
 /// coordinator to distinguish "your request is wrong" from "the worker
 /// is hurt".
+/// The discriminant is the code's wire byte.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorCode {
     /// The request names a slot the worker never opened.
-    UnknownSlot,
+    UnknownSlot = 1,
     /// Opening the snapshot/journal failed.
-    Open,
+    Open = 2,
     /// The update batch was rejected (validation) — nothing was applied
     /// or journaled.
-    Update,
+    Update = 3,
     /// A journal operation (checkpoint, fold) failed.
-    Journal,
+    Journal = 4,
     /// The request itself is invalid (out-of-range user, zero `k`).
-    BadRequest,
+    BadRequest = 5,
     /// Anything else — the worker is in trouble.
-    Internal,
+    Internal = 6,
 }
 
 impl ErrorCode {
-    fn to_u8(self) -> u8 {
-        match self {
-            ErrorCode::UnknownSlot => 1,
-            ErrorCode::Open => 2,
-            ErrorCode::Update => 3,
-            ErrorCode::Journal => 4,
-            ErrorCode::BadRequest => 5,
-            ErrorCode::Internal => 6,
-        }
-    }
-
     fn from_u8(v: u8) -> Result<Self, ProtocolError> {
-        Ok(match v {
-            1 => ErrorCode::UnknownSlot,
-            2 => ErrorCode::Open,
-            3 => ErrorCode::Update,
-            4 => ErrorCode::Journal,
-            5 => ErrorCode::BadRequest,
-            6 => ErrorCode::Internal,
-            other => {
-                return Err(ProtocolError::Decode(BinError::Malformed(format!(
-                    "unknown error code {other}"
-                ))))
-            }
-        })
+        use ErrorCode::*;
+        [UnknownSlot, Open, Update, Journal, BadRequest, Internal]
+            .into_iter()
+            .find(|&code| code as u8 == v)
+            .ok_or_else(|| BinError::Malformed(format!("unknown error code {v}")).into())
     }
 }
 
@@ -267,114 +250,106 @@ pub enum Response {
 
 /// Encodes `(seq, request)` as one complete frame, ready to write.
 pub fn encode_request(seq: u64, request: &Request) -> Vec<u8> {
-    let mut p = Writer::new();
-    p.u64(seq);
-    match request {
-        Request::Open { slot, path } => {
-            p.u8(REQ_OPEN);
-            p.u64(*slot);
-            let bytes = path.as_bytes();
-            p.usize(bytes.len());
-            p.bytes(bytes);
-        }
-        Request::UpdateAnchors { slot, edges } => {
-            p.u8(REQ_UPDATE);
-            p.u64(*slot);
-            p.usize(edges.len());
-            for e in edges {
-                p.u32(e.left.0);
-                p.u32(e.right.0);
+    record::frame(|p| {
+        p.u64(seq);
+        match request {
+            Request::Open { slot, path } => {
+                p.u8(REQ_OPEN);
+                p.u64(*slot);
+                write_str(p, path);
+            }
+            Request::UpdateAnchors { slot, edges } => {
+                p.u8(REQ_UPDATE);
+                p.u64(*slot);
+                record::write_pairs(p, edges);
+            }
+            Request::Query { slot, pairs } => {
+                p.u8(REQ_QUERY);
+                p.u64(*slot);
+                record::write_pairs(p, pairs);
+            }
+            Request::Align { slot, left, k } => {
+                p.u8(REQ_ALIGN);
+                p.u64(*slot);
+                p.u32(*left);
+                p.u32(*k);
+            }
+            Request::Checkpoint { slot } => {
+                p.u8(REQ_CHECKPOINT);
+                p.u64(*slot);
+            }
+            Request::Shutdown => {
+                p.u8(REQ_SHUTDOWN);
             }
         }
-        Request::Query { slot, pairs } => {
-            p.u8(REQ_QUERY);
-            p.u64(*slot);
-            p.usize(pairs.len());
-            for (l, r) in pairs {
-                p.u32(*l);
-                p.u32(*r);
-            }
-        }
-        Request::Align { slot, left, k } => {
-            p.u8(REQ_ALIGN);
-            p.u64(*slot);
-            p.u32(*left);
-            p.u32(*k);
-        }
-        Request::Checkpoint { slot } => {
-            p.u8(REQ_CHECKPOINT);
-            p.u64(*slot);
-        }
-        Request::Shutdown => {
-            p.u8(REQ_SHUTDOWN);
-        }
-    }
-    frame(&p.into_bytes())
+    })
 }
 
 /// Encodes `(seq, response)` as one complete frame, ready to write.
 pub fn encode_response(seq: u64, response: &Response) -> Vec<u8> {
-    let mut p = Writer::new();
-    p.u64(seq);
-    match response {
-        Response::Opened { slot, n_anchors } => {
-            p.u8(RESP_OPENED);
-            p.u64(*slot);
-            p.u64(*n_anchors);
-        }
-        Response::Updated {
-            slot,
-            applied,
-            n_anchors,
-        } => {
-            p.u8(RESP_UPDATED);
-            p.u64(*slot);
-            p.u64(*applied);
-            p.u64(*n_anchors);
-        }
-        Response::Scores(scores) => {
-            p.u8(RESP_SCORES);
-            p.usize(scores.len());
-            for s in scores {
-                p.f64(*s);
+    record::frame(|p| {
+        p.u64(seq);
+        match response {
+            Response::Opened { slot, n_anchors } => {
+                p.u8(RESP_OPENED);
+                p.u64(*slot);
+                p.u64(*n_anchors);
+            }
+            Response::Updated {
+                slot,
+                applied,
+                n_anchors,
+            } => {
+                p.u8(RESP_UPDATED);
+                p.u64(*slot);
+                p.u64(*applied);
+                p.u64(*n_anchors);
+            }
+            Response::Scores(scores) => {
+                p.u8(RESP_SCORES);
+                p.usize(scores.len());
+                for s in scores {
+                    p.f64(*s);
+                }
+            }
+            Response::Aligned(hits) => {
+                p.u8(RESP_ALIGNED);
+                p.usize(hits.len());
+                for (right, score) in hits {
+                    p.u32(*right);
+                    p.f64(*score);
+                }
+            }
+            Response::Checkpointed { n_anchors } => {
+                p.u8(RESP_CHECKPOINTED);
+                p.u64(*n_anchors);
+            }
+            Response::ShuttingDown => {
+                p.u8(RESP_SHUTTING_DOWN);
+            }
+            Response::Error { code, message } => {
+                p.u8(RESP_ERROR);
+                p.u8(*code as u8);
+                write_str(p, message);
+            }
+            Response::Hello { pid } => {
+                p.u8(RESP_HELLO);
+                p.u64(*pid);
             }
         }
-        Response::Aligned(hits) => {
-            p.u8(RESP_ALIGNED);
-            p.usize(hits.len());
-            for (right, score) in hits {
-                p.u32(*right);
-                p.f64(*score);
-            }
-        }
-        Response::Checkpointed { n_anchors } => {
-            p.u8(RESP_CHECKPOINTED);
-            p.u64(*n_anchors);
-        }
-        Response::ShuttingDown => {
-            p.u8(RESP_SHUTTING_DOWN);
-        }
-        Response::Error { code, message } => {
-            p.u8(RESP_ERROR);
-            p.u8(code.to_u8());
-            let bytes = message.as_bytes();
-            p.usize(bytes.len());
-            p.bytes(bytes);
-        }
-        Response::Hello { pid } => {
-            p.u8(RESP_HELLO);
-            p.u64(*pid);
-        }
-    }
-    frame(&p.into_bytes())
+    })
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(FRAME_OVERHEAD + payload.len());
-    w.u32(payload.len() as u32);
-    w.u32(crc32(payload));
-    w.bytes(payload);
-    w.into_bytes()
+/// A string field: `n u64 | n UTF-8 bytes`.
+fn write_str(p: &mut Writer, s: &str) {
+    p.usize(s.len());
+    p.bytes(s.as_bytes());
+}
+
+fn read_str(r: &mut Reader<'_>, what: &str) -> Result<String, ProtocolError> {
+    let n = r.seq_len(1)?;
+    String::from_utf8(r.bytes(n)?.to_vec())
+        .map_err(|_| ProtocolError::Decode(BinError::Malformed(format!("{what} is not UTF-8"))))
 }
 
 /// Tries to split one frame off the front of `buf`.
@@ -391,28 +366,69 @@ fn frame(payload: &[u8]) -> Vec<u8> {
 /// complete payload fails its CRC. Both mean the stream is corrupt — the
 /// connection must be torn down, not resynchronized.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(&[u8], usize)>, ProtocolError> {
-    if buf.len() < FRAME_OVERHEAD {
-        return Ok(None);
+    match record::split_frame(buf, MAX_FRAME_LEN) {
+        Split::Incomplete => Ok(None),
+        Split::TooLarge(declared) => Err(ProtocolError::FrameTooLarge { declared }),
+        Split::Corrupt {
+            expected, found, ..
+        } => Err(ProtocolError::Checksum { expected, found }),
+        Split::Intact { payload, end } => Ok(Some((payload, end))),
     }
-    let mut r = Reader::new(&buf[..FRAME_OVERHEAD]);
-    let len = r.u32()?;
-    let crc = r.u32()?;
-    if len > MAX_FRAME_LEN {
-        return Err(ProtocolError::FrameTooLarge { declared: len });
+}
+
+/// The read side of a frame stream (a worker's stdin, a coordinator's
+/// view of a worker's stdout): buffers chunks off `input` and splits
+/// complete frames under the [`decode_frame`] policy.
+pub(crate) struct FrameReader<R> {
+    input: R,
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` already returned as frames.
+    consumed: usize,
+    chunk: Box<[u8]>,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(input: R) -> Self {
+        FrameReader {
+            input,
+            buf: Vec::new(),
+            consumed: 0,
+            chunk: vec![0; 64 * 1024].into_boxed_slice(),
+        }
     }
-    let len = len as usize;
-    let Some(total) = FRAME_OVERHEAD.checked_add(len).filter(|&t| t <= buf.len()) else {
-        return Ok(None);
-    };
-    let payload = &buf[FRAME_OVERHEAD..total];
-    let found = crc32(payload);
-    if found != crc {
-        return Err(ProtocolError::Checksum {
-            expected: crc,
-            found,
-        });
+
+    /// Drops the frames already returned, then blocks for the next chunk
+    /// of input; `Ok(false)` at end of stream.
+    pub(crate) fn fill(&mut self) -> std::io::Result<bool> {
+        self.buf.drain(..self.consumed);
+        self.consumed = 0;
+        let n = loop {
+            match self.input.read(&mut self.chunk) {
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                read => break read?,
+            }
+        };
+        self.buf.extend_from_slice(&self.chunk[..n]);
+        Ok(n > 0)
     }
-    Ok(Some((payload, total)))
+
+    /// Decodes the next complete buffered frame's payload with `decode`;
+    /// `Ok(None)` when no complete frame is buffered (call
+    /// [`FrameReader::fill`]).
+    ///
+    /// # Errors
+    /// As [`decode_frame`] and `decode`: the stream is corrupt.
+    pub(crate) fn next<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, ProtocolError>,
+    ) -> Result<Option<T>, ProtocolError> {
+        let Some((payload, len)) = decode_frame(&self.buf[self.consumed..])? else {
+            return Ok(None);
+        };
+        let decoded = decode(payload)?;
+        self.consumed += len;
+        Ok(Some(decoded))
+    }
 }
 
 /// Decodes a frame payload (from [`decode_frame`]) as `(seq, request)`.
@@ -425,35 +441,18 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
     let mut r = Reader::new(payload);
     let seq = r.u64()?;
     let request = match r.u8()? {
-        REQ_OPEN => {
-            let slot = r.u64()?;
-            let n = r.seq_len(1)?;
-            let bytes = r.bytes(n)?;
-            let path = String::from_utf8(bytes.to_vec()).map_err(|_| {
-                ProtocolError::Decode(BinError::Malformed("open path is not UTF-8".into()))
-            })?;
-            Request::Open { slot, path }
-        }
-        REQ_UPDATE => {
-            let slot = r.u64()?;
-            let n = r.seq_len(8)?;
-            let mut edges = Vec::with_capacity(n);
-            for _ in 0..n {
-                let left = UserId(r.u32()?);
-                let right = UserId(r.u32()?);
-                edges.push(AnchorEdge { left, right });
-            }
-            Request::UpdateAnchors { slot, edges }
-        }
-        REQ_QUERY => {
-            let slot = r.u64()?;
-            let n = r.seq_len(8)?;
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                pairs.push((r.u32()?, r.u32()?));
-            }
-            Request::Query { slot, pairs }
-        }
+        REQ_OPEN => Request::Open {
+            slot: r.u64()?,
+            path: read_str(&mut r, "open path")?,
+        },
+        REQ_UPDATE => Request::UpdateAnchors {
+            slot: r.u64()?,
+            edges: record::read_pairs(&mut r)?,
+        },
+        REQ_QUERY => Request::Query {
+            slot: r.u64()?,
+            pairs: record::read_pairs(&mut r)?,
+        },
         REQ_ALIGN => Request::Align {
             slot: r.u64()?,
             left: r.u32()?,
@@ -463,7 +462,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
         REQ_SHUTDOWN => Request::Shutdown,
         kind => return Err(ProtocolError::UnknownKind(kind)),
     };
-    expect_exhausted(&r)?;
+    record::expect_end(&r, "a protocol message")?;
     Ok((seq, request))
 }
 
@@ -504,29 +503,13 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
             n_anchors: r.u64()?,
         },
         RESP_SHUTTING_DOWN => Response::ShuttingDown,
-        RESP_ERROR => {
-            let code = ErrorCode::from_u8(r.u8()?)?;
-            let n = r.seq_len(1)?;
-            let bytes = r.bytes(n)?;
-            let message = String::from_utf8(bytes.to_vec()).map_err(|_| {
-                ProtocolError::Decode(BinError::Malformed("error message is not UTF-8".into()))
-            })?;
-            Response::Error { code, message }
-        }
+        RESP_ERROR => Response::Error {
+            code: ErrorCode::from_u8(r.u8()?)?,
+            message: read_str(&mut r, "error message")?,
+        },
         RESP_HELLO => Response::Hello { pid: r.u64()? },
         kind => return Err(ProtocolError::UnknownKind(kind)),
     };
-    expect_exhausted(&r)?;
+    record::expect_end(&r, "a protocol message")?;
     Ok((seq, response))
-}
-
-fn expect_exhausted(r: &Reader<'_>) -> Result<(), ProtocolError> {
-    if r.is_exhausted() {
-        Ok(())
-    } else {
-        Err(ProtocolError::Decode(BinError::Malformed(format!(
-            "{} trailing bytes in a protocol message",
-            r.remaining()
-        ))))
-    }
 }

@@ -35,9 +35,7 @@
 //! * `stall:<n>` — hang forever at request `n` (the deadline path: the
 //!   coordinator must kill and replace, not wait).
 
-use super::protocol::{
-    decode_frame, decode_request, encode_response, ErrorCode, ProtocolError, Request, Response,
-};
+use super::protocol::{decode_request, encode_response, ErrorCode, FrameReader, Request, Response};
 use crate::journal::CompactionPolicy;
 use crate::pool::{PoolError, SessionId, SessionPool};
 use std::collections::HashMap;
@@ -108,7 +106,7 @@ pub fn worker_main() -> i32 {
 /// The worker loop over arbitrary byte streams — the process-free seam
 /// the protocol tests drive directly.
 pub fn run_worker(
-    mut input: impl Read,
+    input: impl Read,
     mut output: impl Write,
     fault: Option<Fault>,
     compaction: CompactionPolicy,
@@ -133,48 +131,34 @@ pub fn run_worker(
         return 2;
     }
 
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 64 * 1024];
+    let mut frames = FrameReader::new(input);
     let mut served: u64 = 0;
     loop {
-        let n = match input.read(&mut chunk) {
-            Ok(0) => return 0, // coordinator closed the pipe: clean exit
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+        match frames.fill() {
+            Ok(true) => {}
+            Ok(false) => return 0, // coordinator closed the pipe: clean exit
             Err(_) => return 2,
-        };
-        buf.extend_from_slice(&chunk[..n]);
+        }
 
         // Serve every complete frame in the buffer, then flush once —
         // pipelined bursts are batched on both sides of the pipe.
         let mut out: Vec<u8> = Vec::new();
-        let mut consumed_total = 0usize;
         loop {
-            let (payload, consumed) = match decode_frame(&buf[consumed_total..]) {
-                Ok(Some(hit)) => hit,
+            let (seq, request) = match frames.next(decode_request) {
+                Ok(Some(decoded)) => decoded,
                 Ok(None) => break,
                 Err(e) => {
                     // A corrupt stream cannot be resynchronized: report
                     // once (seq 0 — the frame's own seq is unknowable)
                     // and tear down.
-                    let err = encode_response(0, &protocol_teardown(&e));
+                    let teardown = format!("protocol stream corrupt: {e}");
+                    let teardown = error_response(ErrorCode::BadRequest, &teardown);
+                    out.extend_from_slice(&encode_response(0, &teardown));
                     let _ = output.write_all(&out);
-                    let _ = output.write_all(&err);
                     let _ = output.flush();
                     return 2;
                 }
             };
-            let (seq, request) = match decode_request(payload) {
-                Ok(decoded) => decoded,
-                Err(e) => {
-                    let err = encode_response(0, &protocol_teardown(&e));
-                    let _ = output.write_all(&out);
-                    let _ = output.write_all(&err);
-                    let _ = output.flush();
-                    return 2;
-                }
-            };
-            consumed_total += consumed;
 
             match fault {
                 Some(Fault::Exit(at)) if served == at => return FAULT_EXIT_CODE,
@@ -185,7 +169,8 @@ pub fn run_worker(
             }
 
             let shutdown = matches!(request, Request::Shutdown);
-            let response = serve_request(&mut pool, &mut slots, request);
+            let response =
+                serve_request(&mut pool, &mut slots, request).unwrap_or_else(|error| error);
             out.extend_from_slice(&encode_response(seq, &response));
 
             if let Some(Fault::ExitAfter(at)) = fault {
@@ -203,69 +188,51 @@ pub fn run_worker(
                 return 0;
             }
         }
-        buf.drain(..consumed_total);
         if !out.is_empty() && (output.write_all(&out).is_err() || output.flush().is_err()) {
             return 2; // coordinator is gone
         }
     }
 }
 
-fn protocol_teardown(e: &ProtocolError) -> Response {
-    Response::Error {
-        code: ErrorCode::BadRequest,
-        message: format!("protocol stream corrupt: {e}"),
-    }
-}
-
-/// Serves one decoded request against the worker's pool.
+/// Serves one decoded request against the worker's pool; `Err` carries
+/// the error response.
 fn serve_request(
     pool: &mut SessionPool,
     slots: &mut HashMap<u64, (SessionId, PathBuf)>,
     request: Request,
-) -> Response {
-    match request {
+) -> Result<Response, Response> {
+    let internal = |e: PoolError| error_response(ErrorCode::Internal, &e);
+    Ok(match request {
         // A second open would leak the first session and its journal
         // handle; the slot keeps serving the session it already has.
-        Request::Open { slot, .. } if slots.contains_key(&slot) => Response::Error {
-            code: ErrorCode::Open,
-            message: "slot already open".to_string(),
-        },
-        Request::Open { slot, path } => match pool.open(&path) {
-            Ok(id) => {
-                slots.insert(slot, (id, PathBuf::from(path)));
-                match pool.n_anchors(id) {
-                    Ok(n) => Response::Opened {
-                        slot,
-                        n_anchors: n as u64,
-                    },
-                    Err(e) => error_response(ErrorCode::Internal, &e),
-                }
+        Request::Open { slot, .. } if slots.contains_key(&slot) => {
+            return Err(error_response(ErrorCode::Open, &"slot already open"))
+        }
+        Request::Open { slot, path } => {
+            let id = pool
+                .open(&path)
+                .map_err(|e| error_response(ErrorCode::Open, &e))?;
+            slots.insert(slot, (id, PathBuf::from(path)));
+            Response::Opened {
+                slot,
+                n_anchors: pool.n_anchors(id).map_err(internal)? as u64,
             }
-            Err(e) => error_response(ErrorCode::Open, &e),
-        },
+        }
         Request::UpdateAnchors { slot, edges } => {
-            let Some(&(id, _)) = slots.get(&slot) else {
-                return unknown_slot(slot);
-            };
-            match pool.update_anchors(id, &edges) {
-                Ok(applied) => match pool.n_anchors(id) {
-                    Ok(n) => Response::Updated {
-                        slot,
-                        applied: applied as u64,
-                        n_anchors: n as u64,
-                    },
-                    Err(e) => error_response(ErrorCode::Internal, &e),
-                },
-                Err(e @ PoolError::Session(_)) => error_response(ErrorCode::Update, &e),
-                Err(e @ PoolError::Journal(_)) => error_response(ErrorCode::Journal, &e),
-                Err(e) => error_response(ErrorCode::Internal, &e),
+            let &(id, _) = open_slot(slots, slot)?;
+            let applied = pool.update_anchors(id, &edges).map_err(|e| match e {
+                PoolError::Session(_) => error_response(ErrorCode::Update, &e),
+                PoolError::Journal(_) => error_response(ErrorCode::Journal, &e),
+                _ => internal(e),
+            })?;
+            Response::Updated {
+                slot,
+                applied: applied as u64,
+                n_anchors: pool.n_anchors(id).map_err(internal)? as u64,
             }
         }
         Request::Query { slot, pairs } => {
-            let Some(&(id, _)) = slots.get(&slot) else {
-                return unknown_slot(slot);
-            };
-            match pool.with_counted(id, |s| {
+            let scores = pool.with_counted(open_slot(slots, slot)?.0, |s| {
                 let (rows, cols) = s.anchor().shape();
                 pairs
                     .iter()
@@ -279,16 +246,11 @@ fn serve_request(
                             .sum()
                     })
                     .collect::<Vec<f64>>()
-            }) {
-                Ok(scores) => Response::Scores(scores),
-                Err(e) => error_response(ErrorCode::Internal, &e),
-            }
+            });
+            Response::Scores(scores.map_err(internal)?)
         }
         Request::Align { slot, left, k } => {
-            let Some(&(id, _)) = slots.get(&slot) else {
-                return unknown_slot(slot);
-            };
-            match pool.with_counted(id, |s| {
+            let hits = pool.with_counted(open_slot(slots, slot)?.0, |s| {
                 let (rows, cols) = s.anchor().shape();
                 if (left as usize) >= rows {
                     return None;
@@ -306,27 +268,18 @@ fn serve_request(
                 hits.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
                 hits.truncate(k as usize);
                 Some(hits)
-            }) {
-                Ok(Some(hits)) => Response::Aligned(hits),
-                Ok(None) => Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("left user {left} is out of range for slot {slot}"),
-                },
-                Err(e) => error_response(ErrorCode::Internal, &e),
-            }
+            });
+            Response::Aligned(hits.map_err(internal)?.ok_or_else(|| {
+                let message = format!("left user {left} is out of range for slot {slot}");
+                error_response(ErrorCode::BadRequest, &message)
+            })?)
         }
         Request::Checkpoint { slot } => {
-            let Some(&(id, ref path)) = slots.get(&slot) else {
-                return unknown_slot(slot);
-            };
-            match pool.save(id, path) {
-                Ok(()) => match pool.n_anchors(id) {
-                    Ok(n) => Response::Checkpointed {
-                        n_anchors: n as u64,
-                    },
-                    Err(e) => error_response(ErrorCode::Internal, &e),
-                },
-                Err(e) => error_response(ErrorCode::Journal, &e),
+            let &(id, ref path) = open_slot(slots, slot)?;
+            pool.save(id, path)
+                .map_err(|e| error_response(ErrorCode::Journal, &e))?;
+            Response::Checkpointed {
+                n_anchors: pool.n_anchors(id).map_err(internal)? as u64,
             }
         }
         Request::Shutdown => {
@@ -338,14 +291,18 @@ fn serve_request(
             }
             Response::ShuttingDown
         }
-    }
+    })
 }
 
-fn unknown_slot(slot: u64) -> Response {
-    Response::Error {
+/// The pool session behind wire slot `slot`, and its base path.
+fn open_slot(
+    slots: &HashMap<u64, (SessionId, PathBuf)>,
+    slot: u64,
+) -> Result<&(SessionId, PathBuf), Response> {
+    slots.get(&slot).ok_or_else(|| Response::Error {
         code: ErrorCode::UnknownSlot,
         message: format!("slot {slot} was never opened on this worker"),
-    }
+    })
 }
 
 fn error_response(code: ErrorCode, e: &dyn std::fmt::Display) -> Response {

@@ -71,6 +71,7 @@
 
 use crate::journal::CompactionPolicy;
 use crate::pool::{PoolError, SessionId, SessionPool};
+use crate::record;
 use crate::snapshot::{self, SnapshotError};
 use crate::stages::SessionBuilder;
 use crate::workers::run_ordered;
@@ -852,11 +853,7 @@ impl ShardedSession {
         }
         w.usize_slice(&self.matching.unmatched_left);
         w.usize_slice(&self.matching.unmatched_right);
-        w.usize(ledger.len());
-        for a in ledger {
-            w.u32(a.left.0);
-            w.u32(a.right.0);
-        }
+        record::write_pairs(&mut w, ledger);
         let sections = [(SECTION_MANIFEST, w.into_bytes())];
         let bytes = snapshot::write_container(&MANIFEST_MAGIC, MANIFEST_VERSION, &sections);
         snapshot::write_atomic(&dir.join(MANIFEST_FILE), &bytes)
@@ -989,23 +986,17 @@ fn decode_manifest(
     }
     let unmatched_left = p.usize_slice()?;
     let unmatched_right = p.usize_slice()?;
-    let n_anchors = p.seq_len(8)?;
-    let mut ledger = Vec::with_capacity(n_anchors);
-    for _ in 0..n_anchors {
-        let l = p.u32()?;
-        let rr = p.u32()?;
-        if l as usize >= left_map.n_users() || rr as usize >= right_map.n_users() {
-            return Err(BinError::Malformed(format!(
-                "boundary anchor ({l}, {rr}) outside the networks"
-            ))
-            .into());
-        }
-        ledger.push(AnchorEdge::new(UserId(l), UserId(rr)));
-    }
-    if !p.is_exhausted() {
-        return Err(
-            BinError::Malformed(format!("{} trailing manifest bytes", p.remaining())).into(),
-        );
+    let ledger: Vec<AnchorEdge> = record::read_pairs(&mut p)?;
+    record::expect_end(&p, "the manifest")?;
+    if let Some(a) = ledger
+        .iter()
+        .find(|a| a.left.index() >= left_map.n_users() || a.right.index() >= right_map.n_users())
+    {
+        return Err(BinError::Malformed(format!(
+            "boundary anchor ({}, {}) outside the networks",
+            a.left.0, a.right.0
+        ))
+        .into());
     }
     let matching = PartitionMatching {
         pairs,

@@ -43,6 +43,7 @@
 //! ```
 
 use crate::journal::Journal;
+use crate::record;
 use crate::stages::{AlignmentSession, Counted};
 use metadiagram::{codec as mcodec, Catalog};
 use serde::bin::{crc32, Error as BinError, Reader, Writer};
@@ -315,12 +316,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
     let catalog = Catalog::new(feature_set);
     let mut counts = Reader::new(counts_payload);
     let store = mcodec::decode_store(&mut counts, &catalog)?;
-    if !counts.is_exhausted() {
-        return Err(SnapshotError::Decode(BinError::Malformed(format!(
-            "{} trailing bytes after the count store",
-            counts.remaining()
-        ))));
-    }
+    record::expect_end(&counts, "the count store")?;
     Ok(AlignmentSession {
         catalog,
         threading: store.threading(),

@@ -49,7 +49,7 @@ fn main() {
         before.closed, before.open, before.contradictions
     );
 
-    let resolved = resolve_by_score(&alignment, world.k());
+    let resolved = resolve_by_score(&alignment);
     let after = consistency_report(&resolved, world.k());
     println!(
         "triangles after repair:  {} closed, {} open, {} contradictions",

@@ -21,7 +21,7 @@ fn multi_network_pipeline_end_to_end() {
         "pairwise precision {:.3}",
         precision(&alignment)
     );
-    let resolved = resolve_by_score(&alignment, world.k());
+    let resolved = resolve_by_score(&alignment);
     let report = consistency_report(&resolved, world.k());
     assert_eq!(
         report.contradictions, 0,

@@ -54,8 +54,9 @@ fn bench_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel extraction of the full MPMD catalog. Workers share
-/// the Lemma-2 cache; results are bit-identical at every thread count.
+/// Serial vs parallel extraction of the full MPMD catalog. Each stack
+/// reads its already-counted parts; results are bit-identical at every
+/// thread count.
 fn bench_extraction_parallel(c: &mut Criterion) {
     let mut group = c.benchmark_group("feature_extraction_parallel");
     group.sample_size(10);

@@ -117,7 +117,13 @@ fn main() {
 
         let t = Instant::now();
         let folded = snapshot::to_bytes(&replayed);
-        journal.compact(&folded).expect("journal compact");
+        journal
+            .begin_compact(&folded)
+            .expect("journal begin_compact");
+        let staged = Journal::stage_compacted_base(&jbase, &folded).expect("journal stage");
+        journal
+            .finish_compact(staged)
+            .expect("journal finish_compact");
         compact_time += t.elapsed();
         assert_eq!(
             journal.delta_records(),

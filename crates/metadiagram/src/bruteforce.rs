@@ -1,5 +1,5 @@
-//! Exhaustive instance enumerators — the ground truth the count engine is
-//! verified against.
+//! Exhaustive instance enumerators — the ground truth the store's counts
+//! are verified against.
 //!
 //! These walk concrete nodes and count diagram instances literally, with no
 //! linear algebra. Complexity is unbounded polynomial in network size; they
@@ -18,7 +18,8 @@ fn follow_neighbors(net: &HetNet, u: usize, dir: Direction) -> Vec<usize> {
 }
 
 /// Left/right step directions of a social path, mirroring
-/// `CountEngine::social_steps` (independent re-derivation from Table I).
+/// the step matrices of [`crate::count`] (independent re-derivation from
+/// Table I).
 fn social_dirs(p: SocialPathId) -> (Direction, Direction) {
     // (how u1 relates to x1, how x2 relates to u2 as a matrix from x2)
     match p {
@@ -230,7 +231,7 @@ mod tests {
     use super::*;
     use hetnet::{HetNetBuilder, LocationId, TimestampId};
 
-    /// Same tiny world as the engine tests, so the hand-derived expectations
+    /// Same tiny world as the `count` tests, so the hand-derived expectations
     /// can be compared one-to-one.
     fn tiny_world() -> (HetNet, HetNet, Vec<AnchorLink>) {
         let mut l = HetNetBuilder::new("L", 3, 2, 2, 0);

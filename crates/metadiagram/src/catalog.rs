@@ -174,15 +174,6 @@ impl Catalog {
     pub fn names(&self) -> Vec<&str> {
         self.entries.iter().map(|e| e.name.as_str()).collect()
     }
-
-    /// The covering set of every entry, in catalog order (the input to
-    /// [`crate::covering::plan_dag`]).
-    pub fn coverings(&self) -> Vec<crate::covering::CoveringSet> {
-        self.entries
-            .iter()
-            .map(|e| e.diagram.covering_set())
-            .collect()
-    }
 }
 
 #[cfg(test)]

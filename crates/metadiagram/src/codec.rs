@@ -298,11 +298,7 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
                         rr.shape()
                     )));
                 }
-                NodeKind::AnchorChain(Box::new(FactorChain {
-                    lt: l.transpose(),
-                    l,
-                    r: rr,
-                }))
+                NodeKind::AnchorChain(Box::new(FactorChain::new(l, rr)))
             }
             NODE_STACK => {
                 let parts = r.usize_slice()?;
@@ -320,7 +316,7 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
             }
         };
         // The kind is fully determined by the diagram shape (mirrors
-        // `CountEngine::anchor_chain_factors`): social paths and social
+        // `DeltaCatalogCounts::build`): social paths and social
         // middle-stackings are anchor chains, attribute paths and their
         // middle-stackings are anchor-free, endpoint stackings are
         // stacks whose stored part indices must name exactly the

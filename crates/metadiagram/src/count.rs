@@ -1,51 +1,33 @@
-//! The meta diagram count engine.
+//! The meta diagram count algebra.
 //!
-//! Computes, for any [`Diagram`], the **instance count matrix**
+//! The **instance count matrix** of a [`crate::Diagram`] is
 //! `C ∈ N^{|U⁽¹⁾| × |U⁽²⁾|}` where `C[i][j] = |P_Ψ(u⁽¹⁾ᵢ, u⁽²⁾ⱼ)|` — the
 //! number of diagram instances connecting the user pair. The algebra:
 //!
-//! * **meta paths** are SpGEMM chains of typed adjacency matrices
-//!   (PathSim-style counting);
-//! * **social middle-stackings** Ψ(Pi×Pj) contract over the shared anchored
-//!   pair: `(Lᵢ ⊙ Lⱼ) · A · (Rᵢ ⊙ Rⱼ)` with `L/R` the per-network user×user
-//!   step matrices;
-//! * **attribute middle-stackings** Ψ(Pa×Pb) contract over the shared post
-//!   pair: `W¹ · (S_a ⊙ S_b) · W²ᵀ` with `S_x` the post×post shared-attribute
-//!   counts. Two execution strategies are provided:
-//!   [`AttrCountStrategy::Materialize`] computes the post×post products
-//!   directly, [`AttrCountStrategy::CompositeKey`] joins posts on composite
-//!   `(attr_a, attr_b)` keys and never materializes a post×post matrix —
-//!   both are exactly equal (property-tested), the latter asymptotically
-//!   cheaper on check-in-shaped data;
+//! * **social meta paths** and **social middle-stackings** Ψ(Pi×Pj) count
+//!   as SpGEMM chains `L · A · R` (PathSim-style counting): `A` is the
+//!   anchor matrix and `social_factors` gives the anchor-independent
+//!   user×user step matrices, `L = Lᵢ ⊙ Lⱼ` and `R = Rᵢ ⊙ Rⱼ` for a pair;
+//! * **attribute meta paths** and **attribute middle-stackings** Ψ(Pa×Pb)
+//!   never touch `A`. `attr_pair` contracts over the shared post pair by
+//!   joining posts on composite `(attr_a, attr_b)` keys, so no post×post
+//!   matrix is ever formed;
 //! * **endpoint stackings** multiply branch counts pointwise (Lemma 1's
 //!   sound direction).
 //!
-//! A memoizing cache keyed by the diagram realizes the paper's Lemma-2
-//! reuse: Ψf²,a² = Ψf² ⊙ Ψa² costs one Hadamard once its factors are cached.
-//! The cache can be disabled for the ablation benchmark.
+//! These are plain functions over the two networks.
+//! [`crate::delta::DeltaCatalogCounts::build`] is the one place that
+//! counts a catalog: it counts every distinct diagram once, a stack
+//! as the Hadamard of its already-counted parts (the paper's Lemma-2
+//! reuse: Ψf²,a² = Ψf² ⊙ Ψa² costs one Hadamard).
 
-use crate::diagram::{AttrPathId, Diagram, SocialPathId};
+use crate::diagram::{AttrPathId, SocialPathId};
 use hetnet::{Direction, HetNet, LinkKind, NodeKind};
-use parking_lot::Mutex;
-use sparsela::{spgemm, CsrMatrix};
+use sparsela::{spgemm, CooMatrix, CsrMatrix, SparseError};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
-/// Strategy for counting attribute middle-stackings (Ψa²).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttrCountStrategy {
-    /// Compute the post×post shared-attribute matrices and Hadamard them.
-    /// General but allocates `O(posts²)`-pattern intermediates on dense
-    /// attribute spaces.
-    Materialize,
-    /// Join posts on composite `(attr_a, attr_b)` keys. Exactly equivalent
-    /// (the key space is the Cartesian product of the per-post attribute
-    /// sets) and never forms a post×post matrix.
-    CompositeKey,
-}
-
-/// Errors detected when wiring an engine to a pair of networks.
+/// Errors detected when counting over a pair of networks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EngineError {
     /// The anchor matrix shape does not match the user populations.
@@ -64,6 +46,8 @@ pub enum EngineError {
         /// Right population.
         right: usize,
     },
+    /// A sparse kernel rejected its operands mid-count.
+    Kernel(SparseError),
 }
 
 impl fmt::Display for EngineError {
@@ -78,367 +62,179 @@ impl fmt::Display for EngineError {
                 f,
                 "shared attribute universe mismatch for {kind}: left {left}, right {right}"
             ),
+            EngineError::Kernel(e) => write!(f, "count kernel failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for EngineError {}
 
-/// Counters exposed for the covering-set-reuse ablation.
-///
-/// Counters accumulate over the engine's whole lifetime. An engine's cache
-/// is never cleared in place — callers that need a fresh cache lifetime
-/// build a fresh engine (or let `session::AlignmentSession` rebuild or
-/// delta-update its stage artifacts), so any two snapshots from the same
-/// engine always describe the same cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Diagram-level cache hits.
-    pub cache_hits: usize,
-    /// Diagram-level cache misses (fresh computations).
-    pub cache_misses: usize,
-    /// Number of sparse matrix products executed.
-    pub spgemm_calls: usize,
-    /// Number of Hadamard products executed.
-    pub hadamard_calls: usize,
-}
-
-/// The count engine bound to one aligned pair and one (training) anchor set.
-///
-/// The engine is `Sync`: [`CountEngine::count`] takes `&self` and may be
-/// called from any number of scoped worker threads concurrently — the
-/// Lemma-2 memoization cache is shared across all of them behind a mutex.
-/// Parallelism lives at the diagram level (see [`crate::covering::run_dag`]);
-/// each individual SpGEMM product runs serially.
-pub struct CountEngine<'a> {
-    left: &'a HetNet,
-    right: &'a HetNet,
-    anchor: CsrMatrix,
-    strategy: AttrCountStrategy,
-    caching: bool,
-    cache: Mutex<HashMap<Diagram, Arc<CsrMatrix>>>,
-    /// Per-diagram in-flight gates: concurrent callers of the same uncached
-    /// diagram serialize on its gate instead of duplicating the product
-    /// chain.
-    pending: Mutex<HashMap<Diagram, Arc<Mutex<()>>>>,
-    stats: Mutex<EngineStats>,
-}
-
-impl<'a> fmt::Debug for CountEngine<'a> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CountEngine")
-            .field("left", &self.left.name())
-            .field("right", &self.right.name())
-            .field("anchors", &self.anchor.nnz())
-            .field("strategy", &self.strategy)
-            .field("caching", &self.caching)
-            .finish()
+impl From<SparseError> for EngineError {
+    fn from(e: SparseError) -> Self {
+        EngineError::Kernel(e)
     }
 }
 
-impl<'a> CountEngine<'a> {
-    /// Wires an engine to two networks and a **training** anchor matrix
-    /// (`|U⁽¹⁾| × |U⁽²⁾|`, binary). Passing ground-truth anchors here would
-    /// leak labels — callers build the matrix from the training fold only.
-    pub fn new(
-        left: &'a HetNet,
-        right: &'a HetNet,
-        anchor: CsrMatrix,
-    ) -> Result<Self, EngineError> {
-        Self::with_options(left, right, anchor, AttrCountStrategy::CompositeKey, true)
+/// Checks that `anchor` is a `|U⁽¹⁾| × |U⁽²⁾|` matrix and that the two
+/// networks share every attribute universe.
+pub(crate) fn check_networks(
+    left: &HetNet,
+    right: &HetNet,
+    anchor: &CsrMatrix,
+) -> Result<(), EngineError> {
+    let want = (left.n_users(), right.n_users());
+    if anchor.shape() != want {
+        return Err(EngineError::AnchorShape {
+            got: anchor.shape(),
+            want,
+        });
     }
-
-    /// [`CountEngine::new`] with explicit strategy and cache toggles
-    /// (used by the ablation benchmarks).
-    pub fn with_options(
-        left: &'a HetNet,
-        right: &'a HetNet,
-        anchor: CsrMatrix,
-        strategy: AttrCountStrategy,
-        caching: bool,
-    ) -> Result<Self, EngineError> {
-        let want = (left.n_users(), right.n_users());
-        if anchor.shape() != want {
-            return Err(EngineError::AnchorShape {
-                got: anchor.shape(),
-                want,
+    for kind in [NodeKind::Word, NodeKind::Location, NodeKind::Timestamp] {
+        if left.count(kind) != right.count(kind) {
+            return Err(EngineError::AttributeUniverseMismatch {
+                kind,
+                left: left.count(kind),
+                right: right.count(kind),
             });
         }
-        for kind in [NodeKind::Word, NodeKind::Location, NodeKind::Timestamp] {
-            if left.count(kind) != right.count(kind) {
-                return Err(EngineError::AttributeUniverseMismatch {
-                    kind,
-                    left: left.count(kind),
-                    right: right.count(kind),
-                });
-            }
-        }
-        Ok(CountEngine {
-            left,
-            right,
-            anchor,
-            strategy,
-            caching,
-            cache: Mutex::new(HashMap::new()),
-            pending: Mutex::new(HashMap::new()),
-            stats: Mutex::new(EngineStats::default()),
-        })
     }
+    Ok(())
+}
 
-    /// The training anchor matrix the engine was wired with.
-    pub fn anchor(&self) -> &CsrMatrix {
-        &self.anchor
+/// Per-network step matrices of a social path: `L[u1, x1]` and
+/// `R[x2, u2]` such that `count = L · A · R`.
+fn social_steps<'n>(
+    left: &'n HetNet,
+    right: &'n HetNet,
+    p: SocialPathId,
+) -> (&'n CsrMatrix, &'n CsrMatrix) {
+    // Left step: does u1 -follow-> x1 (Forward) or x1 -follow-> u1
+    // (Reverse, i.e. transposed adjacency)?
+    let ldir = match p {
+        SocialPathId::P1 | SocialPathId::P3 => Direction::Forward,
+        SocialPathId::P2 | SocialPathId::P4 => Direction::Reverse,
+    };
+    // Right step as a matrix *from the anchored user x2 to the sink u2*:
+    // P1/P4 traverse a follow edge u2 -> x2 (so x2→u2 needs the
+    // transpose); P2/P3 traverse x2 -> u2 (plain adjacency).
+    let rdir = match p {
+        SocialPathId::P1 | SocialPathId::P4 => Direction::Reverse,
+        SocialPathId::P2 | SocialPathId::P3 => Direction::Forward,
+    };
+    (
+        left.adjacency(LinkKind::Follow, ldir),
+        right.adjacency(LinkKind::Follow, rdir),
+    )
+}
+
+/// The anchor-chain factors `(L, R)` of the social middle-stacking
+/// Pi × Pj, so that its count is `L · A · R`. `Pi × Pi` degenerates to
+/// the path Pi on binary adjacency; otherwise `L = Lᵢ ⊙ Lⱼ` and
+/// `R = Rᵢ ⊙ Rⱼ`, one Hadamard each.
+///
+/// The factors are anchor-independent, which makes anchor updates
+/// low-rank: `C(A + ΔA) = C(A) + L·ΔA·R` exactly (see
+/// [`sparsela::spgemm_lowrank`] and [`crate::delta`]).
+pub(crate) fn social_factors(
+    left: &HetNet,
+    right: &HetNet,
+    i: SocialPathId,
+    j: SocialPathId,
+) -> Result<(CsrMatrix, CsrMatrix), SparseError> {
+    let (li, ri) = social_steps(left, right, i);
+    if i == j {
+        return Ok((li.clone(), ri.clone()));
     }
+    let (lj, rj) = social_steps(left, right, j);
+    Ok((li.hadamard(lj)?, ri.hadamard(rj)?))
+}
 
-    /// The anchor-chain factorization of `diagram`, when it has one.
-    ///
-    /// Social paths and social middle-stackings count as `C = L·A·R` where
-    /// `A` is the anchor matrix and `L`/`R` are anchor-independent
-    /// user×user step matrices; this returns `Some((L, R))` for them.
-    /// Attribute paths and attribute middle-stackings never touch `A`
-    /// (their counts are invariant under anchor updates) and endpoint
-    /// stackings factor through their branches, so both return `None`.
-    ///
-    /// The factors are what makes incremental anchor updates low-rank:
-    /// `C(A + ΔA) = C(A) + L·ΔA·R` exactly (see
-    /// [`sparsela::spgemm_lowrank`] and [`crate::delta`]).
-    pub fn anchor_chain_factors(&self, diagram: &Diagram) -> Option<(CsrMatrix, CsrMatrix)> {
-        match diagram {
-            Diagram::Social(p) => {
-                let (l, r) = self.social_steps(*p);
-                Some((l.clone(), r.clone()))
-            }
-            Diagram::SocialPair(i, j) => {
-                if i == j {
-                    return self.anchor_chain_factors(&Diagram::Social(*i));
-                }
-                let (li, ri) = self.social_steps(*i);
-                let (lj, rj) = self.social_steps(*j);
-                let l = li.hadamard(lj).expect("step matrices share shapes");
-                let r = ri.hadamard(rj).expect("step matrices share shapes");
-                Some((l, r))
-            }
-            Diagram::Attr(_) | Diagram::AttrPair(_, _) | Diagram::Stack(_) => None,
-        }
+fn attr_link(a: AttrPathId) -> LinkKind {
+    match a {
+        AttrPathId::Timestamp => LinkKind::At,
+        AttrPathId::Location => LinkKind::Checkin,
+        AttrPathId::Word => LinkKind::HasWord,
     }
+}
 
-    /// Cumulative statistics (ablation instrumentation).
-    pub fn stats(&self) -> EngineStats {
-        *self.stats.lock()
+/// `(W¹·C¹) · (W²·C²)ᵀ`: user×key intermediates, never post×post.
+fn authored_key_counts(
+    left: &HetNet,
+    right: &HetNet,
+    c1: &CsrMatrix,
+    c2: &CsrMatrix,
+) -> Result<CsrMatrix, SparseError> {
+    let ul = spgemm(left.adjacency(LinkKind::Write, Direction::Forward), c1)?;
+    let ur = spgemm(right.adjacency(LinkKind::Write, Direction::Forward), c2)?;
+    spgemm(&ul, &ur.transpose())
+}
+
+/// The count of the attribute middle-stacking Pa × Pb: instances are
+/// post pairs sharing **both** attributes. `Pa × Pa` degenerates to the
+/// attribute path Pa.
+///
+/// Posts are joined on composite `(attr_a, attr_b)` keys. This is exactly
+/// the post×post product `W¹ · (S_a ⊙ S_b) · W²ᵀ` (the key space is the
+/// Cartesian product of the per-post attribute sets) and never forms a
+/// post×post matrix.
+pub(crate) fn attr_pair(
+    left: &HetNet,
+    right: &HetNet,
+    a: AttrPathId,
+    b: AttrPathId,
+) -> Result<CsrMatrix, SparseError> {
+    let (ka, kb) = (attr_link(a), attr_link(b));
+    if a == b {
+        let c1 = left.adjacency(ka, Direction::Forward);
+        let c2 = right.adjacency(ka, Direction::Forward);
+        return authored_key_counts(left, right, c1, c2);
     }
+    // Key dictionary over (attr_a, attr_b) pairs present on left posts.
+    let left_a = left.adjacency(ka, Direction::Forward);
+    let left_b = left.adjacency(kb, Direction::Forward);
+    let right_a = right.adjacency(ka, Direction::Forward);
+    let right_b = right.adjacency(kb, Direction::Forward);
 
-    fn mul(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        self.stats.lock().spgemm_calls += 1;
-        spgemm(a, b).expect("engine-internal shapes are consistent")
-    }
-
-    fn had(&self, a: &CsrMatrix, b: &CsrMatrix) -> CsrMatrix {
-        self.stats.lock().hadamard_calls += 1;
-        a.hadamard(b)
-            .expect("engine-internal shapes are consistent")
-    }
-
-    /// The instance count matrix of `diagram` (`|U⁽¹⁾| × |U⁽²⁾|`).
-    ///
-    /// Safe to call from any number of threads; concurrent callers of the
-    /// same uncached diagram serialize on a per-diagram gate, so the
-    /// expensive product chain runs exactly once per distinct diagram.
-    pub fn count(&self, diagram: &Diagram) -> Arc<CsrMatrix> {
-        if !self.caching {
-            self.stats.lock().cache_misses += 1;
-            return Arc::new(self.compute(diagram));
-        }
-        if let Some(hit) = self.cache.lock().get(diagram) {
-            self.stats.lock().cache_hits += 1;
-            return Arc::clone(hit);
-        }
-        let gate = Arc::clone(
-            self.pending
-                .lock()
-                .entry(diagram.clone())
-                .or_insert_with(|| Arc::new(Mutex::new(()))),
-        );
-        let guard = gate.lock();
-        // Double-check under the gate: a concurrent worker may have finished
-        // this diagram while we waited.
-        if let Some(hit) = self.cache.lock().get(diagram) {
-            self.stats.lock().cache_hits += 1;
-            return Arc::clone(hit);
-        }
-        self.stats.lock().cache_misses += 1;
-        let computed = Arc::new(self.compute(diagram));
-        self.cache
-            .lock()
-            .insert(diagram.clone(), Arc::clone(&computed));
-        drop(guard);
-        self.pending.lock().remove(diagram);
-        computed
-    }
-
-    fn compute(&self, diagram: &Diagram) -> CsrMatrix {
-        match diagram {
-            Diagram::Social(p) => self.social_path(*p),
-            Diagram::Attr(a) => self.attr_path(*a),
-            Diagram::SocialPair(i, j) => self.social_pair(*i, *j),
-            Diagram::AttrPair(a, b) => self.attr_pair(*a, *b),
-            Diagram::Stack(parts) => {
-                let mut parts_iter = parts.iter();
-                let first = parts_iter
-                    .next()
-                    .expect("Stack diagrams have at least one branch");
-                let mut acc = (*self.count(first)).clone();
-                for p in parts_iter {
-                    let c = self.count(p);
-                    acc = self.had(&acc, &c);
-                }
-                acc
+    let mut key_ids: HashMap<(usize, usize), usize> = HashMap::new();
+    // First pass: enumerate left-post keys, assigning ids.
+    let mut c1_triplets: Vec<(usize, usize)> = Vec::new();
+    for p in 0..left.n_posts() {
+        for (ia, _) in left_a.row(p) {
+            for (ib, _) in left_b.row(p) {
+                let next = key_ids.len();
+                let id = *key_ids.entry((ia, ib)).or_insert(next);
+                c1_triplets.push((p, id));
             }
         }
     }
-
-    /// Per-network step matrices of a social path: `L[u1, x1]` and
-    /// `R[x2, u2]` such that `count = L · A · R`.
-    fn social_steps(&self, p: SocialPathId) -> (&CsrMatrix, &CsrMatrix) {
-        // Left step: does u1 -follow-> x1 (Forward) or x1 -follow-> u1
-        // (Reverse, i.e. transposed adjacency)?
-        let ldir = match p {
-            SocialPathId::P1 | SocialPathId::P3 => Direction::Forward,
-            SocialPathId::P2 | SocialPathId::P4 => Direction::Reverse,
-        };
-        // Right step as a matrix *from the anchored user x2 to the sink u2*:
-        // P1/P4 traverse a follow edge u2 -> x2 (so x2→u2 needs the
-        // transpose); P2/P3 traverse x2 -> u2 (plain adjacency).
-        let rdir = match p {
-            SocialPathId::P1 | SocialPathId::P4 => Direction::Reverse,
-            SocialPathId::P2 | SocialPathId::P3 => Direction::Forward,
-        };
-        (
-            self.left.adjacency(LinkKind::Follow, ldir),
-            self.right.adjacency(LinkKind::Follow, rdir),
-        )
+    let n_keys = key_ids.len();
+    let mut c1 = CooMatrix::with_capacity(left.n_posts(), n_keys, c1_triplets.len());
+    for (p, k) in c1_triplets {
+        c1.push(p, k, 1.0)?;
     }
-
-    fn social_path(&self, p: SocialPathId) -> CsrMatrix {
-        let (l, r) = self.social_steps(p);
-        let la = self.mul(l, &self.anchor);
-        self.mul(&la, r)
-    }
-
-    fn social_pair(&self, i: SocialPathId, j: SocialPathId) -> CsrMatrix {
-        if i == j {
-            // Degenerate stacking: Pi × Pi = Pi on binary adjacency.
-            return self.social_path(i);
-        }
-        let (li, ri) = self.social_steps(i);
-        let (lj, rj) = self.social_steps(j);
-        let l = self.had(li, lj);
-        let r = self.had(ri, rj);
-        let la = self.mul(&l, &self.anchor);
-        self.mul(&la, &r)
-    }
-
-    fn attr_link(&self, a: AttrPathId) -> LinkKind {
-        match a {
-            AttrPathId::Timestamp => LinkKind::At,
-            AttrPathId::Location => LinkKind::Checkin,
-            AttrPathId::Word => LinkKind::HasWord,
-        }
-    }
-
-    fn attr_path(&self, a: AttrPathId) -> CsrMatrix {
-        let kind = self.attr_link(a);
-        let w1 = self.left.adjacency(LinkKind::Write, Direction::Forward);
-        let w2 = self.right.adjacency(LinkKind::Write, Direction::Forward);
-        let c1 = self.left.adjacency(kind, Direction::Forward);
-        let c2 = self.right.adjacency(kind, Direction::Forward);
-        // (W¹·C¹) · (W²·C²)ᵀ — user×attr intermediates, never post×post.
-        let ul = self.mul(w1, c1);
-        let ur = self.mul(w2, c2);
-        self.mul(&ul, &ur.transpose())
-    }
-
-    fn attr_pair(&self, a: AttrPathId, b: AttrPathId) -> CsrMatrix {
-        if a == b {
-            return self.attr_path(a);
-        }
-        match self.strategy {
-            AttrCountStrategy::Materialize => self.attr_pair_materialize(a, b),
-            AttrCountStrategy::CompositeKey => self.attr_pair_composite(a, b),
-        }
-    }
-
-    fn attr_pair_materialize(&self, a: AttrPathId, b: AttrPathId) -> CsrMatrix {
-        let (ka, kb) = (self.attr_link(a), self.attr_link(b));
-        let w1 = self.left.adjacency(LinkKind::Write, Direction::Forward);
-        let sa = {
-            let c1 = self.left.adjacency(ka, Direction::Forward);
-            let c2t = self.right.adjacency(ka, Direction::Reverse);
-            self.mul(c1, c2t)
-        };
-        let sb = {
-            let c1 = self.left.adjacency(kb, Direction::Forward);
-            let c2t = self.right.adjacency(kb, Direction::Reverse);
-            self.mul(c1, c2t)
-        };
-        let joint = self.had(&sa, &sb);
-        let wj = self.mul(w1, &joint);
-        let w2t = self.right.adjacency(LinkKind::Write, Direction::Reverse);
-        self.mul(&wj, w2t)
-    }
-
-    fn attr_pair_composite(&self, a: AttrPathId, b: AttrPathId) -> CsrMatrix {
-        let (ka, kb) = (self.attr_link(a), self.attr_link(b));
-        // Key dictionary over (attr_a, attr_b) pairs present on left posts.
-        let left_a = self.left.adjacency(ka, Direction::Forward);
-        let left_b = self.left.adjacency(kb, Direction::Forward);
-        let right_a = self.right.adjacency(ka, Direction::Forward);
-        let right_b = self.right.adjacency(kb, Direction::Forward);
-
-        let mut key_ids: HashMap<(usize, usize), usize> = HashMap::new();
-        // First pass: enumerate left-post keys, assigning ids.
-        let mut c1_triplets: Vec<(usize, usize)> = Vec::new();
-        for p in 0..self.left.n_posts() {
-            for (ia, _) in left_a.row(p) {
-                for (ib, _) in left_b.row(p) {
-                    let next = key_ids.len();
-                    let id = *key_ids.entry((ia, ib)).or_insert(next);
-                    c1_triplets.push((p, id));
+    // Second pass: right posts contribute only keys seen on the left —
+    // keys exclusive to one side cannot participate in any instance.
+    let mut c2 = CooMatrix::new(right.n_posts(), n_keys);
+    for p in 0..right.n_posts() {
+        for (ia, _) in right_a.row(p) {
+            for (ib, _) in right_b.row(p) {
+                if let Some(&id) = key_ids.get(&(ia, ib)) {
+                    c2.push(p, id, 1.0)?;
                 }
             }
         }
-        let n_keys = key_ids.len();
-        let mut c1 =
-            sparsela::CooMatrix::with_capacity(self.left.n_posts(), n_keys, c1_triplets.len());
-        for (p, k) in c1_triplets {
-            c1.push(p, k, 1.0).expect("key ids are dense");
-        }
-        // Second pass: right posts contribute only keys seen on the left —
-        // keys exclusive to one side cannot participate in any instance.
-        let mut c2 = sparsela::CooMatrix::new(self.right.n_posts(), n_keys);
-        for p in 0..self.right.n_posts() {
-            for (ia, _) in right_a.row(p) {
-                for (ib, _) in right_b.row(p) {
-                    if let Some(&id) = key_ids.get(&(ia, ib)) {
-                        c2.push(p, id, 1.0).expect("key id in range");
-                    }
-                }
-            }
-        }
-        let c1 = c1.to_csr();
-        let c2 = c2.to_csr();
-        let w1 = self.left.adjacency(LinkKind::Write, Direction::Forward);
-        let w2 = self.right.adjacency(LinkKind::Write, Direction::Forward);
-        let ul = self.mul(w1, &c1);
-        let ur = self.mul(w2, &c2);
-        self.mul(&ul, &ur.transpose())
     }
+    authored_key_counts(left, right, &c1.to_csr(), &c2.to_csr())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::{Catalog, FeatureSet};
+    use crate::delta::{DeltaCatalogCounts, NodeKind as StoreNode};
     use crate::diagram::Diagram;
     use hetnet::{AnchorLink, HetNetBuilder, LocationId, TimestampId, UserId};
+    use sparsela::Threading;
 
     /// Hand-built 3+3-user world where every count is checkable by hand.
     ///
@@ -471,11 +267,32 @@ mod tests {
         (left, right, anchor)
     }
 
+    /// The full catalog counted over `tiny_world`.
+    fn tiny_store() -> DeltaCatalogCounts {
+        let (l, r, a) = tiny_world();
+        DeltaCatalogCounts::build(
+            &l,
+            &r,
+            a,
+            &Catalog::new(FeatureSet::Full),
+            Threading::Serial,
+        )
+        .unwrap()
+    }
+
+    /// The store node that materializes `d`.
+    fn node(store: &DeltaCatalogCounts, d: &Diagram) -> usize {
+        store.order.iter().position(|x| x == d).unwrap()
+    }
+
+    fn count<'s>(store: &'s DeltaCatalogCounts, d: &Diagram) -> &'s CsrMatrix {
+        &store.counts[node(store, d)]
+    }
+
     #[test]
     fn p1_counts_common_anchored_followees() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let c = e.count(&Diagram::Social(SocialPathId::P1));
+        let s = tiny_store();
+        let c = count(&s, &Diagram::Social(SocialPathId::P1));
         // u0 follows u1 ~ v1; v0 and v2 follow v1 → pairs (0,0), (0,2) and
         // likewise for u2.
         assert_eq!(c.get(0, 0), 1.0);
@@ -488,23 +305,21 @@ mod tests {
 
     #[test]
     fn p2_is_empty_without_anchored_followers() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
+        let s = tiny_store();
         // The anchored user u1/v1 follows nobody, so "common anchored
         // follower" has no instances anywhere.
-        let c = e.count(&Diagram::Social(SocialPathId::P2));
+        let c = count(&s, &Diagram::Social(SocialPathId::P2));
         assert_eq!(c.nnz(), 0);
     }
 
     #[test]
     fn p5_p6_count_shared_attributes() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let ts = e.count(&Diagram::Attr(AttrPathId::Timestamp));
+        let s = tiny_store();
+        let ts = count(&s, &Diagram::Attr(AttrPathId::Timestamp));
         // p0(ts0) matches q0(ts0) only → authors (u0, v0).
         assert_eq!(ts.get(0, 0), 1.0);
         assert_eq!(ts.get(0, 2), 0.0);
-        let loc = e.count(&Diagram::Attr(AttrPathId::Location));
+        let loc = count(&s, &Diagram::Attr(AttrPathId::Location));
         // p0(loc0) matches q0 and q1 → (u0,v0) and (u0,v2).
         assert_eq!(loc.get(0, 0), 1.0);
         assert_eq!(loc.get(0, 2), 1.0);
@@ -512,9 +327,8 @@ mod tests {
 
     #[test]
     fn psi2_requires_joint_place_and_time() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let c = e.count(&Diagram::psi2());
+        let s = tiny_store();
+        let c = count(&s, &Diagram::psi2());
         // Only q0 shares BOTH the location and the timestamp with p0. The
         // (u0, v2) pair — same place, different moment — is the paper's
         // "dislocated" false signal and must vanish here.
@@ -524,27 +338,38 @@ mod tests {
 
     #[test]
     fn both_attr_strategies_agree_on_tiny_world() {
-        let (l, r, a) = tiny_world();
-        let mat =
-            CountEngine::with_options(&l, &r, a.clone(), AttrCountStrategy::Materialize, true)
-                .unwrap();
-        let key =
-            CountEngine::with_options(&l, &r, a, AttrCountStrategy::CompositeKey, true).unwrap();
-        let cm = mat.count(&Diagram::psi2());
-        let ck = key.count(&Diagram::psi2());
-        assert_eq!(&*cm, &*ck);
+        // The composite-key join equals the post×post definition
+        // W¹ · (S_a ⊙ S_b) · W²ᵀ, with S_x = C¹ₓ · C²ₓᵀ the post pairs
+        // sharing attribute x.
+        let (l, r, _) = tiny_world();
+        let (a, b) = (AttrPathId::Timestamp, AttrPathId::Location);
+        let shared = |x| {
+            let k = attr_link(x);
+            spgemm(
+                l.adjacency(k, Direction::Forward),
+                r.adjacency(k, Direction::Reverse),
+            )
+            .unwrap()
+        };
+        let joint = shared(a).hadamard(&shared(b)).unwrap();
+        let w1 = l.adjacency(LinkKind::Write, Direction::Forward);
+        let w2t = r.adjacency(LinkKind::Write, Direction::Reverse);
+        let post_by_post = spgemm(&spgemm(w1, &joint).unwrap(), w2t).unwrap();
+        assert_eq!(attr_pair(&l, &r, a, b).unwrap(), post_by_post);
     }
 
     #[test]
     fn stack_multiplies_pointwise() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let p1 = e.count(&Diagram::Social(SocialPathId::P1));
-        let p5 = e.count(&Diagram::Attr(AttrPathId::Timestamp));
-        let stack = e.count(&Diagram::Stack(vec![
-            Diagram::Social(SocialPathId::P1),
-            Diagram::Attr(AttrPathId::Timestamp),
-        ]));
+        let s = tiny_store();
+        let p1 = count(&s, &Diagram::Social(SocialPathId::P1));
+        let p5 = count(&s, &Diagram::Attr(AttrPathId::Timestamp));
+        let stack = count(
+            &s,
+            &Diagram::Stack(vec![
+                Diagram::Social(SocialPathId::P1),
+                Diagram::Attr(AttrPathId::Timestamp),
+            ]),
+        );
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(stack.get(i, j), p1.get(i, j) * p5.get(i, j));
@@ -553,61 +378,37 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_on_repeated_counts() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let _ = e.count(&Diagram::psi2());
-        let before = e.stats();
-        let _ = e.count(&Diagram::psi2());
-        let after = e.stats();
-        assert_eq!(after.cache_hits, before.cache_hits + 1);
-        assert_eq!(after.cache_misses, before.cache_misses);
-    }
-
-    #[test]
-    fn disabling_cache_recomputes() {
-        let (l, r, a) = tiny_world();
-        let e =
-            CountEngine::with_options(&l, &r, a, AttrCountStrategy::CompositeKey, false).unwrap();
-        let _ = e.count(&Diagram::psi2());
-        let first = e.stats().spgemm_calls;
-        let _ = e.count(&Diagram::psi2());
-        assert_eq!(e.stats().spgemm_calls, 2 * first);
-    }
-
-    #[test]
     fn stack_reuses_cached_factors() {
-        let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let _ = e.count(&Diagram::psi2());
-        let calls_after_psi2 = e.stats().spgemm_calls;
-        // Ψ3 = P1 × Ψ2: must only pay for P1 (2 products) plus a Hadamard.
-        let _ = e.count(&Diagram::psi3());
-        let calls_after_psi3 = e.stats().spgemm_calls;
-        assert_eq!(calls_after_psi3 - calls_after_psi2, 2);
+        // Ψ3 = P1 × Ψ2 is one Hadamard over the nodes that already hold
+        // P1 and Ψ2, never a second product chain for either.
+        let s = tiny_store();
+        let psi3 = node(&s, &Diagram::psi3());
+        let want = vec![
+            node(&s, &Diagram::Social(SocialPathId::P1)),
+            node(&s, &Diagram::psi2()),
+        ];
+        assert!(matches!(&s.kinds[psi3], StoreNode::Stack(parts) if *parts == want));
+        assert!(want.iter().all(|&p| p < psi3), "parts precede the stack");
     }
 
     #[test]
     fn degenerate_pairs_equal_paths() {
         let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a).unwrap();
-        let pair = e.count(&Diagram::SocialPair(SocialPathId::P1, SocialPathId::P1));
-        let path = e.count(&Diagram::Social(SocialPathId::P1));
-        assert_eq!(&*pair, &*path);
-        let apair = e.count(&Diagram::AttrPair(
-            AttrPathId::Location,
-            AttrPathId::Location,
-        ));
-        let apath = e.count(&Diagram::Attr(AttrPathId::Location));
-        assert_eq!(&*apair, &*apath);
+        let s = tiny_store();
+        let (lf, rf) = social_factors(&l, &r, SocialPathId::P1, SocialPathId::P1).unwrap();
+        let pair = spgemm(&spgemm(&lf, &a).unwrap(), &rf).unwrap();
+        assert_eq!(&pair, count(&s, &Diagram::Social(SocialPathId::P1)));
+        let apair = attr_pair(&l, &r, AttrPathId::Location, AttrPathId::Location).unwrap();
+        assert_eq!(&apair, count(&s, &Diagram::Attr(AttrPathId::Location)));
     }
 
     #[test]
     fn constructor_validates_shapes() {
         let (l, r, _) = tiny_world();
         let bad = CsrMatrix::zeros(2, 3);
+        let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
         assert!(matches!(
-            CountEngine::new(&l, &r, bad),
+            DeltaCatalogCounts::build(&l, &r, bad, &catalog, Threading::Serial),
             Err(EngineError::AnchorShape { .. })
         ));
     }
@@ -617,8 +418,9 @@ mod tests {
         let (l, _, _) = tiny_world();
         let other = HetNetBuilder::new("R2", 3, 5, 2, 0).build();
         let anchor = CsrMatrix::zeros(3, 3);
+        let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
         assert!(matches!(
-            CountEngine::new(&l, &other, anchor),
+            DeltaCatalogCounts::build(&l, &other, anchor, &catalog, Threading::Serial),
             Err(EngineError::AttributeUniverseMismatch {
                 kind: NodeKind::Location,
                 ..
@@ -629,60 +431,29 @@ mod tests {
     #[test]
     fn anchor_chain_factors_reproduce_counts() {
         let (l, r, a) = tiny_world();
-        let e = CountEngine::new(&l, &r, a.clone()).unwrap();
+        let s = tiny_store();
         // Every social path and pair factors as L·A·R.
-        let mut diagrams: Vec<Diagram> =
-            SocialPathId::ALL.into_iter().map(Diagram::Social).collect();
         for (ii, &i) in SocialPathId::ALL.iter().enumerate() {
             for &j in &SocialPathId::ALL[ii..] {
-                diagrams.push(Diagram::SocialPair(i, j));
+                let (lf, rf) = social_factors(&l, &r, i, j).unwrap();
+                let lar = spgemm(&spgemm(&lf, &a).unwrap(), &rf).unwrap();
+                let d = if i == j {
+                    Diagram::Social(i)
+                } else {
+                    Diagram::SocialPair(i, j)
+                };
+                assert_eq!(&lar, count(&s, &d), "factor chain mismatch for {d}");
+                assert!(matches!(s.kinds[node(&s, &d)], StoreNode::AnchorChain(_)));
             }
         }
-        for d in &diagrams {
-            let (lf, rf) = e.anchor_chain_factors(d).expect("social diagrams factor");
-            let la = sparsela::spgemm(&lf, &a).unwrap();
-            let lar = sparsela::spgemm(&la, &rf).unwrap();
-            assert_eq!(&lar, &*e.count(d), "factor chain mismatch for {d}");
-        }
         // Anchor-free diagrams do not factor through A.
-        assert!(e
-            .anchor_chain_factors(&Diagram::Attr(AttrPathId::Location))
-            .is_none());
-        assert!(e.anchor_chain_factors(&Diagram::psi2()).is_none());
-        assert!(e.anchor_chain_factors(&Diagram::psi3()).is_none());
-    }
-
-    #[test]
-    fn concurrent_counting_shares_the_cache_and_matches_serial() {
-        let (l, r, a) = tiny_world();
-        let serial = CountEngine::new(&l, &r, a.clone()).unwrap();
-        let expected_psi2 = serial.count(&Diagram::psi2());
-        let expected_psi3 = serial.count(&Diagram::psi3());
-
-        let shared = CountEngine::new(&l, &r, a).unwrap();
-        let diagrams = [Diagram::psi2(), Diagram::psi3(), Diagram::psi2()];
-        let counts: Vec<Arc<CsrMatrix>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = diagrams
-                .iter()
-                .map(|d| {
-                    let shared = &shared;
-                    scope.spawn(move || shared.count(d))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("count worker panicked"))
-                .collect()
-        });
-        assert_eq!(&*counts[0], &*expected_psi2);
-        assert_eq!(&*counts[1], &*expected_psi3);
-        assert_eq!(&*counts[2], &*expected_psi2);
-        // The in-flight gates deduplicate concurrent computation: the three
-        // requests touch exactly three distinct diagrams (Ψ2, Ψ3 and Ψ3's
-        // P1 factor), each computed exactly once wherever it landed first.
-        assert_eq!(shared.stats().cache_misses, 3);
-        let again = shared.count(&Diagram::psi3());
-        assert_eq!(&*again, &*expected_psi3);
+        for d in [Diagram::Attr(AttrPathId::Location), Diagram::psi2()] {
+            assert!(matches!(s.kinds[node(&s, &d)], StoreNode::AnchorFree));
+        }
+        assert!(matches!(
+            s.kinds[node(&s, &Diagram::psi3())],
+            StoreNode::Stack(_)
+        ));
     }
 
     #[test]
@@ -698,5 +469,7 @@ mod tests {
             right: 2,
         };
         assert!(e.to_string().contains("Word"));
+        let e = EngineError::from(SparseError::InvalidStructure("bad".into()));
+        assert!(e.to_string().contains("bad"));
     }
 }

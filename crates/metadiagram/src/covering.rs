@@ -1,19 +1,23 @@
 //! Meta diagram covering sets (paper Definition 7, Lemmas 1–2).
 //!
 //! A covering set records which base meta paths compose a diagram. Two facts
-//! drive the count engine:
+//! follow from it:
 //!
 //! * **Lemma 1** — a user pair is connected by a diagram instance iff it is
 //!   connected by instances of *every* covering path (property-tested in
 //!   `tests/engine_vs_bruteforce.rs`);
 //! * **Lemma 2** — if `C(Ψᵢ) ⊆ C(Ψⱼ)`, any pair connected by Ψⱼ is
-//!   connected by Ψᵢ, so a cached count for Ψᵢ bounds (and, for endpoint
-//!   stackings, *factors*) the computation of Ψⱼ. [`plan_dag`] records
-//!   these strict-subset dependencies and [`run_dag`] schedules a catalog
-//!   over them, so smaller covering sets are computed first and larger
-//!   diagrams reuse them.
+//!   connected by Ψᵢ, so a count for Ψᵢ bounds (and, for endpoint
+//!   stackings, *factors*) the computation of Ψⱼ. The store build uses the
+//!   factoring directly: it counts each endpoint stacking as the Hadamard
+//!   of its already-counted parts, scheduled by `run_dag` over a DAG in
+//!   which a stack depends on exactly its parts.
 
 use crate::diagram::{AttrPathId, SocialPathId};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A small bitset over the base meta paths {P1..P4} ∪ {P5, P6, PW}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -112,185 +116,114 @@ impl CoveringSet {
     }
 }
 
-/// Orders catalog indices so that diagrams with smaller covering sets come
-/// first — the evaluation order under which every endpoint-stacked diagram
-/// finds its factors already cached (Lemma 2 reuse). Stable within equal
-/// sizes to keep reports deterministic.
-fn plan_order(coverings: &[CoveringSet]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..coverings.len()).collect();
-    order.sort_by_key(|&i| (coverings[i].len(), i));
-    order
-}
+/// Executes `f(i, parts)` once per node of a DAG, fanning out over
+/// `workers` threads. `deps[i]` lists the nodes `i` reads, every one of
+/// them before `i` (the store build hands over its dependency-ordered
+/// node list, where a stack reads exactly its parts). `parts` holds the
+/// results of `deps[i]`, in that order. A node becomes ready the moment
+/// its own dependencies complete, so one slow node never stalls
+/// unrelated work, and the whole run pays a single thread-spawn wave.
+/// Results come back in node-index order.
+///
+/// Determinism: each node runs exactly once and reads only its own
+/// dependencies' results, so the output is a pure function of `f` —
+/// bit-equal at any worker count as long as `f` is itself deterministic.
+/// A panic in `f` stops the run and propagates to the caller.
+pub(crate) fn run_dag<R: Send + Sync>(
+    deps: &[Vec<usize>],
+    workers: usize,
+    f: impl Fn(usize, &[&R]) -> R + Sync,
+) -> Vec<R> {
+    assert!(
+        deps.iter()
+            .enumerate()
+            .all(|(i, d)| d.iter().all(|&p| p < i)),
+        "run_dag: every dependency must precede its node"
+    );
+    let n = deps.len();
+    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
+    let run = |i: usize| {
+        let parts: Vec<&R> = deps[i]
+            .iter()
+            .map(|&p| slots[p].get().expect("a node runs after its dependencies"))
+            .collect();
+        // Each node runs once, so its slot is still empty.
+        let _ = slots[i].set(f(i, &parts));
+    };
 
-/// The dependency DAG of a catalog: node `i` depends on node `j` when `j`'s
-/// covering set is a **strict subset** of `i`'s — exactly the Lemma-2
-/// factors the count engine reuses when it assembles `i`. The DAG lets a
-/// scheduler start a diagram the moment its own factors are done,
-/// regardless of what the rest of its size class is still computing.
-#[derive(Debug, Clone)]
-pub struct DagPlan {
-    deps: Vec<Vec<usize>>,
-    dependents: Vec<Vec<usize>>,
-    topo: Vec<usize>,
-}
-
-impl DagPlan {
-    /// Number of nodes (catalog entries).
-    pub fn len(&self) -> usize {
-        self.deps.len()
-    }
-
-    /// True when the catalog is empty.
-    pub fn is_empty(&self) -> bool {
-        self.deps.is_empty()
-    }
-
-    /// Nodes `i` depends on (strict covering subsets of `i`), ascending.
-    pub fn deps(&self, i: usize) -> &[usize] {
-        &self.deps[i]
-    }
-
-    /// Nodes that depend on `i`, ascending.
-    pub fn dependents(&self, i: usize) -> &[usize] {
-        &self.dependents[i]
-    }
-
-    /// A topological order — covering-set size ascending, catalog index
-    /// breaking ties: every node's dependencies have strictly smaller
-    /// covering sets and therefore precede it.
-    pub fn topo_order(&self) -> &[usize] {
-        &self.topo
-    }
-}
-
-/// Builds the strict-subset dependency DAG of a catalog. `O(n²)` bitset
-/// comparisons over the catalog size (a few dozen diagrams), negligible
-/// next to a single count.
-pub fn plan_dag(coverings: &[CoveringSet]) -> DagPlan {
-    let n = coverings.len();
-    let mut deps = vec![Vec::new(); n];
-    let mut dependents = vec![Vec::new(); n];
-    for i in 0..n {
-        for (j, cj) in coverings.iter().enumerate() {
-            if i != j && cj.is_subset_of(&coverings[i]) && cj.len() < coverings[i].len() {
-                deps[i].push(j);
-                dependents[j].push(i);
+    if workers.min(n) <= 1 {
+        (0..n).for_each(run);
+    } else {
+        let mut dependents = vec![Vec::new(); n];
+        for (i, d) in deps.iter().enumerate() {
+            for &p in d {
+                dependents[p].push(i);
             }
         }
-    }
-    DagPlan {
-        deps,
-        dependents,
-        topo: plan_order(coverings),
-    }
-}
-
-/// Executes `f(i)` once per node of `plan`, fanning out over `workers`
-/// threads with **dependency-edge** synchronization instead of level
-/// barriers: a node becomes ready the moment its own dependencies complete,
-/// so one slow diagram never stalls unrelated work, and the whole run pays
-/// a single thread-spawn wave instead of one per level. Results come back
-/// in node-index order.
-///
-/// Determinism: each worker collects `(node, result)` pairs locally and the
-/// pairs are merged by node index after every worker joins, so the output
-/// is a pure function of `f` — bit-equal at any worker count as long as
-/// `f(i)` is itself deterministic in `i` (the count engine's per-diagram
-/// gates guarantee that even though workers share a cache).
-pub fn run_dag<R: Send>(plan: &DagPlan, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let n = plan.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if workers.min(n) <= 1 {
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for &i in plan.topo_order() {
-            slots[i] = Some(f(i));
-        }
-        return slots
-            .into_iter()
-            .map(|r| r.expect("topo order visits every node"))
-            .collect();
-    }
-    let workers = workers.min(n);
-
-    use std::collections::VecDeque;
-    use std::sync::{Condvar, Mutex};
-
-    struct SchedState {
-        ready: VecDeque<usize>,
-        remaining: Vec<usize>,
-        completed: usize,
-    }
-
-    let remaining: Vec<usize> = (0..n).map(|i| plan.deps(i).len()).collect();
-    // Seed the ready queue in topological order so roots drain smallest-first.
-    let ready: VecDeque<usize> = plan
-        .topo_order()
-        .iter()
-        .copied()
-        .filter(|&i| remaining[i] == 0)
-        .collect();
-    let state = Mutex::new(SchedState {
-        ready,
-        remaining,
-        completed: 0,
-    });
-    let done = Condvar::new();
-
-    let batches: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let next = {
-                            let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                            loop {
-                                if let Some(i) = st.ready.pop_front() {
-                                    break Some(i);
-                                }
-                                if st.completed == n {
-                                    break None;
-                                }
-                                st = done.wait(st).unwrap_or_else(|e| e.into_inner());
-                            }
-                        };
-                        let Some(i) = next else {
-                            return local;
-                        };
-                        let r = f(i);
-                        local.push((i, r));
+        let state = Mutex::new(SchedState {
+            ready: (0..n).filter(|&i| deps[i].is_empty()).collect(),
+            remaining: deps.iter().map(Vec::len).collect(),
+            completed: 0,
+            panic: None,
+        });
+        let done = Condvar::new();
+        std::thread::scope(|scope| {
+            for _ in 0..workers.min(n) {
+                scope.spawn(|| loop {
+                    let next = {
                         let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                        st.completed += 1;
-                        for &d in plan.dependents(i) {
-                            st.remaining[d] -= 1;
-                            if st.remaining[d] == 0 {
-                                st.ready.push_back(d);
+                        loop {
+                            if st.panic.is_some() {
+                                break None;
                             }
+                            if let Some(i) = st.ready.pop_front() {
+                                break Some(i);
+                            }
+                            if st.completed == n {
+                                break None;
+                            }
+                            st = done.wait(st).unwrap_or_else(|e| e.into_inner());
                         }
-                        drop(st);
+                    };
+                    let Some(i) = next else {
+                        return;
+                    };
+                    if let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(|| run(i))) {
+                        // Wake the idle workers: the nodes behind this one
+                        // will never become ready.
+                        state.lock().unwrap_or_else(|e| e.into_inner()).panic = Some(panic);
                         done.notify_all();
+                        return;
                     }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("dag worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for batch in batches {
-        for (i, r) in batch {
-            slots[i] = Some(r);
+                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
+                    st.completed += 1;
+                    for &d in &dependents[i] {
+                        st.remaining[d] -= 1;
+                        if st.remaining[d] == 0 {
+                            st.ready.push_back(d);
+                        }
+                    }
+                    drop(st);
+                    done.notify_all();
+                });
+            }
+        });
+        if let Some(panic) = state.into_inner().unwrap_or_else(|e| e.into_inner()).panic {
+            std::panic::resume_unwind(panic);
         }
     }
     slots
         .into_iter()
-        .map(|r| r.expect("every dag node completed"))
+        .map(|s| s.into_inner().expect("every dag node ran"))
         .collect()
+}
+
+struct SchedState {
+    ready: VecDeque<usize>,
+    remaining: Vec<usize>,
+    completed: usize,
+    /// A node's panic, re-raised once every worker has returned.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 #[cfg(test)]
@@ -341,105 +274,64 @@ mod tests {
         assert_eq!(s.attr_paths(), vec![AttrPathId::Word]);
     }
 
-    #[test]
-    fn plan_order_sorts_by_covering_size() {
-        let mut small = CoveringSet::empty();
-        small.insert_social(SocialPathId::P1);
-        let mut mid = small;
-        mid.insert_social(SocialPathId::P2);
-        let mut big = mid;
-        big.insert_attr(AttrPathId::Timestamp);
-        let order = plan_order(&[big, small, mid]);
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn plan_order_is_stable_for_ties() {
-        let a = CoveringSet::empty();
-        let b = CoveringSet::empty();
-        assert_eq!(plan_order(&[a, b]), vec![0, 1]);
-    }
-
-    /// A four-node chain-plus-branch: {P1} and {P3} are roots, {P1,P2}
-    /// depends on {P1} only, {P1,P2,T} depends on both smaller sets built
-    /// from P1.
-    fn sample_coverings() -> Vec<CoveringSet> {
-        let mut small = CoveringSet::empty();
-        small.insert_social(SocialPathId::P1);
-        let mut small2 = CoveringSet::empty();
-        small2.insert_social(SocialPathId::P3);
-        let mut mid = small;
-        mid.insert_social(SocialPathId::P2);
-        let mut big = mid;
-        big.insert_attr(AttrPathId::Timestamp);
-        vec![big, small, mid, small2]
-    }
-
-    #[test]
-    fn plan_dag_edges_are_strict_subsets() {
-        let coverings = sample_coverings();
-        let dag = plan_dag(&coverings);
-        assert_eq!(dag.len(), 4);
-        assert_eq!(dag.deps(1), &[] as &[usize]);
-        assert_eq!(dag.deps(3), &[] as &[usize]);
-        assert_eq!(dag.deps(2), &[1]);
-        assert_eq!(dag.deps(0), &[1, 2]);
-        assert_eq!(dag.dependents(1), &[0, 2]);
-        assert_eq!(dag.dependents(3), &[] as &[usize]);
-        // Equal sets must not produce edges (no cycles).
-        let dup = plan_dag(&[coverings[1], coverings[1]]);
-        assert!(dup.deps(0).is_empty() && dup.deps(1).is_empty());
-        // Topological order matches plan_order, and every dependency
-        // precedes its dependent in it.
-        assert_eq!(dag.topo_order(), plan_order(&coverings).as_slice());
-        let pos: Vec<usize> = {
-            let mut p = vec![0; 4];
-            for (rank, &i) in dag.topo_order().iter().enumerate() {
-                p[i] = rank;
-            }
-            p
-        };
-        for i in 0..4 {
-            for &d in dag.deps(i) {
-                assert!(pos[d] < pos[i], "dep {d} must precede {i}");
-            }
-        }
+    /// A five-node DAG in dependency order: 0 and 1 are roots, 2 reads
+    /// 0, 3 reads 0 and 2, 4 reads 1 twice.
+    fn sample_deps() -> Vec<Vec<usize>> {
+        vec![vec![], vec![], vec![0], vec![0, 2], vec![1, 1]]
     }
 
     #[test]
     fn run_dag_respects_dependencies_at_any_worker_count() {
         use std::sync::Mutex;
-        let coverings = sample_coverings();
-        let dag = plan_dag(&coverings);
+        let deps = sample_deps();
         for workers in [1, 2, 4, 8] {
             let finished: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let results = run_dag(&dag, workers, |i| {
+            let results = run_dag(&deps, workers, |i, parts: &[&usize]| {
                 // A node may only start after all of its dependencies have
-                // been recorded as finished.
+                // been recorded as finished, and sees their results in
+                // dependency-list order.
                 {
                     let done = finished.lock().unwrap();
-                    for &d in dag.deps(i) {
+                    for &d in &deps[i] {
                         assert!(
                             done.contains(&d),
                             "node {i} started before dep {d} ({workers} workers)"
                         );
                     }
                 }
+                let want: Vec<usize> = deps[i].iter().map(|&d| d * 10).collect();
+                assert_eq!(parts.iter().map(|&&p| p).collect::<Vec<_>>(), want);
                 std::thread::yield_now();
                 finished.lock().unwrap().push(i);
                 i * 10
             });
-            assert_eq!(results, vec![0, 10, 20, 30], "{workers} workers");
+            assert_eq!(results, vec![0, 10, 20, 30, 40], "{workers} workers");
+            // Every node ran exactly once.
             let mut done = finished.into_inner().unwrap();
             done.sort_unstable();
-            assert_eq!(done, vec![0, 1, 2, 3]);
+            assert_eq!(done, vec![0, 1, 2, 3, 4]);
         }
     }
 
     #[test]
     fn run_dag_of_empty_plan_is_empty() {
-        let dag = plan_dag(&[]);
-        assert!(dag.is_empty());
-        assert!(run_dag(&dag, 4, |i| i).is_empty());
+        assert!(run_dag(&[], 4, |i, _: &[&usize]| i).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "node 0 failed")]
+    fn run_dag_propagates_a_node_panic_instead_of_hanging() {
+        // Node 2 waits on node 0, which panics; the idle worker must not
+        // wait for node 2 forever.
+        run_dag(&[vec![], vec![], vec![0]], 2, |i, _: &[&usize]| {
+            assert_ne!(i, 0, "node 0 failed");
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must precede")]
+    fn run_dag_refuses_a_dependency_after_its_node() {
+        run_dag(&[vec![1], vec![]], 2, |i, _: &[&usize]| i);
     }
 }

@@ -3,7 +3,7 @@
 //! Every Iter-MPMD/ActiveIter round confirms a handful of anchor links and
 //! re-derives the meta-diagram counts from the grown anchor matrix. A full
 //! recount pays the whole SpGEMM catalog again; this module exploits the
-//! structure [`CountEngine::anchor_chain_factors`] exposes instead:
+//! structure of the count algebra ([`crate::count`]) instead:
 //!
 //! * **social paths / social middle-stackings** count as `C = L·A·R` with
 //!   anchor-independent factors, so `C(A+ΔA) = C(A) + L·ΔA·R` — a sparse
@@ -20,6 +20,11 @@
 //! `f64`), so the delta path is **bit-equal** to a full recount from the
 //! merged anchor set — property-tested in `tests/delta_props.rs`.
 //!
+//! [`DeltaCatalogCounts::build`] is also the crate's only full count: it
+//! plans each distinct diagram of the catalog once, in dependency order,
+//! and counts every node exactly once straight into the store, fanned out
+//! over the node DAG in which a stack depends on exactly its parts.
+//!
 //! A [`DeltaCatalogCounts`] is also the unit of **persistence**: it owns
 //! everything an update needs (factor chains included, networks
 //! excluded), so [`crate::codec::encode_store`] /
@@ -28,8 +33,8 @@
 //! the payload behind `session::snapshot`.
 
 use crate::catalog::Catalog;
-use crate::count::{CountEngine, EngineError};
-use crate::covering::{plan_dag, run_dag};
+use crate::count::{self, EngineError};
+use crate::covering::run_dag;
 use crate::diagram::Diagram;
 use hetnet::{AnchorLink, HetNet};
 use sparsela::{
@@ -192,6 +197,106 @@ pub(crate) struct FactorChain {
     pub(crate) r: CsrMatrix,
 }
 
+impl FactorChain {
+    pub(crate) fn new(l: CsrMatrix, r: CsrMatrix) -> Self {
+        FactorChain {
+            lt: l.transpose(),
+            l,
+            r,
+        }
+    }
+
+    /// `L·A·R` from scratch: the one anchor-chain count, shared by the
+    /// build and [`DeltaCatalogCounts::recount_anchors`].
+    fn count(&self, anchor: &CsrMatrix, threading: Threading) -> Result<CsrMatrix, SparseError> {
+        let la = spgemm_threaded(&self.l, anchor, Accumulator::Auto, threading)?;
+        spgemm_threaded(&la, &self.r, Accumulator::Auto, threading)
+    }
+}
+
+/// `parts[0] ∘ parts[1] ∘ …` in part order: the count of an endpoint
+/// stacking, shared by the build and the full-recount pass.
+fn hadamard_all<'m>(
+    parts: impl IntoIterator<Item = &'m CsrMatrix>,
+) -> Result<CsrMatrix, SparseError> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Err(SparseError::InvalidStructure(
+            "an endpoint stacking needs at least one part".into(),
+        ));
+    };
+    let Some(second) = parts.next() else {
+        return Ok(first.clone());
+    };
+    let mut acc = first.hadamard(second)?;
+    for p in parts {
+        acc = acc.hadamard(p)?;
+    }
+    Ok(acc)
+}
+
+/// Appends `diagram` and (first) its stack parts to the node plan unless
+/// already planned, and returns its node index. Each distinct diagram is
+/// planned once, every stack after its parts.
+fn plan_node(
+    diagram: &Diagram,
+    order: &mut Vec<Diagram>,
+    parts: &mut Vec<Vec<usize>>,
+    index: &mut HashMap<Diagram, usize>,
+) -> usize {
+    if let Some(&i) = index.get(diagram) {
+        return i;
+    }
+    let node_parts = match diagram {
+        Diagram::Stack(ds) => ds
+            .iter()
+            .map(|d| plan_node(d, order, parts, index))
+            .collect(),
+        _ => Vec::new(),
+    };
+    let i = order.len();
+    order.push(diagram.clone());
+    parts.push(node_parts);
+    index.insert(diagram.clone(), i);
+    i
+}
+
+/// One built store node: how it reacts to updates, its count, its margins.
+type BuiltNode = Result<(NodeKind, CsrMatrix, MarginSums), EngineError>;
+
+/// Counts one planned node. Leaves run their products serially (the build
+/// parallelizes across nodes); a stack multiplies the counts of `done`,
+/// its parts' results in part order.
+fn build_node(
+    left: &HetNet,
+    right: &HetNet,
+    anchor: &CsrMatrix,
+    diagram: &Diagram,
+    parts: &[usize],
+    done: &[&BuiltNode],
+) -> BuiltNode {
+    let chain = |(l, r)| -> Result<(NodeKind, CsrMatrix), EngineError> {
+        let chain = FactorChain::new(l, r);
+        let count = chain.count(anchor, Threading::Serial)?;
+        Ok((NodeKind::AnchorChain(Box::new(chain)), count))
+    };
+    let (kind, count) = match diagram {
+        Diagram::Social(p) => chain(count::social_factors(left, right, *p, *p)?)?,
+        Diagram::SocialPair(i, j) => chain(count::social_factors(left, right, *i, *j)?)?,
+        Diagram::Attr(a) => (NodeKind::AnchorFree, count::attr_pair(left, right, *a, *a)?),
+        Diagram::AttrPair(a, b) => (NodeKind::AnchorFree, count::attr_pair(left, right, *a, *b)?),
+        Diagram::Stack(_) => {
+            let counts = done
+                .iter()
+                .map(|part| part.as_ref().map(|(_, c, _)| c).map_err(Clone::clone))
+                .collect::<Result<Vec<_>, _>>()?;
+            (NodeKind::Stack(parts.to_vec()), hadamard_all(counts)?)
+        }
+    };
+    let sums = MarginSums::of(&count);
+    Ok((kind, count, sums))
+}
+
 /// How one materialized diagram reacts to an anchor update.
 #[derive(Clone)]
 pub(crate) enum NodeKind {
@@ -269,21 +374,22 @@ impl fmt::Debug for DeltaCatalogCounts {
 
 impl DeltaCatalogCounts {
     /// Counts the whole catalog once (the store's single mandatory full
-    /// count) and harvests the factor chains for every anchor-dependent
-    /// diagram. `threading` fans the initial count out over the covering
-    /// dependency DAG ([`plan_dag`] + [`run_dag`]); results are
-    /// bit-identical at any setting.
+    /// count) and keeps the factor chains of every anchor-dependent
+    /// diagram. The build plans each distinct diagram once, in dependency
+    /// order (stack parts first), and counts every node exactly once
+    /// straight into the store: `threading` fans the nodes out over their
+    /// DAG (`run_dag`; a stack waits for exactly its parts), and each
+    /// node's own products run serially. Results are bit-identical at any
+    /// setting.
     ///
-    /// Factor harvesting is eager because the networks are not retained
-    /// after the build — a batch caller that never updates pays for it
-    /// too. That cost is `O(nnz)` clones/transposes of ~10 step matrices,
-    /// measured within run-to-run noise of the catalog's SpGEMMs on the
-    /// quick eval preset (perf-gated in CI); if it ever matters, a
-    /// build-without-update-support mode is the escape hatch.
+    /// Factor chains are kept eagerly because the networks are not
+    /// retained after the build — a batch caller that never updates pays
+    /// for them too: one transpose per chain, computed alongside its count.
     ///
     /// # Errors
-    /// Propagates [`CountEngine::new`] validation (anchor shape, shared
-    /// attribute universes).
+    /// [`EngineError::AnchorShape`] / [`EngineError::AttributeUniverseMismatch`]
+    /// when the anchor matrix or the networks do not fit together;
+    /// [`EngineError::Kernel`] when a sparse kernel rejects its operands.
     pub fn build(
         left: &HetNet,
         right: &HetNet,
@@ -291,71 +397,38 @@ impl DeltaCatalogCounts {
         catalog: &Catalog,
         threading: Threading,
     ) -> Result<Self, EngineError> {
-        let engine = CountEngine::new(left, right, anchor.clone())?;
-        // Warm the engine cache over the strict-subset dependency DAG: one
-        // spawn wave for the whole catalog, and a diagram starts as soon as
-        // its own Lemma-2 factors are cached. The engine's per-diagram
-        // gates keep the cached counts bit-identical at any worker count
-        // (run_dag runs the topological order serially when workers <= 1).
-        let coverings = catalog.coverings();
-        run_dag(&plan_dag(&coverings), threading.resolve(), |idx| {
-            let _ = engine.count(&catalog.entries()[idx].diagram);
+        count::check_networks(left, right, &anchor)?;
+        let mut order = Vec::new();
+        let mut parts = Vec::new();
+        let mut index = HashMap::new();
+        let catalog_pos = catalog
+            .entries()
+            .iter()
+            .map(|e| plan_node(&e.diagram, &mut order, &mut parts, &mut index))
+            .collect();
+        let built = run_dag(&parts, threading.resolve(), |i, done| {
+            build_node(left, right, &anchor, &order[i], &parts[i], done)
         });
-        // Harvest counts and factor chains in dependency order.
         let mut store = DeltaCatalogCounts {
             anchor,
-            order: Vec::new(),
-            kinds: Vec::new(),
-            counts: Vec::new(),
-            sums: Vec::new(),
-            catalog_pos: Vec::with_capacity(catalog.len()),
+            order,
+            kinds: Vec::with_capacity(built.len()),
+            counts: Vec::with_capacity(built.len()),
+            sums: Vec::with_capacity(built.len()),
+            catalog_pos,
             threading,
             stats: DeltaStats {
                 full_counts: 1,
                 ..DeltaStats::default()
             },
         };
-        let mut index: HashMap<Diagram, usize> = HashMap::new();
-        for entry in catalog.entries() {
-            let pos = store.materialize(&engine, &entry.diagram, &mut index);
-            store.catalog_pos.push(pos);
+        for node in built {
+            let (kind, count, sums) = node?;
+            store.kinds.push(kind);
+            store.counts.push(count);
+            store.sums.push(sums);
         }
         Ok(store)
-    }
-
-    fn materialize(
-        &mut self,
-        engine: &CountEngine<'_>,
-        diagram: &Diagram,
-        index: &mut HashMap<Diagram, usize>,
-    ) -> usize {
-        if let Some(&i) = index.get(diagram) {
-            return i;
-        }
-        let kind = match diagram {
-            Diagram::Stack(parts) => NodeKind::Stack(
-                parts
-                    .iter()
-                    .map(|p| self.materialize(engine, p, index))
-                    .collect(),
-            ),
-            _ => match engine.anchor_chain_factors(diagram) {
-                Some((l, r)) => NodeKind::AnchorChain(Box::new(FactorChain {
-                    lt: l.transpose(),
-                    l,
-                    r,
-                })),
-                None => NodeKind::AnchorFree,
-            },
-        };
-        let count = (*engine.count(diagram)).clone();
-        let i = self.order.len();
-        self.order.push(diagram.clone());
-        self.kinds.push(kind);
-        self.sums.push(MarginSums::of(&count));
-        self.counts.push(count);
-        index.insert(diagram.clone(), i);
-        i
     }
 
     /// The current (merged) anchor matrix.
@@ -636,14 +709,7 @@ impl DeltaCatalogCounts {
                             increments[i] = Some(dc);
                         }
                         None => {
-                            let la = spgemm_threaded(
-                                &chain.l,
-                                &self.anchor,
-                                Accumulator::Auto,
-                                self.threading,
-                            )?;
-                            self.counts[i] =
-                                spgemm_threaded(&la, &chain.r, Accumulator::Auto, self.threading)?;
+                            self.counts[i] = chain.count(&self.anchor, self.threading)?;
                             self.sums[i] = MarginSums::of(&self.counts[i]);
                         }
                     }
@@ -678,11 +744,7 @@ impl DeltaCatalogCounts {
                         if !parts.iter().any(|&p| changed[p]) {
                             continue;
                         }
-                        let mut acc = self.counts[parts[0]].clone();
-                        for &p in &parts[1..] {
-                            acc = acc.hadamard(&self.counts[p])?;
-                        }
-                        self.counts[i] = acc;
+                        self.counts[i] = hadamard_all(parts.iter().map(|&p| &self.counts[p]))?;
                         self.sums[i] = MarginSums::of(&self.counts[i]);
                     }
                     changed[i] = true;
@@ -705,8 +767,8 @@ impl DeltaCatalogCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bruteforce;
     use crate::catalog::{Catalog, FeatureSet};
-    use crate::count::CountEngine;
     use hetnet::aligned::anchor_matrix;
     use hetnet::UserId;
 
@@ -731,26 +793,24 @@ mod tests {
         .unwrap()
     }
 
+    /// The oracle: a fresh full count over `anchors`.
     fn reference_counts(w: &datagen::GeneratedWorld, anchors: &[AnchorLink]) -> Vec<CsrMatrix> {
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), anchors).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        Catalog::new(FeatureSet::Full)
-            .entries()
-            .iter()
-            .map(|e| (*engine.count(&e.diagram)).clone())
-            .collect()
+        let s = store(w, anchors);
+        (0..s.len()).map(|i| s.catalog_count(i).clone()).collect()
     }
 
     #[test]
     fn build_matches_engine_counts() {
+        // The build's count of every catalog entry equals the exhaustive
+        // instance enumeration.
         let w = world();
         let (initial, _) = split_links(&w);
         let s = store(&w, &initial);
-        let reference = reference_counts(&w, &initial);
         assert_eq!(s.len(), 31);
         assert!(!s.is_empty());
-        for (i, want) in reference.iter().enumerate() {
-            assert_eq!(s.catalog_count(i), want, "catalog entry {i}");
+        for (i, e) in Catalog::new(FeatureSet::Full).entries().iter().enumerate() {
+            let want = bruteforce::diagram_counts(w.left(), w.right(), &initial, &e.diagram);
+            assert_eq!(s.catalog_count(i).to_dense(), want, "catalog entry {i}");
         }
         assert_eq!(s.stats().full_counts, 1);
         assert_eq!(s.stats().delta_updates, 0);
@@ -1059,6 +1119,53 @@ mod tests {
         assert_eq!(s.counts, good.counts, "counts mutated on error");
         assert_eq!(s.sums, good.sums, "margins mutated on error");
         assert_eq!(s.stats(), good.stats(), "stats mutated on error");
+    }
+
+    #[test]
+    fn each_distinct_diagram_is_materialized_once() {
+        fn collect<'d>(d: &'d Diagram, into: &mut HashSet<&'d Diagram>) {
+            into.insert(d);
+            if let Diagram::Stack(parts) = d {
+                parts.iter().for_each(|p| collect(p, into));
+            }
+        }
+        let w = world();
+        let (initial, _) = split_links(&w);
+        for set in [
+            FeatureSet::PathsAndAttrDiagram,
+            FeatureSet::Full,
+            FeatureSet::FullWithWords,
+        ] {
+            let catalog = Catalog::new(set);
+            let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &initial).unwrap();
+            let s =
+                DeltaCatalogCounts::build(w.left(), w.right(), a, &catalog, Threading::Threads(2))
+                    .unwrap();
+            // One node per distinct diagram of the catalog or of a stack's
+            // parts, none twice, each with one count and one margin.
+            let mut distinct = HashSet::new();
+            catalog
+                .entries()
+                .iter()
+                .for_each(|e| collect(&e.diagram, &mut distinct));
+            assert_eq!(s.order.len(), distinct.len(), "{set:?}");
+            assert_eq!(s.order.iter().collect::<HashSet<_>>(), distinct, "{set:?}");
+            assert_eq!(s.counts.len(), s.order.len());
+            assert_eq!(s.sums.len(), s.order.len());
+            // A stack reads the earlier nodes of its own parts, in order.
+            for (i, kind) in s.kinds.iter().enumerate() {
+                if let (NodeKind::Stack(parts), Diagram::Stack(ds)) = (kind, &s.order[i]) {
+                    assert_eq!(parts.len(), ds.len());
+                    for (&p, d) in parts.iter().zip(ds) {
+                        assert!(p < i, "part {p} of node {i} is out of order");
+                        assert_eq!(&s.order[p], d);
+                    }
+                }
+            }
+            for (cat, e) in catalog.entries().iter().enumerate() {
+                assert_eq!(s.order[s.catalog_pos[cat]], e.diagram);
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! added by the model layer) is the `X` of the paper's joint objective.
 //! No proximity matrix is materialized.
 //!
-//! The store's build already fans the catalog count out over the
-//! covering-set dependency DAG ([`crate::covering::run_dag`]); extraction
+//! The store's build already fans the catalog count out over its node
+//! DAG (a stack depends on exactly its parts); extraction
 //! adds the **candidate fan-out**: the gather is split over contiguous
 //! candidate batches by a [`Threading`] knob, bit-identical to the serial
 //! path.
@@ -117,8 +117,8 @@ pub fn extract_features(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bruteforce;
     use crate::catalog::FeatureSet;
-    use crate::count::CountEngine;
     use crate::proximity::dice_proximity;
     use datagen::presets;
     use hetnet::aligned::anchor_matrix;
@@ -191,9 +191,9 @@ mod tests {
     #[test]
     fn plan_order_equals_naive_order_in_results() {
         // Extraction must be independent of evaluation order: the store
-        // counts in the covering DAG's topological order, the reference
-        // counts each diagram in catalog order with a fresh engine and
-        // normalizes it in full.
+        // counts its deduplicated nodes over their DAG, the reference
+        // enumerates each diagram's instances in catalog order and
+        // normalizes the counts in full.
         let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
@@ -204,10 +204,12 @@ mod tests {
             Threading::Serial,
         );
 
-        let fresh = CountEngine::new(w.left(), w.right(), a).unwrap();
+        let train = &w.truth().links()[..15];
         let mut x = DenseMatrix::zeros(candidates.len(), catalog.len());
         for (col, e) in catalog.entries().iter().enumerate() {
-            let prox = dice_proximity(&fresh.count(&e.diagram));
+            let counts = bruteforce::diagram_counts(w.left(), w.right(), train, &e.diagram);
+            let (n1, n2) = (counts.nrows(), counts.ncols());
+            let prox = dice_proximity(&CsrMatrix::from_dense(n1, n2, counts.data()));
             for (row, &(l, r)) in candidates.iter().enumerate() {
                 x[(row, col)] = prox.get(l.index(), r.index());
             }
@@ -238,7 +240,7 @@ mod tests {
 
     #[test]
     fn dag_schedule_is_bit_equal_to_serial_at_any_worker_count() {
-        // The diagram fan-out alone: stores counted over the covering DAG
+        // The diagram fan-out alone: stores counted over their node DAG
         // at several worker counts, gathered serially.
         let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);

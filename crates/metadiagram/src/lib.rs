@@ -13,13 +13,14 @@
 //!   (Ψf²), middle-stacking of two attribute paths at the shared post pair
 //!   (Ψa² — the "same place *and* same time" semantics), and endpoint
 //!   stacking of arbitrary sub-diagrams (the × operator of §III-B.2).
-//! * [`covering`] — **covering sets** (Definition 7) and the Lemma-2 reuse
-//!   planner.
-//! * [`count`] — the count engine: SpGEMM chains for paths, Hadamard
-//!   stacking for diagrams, a memoizing cache exploiting covering-set
-//!   containment, and the composite-key optimization that counts Ψa²
-//!   without materializing post × post products.
-//! * [`delta`] — incremental catalog recounting: anchor-chain counts are
+//! * [`covering`] — **covering sets** (Definition 7) and the DAG scheduler
+//!   the catalog count fans out over.
+//! * [`count`] — the count algebra: SpGEMM chains `L·A·R` for social
+//!   paths and their middle-stackings, and the composite-key join that
+//!   counts Ψa² without materializing post × post products.
+//! * [`delta`] — the count store: one full catalog count that counts each
+//!   distinct diagram once (an endpoint stacking is the Hadamard of its
+//!   parts), then incremental recounting — anchor-chain counts are
 //!   low-rank updates `L·ΔA·R` in the newly confirmed anchors, so active
 //!   query rounds pay `O(|ΔA|)` instead of a full recount.
 //! * [`codec`] — binary encode/decode of the delta store and catalog
@@ -29,8 +30,8 @@
 //!   Φ = P ∪ Ψf² ∪ Ψa² ∪ Ψf,a ∪ Ψf,a² ∪ Ψf²,a² (31 features).
 //! * [`features`] — extraction of the dense feature matrix for a candidate
 //!   anchor-link set, read from a [`delta`] store's counts and margins.
-//! * [`bruteforce`] — exhaustive enumerators used to verify the engine
-//!   (Lemma 1 and count equality are property-tested against these).
+//! * [`bruteforce`] — exhaustive enumerators used to verify the store's
+//!   counts (Lemma 1 and count equality are property-tested against these).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,8 +48,7 @@ pub mod path;
 pub mod proximity;
 
 pub use catalog::{Catalog, CatalogEntry, FeatureSet};
-pub use count::{AttrCountStrategy, CountEngine};
-pub use covering::{plan_dag, run_dag, CoveringSet, DagPlan};
+pub use covering::CoveringSet;
 pub use delta::{
     ChangedCount, DeltaCatalogCounts, DeltaError, DeltaOutcome, DeltaStats, TouchedRegion,
 };

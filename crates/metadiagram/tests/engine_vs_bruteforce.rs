@@ -1,14 +1,16 @@
-//! The central correctness property of the reproduction: the algebraic
-//! count engine produces exactly the counts an exhaustive enumerator finds,
-//! for every diagram in the full catalog, on randomized small worlds — and
-//! Lemma 1's sound direction holds structurally.
+//! The central correctness property of the reproduction: the production
+//! count — the store build, [`DeltaCatalogCounts::catalog_count`] — is
+//! exactly what an exhaustive enumerator finds, for every diagram in the
+//! full catalog, on randomized small worlds — and Lemma 1's sound
+//! direction holds structurally.
 
 use datagen::presets;
 use hetnet::aligned::anchor_matrix;
+use hetnet::{AnchorLink, HetNet};
 use metadiagram::bruteforce;
-use metadiagram::{AttrCountStrategy, Catalog, CountEngine, Diagram, FeatureSet};
+use metadiagram::{Catalog, DeltaCatalogCounts, Diagram, FeatureSet, Threading};
 use proptest::prelude::*;
-use sparsela::DenseMatrix;
+use sparsela::CsrMatrix;
 
 fn world_and_anchors(
     seed: u64,
@@ -20,30 +22,41 @@ fn world_and_anchors(
     (w, train)
 }
 
-fn engine_count_dense(
-    w: &datagen::GeneratedWorld,
-    train: &[hetnet::AnchorLink],
-    d: &Diagram,
-    strategy: AttrCountStrategy,
-) -> DenseMatrix {
-    let a = anchor_matrix(w.left().n_users(), w.right().n_users(), train).unwrap();
-    let e = CountEngine::with_options(w.left(), w.right(), a, strategy, true).unwrap();
-    e.count(d).to_dense()
+/// The store counting `set` over `train`, with its catalog.
+fn counted(
+    left: &HetNet,
+    right: &HetNet,
+    train: &[AnchorLink],
+    set: FeatureSet,
+) -> (DeltaCatalogCounts, Catalog) {
+    let a = anchor_matrix(left.n_users(), right.n_users(), train).unwrap();
+    let catalog = Catalog::new(set);
+    let store = DeltaCatalogCounts::build(left, right, a, &catalog, Threading::Serial).unwrap();
+    (store, catalog)
+}
+
+/// The store's count of the catalog entry `d`.
+fn count_of<'s>(store: &'s DeltaCatalogCounts, catalog: &Catalog, d: &Diagram) -> &'s CsrMatrix {
+    let pos = catalog
+        .entries()
+        .iter()
+        .position(|e| &e.diagram == d)
+        .unwrap();
+    store.catalog_count(pos)
 }
 
 proptest! {
     // Tiny worlds are still a few thousand node pairs; keep case counts sane.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Engine == brute force for every entry in the full 31-feature catalog.
+    /// The store's count == brute force for every entry in the full
+    /// 31-feature catalog.
     #[test]
     fn engine_matches_bruteforce_on_full_catalog(seed in 0u64..500, n_train in 1usize..30) {
         let (w, train) = world_and_anchors(seed, n_train);
-        let catalog = Catalog::new(FeatureSet::Full);
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        for entry in catalog.entries() {
-            let fast = engine.count(&entry.diagram).to_dense();
+        let (store, catalog) = counted(w.left(), w.right(), &train, FeatureSet::Full);
+        for (i, entry) in catalog.entries().iter().enumerate() {
+            let fast = store.catalog_count(i).to_dense();
             let slow = bruteforce::diagram_counts(w.left(), w.right(), &train, &entry.diagram);
             prop_assert!(
                 fast.max_abs_diff(&slow) < 1e-9,
@@ -53,32 +66,21 @@ proptest! {
         }
     }
 
-    /// Composite-key and materialize strategies agree exactly on Ψa².
-    #[test]
-    fn attr_strategies_agree(seed in 0u64..500) {
-        let (w, train) = world_and_anchors(seed, 10);
-        let d = Diagram::psi2();
-        let k = engine_count_dense(&w, &train, &d, AttrCountStrategy::CompositeKey);
-        let m = engine_count_dense(&w, &train, &d, AttrCountStrategy::Materialize);
-        prop_assert!(k.max_abs_diff(&m) < 1e-9);
-    }
-
     /// Lemma 1, sound direction: a pair connected by a diagram instance is
     /// connected by instances of every covering path.
     #[test]
     fn lemma1_projection(seed in 0u64..500) {
         let (w, train) = world_and_anchors(seed, 12);
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        for entry in Catalog::new(FeatureSet::Full).entries() {
-            let c = engine.count(&entry.diagram);
+        let (store, catalog) = counted(w.left(), w.right(), &train, FeatureSet::Full);
+        for (i, entry) in catalog.entries().iter().enumerate() {
+            let c = store.catalog_count(i);
             let covering = entry.diagram.covering_set();
             let mut path_counts = Vec::new();
             for p in covering.social_paths() {
-                path_counts.push(engine.count(&Diagram::Social(p)));
+                path_counts.push(count_of(&store, &catalog, &Diagram::Social(p)));
             }
             for p in covering.attr_paths() {
-                path_counts.push(engine.count(&Diagram::Attr(p)));
+                path_counts.push(count_of(&store, &catalog, &Diagram::Attr(p)));
             }
             for (i, j, v) in c.iter() {
                 if v > 0.0 {
@@ -99,11 +101,10 @@ proptest! {
     #[test]
     fn lemma1_iff_for_endpoint_stackings(seed in 0u64..500) {
         let (w, train) = world_and_anchors(seed, 12);
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-        let p1 = engine.count(&Diagram::Social(metadiagram::SocialPathId::P1));
-        let p5 = engine.count(&Diagram::Attr(metadiagram::AttrPathId::Timestamp));
-        let stack = engine.count(&Diagram::Stack(vec![
+        let (store, catalog) = counted(w.left(), w.right(), &train, FeatureSet::Full);
+        let p1 = count_of(&store, &catalog, &Diagram::Social(metadiagram::SocialPathId::P1));
+        let p5 = count_of(&store, &catalog, &Diagram::Attr(metadiagram::AttrPathId::Timestamp));
+        let stack = count_of(&store, &catalog, &Diagram::Stack(vec![
             Diagram::Social(metadiagram::SocialPathId::P1),
             Diagram::Attr(metadiagram::AttrPathId::Timestamp),
         ]));
@@ -112,24 +113,6 @@ proptest! {
                 let both = p1.get(i, j) > 0.0 && p5.get(i, j) > 0.0;
                 prop_assert_eq!(stack.get(i, j) > 0.0, both);
             }
-        }
-    }
-
-    /// Caching must not change any count.
-    #[test]
-    fn caching_is_transparent(seed in 0u64..500) {
-        let (w, train) = world_and_anchors(seed, 8);
-        let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-        let cached = CountEngine::with_options(
-            w.left(), w.right(), a.clone(), AttrCountStrategy::CompositeKey, true
-        ).unwrap();
-        let uncached = CountEngine::with_options(
-            w.left(), w.right(), a, AttrCountStrategy::CompositeKey, false
-        ).unwrap();
-        for entry in Catalog::new(FeatureSet::Full).entries() {
-            let c1 = cached.count(&entry.diagram);
-            let c2 = uncached.count(&entry.diagram);
-            prop_assert_eq!(&*c1, &*c2, "cache changed counts for {}", entry.name);
         }
     }
 }
@@ -158,11 +141,18 @@ fn dislocation_example_from_paper() {
     }
     let right = r.build();
 
-    let a = anchor_matrix(1, 1, &[]).unwrap();
-    let engine = CountEngine::new(&left, &right, a).unwrap();
-    let p5 = engine.count(&Diagram::Attr(metadiagram::AttrPathId::Timestamp));
-    let p6 = engine.count(&Diagram::Attr(metadiagram::AttrPathId::Location));
-    let psi2 = engine.count(&Diagram::psi2());
+    let (store, catalog) = counted(&left, &right, &[], FeatureSet::PathsAndAttrDiagram);
+    let p5 = count_of(
+        &store,
+        &catalog,
+        &Diagram::Attr(metadiagram::AttrPathId::Timestamp),
+    );
+    let p6 = count_of(
+        &store,
+        &catalog,
+        &Diagram::Attr(metadiagram::AttrPathId::Location),
+    );
+    let psi2 = count_of(&store, &catalog, &Diagram::psi2());
     assert_eq!(p5.get(0, 0), 3.0, "three same-time coincidences");
     assert_eq!(p6.get(0, 0), 3.0, "three same-place coincidences");
     assert_eq!(
@@ -173,7 +163,7 @@ fn dislocation_example_from_paper() {
 }
 
 /// The word-attribute extension (FullWithWords) must satisfy the same
-/// engine ≡ brute-force equality on a vocabulary-enabled world.
+/// store ≡ brute-force equality on a vocabulary-enabled world.
 #[test]
 fn words_catalog_matches_bruteforce() {
     let mut cfg = presets::tiny(61);
@@ -181,10 +171,9 @@ fn words_catalog_matches_bruteforce() {
     cfg.words_per_post = 2;
     let w = datagen::generate(&cfg);
     let train: Vec<_> = w.truth().links()[..10].to_vec();
-    let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-    let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
-    for entry in Catalog::new(FeatureSet::FullWithWords).entries() {
-        let fast = engine.count(&entry.diagram).to_dense();
+    let (store, catalog) = counted(w.left(), w.right(), &train, FeatureSet::FullWithWords);
+    for (i, entry) in catalog.entries().iter().enumerate() {
+        let fast = store.catalog_count(i).to_dense();
         let slow = bruteforce::diagram_counts(w.left(), w.right(), &train, &entry.diagram);
         assert!(
             fast.max_abs_diff(&slow) < 1e-9,

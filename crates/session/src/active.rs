@@ -122,7 +122,6 @@ impl AlignmentSession<Featurized> {
         let fitted = AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
-            threading: self.threading,
             stage: Fitted {
                 featurized: self.stage,
                 report: fit,

@@ -71,7 +71,7 @@
 //!    the fold mark** — deltas that arrived mid-compaction stay
 //!    journaled against the new base they were not folded into.
 //!
-//! [`Journal::compact`] composes the three synchronously. Crash windows:
+//! A synchronous caller runs the three back to back. Crash windows:
 //! before (3)'s base rename, the old base + old journal survive — the
 //! `Compacted` record names a base that does not exist and is ignored on
 //! replay, and post-mark deltas replay normally. Between the base rename
@@ -115,9 +115,10 @@ const REC_COMPACTED: u8 = 3;
 /// [`Journal::should_compact`] evaluates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {
-    /// Never compact implicitly; the journal grows until an explicit
-    /// [`Journal::compact`]. The right choice when an external job owns
-    /// compaction.
+    /// Never compact implicitly; the journal grows until a caller runs
+    /// [`Journal::begin_compact`] → [`Journal::stage_compacted_base`] →
+    /// [`Journal::finish_compact`] itself. The right choice when an
+    /// external job owns compaction.
     #[default]
     Never,
     /// Compact once the journal holds at least this many `AnchorDelta`
@@ -608,32 +609,6 @@ impl Journal {
             self.file.sync_data()?;
         }
         Ok(())
-    }
-
-    /// Folds the journal back into a fresh base: publishes `base_bytes`
-    /// as the new base snapshot and resets the journal to an empty one,
-    /// with no crash window (see the compaction protocol in the
-    /// [module docs](self)). This is [`Journal::begin_compact`] →
-    /// [`Journal::stage_compacted_base`] → [`Journal::finish_compact`]
-    /// composed synchronously; background compactors call the three
-    /// steps themselves so the staging I/O runs off the owner's lock.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] / [`JournalError::Snapshot`] when a write
-    /// fails; the old base+journal pair stays replayable in that case.
-    pub fn compact(&mut self, base_bytes: &[u8]) -> Result<(), JournalError> {
-        self.begin_compact(base_bytes)?;
-        let staged = match Journal::stage_compacted_base(&self.base_path, base_bytes) {
-            Ok(staged) => staged,
-            Err(e) => {
-                // The marker is durable but names a base that will never
-                // land — inert on replay. Clearing the pending flag lets
-                // a later policy check retry.
-                self.pending = None;
-                return Err(e);
-            }
-        };
-        self.finish_compact(staged)
     }
 
     /// Step 1 of a staged compaction (see the [module docs](self)):

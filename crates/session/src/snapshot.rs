@@ -319,7 +319,6 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
     record::expect_end(&counts, "the count store")?;
     Ok(AlignmentSession {
         catalog,
-        threading: store.threading(),
         counts: store,
         stage: Counted::new(),
     })

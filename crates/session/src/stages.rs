@@ -56,7 +56,7 @@ impl<'w> SessionBuilder<'w> {
     /// The **training** anchors the counts start from. Passing ground-truth
     /// test anchors here leaks labels into the features — callers hold
     /// these to the training fold, exactly as with
-    /// [`metadiagram::CountEngine::new`].
+    /// [`DeltaCatalogCounts::build`].
     #[must_use]
     pub fn anchors(mut self, anchors: Vec<AnchorEdge>) -> Self {
         self.anchors = anchors;
@@ -93,7 +93,6 @@ impl<'w> SessionBuilder<'w> {
         Ok(AlignmentSession {
             catalog,
             counts,
-            threading: self.threading,
             stage: Counted(()),
         })
     }
@@ -109,7 +108,6 @@ impl<'w> SessionBuilder<'w> {
 pub struct AlignmentSession<S> {
     pub(crate) catalog: Catalog,
     pub(crate) counts: DeltaCatalogCounts,
-    pub(crate) threading: Threading,
     pub(crate) stage: S,
 }
 
@@ -209,9 +207,10 @@ impl<S> AlignmentSession<S> {
         self.counts.stats()
     }
 
-    /// The worker threading the session was built with.
+    /// The worker threading the session was built with (persisted with
+    /// the count store, its single source of truth).
     pub fn threading(&self) -> Threading {
-        self.threading
+        self.counts.threading()
     }
 }
 
@@ -235,14 +234,18 @@ impl AlignmentSession<Counted> {
     /// # Panics
     /// When a candidate's user lies outside its network's user range.
     pub fn featurize(self, candidates: Vec<(UserId, UserId)>) -> AlignmentSession<Featurized> {
-        let features = extract_features(&self.counts, &self.catalog, &candidates, self.threading);
+        let features = extract_features(
+            &self.counts,
+            &self.catalog,
+            &candidates,
+            self.counts.threading(),
+        );
         let (n_left, n_right) = self.counts.anchor().shape();
         let by_left = UserRows::group(n_left, candidates.iter().map(|c| c.0.index()));
         let by_right = UserRows::group(n_right, candidates.iter().map(|c| c.1.index()));
         AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
-            threading: self.threading,
             stage: Featurized {
                 candidates,
                 by_left,
@@ -365,7 +368,6 @@ impl AlignmentSession<Featurized> {
         AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
-            threading: self.threading,
             stage: Fitted {
                 featurized: self.stage,
                 report,
@@ -398,7 +400,6 @@ impl AlignmentSession<Fitted> {
         AlignmentSession {
             catalog: self.catalog,
             counts: self.counts,
-            threading: self.threading,
             stage: self.stage.featurized,
         }
     }
@@ -415,7 +416,6 @@ mod tests {
     use activeiter::query::ConflictQuery;
     use activeiter::VecOracle;
     use hetnet::aligned::anchor_matrix;
-    use metadiagram::CountEngine;
 
     fn world() -> datagen::GeneratedWorld {
         datagen::generate(&datagen::presets::tiny(23))
@@ -433,13 +433,15 @@ mod tests {
                 .count()
                 .unwrap()
                 .featurize(candidates.clone());
-            // Reference: a fresh engine's counts normalized in full.
+            // Reference: a fresh serial count, normalized in full.
             let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &train).unwrap();
-            let engine = CountEngine::new(w.left(), w.right(), a).unwrap();
             let catalog = session.catalog();
+            let fresh =
+                DeltaCatalogCounts::build(w.left(), w.right(), a, catalog, Threading::Serial)
+                    .unwrap();
             let mut reference = sparsela::DenseMatrix::zeros(candidates.len(), catalog.len());
-            for (col, e) in catalog.entries().iter().enumerate() {
-                let prox = dice_proximity(&engine.count(&e.diagram));
+            for col in 0..catalog.len() {
+                let prox = dice_proximity(fresh.catalog_count(col));
                 for (row, &(l, r)) in candidates.iter().enumerate() {
                     reference[(row, col)] = prox.get(l.index(), r.index());
                 }

@@ -7,12 +7,14 @@
 //! to share place AND time, correctly reports nothing.
 //!
 //! ```sh
-//! cargo run --example dislocation
+//! cargo run --release --example dislocation
 //! ```
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::{HetNetBuilder, LocationId, TimestampId, UserId};
-use metadiagram::{dice_proximity, AttrPathId, CountEngine, Diagram};
+use metadiagram::{
+    dice_proximity, AttrPathId, Catalog, DeltaCatalogCounts, Diagram, FeatureSet, Threading,
+};
 
 fn main() {
     let cities = ["Chicago", "New York", "Los Angeles"];
@@ -44,21 +46,34 @@ fn main() {
     }
     let right = right.build();
 
-    let engine = CountEngine::new(&left, &right, anchor_matrix(1, 1, &[]).unwrap())
-        .expect("attribute universes match");
+    // P1–P6 plus Ψ2: the catalog slice holding both meta paths and the
+    // attribute meta diagram.
+    let catalog = Catalog::new(FeatureSet::PathsAndAttrDiagram);
+    let counts = DeltaCatalogCounts::build(
+        &left,
+        &right,
+        anchor_matrix(1, 1, &[]).unwrap(),
+        &catalog,
+        Threading::Serial,
+    )
+    .expect("attribute universes match");
+    let count_of = |d: &Diagram| {
+        let pos = catalog.entries().iter().position(|e| &e.diagram == d);
+        counts.catalog_count(pos.expect("the catalog holds P5, P6 and Ψ2"))
+    };
 
-    let p5 = engine.count(&Diagram::Attr(AttrPathId::Timestamp));
-    let p6 = engine.count(&Diagram::Attr(AttrPathId::Location));
-    let psi2 = engine.count(&Diagram::psi2());
+    let p5 = count_of(&Diagram::Attr(AttrPathId::Timestamp));
+    let p6 = count_of(&Diagram::Attr(AttrPathId::Location));
+    let psi2 = count_of(&Diagram::psi2());
 
     println!();
     println!("P5 (common timestamp)  instances: {}", p5.get(0, 0));
     println!("P6 (common checkin)    instances: {}", p6.get(0, 0));
     println!("Ψ2 = P5×P6 (joint)     instances: {}", psi2.get(0, 0));
     println!();
-    println!("P5 proximity: {:.3}", dice_proximity(&p5).get(0, 0));
-    println!("P6 proximity: {:.3}", dice_proximity(&p6).get(0, 0));
-    println!("Ψ2 proximity: {:.3}", dice_proximity(&psi2).get(0, 0));
+    println!("P5 proximity: {:.3}", dice_proximity(p5).get(0, 0));
+    println!("P6 proximity: {:.3}", dice_proximity(p6).get(0, 0));
+    println!("Ψ2 proximity: {:.3}", dice_proximity(psi2).get(0, 0));
     println!();
     println!(
         "Meta paths see {} same-place and {} same-time coincidences and would\n\

@@ -29,7 +29,7 @@
 //! |---|---|
 //! | [`sparsela`] | CSR/COO sparse + dense linear algebra, SpGEMM (incl. the `L·ΔA·R` low-rank update kernel), Cholesky ridge |
 //! | [`hetnet`] | attributed heterogeneous networks, schema, anchors |
-//! | [`metadiagram`] | meta paths P1–P6, meta diagrams, covering sets, count engine, incremental delta recounts, Dice proximity, the 31-feature catalog |
+//! | [`metadiagram`] | meta paths P1–P6, meta diagrams, covering sets, the count store with its incremental delta recounts, Dice proximity, the 31-feature catalog |
 //! | [`datagen`] | seeded generator of aligned network pairs (Table II proportions) |
 //! | [`activeiter`] | the ActiveIter model, the resumable round driver, Iter-MPMD, ActiveIter-Rand, SVM baselines |
 //! | [`session`] | the staged `AlignmentSession` pipeline: `SessionBuilder` → Counted → Featurized → Fitted, with `update_anchors` incremental recounting |
@@ -87,7 +87,7 @@ pub mod prelude {
     };
     pub use hetnet::partition::{PartitionConfig, PartitionMap};
     pub use hetnet::{AlignedPair, AnchorLink, AnchorSet, HetNet, HetNetBuilder, UserId};
-    pub use metadiagram::{Catalog, CountEngine, Diagram, FeatureSet};
+    pub use metadiagram::{Catalog, Diagram, FeatureSet};
     pub use session::{
         snapshot, ActiveRunReport, AlignmentSession, AnchorEdge, SessionBuilder, SessionPool,
         ShardedConfig, ShardedSession, StitchedAlignment,

@@ -6,26 +6,27 @@
 //!
 //! * **social meta paths** and **social middle-stackings** Ψ(Pi×Pj) count
 //!   as SpGEMM chains `L · A · R` (PathSim-style counting): `A` is the
-//!   anchor matrix and `social_factors` gives the anchor-independent
+//!   anchor matrix and `SocialSteps::factors` gives the anchor-independent
 //!   user×user step matrices, `L = Lᵢ ⊙ Lⱼ` and `R = Rᵢ ⊙ Rⱼ` for a pair;
 //! * **attribute meta paths** and **attribute middle-stackings** Ψ(Pa×Pb)
-//!   never touch `A`. `attr_pair` contracts over the shared post pair by
-//!   joining posts on composite `(attr_a, attr_b)` keys, so no post×post
-//!   matrix is ever formed;
+//!   never touch `A`. They count as `UL · URᵀ`, where `attr_factors`
+//!   contracts over the shared post pair by joining posts on composite
+//!   `(attr_a, attr_b)` keys, so no post×post matrix is ever formed;
 //! * **endpoint stackings** multiply branch counts pointwise (Lemma 1's
 //!   sound direction).
 //!
-//! These are plain functions over the two networks.
-//! [`crate::delta::DeltaCatalogCounts::build`] is the one place that
-//! counts a catalog: it counts every distinct diagram once, a stack
-//! as the Hadamard of its already-counted parts (the paper's Lemma-2
-//! reuse: Ψf²,a² = Ψf² ⊙ Ψa² costs one Hadamard).
+//! These are plain functions over the two networks that give each leaf's
+//! factors. [`crate::delta::DeltaCatalogCounts::build`] is the one place
+//! that counts a catalog: it counts every distinct diagram once in one
+//! fused row pass ([`sparsela::fused_rows`]), a stack as the Hadamard of
+//! its parts' rows (the paper's Lemma-2 reuse: Ψf²,a² = Ψf² ⊙ Ψa² costs
+//! one Hadamard).
 
 use crate::diagram::{AttrPathId, SocialPathId};
 use hetnet::{Direction, HetNet, LinkKind, NodeKind};
-use sparsela::{spgemm, CooMatrix, CsrMatrix, SparseError};
-use std::collections::HashMap;
+use sparsela::{spgemm, CsrMatrix, SparseError};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Errors detected when counting over a pair of networks.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,13 +102,9 @@ pub(crate) fn check_networks(
     Ok(())
 }
 
-/// Per-network step matrices of a social path: `L[u1, x1]` and
-/// `R[x2, u2]` such that `count = L · A · R`.
-fn social_steps<'n>(
-    left: &'n HetNet,
-    right: &'n HetNet,
-    p: SocialPathId,
-) -> (&'n CsrMatrix, &'n CsrMatrix) {
+/// The follow directions of a social path's per-network steps
+/// `L[u1, x1]` and `R[x2, u2]`, such that `count = L · A · R`.
+fn step_directions(p: SocialPathId) -> (Direction, Direction) {
     // Left step: does u1 -follow-> x1 (Forward) or x1 -follow-> u1
     // (Reverse, i.e. transposed adjacency)?
     let ldir = match p {
@@ -121,32 +118,69 @@ fn social_steps<'n>(
         SocialPathId::P1 | SocialPathId::P4 => Direction::Reverse,
         SocialPathId::P2 | SocialPathId::P3 => Direction::Forward,
     };
-    (
-        left.adjacency(LinkKind::Follow, ldir),
-        right.adjacency(LinkKind::Follow, rdir),
-    )
+    (ldir, rdir)
 }
 
-/// The anchor-chain factors `(L, R)` of the social middle-stacking
-/// Pi × Pj, so that its count is `L · A · R`. `Pi × Pi` degenerates to
-/// the path Pi on binary adjacency; otherwise `L = Lᵢ ⊙ Lⱼ` and
-/// `R = Rᵢ ⊙ Rⱼ`, one Hadamard each.
-///
-/// The factors are anchor-independent, which makes anchor updates
-/// low-rank: `C(A + ΔA) = C(A) + L·ΔA·R` exactly (see
-/// [`sparsela::spgemm_lowrank`] and [`crate::delta`]).
-pub(crate) fn social_factors(
-    left: &HetNet,
-    right: &HetNet,
-    i: SocialPathId,
-    j: SocialPathId,
-) -> Result<(CsrMatrix, CsrMatrix), SparseError> {
-    let (li, ri) = social_steps(left, right, i);
-    if i == j {
-        return Ok((li.clone(), ri.clone()));
+/// The social steps of one network pair. Every step is the follow
+/// adjacency in one direction, so the Hadamards `Lᵢ ⊙ Lⱼ` of the six
+/// social pairs take only three distinct direction pairs per side; each
+/// is computed once, by the first pair that needs it.
+pub(crate) struct SocialSteps<'n> {
+    pub(crate) nets: [&'n HetNet; 2],
+    /// Per side (left, right), per direction pair (both forward, mixed,
+    /// both reverse).
+    products: [[OnceLock<Result<CsrMatrix, SparseError>>; 3]; 2],
+}
+
+impl<'n> SocialSteps<'n> {
+    pub(crate) fn new(left: &'n HetNet, right: &'n HetNet) -> Self {
+        SocialSteps {
+            nets: [left, right],
+            products: Default::default(),
+        }
     }
-    let (lj, rj) = social_steps(left, right, j);
-    Ok((li.hadamard(lj)?, ri.hadamard(rj)?))
+
+    /// The step of `side` (0 left, 1 right) for directions `a` and `b`:
+    /// the adjacency itself when they agree on a path, else the
+    /// Hadamard of both.
+    fn step(
+        &self,
+        side: usize,
+        a: Direction,
+        b: Direction,
+        same_path: bool,
+    ) -> Result<CsrMatrix, SparseError> {
+        let follow = |d| self.nets[side].adjacency(LinkKind::Follow, d);
+        if same_path {
+            return Ok(follow(a).clone());
+        }
+        let slot = match (a, b) {
+            (Direction::Forward, Direction::Forward) => 0,
+            (Direction::Reverse, Direction::Reverse) => 2,
+            _ => 1,
+        };
+        // `x·y` and `y·x` are the same bits, so either order serves.
+        self.products[side][slot]
+            .get_or_init(|| follow(a).hadamard(follow(b)))
+            .clone()
+    }
+
+    /// The anchor-chain factors `(L, R)` of the social middle-stacking
+    /// Pi × Pj, so that its count is `L · A · R`. `Pi × Pi` degenerates to
+    /// the path Pi on binary adjacency; otherwise `L = Lᵢ ⊙ Lⱼ` and
+    /// `R = Rᵢ ⊙ Rⱼ`.
+    ///
+    /// The factors are anchor-independent, which makes anchor updates
+    /// low-rank: `C(A + ΔA) = C(A) + L·ΔA·R` exactly (see
+    /// [`sparsela::spgemm_lowrank`] and [`crate::delta`]).
+    pub(crate) fn factors(
+        &self,
+        i: SocialPathId,
+        j: SocialPathId,
+    ) -> Result<(CsrMatrix, CsrMatrix), SparseError> {
+        let ((li, ri), (lj, rj)) = (step_directions(i), step_directions(j));
+        Ok((self.step(0, li, lj, i == j)?, self.step(1, ri, rj, i == j)?))
+    }
 }
 
 fn attr_link(a: AttrPathId) -> LinkKind {
@@ -157,74 +191,130 @@ fn attr_link(a: AttrPathId) -> LinkKind {
     }
 }
 
-/// `(W¹·C¹) · (W²·C²)ᵀ`: user×key intermediates, never post×post.
-fn authored_key_counts(
-    left: &HetNet,
-    right: &HetNet,
-    c1: &CsrMatrix,
-    c2: &CsrMatrix,
-) -> Result<CsrMatrix, SparseError> {
-    let ul = spgemm(left.adjacency(LinkKind::Write, Direction::Forward), c1)?;
-    let ur = spgemm(right.adjacency(LinkKind::Write, Direction::Forward), c2)?;
-    spgemm(&ul, &ur.transpose())
-}
-
-/// The count of the attribute middle-stacking Pa × Pb: instances are
-/// post pairs sharing **both** attributes. `Pa × Pa` degenerates to the
-/// attribute path Pa.
+/// The factors of the attribute middle-stacking Pa × Pb: `UL = W¹·C¹`
+/// (left users × keys) and `URᵀ = (W²·C²)ᵀ` (keys × right users), so that
+/// its count is `UL · URᵀ` and instances are post pairs sharing **both**
+/// attributes. `Pa × Pa` degenerates to the attribute path Pa, whose keys
+/// are the attribute values themselves.
 ///
-/// Posts are joined on composite `(attr_a, attr_b)` keys. This is exactly
-/// the post×post product `W¹ · (S_a ⊙ S_b) · W²ᵀ` (the key space is the
-/// Cartesian product of the per-post attribute sets) and never forms a
-/// post×post matrix.
-pub(crate) fn attr_pair(
+/// Otherwise posts are joined on composite `(attr_a, attr_b)` keys. This is
+/// exactly the post×post product `W¹ · (S_a ⊙ S_b) · W²ᵀ` (the key space
+/// is the Cartesian product of the per-post attribute sets) and never
+/// forms a post×post matrix. The keys are the left posts' pairs, sorted
+/// and deduplicated, numbered by rank ([`KeyTable`]); keys exclusive to
+/// the right cannot take part in any instance and are dropped. Counts are
+/// exact integers, so the numbering does not change a bit of the count.
+pub(crate) fn attr_factors(
     left: &HetNet,
     right: &HetNet,
     a: AttrPathId,
     b: AttrPathId,
-) -> Result<CsrMatrix, SparseError> {
+) -> Result<(CsrMatrix, CsrMatrix), SparseError> {
     let (ka, kb) = (attr_link(a), attr_link(b));
-    if a == b {
-        let c1 = left.adjacency(ka, Direction::Forward);
-        let c2 = right.adjacency(ka, Direction::Forward);
-        return authored_key_counts(left, right, c1, c2);
-    }
-    // Key dictionary over (attr_a, attr_b) pairs present on left posts.
-    let left_a = left.adjacency(ka, Direction::Forward);
-    let left_b = left.adjacency(kb, Direction::Forward);
-    let right_a = right.adjacency(ka, Direction::Forward);
-    let right_b = right.adjacency(kb, Direction::Forward);
+    let authored = |net: &HetNet, keys: &CsrMatrix| {
+        spgemm(net.adjacency(LinkKind::Write, Direction::Forward), keys)
+    };
+    let (ul, ur) = if a == b {
+        (
+            authored(left, left.adjacency(ka, Direction::Forward))?,
+            authored(right, right.adjacency(ka, Direction::Forward))?,
+        )
+    } else {
+        let keys = KeyTable::of(left, ka, kb);
+        (
+            authored(left, &keys.incidence(left, ka, kb))?,
+            authored(right, &keys.incidence(right, ka, kb))?,
+        )
+    };
+    Ok((ul, ur.transpose()))
+}
 
-    let mut key_ids: HashMap<(usize, usize), usize> = HashMap::new();
-    // First pass: enumerate left-post keys, assigning ids.
-    let mut c1_triplets: Vec<(usize, usize)> = Vec::new();
-    for p in 0..left.n_posts() {
-        for (ia, _) in left_a.row(p) {
-            for (ib, _) in left_b.row(p) {
-                let next = key_ids.len();
-                let id = *key_ids.entry((ia, ib)).or_insert(next);
-                c1_triplets.push((p, id));
+/// The composite `(attr_a, attr_b)` keys of one network's posts, sorted
+/// and deduplicated, numbered by rank: key `id` is `(a, key_b[id])` for
+/// `first[a] ≤ id < first[a + 1]`.
+struct KeyTable {
+    first: Vec<usize>,
+    key_b: Vec<usize>,
+}
+
+impl KeyTable {
+    /// The keys of `net`'s posts. Each post's `attr_b` values are bucketed
+    /// by its `attr_a` values (a counting sort on `attr_a`), and each small
+    /// bucket is then sorted and deduplicated.
+    fn of(net: &HetNet, ka: LinkKind, kb: LinkKind) -> Self {
+        let (sa, sb) = (
+            net.adjacency(ka, Direction::Forward),
+            net.adjacency(kb, Direction::Forward),
+        );
+        let mut first = vec![0usize; sa.ncols() + 1];
+        for p in 0..net.n_posts() {
+            for (ia, _) in sa.row(p) {
+                first[ia + 1] += sb.row_nnz(p);
             }
         }
-    }
-    let n_keys = key_ids.len();
-    let mut c1 = CooMatrix::with_capacity(left.n_posts(), n_keys, c1_triplets.len());
-    for (p, k) in c1_triplets {
-        c1.push(p, k, 1.0)?;
-    }
-    // Second pass: right posts contribute only keys seen on the left —
-    // keys exclusive to one side cannot participate in any instance.
-    let mut c2 = CooMatrix::new(right.n_posts(), n_keys);
-    for p in 0..right.n_posts() {
-        for (ia, _) in right_a.row(p) {
-            for (ib, _) in right_b.row(p) {
-                if let Some(&id) = key_ids.get(&(ia, ib)) {
-                    c2.push(p, id, 1.0)?;
+        for a in 0..sa.ncols() {
+            first[a + 1] += first[a];
+        }
+        let mut fill = first.clone();
+        let mut key_b = vec![0usize; first[sa.ncols()]];
+        for p in 0..net.n_posts() {
+            for (ia, _) in sa.row(p) {
+                for (ib, _) in sb.row(p) {
+                    key_b[fill[ia]] = ib;
+                    fill[ia] += 1;
                 }
             }
         }
+        // Sort and deduplicate each bucket, compacting in place.
+        let mut len = 0;
+        for a in 0..sa.ncols() {
+            let bucket = first[a]..first[a + 1];
+            first[a] = len;
+            key_b[bucket.clone()].sort_unstable();
+            let mut last = None;
+            for k in bucket {
+                let ib = key_b[k];
+                if last != Some(ib) {
+                    key_b[len] = ib;
+                    len += 1;
+                    last = Some(ib);
+                }
+            }
+        }
+        first[sa.ncols()] = len;
+        key_b.truncate(len);
+        KeyTable { first, key_b }
     }
-    authored_key_counts(left, right, &c1.to_csr(), &c2.to_csr())
+
+    /// The id of key `(ia, ib)`, if it is one.
+    fn id(&self, ia: usize, ib: usize) -> Option<usize> {
+        let (&lo, &hi) = (self.first.get(ia)?, self.first.get(ia + 1)?);
+        self.key_b[lo..hi]
+            .binary_search(&ib)
+            .ok()
+            .map(|pos| lo + pos)
+    }
+
+    /// The post × key incidence of `net`'s keys that are in this table. A
+    /// post's pairs come in lexicographic order and an id is a rank, so
+    /// each row is built in column order.
+    fn incidence(&self, net: &HetNet, ka: LinkKind, kb: LinkKind) -> CsrMatrix {
+        let (sa, sb) = (
+            net.adjacency(ka, Direction::Forward),
+            net.adjacency(kb, Direction::Forward),
+        );
+        let mut indptr = Vec::with_capacity(net.n_posts() + 1);
+        indptr.push(0);
+        let mut indices = Vec::new();
+        for p in 0..net.n_posts() {
+            for (ia, _) in sa.row(p) {
+                indices.extend(sb.row(p).filter_map(|(ib, _)| self.id(ia, ib)));
+            }
+            indptr.push(indices.len());
+        }
+        let values = vec![1.0; indices.len()];
+        CsrMatrix::from_parts_unchecked(net.n_posts(), self.key_b.len(), indptr, indices, values)
+    }
 }
 
 #[cfg(test)]
@@ -265,6 +355,12 @@ mod tests {
         let anchor =
             hetnet::aligned::anchor_matrix(3, 3, &[AnchorLink::new(UserId(1), UserId(1))]).unwrap();
         (left, right, anchor)
+    }
+
+    /// The count `UL · URᵀ` of the attribute middle-stacking Pa × Pb.
+    fn attr_pair(l: &HetNet, r: &HetNet, a: AttrPathId, b: AttrPathId) -> CsrMatrix {
+        let (ul, urt) = attr_factors(l, r, a, b).unwrap();
+        spgemm(&ul, &urt).unwrap()
     }
 
     /// The full catalog counted over `tiny_world`.
@@ -355,7 +451,7 @@ mod tests {
         let w1 = l.adjacency(LinkKind::Write, Direction::Forward);
         let w2t = r.adjacency(LinkKind::Write, Direction::Reverse);
         let post_by_post = spgemm(&spgemm(w1, &joint).unwrap(), w2t).unwrap();
-        assert_eq!(attr_pair(&l, &r, a, b).unwrap(), post_by_post);
+        assert_eq!(attr_pair(&l, &r, a, b), post_by_post);
     }
 
     #[test]
@@ -395,10 +491,12 @@ mod tests {
     fn degenerate_pairs_equal_paths() {
         let (l, r, a) = tiny_world();
         let s = tiny_store();
-        let (lf, rf) = social_factors(&l, &r, SocialPathId::P1, SocialPathId::P1).unwrap();
+        let (lf, rf) = SocialSteps::new(&l, &r)
+            .factors(SocialPathId::P1, SocialPathId::P1)
+            .unwrap();
         let pair = spgemm(&spgemm(&lf, &a).unwrap(), &rf).unwrap();
         assert_eq!(&pair, count(&s, &Diagram::Social(SocialPathId::P1)));
-        let apair = attr_pair(&l, &r, AttrPathId::Location, AttrPathId::Location).unwrap();
+        let apair = attr_pair(&l, &r, AttrPathId::Location, AttrPathId::Location);
         assert_eq!(&apair, count(&s, &Diagram::Attr(AttrPathId::Location)));
     }
 
@@ -433,9 +531,10 @@ mod tests {
         let (l, r, a) = tiny_world();
         let s = tiny_store();
         // Every social path and pair factors as L·A·R.
+        let steps = SocialSteps::new(&l, &r);
         for (ii, &i) in SocialPathId::ALL.iter().enumerate() {
             for &j in &SocialPathId::ALL[ii..] {
-                let (lf, rf) = social_factors(&l, &r, i, j).unwrap();
+                let (lf, rf) = steps.factors(i, j).unwrap();
                 let lar = spgemm(&spgemm(&lf, &a).unwrap(), &rf).unwrap();
                 let d = if i == j {
                     Diagram::Social(i)

@@ -9,15 +9,11 @@
 //! * **Lemma 2** — if `C(Ψᵢ) ⊆ C(Ψⱼ)`, any pair connected by Ψⱼ is
 //!   connected by Ψᵢ, so a count for Ψᵢ bounds (and, for endpoint
 //!   stackings, *factors*) the computation of Ψⱼ. The store build uses the
-//!   factoring directly: it counts each endpoint stacking as the Hadamard
-//!   of its already-counted parts, scheduled by `run_dag` over a DAG in
-//!   which a stack depends on exactly its parts.
+//!   factoring directly: in its fused row pass, each endpoint stacking's
+//!   row is the Hadamard of its parts' rows, computed right after them
+//!   while they are in cache.
 
 use crate::diagram::{AttrPathId, SocialPathId};
-use std::any::Any;
-use std::collections::VecDeque;
-use std::panic::AssertUnwindSafe;
-use std::sync::{Condvar, Mutex, OnceLock};
 
 /// A small bitset over the base meta paths {P1..P4} ∪ {P5, P6, PW}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -116,116 +112,6 @@ impl CoveringSet {
     }
 }
 
-/// Executes `f(i, parts)` once per node of a DAG, fanning out over
-/// `workers` threads. `deps[i]` lists the nodes `i` reads, every one of
-/// them before `i` (the store build hands over its dependency-ordered
-/// node list, where a stack reads exactly its parts). `parts` holds the
-/// results of `deps[i]`, in that order. A node becomes ready the moment
-/// its own dependencies complete, so one slow node never stalls
-/// unrelated work, and the whole run pays a single thread-spawn wave.
-/// Results come back in node-index order.
-///
-/// Determinism: each node runs exactly once and reads only its own
-/// dependencies' results, so the output is a pure function of `f` —
-/// bit-equal at any worker count as long as `f` is itself deterministic.
-/// A panic in `f` stops the run and propagates to the caller.
-pub(crate) fn run_dag<R: Send + Sync>(
-    deps: &[Vec<usize>],
-    workers: usize,
-    f: impl Fn(usize, &[&R]) -> R + Sync,
-) -> Vec<R> {
-    assert!(
-        deps.iter()
-            .enumerate()
-            .all(|(i, d)| d.iter().all(|&p| p < i)),
-        "run_dag: every dependency must precede its node"
-    );
-    let n = deps.len();
-    let slots: Vec<OnceLock<R>> = (0..n).map(|_| OnceLock::new()).collect();
-    let run = |i: usize| {
-        let parts: Vec<&R> = deps[i]
-            .iter()
-            .map(|&p| slots[p].get().expect("a node runs after its dependencies"))
-            .collect();
-        // Each node runs once, so its slot is still empty.
-        let _ = slots[i].set(f(i, &parts));
-    };
-
-    if workers.min(n) <= 1 {
-        (0..n).for_each(run);
-    } else {
-        let mut dependents = vec![Vec::new(); n];
-        for (i, d) in deps.iter().enumerate() {
-            for &p in d {
-                dependents[p].push(i);
-            }
-        }
-        let state = Mutex::new(SchedState {
-            ready: (0..n).filter(|&i| deps[i].is_empty()).collect(),
-            remaining: deps.iter().map(Vec::len).collect(),
-            completed: 0,
-            panic: None,
-        });
-        let done = Condvar::new();
-        std::thread::scope(|scope| {
-            for _ in 0..workers.min(n) {
-                scope.spawn(|| loop {
-                    let next = {
-                        let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                        loop {
-                            if st.panic.is_some() {
-                                break None;
-                            }
-                            if let Some(i) = st.ready.pop_front() {
-                                break Some(i);
-                            }
-                            if st.completed == n {
-                                break None;
-                            }
-                            st = done.wait(st).unwrap_or_else(|e| e.into_inner());
-                        }
-                    };
-                    let Some(i) = next else {
-                        return;
-                    };
-                    if let Err(panic) = std::panic::catch_unwind(AssertUnwindSafe(|| run(i))) {
-                        // Wake the idle workers: the nodes behind this one
-                        // will never become ready.
-                        state.lock().unwrap_or_else(|e| e.into_inner()).panic = Some(panic);
-                        done.notify_all();
-                        return;
-                    }
-                    let mut st = state.lock().unwrap_or_else(|e| e.into_inner());
-                    st.completed += 1;
-                    for &d in &dependents[i] {
-                        st.remaining[d] -= 1;
-                        if st.remaining[d] == 0 {
-                            st.ready.push_back(d);
-                        }
-                    }
-                    drop(st);
-                    done.notify_all();
-                });
-            }
-        });
-        if let Some(panic) = state.into_inner().unwrap_or_else(|e| e.into_inner()).panic {
-            std::panic::resume_unwind(panic);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("every dag node ran"))
-        .collect()
-}
-
-struct SchedState {
-    ready: VecDeque<usize>,
-    remaining: Vec<usize>,
-    completed: usize,
-    /// A node's panic, re-raised once every worker has returned.
-    panic: Option<Box<dyn Any + Send>>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,66 +158,5 @@ mod tests {
         s.insert_attr(AttrPathId::Word);
         assert_eq!(s.social_paths(), vec![SocialPathId::P1, SocialPathId::P4]);
         assert_eq!(s.attr_paths(), vec![AttrPathId::Word]);
-    }
-
-    /// A five-node DAG in dependency order: 0 and 1 are roots, 2 reads
-    /// 0, 3 reads 0 and 2, 4 reads 1 twice.
-    fn sample_deps() -> Vec<Vec<usize>> {
-        vec![vec![], vec![], vec![0], vec![0, 2], vec![1, 1]]
-    }
-
-    #[test]
-    fn run_dag_respects_dependencies_at_any_worker_count() {
-        use std::sync::Mutex;
-        let deps = sample_deps();
-        for workers in [1, 2, 4, 8] {
-            let finished: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-            let results = run_dag(&deps, workers, |i, parts: &[&usize]| {
-                // A node may only start after all of its dependencies have
-                // been recorded as finished, and sees their results in
-                // dependency-list order.
-                {
-                    let done = finished.lock().unwrap();
-                    for &d in &deps[i] {
-                        assert!(
-                            done.contains(&d),
-                            "node {i} started before dep {d} ({workers} workers)"
-                        );
-                    }
-                }
-                let want: Vec<usize> = deps[i].iter().map(|&d| d * 10).collect();
-                assert_eq!(parts.iter().map(|&&p| p).collect::<Vec<_>>(), want);
-                std::thread::yield_now();
-                finished.lock().unwrap().push(i);
-                i * 10
-            });
-            assert_eq!(results, vec![0, 10, 20, 30, 40], "{workers} workers");
-            // Every node ran exactly once.
-            let mut done = finished.into_inner().unwrap();
-            done.sort_unstable();
-            assert_eq!(done, vec![0, 1, 2, 3, 4]);
-        }
-    }
-
-    #[test]
-    fn run_dag_of_empty_plan_is_empty() {
-        assert!(run_dag(&[], 4, |i, _: &[&usize]| i).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "node 0 failed")]
-    fn run_dag_propagates_a_node_panic_instead_of_hanging() {
-        // Node 2 waits on node 0, which panics; the idle worker must not
-        // wait for node 2 forever.
-        run_dag(&[vec![], vec![], vec![0]], 2, |i, _: &[&usize]| {
-            assert_ne!(i, 0, "node 0 failed");
-            i
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "must precede")]
-    fn run_dag_refuses_a_dependency_after_its_node() {
-        run_dag(&[vec![1], vec![]], 2, |i, _: &[&usize]| i);
     }
 }

@@ -22,8 +22,12 @@
 //!
 //! [`DeltaCatalogCounts::build`] is also the crate's only full count: it
 //! plans each distinct diagram of the catalog once, in dependency order,
-//! and counts every node exactly once straight into the store, fanned out
-//! over the node DAG in which a stack depends on exactly its parts.
+//! computes each leaf's right-hand operand once, and counts every node in
+//! one fused pass per flop-balanced row block ([`sparsela::fused_rows`]):
+//! per row, every leaf row, then every stack row from its parts' rows
+//! while they are in cache, each added into its margins.
+//! [`DeltaCatalogCounts::recount_anchors`], the oracle, runs the same
+//! pass.
 //!
 //! A [`DeltaCatalogCounts`] is also the unit of **persistence**: it owns
 //! everything an update needs (factor chains included, networks
@@ -33,16 +37,16 @@
 //! the payload behind `session::snapshot`.
 
 use crate::catalog::Catalog;
-use crate::count::{self, EngineError};
-use crate::covering::run_dag;
+use crate::count::{self, EngineError, SocialSteps};
 use crate::diagram::Diagram;
 use hetnet::{AnchorLink, HetNet};
 use sparsela::{
-    spgemm_lowrank_with_sums, spgemm_threaded, Accumulator, CooMatrix, CsrMatrix, MarginSums,
-    SparseError, Threading,
+    fan_out, fused_rows, spgemm, spgemm_lowrank_with_sums, CooMatrix, CsrMatrix, MarginSums,
+    RowStep, SparseError, Threading,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Errors raised when applying an anchor update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,33 +210,12 @@ impl FactorChain {
         }
     }
 
-    /// `L·A·R` from scratch: the one anchor-chain count, shared by the
-    /// build and [`DeltaCatalogCounts::recount_anchors`].
-    fn count(&self, anchor: &CsrMatrix, threading: Threading) -> Result<CsrMatrix, SparseError> {
-        let la = spgemm_threaded(&self.l, anchor, Accumulator::Auto, threading)?;
-        spgemm_threaded(&la, &self.r, Accumulator::Auto, threading)
+    /// `A·R`, the right-hand operand of the chain's rows `L·(A·R)` in a
+    /// full count, shared by the build and
+    /// [`DeltaCatalogCounts::recount_anchors`].
+    fn anchored(&self, anchor: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
+        spgemm(anchor, &self.r)
     }
-}
-
-/// `parts[0] ∘ parts[1] ∘ …` in part order: the count of an endpoint
-/// stacking, shared by the build and the full-recount pass.
-fn hadamard_all<'m>(
-    parts: impl IntoIterator<Item = &'m CsrMatrix>,
-) -> Result<CsrMatrix, SparseError> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Err(SparseError::InvalidStructure(
-            "an endpoint stacking needs at least one part".into(),
-        ));
-    };
-    let Some(second) = parts.next() else {
-        return Ok(first.clone());
-    };
-    let mut acc = first.hadamard(second)?;
-    for p in parts {
-        acc = acc.hadamard(p)?;
-    }
-    Ok(acc)
 }
 
 /// Appends `diagram` and (first) its stack parts to the node plan unless
@@ -261,40 +244,89 @@ fn plan_node(
     i
 }
 
-/// One built store node: how it reacts to updates, its count, its margins.
-type BuiltNode = Result<(NodeKind, CsrMatrix, MarginSums), EngineError>;
+/// A planned node with the operands of its rows in the build's row pass.
+enum Planned {
+    /// Rows `L·(A·R)`; keeps the chain and its `A·R`.
+    Chain(FactorChain, CsrMatrix),
+    /// Rows `UL·URᵀ` (see [`count::attr_factors`]).
+    Free(CsrMatrix, CsrMatrix),
+    /// The Hadamard of its parts' rows.
+    Stack(Vec<usize>),
+}
 
-/// Counts one planned node. Leaves run their products serially (the build
-/// parallelizes across nodes); a stack multiplies the counts of `done`,
-/// its parts' results in part order.
-fn build_node(
-    left: &HetNet,
-    right: &HetNet,
-    anchor: &CsrMatrix,
-    diagram: &Diagram,
-    parts: &[usize],
-    done: &[&BuiltNode],
-) -> BuiltNode {
-    let chain = |(l, r)| -> Result<(NodeKind, CsrMatrix), EngineError> {
-        let chain = FactorChain::new(l, r);
-        let count = chain.count(anchor, Threading::Serial)?;
-        Ok((NodeKind::AnchorChain(Box::new(chain)), count))
-    };
-    let (kind, count) = match diagram {
-        Diagram::Social(p) => chain(count::social_factors(left, right, *p, *p)?)?,
-        Diagram::SocialPair(i, j) => chain(count::social_factors(left, right, *i, *j)?)?,
-        Diagram::Attr(a) => (NodeKind::AnchorFree, count::attr_pair(left, right, *a, *a)?),
-        Diagram::AttrPair(a, b) => (NodeKind::AnchorFree, count::attr_pair(left, right, *a, *b)?),
-        Diagram::Stack(_) => {
-            let counts = done
-                .iter()
-                .map(|part| part.as_ref().map(|(_, c, _)| c).map_err(Clone::clone))
-                .collect::<Result<Vec<_>, _>>()?;
-            (NodeKind::Stack(parts.to_vec()), hadamard_all(counts)?)
+impl Planned {
+    fn of(
+        social: &SocialSteps,
+        anchor: &CsrMatrix,
+        diagram: &Diagram,
+        parts: &[usize],
+    ) -> Result<Self, EngineError> {
+        let [left, right] = social.nets;
+        let chain = |(l, r)| -> Result<Planned, EngineError> {
+            let chain = FactorChain::new(l, r);
+            let ar = chain.anchored(anchor)?;
+            Ok(Planned::Chain(chain, ar))
+        };
+        let free = |(ul, urt)| Planned::Free(ul, urt);
+        Ok(match diagram {
+            Diagram::Social(p) => chain(social.factors(*p, *p)?)?,
+            Diagram::SocialPair(i, j) => chain(social.factors(*i, *j)?)?,
+            Diagram::Attr(a) => free(count::attr_factors(left, right, *a, *a)?),
+            Diagram::AttrPair(a, b) => free(count::attr_factors(left, right, *a, *b)?),
+            Diagram::Stack(_) => Planned::Stack(parts.to_vec()),
+        })
+    }
+
+    /// Plans every node of `order` (`parts` are the stacks' parts). The
+    /// nodes' operands are independent. Each worker claims the next node
+    /// from the last one back: a catalog plans its cheap single paths
+    /// first and its costlier pairs after them, so the costliest are
+    /// claimed first and the cheap ones fill in.
+    fn all(
+        left: &HetNet,
+        right: &HetNet,
+        anchor: &CsrMatrix,
+        order: &[Diagram],
+        parts: &[Vec<usize>],
+        threading: Threading,
+    ) -> Result<Vec<Self>, EngineError> {
+        let social = SocialSteps::new(left, right);
+        let next = AtomicUsize::new(0);
+        let workers = threading.resolve().min(order.len()).max(1);
+        let mut planned: Vec<(usize, Result<Planned, EngineError>)> =
+            fan_out((0..workers).map(|w| w..w + 1).collect(), |_| {
+                let mut mine = Vec::new();
+                loop {
+                    // A claim counter: it publishes no other data.
+                    let claim = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(i) = order.len().checked_sub(claim + 1) else {
+                        return mine;
+                    };
+                    mine.push((i, Planned::of(&social, anchor, &order[i], &parts[i])));
+                }
+            })
+            .into_iter()
+            .flatten()
+            .collect();
+        planned.sort_unstable_by_key(|&(i, _)| i);
+        planned.into_iter().map(|(_, node)| node).collect()
+    }
+
+    fn step(&self) -> RowStep<'_> {
+        match self {
+            Planned::Chain(chain, ar) => RowStep::Product(&chain.l, ar),
+            Planned::Free(ul, urt) => RowStep::Product(ul, urt),
+            Planned::Stack(parts) => RowStep::Hadamard(parts),
         }
-    };
-    let sums = MarginSums::of(&count);
-    Ok((kind, count, sums))
+    }
+
+    fn into_kind(self) -> NodeKind {
+        match self {
+            Planned::Chain(chain, _) => NodeKind::AnchorChain(Box::new(chain)),
+            Planned::Free(..) => NodeKind::AnchorFree,
+            Planned::Stack(parts) => NodeKind::Stack(parts),
+        }
+    }
 }
 
 /// How one materialized diagram reacts to an anchor update.
@@ -376,15 +408,18 @@ impl DeltaCatalogCounts {
     /// Counts the whole catalog once (the store's single mandatory full
     /// count) and keeps the factor chains of every anchor-dependent
     /// diagram. The build plans each distinct diagram once, in dependency
-    /// order (stack parts first), and counts every node exactly once
-    /// straight into the store: `threading` fans the nodes out over their
-    /// DAG (`run_dag`; a stack waits for exactly its parts), and each
-    /// node's own products run serially. Results are bit-identical at any
-    /// setting.
+    /// order (stack parts first), computes the right-hand operands once
+    /// per leaf (`A·R` per anchor chain, `URᵀ` per anchor-free diagram),
+    /// and then counts every node in one fused row pass
+    /// ([`sparsela::fused_rows`]): for each row, every leaf row, then every
+    /// stack row from its parts' rows while they are in cache, each added
+    /// into its margins. `threading` sets the number of flop-balanced row
+    /// blocks. Counts are exact integers, so results are bit-identical at
+    /// any setting.
     ///
     /// Factor chains are kept eagerly because the networks are not
     /// retained after the build — a batch caller that never updates pays
-    /// for them too: one transpose per chain, computed alongside its count.
+    /// for them too: one transpose per chain.
     ///
     /// # Errors
     /// [`EngineError::AnchorShape`] / [`EngineError::AttributeUniverseMismatch`]
@@ -406,9 +441,9 @@ impl DeltaCatalogCounts {
             .iter()
             .map(|e| plan_node(&e.diagram, &mut order, &mut parts, &mut index))
             .collect();
-        let built = run_dag(&parts, threading.resolve(), |i, done| {
-            build_node(left, right, &anchor, &order[i], &parts[i], done)
-        });
+        let planned = Planned::all(left, right, &anchor, &order, &parts, threading)?;
+        let steps: Vec<RowStep> = planned.iter().map(Planned::step).collect();
+        let built = fused_rows(&steps, anchor.shape(), threading)?;
         let mut store = DeltaCatalogCounts {
             anchor,
             order,
@@ -422,9 +457,10 @@ impl DeltaCatalogCounts {
                 ..DeltaStats::default()
             },
         };
-        for node in built {
-            let (kind, count, sums) = node?;
-            store.kinds.push(kind);
+        // Every build step is a product or a Hadamard, so each yields a
+        // count.
+        for (node, (count, sums)) in planned.into_iter().zip(built.into_iter().flatten()) {
+            store.kinds.push(node.into_kind());
             store.counts.push(count);
             store.sums.push(sums);
         }
@@ -476,7 +512,8 @@ impl DeltaCatalogCounts {
     }
 
     /// Validates the cross-artifact shape invariants a propagation relies
-    /// on, **before** any mutation: margins against their counts, factor
+    /// on, **before** any mutation: counts against the anchor shape,
+    /// margins against their counts, factor
     /// chains against the anchor and count shapes, stack parts against
     /// their stack, and at most one anchor-dependent part per stack.
     /// Every store this crate builds passes by construction;
@@ -496,6 +533,15 @@ impl DeltaCatalogCounts {
         let mut dependent = Vec::with_capacity(n);
         for (i, kind) in self.kinds.iter().enumerate() {
             let shape = self.counts[i].shape();
+            // Every count is |U⁽¹⁾| × |U⁽²⁾|, the shape of the row pass.
+            if shape != (a1, a2) {
+                return Err(DeltaError::ShapeDrift {
+                    what: "count matrix",
+                    node: i,
+                    found: shape,
+                    expected: (a1, a2),
+                });
+            }
             if self.sums[i].shape() != shape {
                 return Err(DeltaError::ShapeDrift {
                     what: "margin sums",
@@ -630,7 +676,7 @@ impl DeltaCatalogCounts {
         }
         self.check_consistent()?;
         let delta = self.merge_links(&fresh)?;
-        let changed = self.repropagate(Some(&delta))?;
+        let changed = self.repropagate(&delta)?;
         self.stats.delta_updates += 1;
         Ok(DeltaOutcome {
             applied: fresh.len(),
@@ -660,28 +706,26 @@ impl DeltaCatalogCounts {
         self.check_consistent()?;
         let applied = fresh.len();
         self.merge_links(&fresh)?;
-        let changed = self.repropagate(None)?;
+        let changed = self.recount()?;
         self.stats.full_counts += 1;
         Ok(DeltaOutcome { applied, changed })
     }
 
-    /// One propagation pass in dependency order. `delta` selects the
-    /// incremental path; `None` recomputes chains from the merged anchors
-    /// and re-Hadamards every stack over a changed part. Returns the
-    /// changed catalog entries, with per-entry touched regions on the
-    /// incremental path.
+    /// The incremental propagation pass of `ΔA = delta`, in dependency
+    /// order. Returns the changed catalog entries with their touched
+    /// regions.
     ///
-    /// On the incremental path every changed node keeps its increment for
-    /// the rest of the pass. An anchor chain's increment is `L·ΔA·R`; a
-    /// stack's is its one changed part's increment `∘` each fixed part, in
-    /// part order, so `C∘B + ΔC∘B = (C+ΔC)∘B` (exact integers below
-    /// `2^53`). Each node splices its increment in place: the margins fold
-    /// in the increment's sums and every entry the positivity filter
-    /// prunes is retracted entry-locally. A chain cell pruned at
-    /// `C+ΔC ≤ 0` gives `(C+ΔC)·B ≤ 0` in the stack, which its own splice
-    /// prunes too, so every count keeps the exact nnz pattern of a full
-    /// recount without a margin rescan. A node's touched region is the
-    /// pattern of its increment.
+    /// Every changed node keeps its increment for the rest of the pass. An
+    /// anchor chain's increment is `L·ΔA·R`; a stack's is its one changed
+    /// part's increment `∘` each fixed part, in part order, so
+    /// `C∘B + ΔC∘B = (C+ΔC)∘B` (exact integers below `2^53`). Each node
+    /// splices its increment in place: the margins fold in the increment's
+    /// sums and every entry the positivity filter prunes is retracted
+    /// entry-locally. A chain cell pruned at `C+ΔC ≤ 0` gives
+    /// `(C+ΔC)·B ≤ 0` in the stack, which its own splice prunes too, so
+    /// every count keeps the exact nnz pattern of a full recount without a
+    /// margin rescan. A node's touched region is the pattern of its
+    /// increment.
     ///
     /// # Errors
     /// Shape violations, and stacks with more than one anchor-dependent
@@ -689,78 +733,111 @@ impl DeltaCatalogCounts {
     /// [`DeltaError::Inconsistent`] via the callers' pre-validation;
     /// kernel-level rejections inside the pass are mapped to
     /// [`DeltaError::Inconsistent`] instead of panicking.
-    fn repropagate(&mut self, delta: Option<&CsrMatrix>) -> Result<Vec<ChangedCount>, DeltaError> {
+    fn repropagate(&mut self, delta: &CsrMatrix) -> Result<Vec<ChangedCount>, DeltaError> {
         let mut increments: Vec<Option<CsrMatrix>> = vec![None; self.order.len()];
-        let mut changed = vec![false; self.order.len()];
         for i in 0..self.order.len() {
             match &self.kinds[i] {
                 NodeKind::AnchorChain(chain) => {
-                    match delta {
-                        Some(d) => {
-                            let dc = spgemm_lowrank_with_sums(
-                                &chain.lt,
-                                d,
-                                &chain.r,
-                                &mut self.sums[i],
-                            )?;
-                            let sums = &mut self.sums[i];
-                            self.counts[i]
-                                .splice_add_positive(&dc, |r, c, v| sums.retract(r, c, v))?;
-                            increments[i] = Some(dc);
-                        }
-                        None => {
-                            self.counts[i] = chain.count(&self.anchor, self.threading)?;
-                            self.sums[i] = MarginSums::of(&self.counts[i]);
-                        }
-                    }
-                    changed[i] = true;
+                    let dc =
+                        spgemm_lowrank_with_sums(&chain.lt, delta, &chain.r, &mut self.sums[i])?;
+                    let sums = &mut self.sums[i];
+                    self.counts[i].splice_add_positive(&dc, |r, c, v| sums.retract(r, c, v))?;
+                    increments[i] = Some(dc);
                 }
                 NodeKind::AnchorFree => {}
                 NodeKind::Stack(parts) => {
-                    if delta.is_some() {
-                        // check_consistent admits at most one
-                        // anchor-dependent part, so at most one part kept
-                        // an increment.
-                        let Some((moving, inc)) = parts
-                            .iter()
-                            .enumerate()
-                            .find_map(|(k, &p)| increments[p].as_ref().map(|inc| (k, inc)))
-                        else {
-                            continue;
-                        };
-                        let mut ds: Option<CsrMatrix> = None;
-                        for (k, &p) in parts.iter().enumerate() {
-                            if k != moving {
-                                let lhs = ds.as_ref().unwrap_or(inc);
-                                ds = Some(lhs.hadamard(&self.counts[p])?);
-                            }
+                    // check_consistent admits at most one anchor-dependent
+                    // part, so at most one part kept an increment.
+                    let Some((moving, inc)) = parts
+                        .iter()
+                        .enumerate()
+                        .find_map(|(k, &p)| increments[p].as_ref().map(|inc| (k, inc)))
+                    else {
+                        continue;
+                    };
+                    let mut ds: Option<CsrMatrix> = None;
+                    for (k, &p) in parts.iter().enumerate() {
+                        if k != moving {
+                            let lhs = ds.as_ref().unwrap_or(inc);
+                            ds = Some(lhs.hadamard(&self.counts[p])?);
                         }
-                        let ds = ds.unwrap_or_else(|| inc.clone());
-                        let sums = &mut self.sums[i];
-                        sums.accumulate(&ds)?;
-                        self.counts[i].splice_add_positive(&ds, |r, c, v| sums.retract(r, c, v))?;
-                        increments[i] = Some(ds);
-                    } else {
-                        if !parts.iter().any(|&p| changed[p]) {
-                            continue;
-                        }
-                        self.counts[i] = hadamard_all(parts.iter().map(|&p| &self.counts[p]))?;
-                        self.sums[i] = MarginSums::of(&self.counts[i]);
                     }
-                    changed[i] = true;
+                    let ds = ds.unwrap_or_else(|| inc.clone());
+                    let sums = &mut self.sums[i];
+                    sums.accumulate(&ds)?;
+                    self.counts[i].splice_add_positive(&ds, |r, c, v| sums.retract(r, c, v))?;
+                    increments[i] = Some(ds);
                 }
             }
         }
-        Ok(self
-            .catalog_pos
+        Ok(self.changed_entries(|ord| {
+            increments[ord]
+                .as_ref()
+                .map(|inc| Some(TouchedRegion::of_pattern(inc)))
+        }))
+    }
+
+    /// The full recount from the merged anchors: the build's row pass, with
+    /// every anchor chain recounted as `L·(A·R)`, every stack over a
+    /// recounted part re-Hadamarded, and every other node read from its
+    /// current count. Returns the changed catalog entries, with no touched
+    /// regions (treat each whole matrix as touched).
+    ///
+    /// # Errors
+    /// A kernel rejection, mapped to [`DeltaError::Inconsistent`]. The
+    /// callers' pre-validation rules out every one a store can cause, and
+    /// the counts are replaced only after the whole pass has succeeded.
+    fn recount(&mut self) -> Result<Vec<ChangedCount>, DeltaError> {
+        let anchored = self
+            .kinds
+            .iter()
+            .map(|kind| match kind {
+                NodeKind::AnchorChain(chain) => chain.anchored(&self.anchor).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut steps: Vec<RowStep> = Vec::with_capacity(self.order.len());
+        for (i, kind) in self.kinds.iter().enumerate() {
+            let recounted = |p: usize| !matches!(steps[p], RowStep::Given(_));
+            let step = match (kind, &anchored[i]) {
+                (NodeKind::AnchorChain(chain), Some(ar)) => RowStep::Product(&chain.l, ar),
+                (NodeKind::Stack(parts), _) if parts.iter().any(|&p| recounted(p)) => {
+                    RowStep::Hadamard(parts)
+                }
+                _ => RowStep::Given(&self.counts[i]),
+            };
+            steps.push(step);
+        }
+        let changed: Vec<bool> = steps
+            .iter()
+            .map(|step| !matches!(step, RowStep::Given(_)))
+            .collect();
+        let recounted = fused_rows(&steps, self.anchor.shape(), self.threading)?;
+        for (i, node) in recounted.into_iter().enumerate() {
+            if let Some((count, sums)) = node {
+                self.counts[i] = count;
+                self.sums[i] = sums;
+            }
+        }
+        Ok(self.changed_entries(|ord| changed[ord].then_some(None)))
+    }
+
+    /// The catalog entries whose node `touched` reports as changed (`Some`,
+    /// carrying the node's touched region, if known), in catalog order.
+    fn changed_entries(
+        &self,
+        touched: impl Fn(usize) -> Option<Option<TouchedRegion>>,
+    ) -> Vec<ChangedCount> {
+        self.catalog_pos
             .iter()
             .enumerate()
-            .filter(|&(_, &ord)| changed[ord])
-            .map(|(cat, &ord)| ChangedCount {
-                catalog_pos: cat,
-                touched: increments[ord].as_ref().map(TouchedRegion::of_pattern),
+            .filter_map(|(cat, &ord)| {
+                touched(ord).map(|touched| ChangedCount {
+                    catalog_pos: cat,
+                    touched,
+                })
             })
-            .collect())
+            .collect()
     }
 }
 

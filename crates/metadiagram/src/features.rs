@@ -8,17 +8,16 @@
 //! added by the model layer) is the `X` of the paper's joint objective.
 //! No proximity matrix is materialized.
 //!
-//! The store's build already fans the catalog count out over its node
-//! DAG (a stack depends on exactly its parts); extraction
-//! adds the **candidate fan-out**: the gather is split over contiguous
-//! candidate batches by a [`Threading`] knob, bit-identical to the serial
-//! path.
+//! The store's build already splits the catalog count into row blocks;
+//! extraction adds the **candidate fan-out**: the gather is split over
+//! contiguous candidate batches by a [`Threading`] knob
+//! ([`sparsela::fan_out`]), bit-identical to the serial path.
 
 use crate::catalog::Catalog;
 use crate::delta::DeltaCatalogCounts;
 use crate::proximity::dice_at;
 use hetnet::UserId;
-use sparsela::{DenseMatrix, Threading};
+use sparsela::{fan_out, DenseMatrix, Threading};
 
 /// The extracted feature matrix with column names.
 #[derive(Debug, Clone)]
@@ -71,46 +70,37 @@ pub fn extract_features(
             r.index(),
         )
     };
-    let mut x = DenseMatrix::zeros(candidates.len(), ncols);
-    let workers = threading.resolve().min(candidates.len()).max(1);
-    if workers <= 1 {
+    // Contiguous candidate batches, each gathered into a row-major buffer.
+    // The first batch's buffer has room for every row, so the later
+    // batches are appended to it, and a single batch is the matrix as is.
+    let per_batch = candidates.len().div_ceil(threading.resolve()).max(1);
+    let batches = (0..candidates.len())
+        .step_by(per_batch)
+        .map(|first| first..(first + per_batch).min(candidates.len()))
+        .collect();
+    let blocks = fan_out(batches, |rows| {
+        let room = if rows.start == 0 {
+            candidates.len()
+        } else {
+            rows.len()
+        };
+        let mut buf = Vec::with_capacity(room * ncols);
+        buf.resize(rows.len() * ncols, 0.0);
         for col in 0..ncols {
-            for (row, &(l, r)) in candidates.iter().enumerate() {
-                x[(row, col)] = cell(col, l, r);
+            for (row, &(l, r)) in candidates[rows.clone()].iter().enumerate() {
+                buf[row * ncols + col] = cell(col, l, r);
             }
         }
-    } else {
-        // Contiguous candidate batches; each worker fills a private buffer
-        // that is copied into the shared matrix after the join.
-        let per_worker = candidates.len().div_ceil(workers);
-        let cell = &cell;
-        let blocks: Vec<(usize, Vec<f64>)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = candidates
-                .chunks(per_worker)
-                .enumerate()
-                .map(|(block, batch)| {
-                    scope.spawn(move || {
-                        let mut buf = vec![0f64; batch.len() * ncols];
-                        for col in 0..ncols {
-                            for (row, &(l, r)) in batch.iter().enumerate() {
-                                buf[row * ncols + col] = cell(col, l, r);
-                            }
-                        }
-                        (block * per_worker, buf)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("gather worker panicked"))
-                .collect()
-        });
-        for (first_row, buf) in blocks {
-            for (i, row_buf) in buf.chunks(ncols).enumerate() {
-                x.row_mut(first_row + i).copy_from_slice(row_buf);
-            }
-        }
-    }
+        buf
+    });
+    let data = blocks
+        .into_iter()
+        .reduce(|mut data, block| {
+            data.extend_from_slice(&block);
+            data
+        })
+        .unwrap_or_default();
+    let x = DenseMatrix::from_rows(candidates.len(), ncols, data);
     FeatureMatrix { x, names }
 }
 
@@ -191,7 +181,7 @@ mod tests {
     #[test]
     fn plan_order_equals_naive_order_in_results() {
         // Extraction must be independent of evaluation order: the store
-        // counts its deduplicated nodes over their DAG, the reference
+        // counts its deduplicated nodes by row blocks, the reference
         // enumerates each diagram's instances in catalog order and
         // normalizes the counts in full.
         let (w, a) = setup();
@@ -240,8 +230,8 @@ mod tests {
 
     #[test]
     fn dag_schedule_is_bit_equal_to_serial_at_any_worker_count() {
-        // The diagram fan-out alone: stores counted over their node DAG
-        // at several worker counts, gathered serially.
+        // The count's row blocks alone: stores counted at several block
+        // counts, gathered serially.
         let (w, a) = setup();
         let catalog = Catalog::new(FeatureSet::Full);
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
@@ -257,7 +247,7 @@ mod tests {
             assert_eq!(
                 got.x.data(),
                 serial.x.data(),
-                "DAG at {threads} threads diverged"
+                "count at {threads} blocks diverged"
             );
         }
     }

@@ -13,14 +13,14 @@
 //!   (Ψf²), middle-stacking of two attribute paths at the shared post pair
 //!   (Ψa² — the "same place *and* same time" semantics), and endpoint
 //!   stacking of arbitrary sub-diagrams (the × operator of §III-B.2).
-//! * [`covering`] — **covering sets** (Definition 7) and the DAG scheduler
-//!   the catalog count fans out over.
+//! * [`covering`] — **covering sets** (Definition 7).
 //! * [`count`] — the count algebra: SpGEMM chains `L·A·R` for social
 //!   paths and their middle-stackings, and the composite-key join that
 //!   counts Ψa² without materializing post × post products.
 //! * [`delta`] — the count store: one full catalog count that counts each
-//!   distinct diagram once (an endpoint stacking is the Hadamard of its
-//!   parts), then incremental recounting — anchor-chain counts are
+//!   distinct diagram once, in one fused pass per row block (an endpoint
+//!   stacking's row is the Hadamard of its parts' rows), then incremental
+//!   recounting — anchor-chain counts are
 //!   low-rank updates `L·ΔA·R` in the newly confirmed anchors, so active
 //!   query rounds pay `O(|ΔA|)` instead of a full recount.
 //! * [`codec`] — binary encode/decode of the delta store and catalog

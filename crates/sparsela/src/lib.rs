@@ -12,6 +12,11 @@
 //!   [`spgemm_threaded`] controlled by the [`Threading`] knob),
 //!   [`CsrMatrix::hadamard`] (the stacking operator
 //!   of meta diagrams), transposition, and row/column reductions;
+//! * [`fused_rows`] — a list of same-shape products and Hadamard products
+//!   over them, computed one output row at a time with their margins (the
+//!   meta-diagram catalog count);
+//! * [`fan_out`] over [`balanced_ranges`] — the one parallel runner every
+//!   threaded kernel here uses;
 //! * [`DenseMatrix`] / dense vectors — the per-candidate feature matrix `X`;
 //! * [`CholeskyFactor`] and [`RidgeSolver`] — the paper's closed-form inner
 //!   update `w = c (I + c XᵀX)⁻¹ Xᵀ y` (Section III-D, step 1-1).
@@ -31,7 +36,9 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod error;
+pub mod fused;
 pub mod ops;
+pub mod par;
 pub mod ridge;
 pub mod spgemm;
 pub mod sums;
@@ -41,6 +48,8 @@ pub use coo::CooMatrix;
 pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
+pub use fused::{fused_rows, RowStep};
+pub use par::{balanced_ranges, fan_out};
 pub use ridge::RidgeSolver;
 pub use spgemm::{
     spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_threaded, spgemm_with, Accumulator,

@@ -5,7 +5,9 @@
 //! by the count engine. Two accumulator strategies are provided:
 //!
 //! * a **dense accumulator** (O(ncols) scratch, fastest when output rows are
-//!   moderately dense), and
+//!   moderately dense): a row of at least `ncols / 8` multiply-adds is
+//!   added without a branch and scanned in column order, a sparser row
+//!   keeps a list of the columns it touches, and
 //! * a **sorted-merge (heap-free) sparse accumulator** that collects
 //!   `(col, val)` pairs and sorts per row — better when the right-hand side
 //!   is extremely wide and rows are very sparse.
@@ -16,21 +18,23 @@
 //! reference).
 //!
 //! The product is embarrassingly parallel over rows of the left operand:
-//! [`spgemm_threaded`] splits the left operand into
-//! contiguous row blocks, runs the Gustavson accumulation per block on scoped
-//! workers, and stitches the per-block CSR outputs. Because row partitioning
-//! never changes the per-row computation, the parallel kernels are
-//! **bit-identical** to the serial ones at any thread count.
+//! [`spgemm_threaded`] splits the left operand into contiguous row blocks,
+//! runs the Gustavson accumulation per block on scoped workers
+//! ([`crate::par::fan_out`]), and joins the per-block CSR outputs. Because
+//! row partitioning never changes the per-row computation, the parallel
+//! kernels are **bit-identical** to the serial ones at any thread count.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
+use crate::par::{balanced_ranges, fan_out};
 use crate::sums::MarginSums;
 use std::ops::Range;
 
 /// Strategy for the per-row accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accumulator {
-    /// O(ncols) dense scratch with a touched-column list.
+    /// O(ncols) dense scratch: scanned in column order when the row has at
+    /// least `ncols / 8` multiply-adds, else with a touched-column list.
     Dense,
     /// Collect-then-sort sparse accumulation.
     SortMerge,
@@ -102,91 +106,54 @@ pub fn spgemm_threaded(
         });
     }
     let n = lhs.nrows();
-    let workers = threading.resolve().min(n).max(1);
-    if workers <= 1 {
-        let block = accumulate_block(lhs, rhs, 0..n, acc, None);
-        return Ok(block_into_csr(n, rhs.ncols(), block));
-    }
-    // Per-row FLOP estimates: needed once for the balanced cut, and reused
-    // by every Auto accumulator pick instead of re-deriving them per row.
-    let flops: Vec<usize> = (0..n)
-        .map(|i| lhs.row(i).map(|(k, _)| rhs.row_nnz(k)).sum())
-        .collect();
-    let ranges = partition_flop_balanced(&flops, workers);
-    let flops = &flops;
-    let blocks: Vec<BlockOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|rows| scope.spawn(move || accumulate_block(lhs, rhs, rows, acc, Some(flops))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("spgemm worker panicked"))
-            .collect()
-    });
-    Ok(stitch_blocks(n, rhs.ncols(), blocks))
+    let flops: Vec<usize> = (0..n).map(|i| row_flops(lhs, rhs, i)).collect();
+    let ranges = balanced_ranges(&flops, threading.resolve());
+    let blocks = fan_out(ranges, |rows| accumulate_block(lhs, rhs, rows, acc, &flops));
+    Ok(join_blocks(n, rhs.ncols(), blocks))
 }
 
-/// Contiguous row blocks cut so each carries ≈ `total / workers` of the
-/// per-row FLOP estimates. A single hub row heavier than the fair share
-/// gets a block of its own; the trailing block absorbs the remainder.
-fn partition_flop_balanced(flops: &[usize], workers: usize) -> Vec<Range<usize>> {
-    let n = flops.len();
-    let total: usize = flops.iter().sum();
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(workers);
-    let mut start = 0usize;
-    let mut cum: u128 = 0;
-    for (i, &f) in flops.iter().enumerate() {
-        cum += f as u128;
-        // Cut after row i once this prefix has reached the next fair share;
-        // the cross-multiplication avoids integer-division drift.
-        if ranges.len() + 1 < workers
-            && cum * workers as u128 >= total as u128 * (ranges.len() as u128 + 1)
-        {
-            ranges.push(start..i + 1);
-            start = i + 1;
-        }
-    }
-    ranges.push(start..n);
-    ranges.into_iter().filter(|r| !r.is_empty()).collect()
+/// Multiply-adds of row `i` of `lhs · rhs`: `Σ nnz(rhs.row(k))` over the
+/// row's stored columns `k`.
+pub(crate) fn row_flops(lhs: &CsrMatrix, rhs: &CsrMatrix, i: usize) -> usize {
+    lhs.row(i).map(|(k, _)| rhs.row_nnz(k)).sum()
 }
 
 /// One row block's CSR fragment: cumulative row ends (block-local), column
 /// indices and values.
-struct BlockOut {
-    row_ends: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
+#[derive(Default)]
+pub(crate) struct BlockOut {
+    pub(crate) row_ends: Vec<usize>,
+    pub(crate) indices: Vec<usize>,
+    pub(crate) values: Vec<f64>,
 }
 
-/// Turns a single whole-matrix block into a CSR matrix by moving its
-/// buffers — the serial fast path pays no copy over the pre-parallel
-/// kernels.
-fn block_into_csr(nrows: usize, ncols: usize, block: BlockOut) -> CsrMatrix {
-    let mut indptr = Vec::with_capacity(nrows + 1);
-    indptr.push(0);
-    indptr.extend(block.row_ends);
-    CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, block.indices, block.values)
+impl BlockOut {
+    /// Closes the row whose entries were pushed since the last call.
+    pub(crate) fn end_row(&mut self) {
+        self.row_ends.push(self.indices.len());
+    }
 }
 
-/// Concatenates per-block fragments into one CSR matrix, offsetting each
-/// block's row pointers by the nnz of the blocks before it.
-fn stitch_blocks(nrows: usize, ncols: usize, blocks: Vec<BlockOut>) -> CsrMatrix {
+/// Joins row-block fragments, in block order, into one CSR matrix. The
+/// first block's buffers grow (or have reserved room) to hold the rest,
+/// and each later block is freed as soon as it is copied, so the product
+/// is never held twice; a single block is moved without a copy.
+pub(crate) fn join_blocks(nrows: usize, ncols: usize, blocks: Vec<BlockOut>) -> CsrMatrix {
     let total: usize = blocks.iter().map(|b| b.indices.len()).sum();
+    let mut blocks = blocks.into_iter();
+    let first = blocks.next().unwrap_or_default();
     let mut indptr = Vec::with_capacity(nrows + 1);
-    let mut indices = Vec::with_capacity(total);
-    let mut values = Vec::with_capacity(total);
     indptr.push(0);
-    let mut base = 0usize;
+    indptr.extend(first.row_ends);
+    let (mut indices, mut values) = (first.indices, first.values);
+    indices.reserve_exact(total - indices.len());
+    values.reserve_exact(total - values.len());
     for b in blocks {
-        for &end in &b.row_ends {
-            indptr.push(base + end);
-        }
-        base += b.indices.len();
+        let base = indices.len();
+        indptr.extend(b.row_ends.iter().map(|&end| base + end));
         indices.extend_from_slice(&b.indices);
         values.extend_from_slice(&b.values);
     }
-    debug_assert_eq!(indptr.len(), nrows + 1);
     CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
 }
 
@@ -203,63 +170,142 @@ fn row_wants_dense(flops: usize, width: usize) -> bool {
     width <= DENSE_ALWAYS_WIDTH || flops >= width >> 6
 }
 
+/// A dense row whose multiply-adds reach `width >> SCAN_SHIFT` is scanned
+/// in column order instead of sorting its touched-column list: on
+/// `paper_scale(1000)` counts (output rows about 30% dense), the branch-free
+/// scan of an eighth-full row costs about what sorting its list does.
+const SCAN_SHIFT: u32 = 3;
+
+/// A dense scratch row that output rows are accumulated into one at a
+/// time. Every slot is `0.0` between rows; a row's values stay readable
+/// ([`DenseRow::get`]) until [`DenseRow::clear`] resets them.
+pub(crate) struct DenseRow {
+    vals: Vec<f64>,
+}
+
+impl DenseRow {
+    /// An all-zero scratch row of `width` slots.
+    pub(crate) fn new(width: usize) -> Self {
+        DenseRow {
+            vals: vec![0.0; width],
+        }
+    }
+
+    /// The value in slot `j`.
+    #[inline]
+    pub(crate) fn get(&self, j: usize) -> f64 {
+        self.vals[j]
+    }
+
+    /// Accumulates `Σ lv · rhs.row(k)` over the `(k, lv)` of `lhs_row` and
+    /// appends the row's nonzeros to `out` in column order; exact zeros
+    /// (cancellations) are not stored. A row of at least
+    /// `width >> SCAN_SHIFT` multiply-adds (`flops`) adds without a branch
+    /// and then scans every slot in column order; a sparser row lists each
+    /// slot it makes nonzero and sorts that list. Both paths add the same
+    /// products in the same order, so they give the same bits. `cols` is
+    /// working space, shared by the rows of a block.
+    pub(crate) fn accumulate(
+        &mut self,
+        lhs_row: impl Iterator<Item = (usize, f64)>,
+        rhs: &CsrMatrix,
+        flops: usize,
+        out: &mut BlockOut,
+        cols: &mut Vec<usize>,
+    ) {
+        let vals = &mut self.vals[..];
+        if flops >= vals.len() >> SCAN_SHIFT {
+            for (k, lv) in lhs_row {
+                for (j, rv) in rhs.row(k) {
+                    vals[j] += lv * rv;
+                }
+            }
+            // Branch-free compaction: every column is written, and the
+            // write position advances past the nonzero ones only.
+            if cols.len() < vals.len() {
+                cols.resize(vals.len(), 0);
+            }
+            let mut n = 0;
+            for (j, &v) in vals.iter().enumerate() {
+                cols[n] = j;
+                // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
+                n += usize::from(v != 0.0);
+            }
+            out.indices.extend_from_slice(&cols[..n]);
+            out.values.extend(cols[..n].iter().map(|&j| vals[j]));
+        } else {
+            cols.clear();
+            for (k, lv) in lhs_row {
+                for (j, rv) in rhs.row(k) {
+                    // srclint: allow(float_eq, reason = "0.0 marks an untouched scratch slot; the touched list depends on it")
+                    if vals[j] == 0.0 {
+                        cols.push(j);
+                    }
+                    vals[j] += lv * rv;
+                }
+            }
+            // A slot that cancels to 0.0 and is hit again is listed twice.
+            cols.sort_unstable();
+            cols.dedup();
+            for &j in cols.iter() {
+                let v = vals[j];
+                // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
+                if v != 0.0 {
+                    out.indices.push(j);
+                    out.values.push(v);
+                }
+            }
+        }
+    }
+
+    /// Writes a stored row into the (all-zero) scratch so later steps can
+    /// read it by column.
+    pub(crate) fn scatter(&mut self, cols: &[usize], values: &[f64]) {
+        for (&j, &v) in cols.iter().zip(values) {
+            self.vals[j] = v;
+        }
+    }
+
+    /// Zeroes the slots in `cols`, which must cover every nonzero slot —
+    /// the stored columns of the row last accumulated or scattered.
+    pub(crate) fn clear(&mut self, cols: &[usize]) {
+        for &j in cols {
+            self.vals[j] = 0.0;
+        }
+    }
+}
+
 /// Gustavson accumulation over `rows`, appending into block-local buffers.
-/// `flops` optionally carries precomputed per-row FLOP estimates (indexed by
-/// absolute row) so the Auto pick does not re-derive them.
+/// `flops` carries the per-row FLOP estimates (indexed by absolute row).
 fn accumulate_block(
     lhs: &CsrMatrix,
     rhs: &CsrMatrix,
     rows: Range<usize>,
     acc: Accumulator,
-    flops: Option<&[usize]>,
+    flops: &[usize],
 ) -> BlockOut {
     let m = rhs.ncols();
-    let mut row_ends = Vec::with_capacity(rows.len());
-    let mut indices: Vec<usize> = Vec::new();
-    let mut values: Vec<f64> = Vec::new();
-
+    let mut out = BlockOut {
+        row_ends: Vec::with_capacity(rows.len()),
+        ..BlockOut::default()
+    };
     // Dense scratch is sized lazily: an all-sort-merge block never pays the
     // O(ncols) zero fill.
-    let mut scratch: Vec<f64> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new();
+    let mut dense: Option<DenseRow> = None;
+    let mut cols: Vec<usize> = Vec::new();
     let mut row_buf: Vec<(usize, f64)> = Vec::new();
 
     for i in rows {
         let use_dense = match acc {
             Accumulator::Dense => true,
             Accumulator::SortMerge => false,
-            Accumulator::Auto => {
-                let estimate = match flops {
-                    Some(f) => f[i],
-                    None => lhs.row(i).map(|(k, _)| rhs.row_nnz(k)).sum(),
-                };
-                row_wants_dense(estimate, m)
-            }
+            Accumulator::Auto => row_wants_dense(flops[i], m),
         };
         if use_dense {
-            if scratch.is_empty() && m > 0 {
-                scratch = vec![0f64; m];
-            }
-            touched.clear();
-            for (k, lv) in lhs.row(i) {
-                for (j, rv) in rhs.row(k) {
-                    // srclint: allow(float_eq, reason = "0.0 marks an untouched scratch slot; the touched list depends on it")
-                    if scratch[j] == 0.0 {
-                        touched.push(j);
-                    }
-                    scratch[j] += lv * rv;
-                }
-            }
-            touched.sort_unstable();
-            for &j in &touched {
-                let v = scratch[j];
-                scratch[j] = 0.0;
-                // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
-                if v != 0.0 {
-                    indices.push(j);
-                    values.push(v);
-                }
-            }
+            let start = out.indices.len();
+            let scratch = dense.get_or_insert_with(|| DenseRow::new(m));
+            scratch.accumulate(lhs.row(i), rhs, flops[i], &mut out, &mut cols);
+            scratch.clear(&out.indices[start..]);
         } else {
             row_buf.clear();
             for (k, lv) in lhs.row(i) {
@@ -276,8 +322,8 @@ fn accumulate_block(
                     } else {
                         // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
                         if cur_v != 0.0 {
-                            indices.push(cur_j);
-                            values.push(cur_v);
+                            out.indices.push(cur_j);
+                            out.values.push(cur_v);
                         }
                         cur_j = j;
                         cur_v = v;
@@ -285,18 +331,14 @@ fn accumulate_block(
                 }
                 // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
                 if cur_v != 0.0 {
-                    indices.push(cur_j);
-                    values.push(cur_v);
+                    out.indices.push(cur_j);
+                    out.values.push(cur_v);
                 }
             }
         }
-        row_ends.push(indices.len());
+        out.end_row();
     }
-    BlockOut {
-        row_ends,
-        indices,
-        values,
-    }
+    out
 }
 
 /// Computes the sparse low-rank product `L·Δ·R` given the **transpose**
@@ -466,14 +508,17 @@ mod tests {
         // block right after it (the even split 0..2|2..4|4..6 would instead
         // pair the hub with a light row and starve the last worker).
         let flops = [0usize, 1, 900, 1, 1, 1];
-        let ranges = partition_flop_balanced(&flops, 3);
+        let ranges = balanced_ranges(&flops, 3);
         assert_eq!(ranges, vec![0..3, 3..4, 4..6]);
         // Coverage: the blocks tile 0..6 in order.
         let flat: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
         assert_eq!(flat, (0..6).collect::<Vec<_>>());
         // All-zero estimates reach every fair share at once: leading
         // single-row blocks, the trailing block takes the rest.
-        assert_eq!(partition_flop_balanced(&[0; 6], 3), vec![0..1, 1..2, 2..6]);
+        assert_eq!(balanced_ranges(&[0; 6], 3), vec![0..1, 1..2, 2..6]);
+        // No rows give no blocks; zero parts mean one.
+        assert!(balanced_ranges(&[], 4).is_empty());
+        assert_eq!(balanced_ranges(&[1, 1], 0), vec![0..2]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use sparsela::spgemm::{spgemm_lowrank, spgemm_threaded, spgemm_with, Accumulator, Threading};
 use sparsela::{
-    spgemm, CholeskyFactor, CooMatrix, CsrMatrix, DenseMatrix, MarginSums, RidgeSolver,
+    fused_rows, spgemm, CholeskyFactor, CooMatrix, CsrMatrix, DenseMatrix, MarginSums, RidgeSolver,
+    RowStep,
 };
 
 /// Strategy: a random sparse matrix as (nrows, ncols, dense buffer) with
@@ -45,6 +46,66 @@ fn naive_matmul(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
     a.matmul(b)
 }
 
+/// A product whose left rows sit on both sides of the dense accumulator's
+/// scan threshold (`ncols / 8` multiply-adds), over a right operand wide
+/// enough (32+ columns) for the threshold to separate them. Right rows 0
+/// and 1 are equal and dense; rows `k-3..k` are equal and hold one entry.
+/// Left rows 0..5 are, in order:
+/// * dense — every column (the scanned path);
+/// * sparse — one entry against a one-entry right row (the touched-list
+///   path);
+/// * sparse and cancelling — `+v, -v, +w` against the three equal
+///   one-entry rows, so one slot cancels to exactly 0.0 and is then hit
+///   again (listed twice);
+/// * dense and cancelling — `+v, -v` against the two equal dense rows,
+///   which scans an all-zero row;
+/// * empty.
+///
+/// Later rows pick one of these kinds at random.
+fn threshold_straddling_product() -> impl Strategy<Value = (CsrMatrix, CsrMatrix)> {
+    let nonzero = || prop_oneof![(-3i32..=-1), (1i32..=3)].prop_map(f64::from);
+    (5usize..=9, 5usize..=8, 32usize..=80).prop_flat_map(move |(n, k, m)| {
+        let rhs = proptest::collection::vec(
+            prop_oneof![1 => Just(0.0), 2 => (-3i32..=3).prop_map(f64::from)],
+            k * m,
+        );
+        let kinds = proptest::collection::vec(0u8..5, n);
+        let lhs = proptest::collection::vec(nonzero(), n * k);
+        (rhs, kinds, lhs, 0..m, nonzero()).prop_map(move |(mut r, kinds, lv, col, x)| {
+            for j in 0..m {
+                r[m + j] = r[j];
+                for row in k - 3..k {
+                    r[row * m + j] = if j == col { x } else { 0.0 };
+                }
+            }
+            let mut l = vec![0.0; n * k];
+            for i in 0..n {
+                let kind = if i < 5 { i as u8 } else { kinds[i] };
+                let row = &mut l[i * k..(i + 1) * k];
+                let v = &lv[i * k..(i + 1) * k];
+                match kind {
+                    0 => row.copy_from_slice(v),
+                    1 => row[k - 1] = v[0],
+                    2 => {
+                        row[k - 3] = v[0];
+                        row[k - 2] = -v[0];
+                        row[k - 1] = v[1];
+                    }
+                    3 => {
+                        row[0] = v[0];
+                        row[1] = -v[0];
+                    }
+                    _ => {}
+                }
+            }
+            (
+                CsrMatrix::from_dense(n, k, &l),
+                CsrMatrix::from_dense(k, m, &r),
+            )
+        })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -64,6 +125,73 @@ proptest! {
         let auto = spgemm_with(&a, &b, Accumulator::Auto).unwrap();
         prop_assert_eq!(&d, &s);
         prop_assert_eq!(&d, &auto);
+    }
+
+    #[test]
+    fn dense_scan_touched_list_and_sort_merge_match_the_dense_reference(
+        (a, b) in threshold_straddling_product()
+    ) {
+        // The generator's rows 0 (dense) and 1 (sparse) really straddle
+        // the scan threshold.
+        let flops = |i: usize| a.row(i).map(|(k, _)| b.row_nnz(k)).sum::<usize>();
+        let threshold = b.ncols() / 8;
+        prop_assert!(b.row_nnz(0) == 0 || flops(0) >= threshold);
+        prop_assert!(flops(1) < threshold && flops(2) < threshold);
+        let reference = CsrMatrix::from_dense(
+            a.nrows(),
+            b.ncols(),
+            naive_matmul(&a.to_dense(), &b.to_dense()).data(),
+        );
+        for acc in [Accumulator::Dense, Accumulator::SortMerge, Accumulator::Auto] {
+            let got = spgemm_with(&a, &b, acc).unwrap();
+            prop_assert_eq!(&got, &reference, "{:?}", acc);
+            // Cancellations to exactly 0.0 are not stored.
+            prop_assert!(got.values().iter().all(|&v| v != 0.0), "{:?}", acc);
+        }
+        // Rows 2 and 3 cancel in full (row 2 in one slot only).
+        prop_assert_eq!(reference.row_nnz(3), 0);
+    }
+
+    #[test]
+    fn fused_rows_match_the_unfused_kernels_at_any_block_count(
+        (a, b) in pair_for_product(10),
+        given_seed in proptest::collection::vec(-3i32..=3, 100),
+        blocks in 1usize..=5
+    ) {
+        // A product, a given matrix, and Hadamards over both in either
+        // order (signed values, so products cancel and 0.0 results drop).
+        let p = spgemm(&a, &b).unwrap();
+        let (n, m) = p.shape();
+        let g: Vec<f64> = (0..n * m).map(|i| f64::from(given_seed[i % given_seed.len()])).collect();
+        let given = CsrMatrix::from_dense(n, m, &g);
+        let (forward, backward, chained) = ([0usize, 1], [1usize, 0], [2usize, 0, 1]);
+        let steps = [
+            RowStep::Product(&a, &b),
+            RowStep::Given(&given),
+            RowStep::Hadamard(&forward),
+            RowStep::Hadamard(&backward),
+            RowStep::Hadamard(&chained),
+        ];
+        let out = fused_rows(&steps, (n, m), Threading::Threads(blocks)).unwrap();
+        let h = p.hadamard(&given).unwrap();
+        let want = [
+            Some(p.clone()),
+            None,
+            Some(h.clone()),
+            Some(given.hadamard(&p).unwrap()),
+            Some(h.hadamard(&p).unwrap().hadamard(&given).unwrap()),
+        ];
+        prop_assert_eq!(out.len(), want.len());
+        for (got, want) in out.iter().zip(&want) {
+            match (got, want) {
+                (Some((c, sums)), Some(w)) => {
+                    prop_assert_eq!(c, w);
+                    prop_assert_eq!(sums, &MarginSums::of(w));
+                }
+                (None, None) => {}
+                _ => prop_assert!(false, "a given step must yield nothing, every other a matrix"),
+            }
+        }
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! cargo run --release -p bench --bin table3 [-- --full]
 //! ```
 
-use eval::{run_experiment, Method, Metrics, Table};
+use bench::TableSweep;
+use eval::{Method, Metrics, Table};
 
 fn main() {
     let opts = bench::HarnessOpts::from_args();
     let world = opts.world();
-    let methods = Method::paper_lineup();
-    let thetas = bench::theta_sweep();
+    let sweep = TableSweep::table3(&opts);
 
     let mut table = Table::new(
         format!(
@@ -19,27 +19,30 @@ fn main() {
             opts.rotations(),
             opts.seed
         ),
-        "θ",
-        thetas.iter().map(|t| t.to_string()).collect(),
-        methods.iter().map(|m| m.name()).collect(),
+        sweep.axis,
+        sweep
+            .columns
+            .iter()
+            .map(|(label, _)| label.clone())
+            .collect(),
+        Method::paper_lineup().iter().map(|m| m.name()).collect(),
         Metrics::NAMES.iter().map(|s| s.to_string()).collect(),
     );
 
     let mut recorder = opts.recorder("table3");
-    for (ci, &theta) in thetas.iter().enumerate() {
-        let spec = opts.spec(theta, 0.6);
-        for (mi, &method) in methods.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let cell = run_experiment(&world, &spec, method);
-            // spec.np_ratio, not theta: the tiny preset clamps θ to the
-            // world's capacity and the record must name the θ actually run.
-            recorder.record(method.name(), spec.np_ratio, cell.f1, start.elapsed());
-            for metric in Metrics::NAMES {
-                table.set(metric, mi, ci, cell.get(metric));
-            }
+    sweep.run(&world, |cell| {
+        // spec.np_ratio, not the column label: the tiny preset clamps θ to
+        // the world's capacity and the record must name the θ actually run.
+        recorder.record(
+            cell.method.name(),
+            cell.spec.np_ratio,
+            cell.result.f1,
+            cell.wall,
+        );
+        for metric in Metrics::NAMES {
+            table.set(metric, cell.row, cell.column, cell.result.get(metric));
         }
-        eprintln!("θ = {theta} done");
-    }
+    });
     println!("{table}");
     match recorder.write() {
         Ok(path) => eprintln!("wrote {}", path.display()),

@@ -6,13 +6,13 @@
 //! cargo run --release -p bench --bin table4 [-- --full]
 //! ```
 
-use eval::{run_experiment, Method, Metrics, Table};
+use bench::TableSweep;
+use eval::{Method, Metrics, Table};
 
 fn main() {
     let opts = bench::HarnessOpts::from_args();
     let world = opts.world();
-    let methods = Method::paper_lineup();
-    let gammas = bench::gamma_sweep();
+    let sweep = TableSweep::table4(&opts);
 
     let mut table = Table::new(
         format!(
@@ -20,12 +20,13 @@ fn main() {
             opts.rotations(),
             opts.seed
         ),
-        "γ",
-        gammas
+        sweep.axis,
+        sweep
+            .columns
             .iter()
-            .map(|g| format!("{:.0}%", g * 100.0))
+            .map(|(label, _)| label.clone())
             .collect(),
-        methods.iter().map(|m| m.name()).collect(),
+        Method::paper_lineup().iter().map(|m| m.name()).collect(),
         Metrics::NAMES.iter().map(|s| s.to_string()).collect(),
     );
 
@@ -33,32 +34,21 @@ fn main() {
     // The record names the θ actually run (the tiny preset clamps θ = 50
     // down to the world's capacity).
     recorder.annotate("theta", opts.spec(50, 0.6).np_ratio);
-    let mut f1_by_gamma: Vec<(f64, f64)> = Vec::new(); // (ActiveIter-100, Iter-MPMD)
-    for (ci, &gamma) in gammas.iter().enumerate() {
-        let spec = opts.spec(50, gamma);
-        let mut row = (0.0, 0.0);
-        for (mi, &method) in methods.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let cell = run_experiment(&world, &spec, method);
-            recorder.record(
-                method.name(),
-                format!("{:.0}%", gamma * 100.0),
-                cell.f1,
-                start.elapsed(),
-            );
-            if matches!(method, Method::ActiveIter { budget: 100 }) {
-                row.0 = cell.f1.mean;
-            }
-            if method == Method::IterMpmd {
-                row.1 = cell.f1.mean;
-            }
-            for metric in Metrics::NAMES {
-                table.set(metric, mi, ci, cell.get(metric));
-            }
+    // (ActiveIter-100, Iter-MPMD) F1 per γ.
+    let mut f1_by_gamma = vec![(0.0, 0.0); sweep.columns.len()];
+    sweep.run(&world, |cell| {
+        let (label, _) = &sweep.columns[cell.column];
+        recorder.record(cell.method.name(), label, cell.result.f1, cell.wall);
+        if matches!(cell.method, Method::ActiveIter { budget: 100 }) {
+            f1_by_gamma[cell.column].0 = cell.result.f1.mean;
         }
-        f1_by_gamma.push(row);
-        eprintln!("γ = {gamma:.1} done");
-    }
+        if cell.method == Method::IterMpmd {
+            f1_by_gamma[cell.column].1 = cell.result.f1.mean;
+        }
+        for metric in Metrics::NAMES {
+            table.set(metric, cell.row, cell.column, cell.result.get(metric));
+        }
+    });
     println!("{table}");
     match recorder.write() {
         Ok(path) => eprintln!("wrote {}", path.display()),

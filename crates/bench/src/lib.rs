@@ -9,7 +9,8 @@
 #![warn(missing_docs)]
 
 use datagen::{GeneratedWorld, GeneratorConfig};
-use eval::ExperimentSpec;
+use eval::{run_experiment, CellResult, ExperimentSpec, Method};
+use std::time::{Duration, Instant};
 
 pub mod record;
 
@@ -166,6 +167,78 @@ impl HarnessOpts {
         r.annotate("rotations", self.rotations());
         r.annotate("threads", eval::effective_threads(self.threads));
         r
+    }
+}
+
+/// One paper table's sweep: a spec per column, and the rows are
+/// [`Method::paper_lineup`].
+#[derive(Debug, Clone)]
+pub struct TableSweep {
+    /// The swept parameter's symbol (`θ` or `γ`).
+    pub axis: &'static str,
+    /// Per column: its header label and its spec.
+    pub columns: Vec<(String, ExperimentSpec)>,
+}
+
+/// One finished cell of a [`TableSweep`].
+#[derive(Debug)]
+pub struct TableCell<'s> {
+    /// Column index.
+    pub column: usize,
+    /// The column's spec.
+    pub spec: &'s ExperimentSpec,
+    /// Row index into [`Method::paper_lineup`].
+    pub row: usize,
+    /// The row's method.
+    pub method: Method,
+    /// The cell's metrics.
+    pub result: CellResult,
+    /// Wall-clock time of the cell.
+    pub wall: Duration,
+}
+
+impl TableSweep {
+    /// **Table III**: θ over [`theta_sweep`] at γ = 60%.
+    pub fn table3(opts: &HarnessOpts) -> Self {
+        TableSweep {
+            axis: "θ",
+            columns: theta_sweep()
+                .into_iter()
+                .map(|theta| (theta.to_string(), opts.spec(theta, 0.6)))
+                .collect(),
+        }
+    }
+
+    /// **Table IV**: γ over [`gamma_sweep`] at θ = 50.
+    pub fn table4(opts: &HarnessOpts) -> Self {
+        TableSweep {
+            axis: "γ",
+            columns: gamma_sweep()
+                .into_iter()
+                .map(|gamma| (format!("{:.0}%", gamma * 100.0), opts.spec(50, gamma)))
+                .collect(),
+        }
+    }
+
+    /// Runs every cell on `world`, column by column and in lineup order
+    /// within a column, handing each finished cell to `each`.
+    pub fn run(&self, world: &GeneratedWorld, mut each: impl FnMut(TableCell<'_>)) {
+        let methods = Method::paper_lineup();
+        for (column, (label, spec)) in self.columns.iter().enumerate() {
+            for (row, &method) in methods.iter().enumerate() {
+                let start = Instant::now();
+                let result = run_experiment(world, spec, method);
+                each(TableCell {
+                    column,
+                    spec,
+                    row,
+                    method,
+                    result,
+                    wall: start.elapsed(),
+                });
+            }
+            eprintln!("{} = {label} done", self.axis);
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 //! per link type, as in the paper's dataset).
 
 use crate::error::{HetNetError, Result};
-use crate::graph::HetNet;
+use crate::graph::{HetNet, PairMemo};
 use crate::ids::{LocationId, PostId, TimestampId, UserId, WordId};
 use crate::schema::NodeKind;
 use sparsela::{CooMatrix, CsrMatrix};
@@ -192,6 +192,7 @@ impl HetNetBuilder {
             at_rev,
             checkin_rev,
             has_word_rev,
+            memo: PairMemo::new(),
         }
     }
 }

@@ -4,10 +4,16 @@
 //! kind, a binary CSR adjacency matrix in both directions. The count engine
 //! pulls these matrices directly; traversal helpers are provided for the
 //! brute-force verifiers and the generator.
+//!
+//! A network also keeps what a caller derives from it together with a
+//! partner network ([`HetNet::pair_memo`]), for as long as both live.
 
 use crate::ids::{LocationId, PostId, TimestampId, UserId, WordId};
 use crate::schema::{Direction, LinkKind, NodeKind};
 use sparsela::CsrMatrix;
+use std::any::Any;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 /// An immutable attributed heterogeneous social network.
 #[derive(Debug, Clone)]
@@ -34,9 +40,74 @@ pub struct HetNet {
     pub(crate) at_rev: CsrMatrix,
     pub(crate) checkin_rev: CsrMatrix,
     pub(crate) has_word_rev: CsrMatrix,
+    /// Values derived from this network and a partner.
+    pub(crate) memo: PairMemo,
+}
+
+/// Values derived from one network together with a partner network,
+/// kept on the first and keyed by a `Weak` to the partner's identity, so
+/// an entry lives no longer than either network. A clone is a new network
+/// identity and starts empty.
+pub(crate) struct PairMemo {
+    /// This network's identity, which partners key their entries by.
+    id: Arc<()>,
+    entries: Mutex<Vec<MemoEntry>>,
+}
+
+/// A partner's identity and the value kept for it.
+type MemoEntry = (Weak<()>, Arc<dyn Any + Send + Sync>);
+
+impl PairMemo {
+    pub(crate) fn new() -> Self {
+        PairMemo {
+            id: Arc::new(()),
+            entries: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl Clone for PairMemo {
+    fn clone(&self) -> Self {
+        PairMemo::new()
+    }
+}
+
+impl fmt::Debug for PairMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries = self.entries.lock().unwrap_or_else(PoisonError::into_inner);
+        f.debug_struct("PairMemo")
+            .field("entries", &entries.len())
+            .finish()
+    }
 }
 
 impl HetNet {
+    /// The `T` this network keeps for the pair (`self`, `partner`),
+    /// created by `T::default()` on first use. Every call for one pair and
+    /// one `T` returns the same value, until either network is dropped; a
+    /// clone of either network is a new pair. Entries whose partner is
+    /// gone are dropped on the next call. The lock is held only to find or
+    /// insert the entry, and a lock poisoned by a panic elsewhere is
+    /// recovered: the list is valid after every step.
+    pub fn pair_memo<T: Any + Send + Sync + Default>(&self, partner: &HetNet) -> Arc<T> {
+        let key = Arc::as_ptr(&partner.memo.id);
+        let mut entries = self
+            .memo
+            .entries
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        entries.retain(|(partner, _)| partner.strong_count() > 0);
+        let found = entries
+            .iter()
+            .filter(|(partner, _)| partner.as_ptr() == key)
+            .find_map(|(_, value)| Arc::clone(value).downcast::<T>().ok());
+        found.unwrap_or_else(|| {
+            let value = Arc::new(T::default());
+            entries.push((Arc::downgrade(&partner.memo.id), value.clone()));
+            value
+        })
+    }
+
     /// Network display name (e.g. `"twitter"`).
     pub fn name(&self) -> &str {
         &self.name
@@ -224,5 +295,43 @@ mod tests {
         assert_eq!(n.link_count(LinkKind::Checkin), 2);
         assert_eq!(n.link_count(LinkKind::At), 2);
         assert_eq!(n.link_count(LinkKind::HasWord), 0);
+    }
+
+    #[derive(Default)]
+    struct Tag(Mutex<u32>);
+
+    #[test]
+    fn pair_memo_is_one_value_per_live_pair() {
+        let (a, b) = (tiny(), tiny());
+        let ab = a.pair_memo::<Tag>(&b);
+        *ab.0.lock().unwrap() = 7;
+        assert!(Arc::ptr_eq(&ab, &a.pair_memo::<Tag>(&b)));
+        // Kept on the first network, per partner, per type.
+        assert!(!Arc::ptr_eq(&ab, &b.pair_memo::<Tag>(&a)));
+        assert!(!Arc::ptr_eq(&ab, &a.pair_memo::<Tag>(&a)));
+        assert_eq!(*a.pair_memo::<Mutex<u32>>(&b).lock().unwrap(), 0);
+        // A clone is a new identity on either side.
+        let a2 = a.clone();
+        assert!(!Arc::ptr_eq(&ab, &a2.pair_memo::<Tag>(&b)));
+        assert!(!Arc::ptr_eq(&ab, &a.pair_memo::<Tag>(&b.clone())));
+        // An entry whose partner is gone is dropped on the next call.
+        let weak = Arc::downgrade(&ab);
+        drop((ab, b));
+        assert!(weak.upgrade().is_some(), "kept until the next call");
+        a.pair_memo::<Tag>(&a2);
+        assert!(weak.upgrade().is_none(), "purged with its partner");
+    }
+
+    #[test]
+    fn pair_memo_recovers_a_poisoned_lock() {
+        let (a, b) = (tiny(), tiny());
+        let kept = a.pair_memo::<Tag>(&b);
+        let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _held = a.memo.entries.lock().unwrap();
+            panic!("poison the memo lock");
+        }));
+        assert!(poisoned.is_err() && a.memo.entries.is_poisoned());
+        assert!(Arc::ptr_eq(&kept, &a.pair_memo::<Tag>(&b)));
+        assert!(format!("{a:?}").contains("PairMemo"));
     }
 }

@@ -28,7 +28,7 @@
 //! any check is refused with a typed error — never opened approximately.
 
 use crate::catalog::{Catalog, FeatureSet};
-use crate::delta::{DeltaCatalogCounts, DeltaStats, FactorChain, NodeKind};
+use crate::delta::{DeltaCatalogCounts, DeltaStats, FactorChain, Node, NodeCount};
 use crate::diagram::{AttrPathId, Diagram, SocialPathId};
 use serde::bin::{Error, Reader, Writer};
 use sparsela::codec::{
@@ -36,6 +36,7 @@ use sparsela::codec::{
     encode_threading, margins_encoded_len,
 };
 use sparsela::Threading;
+use std::sync::Arc;
 
 /// Hostile input could nest `Diagram::Stack` arbitrarily deep; the paper's
 /// catalog never exceeds depth 3, so anything past this bound is refused
@@ -209,22 +210,23 @@ fn decode_stats(r: &mut Reader<'_>) -> Result<DeltaStats, Error> {
 pub fn encode_store(store: &DeltaCatalogCounts, w: &mut Writer) {
     encode_csr(&store.anchor, w);
     w.usize(store.order.len());
-    for i in 0..store.order.len() {
-        encode_diagram(&store.order[i], w);
-        match &store.kinds[i] {
-            NodeKind::AnchorFree => w.u8(NODE_ANCHOR_FREE),
-            NodeKind::AnchorChain(chain) => {
+    for (diagram, node) in store.order.iter().zip(&store.nodes) {
+        encode_diagram(diagram, w);
+        match node {
+            Node::AnchorFree(_) => w.u8(NODE_ANCHOR_FREE),
+            Node::AnchorChain(chain, _) => {
                 w.u8(NODE_ANCHOR_CHAIN);
                 encode_csr(&chain.l, w);
                 encode_csr(&chain.r, w);
             }
-            NodeKind::Stack(parts) => {
+            Node::Stack(parts, _) => {
                 w.u8(NODE_STACK);
                 w.usize_slice(parts);
             }
         }
-        encode_csr(&store.counts[i], w);
-        encode_margins(&store.sums[i], w);
+        let counted = node.counted();
+        encode_csr(&counted.count, w);
+        encode_margins(&counted.sums, w);
     }
     w.usize_slice(&store.catalog_pos);
     encode_threading(store.threading, w);
@@ -245,14 +247,15 @@ fn diagram_encoded_len(d: &Diagram) -> usize {
 /// slice writes instead of `Vec` growth).
 pub fn store_encoded_len(store: &DeltaCatalogCounts) -> usize {
     let mut len = csr_encoded_len(&store.anchor) + 8; // anchor + node count
-    for i in 0..store.order.len() {
-        len += diagram_encoded_len(&store.order[i]) + 1; // diagram + kind tag
-        len += match &store.kinds[i] {
-            NodeKind::AnchorFree => 0,
-            NodeKind::AnchorChain(chain) => csr_encoded_len(&chain.l) + csr_encoded_len(&chain.r),
-            NodeKind::Stack(parts) => 8 + parts.len() * 8,
+    for (diagram, node) in store.order.iter().zip(&store.nodes) {
+        len += diagram_encoded_len(diagram) + 1; // diagram + kind tag
+        len += match node {
+            Node::AnchorFree(_) => 0,
+            Node::AnchorChain(chain, _) => csr_encoded_len(&chain.l) + csr_encoded_len(&chain.r),
+            Node::Stack(parts, _) => 8 + parts.len() * 8,
         };
-        len += csr_encoded_len(&store.counts[i]) + margins_encoded_len(&store.sums[i]);
+        let counted = node.counted();
+        len += csr_encoded_len(&counted.count) + margins_encoded_len(&counted.sums);
     }
     len += 8 + store.catalog_pos.len() * 8; // catalog mapping
     len += match store.threading {
@@ -279,14 +282,15 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
     let (n1, n2) = anchor.shape();
     let n_nodes = r.seq_len(1)?;
     let mut order = Vec::with_capacity(n_nodes);
-    let mut kinds = Vec::with_capacity(n_nodes);
-    let mut counts = Vec::with_capacity(n_nodes);
-    let mut sums = Vec::with_capacity(n_nodes);
+    let mut nodes = Vec::with_capacity(n_nodes);
     let mut dependent = Vec::with_capacity(n_nodes);
     for i in 0..n_nodes {
         let diagram = decode_diagram(r)?;
-        let kind = match r.u8()? {
-            NODE_ANCHOR_FREE => NodeKind::AnchorFree,
+        // The node's kind and payload; its count follows. A restored store
+        // holds its own copies of the parts a built one shares with the
+        // other stores of its networks.
+        let node: Box<dyn FnOnce(NodeCount) -> Node> = match r.u8()? {
+            NODE_ANCHOR_FREE => Box::new(|counted| Node::AnchorFree(Arc::new(counted))),
             NODE_ANCHOR_CHAIN => {
                 let l = decode_csr(r)?;
                 let rr = decode_csr(r)?;
@@ -298,7 +302,8 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
                         rr.shape()
                     )));
                 }
-                NodeKind::AnchorChain(Box::new(FactorChain::new(l, rr)))
+                let chain = Arc::new(FactorChain::new(l, rr));
+                Box::new(move |counted| Node::AnchorChain(chain, counted))
             }
             NODE_STACK => {
                 let parts = r.usize_slice()?;
@@ -307,7 +312,7 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
                         "node {i}: stack parts {parts:?} break dependency order"
                     )));
                 }
-                NodeKind::Stack(parts)
+                Box::new(move |counted| Node::Stack(parts, counted))
             }
             tag => {
                 return Err(Error::Malformed(format!(
@@ -315,6 +320,20 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
                 )))
             }
         };
+        let count = decode_csr(r)?;
+        if count.shape() != (n1, n2) {
+            return Err(Error::Malformed(format!(
+                "node {i}: count shape {:?} != anchor shape ({n1}, {n2})",
+                count.shape()
+            )));
+        }
+        let sums = decode_margins(r)?;
+        if !sums.matches(&count) {
+            return Err(Error::Malformed(format!(
+                "node {i}: stored margins disagree with the count matrix"
+            )));
+        }
+        let node = node(NodeCount { count, sums });
         // The kind is fully determined by the diagram shape (mirrors
         // `DeltaCatalogCounts::build`): social paths and social
         // middle-stackings are anchor chains, attribute paths and their
@@ -323,10 +342,10 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
         // diagram's own parts, in order. A checksum-valid file whose
         // kinds disagree would propagate updates through the wrong
         // nodes — refuse it.
-        let agrees = match (&diagram, &kind) {
-            (Diagram::Social(_) | Diagram::SocialPair(_, _), NodeKind::AnchorChain(_)) => true,
-            (Diagram::Attr(_) | Diagram::AttrPair(_, _), NodeKind::AnchorFree) => true,
-            (Diagram::Stack(ds), NodeKind::Stack(parts)) => {
+        let agrees = match (&diagram, &node) {
+            (Diagram::Social(_) | Diagram::SocialPair(_, _), Node::AnchorChain(..)) => true,
+            (Diagram::Attr(_) | Diagram::AttrPair(_, _), Node::AnchorFree(_)) => true,
+            (Diagram::Stack(ds), Node::Stack(parts, _)) => {
                 parts.len() == ds.len()
                     && parts
                         .iter()
@@ -345,26 +364,11 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
         // increment; a stack over two anchor-dependent parts has no such
         // rule.
         dependent.push(
-            kind.anchor_dependent(&dependent)
+            node.anchor_dependent(&dependent)
                 .map_err(|msg| Error::Malformed(format!("node {i}: {msg}")))?,
         );
-        let count = decode_csr(r)?;
-        if count.shape() != (n1, n2) {
-            return Err(Error::Malformed(format!(
-                "node {i}: count shape {:?} != anchor shape ({n1}, {n2})",
-                count.shape()
-            )));
-        }
-        let margins = decode_margins(r)?;
-        if !margins.matches(&count) {
-            return Err(Error::Malformed(format!(
-                "node {i}: stored margins disagree with the count matrix"
-            )));
-        }
         order.push(diagram);
-        kinds.push(kind);
-        counts.push(count);
-        sums.push(margins);
+        nodes.push(node);
     }
     let catalog_pos = r.usize_slice()?;
     if catalog_pos.len() != catalog.len() {
@@ -394,9 +398,7 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
     Ok(DeltaCatalogCounts {
         anchor,
         order,
-        kinds,
-        counts,
-        sums,
+        nodes,
         catalog_pos,
         threading,
         stats,
@@ -483,13 +485,15 @@ mod tests {
         assert_eq!(back.catalog_pos, store.catalog_pos);
         assert_eq!(back.threading, store.threading);
         assert_eq!(back.stats, store.stats);
-        for i in 0..store.order.len() {
-            assert_eq!(back.counts[i], store.counts[i], "count {i}");
-            assert_eq!(back.sums[i], store.sums[i], "margins {i}");
-            match (&back.kinds[i], &store.kinds[i]) {
-                (NodeKind::AnchorFree, NodeKind::AnchorFree) => {}
-                (NodeKind::Stack(a), NodeKind::Stack(b)) => assert_eq!(a, b),
-                (NodeKind::AnchorChain(a), NodeKind::AnchorChain(b)) => {
+        assert_eq!(back.nodes.len(), store.nodes.len());
+        for (i, (got, want)) in back.nodes.iter().zip(&store.nodes).enumerate() {
+            assert_eq!(got.counted(), want.counted(), "count and margins {i}");
+            match (got, want) {
+                // A restored store shares nothing with the built one.
+                (Node::AnchorFree(a), Node::AnchorFree(b)) => assert!(!Arc::ptr_eq(a, b)),
+                (Node::Stack(a, _), Node::Stack(b, _)) => assert_eq!(a, b),
+                (Node::AnchorChain(a, _), Node::AnchorChain(b, _)) => {
+                    assert!(!Arc::ptr_eq(a, b));
                     assert_eq!(a.l, b.l);
                     assert_eq!(a.r, b.r);
                     assert_eq!(a.lt, b.lt, "recomputed transpose diverged");
@@ -567,17 +571,17 @@ mod tests {
             .iter()
             .position(|d| matches!(d, Diagram::Social(_)))
             .expect("catalog has social paths");
-        broken.kinds[i] = NodeKind::AnchorFree;
+        broken.nodes[i] = Node::AnchorFree(Arc::new(broken.nodes[i].counted().clone()));
         let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
         assert!(err.to_string().contains("kind does not match"));
         // A stack whose stored part indices name the wrong diagrams.
         let mut broken = store.clone();
         let s = broken
-            .kinds
+            .nodes
             .iter()
-            .position(|k| matches!(k, NodeKind::Stack(p) if p.len() == 2))
+            .position(|k| matches!(k, Node::Stack(p, _) if p.len() == 2))
             .expect("catalog has two-part stacks");
-        if let NodeKind::Stack(parts) = &mut broken.kinds[s] {
+        if let Node::Stack(parts, _) = &mut broken.nodes[s] {
             parts.reverse();
         }
         let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
@@ -602,15 +606,15 @@ mod tests {
             .position(|d| *d == Diagram::Social(SocialPathId::P2))
             .expect("catalog has P2");
         let s = broken
-            .kinds
+            .nodes
             .iter()
-            .position(|k| matches!(k, NodeKind::Stack(p) if p.len() == 2))
+            .position(|k| matches!(k, Node::Stack(p, _) if p.len() == 2))
             .expect("catalog has two-part stacks");
         broken.order[s] = Diagram::Stack(vec![
             Diagram::Social(SocialPathId::P1),
             Diagram::Social(SocialPathId::P2),
         ]);
-        broken.kinds[s] = NodeKind::Stack(vec![p1, p2]);
+        broken.nodes[s] = Node::Stack(vec![p1, p2], broken.nodes[s].counted().clone());
         let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)));
         assert!(err.to_string().contains("anchor-dependent"), "{err}");
@@ -621,12 +625,11 @@ mod tests {
         let (store, catalog) = store();
         let mut broken = store.clone();
         // Margins drift from their count matrix → decode must refuse.
-        let mut bad = broken.sums[0].clone();
-        bad = sparsela::MarginSums::from_parts(
-            bad.rows().iter().map(|&v| v + 1.0).collect(),
-            bad.cols().to_vec(),
+        let sums = &mut broken.nodes[0].counted_mut().sums;
+        *sums = sparsela::MarginSums::from_parts(
+            sums.rows().iter().map(|&v| v + 1.0).collect(),
+            sums.cols().to_vec(),
         );
-        broken.sums[0] = bad;
         let bytes = encoded(&broken);
         let err = decode_store(&mut Reader::new(&bytes), &catalog).unwrap_err();
         assert!(err.to_string().contains("margins"));

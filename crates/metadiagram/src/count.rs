@@ -321,7 +321,7 @@ impl KeyTable {
 mod tests {
     use super::*;
     use crate::catalog::{Catalog, FeatureSet};
-    use crate::delta::{DeltaCatalogCounts, NodeKind as StoreNode};
+    use crate::delta::{DeltaCatalogCounts, Node as StoreNode};
     use crate::diagram::Diagram;
     use hetnet::{AnchorLink, HetNetBuilder, LocationId, TimestampId, UserId};
     use sparsela::Threading;
@@ -382,7 +382,7 @@ mod tests {
     }
 
     fn count<'s>(store: &'s DeltaCatalogCounts, d: &Diagram) -> &'s CsrMatrix {
-        &store.counts[node(store, d)]
+        &store.nodes[node(store, d)].counted().count
     }
 
     #[test]
@@ -483,7 +483,7 @@ mod tests {
             node(&s, &Diagram::Social(SocialPathId::P1)),
             node(&s, &Diagram::psi2()),
         ];
-        assert!(matches!(&s.kinds[psi3], StoreNode::Stack(parts) if *parts == want));
+        assert!(matches!(&s.nodes[psi3], StoreNode::Stack(parts, _) if *parts == want));
         assert!(want.iter().all(|&p| p < psi3), "parts precede the stack");
     }
 
@@ -542,16 +542,16 @@ mod tests {
                     Diagram::SocialPair(i, j)
                 };
                 assert_eq!(&lar, count(&s, &d), "factor chain mismatch for {d}");
-                assert!(matches!(s.kinds[node(&s, &d)], StoreNode::AnchorChain(_)));
+                assert!(matches!(s.nodes[node(&s, &d)], StoreNode::AnchorChain(..)));
             }
         }
         // Anchor-free diagrams do not factor through A.
         for d in [Diagram::Attr(AttrPathId::Location), Diagram::psi2()] {
-            assert!(matches!(s.kinds[node(&s, &d)], StoreNode::AnchorFree));
+            assert!(matches!(s.nodes[node(&s, &d)], StoreNode::AnchorFree(_)));
         }
         assert!(matches!(
-            s.kinds[node(&s, &Diagram::psi3())],
-            StoreNode::Stack(_)
+            s.nodes[node(&s, &Diagram::psi3())],
+            StoreNode::Stack(..)
         ));
     }
 

@@ -27,14 +27,25 @@
 //! per row, every leaf row, then every stack row from its parts' rows
 //! while they are in cache, each added into its margins.
 //! [`DeltaCatalogCounts::recount_anchors`], the oracle, runs the same
-//! pass.
+//! pass, planned by the same step planner: a leaf count already known is
+//! given to the pass, every other node is counted in it.
 //!
-//! A [`DeltaCatalogCounts`] is also the unit of **persistence**: it owns
+//! **Owned and shared parts.** A store owns its anchor matrix and its
+//! anchor-dependent counts (anchor chains and stacks) with their margins.
+//! Each factor chain and each anchor-free count with its margins depends
+//! only on the two networks: the first build over a pair computes them,
+//! keeps them on the left network for the pair ([`HetNet::pair_memo`]),
+//! and every store built over the same two networks shares them by `Arc`,
+//! immutably. So the folds of one world count its anchor-independent part
+//! once, and one copy of it is held however many stores there are.
+//!
+//! A [`DeltaCatalogCounts`] is also the unit of **persistence**: it holds
 //! everything an update needs (factor chains included, networks
 //! excluded), so [`crate::codec::encode_store`] /
 //! [`crate::codec::decode_store`] can write it to disk and a fresh
 //! process can resume updates bit-equal to the store that was saved —
-//! the payload behind `session::snapshot`.
+//! the payload behind `session::snapshot`. A decoded store holds its own,
+//! unshared copies of the shared parts.
 
 use crate::catalog::Catalog;
 use crate::count::{self, EngineError, SocialSteps};
@@ -47,6 +58,7 @@ use sparsela::{
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors raised when applying an anchor update.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -218,6 +230,27 @@ impl FactorChain {
     }
 }
 
+/// A count matrix with its row/column margins (the Dice denominators).
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct NodeCount {
+    pub(crate) count: CsrMatrix,
+    pub(crate) sums: MarginSums,
+}
+
+impl NodeCount {
+    fn of((count, sums): (CsrMatrix, MarginSums)) -> Self {
+        NodeCount { count, sums }
+    }
+
+    /// Adds `delta` into the count, keeping the positive entries, and
+    /// retracts every entry the filter prunes from the margins.
+    fn splice(&mut self, delta: &CsrMatrix) -> Result<(), SparseError> {
+        let sums = &mut self.sums;
+        self.count
+            .splice_add_positive(delta, |r, c, v| sums.retract(r, c, v))
+    }
+}
+
 /// Appends `diagram` and (first) its stack parts to the node plan unless
 /// already planned, and returns its node index. Each distinct diagram is
 /// planned once, every stack after its parts.
@@ -244,103 +277,209 @@ fn plan_node(
     i
 }
 
-/// A planned node with the operands of its rows in the build's row pass.
-enum Planned {
-    /// Rows `L·(A·R)`; keeps the chain and its `A·R`.
-    Chain(FactorChain, CsrMatrix),
-    /// Rows `UL·URᵀ` (see [`count::attr_factors`]).
+/// Runs `f` on every node index below `n` on `threading`'s workers and
+/// returns the results in index order. Each worker claims the next node
+/// from the last one back: a catalog plans its cheap single paths first
+/// and its costlier pairs after them, so the costliest are claimed first
+/// and the cheap ones fill in.
+fn per_node<T: Send>(n: usize, threading: Threading, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let workers = threading.resolve().min(n).max(1);
+    let mut out: Vec<(usize, T)> = fan_out((0..workers).map(|w| w..w + 1).collect(), |_| {
+        let mut mine = Vec::new();
+        loop {
+            // A claim counter: it publishes no other data.
+            let claim = next.fetch_add(1, Ordering::Relaxed);
+            let Some(i) = n.checked_sub(claim + 1) else {
+                return mine;
+            };
+            mine.push((i, f(i)));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, t)| t).collect()
+}
+
+/// Where one node's rows come from in a count pass.
+enum Source<'a> {
+    /// The product `lhs · rhs`: an anchor chain's `L·(A·R)`, or the
+    /// `UL·URᵀ` of an anchor-free leaf not counted yet.
+    Product(&'a CsrMatrix, &'a CsrMatrix),
+    /// A leaf count that is already known.
+    Known(&'a CsrMatrix),
+    /// A stack over earlier nodes, with its current count if it has one.
+    Stack(&'a [usize], Option<&'a CsrMatrix>),
+}
+
+/// The row steps of one count pass, shared by the build and the oracle:
+/// a product is counted, a known leaf is given, and a stack is the
+/// Hadamard of its parts unless it has a count and every part is given.
+fn row_steps<'a>(sources: impl Iterator<Item = Source<'a>>) -> Vec<RowStep<'a>> {
+    let mut steps = Vec::new();
+    for source in sources {
+        let step = match source {
+            Source::Product(lhs, rhs) => RowStep::Product(lhs, rhs),
+            Source::Known(count) => RowStep::Given(count),
+            Source::Stack(parts, Some(count))
+                if parts
+                    .iter()
+                    .all(|&p| matches!(steps.get(p), Some(RowStep::Given(_)))) =>
+            {
+                RowStep::Given(count)
+            }
+            Source::Stack(parts, _) => RowStep::Hadamard(parts),
+        };
+        steps.push(step);
+    }
+    steps
+}
+
+/// One network pair's anchor-independent leaves, by diagram: each social
+/// leaf's factor chain and each anchor-free leaf's count. The first build
+/// over the pair computes them and every later build shares them by
+/// `Arc`. They are kept on the left network ([`HetNet::pair_memo`]), so
+/// they live exactly as long as the two networks do.
+#[derive(Default)]
+struct PairLeaves(Mutex<HashMap<Diagram, Leaf>>);
+
+/// The shared part of one leaf diagram.
+#[derive(Clone)]
+enum Leaf {
+    Chain(Arc<FactorChain>),
+    Free(Arc<NodeCount>),
+}
+
+impl PairLeaves {
+    /// The lock is held only to read or insert entries, never while
+    /// counting, so a poisoned lock still guards a valid map.
+    fn entries(&self) -> MutexGuard<'_, HashMap<Diagram, Leaf>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The known leaf of each diagram of `order`.
+    fn known(&self, order: &[Diagram]) -> Vec<Option<Leaf>> {
+        let entries = self.entries();
+        order.iter().map(|d| entries.get(d).cloned()).collect()
+    }
+
+    /// Adds the leaves of `nodes` that are not known yet. A leaf another
+    /// build published first wins, and the node takes it in place of its
+    /// own bit-identical one.
+    fn publish(&self, order: &[Diagram], nodes: &mut [Node]) {
+        let mut entries = self.entries();
+        for (diagram, node) in order.iter().zip(nodes) {
+            let Some(leaf) = node.leaf() else {
+                continue;
+            };
+            match (entries.entry(diagram.clone()).or_insert(leaf), node) {
+                (Leaf::Chain(known), Node::AnchorChain(chain, _)) => *chain = known.clone(),
+                (Leaf::Free(known), Node::AnchorFree(count)) => *count = known.clone(),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// A node's operands in a build.
+enum Prepared {
+    /// An anchor chain and its `A·R`.
+    Chain(Arc<FactorChain>, CsrMatrix),
+    /// An anchor-free leaf counted before.
+    Known(Arc<NodeCount>),
+    /// An anchor-free leaf's `UL` and `URᵀ` (see [`count::attr_factors`]).
     Free(CsrMatrix, CsrMatrix),
-    /// The Hadamard of its parts' rows.
+    /// A stack over its parts.
     Stack(Vec<usize>),
 }
 
-impl Planned {
+impl Prepared {
+    /// The operands of `diagram`, taking a `known` leaf as it is.
     fn of(
         social: &SocialSteps,
         anchor: &CsrMatrix,
         diagram: &Diagram,
         parts: &[usize],
+        known: Option<Leaf>,
     ) -> Result<Self, EngineError> {
         let [left, right] = social.nets;
-        let chain = |(l, r)| -> Result<Planned, EngineError> {
-            let chain = FactorChain::new(l, r);
+        let chain = |chain: Arc<FactorChain>| -> Result<Prepared, EngineError> {
             let ar = chain.anchored(anchor)?;
-            Ok(Planned::Chain(chain, ar))
+            Ok(Prepared::Chain(chain, ar))
         };
-        let free = |(ul, urt)| Planned::Free(ul, urt);
-        Ok(match diagram {
-            Diagram::Social(p) => chain(social.factors(*p, *p)?)?,
-            Diagram::SocialPair(i, j) => chain(social.factors(*i, *j)?)?,
-            Diagram::Attr(a) => free(count::attr_factors(left, right, *a, *a)?),
-            Diagram::AttrPair(a, b) => free(count::attr_factors(left, right, *a, *b)?),
-            Diagram::Stack(_) => Planned::Stack(parts.to_vec()),
+        let factors = |(l, r)| Arc::new(FactorChain::new(l, r));
+        let free = |(ul, urt)| Prepared::Free(ul, urt);
+        #[cfg(test)]
+        tests::fault_point();
+        Ok(match (diagram, known) {
+            (_, Some(Leaf::Chain(known))) => chain(known)?,
+            (_, Some(Leaf::Free(known))) => Prepared::Known(known),
+            (Diagram::Social(p), None) => chain(factors(social.factors(*p, *p)?))?,
+            (Diagram::SocialPair(i, j), None) => chain(factors(social.factors(*i, *j)?))?,
+            (Diagram::Attr(a), None) => free(count::attr_factors(left, right, *a, *a)?),
+            (Diagram::AttrPair(a, b), None) => free(count::attr_factors(left, right, *a, *b)?),
+            (Diagram::Stack(_), None) => Prepared::Stack(parts.to_vec()),
         })
     }
 
-    /// Plans every node of `order` (`parts` are the stacks' parts). The
-    /// nodes' operands are independent. Each worker claims the next node
-    /// from the last one back: a catalog plans its cheap single paths
-    /// first and its costlier pairs after them, so the costliest are
-    /// claimed first and the cheap ones fill in.
-    fn all(
-        left: &HetNet,
-        right: &HetNet,
-        anchor: &CsrMatrix,
-        order: &[Diagram],
-        parts: &[Vec<usize>],
-        threading: Threading,
-    ) -> Result<Vec<Self>, EngineError> {
-        let social = SocialSteps::new(left, right);
-        let next = AtomicUsize::new(0);
-        let workers = threading.resolve().min(order.len()).max(1);
-        let mut planned: Vec<(usize, Result<Planned, EngineError>)> =
-            fan_out((0..workers).map(|w| w..w + 1).collect(), |_| {
-                let mut mine = Vec::new();
-                loop {
-                    // A claim counter: it publishes no other data.
-                    let claim = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(i) = order.len().checked_sub(claim + 1) else {
-                        return mine;
-                    };
-                    mine.push((i, Planned::of(&social, anchor, &order[i], &parts[i])));
-                }
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        planned.sort_unstable_by_key(|&(i, _)| i);
-        planned.into_iter().map(|(_, node)| node).collect()
-    }
-
-    fn step(&self) -> RowStep<'_> {
+    fn source(&self) -> Source<'_> {
         match self {
-            Planned::Chain(chain, ar) => RowStep::Product(&chain.l, ar),
-            Planned::Free(ul, urt) => RowStep::Product(ul, urt),
-            Planned::Stack(parts) => RowStep::Hadamard(parts),
+            Prepared::Chain(chain, ar) => Source::Product(&chain.l, ar),
+            Prepared::Known(known) => Source::Known(&known.count),
+            Prepared::Free(ul, urt) => Source::Product(ul, urt),
+            Prepared::Stack(parts) => Source::Stack(parts, None),
         }
     }
 
-    fn into_kind(self) -> NodeKind {
-        match self {
-            Planned::Chain(chain, _) => NodeKind::AnchorChain(Box::new(chain)),
-            Planned::Free(..) => NodeKind::AnchorFree,
-            Planned::Stack(parts) => NodeKind::Stack(parts),
-        }
+    /// The node, given the pass's output for it (`None` for a known leaf).
+    fn into_node(self, out: Option<(CsrMatrix, MarginSums)>) -> Result<Node, EngineError> {
+        Ok(match (self, out) {
+            (Prepared::Known(known), _) => Node::AnchorFree(known),
+            (Prepared::Chain(chain, _), Some(out)) => Node::AnchorChain(chain, NodeCount::of(out)),
+            (Prepared::Free(..), Some(out)) => Node::AnchorFree(Arc::new(NodeCount::of(out))),
+            (Prepared::Stack(parts), Some(out)) => Node::Stack(parts, NodeCount::of(out)),
+            (_, None) => {
+                return Err(EngineError::Kernel(SparseError::InvalidStructure(
+                    "the row pass gave no rows for a counted node".into(),
+                )))
+            }
+        })
     }
 }
 
-/// How one materialized diagram reacts to an anchor update.
+/// One materialized diagram: how it reacts to an anchor update, and its
+/// count.
 #[derive(Clone)]
-pub(crate) enum NodeKind {
-    /// `C = L·A·R`: keeps the factor chain (boxed — most nodes are stacks).
-    AnchorChain(Box<FactorChain>),
-    /// Anchor-independent: carried over untouched.
-    AnchorFree,
-    /// Hadamard of other materialized nodes (indices into the store).
-    Stack(Vec<usize>),
+pub(crate) enum Node {
+    /// `C = L·A·R`: the pair's shared factor chain and the node's own
+    /// count.
+    AnchorChain(Arc<FactorChain>, NodeCount),
+    /// Anchor-independent: the pair's shared count, carried over untouched.
+    AnchorFree(Arc<NodeCount>),
+    /// Hadamard of other materialized nodes (indices into the store), with
+    /// its own count.
+    Stack(Vec<usize>, NodeCount),
 }
 
-impl NodeKind {
+impl Node {
+    /// The node's shared part, if it is a leaf.
+    fn leaf(&self) -> Option<Leaf> {
+        match self {
+            Node::AnchorChain(chain, _) => Some(Leaf::Chain(chain.clone())),
+            Node::AnchorFree(count) => Some(Leaf::Free(count.clone())),
+            Node::Stack(..) => None,
+        }
+    }
+
+    pub(crate) fn counted(&self) -> &NodeCount {
+        match self {
+            Node::AnchorChain(_, own) | Node::Stack(_, own) => own,
+            Node::AnchorFree(shared) => shared,
+        }
+    }
+
     /// Whether this node's count moves with the anchors, given
     /// `dependent[p]` for every earlier node `p`. A stack may have at most
     /// one anchor-dependent part: the increment rule `Δ(C∘B) = ΔC∘B`
@@ -348,9 +487,9 @@ impl NodeKind {
     /// finding one means the store is malformed.
     pub(crate) fn anchor_dependent(&self, dependent: &[bool]) -> Result<bool, String> {
         match self {
-            NodeKind::AnchorChain(_) => Ok(true),
-            NodeKind::AnchorFree => Ok(false),
-            NodeKind::Stack(parts) => {
+            Node::AnchorChain(..) => Ok(true),
+            Node::AnchorFree(_) => Ok(false),
+            Node::Stack(parts, _) => {
                 let moving = parts
                     .iter()
                     .filter(|&&p| dependent.get(p) == Some(&true))
@@ -367,27 +506,30 @@ impl NodeKind {
     }
 }
 
-/// An owning store of one catalog's count matrices plus everything needed
-/// to update them incrementally when anchors are confirmed.
+/// A store of one catalog's count matrices plus everything needed to
+/// update them incrementally when anchors are confirmed.
 ///
 /// Built once from a pair of networks (which it does **not** keep borrowed
 /// — the factor chains make the networks unnecessary afterwards), then
 /// driven by [`DeltaCatalogCounts::update_anchors`]. This is the counting
 /// core of `session::AlignmentSession`.
 ///
-/// The store is a plain value (`Clone` duplicates every owned artifact),
+/// The store owns its anchor matrix and its anchor-dependent counts (the
+/// anchor chains' and the stacks') with their margins. The parts that
+/// depend only on the two networks — each factor chain and each
+/// anchor-free count with its margins — are immutable and shared by `Arc`
+/// with every other store built over the same pair of networks. The store
+/// is a plain value: `Clone` copies the owned counts and shares the rest,
 /// so callers can checkpoint a counting state and explore updates from it.
 #[derive(Clone)]
 pub struct DeltaCatalogCounts {
     pub(crate) anchor: CsrMatrix,
     /// Materialized diagrams in dependency order (stack parts first).
     pub(crate) order: Vec<Diagram>,
-    pub(crate) kinds: Vec<NodeKind>,
-    pub(crate) counts: Vec<CsrMatrix>,
-    /// Row/column margins of every materialized count, maintained
-    /// incrementally alongside `counts` (the Dice denominators).
-    pub(crate) sums: Vec<MarginSums>,
-    /// Catalog position → index into `order`/`counts`.
+    /// The node of each diagram of `order`; counts and margins maintained
+    /// incrementally alongside each other.
+    pub(crate) nodes: Vec<Node>,
+    /// Catalog position → index into `order`/`nodes`.
     pub(crate) catalog_pos: Vec<usize>,
     pub(crate) threading: Threading,
     pub(crate) stats: DeltaStats,
@@ -408,7 +550,7 @@ impl DeltaCatalogCounts {
     /// Counts the whole catalog once (the store's single mandatory full
     /// count) and keeps the factor chains of every anchor-dependent
     /// diagram. The build plans each distinct diagram once, in dependency
-    /// order (stack parts first), computes the right-hand operands once
+    /// order (stack parts first), prepares the right-hand operands once
     /// per leaf (`A·R` per anchor chain, `URᵀ` per anchor-free diagram),
     /// and then counts every node in one fused row pass
     /// ([`sparsela::fused_rows`]): for each row, every leaf row, then every
@@ -417,9 +559,12 @@ impl DeltaCatalogCounts {
     /// blocks. Counts are exact integers, so results are bit-identical at
     /// any setting.
     ///
-    /// Factor chains are kept eagerly because the networks are not
-    /// retained after the build — a batch caller that never updates pays
-    /// for them too: one transpose per chain.
+    /// The factor chains and the anchor-free counts depend only on the two
+    /// networks, so the first build over a pair computes them and keeps
+    /// them on `left` for the pair ([`HetNet::pair_memo`]); every later
+    /// build over the same two networks — another fold, another catalog
+    /// slice — shares them and counts only `A·R`, the chain rows and the
+    /// stacks. A clone of a network is a new pair and counts afresh.
     ///
     /// # Errors
     /// [`EngineError::AnchorShape`] / [`EngineError::AttributeUniverseMismatch`]
@@ -441,30 +586,35 @@ impl DeltaCatalogCounts {
             .iter()
             .map(|e| plan_node(&e.diagram, &mut order, &mut parts, &mut index))
             .collect();
-        let planned = Planned::all(left, right, &anchor, &order, &parts, threading)?;
-        let steps: Vec<RowStep> = planned.iter().map(Planned::step).collect();
+        let leaves = left.pair_memo::<PairLeaves>(right);
+        let known = leaves.known(&order);
+        // The social steps' Hadamards are dropped before the pass.
+        let social = SocialSteps::new(left, right);
+        let prepared = per_node(order.len(), threading, |i| {
+            Prepared::of(&social, &anchor, &order[i], &parts[i], known[i].clone())
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        drop(social);
+        let steps = row_steps(prepared.iter().map(Prepared::source));
         let built = fused_rows(&steps, anchor.shape(), threading)?;
-        let mut store = DeltaCatalogCounts {
+        let mut nodes = prepared
+            .into_iter()
+            .zip(built)
+            .map(|(node, out)| node.into_node(out))
+            .collect::<Result<Vec<_>, _>>()?;
+        leaves.publish(&order, &mut nodes);
+        Ok(DeltaCatalogCounts {
             anchor,
             order,
-            kinds: Vec::with_capacity(built.len()),
-            counts: Vec::with_capacity(built.len()),
-            sums: Vec::with_capacity(built.len()),
+            nodes,
             catalog_pos,
             threading,
             stats: DeltaStats {
                 full_counts: 1,
                 ..DeltaStats::default()
             },
-        };
-        // Every build step is a product or a Hadamard, so each yields a
-        // count.
-        for (node, (count, sums)) in planned.into_iter().zip(built.into_iter().flatten()) {
-            store.kinds.push(node.into_kind());
-            store.counts.push(count);
-            store.sums.push(sums);
-        }
-        Ok(store)
+        })
     }
 
     /// The current (merged) anchor matrix.
@@ -489,14 +639,14 @@ impl DeltaCatalogCounts {
 
     /// The count matrix of catalog feature `i` (catalog order).
     pub fn catalog_count(&self, i: usize) -> &CsrMatrix {
-        &self.counts[self.catalog_pos[i]]
+        &self.nodes[self.catalog_pos[i]].counted().count
     }
 
     /// The incrementally maintained row/column margins of catalog feature
     /// `i`'s count matrix — always bit-equal to a fresh
     /// `MarginSums::of(catalog_count(i))`, without the rescan.
     pub fn catalog_sums(&self, i: usize) -> &MarginSums {
-        &self.sums[self.catalog_pos[i]]
+        &self.nodes[self.catalog_pos[i]].counted().sums
     }
 
     /// Work counters.
@@ -522,17 +672,16 @@ impl DeltaCatalogCounts {
     fn check_consistent(&self) -> Result<(), DeltaError> {
         let (a1, a2) = self.anchor.shape();
         let n = self.order.len();
-        if self.kinds.len() != n || self.counts.len() != n || self.sums.len() != n {
+        if self.nodes.len() != n {
             return Err(DeltaError::Inconsistent(format!(
-                "{n} diagrams vs {} kinds, {} counts, {} sums",
-                self.kinds.len(),
-                self.counts.len(),
-                self.sums.len()
+                "{n} diagrams vs {} nodes",
+                self.nodes.len()
             )));
         }
         let mut dependent = Vec::with_capacity(n);
-        for (i, kind) in self.kinds.iter().enumerate() {
-            let shape = self.counts[i].shape();
+        for (i, node) in self.nodes.iter().enumerate() {
+            let counted = node.counted();
+            let shape = counted.count.shape();
             // Every count is |U⁽¹⁾| × |U⁽²⁾|, the shape of the row pass.
             if shape != (a1, a2) {
                 return Err(DeltaError::ShapeDrift {
@@ -542,16 +691,16 @@ impl DeltaCatalogCounts {
                     expected: (a1, a2),
                 });
             }
-            if self.sums[i].shape() != shape {
+            if counted.sums.shape() != shape {
                 return Err(DeltaError::ShapeDrift {
                     what: "margin sums",
                     node: i,
-                    found: self.sums[i].shape(),
+                    found: counted.sums.shape(),
                     expected: shape,
                 });
             }
-            match kind {
-                NodeKind::AnchorChain(chain) => {
+            match node {
+                Node::AnchorChain(chain, _) => {
                     // C = L·A·R: L is (c1 × a1), Lᵀ its transpose, R (a2 × c2).
                     if chain.l.shape() != (shape.0, a1) {
                         return Err(DeltaError::ShapeDrift {
@@ -578,8 +727,8 @@ impl DeltaCatalogCounts {
                         });
                     }
                 }
-                NodeKind::AnchorFree => {}
-                NodeKind::Stack(parts) => {
+                Node::AnchorFree(_) => {}
+                Node::Stack(parts, _) => {
                     if parts.is_empty() {
                         return Err(DeltaError::Inconsistent(format!(
                             "stack node {i} has no parts"
@@ -591,18 +740,19 @@ impl DeltaCatalogCounts {
                                 "stack node {i} references part {p} out of dependency order"
                             )));
                         }
-                        if self.counts[p].shape() != shape {
+                        let part = self.nodes[p].counted().count.shape();
+                        if part != shape {
                             return Err(DeltaError::ShapeDrift {
                                 what: "stack part",
                                 node: i,
-                                found: self.counts[p].shape(),
+                                found: part,
                                 expected: shape,
                             });
                         }
                     }
                 }
             }
-            let dep = kind
+            let dep = node
                 .anchor_dependent(&dependent)
                 .map_err(|msg| DeltaError::Inconsistent(format!("stack node {i}: {msg}")))?;
             dependent.push(dep);
@@ -734,18 +884,17 @@ impl DeltaCatalogCounts {
     /// kernel-level rejections inside the pass are mapped to
     /// [`DeltaError::Inconsistent`] instead of panicking.
     fn repropagate(&mut self, delta: &CsrMatrix) -> Result<Vec<ChangedCount>, DeltaError> {
-        let mut increments: Vec<Option<CsrMatrix>> = vec![None; self.order.len()];
-        for i in 0..self.order.len() {
-            match &self.kinds[i] {
-                NodeKind::AnchorChain(chain) => {
-                    let dc =
-                        spgemm_lowrank_with_sums(&chain.lt, delta, &chain.r, &mut self.sums[i])?;
-                    let sums = &mut self.sums[i];
-                    self.counts[i].splice_add_positive(&dc, |r, c, v| sums.retract(r, c, v))?;
+        let mut increments: Vec<Option<CsrMatrix>> = vec![None; self.nodes.len()];
+        for i in 0..self.nodes.len() {
+            let (done, rest) = self.nodes.split_at_mut(i);
+            match &mut rest[0] {
+                Node::AnchorChain(chain, own) => {
+                    let dc = spgemm_lowrank_with_sums(&chain.lt, delta, &chain.r, &mut own.sums)?;
+                    own.splice(&dc)?;
                     increments[i] = Some(dc);
                 }
-                NodeKind::AnchorFree => {}
-                NodeKind::Stack(parts) => {
+                Node::AnchorFree(_) => {}
+                Node::Stack(parts, own) => {
                     // check_consistent admits at most one anchor-dependent
                     // part, so at most one part kept an increment.
                     let Some((moving, inc)) = parts
@@ -759,13 +908,12 @@ impl DeltaCatalogCounts {
                     for (k, &p) in parts.iter().enumerate() {
                         if k != moving {
                             let lhs = ds.as_ref().unwrap_or(inc);
-                            ds = Some(lhs.hadamard(&self.counts[p])?);
+                            ds = Some(lhs.hadamard(&done[p].counted().count)?);
                         }
                     }
                     let ds = ds.unwrap_or_else(|| inc.clone());
-                    let sums = &mut self.sums[i];
-                    sums.accumulate(&ds)?;
-                    self.counts[i].splice_add_positive(&ds, |r, c, v| sums.retract(r, c, v))?;
+                    own.sums.accumulate(&ds)?;
+                    own.splice(&ds)?;
                     increments[i] = Some(ds);
                 }
             }
@@ -779,7 +927,7 @@ impl DeltaCatalogCounts {
 
     /// The full recount from the merged anchors: the build's row pass, with
     /// every anchor chain recounted as `L·(A·R)`, every stack over a
-    /// recounted part re-Hadamarded, and every other node read from its
+    /// recounted part re-Hadamarded, and every other node given from its
     /// current count. Returns the changed catalog entries, with no touched
     /// regions (treat each whole matrix as touched).
     ///
@@ -788,35 +936,32 @@ impl DeltaCatalogCounts {
     /// callers' pre-validation rules out every one a store can cause, and
     /// the counts are replaced only after the whole pass has succeeded.
     fn recount(&mut self) -> Result<Vec<ChangedCount>, DeltaError> {
-        let anchored = self
-            .kinds
-            .iter()
-            .map(|kind| match kind {
-                NodeKind::AnchorChain(chain) => chain.anchored(&self.anchor).map(Some),
-                _ => Ok(None),
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut steps: Vec<RowStep> = Vec::with_capacity(self.order.len());
-        for (i, kind) in self.kinds.iter().enumerate() {
-            let recounted = |p: usize| !matches!(steps[p], RowStep::Given(_));
-            let step = match (kind, &anchored[i]) {
-                (NodeKind::AnchorChain(chain), Some(ar)) => RowStep::Product(&chain.l, ar),
-                (NodeKind::Stack(parts), _) if parts.iter().any(|&p| recounted(p)) => {
-                    RowStep::Hadamard(parts)
-                }
-                _ => RowStep::Given(&self.counts[i]),
-            };
-            steps.push(step);
-        }
+        let anchor = &self.anchor;
+        let anchored = per_node(self.nodes.len(), self.threading, |i| match &self.nodes[i] {
+            Node::AnchorChain(chain, _) => chain.anchored(anchor).map(Some),
+            _ => Ok(None),
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
+        let steps =
+            row_steps(
+                self.nodes
+                    .iter()
+                    .zip(&anchored)
+                    .map(|(node, ar)| match (node, ar) {
+                        (Node::AnchorChain(chain, _), Some(ar)) => Source::Product(&chain.l, ar),
+                        (Node::Stack(parts, own), _) => Source::Stack(parts, Some(&own.count)),
+                        (node, _) => Source::Known(&node.counted().count),
+                    }),
+            );
         let changed: Vec<bool> = steps
             .iter()
             .map(|step| !matches!(step, RowStep::Given(_)))
             .collect();
         let recounted = fused_rows(&steps, self.anchor.shape(), self.threading)?;
-        for (i, node) in recounted.into_iter().enumerate() {
-            if let Some((count, sums)) = node {
-                self.counts[i] = count;
-                self.sums[i] = sums;
+        for (node, out) in self.nodes.iter_mut().zip(recounted) {
+            if let (Node::AnchorChain(_, own) | Node::Stack(_, own), Some(out)) = (node, out) {
+                *own = NodeCount::of(out);
             }
         }
         Ok(self.changed_entries(|ord| changed[ord].then_some(None)))
@@ -848,6 +993,49 @@ mod tests {
     use crate::catalog::{Catalog, FeatureSet};
     use hetnet::aligned::anchor_matrix;
     use hetnet::UserId;
+    use std::cell::Cell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Weak;
+
+    thread_local! {
+        /// Arms a one-shot panic at the next [`fault_point`] on this thread.
+        static FAULT: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Where a build prepares a node's operands: panics once if armed.
+    pub(super) fn fault_point() {
+        if FAULT.with(|armed| armed.replace(false)) {
+            panic!("injected fault in a cold build");
+        }
+    }
+
+    impl Node {
+        /// The node's count, made private to it first if it is shared.
+        pub(crate) fn counted_mut(&mut self) -> &mut NodeCount {
+            match self {
+                Node::AnchorChain(_, own) | Node::Stack(_, own) => own,
+                Node::AnchorFree(shared) => Arc::make_mut(shared),
+            }
+        }
+    }
+
+    /// Asserts that `a` and `b` hold bit-identical counts, margins and
+    /// factor chains.
+    fn assert_bit_equal(a: &DeltaCatalogCounts, b: &DeltaCatalogCounts) {
+        assert_eq!(a.order, b.order);
+        assert_eq!(a.nodes.len(), b.nodes.len());
+        for (i, (x, y)) in a.nodes.iter().zip(&b.nodes).enumerate() {
+            assert_eq!(x.counted(), y.counted(), "node {i}: count or margins");
+            match (x, y) {
+                (Node::AnchorChain(x, _), Node::AnchorChain(y, _)) => {
+                    assert!(x.l == y.l && x.lt == y.lt && x.r == y.r, "node {i}: chain");
+                }
+                (Node::AnchorFree(_), Node::AnchorFree(_)) => {}
+                (Node::Stack(x, _), Node::Stack(y, _)) => assert_eq!(x, y, "node {i}"),
+                _ => panic!("node {i}: kinds differ"),
+            }
+        }
+    }
 
     fn world() -> datagen::GeneratedWorld {
         datagen::generate(&datagen::presets::tiny(17))
@@ -870,9 +1058,28 @@ mod tests {
         .unwrap()
     }
 
-    /// The oracle: a fresh full count over `anchors`.
+    /// A store of `w`'s full catalog over clones of its networks, so it
+    /// shares nothing with a store built over `w` itself.
+    fn independent_store(
+        w: &datagen::GeneratedWorld,
+        anchors: &[AnchorLink],
+    ) -> DeltaCatalogCounts {
+        let (left, right) = (w.left().clone(), w.right().clone());
+        let a = anchor_matrix(left.n_users(), right.n_users(), anchors).unwrap();
+        DeltaCatalogCounts::build(
+            &left,
+            &right,
+            a,
+            &Catalog::new(FeatureSet::Full),
+            Threading::Serial,
+        )
+        .unwrap()
+    }
+
+    /// The oracle: a fresh full count over `anchors`, independent of every
+    /// store under test.
     fn reference_counts(w: &datagen::GeneratedWorld, anchors: &[AnchorLink]) -> Vec<CsrMatrix> {
-        let s = store(w, anchors);
+        let s = independent_store(w, anchors);
         (0..s.len()).map(|i| s.catalog_count(i).clone()).collect()
     }
 
@@ -1096,12 +1303,17 @@ mod tests {
         let w = world();
         let (initial, held_out) = split_links(&w);
         let mut s = store(&w, &initial);
-        for kind in &mut s.kinds {
-            if let NodeKind::AnchorChain(chain) = kind {
+        let other = store(&w, &initial);
+        for node in &mut s.nodes {
+            if let Node::AnchorChain(chain, _) = node {
+                let chain = Arc::make_mut(chain);
                 chain.lt = chain.lt.scaled(-1.0);
             }
         }
-        let nnz_before: usize = s.counts.iter().map(CsrMatrix::nnz).sum();
+        let nnz = |s: &DeltaCatalogCounts| -> usize {
+            s.nodes.iter().map(|node| node.counted().count.nnz()).sum()
+        };
+        let nnz_before = nnz(&s);
         s.update_anchors(&held_out).unwrap();
         for i in 0..s.len() {
             let c = s.catalog_count(i);
@@ -1111,8 +1323,10 @@ mod tests {
             );
             assert!(c.values().iter().all(|&v| v > 0.0), "entry {i}: residue");
         }
-        let nnz_after: usize = s.counts.iter().map(CsrMatrix::nnz).sum();
-        assert!(nnz_after < nnz_before, "no entry was actually pruned");
+        assert!(nnz(&s) < nnz_before, "no entry was actually pruned");
+        // The edits went to private copies: the chains the store shared
+        // with every other store of the world are unchanged.
+        assert_bit_equal(&other, &independent_store(&w, &initial));
     }
 
     /// A malformed store (e.g. restored from a corrupted snapshot) must
@@ -1125,8 +1339,11 @@ mod tests {
         let good = store(&w, &initial);
 
         // Margin sums whose shape drifted from their count matrix.
+        let counts = |s: &DeltaCatalogCounts| -> Vec<NodeCount> {
+            s.nodes.iter().map(|node| node.counted().clone()).collect()
+        };
         let mut s = good.clone();
-        s.sums[0] = MarginSums::from_parts(vec![0.0], vec![0.0]);
+        s.nodes[0].counted_mut().sums = MarginSums::from_parts(vec![0.0], vec![0.0]);
         let err = s.update_anchors(&held_out).unwrap_err();
         assert!(matches!(
             err,
@@ -1138,13 +1355,18 @@ mod tests {
         ));
         assert!(err.to_string().contains("margin sums"));
         assert_eq!(s.n_anchors(), good.n_anchors(), "store mutated on error");
-        assert_eq!(s.counts, good.counts, "counts mutated on error");
+        assert_eq!(s.nodes[0].counted().count, good.nodes[0].counted().count);
+        assert_eq!(
+            counts(&s)[1..],
+            counts(&good)[1..],
+            "counts mutated on error"
+        );
 
         // A factor chain that no longer matches the anchor shape.
         let mut s = good.clone();
-        for kind in &mut s.kinds {
-            if let NodeKind::AnchorChain(chain) = kind {
-                chain.r = CsrMatrix::zeros(1, 1);
+        for node in &mut s.nodes {
+            if let Node::AnchorChain(chain, _) = node {
+                Arc::make_mut(chain).r = CsrMatrix::zeros(1, 1);
                 break;
             }
         }
@@ -1156,9 +1378,9 @@ mod tests {
             }
         ));
 
-        // Mismatched parallel arrays.
+        // A diagram without a node.
         let mut s = good.clone();
-        s.sums.pop();
+        s.nodes.pop();
         assert!(matches!(
             s.update_anchors(&held_out).unwrap_err(),
             DeltaError::Inconsistent(_)
@@ -1167,35 +1389,46 @@ mod tests {
         // A stack referencing itself (dependency order violated).
         let mut s = good.clone();
         let stack_at = s
-            .kinds
+            .nodes
             .iter()
-            .position(|k| matches!(k, NodeKind::Stack(_)))
+            .position(|node| matches!(node, Node::Stack(..)))
             .unwrap();
-        if let NodeKind::Stack(parts) = &mut s.kinds[stack_at] {
+        if let Node::Stack(parts, _) = &mut s.nodes[stack_at] {
             parts[0] = stack_at;
         }
         let err = s.recount_anchors(&held_out).unwrap_err();
         assert!(matches!(err, DeltaError::Inconsistent(_)));
         assert!(err.to_string().contains("dependency order"));
-        assert_eq!(s.counts, good.counts, "recount mutated a malformed store");
+        assert_eq!(
+            counts(&s),
+            counts(&good),
+            "recount mutated a malformed store"
+        );
 
         // A stack over two anchor chains: the increment rule needs every
         // part but one fixed, so the store is refused before the merge.
         let mut s = good.clone();
-        let chains: Vec<usize> = (0..s.kinds.len())
-            .filter(|&i| matches!(s.kinds[i], NodeKind::AnchorChain(_)))
+        let chains: Vec<usize> = (0..s.nodes.len())
+            .filter(|&i| matches!(s.nodes[i], Node::AnchorChain(..)))
             .take(2)
             .collect();
-        if let NodeKind::Stack(parts) = &mut s.kinds[stack_at] {
+        if let Node::Stack(parts, _) = &mut s.nodes[stack_at] {
             *parts = chains;
         }
         let err = s.update_anchors(&held_out).unwrap_err();
         assert!(matches!(err, DeltaError::Inconsistent(_)));
         assert!(err.to_string().contains("anchor-dependent"));
         assert_eq!(s.n_anchors(), good.n_anchors(), "store mutated on error");
-        assert_eq!(s.counts, good.counts, "counts mutated on error");
-        assert_eq!(s.sums, good.sums, "margins mutated on error");
+        assert_eq!(
+            counts(&s),
+            counts(&good),
+            "counts or margins mutated on error"
+        );
         assert_eq!(s.stats(), good.stats(), "stats mutated on error");
+        // Every edit above went to a private copy: the store they were
+        // cloned from, which shares its chains and anchor-free counts with
+        // the others of the world, is bit-unchanged.
+        assert_bit_equal(&good, &independent_store(&w, &initial));
     }
 
     #[test]
@@ -1227,11 +1460,10 @@ mod tests {
                 .for_each(|e| collect(&e.diagram, &mut distinct));
             assert_eq!(s.order.len(), distinct.len(), "{set:?}");
             assert_eq!(s.order.iter().collect::<HashSet<_>>(), distinct, "{set:?}");
-            assert_eq!(s.counts.len(), s.order.len());
-            assert_eq!(s.sums.len(), s.order.len());
+            assert_eq!(s.nodes.len(), s.order.len());
             // A stack reads the earlier nodes of its own parts, in order.
-            for (i, kind) in s.kinds.iter().enumerate() {
-                if let (NodeKind::Stack(parts), Diagram::Stack(ds)) = (kind, &s.order[i]) {
+            for (i, node) in s.nodes.iter().enumerate() {
+                if let (Node::Stack(parts, _), Diagram::Stack(ds)) = (node, &s.order[i]) {
                     assert_eq!(parts.len(), ds.len());
                     for (&p, d) in parts.iter().zip(ds) {
                         assert!(p < i, "part {p} of node {i} is out of order");
@@ -1273,5 +1505,125 @@ mod tests {
                 assert_eq!(par.catalog_count(i), want);
             }
         }
+    }
+
+    /// The shared leaves of `s`, by diagram.
+    fn leaves(s: &DeltaCatalogCounts) -> Vec<(Diagram, Leaf)> {
+        s.order
+            .iter()
+            .zip(&s.nodes)
+            .filter_map(|(d, node)| Some((d.clone(), node.leaf()?)))
+            .collect()
+    }
+
+    fn same_leaf(a: &Leaf, b: &Leaf) -> bool {
+        match (a, b) {
+            (Leaf::Chain(a), Leaf::Chain(b)) => Arc::ptr_eq(a, b),
+            (Leaf::Free(a), Leaf::Free(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn builds_of_one_pair_share_their_leaves_and_a_clones_build_does_not() {
+        let w = world();
+        let (initial, held_out) = split_links(&w);
+        let first = store(&w, &initial);
+        // Another fold: other anchors, the same networks.
+        let second = store(&w, &held_out);
+        let (a, b) = (leaves(&first), leaves(&second));
+        assert_eq!(a.len(), 13, "10 social leaves, P5, P6 and Ψ[P5×P6]");
+        for ((d, x), (_, y)) in a.iter().zip(&b) {
+            assert!(same_leaf(x, y), "{d} is not shared");
+        }
+        // A meta-paths-only catalog shares P1–P6 with the full one.
+        let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
+        let anchor = anchor_matrix(w.left().n_users(), w.right().n_users(), &initial).unwrap();
+        let paths =
+            DeltaCatalogCounts::build(w.left(), w.right(), anchor, &catalog, Threading::Serial)
+                .unwrap();
+        for (d, x) in leaves(&paths) {
+            let (_, y) = a.iter().find(|(e, _)| *e == d).unwrap();
+            assert!(same_leaf(&x, y), "{d} is not shared across catalogs");
+        }
+        // A clone of a network is a new pair: nothing is shared, and every
+        // bit agrees.
+        let cloned = independent_store(&w, &initial);
+        for ((d, x), (_, y)) in a.iter().zip(leaves(&cloned)) {
+            assert!(!same_leaf(x, &y), "{d} is shared with a clone's build");
+        }
+        assert_bit_equal(&first, &cloned);
+        // A store's clone shares the leaves and copies its own counts.
+        let copy = first.clone();
+        for ((_, x), (_, y)) in a.iter().zip(leaves(&copy)) {
+            assert!(same_leaf(x, &y));
+        }
+        assert_bit_equal(&first, &copy);
+    }
+
+    #[test]
+    fn shared_leaves_are_dropped_with_the_networks_and_stores() {
+        let w = world();
+        let (initial, _) = split_links(&w);
+        let (left, right) = (w.left().clone(), w.right().clone());
+        let anchor = anchor_matrix(left.n_users(), right.n_users(), &initial).unwrap();
+        let catalog = Catalog::new(FeatureSet::Full);
+        let s =
+            DeltaCatalogCounts::build(&left, &right, anchor, &catalog, Threading::Serial).unwrap();
+        let chains: Vec<Weak<FactorChain>> = s
+            .nodes
+            .iter()
+            .filter_map(|node| match node {
+                Node::AnchorChain(chain, _) => Some(Arc::downgrade(chain)),
+                _ => None,
+            })
+            .collect();
+        let frees: Vec<Weak<NodeCount>> = s
+            .nodes
+            .iter()
+            .filter_map(|node| match node {
+                Node::AnchorFree(count) => Some(Arc::downgrade(count)),
+                _ => None,
+            })
+            .collect();
+        let alive = |yes: bool| {
+            chains.iter().all(|c| c.upgrade().is_some() == yes)
+                && frees.iter().all(|f| f.upgrade().is_some() == yes)
+        };
+        drop(s);
+        assert!(alive(true), "the networks keep them for the next build");
+        drop((left, right));
+        assert!(alive(false), "nothing else holds them");
+    }
+
+    #[test]
+    fn a_panic_in_a_cold_build_reaches_the_caller_and_the_next_build_succeeds() {
+        let w = world();
+        let (initial, _) = split_links(&w);
+        let (left, right) = (w.left().clone(), w.right().clone());
+        let catalog = Catalog::new(FeatureSet::Full);
+        let build = || {
+            let a = anchor_matrix(left.n_users(), right.n_users(), &initial).unwrap();
+            DeltaCatalogCounts::build(&left, &right, a, &catalog, Threading::Serial)
+        };
+        FAULT.with(|armed| armed.set(true));
+        let caught = catch_unwind(AssertUnwindSafe(build)).unwrap_err();
+        assert_eq!(
+            caught.downcast_ref::<&str>(),
+            Some(&"injected fault in a cold build")
+        );
+        // Nothing half-built was published.
+        assert!(left.pair_memo::<PairLeaves>(&right).entries().is_empty());
+        // A lock poisoned by a panic elsewhere is recovered too.
+        let leaves = left.pair_memo::<PairLeaves>(&right);
+        let _ = catch_unwind(AssertUnwindSafe(|| {
+            let _held = leaves.0.lock();
+            panic!("poison the leaves lock");
+        }));
+        assert!(leaves.0.is_poisoned());
+        let cold = build().unwrap();
+        assert_bit_equal(&cold, &independent_store(&w, &initial));
+        let warm = build().unwrap();
+        assert_bit_equal(&cold, &warm);
     }
 }

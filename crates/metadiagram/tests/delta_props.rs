@@ -14,14 +14,17 @@ fn world(seed: u64) -> datagen::GeneratedWorld {
     datagen::generate(&datagen::presets::tiny(seed))
 }
 
-/// The oracle: a fresh full count of `catalog` over `anchors`.
+/// The oracle: a fresh full count of `catalog` over `anchors`. It counts
+/// over clones of the networks, so it shares no factor chain or count
+/// with the store under test.
 fn fresh_count(
     w: &datagen::GeneratedWorld,
     anchors: &[AnchorLink],
     catalog: &Catalog,
 ) -> DeltaCatalogCounts {
-    let a = anchor_matrix(w.left().n_users(), w.right().n_users(), anchors).unwrap();
-    DeltaCatalogCounts::build(w.left(), w.right(), a, catalog, Threading::Serial).unwrap()
+    let (left, right) = (w.left().clone(), w.right().clone());
+    let a = anchor_matrix(left.n_users(), right.n_users(), anchors).unwrap();
+    DeltaCatalogCounts::build(&left, &right, a, catalog, Threading::Serial).unwrap()
 }
 
 /// Random anchor batches: a mix of held-out ground-truth links and

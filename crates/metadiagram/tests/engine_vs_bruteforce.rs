@@ -22,13 +22,16 @@ fn world_and_anchors(
     (w, train)
 }
 
-/// The store counting `set` over `train`, with its catalog.
+/// The store counting `set` over `train`, with its catalog. It counts over
+/// clones of the networks, so every count it holds is its own, checked
+/// against the enumeration rather than taken from an earlier build.
 fn counted(
     left: &HetNet,
     right: &HetNet,
     train: &[AnchorLink],
     set: FeatureSet,
 ) -> (DeltaCatalogCounts, Catalog) {
+    let (left, right) = (&left.clone(), &right.clone());
     let a = anchor_matrix(left.n_users(), right.n_users(), train).unwrap();
     let catalog = Catalog::new(set);
     let store = DeltaCatalogCounts::build(left, right, a, &catalog, Threading::Serial).unwrap();

@@ -6,11 +6,19 @@
 //! arithmetic whichever block holds it, and the counts are exact integers,
 //! so the column margins' per-block partial sums add exactly — the cut
 //! decides only *where* a row is counted, never *what*.
+//!
+//! A build is **cold** when its two networks have not been counted
+//! together before, and **warm** when an earlier build over the same pair
+//! left its factor chains and anchor-free counts to share. Both must be
+//! bit-equal to a cold serial build: at any block count, over a memo an
+//! earlier build of another catalog slice filled only in part, and with
+//! several threads building one pair at once.
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::{AnchorLink, HetNet, HetNetBuilder, LocationId, TimestampId, UserId};
 use metadiagram::{Catalog, DeltaCatalogCounts, FeatureSet, Threading};
 use sparsela::{fan_out, CsrMatrix, MarginSums};
+use std::sync::Barrier;
 
 fn world() -> datagen::GeneratedWorld {
     let mut cfg = datagen::presets::tiny(41);
@@ -25,20 +33,35 @@ fn margin_bits(m: &MarginSums) -> (Vec<u64>, Vec<u64>) {
     (bits(m.rows()), bits(m.cols()))
 }
 
-/// Builds `catalog` over `left`/`right` at `Serial` and at each block
-/// count of `blocks`, and checks every count and margin bit-equal to the
-/// serial build, whose margins in turn equal a rescan of its counts.
-fn assert_builds_agree(
+/// Asserts every count and margin of `got` bit-equal to `want`'s.
+fn assert_bit_equal(got: &DeltaCatalogCounts, want: &DeltaCatalogCounts, what: &str) {
+    assert_eq!(got.len(), want.len(), "{what}");
+    for i in 0..want.len() {
+        assert_eq!(
+            got.catalog_count(i),
+            want.catalog_count(i),
+            "entry {i} diverged: {what}"
+        );
+        assert_eq!(
+            margin_bits(got.catalog_sums(i)),
+            margin_bits(want.catalog_sums(i)),
+            "entry {i} margins diverged: {what}"
+        );
+    }
+}
+
+/// A cold `Serial` build of `catalog` over fresh clones of the networks,
+/// whose margins are checked against a rescan of its counts.
+fn cold_serial(
     left: &HetNet,
     right: &HetNet,
     anchor: &CsrMatrix,
     catalog: &Catalog,
-    blocks: &[usize],
-) {
-    let build = |threading| {
-        DeltaCatalogCounts::build(left, right, anchor.clone(), catalog, threading).unwrap()
-    };
-    let serial = build(Threading::Serial);
+) -> DeltaCatalogCounts {
+    let (left, right) = (left.clone(), right.clone());
+    let serial =
+        DeltaCatalogCounts::build(&left, &right, anchor.clone(), catalog, Threading::Serial)
+            .unwrap();
     for i in 0..serial.len() {
         assert_eq!(
             margin_bits(serial.catalog_sums(i)),
@@ -47,23 +70,32 @@ fn assert_builds_agree(
             catalog.feature_set()
         );
     }
+    serial
+}
+
+/// Builds `catalog` at each block count of `blocks`, cold over fresh
+/// clones of `left`/`right` and warm over `left`/`right` themselves after
+/// one build over them, and checks every count and margin bit-equal to a
+/// cold serial build.
+fn assert_builds_agree(
+    left: &HetNet,
+    right: &HetNet,
+    anchor: &CsrMatrix,
+    catalog: &Catalog,
+    blocks: &[usize],
+) {
+    let serial = cold_serial(left, right, anchor, catalog);
+    let set = catalog.feature_set();
+    let build = |left: &HetNet, right: &HetNet, threading| {
+        DeltaCatalogCounts::build(left, right, anchor.clone(), catalog, threading).unwrap()
+    };
+    build(left, right, Threading::Serial);
     for &n in blocks {
-        let par = build(Threading::Threads(n));
-        assert_eq!(par.len(), serial.len());
-        for i in 0..serial.len() {
-            assert_eq!(
-                par.catalog_count(i),
-                serial.catalog_count(i),
-                "{:?} entry {i} diverged at {n} blocks",
-                catalog.feature_set()
-            );
-            assert_eq!(
-                margin_bits(par.catalog_sums(i)),
-                margin_bits(serial.catalog_sums(i)),
-                "{:?} entry {i} margins diverged at {n} blocks",
-                catalog.feature_set()
-            );
-        }
+        let threading = Threading::Threads(n);
+        let cold = build(&left.clone(), &right.clone(), threading);
+        assert_bit_equal(&cold, &serial, &format!("{set:?}, cold, {n} blocks"));
+        let warm = build(left, right, threading);
+        assert_bit_equal(&warm, &serial, &format!("{set:?}, warm, {n} blocks"));
     }
 }
 
@@ -91,6 +123,66 @@ fn dag_warmed_store_build_is_deterministic_across_worker_counts() {
         FeatureSet::FullWithWords,
     ] {
         assert_world_builds_agree(set, &[1, 2, 8]);
+    }
+}
+
+#[test]
+fn a_memo_filled_in_part_serves_the_larger_catalogs() {
+    // A meta-paths-only build leaves P1–P6 to share; the full catalogs
+    // count their pairs and stacks on top of them.
+    let w = world();
+    let links: Vec<AnchorLink> = w.truth().links()[..14].to_vec();
+    let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &links).unwrap();
+    let (left, right) = (w.left().clone(), w.right().clone());
+    let paths = Catalog::new(FeatureSet::MetaPathsOnly);
+    DeltaCatalogCounts::build(&left, &right, a.clone(), &paths, Threading::Serial).unwrap();
+    for set in [FeatureSet::Full, FeatureSet::FullWithWords] {
+        let catalog = Catalog::new(set);
+        let serial = cold_serial(&left, &right, &a, &catalog);
+        for n in [1, 2, 8] {
+            let warm = DeltaCatalogCounts::build(
+                &left,
+                &right,
+                a.clone(),
+                &catalog,
+                Threading::Threads(n),
+            )
+            .unwrap();
+            assert_bit_equal(&warm, &serial, &format!("{set:?} after paths, {n} blocks"));
+        }
+    }
+}
+
+#[test]
+fn four_threads_building_one_pair_at_once_agree() {
+    let w = world();
+    let links: Vec<AnchorLink> = w.truth().links()[..14].to_vec();
+    let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &links).unwrap();
+    let catalog = Catalog::new(FeatureSet::Full);
+    let (left, right) = (w.left().clone(), w.right().clone());
+    let serial = cold_serial(&left, &right, &a, &catalog);
+    // All four start their cold build of the pair together.
+    let start = Barrier::new(4);
+    let stores: Vec<DeltaCatalogCounts> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..4)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    DeltaCatalogCounts::build(
+                        &left,
+                        &right,
+                        a.clone(),
+                        &catalog,
+                        Threading::Threads(2),
+                    )
+                    .unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (t, store) in stores.iter().enumerate() {
+        assert_bit_equal(store, &serial, &format!("concurrent build {t}"));
     }
 }
 

@@ -41,8 +41,9 @@
 //! matrix, bit-identical to the delta at full cost, and is the oracle the
 //! delta path is tested and benchmarked against.
 //!
-//! Because every stage owns its artifacts, staged state is also
-//! **restartable and shardable**:
+//! Because no stage borrows the networks — each owns what the anchors
+//! change and shares the immutable anchor-independent counts by `Arc` —
+//! staged state is also **restartable and shardable**:
 //!
 //! * [`snapshot`] persists a `Counted` stage to a versioned, checksummed
 //!   file and reopens it bit-identically in a fresh process — the full

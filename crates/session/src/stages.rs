@@ -12,9 +12,12 @@ use sparsela::{CsrMatrix, Threading};
 /// Configures and opens an [`AlignmentSession`].
 ///
 /// The builder borrows the two networks only until
-/// [`SessionBuilder::count`]; every later stage owns its artifacts outright
+/// [`SessionBuilder::count`]; every later stage holds its artifacts
 /// (anchor matrix, count matrices, factor chains, features, model) and
-/// never touches the networks again.
+/// never touches the networks again. The factor chains and anchor-free
+/// counts depend only on the two networks: the first count over a pair
+/// computes them and every later count over the same two networks shares
+/// them (see [`DeltaCatalogCounts::build`]).
 ///
 /// ```
 /// use session::SessionBuilder;
@@ -79,7 +82,9 @@ impl<'w> SessionBuilder<'w> {
     }
 
     /// Performs the session's one full catalog count and harvests the
-    /// `L`/`Lᵀ`/`R` factor chains that make later updates incremental.
+    /// `L`/`Lᵀ`/`R` factor chains that make later updates incremental. A
+    /// count over two networks counted together before shares their
+    /// anchor-independent part and counts only what the anchors change.
     ///
     /// # Errors
     /// [`SessionError::Anchors`] when an anchor endpoint is out of range;
@@ -101,9 +106,10 @@ impl<'w> SessionBuilder<'w> {
 /// A staged alignment pipeline; see the [crate docs](crate) for the stage
 /// diagram. `S` is one of [`Counted`], [`Featurized`], [`Fitted`].
 ///
-/// Sessions are plain values: `Clone` duplicates every owned artifact, so
-/// a caller can checkpoint a stage and explore updates (or fits) from it
-/// without re-counting.
+/// Sessions are plain values: `Clone` copies every artifact an update can
+/// change and shares the immutable anchor-independent ones (factor chains
+/// and anchor-free counts) by `Arc`, so a caller can checkpoint a stage
+/// and explore updates (or fits) from it without re-counting.
 #[derive(Debug, Clone)]
 pub struct AlignmentSession<S> {
     pub(crate) catalog: Catalog,

@@ -8,7 +8,7 @@
 //! output rows once instead. For each row it runs every step in order:
 //!
 //! * a **product** row is accumulated into the step's own dense scratch
-//!   row ([`DenseRow`]) and compacted in column order;
+//!   row (`DenseRow`) and compacted in column order;
 //! * a **Hadamard** row walks the stored columns of its sparsest part and
 //!   multiplies its parts' values, looked up in their scratch rows while
 //!   they are still in cache, instead of merging whole matrices;

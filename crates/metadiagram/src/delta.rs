@@ -52,8 +52,8 @@ use crate::count::{self, EngineError, SocialSteps};
 use crate::diagram::Diagram;
 use hetnet::{AnchorLink, HetNet};
 use sparsela::{
-    fan_out, fused_rows, spgemm, spgemm_lowrank_with_sums, CooMatrix, CsrMatrix, MarginSums,
-    RowStep, SparseError, Threading,
+    fan_out, fused_rows, spgemm, spgemm_lowrank, CooMatrix, CsrMatrix, MarginSums, RowStep,
+    SparseError, Threading,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -889,7 +889,8 @@ impl DeltaCatalogCounts {
             let (done, rest) = self.nodes.split_at_mut(i);
             match &mut rest[0] {
                 Node::AnchorChain(chain, own) => {
-                    let dc = spgemm_lowrank_with_sums(&chain.lt, delta, &chain.r, &mut own.sums)?;
+                    let dc = spgemm_lowrank(&chain.lt, delta, &chain.r)?;
+                    own.sums.accumulate(&dc)?;
                     own.splice(&dc)?;
                     increments[i] = Some(dc);
                 }
@@ -1307,7 +1308,14 @@ mod tests {
         for node in &mut s.nodes {
             if let Node::AnchorChain(chain, _) = node {
                 let chain = Arc::make_mut(chain);
-                chain.lt = chain.lt.scaled(-1.0);
+                let lt = &chain.lt;
+                chain.lt = CsrMatrix::from_parts_unchecked(
+                    lt.nrows(),
+                    lt.ncols(),
+                    lt.indptr().to_vec(),
+                    lt.indices().to_vec(),
+                    lt.values().iter().map(|v| -v).collect(),
+                );
             }
         }
         let nnz = |s: &DeltaCatalogCounts| -> usize {

@@ -21,7 +21,7 @@
 //! a mis-shaped matrix silently accepted.
 
 use crate::csr::CsrMatrix;
-use crate::spgemm::Threading;
+use crate::par::Threading;
 use crate::sums::MarginSums;
 use serde::bin::{Error, Reader, Writer};
 

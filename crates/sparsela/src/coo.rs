@@ -85,7 +85,7 @@ impl CooMatrix {
     /// Converts to CSR, sorting triplets and summing duplicates.
     ///
     /// Entries that sum to exactly `0.0` are kept (structural zeros are
-    /// meaningful to some callers); use [`CsrMatrix::pruned`] to drop them.
+    /// meaningful to some callers).
     pub fn to_csr(&self) -> CsrMatrix {
         // Counting sort by row: O(nnz + nrows), stable within a row by the
         // subsequent per-row sort on column index.

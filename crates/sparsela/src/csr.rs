@@ -269,47 +269,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Applies `f` to every stored value, keeping the sparsity pattern.
-    pub fn map_values(&self, mut f: impl FnMut(f64) -> f64) -> CsrMatrix {
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr: self.indptr.clone(),
-            indices: self.indices.clone(),
-            values: self.values.iter().map(|&v| f(v)).collect(),
-        }
-    }
-
-    /// Multiplies every stored value by `s`.
-    pub fn scaled(&self, s: f64) -> CsrMatrix {
-        self.map_values(|v| v * s)
-    }
-
-    /// Drops stored entries with `|value| <= eps` (structural zeros included
-    /// when `eps >= 0`).
-    pub fn pruned(&self, eps: f64) -> CsrMatrix {
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        indptr.push(0);
-        for r in 0..self.nrows {
-            for (c, v) in self.row(r) {
-                if v.abs() > eps {
-                    indices.push(c);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr,
-            indices,
-            values,
-        }
-    }
-
     /// Keeps only entries with `value > 0.0`, dropping explicit zeros and
     /// clamping away negative round-off residue — the invariant repair for
     /// count matrices, whose entries are nonnegative by construction.
@@ -596,28 +555,6 @@ impl CsrMatrix {
         }
         sums
     }
-
-    /// Sum of all stored values.
-    pub fn total(&self) -> f64 {
-        self.values.iter().sum()
-    }
-
-    /// Dense matrix–vector product `self * x`.
-    ///
-    /// # Errors
-    /// [`SparseError::DimMismatch`] when `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.ncols {
-            return Err(SparseError::DimMismatch {
-                op: "matvec",
-                lhs: self.shape(),
-                rhs: (x.len(), 1),
-            });
-        }
-        Ok((0..self.nrows)
-            .map(|r| self.row(r).map(|(c, v)| v * x[c]).sum())
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -698,26 +635,6 @@ mod tests {
         let m = sample();
         assert_eq!(m.row_sums(), vec![3.0, 0.0, 7.0]);
         assert_eq!(m.col_sums(), vec![4.0, 4.0, 2.0]);
-        assert_eq!(m.total(), 10.0);
-    }
-
-    #[test]
-    fn matvec_matches_dense() {
-        let m = sample();
-        let y = m.matvec(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(y, vec![7.0, 0.0, 11.0]);
-        assert!(m.matvec(&[1.0]).is_err());
-    }
-
-    #[test]
-    fn map_scale_prune() {
-        let m = sample();
-        let doubled = m.scaled(2.0);
-        assert_eq!(doubled.get(2, 1), 8.0);
-        let pruned = m.map_values(|v| if v > 2.5 { v } else { 0.0 }).pruned(0.0);
-        assert_eq!(pruned.nnz(), 2);
-        assert_eq!(pruned.get(2, 0), 3.0);
-        assert_eq!(pruned.get(2, 1), 4.0);
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutable underlying buffer.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Row `r` as a slice.
     #[inline]
     pub fn row(&self, r: usize) -> &[f64] {
@@ -206,11 +200,6 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Euclidean norm of a vector.
-pub fn l2_norm(v: &[f64]) -> f64 {
-    v.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
 /// Dot product of two equal-length vectors.
 ///
 /// # Panics
@@ -270,7 +259,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(l1_distance(&[1.0, -2.0], &[0.0, 2.0]), 5.0);
-        assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 

@@ -24,8 +24,8 @@
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::par::{balanced_ranges, fan_out};
-use crate::spgemm::{join_blocks, row_flops, BlockOut, DenseRow, Threading};
+use crate::par::{balanced_ranges, fan_out, Threading};
+use crate::spgemm::{join_blocks, row_flops, BlockOut, DenseRow};
 use crate::sums::MarginSums;
 use std::ops::Range;
 

@@ -8,15 +8,14 @@
 //!   matrices from heterogeneous networks;
 //! * [`CsrMatrix`] — compressed sparse row storage with the operations the
 //!   meta-path/meta-diagram count engine relies on: [`spgemm()`] (Gustavson
-//!   sparse × sparse product, with a row-partitioned parallel variant
-//!   [`spgemm_threaded`] controlled by the [`Threading`] knob),
-//!   [`CsrMatrix::hadamard`] (the stacking operator
-//!   of meta diagrams), transposition, and row/column reductions;
+//!   sparse × sparse product) and [`spgemm_lowrank`] (the `L·ΔA·R` anchor
+//!   update), [`CsrMatrix::hadamard`] (the stacking operator of meta
+//!   diagrams), transposition, and row/column reductions;
 //! * [`fused_rows`] — a list of same-shape products and Hadamard products
 //!   over them, computed one output row at a time with their margins (the
 //!   meta-diagram catalog count);
 //! * [`fan_out`] over [`balanced_ranges`] — the one parallel runner every
-//!   threaded kernel here uses;
+//!   threaded kernel here uses, sized by the [`Threading`] knob;
 //! * [`DenseMatrix`] / dense vectors — the per-candidate feature matrix `X`;
 //! * [`CholeskyFactor`] and [`RidgeSolver`] — the paper's closed-form inner
 //!   update `w = c (I + c XᵀX)⁻¹ Xᵀ y` (Section III-D, step 1-1).
@@ -49,10 +48,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use fused::{fused_rows, RowStep};
-pub use par::{balanced_ranges, fan_out};
+pub use par::{balanced_ranges, fan_out, Threading};
 pub use ridge::RidgeSolver;
-pub use spgemm::{
-    spgemm, spgemm_lowrank, spgemm_lowrank_with_sums, spgemm_threaded, spgemm_with, Accumulator,
-    Threading,
-};
+pub use spgemm::{spgemm, spgemm_lowrank};
 pub use sums::MarginSums;

@@ -135,16 +135,13 @@ impl CsrMatrix {
     /// of the matrix. Used to turn weighted adjacency into existence
     /// indicators before instance counting.
     pub fn binarized(&self) -> CsrMatrix {
-        self.map_values(|_| 1.0)
-    }
-
-    /// True when the matrix is exactly symmetric (pattern and values).
-    pub fn is_symmetric(&self) -> bool {
-        if self.nrows() != self.ncols() {
-            return false;
-        }
-        let t = self.transpose();
-        t == *self
+        CsrMatrix::from_parts_unchecked(
+            self.nrows(),
+            self.ncols(),
+            self.indptr().to_vec(),
+            self.indices().to_vec(),
+            vec![1.0; self.nnz()],
+        )
     }
 
     /// The symmetric part restricted to mutual edges: `self ⊙ selfᵀ`.
@@ -207,16 +204,6 @@ mod tests {
         let bin = a().binarized();
         assert_eq!(bin.nnz(), a().nnz());
         assert!(bin.values().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn symmetry_checks() {
-        let sym = CsrMatrix::from_dense(2, 2, &[1.0, 2.0, 2.0, 0.0]);
-        assert!(sym.is_symmetric());
-        let asym = CsrMatrix::from_dense(2, 2, &[1.0, 2.0, 3.0, 0.0]);
-        assert!(!asym.is_symmetric());
-        let rect = CsrMatrix::zeros(2, 3);
-        assert!(!rect.is_symmetric());
     }
 
     #[test]

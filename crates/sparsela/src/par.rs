@@ -2,11 +2,41 @@
 //!
 //! Every parallel kernel here cuts its work into contiguous index ranges
 //! ([`balanced_ranges`]) and runs one range per scoped worker
-//! ([`fan_out`]), joining the results in range order. A range's result
-//! never depends on where the cuts fall, so the kernels built on this are
-//! bit-identical at any worker count.
+//! ([`fan_out`]), joining the results in range order; [`Threading`] sets
+//! how many ranges. A range's result never depends on where the cuts
+//! fall, so the kernels built on this are bit-identical at any worker
+//! count.
 
 use std::ops::Range;
+
+/// How many ranges a fan-out cuts its work into, and so how many workers
+/// it runs: the fused row pass's row blocks, the store build's per-node
+/// preparation, the feature extraction's candidate batches. Results are
+/// bit-identical at every setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Threading {
+    /// One range, run on the caller's thread (no worker spawned).
+    #[default]
+    Serial,
+    /// Exactly this many ranges (clamped to ≥ 1).
+    Threads(usize),
+    /// One range per available hardware thread
+    /// ([`std::thread::available_parallelism`]).
+    Auto,
+}
+
+impl Threading {
+    /// The effective worker count (always ≥ 1).
+    pub fn resolve(self) -> usize {
+        match self {
+            Threading::Serial => 1,
+            Threading::Threads(n) => n.max(1),
+            Threading::Auto => std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        }
+    }
+}
 
 /// Contiguous ranges over `weights.len()` items, cut so each carries
 /// ≈ `total / parts` of the weight. A single item heavier than the fair

@@ -1,103 +1,27 @@
 //! Sparse × sparse matrix multiplication (SpGEMM).
 //!
 //! Meta-path instance counting reduces to chains of adjacency products
-//! (PathSim-style); this module provides the Gustavson row-wise kernel used
-//! by the count engine. Two accumulator strategies are provided:
+//! (PathSim-style). [`spgemm()`] is the Gustavson row-wise kernel: each
+//! output row is accumulated into one dense scratch row (`DenseRow`, the
+//! same accumulator the fused row pass [`crate::fused_rows`] runs per
+//! step). A row of at least `ncols / 8` multiply-adds is added without a
+//! branch and scanned in column order; a sparser row keeps a list of the
+//! columns it touches and sorts it, so a very wide output with near-empty
+//! rows costs its multiply-adds, not its width. Both paths add the same
+//! products in the same order and give the same bits (property-tested
+//! against a naive dense reference on both sides of the threshold).
 //!
-//! * a **dense accumulator** (O(ncols) scratch, fastest when output rows are
-//!   moderately dense): a row of at least `ncols / 8` multiply-adds is
-//!   added without a branch and scanned in column order, a sparser row
-//!   keeps a list of the columns it touches, and
-//! * a **sorted-merge (heap-free) sparse accumulator** that collects
-//!   `(col, val)` pairs and sorts per row — better when the right-hand side
-//!   is extremely wide and rows are very sparse.
-//!
-//! [`Accumulator::Auto`] picks **per row** from a FLOP/width estimate
-//! (a whole-matrix choice mis-picks on skewed row distributions); all paths
-//! produce identical results (property-tested against a naive dense
-//! reference).
-//!
-//! The product is embarrassingly parallel over rows of the left operand:
-//! [`spgemm_threaded`] splits the left operand into contiguous row blocks,
-//! runs the Gustavson accumulation per block on scoped workers
-//! ([`crate::par::fan_out`]), and joins the per-block CSR outputs. Because
-//! row partitioning never changes the per-row computation, the parallel
-//! kernels are **bit-identical** to the serial ones at any thread count.
+//! [`spgemm_lowrank`] is the `L·ΔA·R` update kernel behind incremental
+//! anchor updates, built from two such products.
 
 use crate::csr::CsrMatrix;
 use crate::error::{Result, SparseError};
-use crate::par::{balanced_ranges, fan_out};
-use crate::sums::MarginSums;
-use std::ops::Range;
-
-/// Strategy for the per-row accumulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Accumulator {
-    /// O(ncols) dense scratch: scanned in column order when the row has at
-    /// least `ncols / 8` multiply-adds, else with a touched-column list.
-    Dense,
-    /// Collect-then-sort sparse accumulation.
-    SortMerge,
-    /// Choose per output row: dense scratch unless the row is very sparse
-    /// relative to a very wide output.
-    Auto,
-}
-
-/// Worker-count knob for the parallel kernels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Threading {
-    /// Single-threaded execution (no worker threads spawned).
-    #[default]
-    Serial,
-    /// Exactly this many workers (clamped to ≥ 1).
-    Threads(usize),
-    /// One worker per available hardware thread
-    /// ([`std::thread::available_parallelism`]).
-    Auto,
-}
-
-impl Threading {
-    /// The effective worker count (always ≥ 1).
-    pub fn resolve(self) -> usize {
-        match self {
-            Threading::Serial => 1,
-            Threading::Threads(n) => n.max(1),
-            Threading::Auto => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
-    }
-}
 
 /// Computes `lhs * rhs`.
 ///
 /// # Errors
 /// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
 pub fn spgemm(lhs: &CsrMatrix, rhs: &CsrMatrix) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, Accumulator::Auto, Threading::Serial)
-}
-
-/// [`spgemm`] with an explicit accumulator strategy (single-threaded).
-pub fn spgemm_with(lhs: &CsrMatrix, rhs: &CsrMatrix, acc: Accumulator) -> Result<CsrMatrix> {
-    spgemm_threaded(lhs, rhs, acc, Threading::Serial)
-}
-
-/// The fully general entry point: explicit accumulator strategy and
-/// explicit threading. The left operand is cut into contiguous row blocks
-/// carrying ≈ `total_flops / workers` each, by the same per-row
-/// `Σ nnz(rhs.row(k))` estimates that drive [`Accumulator::Auto`], so a
-/// handful of dense hub rows among thousands of near-empty ones does not
-/// leave most workers idle. The cut never changes a row's computation, so
-/// the output is bit-identical at any thread count.
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] when `lhs.ncols() != rhs.nrows()`.
-pub fn spgemm_threaded(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    acc: Accumulator,
-    threading: Threading,
-) -> Result<CsrMatrix> {
     if lhs.ncols() != rhs.nrows() {
         return Err(SparseError::DimMismatch {
             op: "spgemm",
@@ -105,11 +29,26 @@ pub fn spgemm_threaded(
             rhs: rhs.shape(),
         });
     }
-    let n = lhs.nrows();
-    let flops: Vec<usize> = (0..n).map(|i| row_flops(lhs, rhs, i)).collect();
-    let ranges = balanced_ranges(&flops, threading.resolve());
-    let blocks = fan_out(ranges, |rows| accumulate_block(lhs, rhs, rows, acc, &flops));
-    Ok(join_blocks(n, rhs.ncols(), blocks))
+    let (n, m) = (lhs.nrows(), rhs.ncols());
+    let mut out = BlockOut {
+        row_ends: Vec::with_capacity(n),
+        ..BlockOut::default()
+    };
+    // The O(ncols) scratch is allocated at the first row with work, so a
+    // product with none never pays the zero fill.
+    let mut scratch: Option<DenseRow> = None;
+    let mut cols = Vec::new();
+    for i in 0..n {
+        let flops = row_flops(lhs, rhs, i);
+        if flops > 0 {
+            let start = out.indices.len();
+            let row = scratch.get_or_insert_with(|| DenseRow::new(m));
+            row.accumulate(lhs.row(i), rhs, flops, &mut out, &mut cols);
+            row.clear(&out.indices[start..]);
+        }
+        out.end_row();
+    }
+    Ok(join_blocks(n, m, vec![out]))
 }
 
 /// Multiply-adds of row `i` of `lhs · rhs`: `Σ nnz(rhs.row(k))` over the
@@ -155,19 +94,6 @@ pub(crate) fn join_blocks(nrows: usize, ncols: usize, blocks: Vec<BlockOut>) -> 
         values.extend_from_slice(&b.values);
     }
     CsrMatrix::from_parts_unchecked(nrows, ncols, indptr, indices, values)
-}
-
-/// Below this output width the dense scratch always wins (the one-off
-/// O(ncols) allocation is negligible).
-const DENSE_ALWAYS_WIDTH: usize = 1 << 12;
-
-/// Per-row strategy pick: dense scratch unless the row's FLOP estimate is a
-/// vanishing fraction of a very wide output. Deciding per row (rather than
-/// from whole-matrix `nnz` vs `ncols`) keeps skewed row distributions —
-/// a handful of dense hub rows among thousands of near-empty ones — on the
-/// right kernel for every row.
-fn row_wants_dense(flops: usize, width: usize) -> bool {
-    width <= DENSE_ALWAYS_WIDTH || flops >= width >> 6
 }
 
 /// A dense row whose multiply-adds reach `width >> SCAN_SHIFT` is scanned
@@ -275,72 +201,6 @@ impl DenseRow {
     }
 }
 
-/// Gustavson accumulation over `rows`, appending into block-local buffers.
-/// `flops` carries the per-row FLOP estimates (indexed by absolute row).
-fn accumulate_block(
-    lhs: &CsrMatrix,
-    rhs: &CsrMatrix,
-    rows: Range<usize>,
-    acc: Accumulator,
-    flops: &[usize],
-) -> BlockOut {
-    let m = rhs.ncols();
-    let mut out = BlockOut {
-        row_ends: Vec::with_capacity(rows.len()),
-        ..BlockOut::default()
-    };
-    // Dense scratch is sized lazily: an all-sort-merge block never pays the
-    // O(ncols) zero fill.
-    let mut dense: Option<DenseRow> = None;
-    let mut cols: Vec<usize> = Vec::new();
-    let mut row_buf: Vec<(usize, f64)> = Vec::new();
-
-    for i in rows {
-        let use_dense = match acc {
-            Accumulator::Dense => true,
-            Accumulator::SortMerge => false,
-            Accumulator::Auto => row_wants_dense(flops[i], m),
-        };
-        if use_dense {
-            let start = out.indices.len();
-            let scratch = dense.get_or_insert_with(|| DenseRow::new(m));
-            scratch.accumulate(lhs.row(i), rhs, flops[i], &mut out, &mut cols);
-            scratch.clear(&out.indices[start..]);
-        } else {
-            row_buf.clear();
-            for (k, lv) in lhs.row(i) {
-                for (j, rv) in rhs.row(k) {
-                    row_buf.push((j, lv * rv));
-                }
-            }
-            row_buf.sort_unstable_by_key(|&(j, _)| j);
-            let mut it = row_buf.iter().copied();
-            if let Some((mut cur_j, mut cur_v)) = it.next() {
-                for (j, v) in it {
-                    if j == cur_j {
-                        cur_v += v;
-                    } else {
-                        // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
-                        if cur_v != 0.0 {
-                            out.indices.push(cur_j);
-                            out.values.push(cur_v);
-                        }
-                        cur_j = j;
-                        cur_v = v;
-                    }
-                }
-                // srclint: allow(float_eq, reason = "dropping exact-zero accumulation results keeps the output sparse")
-                if cur_v != 0.0 {
-                    out.indices.push(cur_j);
-                    out.values.push(cur_v);
-                }
-            }
-        }
-        out.end_row();
-    }
-    out
-}
-
 /// Computes the sparse low-rank product `L·Δ·R` given the **transpose**
 /// `Lᵀ` of the left factor.
 ///
@@ -368,37 +228,15 @@ pub fn spgemm_lowrank(lt: &CsrMatrix, delta: &CsrMatrix, r: &CsrMatrix) -> Resul
     // L·Δ = (Δᵀ·Lᵀ)ᵀ: the left operand of the inner product has one row per
     // *column* of Δ, so only the Δ-selected rows do any work.
     let dt = delta.transpose();
-    let ldt = spgemm_with(&dt, lt, Accumulator::Auto)?;
-    spgemm_with(&ldt.transpose(), r, Accumulator::Auto)
-}
-
-/// [`spgemm_lowrank`] that also applies the update's row/column-sum deltas
-/// to `sums` — the margins the Dice normalization divides by, maintained as
-/// a first-class artifact instead of being rescanned per round.
-///
-/// The low-rank kernel already walks every nonzero of `L·Δ·R` once to build
-/// its CSR output; folding those entries into `sums` costs one more pass
-/// over `nnz(L·Δ·R)`, so the whole call stays `O(nnz(Δ) · degree)`. After
-/// `C += L·Δ·R`, `sums` equals `MarginSums::of(&C)` bit-for-bit (exact
-/// integer arithmetic — see [`MarginSums`]).
-///
-/// # Errors
-/// [`SparseError::DimMismatch`] on inconsistent factor shapes, or when
-/// `sums` does not match the product's shape; `sums` is untouched on error.
-pub fn spgemm_lowrank_with_sums(
-    lt: &CsrMatrix,
-    delta: &CsrMatrix,
-    r: &CsrMatrix,
-    sums: &mut MarginSums,
-) -> Result<CsrMatrix> {
-    let dc = spgemm_lowrank(lt, delta, r)?;
-    sums.accumulate(&dc)?;
-    Ok(dc)
+    let ldt = spgemm(&dt, lt)?;
+    spgemm(&ldt.transpose(), r)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::par::{balanced_ranges, Threading};
+    use crate::sums::MarginSums;
 
     fn a() -> CsrMatrix {
         CsrMatrix::from_dense(2, 3, &[1.0, 0.0, 2.0, 0.0, 3.0, 0.0])
@@ -420,18 +258,8 @@ mod tests {
     }
 
     #[test]
-    fn both_accumulators_agree() {
-        let d = spgemm_with(&a(), &b(), Accumulator::Dense).unwrap();
-        let s = spgemm_with(&a(), &b(), Accumulator::SortMerge).unwrap();
-        assert_eq!(d, s);
-    }
-
-    #[test]
     fn dim_mismatch_rejected() {
         let err = spgemm(&a(), &a()).unwrap_err();
-        assert!(matches!(err, SparseError::DimMismatch { op: "spgemm", .. }));
-        let err =
-            spgemm_threaded(&a(), &a(), Accumulator::Auto, Threading::Threads(4)).unwrap_err();
         assert!(matches!(err, SparseError::DimMismatch { op: "spgemm", .. }));
     }
 
@@ -459,8 +287,6 @@ mod tests {
         let r = CsrMatrix::from_dense(2, 1, &[1.0, -1.0]);
         let p = spgemm(&l, &r).unwrap();
         assert_eq!(p.nnz(), 0);
-        let p2 = spgemm_with(&l, &r, Accumulator::SortMerge).unwrap();
-        assert_eq!(p2.nnz(), 0);
     }
 
     #[test]
@@ -470,36 +296,6 @@ mod tests {
         assert_eq!(Threading::Threads(6).resolve(), 6);
         assert!(Threading::Auto.resolve() >= 1);
         assert_eq!(Threading::default(), Threading::Serial);
-    }
-
-    #[test]
-    fn parallel_equals_serial_on_small_product() {
-        let serial = spgemm(&a(), &b()).unwrap();
-        for t in [1, 2, 3, 8] {
-            let par =
-                spgemm_threaded(&a(), &b(), Accumulator::Auto, Threading::Threads(t)).unwrap();
-            assert_eq!(par, serial, "threads = {t}");
-        }
-        let auto = spgemm_threaded(&a(), &b(), Accumulator::Auto, Threading::Auto).unwrap();
-        assert_eq!(auto, serial);
-    }
-
-    #[test]
-    fn parallel_handles_more_workers_than_rows() {
-        let l = CsrMatrix::from_dense(1, 2, &[1.0, 2.0]);
-        let r = CsrMatrix::from_dense(2, 2, &[1.0, 0.0, 0.0, 1.0]);
-        let p = spgemm_threaded(&l, &r, Accumulator::Auto, Threading::Threads(16)).unwrap();
-        assert_eq!(p, spgemm(&l, &r).unwrap());
-    }
-
-    #[test]
-    fn parallel_handles_empty_rows_between_blocks() {
-        // 5 rows, middle ones empty; 3 workers put block boundaries inside
-        // the empty stretch.
-        let l = CsrMatrix::from_dense(5, 2, &[1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0]);
-        let r = CsrMatrix::from_dense(2, 3, &[1.0, 2.0, 0.0, 0.0, 1.0, 3.0]);
-        let p = spgemm_threaded(&l, &r, Accumulator::Auto, Threading::Threads(3)).unwrap();
-        assert_eq!(p, spgemm(&l, &r).unwrap());
     }
 
     #[test]
@@ -540,14 +336,10 @@ mod tests {
         let c = spgemm(&spgemm(&l, &a).unwrap(), &r).unwrap();
         let mut sums = MarginSums::of(&c);
         let delta = CsrMatrix::from_dense(3, 2, &[0.0, 0.0, 1.0, 0.0, 0.0, 0.0]);
-        let dc = spgemm_lowrank_with_sums(&l.transpose(), &delta, &r, &mut sums).unwrap();
-        assert_eq!(dc, spgemm_lowrank(&l.transpose(), &delta, &r).unwrap());
+        let dc = spgemm_lowrank(&l.transpose(), &delta, &r).unwrap();
+        sums.accumulate(&dc).unwrap();
         let merged = c.add(&dc).unwrap();
         assert!(sums.matches(&merged), "maintained sums must equal a rescan");
-        // Shape errors leave the sums untouched.
-        let before = sums.clone();
-        assert!(spgemm_lowrank_with_sums(&l, &CsrMatrix::zeros(4, 2), &r, &mut sums).is_err());
-        assert_eq!(sums, before);
     }
 
     #[test]
@@ -566,30 +358,5 @@ mod tests {
         // Δ/R mismatch surfaces from the inner product.
         let delta = CsrMatrix::zeros(3, 5);
         assert!(spgemm_lowrank(&l, &delta, &r).is_err());
-    }
-
-    #[test]
-    fn auto_picks_per_row_on_skewed_matrices() {
-        // A wide output (> 2^12 cols) with one dense hub row and many
-        // near-empty rows: the whole-matrix heuristic would force one
-        // strategy everywhere; the per-row pick must still be exact.
-        let width = (1 << 12) + 50;
-        let mut hub = vec![0.0; width];
-        for (j, slot) in hub.iter_mut().enumerate() {
-            if j % 2 == 0 {
-                *slot = 1.0;
-            }
-        }
-        let mut rows = hub.clone();
-        let mut sparse_row = vec![0.0; width];
-        sparse_row[17] = 3.0;
-        rows.extend_from_slice(&sparse_row);
-        let l = CsrMatrix::from_dense(2, width, &rows);
-        let r = CsrMatrix::identity(width);
-        let auto = spgemm_with(&l, &r, Accumulator::Auto).unwrap();
-        let dense = spgemm_with(&l, &r, Accumulator::Dense).unwrap();
-        let sm = spgemm_with(&l, &r, Accumulator::SortMerge).unwrap();
-        assert_eq!(auto, dense);
-        assert_eq!(auto, sm);
     }
 }

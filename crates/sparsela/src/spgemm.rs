@@ -290,6 +290,31 @@ mod tests {
     }
 
     #[test]
+    fn auto_picks_per_row_on_skewed_matrices() {
+        // A wide output (> 2^12 cols) with one dense hub row and one
+        // near-empty row: the accumulator picks per row, so the hub is
+        // scanned and the near-empty row keeps its touched list, and both
+        // must be exact.
+        let width = (1 << 12) + 50;
+        let mut hub = vec![0.0; width];
+        for (j, slot) in hub.iter_mut().enumerate() {
+            if j % 2 == 0 {
+                *slot = 1.0;
+            }
+        }
+        let mut rows = hub.clone();
+        let mut sparse_row = vec![0.0; width];
+        sparse_row[17] = 3.0;
+        rows.extend_from_slice(&sparse_row);
+        let l = CsrMatrix::from_dense(2, width, &rows);
+        let r = CsrMatrix::identity(width);
+        let threshold = width >> SCAN_SHIFT;
+        assert!(row_flops(&l, &r, 0) >= threshold);
+        assert!(row_flops(&l, &r, 1) < threshold);
+        assert_eq!(spgemm(&l, &r).unwrap(), l);
+    }
+
+    #[test]
     fn threading_resolves_to_at_least_one_worker() {
         assert_eq!(Threading::Serial.resolve(), 1);
         assert_eq!(Threading::Threads(0).resolve(), 1);

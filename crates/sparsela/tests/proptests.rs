@@ -119,12 +119,13 @@ proptest! {
     }
 
     #[test]
-    fn dense_scan_and_touched_list_match_the_dense_reference(
+    fn dense_scan_touched_list_and_sort_merge_match_the_dense_reference(
         (a, b) in threshold_straddling_product()
     ) {
         // The generator's rows 0 (dense) and 1 (sparse) really straddle
         // the scan threshold, and on a wide output the sparse rows sit far
-        // under `ncols / 64` multiply-adds.
+        // under `ncols / 64` multiply-adds: the rows a sort-merge kernel
+        // would take, now accumulated on the touched-list path.
         let flops = |i: usize| a.row(i).map(|(k, _)| b.row_nnz(k)).sum::<usize>();
         let threshold = b.ncols() / 8;
         prop_assert!(b.row_nnz(0) == 0 || flops(0) >= threshold);

@@ -1,11 +1,21 @@
-//! The resumable round driver behind [`crate::model::ActiveIterModel`].
+//! The ActiveIter round driver — the hierarchical alternating optimization
+//! of §III-D with active label querying.
 //!
-//! [`ActiveIterModel::fit`](crate::model::ActiveIterModel::fit) runs the
-//! paper's whole alternating optimization in one call against a *fixed*
-//! feature matrix. The active loop is inherently incremental, though: each
-//! external round confirms a few anchor links, and a caller that re-derives
-//! features from the grown anchor set (the session API) needs to take over
-//! between rounds. [`ActiveLoop`] exposes exactly those seams:
+//! ```text
+//! repeat (external round):
+//!   repeat (internal):                      — fix U_q
+//!     (1-1)  w ← c (I + c XᵀX)⁻¹ Xᵀ y       — fix y, update w
+//!     (1-2)  y ← greedy(ŷ = Xw)             — fix w, update y (½-approx IP)
+//!   until Δy = ‖yᵢ − yᵢ₋₁‖₁ = 0 or max_inner
+//!   (2)    U_q ← U_q ∪ top-k query candidates; labels from the oracle
+//! until budget spent (b/k rounds)
+//! ```
+//!
+//! Iter-MPMD is the zero-budget special case. The active loop is
+//! inherently incremental: each external round confirms a few anchor links,
+//! and a caller that re-derives features from the grown anchor set (the
+//! session API) needs to take over between rounds. [`ActiveLoop`] exposes
+//! exactly those seams:
 //!
 //! * [`ActiveLoop::converge`] — one internal (1-1)/(1-2) fixed-point pass;
 //! * [`ActiveLoop::select_queries`] / [`ActiveLoop::apply_answer`] — the
@@ -16,10 +26,10 @@
 //! * [`ActiveLoop::finish`] — the final [`FitReport`].
 //!
 //! [`ActiveLoop::run`] drives those seams to completion against a fixed
-//! feature matrix. `ActiveIterModel::fit` and every other fixed-feature fit
-//! in the workspace call it, so the one-shot path and the session-driven
-//! path run the very same arithmetic — a fit driven step by step (without
-//! feature refreshes) is bit-identical to the one-shot call.
+//! feature matrix. Every fixed-feature fit in the workspace calls it, so
+//! the one-shot path and the session-driven path run the very same
+//! arithmetic — a fit driven step by step (without feature refreshes) is
+//! bit-identical to `run`.
 
 use crate::config::{AcceptRule, ModelConfig};
 use crate::greedy::greedy_select;
@@ -29,7 +39,6 @@ use crate::oracle::Oracle;
 use crate::query::{QueryContext, QueryStrategy};
 use sparsela::dense::l1_distance;
 use sparsela::{DenseMatrix, RidgeSolver};
-use std::borrow::Cow;
 use std::time::Instant;
 
 /// The state machine of one ActiveIter optimization.
@@ -37,16 +46,11 @@ use std::time::Instant;
 /// Holds the instance (candidates + features + labeled set) and owns every
 /// loop artifact: the ridge factorization, current labels/scores/weights,
 /// the fixed positive/negative sets, the query budget and the convergence
-/// traces. The instance itself is [`Cow`]: the one-shot
-/// [`ActiveIterModel::fit`](crate::model::ActiveIterModel::fit) path
-/// borrows it (zero-copy, as before the driver refactor), while session
-/// callers hand in an owned instance — which only actually clones when
-/// [`ActiveLoop::replace_features`] mutates it. See the
-/// [module docs](self) for the driving protocol.
+/// traces. See the [module docs](self) for the driving protocol.
 #[derive(Debug)]
-pub struct ActiveLoop<'a> {
+pub struct ActiveLoop {
     config: ModelConfig,
-    inst: Cow<'a, AlignmentInstance>,
+    inst: AlignmentInstance,
     solver: RidgeSolver,
     /// Memoized leverages `S_ii`; invalidated on feature replacement.
     leverages: Vec<Option<f64>>,
@@ -64,27 +68,13 @@ pub struct ActiveLoop<'a> {
     start: Instant,
 }
 
-impl<'a> ActiveLoop<'a> {
-    /// Starts a loop over an owned `inst` (bias column already appended,
-    /// as built by [`AlignmentInstance::new`]).
+impl ActiveLoop {
+    /// Starts a loop over `inst` (bias column already appended, as built
+    /// by [`AlignmentInstance::new`]).
     ///
     /// # Panics
     /// Panics on an empty instance or an invalid config — harness errors.
-    pub fn new(inst: AlignmentInstance, config: ModelConfig) -> ActiveLoop<'static> {
-        ActiveLoop::from_cow(Cow::Owned(inst), config)
-    }
-
-    /// Starts a loop *borrowing* `inst` — the zero-copy path for one-shot
-    /// fits that never refresh features. A later
-    /// [`ActiveLoop::replace_features`] clones on first write.
-    ///
-    /// # Panics
-    /// Panics on an empty instance or an invalid config — harness errors.
-    pub fn borrowed(inst: &'a AlignmentInstance, config: ModelConfig) -> ActiveLoop<'a> {
-        ActiveLoop::from_cow(Cow::Borrowed(inst), config)
-    }
-
-    fn from_cow(inst: Cow<'a, AlignmentInstance>, config: ModelConfig) -> ActiveLoop<'a> {
+    pub fn new(inst: AlignmentInstance, config: ModelConfig) -> ActiveLoop {
         assert!(!inst.is_empty(), "cannot fit an empty instance");
         config.validate();
         let start = Instant::now();
@@ -242,7 +232,7 @@ impl<'a> ActiveLoop<'a> {
             self.inst.candidates.len(),
             "one feature row per candidate"
         );
-        self.inst.to_mut().features = with_bias(raw_features);
+        self.inst.features = with_bias(raw_features);
         self.solver = RidgeSolver::new(&self.inst.features, self.config.c)
             .expect("ridge normal matrix is SPD for finite features and c > 0");
         self.leverages = vec![None; self.inst.len()];
@@ -357,9 +347,9 @@ mod tests {
         }
     }
 
-    /// Driving the loop step by step must replay `ActiveIterModel::fit`
-    /// exactly (fit is a wrapper over this driver, so this pins the
-    /// protocol: converge → select → apply, repeat).
+    /// Driving the loop step by step must replay [`ActiveLoop::run`]
+    /// exactly (this pins the protocol: converge → select → apply,
+    /// repeat).
     #[test]
     fn stepwise_drive_is_bit_identical_to_fit() {
         let (inst, truth) = fixture();
@@ -382,9 +372,8 @@ mod tests {
         }
         let stepped = drv.finish();
 
-        let strategy = ConflictQuery::new(cfg.similar_tau, cfg.margin_delta);
-        let mut model = crate::model::ActiveIterModel::new(cfg, Box::new(strategy));
-        let fitted = model.fit(&inst, &VecOracle::new(truth));
+        let mut strategy = ConflictQuery::new(cfg.similar_tau, cfg.margin_delta);
+        let fitted = ActiveLoop::new(inst, cfg).run(&mut strategy, &VecOracle::new(truth));
         assert_eq!(stepped.labels, fitted.labels);
         assert_eq!(stepped.scores, fitted.scores);
         assert_eq!(stepped.weights, fitted.weights);

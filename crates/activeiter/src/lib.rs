@@ -3,16 +3,15 @@
 //! Implements §III-C/D of *"Meta Diagram based Active Social Networks
 //! Alignment"* (ICDE 2019):
 //!
-//! * [`model::ActiveIterModel`] — the full **ActiveIter** driver: the
+//! * [`driver::ActiveLoop`] — the full **ActiveIter** driver: the
 //!   hierarchical alternating optimization (closed-form ridge step 1-1,
-//!   greedy cardinality-constrained label step 1-2, active query step 2)
-//!   with convergence and timing traces for Figures 3–4;
-//! * [`model::iter_mpmd`] — **Iter-MPMD**: the same PU iterative model with
-//!   a zero query budget (Zhang et al., WSDM'17, extended with meta-diagram
-//!   features);
-//! * [`driver::ActiveLoop`] — the resumable round driver `fit` wraps:
-//!   external callers (the session API) can take over between query rounds,
-//!   refresh features after anchor updates, and keep the loop state;
+//!   greedy cardinality-constrained label step 1-2, active query step 2),
+//!   run to completion by [`ActiveLoop::run`] or stepped round by round by
+//!   callers (the session API) that refresh features after anchor updates.
+//!   **Iter-MPMD** (Zhang et al., WSDM'17, extended with meta-diagram
+//!   features) is the same loop at a zero query budget;
+//! * [`model::FitReport`] — what a fit produces, with the convergence and
+//!   timing traces for Figures 3–4;
 //! * [`query`] — query strategies: the paper's conflict-based
 //!   false-negative selector, the random selector (**ActiveIter-Rand**),
 //!   and two ablation strategies (uncertainty, top-score);
@@ -39,6 +38,6 @@ pub mod unsupervised;
 pub use config::ModelConfig;
 pub use driver::ActiveLoop;
 pub use instance::AlignmentInstance;
-pub use model::{ActiveIterModel, FitReport};
+pub use model::FitReport;
 pub use oracle::{Oracle, VecOracle};
 pub use query::{ConflictQuery, QueryContext, QueryStrategy, RandomQuery};

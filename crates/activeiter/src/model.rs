@@ -1,24 +1,10 @@
-//! The ActiveIter driver — the hierarchical alternating optimization of
-//! §III-D with active label querying.
+//! What one ActiveIter fit produces: the final labels, scores and weights,
+//! the queried links, and per-round Δy traces (Figure 3's convergence) with
+//! the wall-clock total (Figure 4's scalability). [`ActiveLoop::run`]
+//! returns it; see the [`driver`](crate::driver) for the optimization.
 //!
-//! ```text
-//! repeat (external round):
-//!   repeat (internal):                      — fix U_q
-//!     (1-1)  w ← c (I + c XᵀX)⁻¹ Xᵀ y       — fix y, update w
-//!     (1-2)  y ← greedy(ŷ = Xw)             — fix w, update y (½-approx IP)
-//!   until Δy = ‖yᵢ − yᵢ₋₁‖₁ = 0 or max_inner
-//!   (2)    U_q ← U_q ∪ top-k query candidates; labels from the oracle
-//! until budget spent (b/k rounds)
-//! ```
-//!
-//! Per-round Δy traces feed Figure 3 (convergence); wall-clock totals feed
-//! Figure 4 (scalability). Iter-MPMD is the zero-budget special case.
+//! [`ActiveLoop::run`]: crate::driver::ActiveLoop::run
 
-use crate::config::ModelConfig;
-use crate::driver::ActiveLoop;
-use crate::instance::AlignmentInstance;
-use crate::oracle::Oracle;
-use crate::query::{ConflictQuery, QueryStrategy, RandomQuery};
 use std::time::Duration;
 
 /// Inner-loop convergence trace of one external round.
@@ -64,90 +50,14 @@ impl FitReport {
     }
 }
 
-/// The ActiveIter model: configuration plus a query strategy.
-pub struct ActiveIterModel {
-    /// Hyperparameters.
-    pub config: ModelConfig,
-    strategy: Box<dyn QueryStrategy>,
-}
-
-impl std::fmt::Debug for ActiveIterModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ActiveIterModel")
-            .field("config", &self.config)
-            .field("strategy", &self.strategy.name())
-            .finish()
-    }
-}
-
-impl ActiveIterModel {
-    /// Model with an explicit strategy.
-    pub fn new(config: ModelConfig, strategy: Box<dyn QueryStrategy>) -> Self {
-        config.validate();
-        ActiveIterModel { config, strategy }
-    }
-
-    /// The paper's **ActiveIter-b**: conflict query strategy, defaults.
-    pub fn paper(budget: usize) -> Self {
-        let config = ModelConfig::with_budget(budget);
-        let strategy = ConflictQuery::new(config.similar_tau, config.margin_delta);
-        Self::new(config, Box::new(strategy))
-    }
-
-    /// The paper's **ActiveIter-Rand-b** baseline.
-    pub fn random(budget: usize, seed: u64) -> Self {
-        let config = ModelConfig {
-            budget,
-            seed,
-            ..Default::default()
-        };
-        Self::new(config.clone(), Box::new(RandomQuery::new(config.seed)))
-    }
-
-    /// Strategy name (reports).
-    pub fn strategy_name(&self) -> &'static str {
-        self.strategy.name()
-    }
-
-    /// Runs the full alternating optimization against `oracle`.
-    ///
-    /// This is a thin wrapper over [`ActiveLoop`] (the resumable round
-    /// driver): converge, select queries, apply the oracle's answers,
-    /// repeat until the budget is spent or the candidate set runs dry. The
-    /// stepwise drive is bit-identical to what this one-shot call produces
-    /// — callers that need to interleave work between rounds (e.g. the
-    /// session API refreshing features after anchor updates) use the
-    /// driver directly.
-    ///
-    /// # Panics
-    /// Panics on an empty instance — harness error.
-    pub fn fit(&mut self, inst: &AlignmentInstance, oracle: &dyn Oracle) -> FitReport {
-        assert!(!inst.is_empty(), "cannot fit an empty instance");
-        // Borrowed: the one-shot path never refreshes features, so the
-        // instance (and its dense X) is never copied.
-        ActiveLoop::borrowed(inst, self.config.clone()).run(self.strategy.as_mut(), oracle)
-    }
-}
-
-/// **Iter-MPMD** (Zhang et al. WSDM'17 + meta diagram features): the same
-/// PU iterative model with no query step.
-pub fn iter_mpmd(inst: &AlignmentInstance, config: &ModelConfig) -> FitReport {
-    let mut model = ActiveIterModel::new(
-        ModelConfig {
-            budget: 0,
-            ..config.clone()
-        },
-        Box::new(ConflictQuery::new(config.similar_tau, config.margin_delta)),
-    );
-    // The oracle is never consulted at budget 0.
-    let dummy = crate::oracle::VecOracle::new(vec![false; inst.len()]);
-    model.fit(inst, &dummy)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::VecOracle;
+    use crate::config::ModelConfig;
+    use crate::driver::ActiveLoop;
+    use crate::instance::AlignmentInstance;
+    use crate::oracle::{Oracle, VecOracle};
+    use crate::query::{ConflictQuery, RandomQuery};
     use hetnet::UserId;
     use sparsela::DenseMatrix;
 
@@ -193,13 +103,30 @@ mod tests {
         (inst, truth)
     }
 
-    fn rand_model(budget: usize, seed: u64) -> ActiveIterModel {
+    /// Iter-MPMD: the loop at budget 0, so the oracle is never consulted.
+    fn zero_budget_fit(inst: &AlignmentInstance, config: &ModelConfig) -> FitReport {
+        let cfg = ModelConfig {
+            budget: 0,
+            ..config.clone()
+        };
+        let mut strategy = ConflictQuery::new(cfg.similar_tau, cfg.margin_delta);
+        let oracle = VecOracle::new(vec![false; inst.len()]);
+        ActiveLoop::new(inst.clone(), cfg).run(&mut strategy, &oracle)
+    }
+
+    /// ActiveIter-Rand: random queries under `budget`, seeded by `seed`.
+    fn rand_fit(
+        budget: usize,
+        seed: u64,
+        inst: &AlignmentInstance,
+        oracle: &dyn Oracle,
+    ) -> FitReport {
         let cfg = ModelConfig {
             budget,
             seed,
             ..test_config()
         };
-        ActiveIterModel::new(cfg, Box::new(RandomQuery::new(seed)))
+        ActiveLoop::new(inst.clone(), cfg).run(&mut RandomQuery::new(seed), oracle)
     }
 
     fn test_config() -> ModelConfig {
@@ -212,7 +139,7 @@ mod tests {
     #[test]
     fn iter_mpmd_finds_strong_unlabeled_positive() {
         let (inst, _) = fixture();
-        let report = iter_mpmd(&inst, &test_config());
+        let report = zero_budget_fit(&inst, &test_config());
         assert_eq!(report.labels[0], 1.0);
         assert_eq!(report.labels[1], 1.0);
         assert_eq!(report.labels[2], 1.0, "strong unlabeled positive found");
@@ -223,7 +150,7 @@ mod tests {
     #[test]
     fn inner_loop_converges_to_zero_delta() {
         let (inst, _) = fixture();
-        let report = iter_mpmd(&inst, &test_config());
+        let report = zero_budget_fit(&inst, &test_config());
         let last_round = report.rounds.last().unwrap();
         assert_eq!(*last_round.deltas.last().unwrap(), 0.0);
         assert!(report.total_inner_iterations() <= 15);
@@ -236,9 +163,8 @@ mod tests {
             budget: 4,
             ..test_config()
         };
-        let strategy = ConflictQuery::new(cfg.similar_tau, cfg.margin_delta);
-        let mut model = ActiveIterModel::new(cfg, Box::new(strategy));
-        let report = model.fit(&inst, &VecOracle::new(truth));
+        let mut strategy = ConflictQuery::new(cfg.similar_tau, cfg.margin_delta);
+        let report = ActiveLoop::new(inst.clone(), cfg).run(&mut strategy, &VecOracle::new(truth));
         let mut left = std::collections::HashSet::new();
         let mut right = std::collections::HashSet::new();
         for (i, &l) in report.labels.iter().enumerate() {
@@ -253,8 +179,7 @@ mod tests {
     fn budget_is_respected_and_accounted() {
         let (inst, truth) = fixture();
         let oracle = VecOracle::new(truth);
-        let mut model = rand_model(3, 42);
-        let report = model.fit(&inst, &oracle);
+        let report = rand_fit(3, 42, &inst, &oracle);
         assert!(report.queried.len() <= 3);
         assert_eq!(oracle.queries_answered(), report.queried.len());
     }
@@ -262,8 +187,7 @@ mod tests {
     #[test]
     fn queries_never_touch_labeled_positives() {
         let (inst, truth) = fixture();
-        let mut model = rand_model(6, 1);
-        let report = model.fit(&inst, &VecOracle::new(truth));
+        let report = rand_fit(6, 1, &inst, &VecOracle::new(truth));
         for (idx, _) in &report.queried {
             assert!(!inst.labeled_pos.contains(idx));
         }
@@ -272,8 +196,7 @@ mod tests {
     #[test]
     fn queried_positive_becomes_fixed_label() {
         let (inst, truth) = fixture();
-        let mut model = rand_model(6, 3);
-        let report = model.fit(&inst, &VecOracle::new(truth.clone()));
+        let report = rand_fit(6, 3, &inst, &VecOracle::new(truth.clone()));
         for &(idx, ans) in &report.queried {
             assert_eq!(report.labels[idx] == 1.0, ans, "queried label is final");
         }
@@ -282,8 +205,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (inst, truth) = fixture();
-        let r1 = rand_model(4, 9).fit(&inst, &VecOracle::new(truth.clone()));
-        let r2 = rand_model(4, 9).fit(&inst, &VecOracle::new(truth));
+        let r1 = rand_fit(4, 9, &inst, &VecOracle::new(truth.clone()));
+        let r2 = rand_fit(4, 9, &inst, &VecOracle::new(truth));
         assert_eq!(r1.labels, r2.labels);
         assert_eq!(r1.queried, r2.queried);
     }
@@ -291,14 +214,14 @@ mod tests {
     #[test]
     fn zero_budget_runs_exactly_one_round() {
         let (inst, _) = fixture();
-        let report = iter_mpmd(&inst, &test_config());
+        let report = zero_budget_fit(&inst, &test_config());
         assert_eq!(report.rounds.len(), 1);
     }
 
     #[test]
     fn positives_accessor_matches_labels() {
         let (inst, _) = fixture();
-        let report = iter_mpmd(&inst, &test_config());
+        let report = zero_budget_fit(&inst, &test_config());
         for i in report.positives() {
             assert_eq!(report.labels[i], 1.0);
         }
@@ -327,7 +250,7 @@ mod tests {
             ],
         );
         let inst = AlignmentInstance::new(candidates, &x, vec![0]);
-        let report = iter_mpmd(&inst, &test_config());
+        let report = zero_budget_fit(&inst, &test_config());
         let accepted = report.labels.iter().filter(|&&l| l == 1.0).count();
         assert!(
             accepted < inst.len(),
@@ -340,7 +263,6 @@ mod tests {
     #[should_panic(expected = "empty instance")]
     fn empty_instance_panics() {
         let inst = AlignmentInstance::new(vec![], &DenseMatrix::zeros(0, 2), vec![]);
-        let mut m = ActiveIterModel::paper(0);
-        m.fit(&inst, &VecOracle::new(vec![]));
+        ActiveLoop::new(inst, ModelConfig::with_budget(0));
     }
 }

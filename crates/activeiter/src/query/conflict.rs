@@ -61,14 +61,6 @@ impl ConflictQuery {
 }
 
 impl QueryStrategy for ConflictQuery {
-    fn name(&self) -> &'static str {
-        if self.fallback {
-            "conflict"
-        } else {
-            "conflict-strict"
-        }
-    }
-
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
         // Positive link at each endpoint (one-to-one ⇒ at most one each).
         let mut left_pos: HashMap<u32, usize> = HashMap::new();

@@ -45,9 +45,6 @@ pub struct QueryContext<'a> {
 
 /// A query-set selection policy.
 pub trait QueryStrategy {
-    /// Strategy name for reports.
-    fn name(&self) -> &'static str;
-
     /// Picks up to `ctx.batch` distinct queryable candidate indices.
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize>;
 }

@@ -23,10 +23,6 @@ impl RandomQuery {
 }
 
 impl QueryStrategy for RandomQuery {
-    fn name(&self) -> &'static str {
-        "random"
-    }
-
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
         let mut pool: Vec<usize> = (0..ctx.candidates.len())
             .filter(|&i| ctx.queryable[i])

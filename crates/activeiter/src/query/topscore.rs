@@ -10,10 +10,6 @@ use crate::ord::cmp_scores_desc;
 pub struct TopScoreQuery;
 
 impl QueryStrategy for TopScoreQuery {
-    fn name(&self) -> &'static str {
-        "topscore"
-    }
-
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
         let mut ranked: Vec<usize> = (0..ctx.candidates.len())
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")

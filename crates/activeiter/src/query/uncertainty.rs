@@ -12,10 +12,6 @@ use crate::ord::cmp_scores_asc;
 pub struct UncertaintyQuery;
 
 impl QueryStrategy for UncertaintyQuery {
-    fn name(&self) -> &'static str {
-        "uncertainty"
-    }
-
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
         let mut ranked: Vec<(usize, f64)> = (0..ctx.candidates.len())
             .filter(|&i| ctx.queryable[i])

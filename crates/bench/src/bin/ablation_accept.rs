@@ -7,8 +7,7 @@
 //! ```
 
 use activeiter::config::AcceptRule;
-use activeiter::model::iter_mpmd;
-use activeiter::{AlignmentInstance, ModelConfig};
+use activeiter::{ActiveLoop, AlignmentInstance, ConflictQuery, ModelConfig, VecOracle};
 use eval::{Confusion, LinkSet};
 use hetnet::aligned::anchor_matrix;
 use metadiagram::{extract_features, Catalog, DeltaCatalogCounts, FeatureSet, Threading};
@@ -64,11 +63,15 @@ fn main() {
         ("Relative α=0.9", AcceptRule::Relative { alpha: 0.9 }),
     ];
     for (name, rule) in rules {
+        // Iter-MPMD: budget 0, so the oracle is never consulted.
         let config = ModelConfig {
             accept_rule: rule,
+            budget: 0,
             ..Default::default()
         };
-        let report = iter_mpmd(&inst, &config);
+        let mut strategy = ConflictQuery::new(config.similar_tau, config.margin_delta);
+        let oracle = VecOracle::new(vec![false; inst.len()]);
+        let report = ActiveLoop::new(inst.clone(), config).run(&mut strategy, &oracle);
         // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
         let preds: Vec<bool> = test.iter().map(|&i| report.labels[i] == 1.0).collect();
         let truth: Vec<bool> = test.iter().map(|&i| ls.truth[i]).collect();

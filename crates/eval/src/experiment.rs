@@ -264,7 +264,7 @@ fn run_fold_threaded(
                 ..Default::default()
             };
             // Iter-MPMD is the zero-budget special case: the strategy is
-            // never consulted, matching the old `iter_mpmd` shortcut.
+            // never consulted.
             let kind = match method {
                 Method::IterMpmd | Method::IterMpmdFeatures { .. } | Method::ActiveIter { .. } => {
                     StrategyKind::Conflict

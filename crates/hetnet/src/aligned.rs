@@ -12,25 +12,6 @@ use crate::ids::UserId;
 use sparsela::{CooMatrix, CsrMatrix};
 use std::collections::HashSet;
 
-/// Which side of an aligned pair a network occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetSide {
-    /// The first network, `G⁽¹⁾` (e.g. Twitter).
-    Left,
-    /// The second network, `G⁽²⁾` (e.g. Foursquare).
-    Right,
-}
-
-impl NetSide {
-    /// The opposite side.
-    pub fn other(self) -> NetSide {
-        match self {
-            NetSide::Left => NetSide::Right,
-            NetSide::Right => NetSide::Left,
-        }
-    }
-}
-
 /// An undirected anchor link between a left-network user and a
 /// right-network user.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -184,14 +165,6 @@ impl AlignedPair {
         &self.right
     }
 
-    /// Network by side.
-    pub fn net(&self, side: NetSide) -> &HetNet {
-        match side {
-            NetSide::Left => &self.left,
-            NetSide::Right => &self.right,
-        }
-    }
-
     /// The ground-truth anchor set (held-out labels; the oracle's answer key).
     pub fn truth(&self) -> &AnchorSet {
         &self.truth
@@ -273,8 +246,8 @@ mod tests {
         let pair = AlignedPair::new(l, r, truth).unwrap();
         assert_eq!(pair.universe_size(), 9);
         assert_eq!(pair.truth().len(), 1);
-        assert_eq!(pair.net(NetSide::Left).name(), "l");
-        assert_eq!(pair.net(NetSide::Right).name(), "r");
+        assert_eq!(pair.left().name(), "l");
+        assert_eq!(pair.right().name(), "r");
 
         let (l, r) = nets();
         let bad = AnchorSet::try_new(vec![AnchorLink::new(UserId(7), UserId(0))]).unwrap();
@@ -292,11 +265,5 @@ mod tests {
         assert!(AnchorSet::empty().is_empty());
         assert_eq!(s.iter().count(), 1);
         assert_eq!(s.links()[0], a);
-    }
-
-    #[test]
-    fn net_side_other() {
-        assert_eq!(NetSide::Left.other(), NetSide::Right);
-        assert_eq!(NetSide::Right.other(), NetSide::Left);
     }
 }

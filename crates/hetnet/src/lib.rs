@@ -29,7 +29,7 @@ pub mod partition;
 pub mod schema;
 pub mod stats;
 
-pub use aligned::{AlignedPair, AnchorLink, AnchorSet, NetSide};
+pub use aligned::{AlignedPair, AnchorLink, AnchorSet};
 pub use builder::HetNetBuilder;
 pub use error::{HetNetError, Result};
 pub use graph::HetNet;

@@ -2,8 +2,9 @@
 //!
 //! Node kinds and link kinds are closed enums: the paper's analysis (and
 //! this reproduction) is specific to the social-network schema with users,
-//! posts and the word/location/timestamp attribute types. Meta paths and
-//! diagrams are validated against the endpoint signatures declared here.
+//! posts and the word/location/timestamp attribute types. The meta paths
+//! walk this schema; `metadiagram` spells each walk out on its path
+//! identifier and counts it as a chain of these link types' adjacencies.
 
 use std::fmt;
 
@@ -34,25 +35,6 @@ impl NodeKind {
         NodeKind::Location,
         NodeKind::Timestamp,
     ];
-
-    /// True for the attribute types (shared across networks).
-    pub fn is_attribute(self) -> bool {
-        matches!(
-            self,
-            NodeKind::Word | NodeKind::Location | NodeKind::Timestamp
-        )
-    }
-
-    /// Short name used by schema/path pretty-printers (matches Table I).
-    pub fn short(self) -> &'static str {
-        match self {
-            NodeKind::User => "U",
-            NodeKind::Post => "P",
-            NodeKind::Word => "W",
-            NodeKind::Location => "L",
-            NodeKind::Timestamp => "T",
-        }
-    }
 }
 
 impl fmt::Display for NodeKind {
@@ -94,17 +76,6 @@ impl LinkKind {
         LinkKind::HasWord,
     ];
 
-    /// The `(source, target)` node kinds of this link type.
-    pub fn endpoints(self) -> (NodeKind, NodeKind) {
-        match self {
-            LinkKind::Follow => (NodeKind::User, NodeKind::User),
-            LinkKind::Write => (NodeKind::User, NodeKind::Post),
-            LinkKind::At => (NodeKind::Post, NodeKind::Timestamp),
-            LinkKind::Checkin => (NodeKind::Post, NodeKind::Location),
-            LinkKind::HasWord => (NodeKind::Post, NodeKind::Word),
-        }
-    }
-
     /// Name as written in the paper's figures.
     pub fn label(self) -> &'static str {
         match self {
@@ -126,7 +97,7 @@ impl fmt::Display for LinkKind {
 /// Traversal direction of a link type within a meta path step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Direction {
-    /// Source → target (the arrow direction of [`LinkKind::endpoints`]).
+    /// Source → target (the arrow direction of the [`LinkKind`]).
     Forward,
     /// Target → source.
     Reverse,
@@ -142,63 +113,9 @@ impl Direction {
     }
 }
 
-/// The `(from, to)` node kinds of a link traversed in `dir`.
-pub fn step_endpoints(kind: LinkKind, dir: Direction) -> (NodeKind, NodeKind) {
-    let (s, t) = kind.endpoints();
-    match dir {
-        Direction::Forward => (s, t),
-        Direction::Reverse => (t, s),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn attribute_classification_matches_paper() {
-        assert!(!NodeKind::User.is_attribute());
-        assert!(!NodeKind::Post.is_attribute());
-        assert!(NodeKind::Word.is_attribute());
-        assert!(NodeKind::Location.is_attribute());
-        assert!(NodeKind::Timestamp.is_attribute());
-    }
-
-    #[test]
-    fn endpoints_match_schema_figure() {
-        assert_eq!(
-            LinkKind::Follow.endpoints(),
-            (NodeKind::User, NodeKind::User)
-        );
-        assert_eq!(
-            LinkKind::Write.endpoints(),
-            (NodeKind::User, NodeKind::Post)
-        );
-        assert_eq!(
-            LinkKind::At.endpoints(),
-            (NodeKind::Post, NodeKind::Timestamp)
-        );
-        assert_eq!(
-            LinkKind::Checkin.endpoints(),
-            (NodeKind::Post, NodeKind::Location)
-        );
-        assert_eq!(
-            LinkKind::HasWord.endpoints(),
-            (NodeKind::Post, NodeKind::Word)
-        );
-    }
-
-    #[test]
-    fn step_endpoints_respect_direction() {
-        assert_eq!(
-            step_endpoints(LinkKind::Write, Direction::Forward),
-            (NodeKind::User, NodeKind::Post)
-        );
-        assert_eq!(
-            step_endpoints(LinkKind::Write, Direction::Reverse),
-            (NodeKind::Post, NodeKind::User)
-        );
-    }
 
     #[test]
     fn direction_flip_is_involution() {
@@ -209,7 +126,6 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(NodeKind::Location.to_string(), "Location");
-        assert_eq!(NodeKind::Location.short(), "L");
         assert_eq!(LinkKind::Checkin.to_string(), "checkin");
     }
 

@@ -16,19 +16,24 @@
 //!   source and sink users, so instance counts multiply pointwise (Lemma 1).
 
 use crate::covering::CoveringSet;
-use crate::path::{paper, MetaPath};
 use std::fmt;
 
 /// Identifier of a social meta path (the `Pf` family).
+///
+/// An inter-network meta path (Definition 4) is a typed walk from a
+/// left-network user to a right-network user. Each variant's doc gives its
+/// Table I walk; `<-anchor->` crosses networks through an anchor link, and
+/// the step before it runs on the left network, the step after it on the
+/// right. [`crate::count`] counts each walk as the chain `L·A·R`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SocialPathId {
-    /// P1 — common anchored followee.
+    /// P1 — common anchored followee: `U -follow-> U <-anchor-> U <-follow- U`.
     P1,
-    /// P2 — common anchored follower.
+    /// P2 — common anchored follower: `U <-follow- U <-anchor-> U -follow-> U`.
     P2,
-    /// P3 — common anchored followee-follower.
+    /// P3 — common anchored followee-follower: `U -follow-> U <-anchor-> U -follow-> U`.
     P3,
-    /// P4 — common anchored follower-followee.
+    /// P4 — common anchored follower-followee: `U <-follow- U <-anchor-> U <-follow- U`.
     P4,
 }
 
@@ -40,16 +45,6 @@ impl SocialPathId {
         SocialPathId::P3,
         SocialPathId::P4,
     ];
-
-    /// The corresponding validated meta path.
-    pub fn path(self) -> MetaPath {
-        match self {
-            SocialPathId::P1 => paper::p1(),
-            SocialPathId::P2 => paper::p2(),
-            SocialPathId::P3 => paper::p3(),
-            SocialPathId::P4 => paper::p4(),
-        }
-    }
 
     /// Table I name.
     pub fn name(self) -> &'static str {
@@ -63,28 +58,25 @@ impl SocialPathId {
 }
 
 /// Identifier of an attribute meta path (the `Pa` family).
+///
+/// These walks need no anchor: attribute nodes (timestamp, location, word)
+/// are shared by both networks, so the walk crosses from the left network's
+/// posts to the right network's through the attribute node. Each variant's
+/// doc gives its Table I walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttrPathId {
-    /// P5 — common timestamp.
+    /// P5 — common timestamp: `U -write-> P -at-> T <-at- P <-write- U`.
     Timestamp,
-    /// P6 — common checkin location.
+    /// P6 — common checkin location: `U -write-> P -checkin-> L <-checkin- P <-write- U`.
     Location,
-    /// PW — common word (extension; not part of the paper's default catalog).
+    /// PW — common word (extension; not part of the paper's default
+    /// catalog): `U -write-> P -contain-> W <-contain- P <-write- U`.
     Word,
 }
 
 impl AttrPathId {
     /// The paper's attribute paths (PW excluded).
     pub const PAPER: [AttrPathId; 2] = [AttrPathId::Timestamp, AttrPathId::Location];
-
-    /// The corresponding validated meta path.
-    pub fn path(self) -> MetaPath {
-        match self {
-            AttrPathId::Timestamp => paper::p5(),
-            AttrPathId::Location => paper::p6(),
-            AttrPathId::Word => paper::pw(),
-        }
-    }
 
     /// Table I name.
     pub fn name(self) -> &'static str {
@@ -252,13 +244,11 @@ mod tests {
 
     #[test]
     fn ids_resolve_to_paths() {
-        for id in SocialPathId::ALL {
-            assert_eq!(id.path().name(), id.name());
-        }
-        for id in AttrPathId::PAPER {
-            assert_eq!(id.path().name(), id.name());
-        }
-        assert_eq!(AttrPathId::Word.path().name(), "PW");
+        let social: Vec<_> = SocialPathId::ALL.iter().map(|id| id.name()).collect();
+        assert_eq!(social, ["P1", "P2", "P3", "P4"]);
+        let attr: Vec<_> = AttrPathId::PAPER.iter().map(|id| id.name()).collect();
+        assert_eq!(attr, ["P5", "P6"]);
+        assert_eq!(AttrPathId::Word.name(), "PW");
     }
 
     #[test]

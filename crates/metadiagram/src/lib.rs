@@ -3,11 +3,13 @@
 //! This crate implements the feature machinery that is the heart of the
 //! paper's contribution (§III-B):
 //!
-//! * [`path`] — **inter-network meta paths** (Definition 4): typed walks
-//!   from a left-network user to a right-network user through follow,
-//!   write, at, checkin and anchor links. The paper's P1–P6 are provided as
-//!   constants; arbitrary schema-valid paths can be built and validated.
-//! * [`diagram`] — **inter-network meta diagrams** (Definition 5): DAG
+//! * [`diagram`] — **inter-network meta paths** (Definition 4): typed
+//!   walks from a left-network user to a right-network user through follow,
+//!   write, at, checkin and anchor links. The paper's P1–P6 (and the PW
+//!   extension) are the variants of [`SocialPathId`] and [`AttrPathId`],
+//!   each documented with its Table I walk; [`count`] computes each walk
+//!   as a chain of sparse products. The same module holds the
+//!   **inter-network meta diagrams** (Definition 5): DAG
 //!   stackings of meta paths. Three stacking forms cover the paper's whole
 //!   catalog: middle-stacking of two social paths at the shared anchor pair
 //!   (Ψf²), middle-stacking of two attribute paths at the shared post pair
@@ -44,7 +46,6 @@ pub mod covering;
 pub mod delta;
 pub mod diagram;
 pub mod features;
-pub mod path;
 pub mod proximity;
 
 pub use catalog::{Catalog, CatalogEntry, FeatureSet};
@@ -54,6 +55,5 @@ pub use delta::{
 };
 pub use diagram::{AttrPathId, Diagram, SocialPathId};
 pub use features::{extract_features, FeatureMatrix};
-pub use path::{MetaPath, Step};
 pub use proximity::{dice_at, dice_proximity};
 pub use sparsela::Threading;

@@ -1,6 +1,6 @@
 //! The session-driven ActiveIter round loop.
 //!
-//! `ActiveIterModel::fit` optimizes against a *fixed* feature matrix; this
+//! `ActiveLoop::run` optimizes against a *fixed* feature matrix; this
 //! module is the incremental variant the session API exists for: after
 //! every external query round, the anchors the oracle confirmed flow back
 //! into the session ([`AlignmentSession::update_anchors`]), the features

@@ -61,7 +61,9 @@
 //! 1. [`Journal::begin_compact`] — under the owner's lock: appends a
 //!    durable `Compacted` record naming the new base's length+CRC to the
 //!    *old* journal and remembers the **fold mark** (the journal offset
-//!    right after the marker). Appends may continue past the mark.
+//!    right after the marker). Appends may continue past the mark. The
+//!    marker needs the new base's bytes, so the caller encodes them
+//!    first: this step is O(base), not O(1).
 //! 2. [`Journal::stage_compacted_base`] — **no lock needed**: writes the
 //!    new base bytes to a synced temporary sibling. This is the O(base)
 //!    I/O that used to stall writers.
@@ -614,8 +616,10 @@ impl Journal {
     /// Step 1 of a staged compaction (see the [module docs](self)):
     /// appends the durable `Compacted` intent marker naming the base
     /// `base_bytes` will become, fsyncs it, and remembers the fold mark.
-    /// Cheap enough to run under the owner's lock; records appended after
-    /// this call are preserved by [`Journal::finish_compact`].
+    /// It runs under the owner's lock and costs one CRC-32 pass over
+    /// `base_bytes` plus the fsync — O(base), on top of encoding the bytes
+    /// in the first place. Records appended after this call are preserved
+    /// by [`Journal::finish_compact`].
     ///
     /// # Errors
     /// [`JournalError::Io`] when the marker append or sync fails (the

@@ -57,12 +57,14 @@
 //! ([`SessionPool::set_compaction`]) itself, after every journaled write
 //! — the write-ahead append of [`SessionPool::update_anchors`] and the
 //! checkpoint of [`SessionPool::save`] — so a journal stays bounded
-//! whether or not anyone ever saves. A due fold never runs inline: the
-//! slot lock is held only for [`Journal::begin_compact`] (a fsynced
-//! marker append, O(1)), and a single shared **compactor thread** stages
-//! the new base **off-lock** while updates keep flowing (they land after
-//! the fold mark and survive), then re-takes the lock for
-//! [`Journal::finish_compact`] — cheap renames.
+//! whether or not anyone ever saves. A due fold runs in two parts. Under
+//! the slot lock, the pool encodes the counted core into the new base's
+//! bytes (O(session): the snapshot encoding plus a CRC-32 per section)
+//! and [`Journal::begin_compact`] appends and fsyncs the marker naming
+//! that base, after one more CRC-32 pass over it. A single shared
+//! **compactor thread** then writes the new base **off-lock** while
+//! updates keep flowing (they land after the fold mark and survive), and
+//! re-takes the lock for [`Journal::finish_compact`] — cheap renames.
 //! [`SessionPool::flush_compactions`] drains the queue and reports
 //! per-slot failures; a failed fold leaves the base+journal pair exactly
 //! as durable as before and re-arms the policy.
@@ -715,9 +717,11 @@ impl SessionPool {
     }
 
     /// Under the slot lock, after every journaled write: if the policy
-    /// says the journal is due, run [`Journal::begin_compact`] (the O(1)
-    /// durable marker) and hand the O(session) staging to the compactor
-    /// thread. A failed marker append is reported through
+    /// says the journal is due, encode the counted core and run
+    /// [`Journal::begin_compact`] on it — both O(session), since the
+    /// durable marker names the encoded base's length and CRC — then hand
+    /// the write of the new base to the compactor thread. A failed marker
+    /// append is reported through
     /// [`SessionPool::flush_compactions`] like a failed fold — the write
     /// that triggered it has already succeeded, and the policy re-arms at
     /// the next journaled write.

@@ -16,8 +16,10 @@
 //! from; [`Request::Checkpoint`] is [`SessionPool::save`] to that path.
 //! Journals are bounded by **background compaction**: the pool evaluates
 //! the worker's [`CompactionPolicy`] (`SERVE_COMPACT`, default 1 MiB of
-//! journal bytes) after every journaled write — the fold stages
-//! off-thread while the request loop keeps serving.
+//! journal bytes) after every journaled write. The new base file is
+//! written off-thread, but encoding the counted core and the fold
+//! marker's CRC and fsync run inline in the request loop, under the slot
+//! lock, so the request that trips the policy waits for them.
 //!
 //! ## Fault injection (`SERVE_FAULT`)
 //!

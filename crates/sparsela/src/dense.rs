@@ -200,15 +200,6 @@ pub fn l1_distance(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Dot product of two equal-length vectors.
-///
-/// # Panics
-/// Panics when lengths differ.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot length mismatch");
-    a.iter().zip(b.iter()).map(|(x, y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,7 +250,6 @@ mod tests {
     #[test]
     fn vector_helpers() {
         assert_eq!(l1_distance(&[1.0, -2.0], &[0.0, 2.0]), 5.0);
-        assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
     }
 
     #[test]

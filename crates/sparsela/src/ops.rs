@@ -143,14 +143,6 @@ impl CsrMatrix {
             vec![1.0; self.nnz()],
         )
     }
-
-    /// The symmetric part restricted to mutual edges: `self ⊙ selfᵀ`.
-    ///
-    /// For a 0/1 follow adjacency this is the *mutual-follow* indicator,
-    /// which is how the paper's Ψ1 diagram stacks P1 × P2 within one network.
-    pub fn mutual(&self) -> Result<CsrMatrix> {
-        self.hadamard(&self.transpose())
-    }
 }
 
 #[cfg(test)]
@@ -204,17 +196,6 @@ mod tests {
         let bin = a().binarized();
         assert_eq!(bin.nnz(), a().nnz());
         assert!(bin.values().iter().all(|&v| v == 1.0));
-    }
-
-    #[test]
-    fn mutual_extracts_bidirectional_edges() {
-        // 0 -> 1, 1 -> 0 (mutual); 0 -> 2 one-way.
-        let f = CsrMatrix::from_dense(3, 3, &[0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
-        let m = f.mutual().unwrap();
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(0, 1), 1.0);
-        assert_eq!(m.get(1, 0), 1.0);
-        assert_eq!(m.get(0, 2), 0.0);
     }
 
     #[test]

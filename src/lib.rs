@@ -31,7 +31,7 @@
 //! | [`hetnet`] | attributed heterogeneous networks, schema, anchors |
 //! | [`metadiagram`] | meta paths P1–P6, meta diagrams, covering sets, the count store with its incremental delta recounts, Dice proximity, the 31-feature catalog |
 //! | [`datagen`] | seeded generator of aligned network pairs (Table II proportions) |
-//! | [`activeiter`] | the ActiveIter model, the resumable round driver, Iter-MPMD, ActiveIter-Rand, SVM baselines |
+//! | [`activeiter`] | the ActiveIter round driver (Iter-MPMD is its zero-budget case), ActiveIter-Rand, SVM baselines |
 //! | [`session`] | the staged `AlignmentSession` pipeline: `SessionBuilder` → Counted → Featurized → Fitted, with `update_anchors` incremental recounting |
 //! | [`eval`] | folds, NP-ratio/sample-ratio protocol, metrics, paper-style tables — thin wrappers over sessions |
 //!
@@ -74,9 +74,7 @@ pub use sparsela;
 
 /// The most common imports for downstream users.
 pub mod prelude {
-    pub use activeiter::{
-        ActiveIterModel, AlignmentInstance, ModelConfig, Oracle, QueryStrategy, VecOracle,
-    };
+    pub use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy, VecOracle};
     pub use datagen::{self, GeneratorConfig};
     pub use eval::multi::{
         align_all_pairs, consistency_report, resolve_by_score, MultiSpec, MultiSpecError,

@@ -6,19 +6,10 @@
 //! cargo run --release -p bench --bin ablation_query [-- --full]
 //! ```
 
-use eval::methods::StrategyKind;
-use eval::{run_experiment, Method};
-
 fn main() {
     let opts = bench::HarnessOpts::from_args();
     let world = opts.world();
-    let spec = opts.spec(30, 0.6);
-    let strategies = [
-        StrategyKind::Conflict,
-        StrategyKind::Random,
-        StrategyKind::Uncertainty,
-        StrategyKind::TopScore,
-    ];
+    let budgets = bench::budget_sweep();
 
     println!(
         "Query-strategy ablation — θ = 30, γ = 60%, {} rotations, seed {}",
@@ -27,16 +18,18 @@ fn main() {
     );
     println!();
     print!("{:<14}", "strategy \\ b");
-    for b in bench::budget_sweep() {
+    for b in &budgets {
         print!(" {b:>8}");
     }
     println!();
-    let baseline = run_experiment(&world, &spec, Method::IterMpmd);
-    println!("{:<14} {:>8.3} (b = 0 reference)", "none", baseline.f1.mean);
-    for strategy in strategies {
+    let results = bench::run_cells(&world, &bench::query_ablation_cells(&opts));
+    println!("{:<14} {:>8.3} (b = 0 reference)", "none", results[0].f1.mean);
+    for (strategy, row) in bench::ABLATION_STRATEGIES
+        .iter()
+        .zip(results[1..].chunks(budgets.len()))
+    {
         print!("{:<14}", format!("{strategy:?}"));
-        for budget in bench::budget_sweep() {
-            let cell = run_experiment(&world, &spec, Method::ActiveIterWith { budget, strategy });
+        for cell in row {
             print!(" {:>8.3}", cell.f1.mean);
         }
         println!();

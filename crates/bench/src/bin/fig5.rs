@@ -7,20 +7,16 @@
 //! cargo run --release -p bench --bin fig5 [-- --full]
 //! ```
 
-use eval::{run_experiment, Method, Metrics};
+use eval::Metrics;
 
 fn main() {
     let opts = bench::HarnessOpts::from_args();
     let world = opts.world();
-    let theta = 50usize;
-
-    let spec60 = opts.spec(theta, 0.6);
-    let spec70 = opts.spec(theta, 0.7);
-    let pu60 = run_experiment(&world, &spec60, Method::IterMpmd);
-    let pu70 = run_experiment(&world, &spec70, Method::IterMpmd);
+    let results = bench::run_cells(&world, &bench::fig5_cells(&opts));
+    let (pu60, pu70) = (&results[0], &results[1]);
 
     println!(
-        "Figure 5 — metrics vs budget b (θ = {theta}, γ = 60%, {} fold rotations, seed {})",
+        "Figure 5 — metrics vs budget b (θ = 50, γ = 60%, {} fold rotations, seed {})",
         opts.rotations(),
         opts.seed
     );
@@ -37,9 +33,8 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>14} {:>14}",
         "budget", "ActiveIter F1", "Rand F1", "ActiveIter P", "ActiveIter R"
     );
-    for budget in bench::budget_sweep() {
-        let act = run_experiment(&world, &spec60, Method::ActiveIter { budget });
-        let rnd = run_experiment(&world, &spec60, Method::ActiveIterRand { budget });
+    for (budget, pair) in bench::budget_sweep().into_iter().zip(results[2..].chunks(2)) {
+        let (act, rnd) = (&pair[0], &pair[1]);
         println!(
             "{:>8} {:>14.4} {:>14.4} {:>14.4} {:>14.4}",
             budget, act.f1.mean, rnd.f1.mean, act.precision.mean, act.recall.mean

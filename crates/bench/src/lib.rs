@@ -9,6 +9,7 @@
 #![warn(missing_docs)]
 
 use datagen::{GeneratedWorld, GeneratorConfig};
+use eval::methods::StrategyKind;
 use eval::{run_experiment, CellResult, ExperimentSpec, Method};
 use std::time::{Duration, Instant};
 
@@ -240,6 +241,53 @@ impl TableSweep {
             eprintln!("{} = {label} done", self.axis);
         }
     }
+}
+
+/// **Figure 5**'s cells in the order the `fig5` bin runs and prints them:
+/// the Iter-MPMD reference lines at γ = 60% and γ = 70%, then ActiveIter
+/// and ActiveIter-Rand at γ = 60% for each budget of [`budget_sweep`]
+/// (θ = 50 throughout).
+pub fn fig5_cells(opts: &HarnessOpts) -> Vec<(ExperimentSpec, Method)> {
+    let spec60 = opts.spec(50, 0.6);
+    let mut cells = vec![
+        (spec60.clone(), Method::IterMpmd),
+        (opts.spec(50, 0.7), Method::IterMpmd),
+    ];
+    for budget in budget_sweep() {
+        cells.push((spec60.clone(), Method::ActiveIter { budget }));
+        cells.push((spec60.clone(), Method::ActiveIterRand { budget }));
+    }
+    cells
+}
+
+/// The query strategies the `ablation_query` bin compares, in row order.
+pub const ABLATION_STRATEGIES: [StrategyKind; 4] = [
+    StrategyKind::Conflict,
+    StrategyKind::Random,
+    StrategyKind::Uncertainty,
+    StrategyKind::TopScore,
+];
+
+/// The query-strategy ablation's cells in the order the `ablation_query`
+/// bin runs and prints them: the Iter-MPMD (b = 0) reference, then each of
+/// [`ABLATION_STRATEGIES`] across [`budget_sweep`] (θ = 30, γ = 60%).
+pub fn query_ablation_cells(opts: &HarnessOpts) -> Vec<(ExperimentSpec, Method)> {
+    let spec = opts.spec(30, 0.6);
+    let mut cells = vec![(spec.clone(), Method::IterMpmd)];
+    for strategy in ABLATION_STRATEGIES {
+        for budget in budget_sweep() {
+            cells.push((spec.clone(), Method::ActiveIterWith { budget, strategy }));
+        }
+    }
+    cells
+}
+
+/// Runs `cells` on `world` in order, one result per cell.
+pub fn run_cells(world: &GeneratedWorld, cells: &[(ExperimentSpec, Method)]) -> Vec<CellResult> {
+    cells
+        .iter()
+        .map(|(spec, method)| run_experiment(world, spec, *method))
+        .collect()
 }
 
 /// The paper's θ sweep (Tables III, Fig. 4): 5..=50 step 5.

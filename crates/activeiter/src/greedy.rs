@@ -9,10 +9,24 @@
 //! (WSDM'17)**, which scans links by descending score and accepts any link
 //! whose two endpoints are still free — a ½-approximation of the optimum
 //! (property-tested here against an exact matcher).
+//!
+//! **Cost.** One call over `n` candidates is `O(n + L + R)` for the dense
+//! fixed and endpoint-used tables, where `L` and `R` bound the left and
+//! right endpoint ids (at most the two networks' user counts), plus
+//! `O(m log m)` to sort the `m` free links above the threshold. The
+//! driver calls it once per inner iteration.
 
 use crate::ord::cmp_scores_desc;
 use hetnet::UserId;
 use std::collections::{HashMap, HashSet};
+
+/// Lengths of the left and right user-id tables that index every endpoint
+/// of `candidates`: one past the largest id on each side.
+pub(crate) fn endpoint_table_lens(candidates: &[(UserId, UserId)]) -> (usize, usize) {
+    candidates.iter().fold((0, 0), |(nl, nr), &(l, r)| {
+        (nl.max(l.index() + 1), nr.max(r.index() + 1))
+    })
+}
 
 /// Result of a greedy selection round.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,15 +56,18 @@ pub fn greedy_select(
 ) -> Selection {
     assert_eq!(scores.len(), candidates.len(), "score per candidate");
     let mut labels = vec![0.0; candidates.len()];
-    let mut left_used: HashSet<u32> = HashSet::new();
-    let mut right_used: HashSet<u32> = HashSet::new();
-    let fixed_neg: HashSet<usize> = fixed_neg.iter().copied().collect();
-    let mut fixed: HashSet<usize> = fixed_neg.clone();
+    let (n_left, n_right) = endpoint_table_lens(candidates);
+    let mut left_used = vec![false; n_left];
+    let mut right_used = vec![false; n_right];
+    let mut fixed = vec![false; candidates.len()];
+    for &i in fixed_neg {
+        fixed[i] = true;
+    }
     for &i in fixed_pos {
         labels[i] = 1.0;
-        left_used.insert(candidates[i].0 .0);
-        right_used.insert(candidates[i].1 .0);
-        fixed.insert(i);
+        left_used[candidates[i].0.index()] = true;
+        right_used[candidates[i].1.index()] = true;
+        fixed[i] = true;
     }
 
     // Free links above threshold, by descending score with NaN last (as
@@ -58,17 +75,17 @@ pub fn greedy_select(
     // must not poison the order or panic a sweep); ties break by index for
     // determinism.
     let mut order: Vec<usize> = (0..candidates.len())
-        .filter(|i| !fixed.contains(i) && scores[*i] > threshold)
+        .filter(|&i| !fixed[i] && scores[i] > threshold)
         .collect();
-    order.sort_by(|&a, &b| cmp_scores_desc(scores[a], scores[b]).then(a.cmp(&b)));
+    order.sort_unstable_by(|&a, &b| cmp_scores_desc(scores[a], scores[b]).then(a.cmp(&b)));
 
     let mut weight = 0.0;
     for i in order {
-        let (l, r) = candidates[i];
-        if !left_used.contains(&l.0) && !right_used.contains(&r.0) {
+        let (l, r) = (candidates[i].0.index(), candidates[i].1.index());
+        if !left_used[l] && !right_used[r] {
             labels[i] = 1.0;
-            left_used.insert(l.0);
-            right_used.insert(r.0);
+            left_used[l] = true;
+            right_used[r] = true;
             weight += 2.0 * scores[i] - 1.0;
         }
     }

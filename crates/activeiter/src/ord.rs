@@ -8,6 +8,7 @@
 //! (PR 4), and reintroduced twice more before `srclint` started gating
 //! it (`docs/LINTS.md`, `nan_unsafe_comparator`). These comparators are
 //! total: every real score outranks NaN, and NaNs tie among themselves.
+//! `top_k_by` ranks only the prefix a query batch needs.
 
 use std::cmp::Ordering;
 
@@ -33,6 +34,23 @@ pub(crate) fn cmp_scores_asc(a: f64, b: f64) -> Ordering {
     }
 }
 
+/// Keeps the first `k` elements of `v` in `cmp` order and drops the rest:
+/// the same as `v.sort_by(cmp); v.truncate(k)` when `cmp` is a total order
+/// with no ties between distinct elements (score, then index), but
+/// `O(n + k log k)` — a selection pass moves the top `k` to the front and
+/// only that prefix is sorted.
+pub(crate) fn top_k_by<T>(v: &mut Vec<T>, k: usize, mut cmp: impl FnMut(&T, &T) -> Ordering) {
+    if k == 0 {
+        v.clear();
+        return;
+    }
+    if k < v.len() {
+        v.select_nth_unstable_by(k - 1, &mut cmp);
+        v.truncate(k);
+    }
+    v.sort_unstable_by(cmp);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -51,6 +69,19 @@ mod tests {
         v.sort_by(|a, b| cmp_scores_asc(*a, *b));
         assert_eq!(v[..3], [0.2, 0.5, 0.9]);
         assert!(v[3].is_nan());
+    }
+
+    #[test]
+    fn top_k_is_the_prefix_of_the_full_sort() {
+        let scores = [0.2, f64::NAN, 0.9, 0.2, f64::INFINITY, 0.5, f64::NAN];
+        let cmp = |a: &usize, b: &usize| cmp_scores_desc(scores[*a], scores[*b]).then(a.cmp(b));
+        let mut full: Vec<usize> = (0..scores.len()).collect();
+        full.sort_by(cmp);
+        for k in 0..=scores.len() + 1 {
+            let mut top: Vec<usize> = (0..scores.len()).collect();
+            top_k_by(&mut top, k, cmp);
+            assert_eq!(top, full[..k.min(full.len())], "k = {k}");
+        }
     }
 
     #[test]

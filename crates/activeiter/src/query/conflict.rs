@@ -24,10 +24,17 @@
 //! (one-sided near-ties), (3) the highest-scored remaining negatives — all
 //! still "likely false negatives" in the paper's sense. The strict,
 //! no-fallback variant is kept for the query-strategy ablation.
+//!
+//! **Cost.** One call over `n` candidates is `O(n)` to fill the dense
+//! per-endpoint positive tables (sized by the largest endpoint ids, as in
+//! [`crate::greedy`]) and sort every candidate into its tier, plus
+//! `O(k log k)` to rank the batch of `k`: each tier keeps only the top
+//! entries the batch still needs ([`crate::ord::top_k_by`]). The tiers are
+//! disjoint, so the batch needs no duplicate check.
 
 use super::{QueryContext, QueryStrategy};
-use crate::ord::cmp_scores_desc;
-use std::collections::{HashMap, HashSet};
+use crate::greedy::endpoint_table_lens;
+use crate::ord::{cmp_scores_desc, top_k_by};
 
 /// The paper's query strategy (with tiered fallback by default).
 #[derive(Debug, Clone)]
@@ -63,13 +70,14 @@ impl ConflictQuery {
 impl QueryStrategy for ConflictQuery {
     fn select(&mut self, ctx: &QueryContext<'_>) -> Vec<usize> {
         // Positive link at each endpoint (one-to-one ⇒ at most one each).
-        let mut left_pos: HashMap<u32, usize> = HashMap::new();
-        let mut right_pos: HashMap<u32, usize> = HashMap::new();
+        let (n_left, n_right) = endpoint_table_lens(ctx.candidates);
+        let mut left_pos: Vec<Option<usize>> = vec![None; n_left];
+        let mut right_pos: Vec<Option<usize>> = vec![None; n_right];
         for (i, &lab) in ctx.labels.iter().enumerate() {
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
             if lab == 1.0 {
-                left_pos.insert(ctx.candidates[i].0 .0, i);
-                right_pos.insert(ctx.candidates[i].1 .0, i);
+                left_pos[ctx.candidates[i].0.index()] = Some(i);
+                right_pos[ctx.candidates[i].1.index()] = Some(i);
             }
         }
         // The paper's constants assume positive scores ≈ 1; multiply by the
@@ -91,8 +99,8 @@ impl QueryStrategy for ConflictQuery {
             }
             let (l, r) = ctx.candidates[i];
             let yi = ctx.scores[i];
-            let cl = left_pos.get(&l.0).copied();
-            let cr = right_pos.get(&r.0).copied();
+            let cl = left_pos[l.index()];
+            let cr = right_pos[r.index()];
 
             let mut best_gain: Option<f64> = None;
             if let (Some(cl), Some(cr)) = (cl, cr) {
@@ -121,29 +129,17 @@ impl QueryStrategy for ConflictQuery {
             }
         }
 
-        let by_value_desc = |v: &mut Vec<(usize, f64)>| {
-            v.sort_by(|a, b| cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0)));
-        };
-        by_value_desc(&mut tier1);
-        by_value_desc(&mut tier2);
-        by_value_desc(&mut tier3);
-
-        let mut out: Vec<usize> = Vec::with_capacity(ctx.batch);
-        let mut seen: HashSet<usize> = HashSet::new();
-        let tiers: &[Vec<(usize, f64)>] = if self.fallback {
-            &[tier1, tier2, tier3]
+        let tiers = if self.fallback {
+            vec![tier1, tier2, tier3]
         } else {
-            &[tier1]
+            vec![tier1]
         };
-        for tier in tiers {
-            for &(i, _) in tier {
-                if out.len() == ctx.batch {
-                    return out;
-                }
-                if seen.insert(i) {
-                    out.push(i);
-                }
-            }
+        let mut out: Vec<usize> = Vec::with_capacity(ctx.batch);
+        for mut tier in tiers {
+            top_k_by(&mut tier, ctx.batch - out.len(), |a, b| {
+                cmp_scores_desc(a.1, b.1).then(a.0.cmp(&b.0))
+            });
+            out.extend(tier.into_iter().map(|(i, _)| i));
         }
         out
     }

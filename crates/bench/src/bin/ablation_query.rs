@@ -23,7 +23,10 @@ fn main() {
     }
     println!();
     let results = bench::run_cells(&world, &bench::query_ablation_cells(&opts));
-    println!("{:<14} {:>8.3} (b = 0 reference)", "none", results[0].f1.mean);
+    println!(
+        "{:<14} {:>8.3} (b = 0 reference)",
+        "none", results[0].f1.mean
+    );
     for (strategy, row) in bench::ABLATION_STRATEGIES
         .iter()
         .zip(results[1..].chunks(budgets.len()))

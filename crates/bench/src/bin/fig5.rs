@@ -33,7 +33,10 @@ fn main() {
         "{:>8} {:>14} {:>14} {:>14} {:>14}",
         "budget", "ActiveIter F1", "Rand F1", "ActiveIter P", "ActiveIter R"
     );
-    for (budget, pair) in bench::budget_sweep().into_iter().zip(results[2..].chunks(2)) {
+    for (budget, pair) in bench::budget_sweep()
+        .into_iter()
+        .zip(results[2..].chunks(2))
+    {
         let (act, rnd) = (&pair[0], &pair[1]);
         println!(
             "{:>8} {:>14.4} {:>14.4} {:>14.4} {:>14.4}",

@@ -10,16 +10,16 @@
 //! strategy at every budget.
 //!
 //! `f1_golden.txt` holds one line per cell: table (or bin), column, method
-//! and the F1 bits in hex. The cells of one table share one world, so every cell
-//! after the first counts over networks an earlier cell already counted.
-//! A change to the golden file is a deliberate edit, logged in CHANGES.md
+//! and the F1 bits in hex. All cells share one world, so every cell after
+//! the first counts over networks an earlier cell already counted. A
+//! change to the golden file is a deliberate edit, logged in CHANGES.md
 //! with its cause; on a mismatch the assertion prints the current values.
 
 use bench::{fig5_cells, query_ablation_cells, run_cells, HarnessOpts, Scale, TableSweep};
 use std::fmt::Write;
 
-/// Every table cell's F1 bits, one golden line each, with `threads` as the
-/// harness thread budget.
+/// Every table and sweep cell's F1 bits, one golden line each, with
+/// `threads` as the harness thread budget.
 fn f1_bits(threads: usize) -> String {
     let opts = HarnessOpts {
         scale: Scale::Tiny,

@@ -181,20 +181,18 @@ impl PartitionMap {
         let mut labels: Vec<usize> = (0..n).collect();
         let mut order: Vec<usize> = (0..n).collect();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut neighbor_labels: Vec<usize> = Vec::new();
+        let mut vote = Vote::new(n);
         for _ in 0..cfg.max_rounds {
             order.shuffle(&mut rng);
             let mut changed = false;
             for &u in &order {
-                neighbor_labels.clear();
                 let uid = UserId::from_index(u);
-                neighbor_labels.extend(net.followees(uid).map(|v| labels[v.index()]));
-                neighbor_labels.extend(net.followers(uid).map(|v| labels[v.index()]));
-                if neighbor_labels.is_empty() {
-                    continue;
+                for v in net.followees(uid).chain(net.followers(uid)) {
+                    vote.add(labels[v.index()]);
                 }
-                neighbor_labels.sort_unstable();
-                let best = majority_label(&neighbor_labels);
+                let Some(best) = vote.take_majority() else {
+                    continue;
+                };
                 if best != labels[u] {
                     labels[u] = best;
                     changed = true;
@@ -212,57 +210,41 @@ impl PartitionMap {
     /// members joins the majority *surviving* community among its follow
     /// neighbors, falling back to the largest surviving community. When
     /// no community survives the threshold the whole network collapses to
-    /// one partition.
+    /// one partition. Labels are user indices, so every table here is
+    /// dense over `0..labels.len()`.
     fn merge_undersized(labels: &mut [usize], net: &HetNet, min_size: usize) {
         let n = labels.len();
-        let mut sizes = std::collections::HashMap::new();
+        let mut sizes = vec![0usize; n];
         for &l in labels.iter() {
-            *sizes.entry(l).or_insert(0usize) += 1;
+            sizes[l] += 1;
         }
-        let mut survivors: Vec<usize> = sizes
-            .iter()
-            .filter(|(_, &s)| s >= min_size)
-            .map(|(&l, _)| l)
-            .collect();
-        survivors.sort_unstable();
-        if survivors.is_empty() {
-            labels.iter_mut().for_each(|l| *l = 0);
+        let survives = |l: usize| sizes[l] >= min_size;
+        if (0..n).all(|l| sizes[l] == 0 || survives(l)) {
             return;
         }
-        if survivors.len() == sizes.len() {
-            return;
-        }
-        let survives = |l: usize| sizes.get(&l).is_some_and(|&s| s >= min_size);
         // Largest survivor (ties → smallest label) is the fallback home
         // for users with no surviving neighbor.
-        let fallback = *survivors
-            .iter()
-            .max_by_key(|&&l| (sizes[&l], std::cmp::Reverse(l)))
-            .expect("survivors is non-empty");
+        let Some(fallback) = (0..n)
+            .filter(|&l| survives(l))
+            .min_by_key(|&l| (std::cmp::Reverse(sizes[l]), l))
+        else {
+            labels.fill(0);
+            return;
+        };
         let snapshot: Vec<usize> = labels.to_vec();
-        let mut neighbor_labels: Vec<usize> = Vec::new();
+        let mut vote = Vote::new(n);
         for u in 0..n {
             if survives(snapshot[u]) {
                 continue;
             }
             let uid = UserId::from_index(u);
-            neighbor_labels.clear();
-            neighbor_labels.extend(
-                net.followees(uid)
-                    .map(|v| snapshot[v.index()])
-                    .filter(|&l| survives(l)),
-            );
-            neighbor_labels.extend(
-                net.followers(uid)
-                    .map(|v| snapshot[v.index()])
-                    .filter(|&l| survives(l)),
-            );
-            labels[u] = if neighbor_labels.is_empty() {
-                fallback
-            } else {
-                neighbor_labels.sort_unstable();
-                majority_label(&neighbor_labels)
-            };
+            for v in net.followees(uid).chain(net.followers(uid)) {
+                let l = snapshot[v.index()];
+                if survives(l) {
+                    vote.add(l);
+                }
+            }
+            labels[u] = vote.take_majority().unwrap_or(fallback);
         }
     }
 
@@ -345,26 +327,42 @@ impl PartitionMap {
     }
 }
 
-/// Label with the highest count in an ascending-sorted slice; ties break
-/// to the smallest label (the first maximal run wins).
-fn majority_label(sorted: &[usize]) -> usize {
-    debug_assert!(!sorted.is_empty());
-    let mut best = sorted[0];
-    let mut best_n = 0usize;
-    let mut i = 0;
-    while i < sorted.len() {
-        let l = sorted[i];
-        let mut j = i;
-        while j < sorted.len() && sorted[j] == l {
-            j += 1;
+/// A majority vote over labels in `0..n`, counted in a dense per-label
+/// table; the touched list resets it in time proportional to the votes.
+struct Vote {
+    count: Vec<u32>,
+    touched: Vec<usize>,
+}
+
+impl Vote {
+    fn new(n_labels: usize) -> Self {
+        Vote {
+            count: vec![0; n_labels],
+            touched: Vec::new(),
         }
-        if j - i > best_n {
-            best = l;
-            best_n = j - i;
-        }
-        i = j;
     }
-    best
+
+    fn add(&mut self, label: usize) {
+        if self.count[label] == 0 {
+            self.touched.push(label);
+        }
+        self.count[label] += 1;
+    }
+
+    /// The label with the most votes, ties to the smallest label; `None`
+    /// when no vote was cast. Clears the tally for the next vote.
+    fn take_majority(&mut self) -> Option<usize> {
+        let mut best: Option<(u32, usize)> = None;
+        for &l in &self.touched {
+            let c = self.count[l];
+            if best.is_none_or(|(bc, bl)| c > bc || (c == bc && l < bl)) {
+                best = Some((c, l));
+            }
+            self.count[l] = 0;
+        }
+        self.touched.clear();
+        best.map(|(_, l)| l)
+    }
 }
 
 // --- WL-style structural signatures -----------------------------------

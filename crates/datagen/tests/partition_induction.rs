@@ -11,7 +11,7 @@ fn trivial_induction_is_bit_identical_on_generated_worlds() {
     let w = datagen::generate(&datagen::presets::tiny(17));
     for net in [w.left(), w.right()] {
         let members: Vec<UserId> = (0..net.n_users()).map(UserId::from_index).collect();
-        let sub = induce_subnet(net, &members);
+        let sub = induce_subnet(net, &members).unwrap();
         for kind in LinkKind::ALL {
             assert_eq!(
                 sub.net.adjacency(kind, Direction::Forward),

@@ -13,9 +13,8 @@ use datagen::GeneratedWorld;
 use hetnet::AnchorLink;
 use metadiagram::Threading;
 use serde::{Deserialize, Serialize};
-use session::workers::run_ordered;
 use session::SessionBuilder;
-use sparsela::DenseMatrix;
+use sparsela::{map_claimed, DenseMatrix};
 use std::collections::HashSet;
 use std::time::Duration;
 
@@ -240,7 +239,23 @@ fn run_fold_threaded(
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
             let preds = result.labels.iter().map(|&l| l == 1.0).collect();
             (preds, result.scores, None)
-        } else if method.is_svm() {
+        } else if let Some(kind) = method.strategy() {
+            let oracle = VecOracle::new(ls.truth.clone());
+            let config = ModelConfig {
+                budget: method.budget(),
+                seed: spec.seed ^ (fold as u64) << 8,
+                ..Default::default()
+            };
+            let mut strat = strategy_for(kind, &config);
+            let report = session
+                .fit(train_pos.clone(), &oracle, &config, strat.as_mut())
+                .into_report();
+            // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
+            let preds = report.labels.iter().map(|&l| l == 1.0).collect();
+            let scores = report.scores.clone();
+            (preds, scores, Some(report))
+        } else {
+            // The SVM baselines: the only methods left without a strategy.
             let x = &session.features().x;
             let train_idx: Vec<usize> = train_pos.iter().chain(train_neg.iter()).copied().collect();
             let x_train = with_bias(&gather_rows(x, &train_idx));
@@ -256,33 +271,6 @@ fn run_fold_threaded(
             let decisions = svm.decision(&with_bias(x));
             let preds = decisions.iter().map(|&v| v > 0.0).collect();
             (preds, decisions, None)
-        } else {
-            let oracle = VecOracle::new(ls.truth.clone());
-            let config = ModelConfig {
-                budget: method.budget(),
-                seed: spec.seed ^ (fold as u64) << 8,
-                ..Default::default()
-            };
-            // Iter-MPMD is the zero-budget special case: the strategy is
-            // never consulted.
-            let kind = match method {
-                Method::IterMpmd | Method::IterMpmdFeatures { .. } | Method::ActiveIter { .. } => {
-                    StrategyKind::Conflict
-                }
-                Method::ActiveIterRand { .. } => StrategyKind::Random,
-                Method::ActiveIterWith { strategy, .. } => strategy,
-                Method::SvmMpmd | Method::SvmMp | Method::Unsupervised => {
-                    unreachable!("handled in the dedicated branches")
-                }
-            };
-            let mut strat = strategy_for(kind, &config);
-            let report = session
-                .fit(train_pos.clone(), &oracle, &config, strat.as_mut())
-                .into_report();
-            // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
-            let preds = report.labels.iter().map(|&l| l == 1.0).collect();
-            let scores = report.scores.clone();
-            (preds, scores, Some(report))
         };
     let fit_time = start.elapsed();
 
@@ -314,9 +302,9 @@ fn run_fold_threaded(
 /// `spec.rotations` times on a bounded worker pool, and aggregates.
 ///
 /// The `spec.threads` budget (0 = auto) is shared between the two layers of
-/// parallelism: fold rotations run through
-/// [`session::workers::run_ordered`] on at most that many workers — never
-/// one unbounded OS thread per rotation — and come back in fold order;
+/// parallelism: fold rotations run through [`sparsela::map_claimed`] on
+/// at most that many workers — never one unbounded OS thread per
+/// rotation — and come back in fold order;
 /// whatever budget the fold layer leaves unused flows into each fold's
 /// parallel feature extraction.
 pub fn run_experiment(world: &GeneratedWorld, spec: &ExperimentSpec, method: Method) -> CellResult {
@@ -326,13 +314,9 @@ pub fn run_experiment(world: &GeneratedWorld, spec: &ExperimentSpec, method: Met
     let fold_workers = budget.min(n_rot).max(1);
     let extract_threads = (budget / fold_workers).max(1);
 
-    let mut metrics: Vec<Metrics> = Vec::with_capacity(n_rot);
-    run_ordered(
-        n_rot,
-        fold_workers,
-        |fold| run_fold_threaded(world, &ls, spec, method, fold, extract_threads).metrics,
-        |m| metrics.push(m),
-    );
+    let metrics = map_claimed(n_rot, fold_workers, |fold| {
+        run_fold_threaded(world, &ls, spec, method, fold, extract_threads).metrics
+    });
     CellResult::from_folds(&metrics)
 }
 

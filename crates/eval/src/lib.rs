@@ -33,8 +33,8 @@ pub use experiment::{
 pub use methods::Method;
 pub use metrics::{summarize, Confusion, MetricSummary, Metrics};
 pub use multi::{
-    align_all_pairs, consistency_report, for_each_pair_alignment, resolve_by_score,
-    stitched_to_alignment, MultiAlignment, MultiSpec, MultiSpecError, PairAlignment,
+    align_all_pairs, consistency_report, resolve_by_score, stitched_to_alignment, MultiAlignment,
+    MultiSpec, MultiSpecError,
 };
 pub use ranking::{ranking_report, RankingReport};
 pub use report::Table;

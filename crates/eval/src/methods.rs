@@ -127,6 +127,20 @@ impl Method {
         }
     }
 
+    /// The query strategy of the ActiveIter family (Iter-MPMD is its
+    /// zero-budget special case: the strategy is never consulted); `None`
+    /// for the SVM and unsupervised baselines, which fit no active loop.
+    pub fn strategy(&self) -> Option<StrategyKind> {
+        match self {
+            Method::IterMpmd | Method::IterMpmdFeatures { .. } | Method::ActiveIter { .. } => {
+                Some(StrategyKind::Conflict)
+            }
+            Method::ActiveIterRand { .. } => Some(StrategyKind::Random),
+            Method::ActiveIterWith { strategy, .. } => Some(*strategy),
+            Method::SvmMpmd | Method::SvmMp | Method::Unsupervised => None,
+        }
+    }
+
     /// True for the supervised SVM baselines (they train on labeled
     /// positives *and* labeled negatives; PU methods use positives only).
     pub fn is_svm(&self) -> bool {
@@ -188,6 +202,26 @@ mod tests {
         assert_eq!(Method::Unsupervised.name(), "Unsupervised");
         assert_eq!(Method::Unsupervised.budget(), 0);
         assert!(!Method::Unsupervised.is_svm());
+    }
+
+    #[test]
+    fn only_the_active_iter_family_has_a_strategy() {
+        for m in Method::paper_lineup() {
+            assert_eq!(m.strategy().is_none(), m.is_svm(), "{}", m.name());
+        }
+        assert_eq!(Method::Unsupervised.strategy(), None);
+        assert_eq!(
+            Method::ActiveIterRand { budget: 5 }.strategy(),
+            Some(StrategyKind::Random)
+        );
+        assert_eq!(
+            Method::ActiveIterWith {
+                budget: 5,
+                strategy: StrategyKind::TopScore
+            }
+            .strategy(),
+            Some(StrategyKind::TopScore)
+        );
     }
 
     #[test]

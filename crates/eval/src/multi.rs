@@ -4,6 +4,10 @@
 //! consistency** — if account `a` (net *i*) aligns to `b` (net *j*) and `b`
 //! aligns to `c` (net *k*), then `a` must align to `c`.
 //!
+//! The pairs are independent jobs: [`align_all_pairs`] fans them out one
+//! per claimed index over [`sparsela::map_claimed`] and collects their
+//! links in pair order.
+//!
 //! Pairwise predictors are oblivious to each other, so triangle violations
 //! are expected; [`consistency_report`] quantifies them and
 //! [`resolve_by_score`] repairs the collection greedily, keeping the
@@ -20,8 +24,8 @@ use metadiagram::Threading;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use session::workers::run_ordered;
 use session::SessionBuilder;
+use sparsela::map_claimed;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -98,8 +102,8 @@ impl fmt::Display for MultiSpecError {
 impl std::error::Error for MultiSpecError {}
 
 impl MultiSpec {
-    /// Checks the spec is runnable. Called by [`align_all_pairs`] /
-    /// [`for_each_pair_alignment`] before any work starts.
+    /// Checks the spec is runnable. Called by [`align_all_pairs`] before
+    /// any work starts.
     ///
     /// # Errors
     /// [`MultiSpecError::TrainFraction`] when `train_fraction` is NaN or
@@ -124,77 +128,38 @@ impl Default for MultiSpec {
     }
 }
 
-/// One network pair's predictions, as streamed by
-/// [`for_each_pair_alignment`].
-#[derive(Debug, Clone)]
-pub struct PairAlignment {
-    /// The network pair (a < b).
-    pub nets: (usize, usize),
-    /// Predicted-positive links with scores, in candidate order.
-    pub links: Vec<PairwiseLink>,
-}
-
-/// Runs the pairwise pipeline on every pair of the collection, **streaming**
-/// each pair's link set to `sink` in pair order instead of materializing the
-/// whole collection — with k networks the k·(k−1)/2 pairwise link sets never
-/// coexist in memory: at most `2 × workers` claimed-but-unemitted pairs
-/// exist at any moment (the claim window inside
-/// [`session::workers::run_ordered`] throttles the workers, so a straggling
-/// early pair cannot make the reorder buffer grow to k²).
-///
-/// The pairs are fully independent, so they are **sharded across the
-/// bounded worker pool** (`spec.threads`, 0 = auto): each worker claims the
-/// next unprocessed pair, runs the session pipeline (count → featurize →
-/// fit), and streams the result through the order-preserving consumer.
-/// Whatever budget the pair layer leaves unused flows into each pair's
-/// feature extraction. Results are bit-identical at any thread budget.
-///
-/// # Errors
-/// [`MultiSpecError`] when the spec is invalid ([`MultiSpec::validate`]);
-/// `sink` is never called in that case.
-pub fn for_each_pair_alignment(
-    world: &MultiWorld,
-    spec: &MultiSpec,
-    sink: impl FnMut(PairAlignment),
-) -> Result<(), MultiSpecError> {
-    spec.validate()?;
-    let pairs = world.pairs();
-    if pairs.is_empty() {
-        return Ok(());
-    }
-    let budget = effective_threads(spec.threads);
-    let pair_workers = budget.min(pairs.len()).max(1);
-    let extract_threads = (budget / pair_workers).max(1);
-    run_ordered(
-        pairs.len(),
-        pair_workers,
-        |i| {
-            let (a, b) = pairs[i];
-            align_pair(world, a, b, spec, extract_threads)
-        },
-        sink,
-    );
-    Ok(())
-}
-
 /// Runs the pairwise pipeline on every pair of the collection.
 ///
 /// For each pair, `train_fraction` of the ground-truth anchors (sampled by
 /// seed) become the labeled set; candidates are built as in the two-network
 /// protocol; ActiveIter predicts the rest. Predicted-positive links are
-/// collected with their scores.
+/// collected with their scores, grouped by pair in [`MultiWorld::pairs`]
+/// order.
 ///
-/// This collects everything [`for_each_pair_alignment`] streams — callers
-/// aligning large collections should prefer the streaming form.
+/// The pairs are fully independent, so they are **sharded across a
+/// bounded worker pool** (`spec.threads`, 0 = auto) through
+/// [`sparsela::map_claimed`]: each worker claims the next unprocessed
+/// pair and runs the session pipeline (count → featurize → fit) on it.
+/// Whatever budget the pair layer leaves unused flows into each pair's
+/// feature extraction. Results are bit-identical at any thread budget.
 ///
 /// # Errors
-/// [`MultiSpecError`] when the spec is invalid; no pair runs in that case.
+/// [`MultiSpecError`] when the spec is invalid ([`MultiSpec::validate`]);
+/// no pair runs in that case.
 pub fn align_all_pairs(
     world: &MultiWorld,
     spec: &MultiSpec,
 ) -> Result<MultiAlignment, MultiSpecError> {
-    let mut links = Vec::new();
-    for_each_pair_alignment(world, spec, |pair| links.extend(pair.links))?;
+    spec.validate()?;
+    let pairs = world.pairs();
+    let budget = effective_threads(spec.threads);
+    let pair_workers = budget.min(pairs.len()).max(1);
+    let extract_threads = (budget / pair_workers).max(1);
+    let links = map_claimed(pairs.len(), pair_workers, |i| {
+        let (a, b) = pairs[i];
+        align_pair(world, a, b, spec, extract_threads)
+    })
+    .concat();
     Ok(MultiAlignment { links })
 }
 
@@ -206,7 +171,7 @@ fn align_pair(
     b: usize,
     spec: &MultiSpec,
     extract_threads: usize,
-) -> PairAlignment {
+) -> Vec<PairwiseLink> {
     let truth = world.truth_between(a, b);
     let left = &world.nets[a];
     let right = &world.nets[b];
@@ -250,7 +215,7 @@ fn align_pair(
         .fit(labeled_pos, &oracle, &config, &mut strategy)
         .into_report();
 
-    let links = report
+    report
         .labels
         .iter()
         .enumerate()
@@ -263,11 +228,7 @@ fn align_pair(
             score: report.scores[i],
             correct: ls.truth[i],
         })
-        .collect();
-    PairAlignment {
-        nets: (a, b),
-        links,
-    }
+        .collect()
 }
 
 /// Builds the candidate link set for one pair of the collection.
@@ -476,9 +437,6 @@ mod tests {
             assert!(matches!(err, MultiSpecError::TrainFraction(_)));
             assert!(err.to_string().contains("train_fraction"));
             assert!(align_all_pairs(&world, &spec).is_err());
-            let mut called = false;
-            assert!(for_each_pair_alignment(&world, &spec, |_| called = true).is_err());
-            assert!(!called, "sink ran despite an invalid spec");
         }
     }
 
@@ -499,19 +457,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_emits_pairs_in_order_and_matches_the_collector() {
-        let world = datagen::generate_multi(&presets::tiny(7), 3);
-        let collected = align_all_pairs(&world, &spec()).unwrap();
-        let mut streamed: Vec<PairAlignment> = Vec::new();
-        for_each_pair_alignment(&world, &spec(), |pa| streamed.push(pa)).unwrap();
-        // Pairs arrive in world.pairs() order despite sharded execution.
-        let order: Vec<(usize, usize)> = streamed.iter().map(|p| p.nets).collect();
+    fn links_come_grouped_in_pair_order() {
+        // Pairs run sharded over the workers, yet their link sets come
+        // back whole and in world.pairs() order.
+        let (world, alignment) = aligned();
+        let mut order: Vec<(usize, usize)> = alignment.links.iter().map(|l| l.nets).collect();
+        order.dedup();
         assert_eq!(order, world.pairs());
-        let flat: Vec<PairwiseLink> = streamed.into_iter().flat_map(|p| p.links).collect();
-        assert_eq!(flat.len(), collected.links.len());
-        for (a, b) in flat.iter().zip(collected.links.iter()) {
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

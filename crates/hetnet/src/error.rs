@@ -32,6 +32,16 @@ pub enum HetNetError {
         /// User population of that side.
         count: usize,
     },
+    /// A partition map covers a different number of users than the
+    /// network it partitions.
+    PartitionSize {
+        /// `"left"` or `"right"`.
+        side: &'static str,
+        /// Users the map assigns.
+        map_users: usize,
+        /// Users in the network.
+        net_users: usize,
+    },
 }
 
 impl fmt::Display for HetNetError {
@@ -49,6 +59,14 @@ impl fmt::Display for HetNetError {
                     "anchor {side} endpoint {index} out of range (population {count})"
                 )
             }
+            HetNetError::PartitionSize {
+                side,
+                map_users,
+                net_users,
+            } => write!(
+                f,
+                "{side} partition map covers {map_users} users, its network has {net_users}"
+            ),
         }
     }
 }

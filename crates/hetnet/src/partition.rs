@@ -548,8 +548,9 @@ impl PartitionMatching {
 /// candidates.
 ///
 /// # Errors
-/// [`HetNetError::NodeOutOfRange`] when an anchor endpoint is outside its
-/// network's user range.
+/// [`HetNetError::PartitionSize`] when a map covers a different number of
+/// users than its network; [`HetNetError::NodeOutOfRange`] when an anchor
+/// endpoint is outside its network's user range.
 pub fn match_partitions(
     left_net: &HetNet,
     right_net: &HetNet,
@@ -558,6 +559,15 @@ pub fn match_partitions(
     anchors: &[AnchorLink],
     wl_rounds: usize,
 ) -> Result<PartitionMatching> {
+    for (side, net, map) in [("left", left_net, left), ("right", right_net, right)] {
+        if map.n_users() != net.n_users() {
+            return Err(HetNetError::PartitionSize {
+                side,
+                map_users: map.n_users(),
+                net_users: net.n_users(),
+            });
+        }
+    }
     let (kl, kr) = (left.n_partitions(), right.n_partitions());
     let mut votes = vec![0usize; kl * kr];
     for a in anchors {
@@ -681,24 +691,32 @@ impl SubNet {
     }
 }
 
-/// Materializes the sub-network induced by `members` (must be ascending,
-/// duplicate-free, and in range — the order [`PartitionMap`] hands out).
+/// Materializes the sub-network induced by `members` (must be ascending
+/// and duplicate-free — the order [`PartitionMap`] hands out).
 ///
 /// Posts are re-added in ascending member order, so a network whose posts
 /// were built author-grouped (every generated network) round-trips the
 /// trivial partition **bit-identically** — the property the
 /// sharded-vs-global equivalence tests rest on.
 ///
+/// # Errors
+/// [`HetNetError::NodeOutOfRange`] when a member indexes past the network
+/// (a partition map built for another network).
+///
 /// # Panics
-/// Panics when `members` is unsorted, has duplicates, or indexes past the
-/// network (programming errors; members come from a [`PartitionMap`]).
-pub fn induce_subnet(net: &HetNet, members: &[UserId]) -> SubNet {
+/// Panics when `members` is unsorted or has duplicates (a programming
+/// error; members come from a [`PartitionMap`]).
+pub fn induce_subnet(net: &HetNet, members: &[UserId]) -> Result<SubNet> {
     assert!(
         members.windows(2).all(|w| w[0] < w[1]),
         "members must be ascending and duplicate-free"
     );
-    if let Some(last) = members.last() {
-        assert!(last.index() < net.n_users(), "member out of range");
+    if let Some(last) = members.last().filter(|m| m.index() >= net.n_users()) {
+        return Err(HetNetError::NodeOutOfRange {
+            kind: NodeKind::User,
+            index: last.index(),
+            count: net.n_users(),
+        });
     }
     let mut local = vec![u32::MAX; net.n_users()];
     for (i, m) in members.iter().enumerate() {
@@ -716,32 +734,29 @@ pub fn induce_subnet(net: &HetNet, members: &[UserId]) -> SubNet {
         for v in net.followees(m) {
             let lv = local[v.index()];
             if lv != u32::MAX {
-                b.add_follow(u, UserId::from_index(lv as usize))
-                    .expect("compacted endpoints are in range");
+                b.add_follow(u, UserId::from_index(lv as usize))?;
             }
         }
     }
     for (i, &m) in members.iter().enumerate() {
         let u = UserId::from_index(i);
         for p in net.posts_of(m) {
-            let np = b.add_post(u).expect("author is in range");
+            let np = b.add_post(u)?;
             for t in net.timestamps_of(p) {
-                b.add_at(np, t).expect("attribute universes are full-size");
+                b.add_at(np, t)?;
             }
             for l in net.locations_of(p) {
-                b.add_checkin(np, l)
-                    .expect("attribute universes are full-size");
+                b.add_checkin(np, l)?;
             }
             for w in net.words_of(p) {
-                b.add_word(np, w)
-                    .expect("attribute universes are full-size");
+                b.add_word(np, w)?;
             }
         }
     }
-    SubNet {
+    Ok(SubNet {
         net: b.build(),
         global: members.to_vec(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -914,7 +929,7 @@ mod tests {
     fn induced_subnet_compacts_users_and_keeps_universes() {
         let net = two_cliques();
         let members: Vec<UserId> = (0..5).map(UserId::from_index).collect();
-        let sub = induce_subnet(&net, &members);
+        let sub = induce_subnet(&net, &members).unwrap();
         assert_eq!(sub.net.n_users(), 5);
         // The bridge edge 4→5 is dropped; the clique's 20 edges survive.
         assert_eq!(sub.net.link_count(LinkKind::Follow), 20);
@@ -942,7 +957,7 @@ mod tests {
         }
         let net = b.build();
         let members: Vec<UserId> = (0..net.n_users()).map(UserId::from_index).collect();
-        let sub = induce_subnet(&net, &members);
+        let sub = induce_subnet(&net, &members).unwrap();
         for kind in LinkKind::ALL {
             assert_eq!(
                 sub.net.adjacency(kind, Direction::Forward),
@@ -956,6 +971,19 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn induce_rejects_unsorted_members() {
         let net = two_cliques();
-        induce_subnet(&net, &[UserId(3), UserId(1)]);
+        let _ = induce_subnet(&net, &[UserId(3), UserId(1)]);
+    }
+
+    #[test]
+    fn induce_refuses_a_member_past_the_network() {
+        let net = two_cliques();
+        assert!(matches!(
+            induce_subnet(&net, &[UserId(3), UserId(10)]),
+            Err(HetNetError::NodeOutOfRange {
+                index: 10,
+                count: 10,
+                ..
+            })
+        ));
     }
 }

@@ -52,12 +52,11 @@ use crate::count::{self, EngineError, SocialSteps};
 use crate::diagram::Diagram;
 use hetnet::{AnchorLink, HetNet};
 use sparsela::{
-    fan_out, fused_rows, spgemm, spgemm_lowrank, CooMatrix, CsrMatrix, MarginSums, RowStep,
+    fused_rows, map_claimed, spgemm, spgemm_lowrank, CooMatrix, CsrMatrix, MarginSums, RowStep,
     SparseError, Threading,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Errors raised when applying an anchor update.
@@ -275,32 +274,6 @@ fn plan_node(
     parts.push(node_parts);
     index.insert(diagram.clone(), i);
     i
-}
-
-/// Runs `f` on every node index below `n` on `threading`'s workers and
-/// returns the results in index order. Each worker claims the next node
-/// from the last one back: a catalog plans its cheap single paths first
-/// and its costlier pairs after them, so the costliest are claimed first
-/// and the cheap ones fill in.
-fn per_node<T: Send>(n: usize, threading: Threading, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let next = AtomicUsize::new(0);
-    let workers = threading.resolve().min(n).max(1);
-    let mut out: Vec<(usize, T)> = fan_out((0..workers).map(|w| w..w + 1).collect(), |_| {
-        let mut mine = Vec::new();
-        loop {
-            // A claim counter: it publishes no other data.
-            let claim = next.fetch_add(1, Ordering::Relaxed);
-            let Some(i) = n.checked_sub(claim + 1) else {
-                return mine;
-            };
-            mine.push((i, f(i)));
-        }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    out.sort_unstable_by_key(|&(i, _)| i);
-    out.into_iter().map(|(_, t)| t).collect()
 }
 
 /// Where one node's rows come from in a count pass.
@@ -590,10 +563,16 @@ impl DeltaCatalogCounts {
         let known = leaves.known(&order);
         // The social steps' Hadamards are dropped before the pass.
         let social = SocialSteps::new(left, right);
-        let prepared = per_node(order.len(), threading, |i| {
+        // A catalog plans its cheap single paths first and its costlier
+        // pairs after them, so the nodes are claimed from the last one
+        // back: the costliest first, the cheap ones filling in.
+        let n = order.len();
+        let prepared = map_claimed(n, threading.resolve(), |k| {
+            let i = n - 1 - k;
             Prepared::of(&social, &anchor, &order[i], &parts[i], known[i].clone())
         })
         .into_iter()
+        .rev()
         .collect::<Result<Vec<_>, _>>()?;
         drop(social);
         let steps = row_steps(prepared.iter().map(Prepared::source));
@@ -938,11 +917,16 @@ impl DeltaCatalogCounts {
     /// the counts are replaced only after the whole pass has succeeded.
     fn recount(&mut self) -> Result<Vec<ChangedCount>, DeltaError> {
         let anchor = &self.anchor;
-        let anchored = per_node(self.nodes.len(), self.threading, |i| match &self.nodes[i] {
-            Node::AnchorChain(chain, _) => chain.anchored(anchor).map(Some),
-            _ => Ok(None),
+        // Claimed from the last node back, costliest first, as in `build`.
+        let n = self.nodes.len();
+        let anchored = map_claimed(n, self.threading.resolve(), |k| {
+            match &self.nodes[n - 1 - k] {
+                Node::AnchorChain(chain, _) => chain.anchored(anchor).map(Some),
+                _ => Ok(None),
+            }
         })
         .into_iter()
+        .rev()
         .collect::<Result<Vec<_>, _>>()?;
         let steps =
             row_steps(

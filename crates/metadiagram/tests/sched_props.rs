@@ -13,12 +13,17 @@
 //! bit-equal to a cold serial build: at any block count, over a memo an
 //! earlier build of another catalog slice filled only in part, and with
 //! several threads building one pair at once.
+//!
+//! The two fan-outs those builds run on are pinned here too:
+//! `sparsela::fan_out` (one range per worker) and `sparsela::map_claimed`
+//! (one claimed index at a time, results in index order).
 
 use hetnet::aligned::anchor_matrix;
 use hetnet::{AnchorLink, HetNet, HetNetBuilder, LocationId, TimestampId, UserId};
 use metadiagram::{Catalog, DeltaCatalogCounts, FeatureSet, Threading};
-use sparsela::{fan_out, CsrMatrix, MarginSums};
-use std::sync::Barrier;
+use sparsela::{fan_out, map_claimed, CsrMatrix, MarginSums};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
 
 fn world() -> datagen::GeneratedWorld {
     let mut cfg = datagen::presets::tiny(41);
@@ -262,4 +267,64 @@ fn a_panic_in_the_callers_block_reaches_the_caller() {
         assert_ne!(r.start, 0, "block 0 failed");
         r.start
     });
+}
+
+#[test]
+fn results_arrive_in_order_at_any_worker_count() {
+    for workers in [0, 1, 2, 3, 8, 64] {
+        let got = map_claimed(20, workers, |i| i * i);
+        let want: Vec<usize> = (0..20).map(|i| i * i).collect();
+        assert_eq!(got, want, "workers = {workers}");
+    }
+}
+
+#[test]
+fn zero_items_is_a_noop() {
+    let called = AtomicUsize::new(0);
+    let got = map_claimed(0, 4, |i| {
+        called.fetch_add(1, Ordering::SeqCst);
+        i
+    });
+    assert!(got.is_empty());
+    assert_eq!(called.load(Ordering::SeqCst), 0);
+}
+
+#[test]
+fn every_job_runs_exactly_once() {
+    let counters: Vec<AtomicUsize> = (0..50).map(|_| AtomicUsize::new(0)).collect();
+    map_claimed(50, 4, |i| counters[i].fetch_add(1, Ordering::SeqCst));
+    for (i, c) in counters.iter().enumerate() {
+        assert_eq!(c.load(Ordering::SeqCst), 1, "job {i}");
+    }
+}
+
+#[test]
+fn one_worker_runs_every_index_inline_in_ascending_order() {
+    // A serial batch's side effects (a pool's journal appends) happen in
+    // index order, on the caller's thread.
+    let caller = std::thread::current().id();
+    let seen = Mutex::new(Vec::new());
+    map_claimed(10, 1, |i| {
+        assert_eq!(
+            std::thread::current().id(),
+            caller,
+            "index {i} left the caller"
+        );
+        seen.lock().unwrap().push(i);
+    });
+    assert_eq!(seen.into_inner().unwrap(), (0..10).collect::<Vec<_>>());
+}
+
+#[test]
+fn panicking_worker_propagates_instead_of_hanging() {
+    // A job that panics on a spawned worker must reach the caller once
+    // its siblings drain the remaining jobs; a hang here would stall the
+    // suite, which is the failure mode this pins.
+    let result = std::panic::catch_unwind(|| {
+        map_claimed(30, 3, |i| {
+            assert_ne!(i, 5, "job 5 exploded");
+            i
+        })
+    });
+    assert!(result.is_err(), "worker panic must propagate");
 }

@@ -51,9 +51,7 @@
 //!   (format spec: `docs/SNAPSHOT_FORMAT.md`);
 //! * [`pool`] serves many concurrent sessions in one process — slots
 //!   opened from snapshots, per-slot staged state, batch updates fanned
-//!   out over a bounded worker budget;
-//! * [`workers`] is the panic-safe, order-preserving fan-out primitive
-//!   the pool (and `eval::multi`) shard with;
+//!   out over a bounded worker budget ([`sparsela::map_claimed`]);
 //! * [`serve`] puts pools behind process boundaries — a coordinator
 //!   shards slots across N worker processes over a framed pipe
 //!   protocol, with write-ahead journaling, deadlines, and
@@ -108,7 +106,6 @@ pub mod serve;
 pub mod sharded;
 pub mod snapshot;
 mod stages;
-pub mod workers;
 
 pub use active::{ActiveRunReport, RoundStat};
 pub use journal::{CompactionPolicy, Journal, JournalError};

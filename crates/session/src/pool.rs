@@ -17,10 +17,12 @@
 //!   `Featurized`) behind its own lock, so independent sessions never
 //!   contend and a batch touching one session many times serializes
 //!   correctly;
-//! * batch updates ([`SessionPool::update_many`]) fan out over the
-//!   bounded, panic-safe, order-preserving worker runner
-//!   ([`crate::workers::run_ordered`]) — the same pattern `eval::multi`
-//!   shards pairwise evaluation with — returning results in job order.
+//! * batch operations ([`SessionPool::open_many`],
+//!   [`SessionPool::update_many`]) fan out over
+//!   [`sparsela::map_claimed`], the library's one claimed-index fan-out,
+//!   and return results in job order. At one worker the jobs run inline
+//!   in job order, so a serial batch appends to the journals in job order
+//!   too.
 //!
 //! ## One persistence verb
 //!
@@ -98,10 +100,10 @@
 use crate::journal::{self, CompactionPolicy, Journal, JournalError};
 use crate::snapshot;
 use crate::stages::{AlignmentSession, Counted, Featurized};
-use crate::workers::run_ordered;
 use crate::{AnchorEdge, SessionError};
 use hetnet::UserId;
 use metadiagram::DeltaStats;
+use sparsela::map_claimed;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -311,7 +313,7 @@ impl Compactor {
             stall_ms: AtomicU64::new(0),
         });
         let worker_state = Arc::clone(&state);
-        // srclint: allow(raw_spawn, reason = "single long-lived service thread owned by the pool, joined in Drop; run_ordered is for bounded fan-out, not a resident consumer loop")
+        // srclint: allow(raw_spawn, reason = "single long-lived service thread owned by the pool, joined in Drop; map_claimed is for bounded fan-out, not a resident consumer loop")
         let handle = std::thread::spawn(move || {
             while let Ok(job) = rx.recv() {
                 let result = run_compaction(&job, &worker_state);
@@ -518,27 +520,22 @@ impl SessionPool {
             .iter()
             .map(|p| claimed.insert(p.as_ref().to_path_buf()))
             .collect();
-        let mut opened = Vec::with_capacity(paths.len());
-        run_ordered(
-            paths.len(),
-            self.workers,
-            |i| admitted[i].then(|| Journal::open(paths[i].as_ref())),
-            |r| opened.push(r),
-        );
-        opened
-            .into_iter()
-            .zip(paths)
-            .map(|(r, path)| {
-                let path = path.as_ref().to_path_buf();
-                match r {
-                    Some(Ok((session, journal))) => {
-                        Ok(self.push(Staged::Counted(session), Some(journal)))
-                    }
-                    Some(Err(source)) => Err(PoolError::OpenSnapshot { path, source }),
-                    None => Err(PoolError::AlreadyOpen { path }),
+        map_claimed(paths.len(), self.workers, |i| {
+            admitted[i].then(|| Journal::open(paths[i].as_ref()))
+        })
+        .into_iter()
+        .zip(paths)
+        .map(|(r, path)| {
+            let path = path.as_ref().to_path_buf();
+            match r {
+                Some(Ok((session, journal))) => {
+                    Ok(self.push(Staged::Counted(session), Some(journal)))
                 }
-            })
-            .collect()
+                Some(Err(source)) => Err(PoolError::OpenSnapshot { path, source }),
+                None => Err(PoolError::AlreadyOpen { path }),
+            }
+        })
+        .collect()
     }
 
     /// Locks one slot, returning its guard together with the shared
@@ -618,17 +615,10 @@ impl SessionPool {
         &self,
         jobs: &[(SessionId, Vec<AnchorEdge>)],
     ) -> Vec<Result<usize, PoolError>> {
-        let mut results = Vec::with_capacity(jobs.len());
-        run_ordered(
-            jobs.len(),
-            self.workers,
-            |i| {
-                let (id, edges) = &jobs[i];
-                self.update_anchors(*id, edges)
-            },
-            |r| results.push(r),
-        );
-        results
+        map_claimed(jobs.len(), self.workers, |i| {
+            let (id, edges) = &jobs[i];
+            self.update_anchors(*id, edges)
+        })
     }
 
     /// Advances a [`Counted`] slot to [`Featurized`] in place.

@@ -7,7 +7,7 @@
 //! synchronous request API safe to hammer from many client threads at
 //! once. Three mechanisms carry the serving contract:
 //!
-//! * **Admission control** — a [`ClaimWindow`] caps concurrent client
+//! * **Admission control** — a counting semaphore caps concurrent client
 //!   operations tier-wide; excess callers block at the door instead of
 //!   ballooning pipe buffers and pending maps.
 //! * **Deadlines** — every call waits at most [`ServeConfig::deadline`]
@@ -34,7 +34,6 @@
 use super::protocol::{
     decode_response, encode_request, FrameReader, ProtocolError, Request, Response,
 };
-use crate::workers::ClaimWindow;
 use crate::AnchorEdge;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -356,6 +355,48 @@ fn read_responses(shared: Arc<WorkerShared>, generation: u64, stdout: impl Read)
     if st.generation == generation {
         st.alive = false;
         shared.cv.notify_all();
+    }
+}
+
+/// The admission window: a counting semaphore capping how many client
+/// operations are in flight tier-wide.
+struct ClaimWindow {
+    permits: Mutex<usize>,
+    cv: Condvar,
+}
+
+impl ClaimWindow {
+    fn new(permits: usize) -> Self {
+        ClaimWindow {
+            permits: Mutex::new(permits),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Blocks for a permit. The returned guard releases it on drop,
+    /// unwinding included, so a panicking caller never strands the
+    /// callers blocked behind it.
+    fn acquire(&self) -> Permit<'_> {
+        let mut n = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
+        while *n == 0 {
+            n = self.cv.wait(n).unwrap_or_else(PoisonError::into_inner);
+        }
+        *n -= 1;
+        Permit(self)
+    }
+}
+
+/// One admission permit (see [`ClaimWindow::acquire`]).
+struct Permit<'a>(&'a ClaimWindow);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let window = self.0;
+        *window
+            .permits
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) += 1;
+        window.cv.notify_all();
     }
 }
 

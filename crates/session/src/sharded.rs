@@ -20,12 +20,14 @@
 //! 3. in-shard updates run through each shard's `C += L·ΔA·R` delta path
 //!    ([`SessionPool::update_many`]), so the active loop stays
 //!    incremental per shard;
-//! 4. fitting fans the per-shard active loops out over the pool's worker
-//!    budget and [`ShardedSession::fit`] **stitches** the per-shard
-//!    positives into one [`StitchedAlignment`]: boundary-ledger anchors
-//!    win outright, then shard predictions enter by descending score
-//!    under a global one-to-one constraint (conflicts at partition
-//!    boundaries are dropped and counted, not silently kept).
+//! 4. the shard build, featurization and fit each fan out one job per
+//!    shard over the pool's worker budget ([`sparsela::map_claimed`],
+//!    results in shard order), and [`ShardedSession::fit`] **stitches**
+//!    the per-shard positives into one [`StitchedAlignment`]:
+//!    boundary-ledger anchors win outright, then shard predictions enter
+//!    by descending score under a global one-to-one constraint (conflicts
+//!    at partition boundaries are dropped and counted, not silently
+//!    kept).
 //!
 //! Cost intuition: with `k` balanced shards, counting and featurization
 //! drop from one `O(n²)`-shaped problem to `k` problems of size
@@ -74,7 +76,6 @@ use crate::pool::{PoolError, SessionId, SessionPool};
 use crate::record;
 use crate::snapshot::{self, SnapshotError};
 use crate::stages::SessionBuilder;
-use crate::workers::run_ordered;
 use crate::{AnchorEdge, SessionError};
 use activeiter::driver::ActiveLoop;
 use activeiter::ord::cmp_scores_desc;
@@ -86,6 +87,7 @@ use hetnet::partition::{
 use hetnet::{HetNet, HetNetError, UserId};
 use metadiagram::DeltaStats;
 use serde::bin::{Error as BinError, Reader, Writer};
+use sparsela::map_claimed;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -384,21 +386,16 @@ impl ShardedSession {
         }
         // Build the per-shard counted sessions concurrently — each shard
         // pays a catalog count over its own sub-networks only.
-        let mut built = Vec::with_capacity(shard_anchors.len());
         let s = &sharded;
-        run_ordered(
-            shard_anchors.len(),
-            s.pool.workers(),
-            |i| {
-                let m = &s.matching.pairs[i];
-                let sub_left = induce_subnet(left, s.left_map.members(m.left));
-                let sub_right = induce_subnet(right, s.right_map.members(m.right));
-                SessionBuilder::new(&sub_left.net, &sub_right.net)
-                    .anchors(shard_anchors[i].clone())
-                    .count()
-            },
-            |r| built.push(r),
-        );
+        let built = map_claimed(shard_anchors.len(), s.pool.workers(), |i| {
+            let m = &s.matching.pairs[i];
+            let sub_left = induce_subnet(left, s.left_map.members(m.left))?;
+            let sub_right = induce_subnet(right, s.right_map.members(m.right))?;
+            SessionBuilder::new(&sub_left.net, &sub_right.net)
+                .anchors(shard_anchors[i].clone())
+                .count()
+                .map_err(ShardedError::Session)
+        });
         for session in built {
             let session = sharded.pool.insert(session?);
             sharded.shards.push(Shard {
@@ -561,22 +558,18 @@ impl ShardedSession {
             .into_iter()
             .map(|c| Mutex::new(Some(c)))
             .collect();
-        let mut results: Vec<Result<(), ShardedError>> = Vec::with_capacity(self.shards.len());
-        run_ordered(
-            self.shards.len(),
-            self.pool.workers(),
-            |i| {
-                let cands = jobs[i]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .take()
-                    .ok_or(ShardedError::Inconsistent {
-                        what: "a shard's candidate batch was claimed twice",
-                    })?;
-                Ok(self.pool.featurize(self.shards[i].session, cands)?)
-            },
-            |r| results.push(r),
-        );
+        let results = map_claimed(self.shards.len(), self.pool.workers(), |i| {
+            let cands = jobs[i]
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .take()
+                .ok_or(ShardedError::Inconsistent {
+                    what: "a shard's candidate batch was claimed twice",
+                })?;
+            self.pool
+                .featurize(self.shards[i].session, cands)
+                .map_err(ShardedError::Pool)
+        });
         for r in results {
             r?;
         }
@@ -682,32 +675,26 @@ impl ShardedSession {
         let weights: Vec<usize> = self.shards.iter().map(|s| s.rows.len()).collect();
         let budgets = split_budget(config.budget, &weights);
 
-        let mut fits: Vec<Result<FitReport, PoolError>> = Vec::with_capacity(self.shards.len());
-        run_ordered(
-            self.shards.len(),
-            self.pool.workers(),
-            |i| {
-                let shard = &self.shards[i];
-                if shard.rows.is_empty() {
-                    return Ok(empty_report());
-                }
-                let shard_config = ModelConfig {
-                    budget: budgets[i],
-                    ..config.clone()
-                };
-                let shard_oracle = RowOracle {
-                    inner: oracle,
-                    rows: &shard.rows,
-                };
-                self.pool.with_featurized(shard.session, |s| {
-                    let mut strategy =
-                        ConflictQuery::new(shard_config.similar_tau, shard_config.margin_delta);
-                    ActiveLoop::new(s.instance(labeled_local[i].clone()), shard_config.clone())
-                        .run(&mut strategy, &shard_oracle)
-                })
-            },
-            |r| fits.push(r),
-        );
+        let fits = map_claimed(self.shards.len(), self.pool.workers(), |i| {
+            let shard = &self.shards[i];
+            if shard.rows.is_empty() {
+                return Ok(empty_report());
+            }
+            let shard_config = ModelConfig {
+                budget: budgets[i],
+                ..config.clone()
+            };
+            let shard_oracle = RowOracle {
+                inner: oracle,
+                rows: &shard.rows,
+            };
+            self.pool.with_featurized(shard.session, |s| {
+                let mut strategy =
+                    ConflictQuery::new(shard_config.similar_tau, shard_config.margin_delta);
+                ActiveLoop::new(s.instance(labeled_local[i].clone()), shard_config.clone())
+                    .run(&mut strategy, &shard_oracle)
+            })
+        });
 
         let mut shard_reports = Vec::with_capacity(self.shards.len());
         for (i, fit) in fits.into_iter().enumerate() {

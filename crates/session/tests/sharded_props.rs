@@ -163,6 +163,32 @@ fn fit_rejects_a_labeled_position_past_the_candidates() {
 }
 
 #[test]
+fn a_partition_map_sized_for_another_network_is_refused() {
+    // One map too small (shards would silently miss users), one too large
+    // (induction would index past the network): both are typed errors.
+    let world = datagen::generate(&datagen::presets::tiny(41));
+    let (n_left, n_right) = (world.left().n_users(), world.right().n_users());
+    for (left_users, right_users) in [(n_left + 3, n_right), (n_left, n_right - 1)] {
+        let err = ShardedSession::with_partitions(
+            world.left(),
+            world.right(),
+            PartitionMap::trivial(left_users),
+            PartitionMap::trivial(right_users),
+            world.truth().links()[..8].to_vec(),
+            &ShardedConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ShardedError::Partition(hetnet::HetNetError::PartitionSize { .. })
+            ),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn boundary_anchors_survive_save_open_round_trip() {
     let world = datagen::generate(&datagen::presets::tiny(43));
     let n_left = world.left().n_users();
@@ -398,7 +424,7 @@ fn open_dir_refuses_a_shard_swapped_in_from_another_ensemble() {
     // its own, but cannot hold the users the manifest routes into it.
     let half = |net: &HetNet| {
         let members: Vec<UserId> = (0..net.n_users() / 2).map(UserId::from_index).collect();
-        induce_subnet(net, &members)
+        induce_subnet(net, &members).unwrap()
     };
     let (left, right) = (half(world.left()), half(world.right()));
     let small = SessionBuilder::new(&left.net, &right.net).count().unwrap();

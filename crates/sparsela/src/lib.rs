@@ -15,7 +15,8 @@
 //!   over them, computed one output row at a time with their margins (the
 //!   meta-diagram catalog count);
 //! * [`fan_out`] over [`balanced_ranges`] — the one parallel runner every
-//!   threaded kernel here uses, sized by the [`Threading`] knob;
+//!   threaded kernel here uses, sized by the [`Threading`] knob — and
+//!   [`map_claimed`], the one claimed-index fan-out built on it;
 //! * [`DenseMatrix`] / dense vectors — the per-candidate feature matrix `X`;
 //! * [`CholeskyFactor`] and [`RidgeSolver`] — the paper's closed-form inner
 //!   update `w = c (I + c XᵀX)⁻¹ Xᵀ y` (Section III-D, step 1-1).
@@ -48,7 +49,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use fused::{fused_rows, RowStep};
-pub use par::{balanced_ranges, fan_out, Threading};
+pub use par::{balanced_ranges, fan_out, map_claimed, Threading};
 pub use ridge::RidgeSolver;
 pub use spgemm::{spgemm, spgemm_lowrank};
 pub use sums::MarginSums;

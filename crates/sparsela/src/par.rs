@@ -1,13 +1,16 @@
-//! The library's one range fan-out.
+//! The library's one range fan-out and its one claimed-index fan-out.
 //!
 //! Every parallel kernel here cuts its work into contiguous index ranges
 //! ([`balanced_ranges`]) and runs one range per scoped worker
 //! ([`fan_out`]), joining the results in range order; [`Threading`] sets
 //! how many ranges. A range's result never depends on where the cuts
 //! fall, so the kernels built on this are bit-identical at any worker
-//! count.
+//! count. Jobs too uneven to cut up front (a store build's per-node
+//! preparation, a session per shard, pair or fold rotation) go through
+//! [`map_claimed`] instead: its workers claim one index at a time.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many ranges a fan-out cuts its work into, and so how many workers
 /// it runs: the fused row pass's row blocks, the store build's per-node
@@ -91,4 +94,35 @@ pub fn fan_out<R: Send>(ranges: Vec<Range<usize>>, f: impl Fn(Range<usize>) -> R
         }
         out
     })
+}
+
+/// Runs `f` on every index below `n` across at most `workers` workers on
+/// [`fan_out`] and returns the results in index order. Each worker claims
+/// the next index from a shared counter, so indices are claimed 0, 1, 2,
+/// … in ascending order and a slow job never idles its siblings. At one
+/// worker (or fewer than two indices) everything runs inline on the
+/// caller's thread, in index order.
+///
+/// # Panics
+/// As [`fan_out`]: a panic inside `f` reaches the caller with its own
+/// payload once every worker has returned.
+pub fn map_claimed<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let next = AtomicUsize::new(0);
+    let workers = workers.min(n).max(1);
+    let mut out: Vec<(usize, T)> = fan_out((0..workers).map(|w| w..w + 1).collect(), |_| {
+        let mut mine = Vec::new();
+        loop {
+            // A claim counter: it publishes no other data.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return mine;
+            }
+            mine.push((i, f(i)));
+        }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    out.sort_unstable_by_key(|&(i, _)| i);
+    out.into_iter().map(|(_, t)| t).collect()
 }

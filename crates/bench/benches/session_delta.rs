@@ -1,12 +1,13 @@
 //! Per-round recount cost of the session-driven active loop: the sparse
 //! low-rank delta path (`update_anchors`: `C += L·ΔA·R`, the touched-region
 //! Dice patch and the entry-local feature re-gather) against the
-//! full-recount oracle (`recount_anchors`: every anchor-dependent chain
-//! recounted from the merged anchor matrix and re-normalized wholesale), at
-//! several confirmed-batch sizes and scales.
+//! full-count oracle (a fresh `SessionBuilder::count` and `featurize` over
+//! the merged anchors, sharing the networks' factor chains and anchor-free
+//! counts as every later build over the same networks does), at several
+//! confirmed-batch sizes and scales.
 //!
 //! The acceptance bars: per-round wall-clock of the delta path no worse
-//! than the full-recount path at any batch size, and bit-identical results
+//! than the full count at any batch size, and bit-identical results
 //! (asserted here on every scenario's setup). The perf gate pairs the two
 //! within one run (`perf_gate --paired delta:full`).
 //!
@@ -21,7 +22,7 @@ use bench::record::BenchRecorder;
 use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use eval::MetricSummary;
 use hetnet::AnchorLink;
-use session::{AlignmentSession, Featurized, SessionBuilder, SessionError};
+use session::{AlignmentSession, Featurized, SessionBuilder};
 use std::time::{Duration, Instant};
 
 struct Scenario {
@@ -44,25 +45,30 @@ fn scenario(cfg: &datagen::GeneratorConfig) -> Scenario {
     }
 }
 
-/// One featurized session per scenario; measurements clone it per
-/// iteration (sessions are value-like), so building is part of setup and
-/// the clone overhead is identical in both arms.
-fn open(s: &Scenario) -> AlignmentSession<Featurized> {
+/// A featurized session over `anchors`. The delta arm opens one per
+/// scenario over the training anchors and clones it per iteration
+/// (sessions are value-like), so its build is setup, not measured work.
+fn open(s: &Scenario, anchors: Vec<AnchorLink>) -> AlignmentSession<Featurized> {
     SessionBuilder::new(s.world.left(), s.world.right())
-        .anchors(s.train.clone())
+        .anchors(anchors)
         .count()
         .expect("generated networks share attribute universes")
         .featurize(s.candidates.clone())
 }
 
-/// The delta path must be bit-identical to the full-recount oracle; only
+/// One round of the full-count oracle: a fresh session counted and
+/// featurized over the training anchors plus `batch`.
+fn full_round(s: &Scenario, batch: &[AnchorLink]) -> AlignmentSession<Featurized> {
+    open(s, s.train.iter().chain(batch).copied().collect())
+}
+
+/// The delta path must be bit-identical to the full-count oracle; only
 /// the cost differs.
 fn assert_delta_matches_full(s: &Scenario) {
     let batch = &s.held_out[..5.min(s.held_out.len())];
-    let mut delta = open(s);
-    let mut full = open(s);
+    let mut delta = open(s, s.train.clone());
     delta.update_anchors(batch).unwrap();
-    full.recount_anchors(batch).unwrap();
+    let full = full_round(s, batch);
     assert_eq!(delta.features().x.data(), full.features().x.data());
     for i in 0..delta.catalog().len() {
         assert_eq!(delta.proximity_of(i), full.proximity_of(i));
@@ -79,7 +85,7 @@ fn bench_round_recount(c: &mut Criterion) {
     ] {
         let s = scenario(&cfg);
         assert_delta_matches_full(&s);
-        let base = open(&s);
+        let base = open(&s, s.train.clone());
         for batch_size in [1usize, 5, 20] {
             let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
             // The session clone is per-iteration setup, not measured work
@@ -98,36 +104,27 @@ fn bench_round_recount(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::new(format!("full/b{batch_size}"), scale),
                 &(),
-                |b, _| {
-                    b.iter_batched(
-                        || base.clone(),
-                        |mut session| session.recount_anchors(&batch).unwrap(),
-                        BatchSize::LargeInput,
-                    )
-                },
+                |b, _| b.iter(|| full_round(&s, &batch)),
             );
         }
     }
     group.finish();
 }
 
-/// One round of anchor feedback: [`AlignmentSession::update_anchors`] (the
-/// delta path) or [`AlignmentSession::recount_anchors`] (the oracle).
-type Round = fn(&mut AlignmentSession<Featurized>, &[AnchorLink]) -> Result<usize, SessionError>;
-
-/// Mean wall-clock of one measured round (the session clone is excluded).
-fn time_rounds(
-    base: &AlignmentSession<Featurized>,
-    batch: &[AnchorLink],
-    round: Round,
+/// Mean wall-clock of one measured `round`. Neither `setup`, which makes
+/// the round's input, nor dropping the round's output is timed.
+fn time_rounds<I, O>(
     samples: usize,
+    mut setup: impl FnMut() -> I,
+    mut round: impl FnMut(I) -> O,
 ) -> Duration {
     let mut total = Duration::ZERO;
     for _ in 0..samples {
-        let mut session = base.clone();
+        let input = setup();
         let start = Instant::now();
-        round(&mut session, batch).unwrap();
+        let output = round(input);
         total += start.elapsed();
+        drop(output);
     }
     total / samples as u32
 }
@@ -147,19 +144,21 @@ fn write_records() {
     ] {
         let s = scenario(&cfg);
         assert_delta_matches_full(&s);
-        let base = open(&s);
+        let base = open(&s, s.train.clone());
         for batch_size in [1usize, 5, 20] {
             let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
-            for (method, round) in [
-                (
-                    "delta",
-                    AlignmentSession::<Featurized>::update_anchors as Round,
-                ),
-                ("full", AlignmentSession::<Featurized>::recount_anchors),
-            ] {
-                let mean = time_rounds(&base, &batch, round, samples);
-                recorder.record(method, format!("{scale}-b{batch_size}"), no_f1, mean);
-            }
+            let cell = format!("{scale}-b{batch_size}");
+            let delta = time_rounds(
+                samples,
+                || base.clone(),
+                |mut session| {
+                    session.update_anchors(&batch).unwrap();
+                    session
+                },
+            );
+            recorder.record("delta", &cell, no_f1, delta);
+            let full = time_rounds(samples, || (), |()| full_round(&s, &batch));
+            recorder.record("full", cell, no_f1, full);
         }
     }
 

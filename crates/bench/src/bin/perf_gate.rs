@@ -23,7 +23,9 @@
 //! This gates the fast path against its reference path inside a single
 //! run — same machine, same load — so it works from the very first CI run
 //! with no baseline at all, and is how `BENCH_session_delta.json`'s delta
-//! path is held against its full-recount oracle (`delta:full`).
+//! path is held against its full-count oracle (`delta:full`). A `new` cell
+//! with no `ref` partner fails the gate, and so does a pair that compares
+//! no cell at all: renaming either method must not switch the gate off.
 //!
 //! The records are the flat documents written by
 //! [`bench::record::BenchRecorder`];
@@ -115,6 +117,9 @@ struct GateReport {
     compared: usize,
     /// Fresh keys with no baseline cell — recorded, never failed.
     new_cells: usize,
+    /// Paired-gate failures that are not a timing regression: a `new`
+    /// cell with no `ref` partner, or a pair that compared no cell.
+    unpaired: usize,
     /// Human-readable findings, one line each.
     lines: Vec<String>,
 }
@@ -172,7 +177,9 @@ fn gate(baseline: &Records, fresh: &Records, tolerance: f64, slack_ms: f64) -> G
 
 /// In-run comparison of two methods over every shared (bench, cell): the
 /// `new` method regresses where it exceeds the `ref` method by tolerance +
-/// slack. Needs no baseline — both sides come from the same fresh run.
+/// slack. Needs no baseline — both sides come from the same fresh run. A
+/// `new` cell without its `ref` partner and a pair with no cell to compare
+/// count as unpaired, which fails the gate.
 fn gate_paired(
     fresh: &Records,
     pairs: &[(String, String)],
@@ -181,14 +188,16 @@ fn gate_paired(
 ) -> GateReport {
     let mut report = GateReport::default();
     for (new_method, ref_method) in pairs {
+        let compared_before = report.compared;
         for (key, new_cell) in fresh {
             if &key.1 != new_method {
                 continue;
             }
             let ref_key = (key.0.clone(), ref_method.clone(), key.2.clone());
             let Some(ref_cell) = fresh.get(&ref_key) else {
+                report.unpaired += 1;
                 report.lines.push(format!(
-                    "paired: {}/{} has no {ref_method} partner in {}",
+                    "UNPAIRED: {}/{} has no {ref_method} partner in {}",
                     key.0, new_method, key.2
                 ));
                 continue;
@@ -207,6 +216,17 @@ fn gate_paired(
                 ));
                 report.regressions.push(key.clone());
             }
+        }
+        let compared = report.compared - compared_before;
+        if compared == 0 {
+            report.unpaired += 1;
+            report.lines.push(format!(
+                "UNPAIRED: no cell compares {new_method} against {ref_method}"
+            ));
+        } else {
+            report.lines.push(format!(
+                "paired {new_method}:{ref_method}: {compared} cell(s)"
+            ));
         }
     }
     report
@@ -300,14 +320,15 @@ fn main() -> ExitCode {
     }
     if !opts.paired.is_empty() {
         println!(
-            "perf_gate: paired {} cells across {} method pair(s): {} regression(s)",
+            "perf_gate: paired {} cells across {} method pair(s): {} regression(s), {} unpaired",
             paired_report.compared,
             opts.paired.len(),
-            paired_report.regressions.len()
+            paired_report.regressions.len(),
+            paired_report.unpaired
         );
     }
 
-    let mut regressions = paired_report.regressions.len();
+    let mut regressions = paired_report.regressions.len() + paired_report.unpaired;
     if baseline.is_empty() {
         println!(
             "perf_gate: baseline is empty or missing — nothing to gate against \
@@ -421,13 +442,51 @@ mod tests {
         let report = gate_paired(&fresh, &pairs(&[("delta", "full")]), 0.5, 15.0);
         assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
-        // A missing partner is reported, never failed.
+        assert_eq!(report.unpaired, 0);
+    }
+
+    #[test]
+    fn paired_gate_fails_on_a_missing_partner() {
         let mut fresh = Records::new();
-        fresh.insert(method_key("delta", "tiny-t2"), cell(3.0));
+        fresh.insert(method_key("delta", "tiny-b1"), cell(1.0));
+        fresh.insert(method_key("full", "tiny-b1"), cell(2.0));
+        fresh.insert(method_key("delta", "tiny-b5"), cell(1.0));
         let report = gate_paired(&fresh, &pairs(&[("delta", "full")]), 0.5, 15.0);
-        assert_eq!(report.compared, 0);
+        assert_eq!(report.compared, 1);
         assert!(report.regressions.is_empty());
-        assert!(report.lines.iter().any(|l| l.contains("no full partner")));
+        assert_eq!(report.unpaired, 1);
+        assert!(report
+            .lines
+            .iter()
+            .any(|l| l.contains("UNPAIRED") && l.contains("no full partner in tiny-b5")));
+    }
+
+    #[test]
+    fn paired_gate_fails_on_a_pair_that_compares_nothing() {
+        let mut fresh = Records::new();
+        fresh.insert(method_key("delta", "tiny-b1"), cell(1.0));
+        fresh.insert(method_key("full", "tiny-b1"), cell(2.0));
+        // A renamed ref arm: every new cell lacks its partner.
+        let report = gate_paired(&fresh, &pairs(&[("delta", "oracle")]), 0.5, 15.0);
+        assert_eq!(report.compared, 0);
+        assert_eq!(report.unpaired, 2, "the missing partner and the empty pair");
+        // A renamed new arm: the pair finds no cell at all.
+        let report = gate_paired(&fresh, &pairs(&[("fast", "full")]), 0.5, 15.0);
+        assert_eq!(report.compared, 0);
+        assert_eq!(report.unpaired, 1);
+        assert!(report
+            .lines
+            .iter()
+            .any(|l| l.contains("no cell compares fast against full")));
+        // A healthy pair beside an empty one still fails the run.
+        let report = gate_paired(
+            &fresh,
+            &pairs(&[("delta", "full"), ("fast", "full")]),
+            0.5,
+            15.0,
+        );
+        assert_eq!(report.compared, 1);
+        assert_eq!(report.unpaired, 1);
     }
 
     #[test]

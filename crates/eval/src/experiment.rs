@@ -55,9 +55,7 @@ impl Default for ExperimentSpec {
 /// capped at the machine's available parallelism so that large sweeps never
 /// oversubscribe the host.
 pub fn effective_threads(threads: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let hw = Threading::Auto.resolve();
     if threads == 0 {
         hw
     } else {

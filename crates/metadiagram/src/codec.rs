@@ -269,8 +269,12 @@ pub fn store_encoded_len(store: &DeltaCatalogCounts) -> usize {
 /// against `catalog` (the catalog rebuilt from the snapshot's stored
 /// [`FeatureSet`]). The result is bit-identical to the encoded store —
 /// including the recomputed `Lᵀ` caches — so every subsequent
-/// `update_anchors`/recount produces exactly the bytes the never-persisted
-/// store would.
+/// `update_anchors` produces exactly the bytes the never-persisted store
+/// would. This is the only door a stored store comes in by, and updates
+/// trust what it lets through: a store it returns has every count of the
+/// anchor shape, margins equal to their counts, chains that compose with
+/// the anchor matrix, and stacks over earlier nodes with at most one
+/// anchor-dependent part.
 ///
 /// # Errors
 /// EOF/length errors on truncated input; [`Error::Malformed`] when any
@@ -618,6 +622,57 @@ mod tests {
         let err = decode_store(&mut Reader::new(&encoded(&broken)), &catalog).unwrap_err();
         assert!(matches!(err, Error::Malformed(_)));
         assert!(err.to_string().contains("anchor-dependent"), "{err}");
+    }
+
+    #[test]
+    fn in_memory_corruptions_are_refused_at_decode() {
+        // Each corruption a live store could only get from a hand-edited or
+        // version-skewed payload; the decoder is the one gate that refuses
+        // it, so no update ever sees such a store.
+        let (store, catalog) = store();
+        let (n1, n2) = store.anchor.shape();
+        let refused = |broken: &DeltaCatalogCounts, what: &str| {
+            let err = decode_store(&mut Reader::new(&encoded(broken)), &catalog).unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "{what}: {err}");
+            err.to_string()
+        };
+        // A factor chain whose `R` does not compose with the anchor matrix.
+        let mut broken = store.clone();
+        let chain = broken
+            .nodes
+            .iter_mut()
+            .find_map(|node| match node {
+                Node::AnchorChain(chain, _) => Some(chain),
+                _ => None,
+            })
+            .expect("catalog has anchor chains");
+        Arc::make_mut(chain).r = sparsela::CsrMatrix::zeros(1, 1);
+        let err = refused(&broken, "chain R");
+        assert!(err.contains("do not compose"), "{err}");
+        // A stack part naming its own node (dependency order violated).
+        let mut broken = store.clone();
+        let s = broken
+            .nodes
+            .iter()
+            .position(|node| matches!(node, Node::Stack(..)))
+            .expect("catalog has stacks");
+        if let Node::Stack(parts, _) = &mut broken.nodes[s] {
+            parts[0] = s;
+        }
+        let err = refused(&broken, "self part");
+        assert!(err.contains("dependency order"), "{err}");
+        // A count (with margins that match it) of the wrong shape.
+        let mut broken = store.clone();
+        let count = sparsela::CsrMatrix::zeros(n1, n2 + 1);
+        *broken.nodes[0].counted_mut() = NodeCount {
+            sums: sparsela::MarginSums::of(&count),
+            count,
+        };
+        let err = refused(&broken, "count shape");
+        assert!(err.contains("count shape"), "{err}");
+        // The edits went to private copies: the store they were cloned
+        // from still opens.
+        decode_store(&mut Reader::new(&encoded(&store)), &catalog).unwrap();
     }
 
     #[test]

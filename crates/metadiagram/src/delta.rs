@@ -25,10 +25,9 @@
 //! computes each leaf's right-hand operand once, and counts every node in
 //! one fused pass per flop-balanced row block ([`sparsela::fused_rows`]):
 //! per row, every leaf row, then every stack row from its parts' rows
-//! while they are in cache, each added into its margins.
-//! [`DeltaCatalogCounts::recount_anchors`], the oracle, runs the same
-//! pass, planned by the same step planner: a leaf count already known is
-//! given to the pass, every other node is counted in it.
+//! while they are in cache, each added into its margins. A fresh build
+//! over the merged anchors is also the oracle the delta path is tested and
+//! benchmarked against.
 //!
 //! **Owned and shared parts.** A store owns its anchor matrix and its
 //! anchor-dependent counts (anchor chains and stacks) with their margins.
@@ -71,24 +70,11 @@ pub enum DeltaError {
         /// The population size.
         count: usize,
     },
-    /// Two persisted artifacts that must share a shape have drifted apart —
-    /// the signature of a malformed (hand-edited or version-skewed)
-    /// snapshot-restored store. Consistency is validated *before* any
-    /// mutation, so the store is unchanged and a `session::SessionPool`
-    /// worker degrades to this error instead of aborting on a panic.
-    ShapeDrift {
-        /// Which artifact disagreed, e.g. `"factor chain L"`.
-        what: &'static str,
-        /// Index into the store's materialization order.
-        node: usize,
-        /// The artifact's actual shape.
-        found: (usize, usize),
-        /// The shape the store's invariants require.
-        expected: (usize, usize),
-    },
-    /// A store invariant that is not a plain shape equality broke, or a
-    /// sparse kernel rejected its operands mid-propagation. Carries the
-    /// underlying message.
+    /// A sparse kernel rejected its operands mid-propagation. No store made
+    /// by [`DeltaCatalogCounts::build`] or [`crate::codec::decode_store`]
+    /// (which refuses every store whose shapes or stack parts do not fit
+    /// together) raises it; it surfaces a kernel error as a value instead
+    /// of a panic. Carries the underlying message.
     Inconsistent(String),
 }
 
@@ -98,16 +84,6 @@ impl fmt::Display for DeltaError {
             DeltaError::AnchorOutOfRange { side, index, count } => {
                 write!(f, "{side} anchor endpoint {index} out of range (< {count})")
             }
-            DeltaError::ShapeDrift {
-                what,
-                node,
-                found,
-                expected,
-            } => write!(
-                f,
-                "store node {node}: {what} is {}x{}, must be {}x{}",
-                found.0, found.1, expected.0, expected.1
-            ),
             DeltaError::Inconsistent(msg) => write!(f, "inconsistent delta store: {msg}"),
         }
     }
@@ -124,8 +100,8 @@ impl From<SparseError> for DeltaError {
 /// Work counters of a [`DeltaCatalogCounts`] store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaStats {
-    /// Full catalog counts performed (1 at build, +1 per
-    /// [`DeltaCatalogCounts::recount_anchors`]).
+    /// Full catalog counts performed: 1, the build's (a decoded store
+    /// keeps the counters it was saved with).
     pub full_counts: usize,
     /// Applied incremental updates ([`DeltaCatalogCounts::update_anchors`]
     /// calls that had at least one genuinely new anchor).
@@ -177,10 +153,9 @@ impl TouchedRegion {
 pub struct ChangedCount {
     /// Catalog position of the changed count matrix.
     pub catalog_pos: usize,
-    /// Where the change landed. `Some` on the incremental path — downstream
-    /// layers refresh only this region; `None` on the full-recount path
-    /// (treat the whole matrix as touched).
-    pub touched: Option<TouchedRegion>,
+    /// Where the change landed: downstream layers refresh only this
+    /// region.
+    pub touched: TouchedRegion,
 }
 
 /// What an anchor update changed.
@@ -190,17 +165,10 @@ pub struct DeltaOutcome {
     /// are skipped silently).
     pub applied: usize,
     /// Catalog positions whose count matrices changed, in catalog order,
-    /// each with the touched row/col sets when the update was incremental.
+    /// each with its touched row/col sets.
     /// Anchor-free features (attribute paths and their middle-stackings)
     /// never appear here — downstream layers can skip re-deriving them.
     pub changed: Vec<ChangedCount>,
-}
-
-impl DeltaOutcome {
-    /// The changed catalog positions alone, in catalog order.
-    pub fn changed_positions(&self) -> Vec<usize> {
-        self.changed.iter().map(|c| c.catalog_pos).collect()
-    }
 }
 
 /// The anchor-chain factorization `C = L·A·R`, with `Lᵀ` cached for the
@@ -219,13 +187,6 @@ impl FactorChain {
             l,
             r,
         }
-    }
-
-    /// `A·R`, the right-hand operand of the chain's rows `L·(A·R)` in a
-    /// full count, shared by the build and
-    /// [`DeltaCatalogCounts::recount_anchors`].
-    fn anchored(&self, anchor: &CsrMatrix) -> Result<CsrMatrix, SparseError> {
-        spgemm(anchor, &self.r)
     }
 }
 
@@ -274,40 +235,6 @@ fn plan_node(
     parts.push(node_parts);
     index.insert(diagram.clone(), i);
     i
-}
-
-/// Where one node's rows come from in a count pass.
-enum Source<'a> {
-    /// The product `lhs · rhs`: an anchor chain's `L·(A·R)`, or the
-    /// `UL·URᵀ` of an anchor-free leaf not counted yet.
-    Product(&'a CsrMatrix, &'a CsrMatrix),
-    /// A leaf count that is already known.
-    Known(&'a CsrMatrix),
-    /// A stack over earlier nodes, with its current count if it has one.
-    Stack(&'a [usize], Option<&'a CsrMatrix>),
-}
-
-/// The row steps of one count pass, shared by the build and the oracle:
-/// a product is counted, a known leaf is given, and a stack is the
-/// Hadamard of its parts unless it has a count and every part is given.
-fn row_steps<'a>(sources: impl Iterator<Item = Source<'a>>) -> Vec<RowStep<'a>> {
-    let mut steps = Vec::new();
-    for source in sources {
-        let step = match source {
-            Source::Product(lhs, rhs) => RowStep::Product(lhs, rhs),
-            Source::Known(count) => RowStep::Given(count),
-            Source::Stack(parts, Some(count))
-                if parts
-                    .iter()
-                    .all(|&p| matches!(steps.get(p), Some(RowStep::Given(_)))) =>
-            {
-                RowStep::Given(count)
-            }
-            Source::Stack(parts, _) => RowStep::Hadamard(parts),
-        };
-        steps.push(step);
-    }
-    steps
 }
 
 /// One network pair's anchor-independent leaves, by diagram: each social
@@ -378,8 +305,9 @@ impl Prepared {
         known: Option<Leaf>,
     ) -> Result<Self, EngineError> {
         let [left, right] = social.nets;
+        // `A·R`, the right-hand operand of the chain's rows `L·(A·R)`.
         let chain = |chain: Arc<FactorChain>| -> Result<Prepared, EngineError> {
-            let ar = chain.anchored(anchor)?;
+            let ar = spgemm(anchor, &chain.r)?;
             Ok(Prepared::Chain(chain, ar))
         };
         let factors = |(l, r)| Arc::new(FactorChain::new(l, r));
@@ -397,12 +325,14 @@ impl Prepared {
         })
     }
 
-    fn source(&self) -> Source<'_> {
+    /// The node's step in the row pass: a product is counted, a known
+    /// leaf is given, and a stack is the Hadamard of its parts.
+    fn step(&self) -> RowStep<'_> {
         match self {
-            Prepared::Chain(chain, ar) => Source::Product(&chain.l, ar),
-            Prepared::Known(known) => Source::Known(&known.count),
-            Prepared::Free(ul, urt) => Source::Product(ul, urt),
-            Prepared::Stack(parts) => Source::Stack(parts, None),
+            Prepared::Chain(chain, ar) => RowStep::Product(&chain.l, ar),
+            Prepared::Known(known) => RowStep::Given(&known.count),
+            Prepared::Free(ul, urt) => RowStep::Product(ul, urt),
+            Prepared::Stack(parts) => RowStep::Hadamard(parts),
         }
     }
 
@@ -575,7 +505,7 @@ impl DeltaCatalogCounts {
         .rev()
         .collect::<Result<Vec<_>, _>>()?;
         drop(social);
-        let steps = row_steps(prepared.iter().map(Prepared::source));
+        let steps: Vec<RowStep<'_>> = prepared.iter().map(Prepared::step).collect();
         let built = fused_rows(&steps, anchor.shape(), threading)?;
         let mut nodes = prepared
             .into_iter()
@@ -640,111 +570,15 @@ impl DeltaCatalogCounts {
         self.threading
     }
 
-    /// Validates the cross-artifact shape invariants a propagation relies
-    /// on, **before** any mutation: counts against the anchor shape,
-    /// margins against their counts, factor
-    /// chains against the anchor and count shapes, stack parts against
-    /// their stack, and at most one anchor-dependent part per stack.
-    /// Every store this crate builds passes by construction;
-    /// a malformed snapshot-restored store fails here with a typed error
-    /// and the store untouched. `O(catalog)` comparisons.
-    fn check_consistent(&self) -> Result<(), DeltaError> {
-        let (a1, a2) = self.anchor.shape();
-        let n = self.order.len();
-        if self.nodes.len() != n {
-            return Err(DeltaError::Inconsistent(format!(
-                "{n} diagrams vs {} nodes",
-                self.nodes.len()
-            )));
-        }
-        let mut dependent = Vec::with_capacity(n);
-        for (i, node) in self.nodes.iter().enumerate() {
-            let counted = node.counted();
-            let shape = counted.count.shape();
-            // Every count is |U⁽¹⁾| × |U⁽²⁾|, the shape of the row pass.
-            if shape != (a1, a2) {
-                return Err(DeltaError::ShapeDrift {
-                    what: "count matrix",
-                    node: i,
-                    found: shape,
-                    expected: (a1, a2),
-                });
-            }
-            if counted.sums.shape() != shape {
-                return Err(DeltaError::ShapeDrift {
-                    what: "margin sums",
-                    node: i,
-                    found: counted.sums.shape(),
-                    expected: shape,
-                });
-            }
-            match node {
-                Node::AnchorChain(chain, _) => {
-                    // C = L·A·R: L is (c1 × a1), Lᵀ its transpose, R (a2 × c2).
-                    if chain.l.shape() != (shape.0, a1) {
-                        return Err(DeltaError::ShapeDrift {
-                            what: "factor chain L",
-                            node: i,
-                            found: chain.l.shape(),
-                            expected: (shape.0, a1),
-                        });
-                    }
-                    if chain.lt.shape() != (a1, shape.0) {
-                        return Err(DeltaError::ShapeDrift {
-                            what: "factor chain Lᵀ",
-                            node: i,
-                            found: chain.lt.shape(),
-                            expected: (a1, shape.0),
-                        });
-                    }
-                    if chain.r.shape() != (a2, shape.1) {
-                        return Err(DeltaError::ShapeDrift {
-                            what: "factor chain R",
-                            node: i,
-                            found: chain.r.shape(),
-                            expected: (a2, shape.1),
-                        });
-                    }
-                }
-                Node::AnchorFree(_) => {}
-                Node::Stack(parts, _) => {
-                    if parts.is_empty() {
-                        return Err(DeltaError::Inconsistent(format!(
-                            "stack node {i} has no parts"
-                        )));
-                    }
-                    for &p in parts {
-                        if p >= i {
-                            return Err(DeltaError::Inconsistent(format!(
-                                "stack node {i} references part {p} out of dependency order"
-                            )));
-                        }
-                        let part = self.nodes[p].counted().count.shape();
-                        if part != shape {
-                            return Err(DeltaError::ShapeDrift {
-                                what: "stack part",
-                                node: i,
-                                found: part,
-                                expected: shape,
-                            });
-                        }
-                    }
-                }
-            }
-            let dep = node
-                .anchor_dependent(&dependent)
-                .map_err(|msg| DeltaError::Inconsistent(format!("stack node {i}: {msg}")))?;
-            dependent.push(dep);
-        }
-        Ok(())
-    }
-
-    /// Validates and dedups `links` against the current anchors, returning
-    /// the genuinely new `(row, col)` pairs.
-    fn fresh_links(&self, links: &[AnchorLink]) -> Result<Vec<(usize, usize)>, DeltaError> {
+    /// Checks that every endpoint of `links` lies inside its user
+    /// population: the one range check of an anchor batch, which a
+    /// write-ahead caller also runs before it journals the batch.
+    ///
+    /// # Errors
+    /// [`DeltaError::AnchorOutOfRange`] on the first endpoint outside its
+    /// population.
+    pub fn check_links(&self, links: &[AnchorLink]) -> Result<(), DeltaError> {
         let (n1, n2) = self.anchor.shape();
-        let mut seen: HashSet<(usize, usize)> = HashSet::new();
-        let mut fresh = Vec::new();
         for a in links {
             let (i, j) = (a.left.index(), a.right.index());
             if i >= n1 {
@@ -761,6 +595,18 @@ impl DeltaCatalogCounts {
                     count: n2,
                 });
             }
+        }
+        Ok(())
+    }
+
+    /// Checks and dedups `links` against the current anchors, returning
+    /// the genuinely new `(row, col)` pairs.
+    fn fresh_links(&self, links: &[AnchorLink]) -> Result<Vec<(usize, usize)>, DeltaError> {
+        self.check_links(links)?;
+        let mut seen: HashSet<(usize, usize)> = HashSet::new();
+        let mut fresh = Vec::new();
+        for a in links {
+            let (i, j) = (a.left.index(), a.right.index());
             // srclint: allow(float_eq, reason = "anchor entries are exact 0.0/1.0; this is a membership test, not arithmetic")
             if self.anchor.get(i, j) != 0.0 || !seen.insert((i, j)) {
                 continue;
@@ -794,16 +640,14 @@ impl DeltaCatalogCounts {
     ///
     /// # Errors
     /// [`DeltaError::AnchorOutOfRange`] on endpoints outside the user
-    /// populations, [`DeltaError::ShapeDrift`] /
-    /// [`DeltaError::Inconsistent`] when a (snapshot-restored) store's
-    /// artifacts violate the shape invariants. The store is unchanged in
-    /// every error case: consistency is validated before the merge.
+    /// populations, with the store unchanged.
+    /// [`DeltaError::Inconsistent`] if a sparse kernel rejects its
+    /// operands, which no built or decoded store makes it do.
     pub fn update_anchors(&mut self, links: &[AnchorLink]) -> Result<DeltaOutcome, DeltaError> {
         let fresh = self.fresh_links(links)?;
         if fresh.is_empty() {
             return Ok(DeltaOutcome::default());
         }
-        self.check_consistent()?;
         let delta = self.merge_links(&fresh)?;
         let changed = self.repropagate(&delta)?;
         self.stats.delta_updates += 1;
@@ -811,33 +655,6 @@ impl DeltaCatalogCounts {
             applied: fresh.len(),
             changed,
         })
-    }
-
-    /// Merges `links` and recounts every anchor-dependent chain **from the
-    /// full merged anchor matrix** (`L·A·R` from scratch). This is the
-    /// reference full-recount path the delta path is measured against; the
-    /// results are bit-identical, only the cost differs.
-    ///
-    /// Like [`DeltaCatalogCounts::update_anchors`], a batch with no
-    /// genuinely new anchor is a no-op: nothing recounts and the stats are
-    /// untouched, so the two paths stay round-for-round comparable.
-    ///
-    /// # Errors
-    /// [`DeltaError::AnchorOutOfRange`] on endpoints outside the user
-    /// populations, [`DeltaError::ShapeDrift`] /
-    /// [`DeltaError::Inconsistent`] on a malformed store. The store is
-    /// unchanged in every error case.
-    pub fn recount_anchors(&mut self, links: &[AnchorLink]) -> Result<DeltaOutcome, DeltaError> {
-        let fresh = self.fresh_links(links)?;
-        if fresh.is_empty() {
-            return Ok(DeltaOutcome::default());
-        }
-        self.check_consistent()?;
-        let applied = fresh.len();
-        self.merge_links(&fresh)?;
-        let changed = self.recount()?;
-        self.stats.full_counts += 1;
-        Ok(DeltaOutcome { applied, changed })
     }
 
     /// The incremental propagation pass of `ΔA = delta`, in dependency
@@ -852,15 +669,12 @@ impl DeltaCatalogCounts {
     /// sums and every entry the positivity filter prunes is retracted
     /// entry-locally. A chain cell pruned at `C+ΔC ≤ 0` gives
     /// `(C+ΔC)·B ≤ 0` in the stack, which its own splice prunes too, so
-    /// every count keeps the exact nnz pattern of a full recount without a
+    /// every count keeps the exact nnz pattern of a full count without a
     /// margin rescan. A node's touched region is the pattern of its
     /// increment.
     ///
     /// # Errors
-    /// Shape violations, and stacks with more than one anchor-dependent
-    /// part, surface as [`DeltaError::ShapeDrift`] /
-    /// [`DeltaError::Inconsistent`] via the callers' pre-validation;
-    /// kernel-level rejections inside the pass are mapped to
+    /// Kernel-level rejections inside the pass are mapped to
     /// [`DeltaError::Inconsistent`] instead of panicking.
     fn repropagate(&mut self, delta: &CsrMatrix) -> Result<Vec<ChangedCount>, DeltaError> {
         let mut increments: Vec<Option<CsrMatrix>> = vec![None; self.nodes.len()];
@@ -875,8 +689,10 @@ impl DeltaCatalogCounts {
                 }
                 Node::AnchorFree(_) => {}
                 Node::Stack(parts, own) => {
-                    // check_consistent admits at most one anchor-dependent
-                    // part, so at most one part kept an increment.
+                    // A stack has at most one anchor-dependent part
+                    // (`Node::anchor_dependent`; no catalog builds another
+                    // and the decoder refuses one), so at most one part
+                    // kept an increment.
                     let Some((moving, inc)) = parts
                         .iter()
                         .enumerate()
@@ -898,76 +714,17 @@ impl DeltaCatalogCounts {
                 }
             }
         }
-        Ok(self.changed_entries(|ord| {
-            increments[ord]
-                .as_ref()
-                .map(|inc| Some(TouchedRegion::of_pattern(inc)))
-        }))
-    }
-
-    /// The full recount from the merged anchors: the build's row pass, with
-    /// every anchor chain recounted as `L·(A·R)`, every stack over a
-    /// recounted part re-Hadamarded, and every other node given from its
-    /// current count. Returns the changed catalog entries, with no touched
-    /// regions (treat each whole matrix as touched).
-    ///
-    /// # Errors
-    /// A kernel rejection, mapped to [`DeltaError::Inconsistent`]. The
-    /// callers' pre-validation rules out every one a store can cause, and
-    /// the counts are replaced only after the whole pass has succeeded.
-    fn recount(&mut self) -> Result<Vec<ChangedCount>, DeltaError> {
-        let anchor = &self.anchor;
-        // Claimed from the last node back, costliest first, as in `build`.
-        let n = self.nodes.len();
-        let anchored = map_claimed(n, self.threading.resolve(), |k| {
-            match &self.nodes[n - 1 - k] {
-                Node::AnchorChain(chain, _) => chain.anchored(anchor).map(Some),
-                _ => Ok(None),
-            }
-        })
-        .into_iter()
-        .rev()
-        .collect::<Result<Vec<_>, _>>()?;
-        let steps =
-            row_steps(
-                self.nodes
-                    .iter()
-                    .zip(&anchored)
-                    .map(|(node, ar)| match (node, ar) {
-                        (Node::AnchorChain(chain, _), Some(ar)) => Source::Product(&chain.l, ar),
-                        (Node::Stack(parts, own), _) => Source::Stack(parts, Some(&own.count)),
-                        (node, _) => Source::Known(&node.counted().count),
-                    }),
-            );
-        let changed: Vec<bool> = steps
-            .iter()
-            .map(|step| !matches!(step, RowStep::Given(_)))
-            .collect();
-        let recounted = fused_rows(&steps, self.anchor.shape(), self.threading)?;
-        for (node, out) in self.nodes.iter_mut().zip(recounted) {
-            if let (Node::AnchorChain(_, own) | Node::Stack(_, own), Some(out)) = (node, out) {
-                *own = NodeCount::of(out);
-            }
-        }
-        Ok(self.changed_entries(|ord| changed[ord].then_some(None)))
-    }
-
-    /// The catalog entries whose node `touched` reports as changed (`Some`,
-    /// carrying the node's touched region, if known), in catalog order.
-    fn changed_entries(
-        &self,
-        touched: impl Fn(usize) -> Option<Option<TouchedRegion>>,
-    ) -> Vec<ChangedCount> {
-        self.catalog_pos
+        Ok(self
+            .catalog_pos
             .iter()
             .enumerate()
-            .filter_map(|(cat, &ord)| {
-                touched(ord).map(|touched| ChangedCount {
-                    catalog_pos: cat,
-                    touched,
+            .filter_map(|(catalog_pos, &ord)| {
+                Some(ChangedCount {
+                    catalog_pos,
+                    touched: TouchedRegion::of_pattern(increments[ord].as_ref()?),
                 })
             })
-            .collect()
+            .collect())
     }
 }
 
@@ -1097,35 +854,22 @@ mod tests {
             assert_eq!(outcome.applied, batch.len());
             assert!(!outcome.changed.is_empty());
         }
-        let merged: Vec<AnchorLink> = w.truth().links().to_vec();
-        let reference = reference_counts(&w, &merged);
-        for (i, want) in reference.iter().enumerate() {
-            assert_eq!(s.catalog_count(i), want, "catalog entry {i} diverged");
+        let reference = independent_store(&w, w.truth().links());
+        for i in 0..s.len() {
+            assert_eq!(
+                s.catalog_count(i),
+                reference.catalog_count(i),
+                "catalog entry {i} diverged"
+            );
+            assert_eq!(
+                s.catalog_sums(i),
+                reference.catalog_sums(i),
+                "margins of catalog entry {i} diverged"
+            );
         }
         assert_eq!(s.stats().full_counts, 1, "delta path must not recount");
         assert_eq!(s.stats().delta_updates, 3.min(held_out.chunks(7).count()));
         assert_eq!(s.stats().anchors_applied, held_out.len());
-    }
-
-    #[test]
-    fn recount_path_matches_delta_path() {
-        let w = world();
-        let (initial, held_out) = split_links(&w);
-        let mut delta = store(&w, &initial);
-        let mut full = store(&w, &initial);
-        let o1 = delta.update_anchors(&held_out).unwrap();
-        let o2 = full.recount_anchors(&held_out).unwrap();
-        assert_eq!(o1.applied, o2.applied);
-        assert_eq!(o1.changed_positions(), o2.changed_positions());
-        // The incremental path knows where it landed; the recount doesn't.
-        assert!(o1.changed.iter().all(|c| c.touched.is_some()));
-        assert!(o2.changed.iter().all(|c| c.touched.is_none()));
-        for i in 0..delta.len() {
-            assert_eq!(delta.catalog_count(i), full.catalog_count(i));
-            assert_eq!(delta.catalog_sums(i), full.catalog_sums(i));
-        }
-        assert_eq!(full.stats().full_counts, 2);
-        assert_eq!(full.stats().delta_updates, 0);
     }
 
     #[test]
@@ -1155,7 +899,7 @@ mod tests {
         let before: Vec<CsrMatrix> = (0..s.len()).map(|i| s.catalog_count(i).clone()).collect();
         let outcome = s.update_anchors(&held_out[..4]).unwrap();
         for chg in &outcome.changed {
-            let region = chg.touched.as_ref().expect("delta path reports regions");
+            let region = &chg.touched;
             assert!(region.rows.windows(2).all(|w| w[0] < w[1]), "rows sorted");
             assert!(region.cols.windows(2).all(|w| w[0] < w[1]), "cols sorted");
             let (old, new) = (&before[chg.catalog_pos], s.catalog_count(chg.catalog_pos));
@@ -1217,7 +961,7 @@ mod tests {
         let outcome = s.update_anchors(&held_out[..3]).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
         // P5, P6 and Ψ[P5×P6] never touch the anchor matrix.
-        let changed = outcome.changed_positions();
+        let changed: Vec<usize> = outcome.changed.iter().map(|c| c.catalog_pos).collect();
         for (i, entry) in catalog.entries().iter().enumerate() {
             let anchor_free = matches!(entry.diagram, Diagram::Attr(_) | Diagram::AttrPair(_, _));
             assert_eq!(
@@ -1248,12 +992,11 @@ mod tests {
             .update_anchors(&[initial[0], held_out[0], held_out[0]])
             .unwrap();
         assert_eq!(outcome.applied, 1);
-        // The full-recount path shares the no-op contract: an
-        // all-duplicate batch must not pay a catalog recount.
+        // The link just merged is known now: repeating it is a no-op too.
         let before = s.stats();
-        let outcome = s.recount_anchors(&[initial[0], held_out[0]]).unwrap();
+        let outcome = s.update_anchors(&[initial[0], held_out[0]]).unwrap();
         assert_eq!(outcome, DeltaOutcome::default());
-        assert_eq!(s.stats(), before, "no-op recount must not bump stats");
+        assert_eq!(s.stats(), before, "a no-op batch must not bump stats");
     }
 
     #[test]
@@ -1287,8 +1030,8 @@ mod tests {
     fn pruned_entries_repair_margins_without_a_rescan() {
         let w = world();
         let (initial, held_out) = split_links(&w);
-        let mut s = store(&w, &initial);
         let other = store(&w, &initial);
+        let mut s = other.clone();
         for node in &mut s.nodes {
             if let Node::AnchorChain(chain, _) = node {
                 let chain = Arc::make_mut(chain);
@@ -1316,111 +1059,10 @@ mod tests {
             assert!(c.values().iter().all(|&v| v > 0.0), "entry {i}: residue");
         }
         assert!(nnz(&s) < nnz_before, "no entry was actually pruned");
-        // The edits went to private copies: the chains the store shared
-        // with every other store of the world are unchanged.
+        // The edits went to private copies: the store `s` was cloned from,
+        // which shares its chains with every other store of the world, is
+        // bit-unchanged.
         assert_bit_equal(&other, &independent_store(&w, &initial));
-    }
-
-    /// A malformed store (e.g. restored from a corrupted snapshot) must
-    /// degrade to a typed error before any merge happens — never panic,
-    /// never mutate.
-    #[test]
-    fn malformed_store_fails_with_a_typed_error_and_no_mutation() {
-        let w = world();
-        let (initial, held_out) = split_links(&w);
-        let good = store(&w, &initial);
-
-        // Margin sums whose shape drifted from their count matrix.
-        let counts = |s: &DeltaCatalogCounts| -> Vec<NodeCount> {
-            s.nodes.iter().map(|node| node.counted().clone()).collect()
-        };
-        let mut s = good.clone();
-        s.nodes[0].counted_mut().sums = MarginSums::from_parts(vec![0.0], vec![0.0]);
-        let err = s.update_anchors(&held_out).unwrap_err();
-        assert!(matches!(
-            err,
-            DeltaError::ShapeDrift {
-                what: "margin sums",
-                node: 0,
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("margin sums"));
-        assert_eq!(s.n_anchors(), good.n_anchors(), "store mutated on error");
-        assert_eq!(s.nodes[0].counted().count, good.nodes[0].counted().count);
-        assert_eq!(
-            counts(&s)[1..],
-            counts(&good)[1..],
-            "counts mutated on error"
-        );
-
-        // A factor chain that no longer matches the anchor shape.
-        let mut s = good.clone();
-        for node in &mut s.nodes {
-            if let Node::AnchorChain(chain, _) = node {
-                Arc::make_mut(chain).r = CsrMatrix::zeros(1, 1);
-                break;
-            }
-        }
-        assert!(matches!(
-            s.update_anchors(&held_out).unwrap_err(),
-            DeltaError::ShapeDrift {
-                what: "factor chain R",
-                ..
-            }
-        ));
-
-        // A diagram without a node.
-        let mut s = good.clone();
-        s.nodes.pop();
-        assert!(matches!(
-            s.update_anchors(&held_out).unwrap_err(),
-            DeltaError::Inconsistent(_)
-        ));
-
-        // A stack referencing itself (dependency order violated).
-        let mut s = good.clone();
-        let stack_at = s
-            .nodes
-            .iter()
-            .position(|node| matches!(node, Node::Stack(..)))
-            .unwrap();
-        if let Node::Stack(parts, _) = &mut s.nodes[stack_at] {
-            parts[0] = stack_at;
-        }
-        let err = s.recount_anchors(&held_out).unwrap_err();
-        assert!(matches!(err, DeltaError::Inconsistent(_)));
-        assert!(err.to_string().contains("dependency order"));
-        assert_eq!(
-            counts(&s),
-            counts(&good),
-            "recount mutated a malformed store"
-        );
-
-        // A stack over two anchor chains: the increment rule needs every
-        // part but one fixed, so the store is refused before the merge.
-        let mut s = good.clone();
-        let chains: Vec<usize> = (0..s.nodes.len())
-            .filter(|&i| matches!(s.nodes[i], Node::AnchorChain(..)))
-            .take(2)
-            .collect();
-        if let Node::Stack(parts, _) = &mut s.nodes[stack_at] {
-            *parts = chains;
-        }
-        let err = s.update_anchors(&held_out).unwrap_err();
-        assert!(matches!(err, DeltaError::Inconsistent(_)));
-        assert!(err.to_string().contains("anchor-dependent"));
-        assert_eq!(s.n_anchors(), good.n_anchors(), "store mutated on error");
-        assert_eq!(
-            counts(&s),
-            counts(&good),
-            "counts or margins mutated on error"
-        );
-        assert_eq!(s.stats(), good.stats(), "stats mutated on error");
-        // Every edit above went to a private copy: the store they were
-        // cloned from, which shares its chains and anchor-free counts with
-        // the others of the world, is bit-unchanged.
-        assert_bit_equal(&good, &independent_store(&w, &initial));
     }
 
     #[test]
@@ -1472,29 +1114,35 @@ mod tests {
     #[test]
     fn threaded_build_is_bit_equal_to_serial() {
         let w = world();
-        let (initial, held_out) = split_links(&w);
+        let (initial, _) = split_links(&w);
         let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &initial).unwrap();
+        let merged =
+            anchor_matrix(w.left().n_users(), w.right().n_users(), w.truth().links()).unwrap();
         let catalog = Catalog::new(FeatureSet::Full);
+        let reference = reference_counts(&w, w.truth().links());
         let serial =
             DeltaCatalogCounts::build(w.left(), w.right(), a.clone(), &catalog, Threading::Serial)
                 .unwrap();
         for threads in [2usize, 4] {
-            let mut par = DeltaCatalogCounts::build(
-                w.left(),
-                w.right(),
-                a.clone(),
-                &catalog,
-                Threading::Threads(threads),
-            )
-            .unwrap();
+            let par = |anchor: &CsrMatrix| {
+                DeltaCatalogCounts::build(
+                    w.left(),
+                    w.right(),
+                    anchor.clone(),
+                    &catalog,
+                    Threading::Threads(threads),
+                )
+                .unwrap()
+            };
+            let initial = par(&a);
             for i in 0..serial.len() {
-                assert_eq!(par.catalog_count(i), serial.catalog_count(i));
+                assert_eq!(initial.catalog_count(i), serial.catalog_count(i));
             }
-            // And the threaded full-recount path agrees with the reference.
-            par.recount_anchors(&held_out).unwrap();
-            let reference = reference_counts(&w, w.truth().links());
+            // And a threaded count over the merged anchors agrees with the
+            // serial oracle.
+            let merged = par(&merged);
             for (i, want) in reference.iter().enumerate() {
-                assert_eq!(par.catalog_count(i), want);
+                assert_eq!(merged.catalog_count(i), want);
             }
         }
     }

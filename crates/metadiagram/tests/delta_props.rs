@@ -122,7 +122,7 @@ proptest! {
             merged.extend(links);
 
             for chg in &outcome.changed {
-                let region = chg.touched.as_ref().unwrap();
+                let region = &chg.touched;
                 let (old, new) = (&before[chg.catalog_pos], store.catalog_count(chg.catalog_pos));
                 for i in 0..new.nrows() {
                     if region.rows.binary_search(&i).is_err() {

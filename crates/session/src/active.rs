@@ -58,8 +58,8 @@ impl AlignmentSession<Featurized> {
     /// [`AlignmentSession::update_anchors`], refresh the features, and
     /// repeat until the budget is spent or the candidate set runs dry.
     ///
-    /// The fit is **bit-identical** to one driven with
-    /// [`AlignmentSession::recount_anchors`] each round (the delta recount
+    /// The fit is **bit-identical** to one that counts and featurizes a
+    /// fresh session over the merged anchors each round (the delta recount
     /// is exact); only the per-round cost differs. The session's stats
     /// prove the economics: after a run, `stats().full_counts == 1` — the
     /// build's count — no matter how many rounds ran.

@@ -89,7 +89,6 @@ use crate::record::{self, Split};
 use crate::snapshot::{self, SnapshotError};
 use crate::stages::{AlignmentSession, Counted};
 use crate::{AnchorEdge, SessionError};
-use metadiagram::DeltaError;
 use serde::bin::{crc32, Error as BinError, Reader, Writer};
 use std::borrow::Cow;
 use std::fmt;
@@ -769,33 +768,4 @@ impl Journal {
     pub fn delta_records(&self) -> u32 {
         self.delta_records
     }
-}
-
-/// Pre-validates anchor endpoints against the anchor matrix `shape` —
-/// the exact check the delta path performs — so a write-ahead caller can
-/// reject a bad batch **before** journaling it. Without this, an
-/// out-of-range edge would land in the journal, fail to apply in memory,
-/// and poison every later replay.
-pub(crate) fn validate_edges(
-    shape: (usize, usize),
-    edges: &[AnchorEdge],
-) -> Result<(), SessionError> {
-    let (nl, nr) = shape;
-    for e in edges {
-        if e.left.index() >= nl {
-            return Err(SessionError::Delta(DeltaError::AnchorOutOfRange {
-                side: "left",
-                index: e.left.index(),
-                count: nl,
-            }));
-        }
-        if e.right.index() >= nr {
-            return Err(SessionError::Delta(DeltaError::AnchorOutOfRange {
-                side: "right",
-                index: e.right.index(),
-                count: nr,
-            }));
-        }
-    }
-    Ok(())
 }

@@ -36,10 +36,10 @@
 //! system* — `update_anchors` exists on `Counted` and `Featurized` only,
 //! so stale fits cannot be observed). Per-round cost scales with `|ΔA|`,
 //! not with the catalog — which is what makes the active-query loop
-//! interactive at paper scale. [`AlignmentSession::recount_anchors`] is
-//! the single reference path: it recounts from the full merged anchor
-//! matrix, bit-identical to the delta at full cost, and is the oracle the
-//! delta path is tested and benchmarked against.
+//! interactive at paper scale. A fresh [`SessionBuilder::count`] over the
+//! merged anchors is the single reference: bit-identical to the delta at
+//! full cost, it is the oracle the delta path is tested and benchmarked
+//! against.
 //!
 //! Because no stage borrows the networks — each owns what the anchors
 //! change and shares the immutable anchor-independent counts by `Arc` —

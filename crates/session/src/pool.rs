@@ -97,13 +97,13 @@
 //! assert_eq!(pool.stats(b).unwrap().full_counts, 1); // still no recount
 //! ```
 
-use crate::journal::{self, CompactionPolicy, Journal, JournalError};
+use crate::journal::{CompactionPolicy, Journal, JournalError};
 use crate::snapshot;
 use crate::stages::{AlignmentSession, Counted, Featurized};
 use crate::{AnchorEdge, SessionError};
 use hetnet::UserId;
-use metadiagram::DeltaStats;
-use sparsela::map_claimed;
+use metadiagram::{DeltaCatalogCounts, DeltaStats};
+use sparsela::{map_claimed, Threading};
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -243,17 +243,11 @@ impl Staged {
         }
     }
 
-    fn n_anchors(&self) -> usize {
+    /// The counting core, the same from either stage.
+    fn counts(&self) -> &DeltaCatalogCounts {
         match self {
-            Staged::Counted(s) => s.n_anchors(),
-            Staged::Featurized(s) => s.n_anchors(),
-        }
-    }
-
-    fn anchor_shape(&self) -> (usize, usize) {
-        match self {
-            Staged::Counted(s) => s.anchor().shape(),
-            Staged::Featurized(s) => s.anchor().shape(),
+            Staged::Counted(s) => &s.counts,
+            Staged::Featurized(s) => &s.counts,
         }
     }
 }
@@ -421,9 +415,7 @@ impl SessionPool {
     /// follows lock order (see [`SessionPool::update_many`]).
     pub fn new(workers: usize) -> Self {
         let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            Threading::Auto.resolve()
         } else {
             workers
         };
@@ -587,8 +579,10 @@ impl SessionPool {
         let (cell, mut guard) = self.lock(id)?;
         let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
         if let Some(j) = slot.journal.as_mut() {
-            journal::validate_edges(slot.staged.anchor_shape(), edges)
-                .map_err(PoolError::Session)?;
+            slot.staged
+                .counts()
+                .check_links(edges)
+                .map_err(|e| PoolError::Session(e.into()))?;
             j.append(edges)?;
         }
         let applied = match &mut slot.staged {
@@ -698,7 +692,7 @@ impl SessionPool {
             // The lock is held across the checkpoint append on purpose:
             // it must be ordered against this slot's write-ahead appends.
             Some(j) if j.base_path() == path => {
-                j.checkpoint(slot.staged.n_anchors())?;
+                j.checkpoint(slot.staged.counts().n_anchors())?;
                 self.enqueue_if_due(id, slot, cell);
             }
             _ => slot.journal = Some(Journal::create(path, &slot.staged.core_bytes())?),
@@ -857,6 +851,7 @@ impl SessionPool {
             .as_ref()
             .ok_or(PoolError::Vacated(id.0))?
             .staged
+            .counts()
             .n_anchors())
     }
 
@@ -866,10 +861,8 @@ impl SessionPool {
     /// Slot errors as elsewhere.
     pub fn stats(&self, id: SessionId) -> Result<DeltaStats, PoolError> {
         let guard = self.slot(id)?;
-        match &guard.as_ref().ok_or(PoolError::Vacated(id.0))?.staged {
-            Staged::Counted(s) => Ok(s.stats()),
-            Staged::Featurized(s) => Ok(s.stats()),
-        }
+        let slot = guard.as_ref().ok_or(PoolError::Vacated(id.0))?;
+        Ok(slot.staged.counts().stats())
     }
 
     /// Runs `f` against a [`Counted`] slot under its lock.

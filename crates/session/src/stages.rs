@@ -207,8 +207,8 @@ impl<S> AlignmentSession<S> {
     }
 
     /// Work counters: how many full catalog counts this session has paid
-    /// for (1 unless a caller explicitly asked for full recounts) and how
-    /// many incremental updates it applied.
+    /// for (always 1, the build's) and how many incremental updates it
+    /// applied.
     pub fn stats(&self) -> DeltaStats {
         self.counts.stats()
     }
@@ -306,30 +306,15 @@ impl AlignmentSession<Featurized> {
         Ok(outcome.applied)
     }
 
-    /// Like [`AlignmentSession::update_anchors`], but recounts the changed
-    /// chains **from the full merged anchor matrix** and re-reads their
-    /// feature columns wholesale — the one reference path (oracle) the
-    /// incremental update is tested and benchmarked against. Results are
-    /// bit-identical; only the cost differs.
-    ///
-    /// # Errors
-    /// [`SessionError::Delta`] on out-of-range endpoints (nothing changes).
-    pub fn recount_anchors(&mut self, edges: &[AnchorEdge]) -> Result<usize, SessionError> {
-        let outcome = self.counts.recount_anchors(edges)?;
-        self.refresh(&outcome);
-        Ok(outcome.applied)
-    }
-
     /// Re-reads the feature values of the changed catalog entries.
     ///
     /// A cell `(l, r)` of column `c` depends on `C[l, r]`, row sum `l` and
-    /// column sum `r` of `c`'s counts, so with a known touched region only
-    /// the candidates of touched rows (through the left-user index) and of
-    /// touched columns (through the right-user index) are re-read; a
-    /// candidate reached from both sides is simply read twice. A column
-    /// changed without region info (the full-recount path) is re-read
-    /// whole. Every read is [`dice_at`], as in featurization, so both
-    /// paths are bit-identical to a fresh featurization.
+    /// column sum `r` of `c`'s counts, so only the candidates of the
+    /// touched rows (through the left-user index) and of the touched
+    /// columns (through the right-user index) are re-read; a candidate
+    /// reached from both sides is simply read twice. Every read is
+    /// [`dice_at`], as in featurization, so the result is bit-identical to
+    /// a fresh featurization.
     fn refresh(&mut self, outcome: &DeltaOutcome) {
         for chg in &outcome.changed {
             let col = chg.catalog_pos;
@@ -341,17 +326,11 @@ impl AlignmentSession<Featurized> {
                 by_right,
                 features,
             } = &mut self.stage;
-            let mut reread = |row: usize| {
+            let rows = chg.touched.rows.iter().flat_map(|&u| by_left.of(u));
+            let cols = chg.touched.cols.iter().flat_map(|&u| by_right.of(u));
+            for &row in rows.chain(cols) {
                 let (l, r) = candidates[row];
                 features.x[(row, col)] = dice_at(counts, sums, l.index(), r.index());
-            };
-            match &chg.touched {
-                Some(region) => {
-                    let rows = region.rows.iter().flat_map(|&u| by_left.of(u));
-                    let cols = region.cols.iter().flat_map(|&u| by_right.of(u));
-                    rows.chain(cols).for_each(|&row| reread(row));
-                }
-                None => (0..candidates.len()).for_each(reread),
             }
         }
     }

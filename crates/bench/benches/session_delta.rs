@@ -6,10 +6,16 @@
 //! counts as every later build over the same networks does), at several
 //! confirmed-batch sizes and scales.
 //!
-//! The acceptance bars: per-round wall-clock of the delta path no worse
-//! than the full count at any batch size, and bit-identical results
-//! (asserted here on every scenario's setup). The perf gate pairs the two
-//! within one run (`perf_gate --paired delta:full`).
+//! What is enforced: bit-identical results, asserted here on every
+//! scenario's setup; and wall-clock through `perf_gate --paired
+//! delta:full`, which pairs the two cells of one run and fails a delta
+//! cell only when it exceeds its full cell by more than the tolerance
+//! (0.5 in CI) and by more than the slack (15 ms). The delta path is not
+//! faster at every batch size: on a 2-vCPU host, table4-b20 read delta
+//! 8.18 ms against full 6.30 ms, and tiny-b5/b20 were slower too, so
+//! those cells pass only inside the slack. Porting this pair to a
+//! within-run perfbench cell with a measured tolerance is on ROADMAP's
+//! benchmark item.
 //!
 //! Besides the criterion group, this bench writes
 //! `BENCH_session_delta.json` (mean wall-clock per path × scale × batch

@@ -241,11 +241,6 @@ pub(crate) fn populate_posts<'a>(
     }
 }
 
-/// Convenience: generate and return only the aligned pair.
-pub fn generate_pair(cfg: &GeneratorConfig) -> AlignedPair {
-    generate(cfg).pair
-}
-
 /// Convenience accessors used widely in tests and experiments.
 impl GeneratedWorld {
     /// The left network.

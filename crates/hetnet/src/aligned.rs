@@ -174,15 +174,6 @@ impl AlignedPair {
     pub fn universe_size(&self) -> usize {
         self.left.n_users() * self.right.n_users()
     }
-
-    /// Anchor adjacency matrix built from a *subset* of anchors (training
-    /// anchors during feature extraction).
-    ///
-    /// # Errors
-    /// Propagates range validation from [`anchor_matrix`].
-    pub fn anchor_matrix_from(&self, anchors: &[AnchorLink]) -> Result<CsrMatrix> {
-        anchor_matrix(self.left.n_users(), self.right.n_users(), anchors)
-    }
 }
 
 #[cfg(test)]

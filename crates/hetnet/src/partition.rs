@@ -414,11 +414,6 @@ impl PartitionSignature {
         }
         shared
     }
-
-    /// The underlying `(label, mass)` histogram, sorted by label.
-    pub fn histogram(&self) -> &[(u64, f64)] {
-        &self.hist
-    }
 }
 
 /// Computes one [`PartitionSignature`] per partition of `map`.

@@ -43,8 +43,13 @@
 //! excluded), so [`crate::codec::encode_store`] /
 //! [`crate::codec::decode_store`] can write it to disk and a fresh
 //! process can resume updates bit-equal to the store that was saved —
-//! the payload behind `session::snapshot`. A decoded store holds its own,
-//! unshared copies of the shared parts.
+//! the payload behind `session::snapshot`. The node plan is not part of
+//! that payload: the build and the decoder derive it from the catalog
+//! with one planner (`NodePlan::of`), so a decoded store has exactly its
+//! catalog's plan, and a unit test here holds every catalog's plan to
+//! stacks over their own earlier parts with at most one anchor-dependent
+//! part. A decoded store holds its own, unshared copies of the shared
+//! parts.
 
 use crate::catalog::Catalog;
 use crate::count::{self, EngineError, SocialSteps};
@@ -72,9 +77,9 @@ pub enum DeltaError {
     },
     /// A sparse kernel rejected its operands mid-propagation. No store made
     /// by [`DeltaCatalogCounts::build`] or [`crate::codec::decode_store`]
-    /// (which refuses every store whose shapes or stack parts do not fit
-    /// together) raises it; it surfaces a kernel error as a value instead
-    /// of a panic. Carries the underlying message.
+    /// (which plans its nodes from the catalog and refuses every store
+    /// whose shapes do not fit together) raises it; it surfaces a kernel
+    /// error as a value instead of a panic. Carries the underlying message.
     Inconsistent(String),
 }
 
@@ -141,11 +146,6 @@ impl TouchedRegion {
         let cols: Vec<usize> = (0..delta.ncols()).filter(|&c| hit[c]).collect();
         TouchedRegion { rows, cols }
     }
-
-    /// True when nothing was touched.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.cols.is_empty()
-    }
 }
 
 /// One catalog feature whose count matrix changed.
@@ -211,30 +211,54 @@ impl NodeCount {
     }
 }
 
-/// Appends `diagram` and (first) its stack parts to the node plan unless
-/// already planned, and returns its node index. Each distinct diagram is
-/// planned once, every stack after its parts.
-fn plan_node(
-    diagram: &Diagram,
-    order: &mut Vec<Diagram>,
-    parts: &mut Vec<Vec<usize>>,
-    index: &mut HashMap<Diagram, usize>,
-) -> usize {
-    if let Some(&i) = index.get(diagram) {
-        return i;
-    }
-    let node_parts = match diagram {
-        Diagram::Stack(ds) => ds
+/// A catalog's node plan: each distinct diagram of the catalog and of its
+/// stacks' parts once, in dependency order (every stack after its parts).
+/// [`DeltaCatalogCounts::build`] counts these nodes and
+/// [`crate::codec::decode_store`] reads a stored store's nodes back in
+/// this order, so the plan is derived from the catalog on both sides and
+/// never stored.
+pub(crate) struct NodePlan {
+    /// The planned diagrams.
+    pub(crate) order: Vec<Diagram>,
+    /// Each node's stack parts, all earlier nodes; empty for a leaf.
+    pub(crate) parts: Vec<Vec<usize>>,
+    /// Catalog position → node index.
+    pub(crate) catalog_pos: Vec<usize>,
+}
+
+impl NodePlan {
+    /// The plan of `catalog`.
+    pub(crate) fn of(catalog: &Catalog) -> Self {
+        let mut plan = NodePlan {
+            order: Vec::new(),
+            parts: Vec::new(),
+            catalog_pos: Vec::new(),
+        };
+        let mut index = HashMap::new();
+        plan.catalog_pos = catalog
+            .entries()
             .iter()
-            .map(|d| plan_node(d, order, parts, index))
-            .collect(),
-        _ => Vec::new(),
-    };
-    let i = order.len();
-    order.push(diagram.clone());
-    parts.push(node_parts);
-    index.insert(diagram.clone(), i);
-    i
+            .map(|e| plan.node(&e.diagram, &mut index))
+            .collect();
+        plan
+    }
+
+    /// Appends `diagram` and (first) its stack parts unless already
+    /// planned, and returns its node index.
+    fn node(&mut self, diagram: &Diagram, index: &mut HashMap<Diagram, usize>) -> usize {
+        if let Some(&i) = index.get(diagram) {
+            return i;
+        }
+        let parts = match diagram {
+            Diagram::Stack(ds) => ds.iter().map(|d| self.node(d, index)).collect(),
+            _ => Vec::new(),
+        };
+        let i = self.order.len();
+        self.order.push(diagram.clone());
+        self.parts.push(parts);
+        index.insert(diagram.clone(), i);
+        i
+    }
 }
 
 /// One network pair's anchor-independent leaves, by diagram: each social
@@ -382,31 +406,6 @@ impl Node {
             Node::AnchorFree(shared) => shared,
         }
     }
-
-    /// Whether this node's count moves with the anchors, given
-    /// `dependent[p]` for every earlier node `p`. A stack may have at most
-    /// one anchor-dependent part: the increment rule `Δ(C∘B) = ΔC∘B`
-    /// needs every other part fixed. No catalog builds such a stack, so
-    /// finding one means the store is malformed.
-    pub(crate) fn anchor_dependent(&self, dependent: &[bool]) -> Result<bool, String> {
-        match self {
-            Node::AnchorChain(..) => Ok(true),
-            Node::AnchorFree(_) => Ok(false),
-            Node::Stack(parts, _) => {
-                let moving = parts
-                    .iter()
-                    .filter(|&&p| dependent.get(p) == Some(&true))
-                    .count();
-                if moving > 1 {
-                    return Err(format!(
-                        "stack parts {parts:?} hold {moving} anchor-dependent parts, at most one \
-                         is allowed"
-                    ));
-                }
-                Ok(moving == 1)
-            }
-        }
-    }
 }
 
 /// A store of one catalog's count matrices plus everything needed to
@@ -429,7 +428,8 @@ pub struct DeltaCatalogCounts {
     pub(crate) anchor: CsrMatrix,
     /// Materialized diagrams in dependency order (stack parts first).
     pub(crate) order: Vec<Diagram>,
-    /// The node of each diagram of `order`; counts and margins maintained
+    /// The node of each diagram of `order` (a stack's parts are its
+    /// `NodePlan` parts); counts and margins maintained
     /// incrementally alongside each other.
     pub(crate) nodes: Vec<Node>,
     /// Catalog position → index into `order`/`nodes`.
@@ -481,14 +481,11 @@ impl DeltaCatalogCounts {
         threading: Threading,
     ) -> Result<Self, EngineError> {
         count::check_networks(left, right, &anchor)?;
-        let mut order = Vec::new();
-        let mut parts = Vec::new();
-        let mut index = HashMap::new();
-        let catalog_pos = catalog
-            .entries()
-            .iter()
-            .map(|e| plan_node(&e.diagram, &mut order, &mut parts, &mut index))
-            .collect();
+        let NodePlan {
+            order,
+            parts,
+            catalog_pos,
+        } = NodePlan::of(catalog);
         let leaves = left.pair_memo::<PairLeaves>(right);
         let known = leaves.known(&order);
         // The social steps' Hadamards are dropped before the pass.
@@ -689,10 +686,10 @@ impl DeltaCatalogCounts {
                 }
                 Node::AnchorFree(_) => {}
                 Node::Stack(parts, own) => {
-                    // A stack has at most one anchor-dependent part
-                    // (`Node::anchor_dependent`; no catalog builds another
-                    // and the decoder refuses one), so at most one part
-                    // kept an increment.
+                    // A stack has at most one anchor-dependent part (every
+                    // catalog's plan holds to that, and a decoded store
+                    // has its catalog's plan), so at most one part kept
+                    // an increment.
                     let Some((moving, inc)) = parts
                         .iter()
                         .enumerate()
@@ -1094,19 +1091,64 @@ mod tests {
                 .for_each(|e| collect(&e.diagram, &mut distinct));
             assert_eq!(s.order.len(), distinct.len(), "{set:?}");
             assert_eq!(s.order.iter().collect::<HashSet<_>>(), distinct, "{set:?}");
-            assert_eq!(s.nodes.len(), s.order.len());
-            // A stack reads the earlier nodes of its own parts, in order.
-            for (i, node) in s.nodes.iter().enumerate() {
-                if let (Node::Stack(parts, _), Diagram::Stack(ds)) = (node, &s.order[i]) {
-                    assert_eq!(parts.len(), ds.len());
-                    for (&p, d) in parts.iter().zip(ds) {
-                        assert!(p < i, "part {p} of node {i} is out of order");
-                        assert_eq!(&s.order[p], d);
-                    }
+            // The build counts exactly its catalog's plan.
+            let plan = NodePlan::of(&catalog);
+            assert_eq!(s.order, plan.order, "{set:?}");
+            assert_eq!(s.catalog_pos, plan.catalog_pos, "{set:?}");
+            assert_eq!(s.nodes.len(), plan.parts.len());
+            for (i, (node, parts)) in s.nodes.iter().zip(&plan.parts).enumerate() {
+                match node {
+                    Node::Stack(got, _) => assert_eq!(got, parts, "node {i}"),
+                    _ => assert!(parts.is_empty(), "node {i}"),
                 }
             }
+        }
+    }
+
+    /// The invariants the delta pass and the snapshot decoder rely on hold
+    /// for the plan of every catalog: a stack reads the earlier nodes of
+    /// exactly its own parts, in order, with at most one anchor-dependent
+    /// part (the increment rule `Δ(C∘B) = ΔC∘B` needs the others fixed),
+    /// and each catalog entry maps to the node of its diagram.
+    #[test]
+    fn every_catalog_plan_keeps_the_stack_and_mapping_invariants() {
+        for set in [
+            FeatureSet::MetaPathsOnly,
+            FeatureSet::PathsAndSocialDiagrams,
+            FeatureSet::PathsAndAttrDiagram,
+            FeatureSet::Full,
+            FeatureSet::FullWithWords,
+        ] {
+            let catalog = Catalog::new(set);
+            let plan = NodePlan::of(&catalog);
+            assert_eq!(plan.parts.len(), plan.order.len(), "{set:?}");
+            let mut dependent = Vec::with_capacity(plan.order.len());
+            for (i, (diagram, parts)) in plan.order.iter().zip(&plan.parts).enumerate() {
+                let moves = match diagram {
+                    Diagram::Social(_) | Diagram::SocialPair(..) => true,
+                    Diagram::Attr(_) | Diagram::AttrPair(..) => false,
+                    Diagram::Stack(ds) => {
+                        assert_eq!(parts.len(), ds.len(), "{set:?} node {i}");
+                        for (&p, d) in parts.iter().zip(ds) {
+                            assert!(p < i, "{set:?}: part {p} of node {i} is out of order");
+                            assert_eq!(&plan.order[p], d, "{set:?} node {i}");
+                        }
+                        let moving = parts.iter().filter(|&&p| dependent[p]).count();
+                        assert!(moving <= 1, "{set:?}: {diagram} has {moving} moving parts");
+                        moving == 1
+                    }
+                };
+                if !matches!(diagram, Diagram::Stack(_)) {
+                    assert!(parts.is_empty(), "{set:?}: leaf {i} has parts");
+                }
+                dependent.push(moves);
+            }
+            assert_eq!(plan.catalog_pos.len(), catalog.len(), "{set:?}");
             for (cat, e) in catalog.entries().iter().enumerate() {
-                assert_eq!(s.order[s.catalog_pos[cat]], e.diagram);
+                assert_eq!(
+                    plan.order[plan.catalog_pos[cat]], e.diagram,
+                    "{set:?} entry {cat}"
+                );
             }
         }
     }

@@ -6,7 +6,7 @@
 //! the *only* state that changed is a small batch of confirmed anchors —
 //! the same observation that makes the in-memory delta path
 //! (`C += L·ΔA·R`) cheap. This module mirrors that shape on disk: a
-//! **base** snapshot (the existing format v1, unmodified) plus an
+//! **base** snapshot (an ordinary `.snap`, unmodified) plus an
 //! append-only **journal** of anchor-delta records. A checkpoint appends
 //! a few dozen bytes; [`Journal::open`] replays the journal through
 //! [`AlignmentSession::update_anchors`] — the deterministic delta path —

@@ -171,7 +171,10 @@ pub enum ErrorCode {
     Update = 3,
     /// A journal operation (checkpoint, fold) failed.
     Journal = 4,
-    /// The request itself is invalid (out-of-range user, zero `k`).
+    /// The request itself is invalid: a frame that does not decode (sent
+    /// once before the worker tears down), or an `Align` whose left user
+    /// is outside the slot's population. `Align` with `k = 0` is valid
+    /// and answers `Aligned([])`.
     BadRequest = 5,
     /// Anything else — the worker is in trouble.
     Internal = 6,

@@ -57,7 +57,7 @@ pub const MAGIC: [u8; 8] = *b"MDASNAP\0";
 /// The snapshot format version this build writes and the only one it
 /// reads. Any layout change bumps it; see `docs/SNAPSHOT_FORMAT.md` for
 /// the compatibility policy.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_META: [u8; 4] = *b"META";
 const SECTION_COUNTS: [u8; 4] = *b"DCNT";

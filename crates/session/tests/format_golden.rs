@@ -1,6 +1,6 @@
 //! Golden bytes for every framed record this crate writes: the ΔA journal
-//! records, one wire frame per `Request` and `Response` variant, and the
-//! sharded manifest's boundary ledger.
+//! records, one wire frame per `Request` and `Response` variant, the
+//! sharded manifest's boundary ledger, and one whole snapshot file.
 //!
 //! Round-trip tests cannot catch a format change made on both sides at
 //! once; these pin the exact bytes. Each expected value is a hex literal
@@ -11,9 +11,10 @@
 
 use hetnet::partition::PartitionMap;
 use hetnet::UserId;
+use serde::bin::crc32;
 use session::serve::protocol::{encode_request, encode_response, ErrorCode, Request, Response};
 use session::sharded::{ShardedConfig, ShardedSession, MANIFEST_FILE};
-use session::{AnchorEdge, Journal};
+use session::{snapshot, AnchorEdge, Journal, SessionBuilder};
 
 fn hex(s: &str) -> Vec<u8> {
     let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
@@ -193,4 +194,33 @@ fn manifest_ledger_of_two_edges_is_byte_stable() {
     let ledger = hex("0200000000000000 1c00000002000000 1d0000000a000000");
     assert_eq!(&bytes[bytes.len() - ledger.len()..], ledger.as_slice());
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn snapshot_of_a_tiny_store_is_byte_stable() {
+    let world = datagen::generate(&datagen::presets::tiny(11));
+    let counted = SessionBuilder::new(world.left(), world.right())
+        .anchors(world.truth().links()[..8].to_vec())
+        .count()
+        .unwrap();
+    let bytes = snapshot::to_bytes(&counted);
+    // magic | version 2 | two sections | table CRC, then the table: `META`
+    // (one feature-set byte, 3 = Full) and `DCNT`, each id | offset u64 |
+    // length u64 | CRC-32.
+    let header = hex("4d4441534e415000 02000000 02000000 8bd31f85");
+    let table = hex("4d455441 4400000000000000 0100000000000000 37be0b4b \
+         44434e54 4500000000000000 6d81020000000000 661d873e");
+    let head = [header, table].concat();
+    assert_eq!(
+        &bytes[..head.len()],
+        head.as_slice(),
+        "header or table drifted"
+    );
+    // The `DCNT` payload (164 205 bytes) is pinned by its length and CRC
+    // above; the whole file by these.
+    assert_eq!(
+        (bytes.len(), crc32(&bytes)),
+        (164_274, 0xd4a6_3d3f),
+        "snapshot bytes drifted"
+    );
 }

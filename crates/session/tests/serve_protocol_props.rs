@@ -339,6 +339,14 @@ fn worker_serves_a_full_session_over_the_seam() {
         },
     ));
     input.extend_from_slice(&encode_request(5, &Request::Checkpoint { slot: 4 }));
+    input.extend_from_slice(&encode_request(
+        6,
+        &Request::Align {
+            slot: 4,
+            left: 0,
+            k: 0,
+        },
+    ));
     input.extend_from_slice(&encode_request(9, &Request::Shutdown));
 
     let mut output = Vec::new();
@@ -388,7 +396,9 @@ fn worker_serves_a_full_session_over_the_seam() {
     }
     assert!(matches!(responses[4], (4, Response::Aligned(_))));
     assert!(matches!(responses[5], (5, Response::Checkpointed { .. })));
-    assert_eq!(responses[6], (9, Response::ShuttingDown));
+    // A zero `k` is a valid request for no hits, not a bad request.
+    assert_eq!(responses[6], (6, Response::Aligned(vec![])));
+    assert_eq!(responses[7], (9, Response::ShuttingDown));
 
     // The write-ahead journal holds the update even though the worker is
     // gone — the durable hand-off the coordinator's restarts rely on.

@@ -181,15 +181,19 @@ fn unsupported_versions_are_refused() {
         .anchors(w.truth().links()[..6].to_vec())
         .count()
         .unwrap();
-    let mut bytes = snapshot::to_bytes(&counted);
-    // The version field sits right after the 8-byte magic.
-    bytes[8] = 2;
-    match snapshot::from_bytes(&bytes) {
-        Err(session::SnapshotError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, 2);
-            assert_eq!(supported, snapshot::FORMAT_VERSION);
+    // The older layout (version 1, which stored the node plan) and a
+    // newer one are both refused. The version field sits right after the
+    // 8-byte magic.
+    for version in [1, snapshot::FORMAT_VERSION + 1] {
+        let mut bytes = snapshot::to_bytes(&counted);
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        match snapshot::from_bytes(&bytes) {
+            Err(session::SnapshotError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, snapshot::FORMAT_VERSION);
+            }
+            other => panic!("expected UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
     }
     // And a non-snapshot file is refused as such.
     assert!(matches!(

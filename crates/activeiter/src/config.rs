@@ -82,15 +82,6 @@ impl ModelConfig {
         }
     }
 
-    /// Number of external rounds implied by budget and batch size.
-    pub fn external_rounds(&self) -> usize {
-        if self.budget == 0 || self.query_batch == 0 {
-            0
-        } else {
-            self.budget.div_ceil(self.query_batch)
-        }
-    }
-
     /// Sanity checks; panics on nonsensical settings (programming errors).
     pub fn validate(&self) {
         assert!(self.c > 0.0, "c must be positive");
@@ -123,14 +114,6 @@ mod tests {
         assert_eq!(c.similar_tau, 1.0);
         assert_eq!(c.accept_rule, AcceptRule::Relative { alpha: 0.5 });
         c.validate();
-    }
-
-    #[test]
-    fn external_rounds_rounding() {
-        assert_eq!(ModelConfig::with_budget(0).external_rounds(), 0);
-        assert_eq!(ModelConfig::with_budget(5).external_rounds(), 1);
-        assert_eq!(ModelConfig::with_budget(50).external_rounds(), 10);
-        assert_eq!(ModelConfig::with_budget(52).external_rounds(), 11);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl AlignmentInstance {
         self.features.ncols()
     }
 
-    /// True when candidate `i` is a labeled positive.
-    pub fn is_labeled(&self, i: usize) -> bool {
-        self.labeled_pos.contains(&i)
-    }
-
     /// The unlabeled candidate indices `U = H \ L⁺`.
     pub fn unlabeled(&self) -> Vec<usize> {
         let labeled: std::collections::HashSet<usize> = self.labeled_pos.iter().copied().collect();
@@ -108,8 +103,6 @@ mod tests {
         let x = DenseMatrix::zeros(4, 1);
         let inst = AlignmentInstance::new(cands(4), &x, vec![1, 3]);
         assert_eq!(inst.unlabeled(), vec![0, 2]);
-        assert!(inst.is_labeled(1));
-        assert!(!inst.is_labeled(0));
         assert_eq!(inst.len(), 4);
         assert!(!inst.is_empty());
     }

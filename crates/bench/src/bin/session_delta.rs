@@ -17,15 +17,15 @@
 //! within-run perfbench cell with a measured tolerance is on ROADMAP's
 //! benchmark item.
 //!
-//! Besides the criterion group, this bench writes
-//! `BENCH_session_delta.json` (mean wall-clock per path × scale × batch
-//! size, tiny and table IV) so the perf-trajectory gate tracks the round
-//! cost across runs. Set `SESSION_DELTA_RECORD_ONLY=1` to skip the
-//! criterion group and only write the record (the CI perf-trajectory step
-//! does this).
+//! The bin writes `BENCH_session_delta.json` (mean wall-clock per path ×
+//! scale × batch size, tiny and table IV) into the working directory, so
+//! the perf-trajectory gate tracks the round cost across runs:
+//!
+//! ```sh
+//! cargo run --release -p bench --bin session_delta
+//! ```
 
 use bench::record::BenchRecorder;
-use criterion::{criterion_group, BatchSize, BenchmarkId, Criterion};
 use eval::MetricSummary;
 use hetnet::AnchorLink;
 use session::{AlignmentSession, Featurized, SessionBuilder};
@@ -82,41 +82,6 @@ fn assert_delta_matches_full(s: &Scenario) {
     }
 }
 
-fn bench_round_recount(c: &mut Criterion) {
-    let mut group = c.benchmark_group("session_round_recount");
-    group.sample_size(10);
-    for (scale, cfg) in [
-        ("small", datagen::presets::small(5)),
-        ("table4", datagen::presets::paper_scale(200, 5)),
-    ] {
-        let s = scenario(&cfg);
-        assert_delta_matches_full(&s);
-        let base = open(&s, s.train.clone());
-        for batch_size in [1usize, 5, 20] {
-            let batch: Vec<AnchorLink> = s.held_out[..batch_size.min(s.held_out.len())].to_vec();
-            // The session clone is per-iteration setup, not measured work
-            // — timing it would dilute the delta-vs-full gap.
-            group.bench_with_input(
-                BenchmarkId::new(format!("delta/b{batch_size}"), scale),
-                &(),
-                |b, _| {
-                    b.iter_batched(
-                        || base.clone(),
-                        |mut session| session.update_anchors(&batch).unwrap(),
-                        BatchSize::LargeInput,
-                    )
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("full/b{batch_size}"), scale),
-                &(),
-                |b, _| b.iter(|| full_round(&s, &batch)),
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Mean wall-clock of one measured `round`. Neither `setup`, which makes
 /// the round's input, nor dropping the round's output is timed.
 fn time_rounds<I, O>(
@@ -168,25 +133,10 @@ fn write_records() {
         }
     }
 
-    // Benches run with the package as CWD; the perf gate reads records
-    // from the workspace root, where the table bins drop theirs.
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate sits two levels under the workspace root");
-    let path = recorder
-        .write_to(root)
-        .expect("BENCH_session_delta.json written");
+    let path = recorder.write().expect("BENCH_session_delta.json written");
     println!("wrote {}", path.display());
 }
 
-criterion_group!(benches, bench_round_recount);
-
-// Custom entry point instead of `criterion_main!`: after the groups run,
-// the perf-trajectory record is written for the gate.
 fn main() {
-    if std::env::var_os("SESSION_DELTA_RECORD_ONLY").is_none() {
-        benches();
-    }
     write_records();
 }

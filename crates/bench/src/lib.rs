@@ -1,9 +1,11 @@
 //! # bench — the table/figure regeneration harness
 //!
 //! One binary per table/figure of the paper (see EXPERIMENTS.md and
-//! `src/bin/`), plus Criterion micro/macro benchmarks for the engine-level
-//! ablations. This library holds the shared plumbing: the benchmark worlds,
-//! experiment presets, and a tiny argument parser (no CLI dependency).
+//! `src/bin/`), plus the perf-trajectory record bins (`snapshot`,
+//! `partition`, `serve`, `session_delta`) and `perf_gate`, which diffs
+//! their records. This library holds the shared plumbing: the benchmark
+//! worlds, experiment presets, the record writer, and a tiny argument
+//! parser (no CLI dependency).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

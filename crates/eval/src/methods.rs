@@ -140,12 +140,6 @@ impl Method {
             Method::SvmMpmd | Method::SvmMp | Method::Unsupervised => None,
         }
     }
-
-    /// True for the supervised SVM baselines (they train on labeled
-    /// positives *and* labeled negatives; PU methods use positives only).
-    pub fn is_svm(&self) -> bool {
-        matches!(self, Method::SvmMpmd | Method::SvmMp)
-    }
 }
 
 #[cfg(test)]
@@ -201,13 +195,17 @@ mod tests {
     fn unsupervised_method() {
         assert_eq!(Method::Unsupervised.name(), "Unsupervised");
         assert_eq!(Method::Unsupervised.budget(), 0);
-        assert!(!Method::Unsupervised.is_svm());
     }
 
     #[test]
     fn only_the_active_iter_family_has_a_strategy() {
         for m in Method::paper_lineup() {
-            assert_eq!(m.strategy().is_none(), m.is_svm(), "{}", m.name());
+            assert_eq!(
+                m.strategy().is_none(),
+                matches!(m, Method::SvmMp | Method::SvmMpmd),
+                "{}",
+                m.name()
+            );
         }
         assert_eq!(Method::Unsupervised.strategy(), None);
         assert_eq!(
@@ -222,13 +220,5 @@ mod tests {
             .strategy(),
             Some(StrategyKind::TopScore)
         );
-    }
-
-    #[test]
-    fn svm_detection() {
-        assert!(Method::SvmMp.is_svm());
-        assert!(Method::SvmMpmd.is_svm());
-        assert!(!Method::IterMpmd.is_svm());
-        assert!(!Method::ActiveIter { budget: 1 }.is_svm());
     }
 }

@@ -169,11 +169,6 @@ impl AlignedPair {
     pub fn truth(&self) -> &AnchorSet {
         &self.truth
     }
-
-    /// Size of the full candidate universe `H = U⁽¹⁾ × U⁽²⁾`.
-    pub fn universe_size(&self) -> usize {
-        self.left.n_users() * self.right.n_users()
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +230,6 @@ mod tests {
         let (l, r) = nets();
         let truth = AnchorSet::try_new(vec![AnchorLink::new(UserId(0), UserId(0))]).unwrap();
         let pair = AlignedPair::new(l, r, truth).unwrap();
-        assert_eq!(pair.universe_size(), 9);
         assert_eq!(pair.truth().len(), 1);
         assert_eq!(pair.left().name(), "l");
         assert_eq!(pair.right().name(), "r");

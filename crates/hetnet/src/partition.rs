@@ -522,13 +522,6 @@ pub struct PartitionMatching {
     pub unmatched_right: Vec<usize>,
 }
 
-impl PartitionMatching {
-    /// The right-side partner of left partition `p`, if matched.
-    pub fn partner_of_left(&self, p: usize) -> Option<usize> {
-        self.pairs.iter().find(|m| m.left == p).map(|m| m.right)
-    }
-}
-
 /// Greedily matches partitions across two networks.
 ///
 /// Known `anchors` act as **hard constraints**: every anchor link votes
@@ -889,8 +882,6 @@ mod tests {
         assert_eq!((m.pairs[1].left, m.pairs[1].right), (1, 0));
         assert_eq!(m.pairs[1].anchor_votes, 0);
         assert!(m.unmatched_left.is_empty() && m.unmatched_right.is_empty());
-        assert_eq!(m.partner_of_left(0), Some(1));
-        assert_eq!(m.partner_of_left(9), None);
     }
 
     #[test]

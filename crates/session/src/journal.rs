@@ -754,11 +754,6 @@ impl Journal {
         self.base_len
     }
 
-    /// The journal file path (`<base>.jrnl`).
-    pub fn journal_path(&self) -> &Path {
-        &self.journal_path
-    }
-
     /// Current journal file length in bytes (header included).
     pub fn journal_bytes(&self) -> u64 {
         self.journal_len

@@ -89,21 +89,6 @@ impl CholeskyFactor {
         }
         x
     }
-
-    /// Reconstructs `L Lᵀ` (tests only).
-    pub fn reconstruct(&self) -> DenseMatrix {
-        let mut a = DenseMatrix::zeros(self.n, self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                let mut s = 0.0;
-                for k in 0..=i.min(j) {
-                    s += self.l[(i, k)] * self.l[(j, k)];
-                }
-                a[(i, j)] = s;
-            }
-        }
-        a
-    }
 }
 
 #[cfg(test)]
@@ -120,11 +105,26 @@ mod tests {
         a
     }
 
+    /// Reconstructs `L Lᵀ` from a factor.
+    fn reconstruct(f: &CholeskyFactor) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(f.n, f.n);
+        for i in 0..f.n {
+            for j in 0..f.n {
+                let mut s = 0.0;
+                for k in 0..=i.min(j) {
+                    s += f.l[(i, k)] * f.l[(j, k)];
+                }
+                a[(i, j)] = s;
+            }
+        }
+        a
+    }
+
     #[test]
     fn factor_reconstructs_input() {
         let a = spd3();
         let f = CholeskyFactor::factor(&a).unwrap();
-        assert!(f.reconstruct().max_abs_diff(&a) < 1e-12);
+        assert!(reconstruct(&f).max_abs_diff(&a) < 1e-12);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!
 //! The session counts the full catalog exactly once, at build. The
 //! delta-vs-full-recount cost comparison lives in the `session_delta`
-//! bench (`cargo bench -p bench --bench session_delta`).
+//! bin (`cargo run --release -p bench --bin session_delta`).
 //!
 //! ```sh
 //! cargo run --release --example active_query_demo

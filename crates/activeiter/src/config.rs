@@ -74,14 +74,6 @@ impl Default for ModelConfig {
 }
 
 impl ModelConfig {
-    /// The paper's ActiveIter-`b` configuration.
-    pub fn with_budget(budget: usize) -> Self {
-        ModelConfig {
-            budget,
-            ..Default::default()
-        }
-    }
-
     /// Sanity checks; panics on nonsensical settings (programming errors).
     pub fn validate(&self) {
         assert!(self.c > 0.0, "c must be positive");

@@ -263,6 +263,12 @@ mod tests {
     #[should_panic(expected = "empty instance")]
     fn empty_instance_panics() {
         let inst = AlignmentInstance::new(vec![], &DenseMatrix::zeros(0, 2), vec![]);
-        ActiveLoop::new(inst, ModelConfig::with_budget(0));
+        ActiveLoop::new(
+            inst,
+            ModelConfig {
+                budget: 0,
+                ..Default::default()
+            },
+        );
     }
 }

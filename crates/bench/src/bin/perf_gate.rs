@@ -29,8 +29,8 @@
 //!
 //! The records are the flat documents written by
 //! [`bench::record::BenchRecorder`];
-//! the vendored serde stand-in has no deserializer, so the fields are
-//! pulled out by a small line scanner matched to that writer.
+//! the workspace has no JSON crate, so the fields are pulled out by a
+//! small line scanner matched to that writer.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};

@@ -20,8 +20,8 @@
 //! }
 //! ```
 //!
-//! No serde dependency — the writer emits the JSON by hand (the vendored
-//! serde stand-in has no serializer, and the schema is four fields).
+//! The writer emits the JSON by hand: the schema is four fields, and the
+//! workspace has no JSON crate.
 
 use eval::MetricSummary;
 use std::path::PathBuf;
@@ -129,7 +129,7 @@ impl BenchRecorder {
     ///
     /// # Errors
     /// Propagates the underlying [`std::fs::write`] failure.
-    pub fn write_to(&self, dir: &std::path::Path) -> std::io::Result<PathBuf> {
+    fn write_to(&self, dir: &std::path::Path) -> std::io::Result<PathBuf> {
         let path = dir.join(format!("BENCH_{}.json", self.name));
         std::fs::write(&path, self.to_json())?;
         Ok(path)

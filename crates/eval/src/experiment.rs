@@ -12,14 +12,13 @@ use activeiter::{ModelConfig, QueryStrategy, VecOracle};
 use datagen::GeneratedWorld;
 use hetnet::AnchorLink;
 use metadiagram::Threading;
-use serde::{Deserialize, Serialize};
 use session::SessionBuilder;
 use sparsela::{map_claimed, DenseMatrix};
 use std::collections::HashSet;
 use std::time::Duration;
 
 /// One experiment cell's protocol parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentSpec {
     /// NP-ratio θ: negatives per positive.
     pub np_ratio: usize,
@@ -113,7 +112,7 @@ pub struct FoldRun {
 }
 
 /// Aggregated cell result: `mean ± std` per metric over fold rotations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CellResult {
     /// F1 summary.
     pub f1: MetricSummary,

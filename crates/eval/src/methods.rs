@@ -1,10 +1,9 @@
 //! The comparison methods of §IV-B.2 (plus ablation variants).
 
 use metadiagram::FeatureSet;
-use serde::{Deserialize, Serialize};
 
 /// Query-strategy selector for the ablation variants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// The paper's conflict-based strategy.
     Conflict,
@@ -17,7 +16,7 @@ pub enum StrategyKind {
 }
 
 /// A method under comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// **ActiveIter-b**: the paper's model with query budget `b`.
     ActiveIter {
@@ -53,7 +52,7 @@ pub enum Method {
 }
 
 /// Serializable mirror of [`FeatureSet`] for the ablation method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AblationFeatures {
     /// P1..P6 only.
     MetaPathsOnly,

@@ -1,10 +1,8 @@
 //! Binary-classification metrics (the paper's F1, Precision, Recall,
 //! Accuracy) and mean ± std aggregation across folds.
 
-use serde::{Deserialize, Serialize};
-
 /// A confusion matrix over binary predictions.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Confusion {
     /// True positives.
     pub tp: usize,
@@ -95,7 +93,7 @@ impl Confusion {
 }
 
 /// The four metrics of one run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metrics {
     /// F1 score.
     pub f1: f64,
@@ -124,7 +122,7 @@ impl Metrics {
 }
 
 /// `mean ± std` of one metric across folds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricSummary {
     /// Sample mean.
     pub mean: f64,

@@ -4,8 +4,8 @@
 //! session: the merged anchor matrix, every materialized count matrix with
 //! its maintained [`sparsela::MarginSums`], the `L`/`R` factor chains that
 //! make anchor updates incremental, and the work counters. This module
-//! lays all of it out as bytes (on top of [`sparsela::codec`] and the
-//! vendored [`serde::bin`] primitives) so `session::snapshot` can persist
+//! lays all of it out as bytes (on top of [`sparsela::codec`]'s
+//! primitives) so `session::snapshot` can persist
 //! a `Counted` stage and a fresh process can resume `update_anchors`
 //! without recounting — see `docs/SNAPSHOT_FORMAT.md` for the file-level
 //! framing around this payload.
@@ -33,10 +33,9 @@
 use crate::catalog::{Catalog, FeatureSet};
 use crate::delta::{DeltaCatalogCounts, DeltaStats, FactorChain, Node, NodeCount, NodePlan};
 use crate::diagram::Diagram;
-use serde::bin::{crc32, Error, Reader, Writer};
 use sparsela::codec::{
-    csr_encoded_len, decode_csr, decode_margins, decode_threading, encode_csr, encode_margins,
-    encode_threading, margins_encoded_len,
+    crc32, csr_encoded_len, decode_csr, decode_margins, decode_threading, encode_csr,
+    encode_margins, encode_threading, margins_encoded_len, Error, Reader, Writer,
 };
 use sparsela::Threading;
 use std::sync::Arc;
@@ -268,7 +267,7 @@ mod tests {
         let bytes = encoded(&store);
         let mut r = Reader::new(&bytes);
         let back = decode_store(&mut r, &catalog).unwrap();
-        assert!(r.is_exhausted());
+        r.expect_end("the store").unwrap();
         assert_eq!(back.anchor, store.anchor);
         assert_eq!(back.order, store.order);
         assert_eq!(back.catalog_pos, store.catalog_pos);

@@ -89,7 +89,7 @@ use crate::record::{self, Split};
 use crate::snapshot::{self, SnapshotError};
 use crate::stages::{AlignmentSession, Counted};
 use crate::{AnchorEdge, SessionError};
-use serde::bin::{crc32, Error as BinError, Reader, Writer};
+use sparsela::codec::{crc32, Error as BinError, Reader, Writer};
 use std::borrow::Cow;
 use std::fmt;
 use std::io::Write;
@@ -293,7 +293,7 @@ impl Record<'_> {
                 ))))
             }
         };
-        record::expect_end(&r, "a journal record")?;
+        r.expect_end("a journal record")?;
         Ok(record)
     }
 }

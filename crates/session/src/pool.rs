@@ -783,23 +783,6 @@ impl SessionPool {
         errors.drain(..).map(|(i, e)| (SessionId(i), e)).collect()
     }
 
-    /// Number of background folds enqueued but not yet finished.
-    pub fn compaction_backlog(&self) -> usize {
-        let compactor = self
-            .compactor
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        compactor
-            .as_ref()
-            .map(|c| {
-                *c.state
-                    .pending
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-            })
-            .unwrap_or(0)
-    }
-
     /// Stalls the compactor for `ms` milliseconds between staging and
     /// finishing each fold, so tests can prove updates flow while a fold
     /// is in flight.
@@ -941,7 +924,13 @@ mod tests {
         let save_started = Instant::now();
         pool.save(id, &path).unwrap();
         let save_took = save_started.elapsed();
-        assert_eq!(pool.compaction_backlog(), 1, "the fold must be enqueued");
+        let backlog = pool
+            .compactor
+            .lock()
+            .unwrap()
+            .as_ref()
+            .map_or(0, |c| *c.state.pending.lock().unwrap());
+        assert_eq!(backlog, 1, "the fold must be enqueued");
         assert!(
             save_took < Duration::from_millis(400),
             "save must return without waiting for the stalled fold (took {save_took:?})"

@@ -16,7 +16,7 @@
 
 use crate::AnchorEdge;
 use hetnet::UserId;
-use serde::bin::{crc32, Error as BinError, Reader, Writer};
+use sparsela::codec::{crc32, Error as BinError, Reader, Writer};
 
 /// Frame overhead: the `len` + `crc` prefix.
 pub const FRAME_OVERHEAD: usize = 8;
@@ -125,15 +125,4 @@ pub(crate) fn read_pairs<P: Pair>(r: &mut Reader<'_>) -> Result<Vec<P>, BinError
         pairs.push(P::from_ids(r.u32()?, r.u32()?));
     }
     Ok(pairs)
-}
-
-/// Refuses bytes left after a record's last field: a record decodes to
-/// exactly its own length or not at all.
-pub(crate) fn expect_end(r: &Reader<'_>, what: &str) -> Result<(), BinError> {
-    match r.remaining() {
-        0 => Ok(()),
-        n => Err(BinError::Malformed(format!(
-            "{n} trailing bytes after {what}"
-        ))),
-    }
 }

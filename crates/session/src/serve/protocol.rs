@@ -30,7 +30,7 @@
 
 use crate::record::{self, Split};
 use crate::AnchorEdge;
-use serde::bin::{Error as BinError, Reader, Writer};
+use sparsela::codec::{Error as BinError, Reader, Writer};
 use std::fmt;
 use std::io::Read;
 
@@ -465,7 +465,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtocolError> {
         REQ_SHUTDOWN => Request::Shutdown,
         kind => return Err(ProtocolError::UnknownKind(kind)),
     };
-    record::expect_end(&r, "a protocol message")?;
+    r.expect_end("a protocol message")?;
     Ok((seq, request))
 }
 
@@ -513,6 +513,6 @@ pub fn decode_response(payload: &[u8]) -> Result<(u64, Response), ProtocolError>
         RESP_HELLO => Response::Hello { pid: r.u64()? },
         kind => return Err(ProtocolError::UnknownKind(kind)),
     };
-    record::expect_end(&r, "a protocol message")?;
+    r.expect_end("a protocol message")?;
     Ok((seq, response))
 }

@@ -73,7 +73,7 @@ impl Fault {
 
 /// Parses a `SERVE_COMPACT` value (`never` / `everyn:<n>` /
 /// `bytes:<n>`); `None` for anything unparseable.
-pub fn parse_compaction(spec: &str) -> Option<CompactionPolicy> {
+fn parse_compaction(spec: &str) -> Option<CompactionPolicy> {
     if spec.trim() == "never" {
         return Some(CompactionPolicy::Never);
     }

@@ -86,7 +86,7 @@ use hetnet::partition::{
 };
 use hetnet::{HetNet, HetNetError, UserId};
 use metadiagram::DeltaStats;
-use serde::bin::{Error as BinError, Reader, Writer};
+use sparsela::codec::{Error as BinError, Reader, Writer};
 use sparsela::map_claimed;
 use std::collections::HashMap;
 use std::fmt;
@@ -974,7 +974,7 @@ fn decode_manifest(
     let unmatched_left = p.usize_slice()?;
     let unmatched_right = p.usize_slice()?;
     let ledger: Vec<AnchorEdge> = record::read_pairs(&mut p)?;
-    record::expect_end(&p, "the manifest")?;
+    p.expect_end("the manifest")?;
     if let Some(a) = ledger
         .iter()
         .find(|a| a.left.index() >= left_map.n_users() || a.right.index() >= right_map.n_users())

@@ -43,10 +43,9 @@
 //! ```
 
 use crate::journal::Journal;
-use crate::record;
 use crate::stages::{AlignmentSession, Counted};
 use metadiagram::{codec as mcodec, Catalog};
-use serde::bin::{crc32, Error as BinError, Reader, Writer};
+use sparsela::codec::{crc32, Error as BinError, Reader, Writer};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -313,10 +312,11 @@ pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotErr
     )?;
     let mut meta = Reader::new(meta_payload);
     let feature_set = mcodec::decode_feature_set(&mut meta)?;
+    meta.expect_end("the feature set")?;
     let catalog = Catalog::new(feature_set);
     let mut counts = Reader::new(counts_payload);
     let store = mcodec::decode_store(&mut counts, &catalog)?;
-    record::expect_end(&counts, "the count store")?;
+    counts.expect_end("the count store")?;
     Ok(AlignmentSession {
         catalog,
         counts: store,
@@ -412,4 +412,42 @@ pub fn save(
 pub fn open(path: impl AsRef<Path>) -> Result<AlignmentSession<Counted>, SnapshotError> {
     let bytes = std::fs::read(path.as_ref())?;
     from_bytes(&bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SessionBuilder;
+
+    /// META carries exactly its feature-set byte: a byte past it is
+    /// refused like trailing bytes in any other payload, even though
+    /// every CRC in the container is valid.
+    #[test]
+    fn trailing_bytes_after_meta_are_refused() {
+        let w = datagen::generate(&datagen::presets::tiny(71));
+        let session = SessionBuilder::new(w.left(), w.right())
+            .anchors(w.truth().links()[..4].to_vec())
+            .count()
+            .unwrap();
+        let mut counts = Writer::new();
+        mcodec::encode_store(&session.counts, &mut counts);
+        let counts = counts.into_bytes();
+        let container = |meta: Vec<u8>| {
+            write_container(
+                &MAGIC,
+                FORMAT_VERSION,
+                &[(SECTION_META, meta), (SECTION_COUNTS, counts.clone())],
+            )
+        };
+        let mut meta = Writer::new();
+        mcodec::encode_feature_set(session.catalog.feature_set(), &mut meta);
+        let meta = meta.into_bytes();
+        assert!(from_bytes(&container(meta.clone())).is_ok());
+
+        let padded = [meta.as_slice(), &[0]].concat();
+        assert!(matches!(
+            from_bytes(&container(padded)),
+            Err(SnapshotError::Decode(BinError::Malformed(_)))
+        ));
+    }
 }

@@ -11,10 +11,10 @@
 
 use hetnet::partition::PartitionMap;
 use hetnet::UserId;
-use serde::bin::crc32;
 use session::serve::protocol::{encode_request, encode_response, ErrorCode, Request, Response};
 use session::sharded::{ShardedConfig, ShardedSession, MANIFEST_FILE};
 use session::{snapshot, AnchorEdge, Journal, SessionBuilder};
+use sparsela::codec::crc32;
 
 fn hex(s: &str) -> Vec<u8> {
     let digits: Vec<u8> = s.bytes().filter(|b| !b.is_ascii_whitespace()).collect();

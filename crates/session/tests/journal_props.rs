@@ -8,8 +8,8 @@
 //! point of the append/compact protocol recovers cleanly.
 
 use proptest::prelude::*;
-use serde::bin::{crc32, Writer};
 use session::{snapshot, Journal, JournalError, SessionBuilder};
+use sparsela::codec::{crc32, Writer};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 

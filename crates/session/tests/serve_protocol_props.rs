@@ -198,15 +198,15 @@ fn hostile_length_prefix_is_refused_before_allocation() {
 #[test]
 fn hostile_interior_lengths_are_refused() {
     // Hand-build an UpdateAnchors payload claiming 2^30 edges.
-    let mut p = serde::bin::Writer::new();
+    let mut p = sparsela::codec::Writer::new();
     p.u64(1); // seq
     p.u8(2); // REQ_UPDATE
     p.u64(0); // slot
     p.usize(1 << 30); // claimed edge count, no edges follow
     let payload = p.into_bytes();
-    let mut w = serde::bin::Writer::new();
+    let mut w = sparsela::codec::Writer::new();
     w.u32(payload.len() as u32);
-    w.u32(serde::bin::crc32(&payload));
+    w.u32(sparsela::codec::crc32(&payload));
     w.bytes(&payload);
     let framed = w.into_bytes();
     let (payload, _) = decode_frame(&framed).unwrap().expect("frame is intact");

@@ -21,9 +21,13 @@
 //! * [`CholeskyFactor`] and [`RidgeSolver`] — the paper's closed-form inner
 //!   update `w = c (I + c XᵀX)⁻¹ Xᵀ y` (Section III-D, step 1-1).
 //!
-//! The crate is deliberately free of `unsafe`; its only dependency is the
-//! vendored `serde` stand-in's byte codec, which [`codec`] builds on to
-//! persist matrices and margins for the snapshot subsystem. Correctness is
+//! * [`codec`] — the repo's one byte format: the little-endian
+//!   [`codec::Writer`] / [`codec::Reader`] primitives and [`codec::crc32`]
+//!   that every snapshot, journal, wire frame and manifest is built from,
+//!   plus the encode/decode of matrices and margins.
+//!
+//! The crate is deliberately free of `unsafe` and uses no other crate at
+//! run time. Correctness is
 //! established by unit tests in every module plus property tests against
 //! naive dense references.
 

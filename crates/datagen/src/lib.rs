@@ -26,9 +26,7 @@ pub mod activity;
 pub mod config;
 pub mod follow;
 pub mod generator;
-pub mod multi;
 pub mod presets;
 
 pub use config::GeneratorConfig;
 pub use generator::{generate, GeneratedWorld};
-pub use multi::{generate_multi, MultiWorld};

@@ -22,7 +22,6 @@
 pub mod experiment;
 pub mod methods;
 pub mod metrics;
-pub mod multi;
 pub mod ranking;
 pub mod report;
 pub mod sampling;
@@ -32,10 +31,6 @@ pub use experiment::{
 };
 pub use methods::Method;
 pub use metrics::{summarize, Confusion, MetricSummary, Metrics};
-pub use multi::{
-    align_all_pairs, consistency_report, resolve_by_score, stitched_to_alignment, MultiAlignment,
-    MultiSpec, MultiSpecError,
-};
 pub use ranking::{ranking_report, RankingReport};
 pub use report::Table;
 pub use sampling::LinkSet;

@@ -296,8 +296,7 @@ pub struct ShardFitReport {
 
 /// The stitched result of [`ShardedSession::fit`]: per-shard positives
 /// merged under a global one-to-one constraint, boundary-ledger anchors
-/// included and authoritative. Convertible to `eval`'s `MultiAlignment`
-/// (see `eval::multi::stitched_to_alignment`).
+/// included and authoritative.
 #[derive(Debug, Clone)]
 pub struct StitchedAlignment {
     /// Accepted links, sorted by `(left, right)`.
@@ -929,7 +928,16 @@ fn decode_map(r: &mut Reader<'_>) -> Result<PartitionMap, SnapshotError> {
     }
     let mut boundary = Vec::with_capacity(n);
     for _ in 0..n {
-        boundary.push(r.u8()? != 0);
+        boundary.push(match r.u8()? {
+            0 => false,
+            1 => true,
+            b => {
+                return Err(BinError::Malformed(format!(
+                    "boundary flags must be 0 or 1; found {b}"
+                ))
+                .into())
+            }
+        });
     }
     Ok(PartitionMap::from_raw_parts(part_of, boundary))
 }
@@ -1070,6 +1078,20 @@ mod tests {
         assert!(matches!(
             decode_manifest(w.as_bytes()),
             Err(SnapshotError::UnsupportedVersion { found: 99, .. })
+        ));
+    }
+
+    #[test]
+    fn map_decode_rejects_a_non_canonical_boundary_byte() {
+        let map = PartitionMap::from_raw_parts(vec![0, 0, 1], vec![false, true, false]);
+        let mut w = Writer::new();
+        encode_map(&mut w, &map);
+        let mut bytes = w.as_bytes().to_vec();
+        // The boundary flags are the map's last bytes, one per user.
+        *bytes.last_mut().unwrap() = 2;
+        assert!(matches!(
+            decode_map(&mut Reader::new(&bytes)),
+            Err(SnapshotError::Decode(BinError::Malformed(_)))
         ));
     }
 }

@@ -76,9 +76,6 @@ pub use sparsela;
 pub mod prelude {
     pub use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy, VecOracle};
     pub use datagen::{self, GeneratorConfig};
-    pub use eval::multi::{
-        align_all_pairs, consistency_report, resolve_by_score, MultiSpec, MultiSpecError,
-    };
     pub use eval::{
         ranking_report, run_experiment, run_fold, CellResult, ExperimentSpec, LinkSet, Method,
         Metrics, RankingReport, Table,

@@ -1,33 +1,7 @@
-//! Integration tests for the extension features: multi-network alignment
-//! and per-user ranking metrics.
+//! Integration tests for the extension features: per-user ranking
+//! metrics and the words catalog.
 
-use eval::multi::{align_all_pairs, consistency_report, precision, resolve_by_score, MultiSpec};
 use social_align::prelude::*;
-
-#[test]
-fn multi_network_pipeline_end_to_end() {
-    let world = datagen::generate_multi(&datagen::presets::tiny(19), 3);
-    let spec = MultiSpec {
-        np_ratio: 3,
-        train_fraction: 0.3,
-        budget: 10,
-        seed: 19,
-        threads: 0,
-    };
-    let alignment = align_all_pairs(&world, &spec).expect("spec is valid");
-    assert!(!alignment.links.is_empty());
-    assert!(
-        precision(&alignment) > 0.5,
-        "pairwise precision {:.3}",
-        precision(&alignment)
-    );
-    let resolved = resolve_by_score(&alignment);
-    let report = consistency_report(&resolved, world.k());
-    assert_eq!(
-        report.contradictions, 0,
-        "repair must remove contradictions"
-    );
-}
 
 #[test]
 fn ranking_improves_with_more_supervision() {

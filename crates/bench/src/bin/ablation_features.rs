@@ -7,17 +7,17 @@
 //! cargo run --release -p bench --bin ablation_features [-- --full]
 //! ```
 
-use eval::methods::AblationFeatures;
 use eval::{run_experiment, Method};
+use metadiagram::FeatureSet;
 
 fn main() {
     let opts = bench::HarnessOpts::from_args();
     let world = opts.world();
     let slices = [
-        AblationFeatures::MetaPathsOnly,
-        AblationFeatures::PathsAndSocialDiagrams,
-        AblationFeatures::PathsAndAttrDiagram,
-        AblationFeatures::Full,
+        FeatureSet::MetaPathsOnly,
+        FeatureSet::PathsAndSocialDiagrams,
+        FeatureSet::PathsAndAttrDiagram,
+        FeatureSet::Full,
     ];
 
     println!(

@@ -44,35 +44,11 @@ pub enum Method {
     /// Ablation: Iter-MPMD restricted to a feature-catalog slice.
     IterMpmdFeatures {
         /// Catalog slice.
-        features: AblationFeatures,
+        features: FeatureSet,
     },
     /// Unsupervised baseline: attribute-similarity greedy matching, no
     /// labels, no learning (related-work reference point, §V).
     Unsupervised,
-}
-
-/// Serializable mirror of [`FeatureSet`] for the ablation method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AblationFeatures {
-    /// P1..P6 only.
-    MetaPathsOnly,
-    /// P plus Ψf².
-    PathsAndSocialDiagrams,
-    /// P plus Ψa².
-    PathsAndAttrDiagram,
-    /// Everything.
-    Full,
-}
-
-impl From<AblationFeatures> for FeatureSet {
-    fn from(a: AblationFeatures) -> FeatureSet {
-        match a {
-            AblationFeatures::MetaPathsOnly => FeatureSet::MetaPathsOnly,
-            AblationFeatures::PathsAndSocialDiagrams => FeatureSet::PathsAndSocialDiagrams,
-            AblationFeatures::PathsAndAttrDiagram => FeatureSet::PathsAndAttrDiagram,
-            AblationFeatures::Full => FeatureSet::Full,
-        }
-    }
 }
 
 impl Method {
@@ -111,7 +87,7 @@ impl Method {
             // The unsupervised matcher sees no anchors, so only the
             // label-free attribute paths carry information.
             Method::SvmMp | Method::Unsupervised => FeatureSet::MetaPathsOnly,
-            Method::IterMpmdFeatures { features } => (*features).into(),
+            Method::IterMpmdFeatures { features } => *features,
             _ => FeatureSet::Full,
         }
     }
@@ -168,7 +144,7 @@ mod tests {
         assert_eq!(Method::IterMpmd.feature_set(), FeatureSet::Full);
         assert_eq!(
             Method::IterMpmdFeatures {
-                features: AblationFeatures::PathsAndAttrDiagram
+                features: FeatureSet::PathsAndAttrDiagram
             }
             .feature_set(),
             FeatureSet::PathsAndAttrDiagram

@@ -135,40 +135,6 @@ impl PartitionMap {
         Self::compact(assignment, net)
     }
 
-    /// Reassembles a map from its raw per-user arrays — the persistence
-    /// path (a sharded-session manifest stores exactly these two arrays;
-    /// members are derived). Boundary flags are taken as given, so the
-    /// map round-trips without the original network.
-    ///
-    /// # Panics
-    /// Panics when the arrays disagree in length or partition ids are not
-    /// dense `0..k` in order of first appearance — corrupted inputs are
-    /// the *caller's* job to reject (decode-side validation), not this
-    /// constructor's.
-    pub fn from_raw_parts(part_of: Vec<u32>, boundary: Vec<bool>) -> Self {
-        assert_eq!(part_of.len(), boundary.len(), "array length mismatch");
-        let mut members: Vec<Vec<UserId>> = Vec::new();
-        for (u, &p) in part_of.iter().enumerate() {
-            let p = p as usize;
-            assert!(p <= members.len(), "partition ids must be dense");
-            if p == members.len() {
-                members.push(Vec::new());
-            }
-            members[p].push(UserId::from_index(u));
-        }
-        PartitionMap {
-            part_of,
-            members,
-            boundary,
-        }
-    }
-
-    /// The raw per-user arrays `(part_of, boundary)` —
-    /// [`PartitionMap::from_raw_parts`]'s inverse, for persistence.
-    pub fn raw_parts(&self) -> (&[u32], &[bool]) {
-        (&self.part_of, &self.boundary)
-    }
-
     /// Detects communities by seeded label propagation over the follow
     /// graph, forward and reverse edges both counted (a mutual follow
     /// counts twice, weighting reciprocity). Deterministic per

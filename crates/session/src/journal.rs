@@ -111,8 +111,7 @@ const REC_COMPACTED: u8 = 3;
 
 /// When a journal-backed save folds the journal back into its base.
 ///
-/// The knob callers hand to [`crate::SessionPool::set_compaction`] (a
-/// sharded session fixes `Bytes(1 << 20)` on its pool);
+/// The knob callers hand to [`crate::SessionPool::set_compaction`];
 /// [`Journal::should_compact`] evaluates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompactionPolicy {

@@ -1,7 +1,6 @@
 //! The one record codec the crate's framed byte streams share: the ΔA
-//! journal ([`crate::journal`]), the serving wire
-//! ([`crate::serve::protocol`]) and the sharded manifest's boundary
-//! ledger ([`crate::sharded`]).
+//! journal ([`crate::journal`]) and the serving wire
+//! ([`crate::serve::protocol`]).
 //!
 //! ```text
 //! frame  len u32 | crc u32(payload) | payload
@@ -80,8 +79,8 @@ pub(crate) fn split_frame(buf: &[u8], max_len: u32) -> Split<'_> {
     Split::Intact { payload, end }
 }
 
-/// An element of a pair list: anchor edges on the journal, the wire and
-/// the manifest; plain `(left, right)` user pairs in wire queries.
+/// An element of a pair list: anchor edges on the journal and the wire;
+/// plain `(left, right)` user pairs in wire queries.
 pub(crate) trait Pair {
     fn ids(&self) -> (u32, u32);
     fn from_ids(left: u32, right: u32) -> Self;

@@ -26,10 +26,10 @@
 //!   [`ServeError::RestartLimit`].
 //!
 //! Request batching rides the same path: [`Coordinator::update_many`]
-//! groups jobs per worker and writes each group as one pipelined burst —
-//! one stdin flush per worker, one stdout flush per worker on the way
-//! back (the worker batches responses per read) — instead of one
-//! round-trip per job.
+//! submits all its jobs back to back and only then awaits their
+//! responses (the worker batches responses per read), instead of one
+//! round-trip per job. Child stdin is unbuffered, so every frame is its
+//! own pipe write.
 
 use super::protocol::{
     decode_response, encode_request, FrameReader, ProtocolError, Request, Response,
@@ -310,9 +310,7 @@ impl WorkerShared {
         // admission window, so this write cannot wedge on a full pipe.
         let mut stdin = self.stdin.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(w) = stdin.as_mut() {
-            w.write_all(&burst)
-                .and_then(|()| w.flush())
-                .map_err(ServeError::Io)?;
+            w.write_all(&burst).map_err(ServeError::Io)?;
         }
         Ok(())
     }
@@ -486,13 +484,7 @@ impl Coordinator {
     }
 
     /// Registers `(seq, request)` as pending and writes its frame.
-    /// `flush` batches: pass false while bursting, true on the last.
-    fn submit(
-        &self,
-        shared: &Arc<WorkerShared>,
-        request: Request,
-        flush: bool,
-    ) -> Result<u64, ServeError> {
+    fn submit(&self, shared: &Arc<WorkerShared>, request: Request) -> Result<u64, ServeError> {
         let mut st = lock_state(shared);
         if st.failed {
             return Err(ServeError::RestartLimit {
@@ -508,10 +500,7 @@ impl Coordinator {
         let (seq, frame) = st.register(request, false);
         drop(st); // never hold the state lock across a pipe write
         let mut stdin = shared.stdin.lock().unwrap_or_else(PoisonError::into_inner);
-        let write = stdin.as_mut().map(|w| {
-            w.write_all(&frame)
-                .and_then(|()| if flush { w.flush() } else { Ok(()) })
-        });
+        let write = stdin.as_mut().map(|w| w.write_all(&frame));
         drop(stdin);
         if !matches!(write, Some(Ok(()))) {
             // The pipe is gone — the reader thread will flag the death;
@@ -578,7 +567,7 @@ impl Coordinator {
     fn call(&self, slot: u64, request: Request) -> Result<Response, ServeError> {
         let _permit = self.admission.acquire();
         let shared = self.worker_for(slot);
-        let seq = self.submit(shared, request, true)?;
+        let seq = self.submit(shared, request)?;
         self.await_seq(shared, seq)
     }
 
@@ -615,28 +604,20 @@ impl Coordinator {
         updated(self.call(slot, Request::UpdateAnchors { slot, edges })?)
     }
 
-    /// Applies many update batches, grouped per worker and written as
-    /// one pipelined burst each — one flush per worker instead of one
-    /// round-trip per job. Results come back **in job order**. The whole
-    /// batch counts as one admission unit.
+    /// Applies many update batches: submits every job back to back, then
+    /// awaits them, instead of one round-trip per job. Results come back
+    /// **in job order**. The whole batch counts as one admission unit.
     pub fn update_many(
         &self,
         jobs: Vec<(u64, Vec<AnchorEdge>)>,
     ) -> Vec<Result<(u64, u64), ServeError>> {
         let _permit = self.admission.acquire();
-        // Submit per worker in job order, flushing once per worker after
-        // its last frame.
-        let mut last_for_worker: HashMap<usize, usize> = HashMap::new();
-        for (i, (slot, _)) in jobs.iter().enumerate() {
-            last_for_worker.insert((slot % self.workers.len() as u64) as usize, i);
-        }
         let mut seqs: Vec<Result<(usize, u64), ServeError>> = Vec::with_capacity(jobs.len());
-        for (i, (slot, edges)) in jobs.into_iter().enumerate() {
+        for (slot, edges) in jobs {
             let shared = self.worker_for(slot);
-            let flush = last_for_worker.get(&shared.index) == Some(&i);
             let worker_index = shared.index;
             seqs.push(
-                self.submit(shared, Request::UpdateAnchors { slot, edges }, flush)
+                self.submit(shared, Request::UpdateAnchors { slot, edges })
                     .map(|seq| (worker_index, seq)),
             );
         }
@@ -714,7 +695,7 @@ impl Coordinator {
         {
             let mut stdin = shared.stdin.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(w) = stdin.as_mut() {
-                w.write_all(&frame).and_then(|()| w.flush()).ok();
+                w.write_all(&frame).ok();
             }
             // Dropping stdin closes the pipe — the belt-and-braces exit
             // signal for a worker that missed the frame.

@@ -34,14 +34,10 @@
 //! `O((n/k)²)` that also run concurrently — the `partition` bench bin
 //! measures where the crossover against the global pipeline lands.
 //!
-//! A sharded session persists like the pool it wraps:
-//! [`ShardedSession::save_dir`] calls [`SessionPool::save`] once per
-//! shard (one base snapshot + ΔA journal each) and writes a thin
-//! [`MANIFEST_FILE`] (partition maps, matching, boundary ledger) in the
-//! snapshot container, and [`ShardedSession::open_dir`] restores the
-//! whole ensemble without recounting. Once saved, updates are
-//! write-ahead on both sides: shard edges through each shard's journal,
-//! new boundary anchors through a manifest rewrite.
+//! A sharded session lives in memory only: the partition maps, the
+//! boundary-anchor ledger and the shard sessions are rebuilt from the
+//! networks with [`ShardedSession::new`] or
+//! [`ShardedSession::with_partitions`].
 //!
 //! ## Example
 //!
@@ -71,10 +67,7 @@
 //! assert!(!stitched.links.is_empty());
 //! ```
 
-use crate::journal::CompactionPolicy;
 use crate::pool::{PoolError, SessionId, SessionPool};
-use crate::record;
-use crate::snapshot::{self, SnapshotError};
 use crate::stages::SessionBuilder;
 use crate::{AnchorEdge, SessionError};
 use activeiter::driver::ActiveLoop;
@@ -86,35 +79,17 @@ use hetnet::partition::{
 };
 use hetnet::{HetNet, HetNetError, UserId};
 use metadiagram::DeltaStats;
-use sparsela::codec::{Error as BinError, Reader, Writer};
 use sparsela::map_claimed;
 use std::collections::HashMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// One shard's candidate batch, claimed exactly once by the worker that
 /// featurizes that shard.
 type CandidateJob = Mutex<Option<Vec<(UserId, UserId)>>>;
 
-/// Magic prefix of a sharded-session manifest file.
-pub const MANIFEST_MAGIC: [u8; 8] = *b"MDASHRD\0";
-/// Manifest format version this build writes and the only one it reads;
-/// any other version is refused, like a snapshot version bump (layout
-/// and history in `docs/SNAPSHOT_FORMAT.md`).
-pub const MANIFEST_VERSION: u32 = 3;
-/// File name of the manifest inside a [`ShardedSession::save_dir`]
-/// directory.
-pub const MANIFEST_FILE: &str = "manifest.mdashard";
-
-/// The manifest's one container section.
-const SECTION_MANIFEST: [u8; 4] = *b"MANI";
 /// WL refinement rounds for partition matching.
 const WL_ROUNDS: usize = 2;
-/// When a saved shard's ΔA journal folds back into its base: past 1 MiB,
-/// so replay-on-open stays cheap while a typical round still persists at
-/// k·O(|ΔA_k|).
-const SHARD_COMPACTION: CompactionPolicy = CompactionPolicy::Bytes(1 << 20);
 
 /// Everything a sharded-session operation can fail with.
 #[derive(Debug)]
@@ -126,8 +101,6 @@ pub enum ShardedError {
     Session(SessionError),
     /// A pooled shard operation failed.
     Pool(PoolError),
-    /// Reading or writing the manifest (or a shard snapshot) failed.
-    Manifest(SnapshotError),
     /// The operation needs the other stage (e.g. fitting before
     /// featurizing).
     WrongStage {
@@ -142,11 +115,10 @@ pub enum ShardedError {
         /// Number of featurized candidates.
         candidates: usize,
     },
-    /// Two structures that must agree have drifted apart — a shard
-    /// snapshot whose shape differs from the member lists the manifest
-    /// routes into it, a user missing from its own partition's members,
-    /// or a shard that vanished mid-operation. A damaged ensemble reports
-    /// instead of aborting the process.
+    /// Two structures that must agree have drifted apart — a user
+    /// missing from its own partition's members, or a shard's candidate
+    /// batch claimed twice. A damaged ensemble reports instead of
+    /// aborting the process.
     Inconsistent {
         /// Which invariant broke.
         what: &'static str,
@@ -159,7 +131,6 @@ impl fmt::Display for ShardedError {
             ShardedError::Partition(e) => write!(f, "sharded partitioning: {e}"),
             ShardedError::Session(e) => write!(f, "sharded session: {e}"),
             ShardedError::Pool(e) => write!(f, "sharded pool: {e}"),
-            ShardedError::Manifest(e) => write!(f, "sharded manifest: {e}"),
             ShardedError::WrongStage { expected } => {
                 write!(f, "sharded session is not in the {expected} stage")
             }
@@ -180,7 +151,6 @@ impl std::error::Error for ShardedError {
             ShardedError::Partition(e) => Some(e),
             ShardedError::Session(e) => Some(e),
             ShardedError::Pool(e) => Some(e),
-            ShardedError::Manifest(e) => Some(e),
             ShardedError::WrongStage { .. }
             | ShardedError::LabeledOutOfRange { .. }
             | ShardedError::Inconsistent { .. } => None,
@@ -206,16 +176,9 @@ impl From<PoolError> for ShardedError {
     }
 }
 
-impl From<SnapshotError> for ShardedError {
-    fn from(e: SnapshotError) -> Self {
-        ShardedError::Manifest(e)
-    }
-}
-
 /// Knobs of a [`ShardedSession`]. Everything else is fixed: matching runs
-/// two WL rounds, each shard counts the full catalog serially with the
-/// [`SessionBuilder`] defaults (shards already run concurrently), and a
-/// saved shard's journal folds into its base past 1 MiB.
+/// two WL rounds, and each shard counts the full catalog serially with
+/// the [`SessionBuilder`] defaults (shards already run concurrently).
 #[derive(Debug, Clone, Default)]
 pub struct ShardedConfig {
     /// Community-detection knobs ([`PartitionMap::detect`]).
@@ -320,10 +283,9 @@ pub struct ShardedSession {
     matching: PartitionMatching,
     shard_of_pair: HashMap<(usize, usize), usize>,
     boundary_anchors: Vec<AnchorEdge>,
-    /// The directory of the last `save_dir`/`open_dir`: where the shards'
-    /// journals live and where a new boundary anchor is made durable.
-    home: Option<PathBuf>,
-    /// Global candidate routes; non-empty exactly when featurized.
+    /// The global candidate list passed to `featurize`.
+    candidates: Vec<(UserId, UserId)>,
+    /// Global candidate routes, parallel to `candidates`.
     routes: Vec<Route>,
     featurized: bool,
 }
@@ -357,7 +319,7 @@ impl ShardedSession {
     }
 
     /// Like [`ShardedSession::new`] with explicit partition maps — custom
-    /// partitioners, restored maps, or [`PartitionMap::trivial`] for the
+    /// partitioners or [`PartitionMap::trivial`] for the
     /// degenerate single-shard session (bit-identical to a plain
     /// [`AlignmentSession`](crate::AlignmentSession); the property tests pin this).
     ///
@@ -372,7 +334,24 @@ impl ShardedSession {
         config: &ShardedConfig,
     ) -> Result<Self, ShardedError> {
         let matching = match_partitions(left, right, &left_map, &right_map, &anchors, WL_ROUNDS)?;
-        let mut sharded = Self::assemble(config, left_map, right_map, matching, Vec::new());
+        let shard_of_pair = matching
+            .pairs
+            .iter()
+            .enumerate()
+            .map(|(i, m)| ((m.left, m.right), i))
+            .collect();
+        let mut sharded = ShardedSession {
+            pool: SessionPool::new(config.workers),
+            shards: Vec::with_capacity(matching.pairs.len()),
+            left_map,
+            right_map,
+            matching,
+            shard_of_pair,
+            boundary_anchors: Vec::new(),
+            candidates: Vec::new(),
+            routes: Vec::new(),
+            featurized: false,
+        };
         // Route the training anchors: in-shard ones seed their shard's
         // count; pair-spanning ones go to the boundary ledger.
         let mut shard_anchors: Vec<Vec<AnchorEdge>> =
@@ -403,38 +382,6 @@ impl ShardedSession {
             });
         }
         Ok(sharded)
-    }
-
-    /// The one constructor body: a shard-less session over `matching`
-    /// with a pool on `config`'s worker budget. Both [`Self::with_partitions`]
-    /// and [`Self::open_dir`] then add shard `i` for pair `i`.
-    fn assemble(
-        config: &ShardedConfig,
-        left_map: PartitionMap,
-        right_map: PartitionMap,
-        matching: PartitionMatching,
-        boundary_anchors: Vec<AnchorEdge>,
-    ) -> Self {
-        let mut pool = SessionPool::new(config.workers);
-        pool.set_compaction(SHARD_COMPACTION);
-        let shard_of_pair = matching
-            .pairs
-            .iter()
-            .enumerate()
-            .map(|(i, m)| ((m.left, m.right), i))
-            .collect();
-        ShardedSession {
-            pool,
-            shards: Vec::with_capacity(matching.pairs.len()),
-            left_map,
-            right_map,
-            matching,
-            shard_of_pair,
-            boundary_anchors,
-            home: None,
-            routes: Vec::new(),
-            featurized: false,
-        }
     }
 
     /// Routes the global pair `(l, r)` to the shard owning its partition
@@ -575,6 +522,7 @@ impl ShardedSession {
         for (shard, rows) in self.shards.iter_mut().zip(shard_rows) {
             shard.rows = rows;
         }
+        self.candidates = candidates;
         self.routes = routes;
         self.featurized = true;
         Ok(RoutingSummary { routed, pruned })
@@ -584,19 +532,14 @@ impl ShardedSession {
     /// `C += L·ΔA·R` delta path (fanned out as one
     /// [`SessionPool::update_many`] batch, refreshing featurized shards'
     /// downstream artifacts), pair-spanning edges join the boundary
-    /// ledger. On a saved ensemble both sides are write-ahead: each shard
-    /// journals its edges, and new boundary anchors reach the home
-    /// directory's manifest (an atomic rewrite) after the shard updates
-    /// succeed and before the in-memory ledger grows.
+    /// ledger once every shard update succeeds.
     ///
     /// An endpoint error changes nothing. A later failure can leave
-    /// earlier shards' updates applied (and journaled); the ledger then
-    /// stays as it was.
+    /// earlier shards' updates applied; the ledger then stays as it was.
     ///
     /// # Errors
     /// [`ShardedError::Partition`] on out-of-range endpoints;
-    /// [`ShardedError::Pool`] when a shard update fails;
-    /// [`ShardedError::Manifest`] when the manifest rewrite fails.
+    /// [`ShardedError::Pool`] when a shard update fails.
     pub fn update_anchors(&mut self, edges: &[AnchorEdge]) -> Result<ShardedUpdate, ShardedError> {
         let mut per_shard: Vec<Vec<AnchorEdge>> = vec![Vec::new(); self.shards.len()];
         let mut boundary_new: Vec<AnchorEdge> = Vec::new();
@@ -620,13 +563,7 @@ impl ShardedSession {
             applied += r?;
         }
         let boundary = boundary_new.len();
-        if boundary > 0 {
-            let ledger = [self.boundary_anchors.as_slice(), &boundary_new].concat();
-            if let Some(home) = &self.home {
-                self.write_manifest(home, &ledger)?;
-            }
-            self.boundary_anchors = ledger;
-        }
+        self.boundary_anchors.extend(boundary_new);
         Ok(ShardedUpdate { applied, boundary })
     }
 
@@ -703,14 +640,11 @@ impl ShardedSession {
                 report: fit?,
             });
         }
-        self.stitch(shard_reports)
+        Ok(self.stitch(shard_reports))
     }
 
     /// Boundary-anchors-win, score-greedy, globally one-to-one stitching.
-    fn stitch(
-        &self,
-        shard_reports: Vec<ShardFitReport>,
-    ) -> Result<StitchedAlignment, ShardedError> {
+    fn stitch(&self, shard_reports: Vec<ShardFitReport>) -> StitchedAlignment {
         let mut proposed: Vec<StitchedLink> = Vec::new();
         for a in &self.boundary_anchors {
             proposed.push(StitchedLink {
@@ -722,25 +656,15 @@ impl ShardedSession {
             });
         }
         for (si, sr) in shard_reports.iter().enumerate() {
-            let shard = &self.shards[si];
-            let local_cands = sr.report.labels.len();
-            debug_assert_eq!(local_cands, shard.rows.len());
-            let (left_ids, right_ids) = (
-                self.left_map.members(sr.pair.0),
-                self.right_map.members(sr.pair.1),
-            );
-            for row in 0..local_cands {
+            debug_assert_eq!(sr.report.labels.len(), sr.rows.len());
+            for (row, &gi) in sr.rows.iter().enumerate() {
                 // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
                 if sr.report.labels[row] == 1.0 {
-                    // Translate back through this shard's candidate list:
-                    // the pool's featurized candidates hold local ids, the
-                    // pair's member lists map them to global ones.
-                    let (l, r) = self
-                        .pool
-                        .with_featurized(shard.session, |s| s.candidates()[row])?;
+                    // A local row's global candidate holds the global ids.
+                    let (left, right) = self.candidates[gi];
                     proposed.push(StitchedLink {
-                        left: left_ids[l.index()],
-                        right: right_ids[r.index()],
+                        left,
+                        right,
                         score: sr.report.scores[row],
                         shard: Some(si),
                         confirmed: false,
@@ -771,234 +695,13 @@ impl ShardedSession {
             links.push(link);
         }
         links.sort_by(|a, b| a.left.cmp(&b.left).then(a.right.cmp(&b.right)));
-        Ok(StitchedAlignment {
+        StitchedAlignment {
             links,
             dropped_conflicts: dropped,
             pruned_candidates: self.routes.iter().filter(|r| **r == Route::Pruned).count(),
             shard_reports,
-        })
-    }
-
-    /// Persists the ensemble to `dir` and makes `dir` its home: one base
-    /// snapshot + ΔA journal per shard (`shard_NNNN.snap` / `.snap.jrnl`)
-    /// plus [`MANIFEST_FILE`] holding the partition maps, the matching
-    /// and the boundary-anchor ledger. Routing and features are derived
-    /// state and are not persisted — reopen and re-featurize.
-    ///
-    /// Each shard persists through [`SessionPool::save`]: the **first**
-    /// save of a shard into `dir` writes its full base and starts a
-    /// journal there; from then on anchor updates are write-ahead
-    /// appended per shard (and new boundary anchors rewrite the
-    /// manifest), so a later `save_dir` costs k·O(|ΔA_k|) — an fsynced
-    /// checkpoint record per shard plus the manifest — with each journal
-    /// folded back into its base past 1 MiB, evaluated by the pool after
-    /// every journaled write.
-    ///
-    /// Every shard is attempted even when one fails (a full-disk or
-    /// vacated slot does not abort the batch); the manifest is written
-    /// only when all shards persisted, and the **first** shard error is
-    /// returned otherwise.
-    ///
-    /// # Errors
-    /// [`ShardedError::Pool`] / [`ShardedError::Manifest`] on write
-    /// failures.
-    pub fn save_dir(&mut self, dir: impl AsRef<Path>) -> Result<(), ShardedError> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(SnapshotError::Io)?;
-        self.home = Some(dir.to_path_buf());
-        let mut first_err: Option<ShardedError> = None;
-        for (i, shard) in self.shards.iter().enumerate() {
-            if let Err(e) = self.pool.save(shard.session, dir.join(shard_file(i))) {
-                first_err.get_or_insert(ShardedError::Pool(e));
-            }
-        }
-        // Per-shard saves may have enqueued background folds. Drain them
-        // so a fold that fails is reported by this save instead of lost;
-        // the failed shard stays durable as it was.
-        for (_id, e) in self.pool.flush_compactions() {
-            first_err.get_or_insert(ShardedError::Pool(PoolError::Journal(e)));
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(self.write_manifest(dir, &self.boundary_anchors)?),
         }
     }
-
-    /// Atomically writes the manifest into `dir` with `ledger` as the
-    /// boundary ledger.
-    fn write_manifest(&self, dir: &Path, ledger: &[AnchorEdge]) -> Result<(), SnapshotError> {
-        let mut w = Writer::new();
-        encode_map(&mut w, &self.left_map);
-        encode_map(&mut w, &self.right_map);
-        w.usize(self.matching.pairs.len());
-        for m in &self.matching.pairs {
-            w.usize(m.left);
-            w.usize(m.right);
-            w.f64(m.similarity);
-            w.usize(m.anchor_votes);
-        }
-        w.usize_slice(&self.matching.unmatched_left);
-        w.usize_slice(&self.matching.unmatched_right);
-        record::write_pairs(&mut w, ledger);
-        let sections = [(SECTION_MANIFEST, w.into_bytes())];
-        let bytes = snapshot::write_container(&MANIFEST_MAGIC, MANIFEST_VERSION, &sections);
-        snapshot::write_atomic(&dir.join(MANIFEST_FILE), &bytes)
-    }
-
-    /// Restores a [`ShardedSession::save_dir`] directory and makes it the
-    /// ensemble's home: decodes the manifest, opens every shard's
-    /// base+journal across the worker budget, and rebuilds the routing
-    /// tables. The session comes back in the counted stage (call
-    /// [`ShardedSession::featurize`] next); `config` supplies the worker
-    /// budget — the partition structure itself comes from the manifest.
-    ///
-    /// # Errors
-    /// [`ShardedError::Manifest`] on a missing/corrupt manifest;
-    /// [`ShardedError::Pool`] when a shard snapshot refuses to open (the
-    /// error names the file); [`ShardedError::Inconsistent`] when a
-    /// shard's anchor shape differs from the member lists the manifest
-    /// routes into it (a shard file from another ensemble).
-    pub fn open_dir(dir: impl AsRef<Path>, config: &ShardedConfig) -> Result<Self, ShardedError> {
-        let dir = dir.as_ref();
-        let bytes = std::fs::read(dir.join(MANIFEST_FILE)).map_err(SnapshotError::Io)?;
-        let (left_map, right_map, matching, ledger) = decode_manifest(&bytes)?;
-        let mut sharded = Self::assemble(config, left_map, right_map, matching, ledger);
-        sharded.home = Some(dir.to_path_buf());
-        let paths: Vec<PathBuf> = (0..sharded.matching.pairs.len())
-            .map(|i| dir.join(shard_file(i)))
-            .collect();
-        let opened = sharded.pool.open_many(&paths);
-        for (session, m) in opened.into_iter().zip(&sharded.matching.pairs) {
-            let session = session?;
-            let expected = (
-                sharded.left_map.members(m.left).len(),
-                sharded.right_map.members(m.right).len(),
-            );
-            if sharded.pool.with_counted(session, |s| s.anchor().shape())? != expected {
-                return Err(ShardedError::Inconsistent {
-                    what: "a shard snapshot's shape differs from its manifest member lists",
-                });
-            }
-            sharded.shards.push(Shard {
-                session,
-                rows: Vec::new(),
-            });
-        }
-        Ok(sharded)
-    }
-}
-
-/// Snapshot file name of shard `i`.
-fn shard_file(i: usize) -> String {
-    format!("shard_{i:04}.snap")
-}
-
-fn encode_map(w: &mut Writer, map: &PartitionMap) {
-    let (part_of, boundary) = map.raw_parts();
-    w.usize(part_of.len());
-    w.reserve(part_of.len() * 4 + boundary.len());
-    for &p in part_of {
-        w.u32(p);
-    }
-    for &b in boundary {
-        w.u8(b as u8);
-    }
-}
-
-fn decode_map(r: &mut Reader<'_>) -> Result<PartitionMap, SnapshotError> {
-    // Each user costs 4 bytes of partition id + 1 boundary byte, so the
-    // length prefix is bounded by the remaining input before it sizes
-    // any allocation (the PR 5 `seq_len` guard; `unguarded_prealloc`
-    // enforces the pattern).
-    let n = r.seq_len(5)?;
-    let mut part_of = Vec::with_capacity(n);
-    let mut next_dense = 0u32;
-    for _ in 0..n {
-        let p = r.u32()?;
-        if p > next_dense {
-            return Err(BinError::Malformed(format!(
-                "partition ids must be dense; found {p} before {next_dense}"
-            ))
-            .into());
-        }
-        if p == next_dense {
-            next_dense += 1;
-        }
-        part_of.push(p);
-    }
-    let mut boundary = Vec::with_capacity(n);
-    for _ in 0..n {
-        boundary.push(match r.u8()? {
-            0 => false,
-            1 => true,
-            b => {
-                return Err(BinError::Malformed(format!(
-                    "boundary flags must be 0 or 1; found {b}"
-                ))
-                .into())
-            }
-        });
-    }
-    Ok(PartitionMap::from_raw_parts(part_of, boundary))
-}
-
-/// Decodes manifest bytes into `(left map, right map, matching, ledger)`.
-fn decode_manifest(
-    bytes: &[u8],
-) -> Result<
-    (
-        PartitionMap,
-        PartitionMap,
-        PartitionMatching,
-        Vec<AnchorEdge>,
-    ),
-    SnapshotError,
-> {
-    let [payload] =
-        snapshot::read_container(bytes, &MANIFEST_MAGIC, MANIFEST_VERSION, [SECTION_MANIFEST])?;
-    let mut p = Reader::new(payload);
-    let left_map = decode_map(&mut p)?;
-    let right_map = decode_map(&mut p)?;
-    let n_pairs = p.seq_len(8 * 4)?;
-    let mut pairs = Vec::with_capacity(n_pairs);
-    for _ in 0..n_pairs {
-        let left = p.usize()?;
-        let right = p.usize()?;
-        let similarity = p.f64()?;
-        let anchor_votes = p.usize()?;
-        if left >= left_map.n_partitions() || right >= right_map.n_partitions() {
-            return Err(BinError::Malformed(format!(
-                "matched pair ({left}, {right}) outside the partition maps"
-            ))
-            .into());
-        }
-        pairs.push(hetnet::partition::MatchedPair {
-            left,
-            right,
-            similarity,
-            anchor_votes,
-        });
-    }
-    let unmatched_left = p.usize_slice()?;
-    let unmatched_right = p.usize_slice()?;
-    let ledger: Vec<AnchorEdge> = record::read_pairs(&mut p)?;
-    p.expect_end("the manifest")?;
-    if let Some(a) = ledger
-        .iter()
-        .find(|a| a.left.index() >= left_map.n_users() || a.right.index() >= right_map.n_users())
-    {
-        return Err(BinError::Malformed(format!(
-            "boundary anchor ({}, {}) outside the networks",
-            a.left.0, a.right.0
-        ))
-        .into());
-    }
-    let matching = PartitionMatching {
-        pairs,
-        unmatched_left,
-        unmatched_right,
-    };
-    Ok((left_map, right_map, matching, ledger))
 }
 
 /// Splits `total` across `weights` proportionally (largest remainder;
@@ -1063,35 +766,5 @@ mod tests {
         assert_eq!(split_budget(7, &[0, 0]), vec![0, 0]);
         // Largest remainder: 7 over [2, 2, 3] → quotas [2, 2, 3].
         assert_eq!(split_budget(7, &[2, 2, 3]), vec![2, 2, 3]);
-    }
-
-    #[test]
-    fn manifest_decode_rejects_corruption() {
-        assert!(matches!(
-            decode_manifest(b"not a manifest at all"),
-            Err(SnapshotError::BadMagic)
-        ));
-        let mut w = Writer::new();
-        w.bytes(&MANIFEST_MAGIC);
-        w.u32(99);
-        w.u32(0);
-        assert!(matches!(
-            decode_manifest(w.as_bytes()),
-            Err(SnapshotError::UnsupportedVersion { found: 99, .. })
-        ));
-    }
-
-    #[test]
-    fn map_decode_rejects_a_non_canonical_boundary_byte() {
-        let map = PartitionMap::from_raw_parts(vec![0, 0, 1], vec![false, true, false]);
-        let mut w = Writer::new();
-        encode_map(&mut w, &map);
-        let mut bytes = w.as_bytes().to_vec();
-        // The boundary flags are the map's last bytes, one per user.
-        *bytes.last_mut().unwrap() = 2;
-        assert!(matches!(
-            decode_map(&mut Reader::new(&bytes)),
-            Err(SnapshotError::Decode(BinError::Malformed(_)))
-        ));
     }
 }

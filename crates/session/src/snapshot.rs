@@ -191,8 +191,7 @@ pub(crate) fn counted_core_to_bytes(
 /// Bytes per section-table entry: id, offset, length, CRC-32.
 const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 4;
 
-/// Frames `sections` in the container every file this crate persists
-/// shares (snapshots and the sharded manifest; layout in
+/// Frames `sections` in the snapshot container (layout in
 /// `docs/SNAPSHOT_FORMAT.md`): `magic`, `version`, the section count, the
 /// CRC-32 of the section table, the table (id, absolute offset, length,
 /// CRC-32 per section), then the payloads in table order.

@@ -1,6 +1,6 @@
 //! Golden bytes for every framed record this crate writes: the ΔA journal
-//! records, one wire frame per `Request` and `Response` variant, the
-//! sharded manifest's boundary ledger, and one whole snapshot file.
+//! records, one wire frame per `Request` and `Response` variant, and one
+//! whole snapshot file.
 //!
 //! Round-trip tests cannot catch a format change made on both sides at
 //! once; these pin the exact bytes. Each expected value is a hex literal
@@ -9,10 +9,8 @@
 //! little-endian, CRC-32/ISO-HDLC over the payload. Spaces in a literal
 //! only separate fields.
 
-use hetnet::partition::PartitionMap;
 use hetnet::UserId;
 use session::serve::protocol::{encode_request, encode_response, ErrorCode, Request, Response};
-use session::sharded::{ShardedConfig, ShardedSession, MANIFEST_FILE};
 use session::{snapshot, AnchorEdge, Journal, SessionBuilder};
 use sparsela::codec::crc32;
 
@@ -163,37 +161,6 @@ fn every_response_frame_is_byte_stable() {
             "{response:?}"
         );
     }
-}
-
-#[test]
-fn manifest_ledger_of_two_edges_is_byte_stable() {
-    // Left split in half, right whole: seven anchors in the lower half win
-    // the matching, so the two upper-half anchors form the whole boundary
-    // ledger — the last field of the manifest's only section, hence the
-    // file's tail.
-    let world = datagen::generate(&datagen::presets::tiny(43));
-    let n_left = world.left().n_users();
-    let truth = world.truth().links();
-    let left_assign: Vec<usize> = (0..n_left).map(|u| usize::from(u >= n_left / 2)).collect();
-    let mut anchors = truth[..7].to_vec();
-    anchors.extend_from_slice(&truth[truth.len() - 2..]);
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::from_assignment(&left_assign, world.left()),
-        PartitionMap::trivial(world.right().n_users()),
-        anchors,
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(sharded.boundary_anchors().len(), 2);
-
-    let dir = std::env::temp_dir().join(format!("format-golden-mani-{}", std::process::id()));
-    sharded.save_dir(&dir).unwrap();
-    let bytes = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
-    let ledger = hex("0200000000000000 1c00000002000000 1d0000000a000000");
-    assert_eq!(&bytes[bytes.len() - ledger.len()..], ledger.as_slice());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -3,26 +3,18 @@
 //! 1. Under the trivial single-partition map, [`ShardedSession`] is
 //!    **bit-identical** to a plain [`AlignmentSession`] driven through the
 //!    same active loop — at any worker budget.
-//! 2. Boundary-ledger anchors survive a `save_dir`/`open_dir` round-trip
-//!    and re-enter the stitched result as confirmed links.
+//! 2. Boundary-ledger anchors, routed at build or by `update_anchors`,
+//!    re-enter the stitched result as confirmed links.
 //! 3. A labeled position past the featurized candidates is a typed error,
 //!    raised before any shard fits.
-//! 4. Persistence is write-ahead on both sides (shard journals and the
-//!    boundary ledger), a later save only grows the journals, and a
-//!    manifest or shard file from elsewhere is refused with a typed error.
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
 use activeiter::{FitReport, ModelConfig, Oracle, VecOracle};
-use hetnet::partition::{induce_subnet, PartitionMap};
-use hetnet::{AnchorLink, HetNet, UserId};
+use hetnet::partition::PartitionMap;
+use hetnet::{AnchorLink, UserId};
 use session::sharded::{ShardedConfig, ShardedError, ShardedSession, ShardedUpdate};
-use session::{Journal, SessionBuilder, SnapshotError};
-use std::path::{Path, PathBuf};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("sharded-test-{}-{tag}", std::process::id()))
-}
+use session::SessionBuilder;
 
 /// The reference pipeline: one global session, the same manual loop the
 /// sharded fit drives per shard.
@@ -189,7 +181,7 @@ fn a_partition_map_sized_for_another_network_is_refused() {
 }
 
 #[test]
-fn boundary_anchors_survive_save_open_round_trip() {
+fn boundary_anchors_enter_the_stitched_result_as_confirmed_links() {
     let world = datagen::generate(&datagen::presets::tiny(43));
     let n_left = world.left().n_users();
     let n_right = world.right().n_users();
@@ -219,67 +211,67 @@ fn boundary_anchors_survive_save_open_round_trip() {
     .unwrap();
     assert_eq!(sharded.n_shards(), 1);
     assert_eq!(sharded.matching().unmatched_left.len(), 1);
-    let expected_boundary: Vec<AnchorLink> = {
-        let matched_left = sharded.matching().pairs[0].left;
-        anchors
-            .iter()
-            .copied()
-            .filter(|a| sharded.left_partitions().part_of(a.left) != matched_left)
-            .collect()
-    };
+    let matched_left = sharded.matching().pairs[0].left;
+    let in_shard = |a: &AnchorLink| sharded.left_partitions().part_of(a.left) == matched_left;
+    let expected_boundary: Vec<AnchorLink> =
+        anchors.iter().copied().filter(|a| !in_shard(a)).collect();
     assert!(
         !expected_boundary.is_empty(),
         "fixture must produce boundary anchors"
     );
     assert_eq!(sharded.boundary_anchors(), expected_boundary.as_slice());
 
-    // More boundary anchors arrive mid-session via update_anchors; a
-    // duplicate is skipped.
-    let extra = truth_links[10];
-    let update = sharded.update_anchors(&[extra, extra]).unwrap();
-    let extra_is_boundary =
-        sharded.left_partitions().part_of(extra.left) != sharded.matching().pairs[0].left;
-    if extra_is_boundary {
-        assert_eq!(update.boundary, 1);
-    } else {
-        assert_eq!(update.applied, 1);
-    }
+    // Fresh links the session has not seen: one in-shard, two boundary.
+    let (fresh_in, fresh_out): (Vec<AnchorLink>, Vec<AnchorLink>) = truth_links
+        .iter()
+        .filter(|a| !anchors.contains(a))
+        .partition(|a| in_shard(a));
+    let (in_shard_edge, boundary_edge, second_boundary) = (fresh_in[0], fresh_out[0], fresh_out[1]);
 
-    let dir = temp_dir("roundtrip");
-    sharded.save_dir(&dir).unwrap();
-    let reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap();
+    // More anchors arrive mid-session via update_anchors: a duplicate
+    // boundary edge is skipped.
+    let update = sharded
+        .update_anchors(&[boundary_edge, boundary_edge])
+        .unwrap();
+    assert_eq!(
+        update,
+        ShardedUpdate {
+            applied: 0,
+            boundary: 1
+        }
+    );
+    // A mixed batch: the in-shard edge takes the shard's delta path and
+    // the new boundary edge grows the live ledger.
+    let update = sharded
+        .update_anchors(&[in_shard_edge, second_boundary])
+        .unwrap();
+    assert_eq!(
+        update,
+        ShardedUpdate {
+            applied: 1,
+            boundary: 1
+        }
+    );
+    let mut ledger = expected_boundary;
+    ledger.extend([boundary_edge, second_boundary]);
+    assert_eq!(sharded.boundary_anchors(), ledger.as_slice());
+    assert_eq!(sharded.stats().unwrap().anchors_applied, 1);
 
-    assert_eq!(reopened.n_shards(), sharded.n_shards());
-    assert_eq!(reopened.boundary_anchors(), sharded.boundary_anchors());
-    assert_eq!(
-        reopened.left_partitions().raw_parts(),
-        sharded.left_partitions().raw_parts()
-    );
-    assert_eq!(
-        reopened.right_partitions().raw_parts(),
-        sharded.right_partitions().raw_parts()
-    );
-    assert_eq!(
-        reopened.matching().pairs.len(),
-        sharded.matching().pairs.len()
-    );
-
-    // The reopened ensemble fits, and every boundary anchor re-enters the
-    // stitched result as a confirmed link.
-    let mut reopened = reopened;
+    // The session fits, and every boundary anchor enters the stitched
+    // result as a confirmed link.
     let candidates: Vec<_> = truth_links.iter().map(|l| (l.left, l.right)).collect();
     let truth = vec![true; candidates.len()];
-    let routing = reopened.featurize(candidates.clone()).unwrap();
+    let routing = sharded.featurize(candidates.clone()).unwrap();
     assert_eq!(routing.routed + routing.pruned, candidates.len());
     let labeled: Vec<usize> = (0..10).collect();
     let config = ModelConfig {
         budget: 8,
         ..Default::default()
     };
-    let stitched = reopened
+    let stitched = sharded
         .fit(&labeled, &VecOracle::new(truth), &config)
         .unwrap();
-    for anchor in reopened.boundary_anchors() {
+    for anchor in sharded.boundary_anchors() {
         let link = stitched
             .links
             .iter()
@@ -290,231 +282,4 @@ fn boundary_anchors_survive_save_open_round_trip() {
         assert_eq!(link.shard, None);
     }
     assert_eq!(stitched.pruned_candidates, routing.pruned);
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn journaled_save_grows_only_the_journal_and_a_v2_manifest_is_refused() {
-    let world = datagen::generate(&datagen::presets::tiny(53));
-    let truth_links = world.truth().links().to_vec();
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::trivial(world.left().n_users()),
-        PartitionMap::trivial(world.right().n_users()),
-        truth_links[..8].to_vec(),
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    let dir = temp_dir("manifest-v3");
-
-    // The first save writes each shard's base and starts its journal.
-    sharded.save_dir(&dir).unwrap();
-    let base = dir.join("shard_0000.snap");
-    let journal = Journal::path_for(&base);
-    let len = |p: &Path| std::fs::metadata(p).unwrap().len();
-    let (base_len, journal_len) = (len(&base), len(&journal));
-    assert!(base_len > 0 && journal_len > 0);
-
-    // A later round persists at journal cost: the base is untouched,
-    // only the shard's journal grows.
-    sharded.update_anchors(&truth_links[8..12]).unwrap();
-    sharded.save_dir(&dir).unwrap();
-    assert_eq!(
-        len(&base),
-        base_len,
-        "a journaled save must not rewrite the base"
-    );
-    assert!(
-        len(&journal) > journal_len,
-        "a journaled save appends to the journal"
-    );
-
-    // Stamp version 2 in place: a version bump is a refusal, never a
-    // migration.
-    let manifest_path = dir.join(session::sharded::MANIFEST_FILE);
-    let mut bytes = std::fs::read(&manifest_path).unwrap();
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
-    std::fs::write(&manifest_path, &bytes).unwrap();
-    let err = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ShardedError::Manifest(SnapshotError::UnsupportedVersion {
-                found: 2,
-                supported: 3
-            })
-        ),
-        "{err}"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn boundary_anchors_are_write_ahead_like_shard_edges() {
-    // Save, then one in-shard and one boundary edge, then drop without
-    // saving: the reopen must hold both, as a crash would leave them.
-    let world = datagen::generate(&datagen::presets::tiny(43));
-    let n_left = world.left().n_users();
-    let truth_links = world.truth().links().to_vec();
-    let left_assign: Vec<usize> = (0..n_left).map(|u| usize::from(u >= n_left / 2)).collect();
-    let mut anchors = truth_links[..7].to_vec();
-    anchors.extend_from_slice(&truth_links[truth_links.len() - 3..]);
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::from_assignment(&left_assign, world.left()),
-        PartitionMap::trivial(world.right().n_users()),
-        anchors.clone(),
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    assert_eq!(sharded.n_shards(), 1);
-    let matched_left = sharded.matching().pairs[0].left;
-    let fresh = |in_shard: bool| {
-        *truth_links
-            .iter()
-            .find(|a| {
-                !anchors.contains(a)
-                    && (sharded.left_partitions().part_of(a.left) == matched_left) == in_shard
-            })
-            .expect("fixture has fresh links on both sides")
-    };
-    let (in_shard, boundary) = (fresh(true), fresh(false));
-
-    let dir = temp_dir("boundary-wal");
-    sharded.save_dir(&dir).unwrap();
-    let update = sharded.update_anchors(&[in_shard, boundary]).unwrap();
-    assert_eq!(
-        update,
-        ShardedUpdate {
-            applied: 1,
-            boundary: 1
-        }
-    );
-    let live_ledger = sharded.boundary_anchors().to_vec();
-    assert!(live_ledger.contains(&boundary));
-    drop(sharded);
-
-    let reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap();
-    assert_eq!(reopened.stats().unwrap().anchors_applied, 1);
-    assert_eq!(reopened.boundary_anchors(), live_ledger.as_slice());
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn open_dir_refuses_a_shard_swapped_in_from_another_ensemble() {
-    let world = datagen::generate(&datagen::presets::tiny(47));
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::trivial(world.left().n_users()),
-        PartitionMap::trivial(world.right().n_users()),
-        world.truth().links()[..5].to_vec(),
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    let dir = temp_dir("swapped-shard");
-    sharded.save_dir(&dir).unwrap();
-
-    // A half-size session's snapshot under shard 0's name opens fine on
-    // its own, but cannot hold the users the manifest routes into it.
-    let half = |net: &HetNet| {
-        let members: Vec<UserId> = (0..net.n_users() / 2).map(UserId::from_index).collect();
-        induce_subnet(net, &members).unwrap()
-    };
-    let (left, right) = (half(world.left()), half(world.right()));
-    let small = SessionBuilder::new(&left.net, &right.net).count().unwrap();
-    session::snapshot::save(&small, dir.join("shard_0000.snap")).unwrap();
-
-    let err = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err();
-    assert!(matches!(err, ShardedError::Inconsistent { .. }), "{err}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn journaled_sharded_round_trip_is_bit_stable() {
-    // Save → update → save → open: the reopened ensemble replays the
-    // shard journal to the exact state of the live one.
-    let world = datagen::generate(&datagen::presets::tiny(59));
-    let truth_links = world.truth().links().to_vec();
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::trivial(world.left().n_users()),
-        PartitionMap::trivial(world.right().n_users()),
-        truth_links[..8].to_vec(),
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    let dir = temp_dir("journaled-roundtrip");
-    sharded.save_dir(&dir).unwrap();
-    let update = sharded.update_anchors(&truth_links[8..12]).unwrap();
-    assert!(update.applied > 0, "trivial partition routes every anchor");
-    sharded.save_dir(&dir).unwrap();
-
-    let mut reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap();
-    let candidates: Vec<_> = truth_links.iter().map(|l| (l.left, l.right)).collect();
-    let truth = vec![true; candidates.len()];
-    let config = ModelConfig {
-        budget: 8,
-        ..Default::default()
-    };
-    let labeled: Vec<usize> = (0..10).collect();
-    sharded.featurize(candidates.clone()).unwrap();
-    reopened.featurize(candidates).unwrap();
-    let live = sharded
-        .fit(&labeled, &VecOracle::new(truth.clone()), &config)
-        .unwrap();
-    let replayed = reopened
-        .fit(&labeled, &VecOracle::new(truth), &config)
-        .unwrap();
-    assert_eq!(
-        live.shard_reports[0].report.labels,
-        replayed.shard_reports[0].report.labels
-    );
-    assert_eq!(
-        live.shard_reports[0].report.scores,
-        replayed.shard_reports[0].report.scores
-    );
-    assert_eq!(
-        live.shard_reports[0].report.weights,
-        replayed.shard_reports[0].report.weights
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn open_dir_rejects_a_corrupt_manifest() {
-    let world = datagen::generate(&datagen::presets::tiny(47));
-    let mut sharded = ShardedSession::with_partitions(
-        world.left(),
-        world.right(),
-        PartitionMap::trivial(world.left().n_users()),
-        PartitionMap::trivial(world.right().n_users()),
-        world.truth().links()[..5].to_vec(),
-        &ShardedConfig::default(),
-    )
-    .unwrap();
-    let dir = temp_dir("corrupt");
-    sharded.save_dir(&dir).unwrap();
-    let manifest = dir.join(session::sharded::MANIFEST_FILE);
-    let mut bytes = std::fs::read(&manifest).unwrap();
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    std::fs::write(&manifest, &bytes).unwrap();
-    let err = ShardedSession::open_dir(&dir, &ShardedConfig::default()).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            session::sharded::ShardedError::Manifest(session::SnapshotError::Checksum { .. })
-        ),
-        "corrupting the manifest tail must trip the checksum, got: {err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }

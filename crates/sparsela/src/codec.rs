@@ -3,8 +3,8 @@
 //!
 //! Every byte stream the workspace persists or sends is built from the
 //! primitives here: snapshots (`session::snapshot`, see
-//! `docs/SNAPSHOT_FORMAT.md` at the repo root), the ΔA journal, serving
-//! wire frames and the sharded manifest.
+//! `docs/SNAPSHOT_FORMAT.md` at the repo root), the ΔA journal and
+//! serving wire frames.
 //!
 //! * [`Writer`] — append-only little-endian encoder over an owned buffer;
 //! * [`Reader`] — bounds-checked cursor over a borrowed byte slice, whose

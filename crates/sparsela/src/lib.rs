@@ -23,7 +23,7 @@
 //!
 //! * [`codec`] — the repo's one byte format: the little-endian
 //!   [`codec::Writer`] / [`codec::Reader`] primitives and [`codec::crc32`]
-//!   that every snapshot, journal, wire frame and manifest is built from,
+//!   that every snapshot, journal and wire frame is built from,
 //!   plus the encode/decode of matrices and margins.
 //!
 //! The crate is deliberately free of `unsafe` and uses no other crate at

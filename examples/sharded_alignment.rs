@@ -14,9 +14,6 @@
 //!    workers, and the predictions are stitched into one alignment
 //!    (boundary-ledger anchors win, conflicts at partition boundaries are
 //!    counted).
-//! 3. **Persist**: `save_dir` writes one snapshot per shard plus a
-//!    CRC-checked manifest; `open_dir` restores the ensemble without
-//!    recounting.
 //!
 //! ```sh
 //! cargo run --release --example sharded_alignment
@@ -108,17 +105,4 @@ fn main() {
         "precision over routed candidates: {:.3}",
         correct as f64 / stitched.links.len().max(1) as f64
     );
-
-    // 3. Persist and restore the whole ensemble.
-    let dir = std::env::temp_dir().join("sharded_alignment_demo");
-    sharded.save_dir(&dir).expect("save ensemble");
-    let t = Instant::now();
-    let reopened = ShardedSession::open_dir(&dir, &ShardedConfig::default()).expect("reopen");
-    println!(
-        "reopened {} shards + manifest in {:.2} ms; boundary ledger intact: {}",
-        reopened.n_shards(),
-        t.elapsed().as_secs_f64() * 1e3,
-        reopened.boundary_anchors().len() == sharded.boundary_anchors().len()
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -70,10 +70,9 @@ pub fn greedy_select(
         fixed[i] = true;
     }
 
-    // Free links above threshold, by descending score with NaN last (as
-    // `eval::ranking` orders reports — a NaN score from a degenerate fit
-    // must not poison the order or panic a sweep); ties break by index for
-    // determinism.
+    // Free links above threshold, by descending score with NaN last (a
+    // NaN score from a degenerate fit must not poison the order or panic a
+    // sweep); ties break by index for determinism.
     let mut order: Vec<usize> = (0..candidates.len())
         .filter(|&i| !fixed[i] && scores[i] > threshold)
         .collect();

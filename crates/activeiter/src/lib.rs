@@ -33,7 +33,6 @@ pub mod oracle;
 pub mod ord;
 pub mod query;
 pub mod svm;
-pub mod unsupervised;
 
 pub use config::ModelConfig;
 pub use driver::ActiveLoop;

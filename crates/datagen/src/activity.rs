@@ -20,8 +20,6 @@ pub struct Profile {
     /// Habitual (location, timestamp) pairs, reused across networks for
     /// anchored users.
     pub habits: Vec<(usize, usize)>,
-    /// Topical vocabulary (empty when words are disabled).
-    pub words: Vec<usize>,
 }
 
 /// One generated post: author is implicit (callers track it), the rest are
@@ -100,14 +98,12 @@ pub fn sample_archetypes(
 
 /// Draws a habit profile: `n_habits` (location, timestamp) pairs — an
 /// `archetype_mix` fraction from the user's archetype pool (when one is
-/// given), the rest sampled from the global popularity distributions — plus
-/// a topical vocabulary.
+/// given), the rest sampled from the global popularity distributions.
 pub fn sample_profile(
     rng: &mut StdRng,
     cfg: &GeneratorConfig,
     loc_sampler: &PopularitySampler,
     ts_sampler: &PopularitySampler,
-    word_sampler: Option<&PopularitySampler>,
     archetype: Option<&ArchetypePool>,
 ) -> Profile {
     let habits = (0..cfg.n_habits)
@@ -118,11 +114,7 @@ pub fn sample_profile(
             _ => (loc_sampler.sample(rng), ts_sampler.sample(rng)),
         })
         .collect();
-    let words = match word_sampler {
-        Some(ws) => (0..cfg.n_profile_words).map(|_| ws.sample(rng)).collect(),
-        None => Vec::new(),
-    };
-    Profile { habits, words }
+    Profile { habits }
 }
 
 /// Generates the posts of one user on one network.
@@ -226,9 +218,8 @@ mod tests {
         let cfg = GeneratorConfig::default();
         let loc = PopularitySampler::new(cfg.n_locations, cfg.popularity_skew);
         let ts = PopularitySampler::new(cfg.n_timestamps, 0.0);
-        let p = sample_profile(&mut rng(), &cfg, &loc, &ts, None, None);
+        let p = sample_profile(&mut rng(), &cfg, &loc, &ts, None);
         assert_eq!(p.habits.len(), cfg.n_habits);
-        assert!(p.words.is_empty());
         for &(l, t) in &p.habits {
             assert!(l < cfg.n_locations);
             assert!(t < cfg.n_timestamps);
@@ -244,7 +235,7 @@ mod tests {
         let loc = PopularitySampler::new(cfg.n_locations, cfg.popularity_skew);
         let ts = PopularitySampler::new(cfg.n_timestamps, 0.0);
         let mut r = rng();
-        let profile = sample_profile(&mut r, &cfg, &loc, &ts, None, None);
+        let profile = sample_profile(&mut r, &cfg, &loc, &ts, None);
         let posts = generate_posts(&mut r, &profile, 20.0, &cfg, &loc, &ts);
         for p in &posts {
             assert!(
@@ -262,10 +253,7 @@ mod tests {
         };
         let loc = PopularitySampler::new(cfg.n_locations, 0.0);
         let ts = PopularitySampler::new(cfg.n_timestamps, 0.0);
-        let empty = Profile {
-            habits: vec![],
-            words: vec![],
-        };
+        let empty = Profile { habits: vec![] };
         let posts = generate_posts(&mut rng(), &empty, 5.0, &cfg, &loc, &ts);
         for p in &posts {
             assert!(p.location < cfg.n_locations);
@@ -284,8 +272,8 @@ mod tests {
         let mut r = rng();
         let pools = sample_archetypes(&mut r, &cfg, &loc, &ts);
         assert_eq!(pools.len(), cfg.n_archetypes);
-        let a = sample_profile(&mut r, &cfg, &loc, &ts, None, Some(&pools[0]));
-        let b = sample_profile(&mut r, &cfg, &loc, &ts, None, Some(&pools[0]));
+        let a = sample_profile(&mut r, &cfg, &loc, &ts, Some(&pools[0]));
+        let b = sample_profile(&mut r, &cfg, &loc, &ts, Some(&pools[0]));
         // With mix = 1.0 every habit comes from the pool.
         for h in a.habits.iter().chain(b.habits.iter()) {
             assert!(pools[0].habits.contains(h));
@@ -305,7 +293,7 @@ mod tests {
         let pool = ArchetypePool {
             habits: vec![(0, 0)],
         };
-        let p = sample_profile(&mut r, &cfg, &loc, &ts, None, Some(&pool));
+        let p = sample_profile(&mut r, &cfg, &loc, &ts, Some(&pool));
         // 64 independent draws over 120×80 pairs virtually never all equal (0,0).
         assert!(p.habits.iter().any(|&h| h != (0, 0)));
     }

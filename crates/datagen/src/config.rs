@@ -18,8 +18,6 @@ pub struct GeneratorConfig {
     pub n_locations: usize,
     /// Size of the shared (discretized) timestamp universe.
     pub n_timestamps: usize,
-    /// Size of the shared vocabulary (0 disables word attributes).
-    pub n_words: usize,
 
     /// Mean out-degree of the latent social graph over shared users.
     pub base_degree: f64,
@@ -69,10 +67,6 @@ pub struct GeneratorConfig {
     pub profile_noise: f64,
     /// Zipf-like skew of global location popularity (0 = uniform).
     pub popularity_skew: f64,
-    /// Words sampled per post when `n_words > 0`.
-    pub words_per_post: usize,
-    /// Words in each user's topical vocabulary.
-    pub n_profile_words: usize,
 }
 
 impl Default for GeneratorConfig {
@@ -84,7 +78,6 @@ impl Default for GeneratorConfig {
             n_extra_right: 45,
             n_locations: 120,
             n_timestamps: 80,
-            n_words: 0,
             base_degree: 10.0,
             keep_left: 0.8,
             keep_right: 0.6,
@@ -100,8 +93,6 @@ impl Default for GeneratorConfig {
             archetype_mix: 0.5,
             profile_noise: 0.3,
             popularity_skew: 0.8,
-            words_per_post: 0,
-            n_profile_words: 8,
         }
     }
 }
@@ -144,12 +135,6 @@ impl GeneratorConfig {
         }
         assert!(self.base_degree >= 0.0 && self.extra_degree >= 0.0);
         assert!(self.posts_per_user_left >= 0.0 && self.posts_per_user_right >= 0.0);
-        if self.n_words == 0 {
-            assert_eq!(
-                self.words_per_post, 0,
-                "words_per_post requires a non-empty vocabulary"
-            );
-        }
     }
 }
 
@@ -203,17 +188,6 @@ mod tests {
         GeneratorConfig {
             n_communities: 4,
             community_bias: 1.5,
-            ..Default::default()
-        }
-        .validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "vocabulary")]
-    fn rejects_words_without_vocab() {
-        GeneratorConfig {
-            n_words: 0,
-            words_per_post: 2,
             ..Default::default()
         }
         .validate();

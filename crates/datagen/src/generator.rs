@@ -7,7 +7,7 @@ use crate::config::GeneratorConfig;
 use crate::follow::{latent_graph, materialize_network};
 use hetnet::{
     AlignedPair, AnchorLink, AnchorSet, HetNet, HetNetBuilder, LocationId, PostId, TimestampId,
-    UserId, WordId,
+    UserId,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -68,11 +68,6 @@ pub fn generate(cfg: &GeneratorConfig) -> GeneratedWorld {
     // Activity structure.
     let loc_sampler = PopularitySampler::new(cfg.n_locations, cfg.popularity_skew);
     let ts_sampler = PopularitySampler::new(cfg.n_timestamps, 0.0);
-    let word_sampler = if cfg.n_words > 0 {
-        Some(PopularitySampler::new(cfg.n_words, cfg.popularity_skew))
-    } else {
-        None
-    };
 
     // Archetype pools and per-user archetype assignment. A shared user and
     // its counterpart have the same archetype by construction (the profile
@@ -91,14 +86,7 @@ pub fn generate(cfg: &GeneratorConfig) -> GeneratedWorld {
     let shared_profiles: Vec<Profile> = (0..n_shared)
         .map(|_| {
             let arch = pick_archetype(&mut rng).map(|i| &archetypes[i]);
-            sample_profile(
-                &mut rng,
-                cfg,
-                &loc_sampler,
-                &ts_sampler,
-                word_sampler.as_ref(),
-                arch,
-            )
+            sample_profile(&mut rng, cfg, &loc_sampler, &ts_sampler, arch)
         })
         .collect();
 
@@ -107,14 +95,12 @@ pub fn generate(cfg: &GeneratorConfig) -> GeneratedWorld {
         n_left,
         cfg.n_locations,
         cfg.n_timestamps,
-        cfg.n_words,
     );
     let mut right_builder = HetNetBuilder::new(
         "right(foursquare-like)",
         n_right,
         cfg.n_locations,
         cfg.n_timestamps,
-        cfg.n_words,
     );
 
     for &(u, v) in &left_edges.edges {
@@ -139,7 +125,6 @@ pub fn generate(cfg: &GeneratorConfig) -> GeneratedWorld {
         cfg,
         &loc_sampler,
         &ts_sampler,
-        word_sampler.as_ref(),
         &archetypes,
     );
     // Posts: right network — shared user at right index sigma[i] uses
@@ -158,7 +143,6 @@ pub fn generate(cfg: &GeneratorConfig) -> GeneratedWorld {
         cfg,
         &loc_sampler,
         &ts_sampler,
-        word_sampler.as_ref(),
         &archetypes,
     );
 
@@ -197,7 +181,6 @@ pub(crate) fn populate_posts<'a>(
     cfg: &GeneratorConfig,
     loc_sampler: &PopularitySampler,
     ts_sampler: &PopularitySampler,
-    word_sampler: Option<&PopularitySampler>,
     archetypes: &[crate::activity::ArchetypePool],
 ) {
     for u in 0..n_users {
@@ -210,7 +193,7 @@ pub(crate) fn populate_posts<'a>(
             } else {
                 Some(&archetypes[rng.gen_range(0..archetypes.len())])
             };
-            fresh = sample_profile(rng, cfg, loc_sampler, ts_sampler, word_sampler, arch);
+            fresh = sample_profile(rng, cfg, loc_sampler, ts_sampler, arch);
             &fresh
         };
         let posts = generate_posts(rng, profile, mean_posts, cfg, loc_sampler, ts_sampler);
@@ -224,19 +207,6 @@ pub(crate) fn populate_posts<'a>(
             builder
                 .add_at(pid, TimestampId::from_index(rec.timestamp))
                 .expect("timestamp in range");
-            if let Some(ws) = word_sampler {
-                for _ in 0..cfg.words_per_post {
-                    // Mix topical and global words half/half.
-                    let w = if !profile.words.is_empty() && rng.gen::<f64>() < 0.5 {
-                        profile.words[rng.gen_range(0..profile.words.len())]
-                    } else {
-                        ws.sample(rng)
-                    };
-                    builder
-                        .add_word(pid, WordId::from_index(w))
-                        .expect("word in range");
-                }
-            }
         }
     }
 }
@@ -399,19 +369,5 @@ mod tests {
             aligned > 2 * shifted.max(1),
             "aligned {aligned} vs shifted {shifted}: neighborhood signal too weak"
         );
-    }
-
-    #[test]
-    fn words_generated_when_enabled() {
-        let cfg = GeneratorConfig {
-            n_shared_users: 20,
-            n_words: 50,
-            words_per_post: 3,
-            ..Default::default()
-        };
-        let w = generate(&cfg);
-        let any_words = (0..w.left().n_posts())
-            .any(|p| w.left().words_of(hetnet::PostId::from_index(p)).count() > 0);
-        assert!(any_words);
     }
 }

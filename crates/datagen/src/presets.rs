@@ -18,7 +18,6 @@ pub fn tiny(seed: u64) -> GeneratorConfig {
         n_extra_right: 10,
         n_locations: 60,
         n_timestamps: 40,
-        n_words: 0,
         base_degree: 8.0,
         keep_left: 0.8,
         keep_right: 0.6,
@@ -34,8 +33,6 @@ pub fn tiny(seed: u64) -> GeneratorConfig {
         archetype_mix: 0.6,
         profile_noise: 0.35,
         popularity_skew: 0.8,
-        words_per_post: 0,
-        n_profile_words: 6,
     }
 }
 
@@ -48,7 +45,6 @@ pub fn small(seed: u64) -> GeneratorConfig {
         n_extra_right: 50,
         n_locations: 120,
         n_timestamps: 60,
-        n_words: 0,
         base_degree: 12.0,
         keep_left: 0.8,
         keep_right: 0.6,
@@ -64,8 +60,6 @@ pub fn small(seed: u64) -> GeneratorConfig {
         archetype_mix: 0.8,
         profile_noise: 0.5,
         popularity_skew: 1.1,
-        words_per_post: 0,
-        n_profile_words: 8,
     }
 }
 
@@ -94,7 +88,6 @@ pub fn paper_scale(n_shared: usize, seed: u64) -> GeneratorConfig {
         n_extra_right,
         n_locations: n_locations.max(100),
         n_timestamps: (n_locations / 2).max(60),
-        n_words: 0,
         // Latent degree 36 with keep 0.88/0.40 ≈ 31.6 / 14.3 per-user density.
         base_degree: 36.0,
         keep_left: 0.88,
@@ -111,8 +104,6 @@ pub fn paper_scale(n_shared: usize, seed: u64) -> GeneratorConfig {
         archetype_mix: 0.75,
         profile_noise: 0.5,
         popularity_skew: 0.9,
-        words_per_post: 0,
-        n_profile_words: 10,
     }
 }
 

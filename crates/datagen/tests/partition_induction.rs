@@ -70,26 +70,3 @@ fn detected_partitions_recover_latent_communities() {
     let purity = agree as f64 / total.max(1) as f64;
     assert!(purity > 0.7, "partition purity vs latent blocks: {purity}");
 }
-
-#[test]
-fn boundary_nodes_exist_between_latent_communities() {
-    let cfg = datagen::GeneratorConfig {
-        n_communities: 3,
-        community_bias: 0.85,
-        ..datagen::presets::tiny(31)
-    };
-    let w = datagen::generate(&cfg);
-    let map = PartitionMap::detect(
-        w.left(),
-        &PartitionConfig {
-            min_size: 4,
-            ..Default::default()
-        },
-    );
-    if map.n_partitions() > 1 {
-        assert!(
-            map.boundary_nodes().count() > 0,
-            "multiple partitions must expose boundary nodes"
-        );
-    }
-}

@@ -2,7 +2,6 @@
 
 use crate::methods::{Method, StrategyKind};
 use crate::metrics::{summarize, Confusion, MetricSummary, Metrics};
-use crate::ranking::{ranking_report, RankingReport};
 use crate::sampling::LinkSet;
 use activeiter::instance::with_bias;
 use activeiter::model::FitReport;
@@ -104,9 +103,6 @@ pub struct FoldRun {
     pub n_train_neg: usize,
     /// Evaluated test links.
     pub n_test: usize,
-    /// Per-left-user ranking metrics over the evaluated test links
-    /// (extension beyond the paper's classification metrics).
-    pub ranking: RankingReport,
     /// Wall-clock time of the model fit (feature extraction excluded).
     pub fit_time: Duration,
 }
@@ -226,17 +222,8 @@ fn run_fold_threaded(
     let test = ls.test_indices(fold);
     let start = std::time::Instant::now();
 
-    let (predictions, link_scores, report): (Vec<bool>, Vec<f64>, Option<FitReport>) =
-        if method == Method::Unsupervised {
-            let result = activeiter::unsupervised::unsupervised_align(
-                &ls.candidates,
-                &session.features().x,
-                0.0,
-            );
-            // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
-            let preds = result.labels.iter().map(|&l| l == 1.0).collect();
-            (preds, result.scores, None)
-        } else if let Some(kind) = method.strategy() {
+    let (predictions, report): (Vec<bool>, Option<FitReport>) =
+        if let Some(kind) = method.strategy() {
             let oracle = VecOracle::new(ls.truth.clone());
             let config = ModelConfig {
                 budget: method.budget(),
@@ -249,8 +236,7 @@ fn run_fold_threaded(
                 .into_report();
             // srclint: allow(float_eq, reason = "labels are exact 0.0/1.0 sentinels assigned by the driver, never computed")
             let preds = report.labels.iter().map(|&l| l == 1.0).collect();
-            let scores = report.scores.clone();
-            (preds, scores, Some(report))
+            (preds, Some(report))
         } else {
             // The SVM baselines: the only methods left without a strategy.
             let x = &session.features().x;
@@ -265,9 +251,12 @@ fn run_fold_threaded(
                     ..Default::default()
                 },
             );
-            let decisions = svm.decision(&with_bias(x));
-            let preds = decisions.iter().map(|&v| v > 0.0).collect();
-            (preds, decisions, None)
+            let preds = svm
+                .decision(&with_bias(x))
+                .iter()
+                .map(|&v| v > 0.0)
+                .collect();
+            (preds, None)
         };
     let fit_time = start.elapsed();
 
@@ -280,9 +269,6 @@ fn run_fold_threaded(
     let pred_slice: Vec<bool> = eval_idx.iter().map(|&i| predictions[i]).collect();
     let truth_slice: Vec<bool> = eval_idx.iter().map(|&i| ls.truth[i]).collect();
     let metrics = Confusion::from_predictions(&pred_slice, &truth_slice).metrics();
-    let cand_slice: Vec<_> = eval_idx.iter().map(|&i| ls.candidates[i]).collect();
-    let score_slice: Vec<f64> = eval_idx.iter().map(|&i| link_scores[i]).collect();
-    let ranking = ranking_report(&cand_slice, &score_slice, &truth_slice);
 
     FoldRun {
         metrics,
@@ -290,7 +276,6 @@ fn run_fold_threaded(
         n_train_pos: train_pos.len(),
         n_train_neg: train_neg.len(),
         n_test: eval_idx.len(),
-        ranking,
         fit_time,
     }
 }
@@ -384,39 +369,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_baseline_is_a_valid_nonzero_floor() {
-        // On the *clean* tiny substrate the unsupervised matcher is strong
-        // (attribute similarity nearly solves the assignment); learning
-        // methods pull ahead on noisy/imbalanced settings. Here we assert
-        // only what is structurally guaranteed: a usable, deterministic,
-        // one-to-one floor that uses zero labels.
-        let w = world();
-        let spec = quick_spec();
-        let unsup = run_experiment(&w, &spec, Method::Unsupervised);
-        assert!(unsup.recall.mean > 0.0, "unsupervised floor is zero");
-        assert!(unsup.precision.mean > 0.0);
-        let again = run_experiment(&w, &spec, Method::Unsupervised);
-        assert_eq!(unsup.per_fold, again.per_fold, "must be deterministic");
-    }
-
-    #[test]
-    fn ranking_metrics_are_populated_and_sane() {
-        let w = world();
-        let ls = LinkSet::build(&w, 3, 5, 11);
-        let run = run_fold(&w, &ls, &quick_spec(), Method::IterMpmd, 0);
-        assert!(run.ranking.n_queries > 0, "test folds contain true pairs");
-        assert!(run.ranking.mrr > 0.0 && run.ranking.mrr <= 1.0);
-        assert!(run.ranking.hits_at_1 <= run.ranking.hits_at_5);
-        assert!(run.ranking.hits_at_5 <= run.ranking.hits_at_10);
-        // Ranking by a trained model should beat random expectation by far.
-        assert!(
-            run.ranking.mrr > 0.3,
-            "MRR {:.3} suspiciously low for a trained model",
-            run.ranking.mrr
-        );
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let w = world();
         let spec = quick_spec();
@@ -440,7 +392,11 @@ mod tests {
                 par.metrics, serial.metrics,
                 "extraction threads = {threads} diverged from serial"
             );
-            assert_eq!(par.ranking, serial.ranking);
+            let bits = |run: &FoldRun| -> Vec<u64> {
+                let report = run.report.as_ref().expect("Iter-MPMD yields a report");
+                report.scores.iter().map(|s| s.to_bits()).collect()
+            };
+            assert_eq!(bits(&par), bits(&serial), "scores at {threads} threads");
         }
         // The pooled experiment path agrees across configured budgets too.
         let a = run_experiment(&w, &spec.clone().with_threads(1), Method::IterMpmd);

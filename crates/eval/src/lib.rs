@@ -22,7 +22,6 @@
 pub mod experiment;
 pub mod methods;
 pub mod metrics;
-pub mod ranking;
 pub mod report;
 pub mod sampling;
 
@@ -31,6 +30,5 @@ pub use experiment::{
 };
 pub use methods::Method;
 pub use metrics::{summarize, Confusion, MetricSummary, Metrics};
-pub use ranking::{ranking_report, RankingReport};
 pub use report::Table;
 pub use sampling::LinkSet;

@@ -46,9 +46,6 @@ pub enum Method {
         /// Catalog slice.
         features: FeatureSet,
     },
-    /// Unsupervised baseline: attribute-similarity greedy matching, no
-    /// labels, no learning (related-work reference point, §V).
-    Unsupervised,
 }
 
 impl Method {
@@ -76,7 +73,6 @@ impl Method {
                 format!("ActiveIter-{budget}[{strategy:?}]")
             }
             Method::IterMpmdFeatures { features } => format!("Iter-MPMD[{features:?}]"),
-            Method::Unsupervised => "Unsupervised".to_string(),
         }
     }
 
@@ -84,9 +80,7 @@ impl Method {
     /// paths-only catalog in the paper's lineup.
     pub fn feature_set(&self) -> FeatureSet {
         match self {
-            // The unsupervised matcher sees no anchors, so only the
-            // label-free attribute paths carry information.
-            Method::SvmMp | Method::Unsupervised => FeatureSet::MetaPathsOnly,
+            Method::SvmMp => FeatureSet::MetaPathsOnly,
             Method::IterMpmdFeatures { features } => *features,
             _ => FeatureSet::Full,
         }
@@ -104,7 +98,7 @@ impl Method {
 
     /// The query strategy of the ActiveIter family (Iter-MPMD is its
     /// zero-budget special case: the strategy is never consulted); `None`
-    /// for the SVM and unsupervised baselines, which fit no active loop.
+    /// for the SVM baselines, which fit no active loop.
     pub fn strategy(&self) -> Option<StrategyKind> {
         match self {
             Method::IterMpmd | Method::IterMpmdFeatures { .. } | Method::ActiveIter { .. } => {
@@ -112,7 +106,7 @@ impl Method {
             }
             Method::ActiveIterRand { .. } => Some(StrategyKind::Random),
             Method::ActiveIterWith { strategy, .. } => Some(*strategy),
-            Method::SvmMpmd | Method::SvmMp | Method::Unsupervised => None,
+            Method::SvmMpmd | Method::SvmMp => None,
         }
     }
 }
@@ -167,12 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_method() {
-        assert_eq!(Method::Unsupervised.name(), "Unsupervised");
-        assert_eq!(Method::Unsupervised.budget(), 0);
-    }
-
-    #[test]
     fn only_the_active_iter_family_has_a_strategy() {
         for m in Method::paper_lineup() {
             assert_eq!(
@@ -182,7 +170,6 @@ mod tests {
                 m.name()
             );
         }
-        assert_eq!(Method::Unsupervised.strategy(), None);
         assert_eq!(
             Method::ActiveIterRand { budget: 5 }.strategy(),
             Some(StrategyKind::Random)

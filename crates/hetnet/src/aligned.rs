@@ -177,8 +177,8 @@ mod tests {
     use crate::builder::HetNetBuilder;
 
     fn nets() -> (HetNet, HetNet) {
-        let l = HetNetBuilder::new("l", 3, 0, 0, 0).build();
-        let r = HetNetBuilder::new("r", 3, 0, 0, 0).build();
+        let l = HetNetBuilder::new("l", 3, 0, 0).build();
+        let r = HetNetBuilder::new("r", 3, 0, 0).build();
         (l, r)
     }
 

@@ -6,7 +6,7 @@
 
 use crate::error::{HetNetError, Result};
 use crate::graph::{HetNet, PairMemo};
-use crate::ids::{LocationId, PostId, TimestampId, UserId, WordId};
+use crate::ids::{LocationId, PostId, TimestampId, UserId};
 use crate::schema::NodeKind;
 use sparsela::{CooMatrix, CsrMatrix};
 
@@ -16,21 +16,19 @@ pub struct HetNetBuilder {
     name: String,
     n_users: usize,
     n_posts: usize,
-    n_words: usize,
     n_locations: usize,
     n_timestamps: usize,
     follow: Vec<(u32, u32)>,
     write: Vec<(u32, u32)>,
     at: Vec<(u32, u32)>,
     checkin: Vec<(u32, u32)>,
-    has_word: Vec<(u32, u32)>,
 }
 
 impl HetNetBuilder {
     /// Starts a builder with fixed attribute universes.
     ///
     /// `n_users` user nodes exist immediately; posts are appended through
-    /// [`HetNetBuilder::add_post`]. Word/location/timestamp universes are
+    /// [`HetNetBuilder::add_post`]. Location/timestamp universes are
     /// fixed up front because they are *shared* across aligned networks
     /// (paper §II-A: "lots of attribute types can be shared across
     /// networks").
@@ -39,20 +37,17 @@ impl HetNetBuilder {
         n_users: usize,
         n_locations: usize,
         n_timestamps: usize,
-        n_words: usize,
     ) -> Self {
         HetNetBuilder {
             name: name.into(),
             n_users,
             n_posts: 0,
-            n_words,
             n_locations,
             n_timestamps,
             follow: Vec::new(),
             write: Vec::new(),
             at: Vec::new(),
             checkin: Vec::new(),
-            has_word: Vec::new(),
         }
     }
 
@@ -139,20 +134,6 @@ impl HetNetBuilder {
         Ok(())
     }
 
-    /// Attaches a word attribute to a post.
-    pub fn add_word(&mut self, p: PostId, w: WordId) -> Result<()> {
-        self.check_post(p)?;
-        if w.index() >= self.n_words {
-            return Err(HetNetError::NodeOutOfRange {
-                kind: NodeKind::Word,
-                index: w.index(),
-                count: self.n_words,
-            });
-        }
-        self.has_word.push((p.0, w.0));
-        Ok(())
-    }
-
     fn to_binary_csr(edges: &[(u32, u32)], nrows: usize, ncols: usize) -> CsrMatrix {
         let mut coo = CooMatrix::with_capacity(nrows, ncols, edges.len());
         for &(s, t) in edges {
@@ -169,29 +150,24 @@ impl HetNetBuilder {
         let write = Self::to_binary_csr(&self.write, self.n_users, self.n_posts);
         let at = Self::to_binary_csr(&self.at, self.n_posts, self.n_timestamps);
         let checkin = Self::to_binary_csr(&self.checkin, self.n_posts, self.n_locations);
-        let has_word = Self::to_binary_csr(&self.has_word, self.n_posts, self.n_words);
         let follow_rev = follow.transpose();
         let write_rev = write.transpose();
         let at_rev = at.transpose();
         let checkin_rev = checkin.transpose();
-        let has_word_rev = has_word.transpose();
         HetNet {
             name: self.name,
             n_users: self.n_users,
             n_posts: self.n_posts,
-            n_words: self.n_words,
             n_locations: self.n_locations,
             n_timestamps: self.n_timestamps,
             follow,
             write,
             at,
             checkin,
-            has_word,
             follow_rev,
             write_rev,
             at_rev,
             checkin_rev,
-            has_word_rev,
             memo: PairMemo::new(),
         }
     }
@@ -203,25 +179,24 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range_endpoints() {
-        let mut b = HetNetBuilder::new("t", 2, 1, 1, 1);
+        let mut b = HetNetBuilder::new("t", 2, 1, 1);
         assert!(b.add_follow(UserId(0), UserId(5)).is_err());
         assert!(b.add_post(UserId(9)).is_err());
         let p = b.add_post(UserId(0)).unwrap();
         assert!(b.add_at(p, TimestampId(3)).is_err());
         assert!(b.add_checkin(p, LocationId(1)).is_err());
-        assert!(b.add_word(p, WordId(1)).is_err());
         assert!(b.add_at(PostId(7), TimestampId(0)).is_err());
     }
 
     #[test]
     fn rejects_self_follow() {
-        let mut b = HetNetBuilder::new("t", 2, 0, 0, 0);
+        let mut b = HetNetBuilder::new("t", 2, 0, 0);
         assert!(b.add_follow(UserId(1), UserId(1)).is_err());
     }
 
     #[test]
     fn duplicate_links_collapse_to_binary() {
-        let mut b = HetNetBuilder::new("t", 2, 1, 1, 0);
+        let mut b = HetNetBuilder::new("t", 2, 1, 1);
         b.add_follow(UserId(0), UserId(1)).unwrap();
         b.add_follow(UserId(0), UserId(1)).unwrap();
         let p = b.add_post(UserId(1)).unwrap();
@@ -239,7 +214,7 @@ mod tests {
 
     #[test]
     fn post_ids_are_sequential() {
-        let mut b = HetNetBuilder::new("t", 1, 0, 0, 0);
+        let mut b = HetNetBuilder::new("t", 1, 0, 0);
         let p0 = b.add_post(UserId(0)).unwrap();
         let p1 = b.add_post(UserId(0)).unwrap();
         assert_eq!(p0, PostId(0));
@@ -250,7 +225,7 @@ mod tests {
 
     #[test]
     fn empty_network_builds() {
-        let n = HetNetBuilder::new("empty", 0, 0, 0, 0).build();
+        let n = HetNetBuilder::new("empty", 0, 0, 0).build();
         assert_eq!(n.n_users(), 0);
         assert_eq!(n.n_posts(), 0);
     }

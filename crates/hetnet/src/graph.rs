@@ -8,7 +8,7 @@
 //! A network also keeps what a caller derives from it together with a
 //! partner network ([`HetNet::pair_memo`]), for as long as both live.
 
-use crate::ids::{LocationId, PostId, TimestampId, UserId, WordId};
+use crate::ids::{LocationId, PostId, TimestampId, UserId};
 use crate::schema::{Direction, LinkKind, NodeKind};
 use sparsela::CsrMatrix;
 use std::any::Any;
@@ -21,7 +21,6 @@ pub struct HetNet {
     pub(crate) name: String,
     pub(crate) n_users: usize,
     pub(crate) n_posts: usize,
-    pub(crate) n_words: usize,
     pub(crate) n_locations: usize,
     pub(crate) n_timestamps: usize,
     /// Follow adjacency, `U × U`; `follow[u][v] = 1` iff `u` follows `v`.
@@ -32,14 +31,11 @@ pub struct HetNet {
     pub(crate) at: CsrMatrix,
     /// Post→location, `P × L`.
     pub(crate) checkin: CsrMatrix,
-    /// Post→word, `P × W`.
-    pub(crate) has_word: CsrMatrix,
     // Reverse (transposed) adjacency, built once.
     pub(crate) follow_rev: CsrMatrix,
     pub(crate) write_rev: CsrMatrix,
     pub(crate) at_rev: CsrMatrix,
     pub(crate) checkin_rev: CsrMatrix,
-    pub(crate) has_word_rev: CsrMatrix,
     /// Values derived from this network and a partner.
     pub(crate) memo: PairMemo,
 }
@@ -118,7 +114,6 @@ impl HetNet {
         match kind {
             NodeKind::User => self.n_users,
             NodeKind::Post => self.n_posts,
-            NodeKind::Word => self.n_words,
             NodeKind::Location => self.n_locations,
             NodeKind::Timestamp => self.n_timestamps,
         }
@@ -148,8 +143,6 @@ impl HetNet {
             (LinkKind::At, Direction::Reverse) => &self.at_rev,
             (LinkKind::Checkin, Direction::Forward) => &self.checkin,
             (LinkKind::Checkin, Direction::Reverse) => &self.checkin_rev,
-            (LinkKind::HasWord, Direction::Forward) => &self.has_word,
-            (LinkKind::HasWord, Direction::Reverse) => &self.has_word_rev,
         }
     }
 
@@ -203,13 +196,6 @@ impl HetNet {
             .map(|(c, _)| LocationId::from_index(c))
     }
 
-    /// Words attached to post `p`.
-    pub fn words_of(&self, p: PostId) -> impl Iterator<Item = WordId> + '_ {
-        self.has_word
-            .row(p.index())
-            .map(|(c, _)| WordId::from_index(c))
-    }
-
     /// True when `u` follows `v`.
     pub fn follows(&self, u: UserId, v: UserId) -> bool {
         // srclint: allow(float_eq, reason = "the follow matrix stores exact 0.0/1.0 entries; this is a membership test")
@@ -223,7 +209,7 @@ mod tests {
     use crate::builder::HetNetBuilder;
 
     fn tiny() -> HetNet {
-        let mut b = HetNetBuilder::new("tiny", 3, 2, 2, 0);
+        let mut b = HetNetBuilder::new("tiny", 3, 2, 2);
         b.add_follow(UserId(0), UserId(1)).unwrap();
         b.add_follow(UserId(1), UserId(0)).unwrap();
         b.add_follow(UserId(0), UserId(2)).unwrap();
@@ -243,7 +229,6 @@ mod tests {
         assert_eq!(n.count(NodeKind::Post), 2);
         assert_eq!(n.count(NodeKind::Location), 2);
         assert_eq!(n.count(NodeKind::Timestamp), 2);
-        assert_eq!(n.count(NodeKind::Word), 0);
         assert_eq!(n.n_users(), 3);
         assert_eq!(n.n_posts(), 2);
         assert_eq!(n.name(), "tiny");
@@ -274,7 +259,6 @@ mod tests {
             n.timestamps_of(PostId(1)).collect::<Vec<_>>(),
             vec![TimestampId(1)]
         );
-        assert_eq!(n.words_of(PostId(0)).count(), 0);
     }
 
     #[test]
@@ -294,7 +278,6 @@ mod tests {
         assert_eq!(n.link_count(LinkKind::Write), 2);
         assert_eq!(n.link_count(LinkKind::Checkin), 2);
         assert_eq!(n.link_count(LinkKind::At), 2);
-        assert_eq!(n.link_count(LinkKind::HasWord), 0);
     }
 
     #[derive(Default)]

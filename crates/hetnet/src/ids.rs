@@ -43,10 +43,6 @@ id_type!(
     PostId
 );
 id_type!(
-    /// A vocabulary word attribute node (shared across networks).
-    WordId
-);
-id_type!(
     /// A location attribute node (shared across networks).
     LocationId
 );
@@ -75,7 +71,6 @@ mod tests {
     #[test]
     fn display_is_informative() {
         assert_eq!(TimestampId(7).to_string(), "TimestampId(7)");
-        assert_eq!(WordId(0).to_string(), "WordId(0)");
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! Definition 2 (multiple aligned social networks) for the Foursquare/Twitter
 //! shape of Figure 2:
 //!
-//! * node types: **User**, **Post** and the attribute types **Word**,
-//!   **Location**, **Timestamp** (attributes are modeled as typed nodes
-//!   linked to posts, exactly as the aligned network schema draws them);
+//! * node types: **User**, **Post** and the attribute types **Location**
+//!   and **Timestamp** (attributes are modeled as typed nodes linked to
+//!   posts, exactly as the aligned network schema draws them);
 //! * link types: **follow** (User→User), **write** (User→Post),
-//!   **at** (Post→Timestamp), **checkin** (Post→Location),
-//!   **has-word** (Post→Word), plus the inter-network **anchor** link type
-//!   held by [`AlignedPair`].
+//!   **at** (Post→Timestamp), **checkin** (Post→Location), plus the
+//!   inter-network **anchor** link type held by [`AlignedPair`].
+//!
+//! Figure 2 also draws a **Word** attribute type. It is not modelled:
+//! no meta path or meta diagram of Table I and no column of Table II
+//! reads it.
 //!
 //! Storage is compressed sparse row per link type ([`sparsela::CsrMatrix`]),
 //! forward and reverse, which is what the meta-path count engine consumes
@@ -33,7 +36,7 @@ pub use aligned::{AlignedPair, AnchorLink, AnchorSet};
 pub use builder::HetNetBuilder;
 pub use error::{HetNetError, Result};
 pub use graph::HetNet;
-pub use ids::{LocationId, PostId, TimestampId, UserId, WordId};
+pub use ids::{LocationId, PostId, TimestampId, UserId};
 pub use partition::{
     induce_subnet, match_partitions, MatchedPair, PartitionConfig, PartitionMap, PartitionMatching,
     PartitionSignature, SubNet,

@@ -9,9 +9,7 @@
 //!
 //! 1. **[`PartitionMap::detect`]** — seeded label propagation over the
 //!    follow graph (forward ∪ reverse), producing a [`PartitionMap`]:
-//!    per-user community ids, per-community member lists, and
-//!    boundary-node tracking (users with a follow neighbor in another
-//!    community — the ones whose anchors matter to more than one shard).
+//!    per-user community ids and per-community member lists.
 //!    Determinism is part of the contract: the same network and
 //!    [`PartitionConfig`] produce the same map on every run (the visit
 //!    order is seeded through the vendored `rand` stand-in and every
@@ -37,7 +35,7 @@
 //! use hetnet::{HetNetBuilder, UserId};
 //!
 //! // Two triangles joined by one bridge edge.
-//! let mut b = HetNetBuilder::new("demo", 6, 1, 1, 0);
+//! let mut b = HetNetBuilder::new("demo", 6, 1, 1);
 //! for block in [0u32, 3] {
 //!     for (i, j) in [(0, 1), (1, 2), (2, 0)] {
 //!         b.add_follow(UserId(block + i), UserId(block + j)).unwrap();
@@ -49,7 +47,7 @@
 //! let cfg = PartitionConfig { min_size: 2, ..PartitionConfig::default() };
 //! let map = PartitionMap::detect(&net, &cfg);
 //! assert_eq!(map.n_partitions(), 2);
-//! assert!(map.is_boundary(UserId(2)) && map.is_boundary(UserId(3)));
+//! assert_ne!(map.part_of(UserId(2)), map.part_of(UserId(3)));
 //!
 //! let anchors = vec![hetnet::AnchorLink::new(UserId(0), UserId(0))];
 //! let matching = match_partitions(&net, &net, &map, &map, &anchors, 2).unwrap();
@@ -92,36 +90,30 @@ impl Default for PartitionConfig {
     }
 }
 
-/// A community assignment over one network's users, with boundary
-/// tracking. Partition ids are dense (`0..n_partitions()`), assigned in
-/// order of first appearance by ascending user index — fully determined
-/// by the assignment itself.
+/// A community assignment over one network's users. Partition ids are
+/// dense (`0..n_partitions()`), assigned in order of first appearance by
+/// ascending user index — fully determined by the assignment itself.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionMap {
     /// Per-user partition id.
     part_of: Vec<u32>,
     /// Per-partition member list, ascending by user index.
     members: Vec<Vec<UserId>>,
-    /// Per-user flag: has at least one follow neighbor (either direction)
-    /// in a different partition.
-    boundary: Vec<bool>,
 }
 
 impl PartitionMap {
-    /// The single-partition map: every user in partition 0, no boundary
-    /// nodes. Sharded alignment under the trivial map degenerates to the
-    /// global pipeline — the equivalence the property tests pin down.
+    /// The single-partition map: every user in partition 0. Sharded
+    /// alignment under the trivial map degenerates to the global
+    /// pipeline — the equivalence the property tests pin down.
     pub fn trivial(n_users: usize) -> Self {
         PartitionMap {
             part_of: vec![0; n_users],
             members: vec![(0..n_users).map(UserId::from_index).collect()],
-            boundary: vec![false; n_users],
         }
     }
 
     /// Builds a map from an explicit per-user assignment (any custom
-    /// partitioner), compacting ids and recomputing boundary flags
-    /// against `net`'s follow graph.
+    /// partitioner) over `net`'s users, compacting ids.
     ///
     /// # Panics
     /// Panics when `assignment.len() != net.n_users()` — a programming
@@ -132,7 +124,7 @@ impl PartitionMap {
             net.n_users(),
             "assignment must cover every user"
         );
-        Self::compact(assignment, net)
+        Self::compact(assignment)
     }
 
     /// Detects communities by seeded label propagation over the follow
@@ -169,7 +161,7 @@ impl PartitionMap {
             }
         }
         Self::merge_undersized(&mut labels, net, cfg.min_size);
-        Self::compact(&labels, net)
+        Self::compact(&labels)
     }
 
     /// Dissolves communities smaller than `min_size`: each of their
@@ -215,8 +207,8 @@ impl PartitionMap {
     }
 
     /// Compacts arbitrary labels to dense ids (first appearance by
-    /// ascending user index) and computes members and boundary flags.
-    fn compact(labels: &[usize], net: &HetNet) -> Self {
+    /// ascending user index) and computes members.
+    fn compact(labels: &[usize]) -> Self {
         let n = labels.len();
         let mut dense = std::collections::HashMap::new();
         let mut part_of = Vec::with_capacity(n);
@@ -230,18 +222,7 @@ impl PartitionMap {
             part_of.push(p as u32);
             members[p].push(UserId::from_index(u));
         }
-        let mut boundary = vec![false; n];
-        for u in 0..n {
-            let uid = UserId::from_index(u);
-            let home = part_of[u];
-            boundary[u] = net.followees(uid).any(|v| part_of[v.index()] != home)
-                || net.followers(uid).any(|v| part_of[v.index()] != home);
-        }
-        PartitionMap {
-            part_of,
-            members,
-            boundary,
-        }
+        PartitionMap { part_of, members }
     }
 
     /// Number of partitions.
@@ -268,23 +249,6 @@ impl PartitionMap {
     /// Panics when `p` is out of range.
     pub fn members(&self, p: usize) -> &[UserId] {
         &self.members[p]
-    }
-
-    /// True when `u` has a follow neighbor in another partition.
-    ///
-    /// # Panics
-    /// Panics when `u` is out of range.
-    pub fn is_boundary(&self, u: UserId) -> bool {
-        self.boundary[u.index()]
-    }
-
-    /// All boundary users, ascending.
-    pub fn boundary_nodes(&self) -> impl Iterator<Item = UserId> + '_ {
-        self.boundary
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(u, _)| UserId::from_index(u))
     }
 
     /// Partition sizes, indexed by partition id.
@@ -386,7 +350,7 @@ impl PartitionSignature {
 ///
 /// Initial per-user labels hash log₂-bucketed degrees across the hetnet
 /// schema (follow out/in, post count, and the user's aggregate
-/// timestamp/location/word attachment counts); `rounds` Weisfeiler–Lehman
+/// timestamp/location attachment counts); `rounds` Weisfeiler–Lehman
 /// refinements then fold each user's sorted followee/follower label
 /// multisets back into its label. 2–3 rounds separate structural roles
 /// without over-fragmenting (every extra round halves collision mass but
@@ -400,17 +364,17 @@ pub fn wl_signatures(net: &HetNet, map: &PartitionMap, rounds: usize) -> Vec<Par
             let mut h = FNV_OFFSET;
             h = fnv_u64(h, bucket(net.followees(uid).count()));
             h = fnv_u64(h, bucket(net.followers(uid).count()));
-            let (mut posts, mut at, mut loc, mut words) = (0usize, 0usize, 0usize, 0usize);
+            let (mut posts, mut at, mut loc) = (0usize, 0usize, 0usize);
             for p in net.posts_of(uid) {
                 posts += 1;
                 at += net.timestamps_of(p).count();
                 loc += net.locations_of(p).count();
-                words += net.words_of(p).count();
             }
             h = fnv_u64(h, bucket(posts));
             h = fnv_u64(h, bucket(at));
             h = fnv_u64(h, bucket(loc));
-            h = fnv_u64(h, bucket(words));
+            // Words are not modelled; their slot keeps hashing `bucket(0)` so labels stay stable.
+            h = fnv_u64(h, 0);
             h
         })
         .collect();
@@ -681,7 +645,6 @@ pub fn induce_subnet(net: &HetNet, members: &[UserId]) -> Result<SubNet> {
         members.len(),
         net.count(NodeKind::Location),
         net.count(NodeKind::Timestamp),
-        net.count(NodeKind::Word),
     );
     for (i, &m) in members.iter().enumerate() {
         let u = UserId::from_index(i);
@@ -702,9 +665,6 @@ pub fn induce_subnet(net: &HetNet, members: &[UserId]) -> Result<SubNet> {
             for l in net.locations_of(p) {
                 b.add_checkin(np, l)?;
             }
-            for w in net.words_of(p) {
-                b.add_word(np, w)?;
-            }
         }
     }
     Ok(SubNet {
@@ -720,7 +680,7 @@ mod tests {
 
     /// Two dense 5-cliques joined by a single bridge edge.
     fn two_cliques() -> HetNet {
-        let mut b = HetNetBuilder::new("cliques", 10, 2, 2, 0);
+        let mut b = HetNetBuilder::new("cliques", 10, 2, 2);
         for block in [0usize, 5] {
             for i in 0..5 {
                 for j in 0..5 {
@@ -756,10 +716,6 @@ mod tests {
             assert_eq!(map.part_of(UserId::from_index(u)), 0);
             assert_eq!(map.part_of(UserId::from_index(u + 5)), 1);
         }
-        // Only the bridge endpoints are boundary nodes.
-        assert!(map.is_boundary(UserId(4)));
-        assert!(map.is_boundary(UserId(5)));
-        assert_eq!(map.boundary_nodes().count(), 2);
         assert_eq!(map.sizes(), vec![5, 5]);
     }
 
@@ -782,7 +738,6 @@ mod tests {
         };
         let map = PartitionMap::detect(&net, &cfg);
         assert_eq!(map.n_partitions(), 1);
-        assert_eq!(map.boundary_nodes().count(), 0);
     }
 
     #[test]
@@ -790,19 +745,17 @@ mod tests {
         let map = PartitionMap::trivial(7);
         assert_eq!(map.n_partitions(), 1);
         assert_eq!(map.members(0).len(), 7);
-        assert_eq!(map.boundary_nodes().count(), 0);
+        assert!((0..7).all(|u| map.part_of(UserId(u)) == 0));
     }
 
     #[test]
-    fn from_assignment_compacts_and_flags_boundaries() {
+    fn from_assignment_compacts_ids() {
         let net = two_cliques();
         let raw: Vec<usize> = (0..10).map(|u| if u < 5 { 42 } else { 7 }).collect();
         let map = PartitionMap::from_assignment(&raw, &net);
         assert_eq!(map.n_partitions(), 2);
         assert_eq!(map.part_of(UserId(0)), 0, "first appearance wins id 0");
         assert_eq!(map.part_of(UserId(9)), 1);
-        assert!(map.is_boundary(UserId(4)));
-        assert!(!map.is_boundary(UserId(0)));
     }
 
     #[test]
@@ -897,7 +850,7 @@ mod tests {
         // Posts added in ascending author order — the invariant every
         // generated network satisfies (datagen's integration tests pin the
         // same property on real generated worlds).
-        let mut b = HetNetBuilder::new("grouped", 4, 3, 3, 0);
+        let mut b = HetNetBuilder::new("grouped", 4, 3, 3);
         b.add_follow(UserId(0), UserId(2)).unwrap();
         b.add_follow(UserId(3), UserId(1)).unwrap();
         for u in 0..4u32 {

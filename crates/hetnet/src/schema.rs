@@ -2,7 +2,9 @@
 //!
 //! Node kinds and link kinds are closed enums: the paper's analysis (and
 //! this reproduction) is specific to the social-network schema with users,
-//! posts and the word/location/timestamp attribute types. The meta paths
+//! posts and the location/timestamp attribute types. The paper's Figure 2
+//! also draws a word type; it is not modelled, because no meta path or
+//! meta diagram of Table I and no column of Table II reads it. The meta paths
 //! walk this schema; `metadiagram` spells each walk out on its path
 //! identifier and counts it as a chain of these link types' adjacencies.
 
@@ -11,15 +13,13 @@ use std::fmt;
 /// The node (and attribute) types of the schema.
 ///
 /// Attribute types are modeled as nodes, matching the paper's drawing of the
-/// aligned schema where posts link to timestamp/location/word nodes.
+/// aligned schema where posts link to timestamp/location nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum NodeKind {
     /// A user account.
     User,
     /// A post (tweet on Twitter, tip on Foursquare).
     Post,
-    /// A vocabulary word (shared attribute space across networks).
-    Word,
     /// A location / venue (shared attribute space across networks).
     Location,
     /// A discretized timestamp (shared attribute space across networks).
@@ -28,10 +28,9 @@ pub enum NodeKind {
 
 impl NodeKind {
     /// All node kinds in declaration order.
-    pub const ALL: [NodeKind; 5] = [
+    pub const ALL: [NodeKind; 4] = [
         NodeKind::User,
         NodeKind::Post,
-        NodeKind::Word,
         NodeKind::Location,
         NodeKind::Timestamp,
     ];
@@ -42,7 +41,6 @@ impl fmt::Display for NodeKind {
         let name = match self {
             NodeKind::User => "User",
             NodeKind::Post => "Post",
-            NodeKind::Word => "Word",
             NodeKind::Location => "Location",
             NodeKind::Timestamp => "Timestamp",
         };
@@ -62,18 +60,15 @@ pub enum LinkKind {
     At,
     /// Post → Location attribute association.
     Checkin,
-    /// Post → Word attribute association (text content).
-    HasWord,
 }
 
 impl LinkKind {
     /// All link kinds in declaration order.
-    pub const ALL: [LinkKind; 5] = [
+    pub const ALL: [LinkKind; 4] = [
         LinkKind::Follow,
         LinkKind::Write,
         LinkKind::At,
         LinkKind::Checkin,
-        LinkKind::HasWord,
     ];
 
     /// Name as written in the paper's figures.
@@ -83,7 +78,6 @@ impl LinkKind {
             LinkKind::Write => "write",
             LinkKind::At => "at",
             LinkKind::Checkin => "checkin",
-            LinkKind::HasWord => "contain",
         }
     }
 }
@@ -131,7 +125,7 @@ mod tests {
 
     #[test]
     fn all_arrays_cover_every_variant() {
-        assert_eq!(NodeKind::ALL.len(), 5);
-        assert_eq!(LinkKind::ALL.len(), 5);
+        assert_eq!(NodeKind::ALL.len(), 4);
+        assert_eq!(LinkKind::ALL.len(), 4);
     }
 }

@@ -17,8 +17,6 @@ pub struct NetworkStats {
     pub locations_used: usize,
     /// Number of distinct timestamps actually referenced by posts.
     pub timestamps_used: usize,
-    /// Number of distinct words actually referenced by posts.
-    pub words_used: usize,
     /// Number of follow/friend links.
     pub follow_links: usize,
     /// Number of write links (== posts when every post has one author).
@@ -37,7 +35,6 @@ impl NetworkStats {
             posts: net.n_posts(),
             locations_used: used(net.adjacency(LinkKind::Checkin, crate::Direction::Forward)),
             timestamps_used: used(net.adjacency(LinkKind::At, crate::Direction::Forward)),
-            words_used: used(net.adjacency(LinkKind::HasWord, crate::Direction::Forward)),
             follow_links: net.link_count(LinkKind::Follow),
             write_links: net.link_count(LinkKind::Write),
             checkin_links: net.link_count(LinkKind::Checkin),
@@ -94,7 +91,7 @@ mod tests {
     use crate::ids::{LocationId, TimestampId, UserId};
 
     fn sample() -> HetNet {
-        let mut b = HetNetBuilder::new("sample", 4, 3, 2, 1);
+        let mut b = HetNetBuilder::new("sample", 4, 3, 2);
         b.add_follow(UserId(0), UserId(1)).unwrap();
         b.add_follow(UserId(1), UserId(2)).unwrap();
         let p0 = b.add_post(UserId(0)).unwrap();
@@ -114,7 +111,6 @@ mod tests {
         // Only location 2 is referenced even though 3 exist in the universe.
         assert_eq!(s.locations_used, 1);
         assert_eq!(s.timestamps_used, 1);
-        assert_eq!(s.words_used, 0);
         assert_eq!(s.follow_links, 2);
         assert_eq!(s.write_links, 3);
         assert_eq!(s.checkin_links, 2);

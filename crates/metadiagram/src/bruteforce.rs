@@ -112,7 +112,6 @@ fn attr_link(a: AttrPathId) -> LinkKind {
     match a {
         AttrPathId::Timestamp => LinkKind::At,
         AttrPathId::Location => LinkKind::Checkin,
-        AttrPathId::Word => LinkKind::HasWord,
     }
 }
 
@@ -234,7 +233,7 @@ mod tests {
     /// Same tiny world as the `count` tests, so the hand-derived expectations
     /// can be compared one-to-one.
     fn tiny_world() -> (HetNet, HetNet, Vec<AnchorLink>) {
-        let mut l = HetNetBuilder::new("L", 3, 2, 2, 0);
+        let mut l = HetNetBuilder::new("L", 3, 2, 2);
         l.add_follow(UserId(0), UserId(1)).unwrap();
         l.add_follow(UserId(2), UserId(1)).unwrap();
         let p0 = l.add_post(UserId(0)).unwrap();
@@ -242,7 +241,7 @@ mod tests {
         l.add_at(p0, TimestampId(0)).unwrap();
         let left = l.build();
 
-        let mut r = HetNetBuilder::new("R", 3, 2, 2, 0);
+        let mut r = HetNetBuilder::new("R", 3, 2, 2);
         r.add_follow(UserId(0), UserId(1)).unwrap();
         r.add_follow(UserId(2), UserId(1)).unwrap();
         let q0 = r.add_post(UserId(0)).unwrap();
@@ -279,13 +278,13 @@ mod tests {
     fn attr_multiplicities_multiply() {
         // One left post with 2 locations and 1 timestamp; one right post
         // sharing both locations and the timestamp → 2 × 1 = 2 instances.
-        let mut l = HetNetBuilder::new("L", 1, 2, 1, 0);
+        let mut l = HetNetBuilder::new("L", 1, 2, 1);
         let p = l.add_post(UserId(0)).unwrap();
         l.add_checkin(p, LocationId(0)).unwrap();
         l.add_checkin(p, LocationId(1)).unwrap();
         l.add_at(p, TimestampId(0)).unwrap();
         let left = l.build();
-        let mut r = HetNetBuilder::new("R", 1, 2, 1, 0);
+        let mut r = HetNetBuilder::new("R", 1, 2, 1);
         let q = r.add_post(UserId(0)).unwrap();
         r.add_checkin(q, LocationId(0)).unwrap();
         r.add_checkin(q, LocationId(1)).unwrap();

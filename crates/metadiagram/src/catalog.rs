@@ -15,6 +15,10 @@
 //! for **31 features** total. `Pi × Pi` degenerates to `Pi` (stacking a
 //! binary path onto itself adds nothing), so only unordered distinct pairs
 //! enter the diagram families.
+//!
+//! The paper's Fig. 2 schema also draws a Word attribute type. No path of
+//! Table I and no column of Table II reads it, so it is not modelled and
+//! `Pa` is exactly {P5, P6}.
 
 use crate::diagram::{AttrPathId, Diagram, SocialPathId};
 
@@ -30,11 +34,6 @@ pub enum FeatureSet {
     PathsAndAttrDiagram,
     /// The full 31-feature catalog (the paper's `-MPMD` feature sets).
     Full,
-    /// Extension beyond the paper: the full catalog with the **word**
-    /// attribute path PW added to `Pa` — 58 features. The schema's Word
-    /// type appears in the paper's Fig. 2 but never in its catalog; this
-    /// slice exercises it (requires networks generated with a vocabulary).
-    FullWithWords,
 }
 
 /// One named feature.
@@ -64,16 +63,7 @@ impl Catalog {
     /// Builds the catalog slice for `set`.
     pub fn new(set: FeatureSet) -> Self {
         let mut entries = Vec::new();
-        let attrs: Vec<AttrPathId> = match set {
-            FeatureSet::FullWithWords => {
-                vec![
-                    AttrPathId::Timestamp,
-                    AttrPathId::Location,
-                    AttrPathId::Word,
-                ]
-            }
-            _ => AttrPathId::PAPER.to_vec(),
-        };
+        let attrs = AttrPathId::ALL;
         // P: the base meta paths.
         for p in SocialPathId::ALL {
             entries.push(entry(Diagram::Social(p)));
@@ -100,7 +90,7 @@ impl Catalog {
             FeatureSet::PathsAndAttrDiagram => {
                 entries.push(entry(Diagram::psi2()));
             }
-            FeatureSet::Full | FeatureSet::FullWithWords => {
+            FeatureSet::Full => {
                 let attr_pairs: Vec<(AttrPathId, AttrPathId)> = {
                     let mut v = Vec::new();
                     for (ii, &a) in attrs.iter().enumerate() {
@@ -114,7 +104,7 @@ impl Catalog {
                 for &(i, j) in &social_pairs {
                     entries.push(entry(Diagram::SocialPair(i, j)));
                 }
-                // Ψa² (one pair in the paper's catalog; three with words).
+                // Ψa² (one pair: Ψ2).
                 for &(a, b) in &attr_pairs {
                     entries.push(entry(Diagram::AttrPair(a, b)));
                 }
@@ -187,18 +177,6 @@ mod tests {
         assert_eq!(Catalog::new(FeatureSet::PathsAndSocialDiagrams).len(), 12);
         assert_eq!(Catalog::new(FeatureSet::PathsAndAttrDiagram).len(), 7);
         assert_eq!(Catalog::new(FeatureSet::Full).len(), 31);
-    }
-
-    #[test]
-    fn words_extension_size() {
-        // 7 paths + 6 Ψf² + 3 Ψa² + 12 Ψf,a + 12 Ψf,a² + 18 Ψf²,a² = 58.
-        let c = Catalog::new(FeatureSet::FullWithWords);
-        assert_eq!(c.len(), 58);
-        let names: HashSet<_> = c.names().into_iter().collect();
-        assert_eq!(names.len(), 58, "all names distinct");
-        assert!(names.contains("PW"));
-        assert!(names.contains("Ψ[P5×PW]"));
-        assert!(names.contains("Ψ[P6×PW]"));
     }
 
     #[test]

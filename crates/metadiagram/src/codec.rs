@@ -46,7 +46,6 @@ fn feature_set_tag(set: FeatureSet) -> u8 {
         FeatureSet::PathsAndSocialDiagrams => 1,
         FeatureSet::PathsAndAttrDiagram => 2,
         FeatureSet::Full => 3,
-        FeatureSet::FullWithWords => 4,
     }
 }
 
@@ -58,14 +57,14 @@ pub fn encode_feature_set(set: FeatureSet, w: &mut Writer) {
 /// Decodes a [`FeatureSet`] tag.
 ///
 /// # Errors
-/// [`Error::Malformed`] on an unknown tag; EOF errors on truncated input.
+/// [`Error::Malformed`] on an unknown tag (4, a retired word-attribute
+/// catalog, among them); EOF errors on truncated input.
 pub fn decode_feature_set(r: &mut Reader<'_>) -> Result<FeatureSet, Error> {
     match r.u8()? {
         0 => Ok(FeatureSet::MetaPathsOnly),
         1 => Ok(FeatureSet::PathsAndSocialDiagrams),
         2 => Ok(FeatureSet::PathsAndAttrDiagram),
         3 => Ok(FeatureSet::Full),
-        4 => Ok(FeatureSet::FullWithWords),
         tag => Err(Error::Malformed(format!("feature set: unknown tag {tag}"))),
     }
 }
@@ -251,14 +250,18 @@ mod tests {
             FeatureSet::PathsAndSocialDiagrams,
             FeatureSet::PathsAndAttrDiagram,
             FeatureSet::Full,
-            FeatureSet::FullWithWords,
         ] {
             let mut w = Writer::new();
             encode_feature_set(set, &mut w);
             let bytes = w.into_bytes();
             assert_eq!(decode_feature_set(&mut Reader::new(&bytes)).unwrap(), set);
         }
-        assert!(decode_feature_set(&mut Reader::new(&[99])).is_err());
+        for tag in [4, 99] {
+            assert!(matches!(
+                decode_feature_set(&mut Reader::new(&[tag])),
+                Err(Error::Malformed(_))
+            ));
+        }
     }
 
     #[test]

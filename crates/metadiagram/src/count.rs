@@ -90,7 +90,7 @@ pub(crate) fn check_networks(
             want,
         });
     }
-    for kind in [NodeKind::Word, NodeKind::Location, NodeKind::Timestamp] {
+    for kind in [NodeKind::Location, NodeKind::Timestamp] {
         if left.count(kind) != right.count(kind) {
             return Err(EngineError::AttributeUniverseMismatch {
                 kind,
@@ -187,7 +187,6 @@ fn attr_link(a: AttrPathId) -> LinkKind {
     match a {
         AttrPathId::Timestamp => LinkKind::At,
         AttrPathId::Location => LinkKind::Checkin,
-        AttrPathId::Word => LinkKind::HasWord,
     }
 }
 
@@ -333,7 +332,7 @@ mod tests {
     ///        v2 writes q1 at (loc0, ts1).
     /// Training anchor: (u1, v1).
     fn tiny_world() -> (hetnet::HetNet, hetnet::HetNet, CsrMatrix) {
-        let mut l = HetNetBuilder::new("L", 3, 2, 2, 0);
+        let mut l = HetNetBuilder::new("L", 3, 2, 2);
         l.add_follow(UserId(0), UserId(1)).unwrap();
         l.add_follow(UserId(2), UserId(1)).unwrap();
         let p0 = l.add_post(UserId(0)).unwrap();
@@ -341,7 +340,7 @@ mod tests {
         l.add_at(p0, TimestampId(0)).unwrap();
         let left = l.build();
 
-        let mut r = HetNetBuilder::new("R", 3, 2, 2, 0);
+        let mut r = HetNetBuilder::new("R", 3, 2, 2);
         r.add_follow(UserId(0), UserId(1)).unwrap();
         r.add_follow(UserId(2), UserId(1)).unwrap();
         let q0 = r.add_post(UserId(0)).unwrap();
@@ -514,7 +513,7 @@ mod tests {
     #[test]
     fn constructor_validates_attribute_universes() {
         let (l, _, _) = tiny_world();
-        let other = HetNetBuilder::new("R2", 3, 5, 2, 0).build();
+        let other = HetNetBuilder::new("R2", 3, 5, 2).build();
         let anchor = CsrMatrix::zeros(3, 3);
         let catalog = Catalog::new(FeatureSet::MetaPathsOnly);
         assert!(matches!(
@@ -563,11 +562,11 @@ mod tests {
         };
         assert!(e.to_string().contains("1x2"));
         let e = EngineError::AttributeUniverseMismatch {
-            kind: NodeKind::Word,
+            kind: NodeKind::Timestamp,
             left: 1,
             right: 2,
         };
-        assert!(e.to_string().contains("Word"));
+        assert!(e.to_string().contains("Timestamp"));
         let e = EngineError::from(SparseError::InvalidStructure("bad".into()));
         assert!(e.to_string().contains("bad"));
     }

@@ -15,14 +15,14 @@
 
 use crate::diagram::{AttrPathId, SocialPathId};
 
-/// A small bitset over the base meta paths {P1..P4} ∪ {P5, P6, PW}.
+/// A small bitset over the base meta paths {P1..P4} ∪ {P5, P6}.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct CoveringSet {
     bits: u8,
 }
 
 const SOCIAL_BASE: u8 = 0; // bits 0..4
-const ATTR_BASE: u8 = 4; // bits 4..7
+const ATTR_BASE: u8 = 4; // bits 4..6
 
 fn social_bit(p: SocialPathId) -> u8 {
     let i = match p {
@@ -38,7 +38,6 @@ fn attr_bit(a: AttrPathId) -> u8 {
     let i = match a {
         AttrPathId::Timestamp => 0,
         AttrPathId::Location => 1,
-        AttrPathId::Word => 2,
     };
     1 << (ATTR_BASE + i)
 }
@@ -99,16 +98,12 @@ impl CoveringSet {
             .collect()
     }
 
-    /// The attribute paths present.
+    /// The attribute paths present, in Table I order.
     pub fn attr_paths(&self) -> Vec<AttrPathId> {
-        [
-            AttrPathId::Timestamp,
-            AttrPathId::Location,
-            AttrPathId::Word,
-        ]
-        .into_iter()
-        .filter(|&a| self.contains_attr(a))
-        .collect()
+        AttrPathId::ALL
+            .into_iter()
+            .filter(|&a| self.contains_attr(a))
+            .collect()
     }
 }
 
@@ -155,8 +150,12 @@ mod tests {
         let mut s = CoveringSet::empty();
         s.insert_social(SocialPathId::P4);
         s.insert_social(SocialPathId::P1);
-        s.insert_attr(AttrPathId::Word);
+        s.insert_attr(AttrPathId::Location);
+        s.insert_attr(AttrPathId::Timestamp);
         assert_eq!(s.social_paths(), vec![SocialPathId::P1, SocialPathId::P4]);
-        assert_eq!(s.attr_paths(), vec![AttrPathId::Word]);
+        assert_eq!(
+            s.attr_paths(),
+            vec![AttrPathId::Timestamp, AttrPathId::Location]
+        );
     }
 }

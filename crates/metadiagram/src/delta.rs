@@ -1072,11 +1072,7 @@ mod tests {
         }
         let w = world();
         let (initial, _) = split_links(&w);
-        for set in [
-            FeatureSet::PathsAndAttrDiagram,
-            FeatureSet::Full,
-            FeatureSet::FullWithWords,
-        ] {
+        for set in [FeatureSet::PathsAndAttrDiagram, FeatureSet::Full] {
             let catalog = Catalog::new(set);
             let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &initial).unwrap();
             let s =
@@ -1117,7 +1113,6 @@ mod tests {
             FeatureSet::PathsAndSocialDiagrams,
             FeatureSet::PathsAndAttrDiagram,
             FeatureSet::Full,
-            FeatureSet::FullWithWords,
         ] {
             let catalog = Catalog::new(set);
             let plan = NodePlan::of(&catalog);

@@ -59,7 +59,7 @@ impl SocialPathId {
 
 /// Identifier of an attribute meta path (the `Pa` family).
 ///
-/// These walks need no anchor: attribute nodes (timestamp, location, word)
+/// These walks need no anchor: attribute nodes (timestamp, location)
 /// are shared by both networks, so the walk crosses from the left network's
 /// posts to the right network's through the attribute node. Each variant's
 /// doc gives its Table I walk.
@@ -69,21 +69,17 @@ pub enum AttrPathId {
     Timestamp,
     /// P6 — common checkin location: `U -write-> P -checkin-> L <-checkin- P <-write- U`.
     Location,
-    /// PW — common word (extension; not part of the paper's default
-    /// catalog): `U -write-> P -contain-> W <-contain- P <-write- U`.
-    Word,
 }
 
 impl AttrPathId {
-    /// The paper's attribute paths (PW excluded).
-    pub const PAPER: [AttrPathId; 2] = [AttrPathId::Timestamp, AttrPathId::Location];
+    /// All attribute paths, in Table I order.
+    pub const ALL: [AttrPathId; 2] = [AttrPathId::Timestamp, AttrPathId::Location];
 
     /// Table I name.
     pub fn name(self) -> &'static str {
         match self {
             AttrPathId::Timestamp => "P5",
             AttrPathId::Location => "P6",
-            AttrPathId::Word => "PW",
         }
     }
 }
@@ -94,7 +90,7 @@ impl AttrPathId {
 pub enum Diagram {
     /// A social meta path P1–P4.
     Social(SocialPathId),
-    /// An attribute meta path P5/P6 (or the PW extension).
+    /// An attribute meta path P5/P6.
     Attr(AttrPathId),
     /// Two social paths middle-stacked at the shared anchored user pair
     /// (the Ψf² family; `SocialPair(P1, P2)` is the paper's Ψ1).
@@ -246,9 +242,8 @@ mod tests {
     fn ids_resolve_to_paths() {
         let social: Vec<_> = SocialPathId::ALL.iter().map(|id| id.name()).collect();
         assert_eq!(social, ["P1", "P2", "P3", "P4"]);
-        let attr: Vec<_> = AttrPathId::PAPER.iter().map(|id| id.name()).collect();
+        let attr: Vec<_> = AttrPathId::ALL.iter().map(|id| id.name()).collect();
         assert_eq!(attr, ["P5", "P6"]);
-        assert_eq!(AttrPathId::Word.name(), "PW");
     }
 
     #[test]

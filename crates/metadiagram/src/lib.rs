@@ -5,8 +5,8 @@
 //!
 //! * [`diagram`] — **inter-network meta paths** (Definition 4): typed
 //!   walks from a left-network user to a right-network user through follow,
-//!   write, at, checkin and anchor links. The paper's P1–P6 (and the PW
-//!   extension) are the variants of [`SocialPathId`] and [`AttrPathId`],
+//!   write, at, checkin and anchor links. The paper's P1–P6 are the
+//!   variants of [`SocialPathId`] and [`AttrPathId`],
 //!   each documented with its Table I walk; [`count`] computes each walk
 //!   as a chain of sparse products. The same module holds the
 //!   **inter-network meta diagrams** (Definition 5): DAG

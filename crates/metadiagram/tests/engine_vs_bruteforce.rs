@@ -128,7 +128,7 @@ fn dislocation_example_from_paper() {
     use hetnet::{HetNetBuilder, LocationId, TimestampId, UserId};
     // Locations: 0=Chicago, 1=New York, 2=Los Angeles.
     // Timestamps: 0=Aug'16, 1=Jan'17, 2=May'17.
-    let mut l = HetNetBuilder::new("twitter", 1, 3, 3, 0);
+    let mut l = HetNetBuilder::new("twitter", 1, 3, 3);
     for (loc, ts) in [(0u32, 0u32), (1, 1), (2, 2)] {
         let p = l.add_post(UserId(0)).unwrap();
         l.add_checkin(p, LocationId(loc)).unwrap();
@@ -136,7 +136,7 @@ fn dislocation_example_from_paper() {
     }
     let left = l.build();
 
-    let mut r = HetNetBuilder::new("foursquare", 1, 3, 3, 0);
+    let mut r = HetNetBuilder::new("foursquare", 1, 3, 3);
     for (loc, ts) in [(2u32, 0u32), (0, 1), (1, 2)] {
         let p = r.add_post(UserId(0)).unwrap();
         r.add_checkin(p, LocationId(loc)).unwrap();
@@ -163,25 +163,4 @@ fn dislocation_example_from_paper() {
         0.0,
         "but never the same place at the same time"
     );
-}
-
-/// The word-attribute extension (FullWithWords) must satisfy the same
-/// store ≡ brute-force equality on a vocabulary-enabled world.
-#[test]
-fn words_catalog_matches_bruteforce() {
-    let mut cfg = presets::tiny(61);
-    cfg.n_words = 40;
-    cfg.words_per_post = 2;
-    let w = datagen::generate(&cfg);
-    let train: Vec<_> = w.truth().links()[..10].to_vec();
-    let (store, catalog) = counted(w.left(), w.right(), &train, FeatureSet::FullWithWords);
-    for (i, entry) in catalog.entries().iter().enumerate() {
-        let fast = store.catalog_count(i).to_dense();
-        let slow = bruteforce::diagram_counts(w.left(), w.right(), &train, &entry.diagram);
-        assert!(
-            fast.max_abs_diff(&slow) < 1e-9,
-            "mismatch on {} in the words catalog",
-            entry.name
-        );
-    }
 }

@@ -26,10 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 fn world() -> datagen::GeneratedWorld {
-    let mut cfg = datagen::presets::tiny(41);
-    cfg.n_words = 40;
-    cfg.words_per_post = 2;
-    datagen::generate(&cfg)
+    datagen::generate(&datagen::presets::tiny(41))
 }
 
 /// Bit patterns of both margins, so `-0.0` and `0.0` differ.
@@ -119,13 +116,11 @@ fn schedulers_are_bit_equal_to_serial_at_any_worker_count() {
 
 #[test]
 fn dag_warmed_store_build_is_deterministic_across_worker_counts() {
-    // Every other catalog shape: no stacks at all, and the 58-feature
-    // words catalog whose stacks outnumber its leaves.
+    // Every other catalog shape: the slices with no stacks at all.
     for set in [
         FeatureSet::MetaPathsOnly,
         FeatureSet::PathsAndSocialDiagrams,
         FeatureSet::PathsAndAttrDiagram,
-        FeatureSet::FullWithWords,
     ] {
         assert_world_builds_agree(set, &[1, 2, 8]);
     }
@@ -133,28 +128,21 @@ fn dag_warmed_store_build_is_deterministic_across_worker_counts() {
 
 #[test]
 fn a_memo_filled_in_part_serves_the_larger_catalogs() {
-    // A meta-paths-only build leaves P1–P6 to share; the full catalogs
-    // count their pairs and stacks on top of them.
+    // A meta-paths-only build leaves P1–P6 to share; the full catalog
+    // counts its pairs and stacks on top of them.
     let w = world();
     let links: Vec<AnchorLink> = w.truth().links()[..14].to_vec();
     let a = anchor_matrix(w.left().n_users(), w.right().n_users(), &links).unwrap();
     let (left, right) = (w.left().clone(), w.right().clone());
     let paths = Catalog::new(FeatureSet::MetaPathsOnly);
     DeltaCatalogCounts::build(&left, &right, a.clone(), &paths, Threading::Serial).unwrap();
-    for set in [FeatureSet::Full, FeatureSet::FullWithWords] {
-        let catalog = Catalog::new(set);
-        let serial = cold_serial(&left, &right, &a, &catalog);
-        for n in [1, 2, 8] {
-            let warm = DeltaCatalogCounts::build(
-                &left,
-                &right,
-                a.clone(),
-                &catalog,
-                Threading::Threads(n),
-            )
-            .unwrap();
-            assert_bit_equal(&warm, &serial, &format!("{set:?} after paths, {n} blocks"));
-        }
+    let catalog = Catalog::new(FeatureSet::Full);
+    let serial = cold_serial(&left, &right, &a, &catalog);
+    for n in [1, 2, 8] {
+        let warm =
+            DeltaCatalogCounts::build(&left, &right, a.clone(), &catalog, Threading::Threads(n))
+                .unwrap();
+        assert_bit_equal(&warm, &serial, &format!("Full after paths, {n} blocks"));
     }
 }
 
@@ -194,7 +182,7 @@ fn four_threads_building_one_pair_at_once_agree() {
 /// A `users`-user network: a follow chain, and one post per user at
 /// location and timestamp `u % 2`.
 fn small_net(name: &str, users: usize) -> HetNet {
-    let mut b = HetNetBuilder::new(name, users, 2, 2, 0);
+    let mut b = HetNetBuilder::new(name, users, 2, 2);
     for u in 0..users {
         if u + 1 < users {
             b.add_follow(UserId(u as u32), UserId(u as u32 + 1))

@@ -178,29 +178,21 @@ pub(crate) fn counted_core_to_bytes(
     mcodec::encode_store(store, &mut counts);
     debug_assert_eq!(counts.len(), mcodec::store_encoded_len(store));
 
-    write_container(
-        &MAGIC,
-        FORMAT_VERSION,
-        &[
-            (SECTION_META, meta.into_bytes()),
-            (SECTION_COUNTS, counts.into_bytes()),
-        ],
-    )
+    write_container(&[
+        (SECTION_META, meta.into_bytes()),
+        (SECTION_COUNTS, counts.into_bytes()),
+    ])
 }
 
 /// Bytes per section-table entry: id, offset, length, CRC-32.
 const TABLE_ENTRY_LEN: usize = 4 + 8 + 8 + 4;
 
 /// Frames `sections` in the snapshot container (layout in
-/// `docs/SNAPSHOT_FORMAT.md`): `magic`, `version`, the section count, the
-/// CRC-32 of the section table, the table (id, absolute offset, length,
-/// CRC-32 per section), then the payloads in table order.
-pub(crate) fn write_container(
-    magic: &[u8; 8],
-    version: u32,
-    sections: &[([u8; 4], Vec<u8>)],
-) -> Vec<u8> {
-    let header_len = magic.len() + 4 + 4 + 4;
+/// `docs/SNAPSHOT_FORMAT.md`): [`MAGIC`], [`FORMAT_VERSION`], the section
+/// count, the CRC-32 of the section table, the table (id, absolute offset,
+/// length, CRC-32 per section), then the payloads in table order.
+fn write_container(sections: &[([u8; 4], Vec<u8>)]) -> Vec<u8> {
+    let header_len = MAGIC.len() + 4 + 4 + 4;
     let table_len = sections.len() * TABLE_ENTRY_LEN;
     let mut table = Writer::with_capacity(table_len);
     let mut offset = header_len + table_len;
@@ -214,8 +206,8 @@ pub(crate) fn write_container(
     let table = table.into_bytes();
 
     let mut out = Writer::with_capacity(offset);
-    out.bytes(magic);
-    out.u32(version);
+    out.bytes(&MAGIC);
+    out.u32(FORMAT_VERSION);
     out.u32(sections.len() as u32);
     out.u32(crc32(&table));
     out.bytes(&table);
@@ -225,29 +217,27 @@ pub(crate) fn write_container(
     out.into_bytes()
 }
 
-/// Reads a [`write_container`] file: checks `magic`, `version`, the table
-/// CRC and every section's bounds and CRC, and returns the payloads of
-/// the `required` section ids in that order. Unknown sections are
-/// ignored: additive sections may appear within a format version.
+/// Reads a [`write_container`] file: checks [`MAGIC`], [`FORMAT_VERSION`],
+/// the table CRC and every section's bounds and CRC, and returns the
+/// payloads of the `required` section ids in that order. Unknown sections
+/// are ignored: additive sections may appear within a format version.
 ///
 /// # Errors
 /// Every framing defect as its [`SnapshotError`].
-pub(crate) fn read_container<'a, const N: usize>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    version: u32,
+fn read_container<const N: usize>(
+    bytes: &[u8],
     required: [[u8; 4]; N],
-) -> Result<[&'a [u8]; N], SnapshotError> {
+) -> Result<[&[u8]; N], SnapshotError> {
     let mut r = Reader::new(bytes);
-    let found_magic = r.bytes(magic.len()).map_err(|_| SnapshotError::BadMagic)?;
-    if found_magic != magic {
+    let found_magic = r.bytes(MAGIC.len()).map_err(|_| SnapshotError::BadMagic)?;
+    if found_magic != MAGIC {
         return Err(SnapshotError::BadMagic);
     }
     let found = r.u32()?;
-    if found != version {
+    if found != FORMAT_VERSION {
         return Err(SnapshotError::UnsupportedVersion {
             found,
-            supported: version,
+            supported: FORMAT_VERSION,
         });
     }
     let n_sections = r.u32()? as usize;
@@ -303,12 +293,7 @@ pub(crate) fn read_container<'a, const N: usize>(
 /// See [`SnapshotError`] — any deviation from the format refuses the
 /// whole snapshot.
 pub fn from_bytes(bytes: &[u8]) -> Result<AlignmentSession<Counted>, SnapshotError> {
-    let [meta_payload, counts_payload] = read_container(
-        bytes,
-        &MAGIC,
-        FORMAT_VERSION,
-        [SECTION_META, SECTION_COUNTS],
-    )?;
+    let [meta_payload, counts_payload] = read_container(bytes, [SECTION_META, SECTION_COUNTS])?;
     let mut meta = Reader::new(meta_payload);
     let feature_set = mcodec::decode_feature_set(&mut meta)?;
     meta.expect_end("the feature set")?;
@@ -418,11 +403,9 @@ mod tests {
     use super::*;
     use crate::SessionBuilder;
 
-    /// META carries exactly its feature-set byte: a byte past it is
-    /// refused like trailing bytes in any other payload, even though
-    /// every CRC in the container is valid.
-    #[test]
-    fn trailing_bytes_after_meta_are_refused() {
+    /// The META payload of a counted tiny session, and a container
+    /// framing any META payload beside that session's valid DCNT.
+    fn meta_and_container() -> (Vec<u8>, impl Fn(Vec<u8>) -> Vec<u8>) {
         let w = datagen::generate(&datagen::presets::tiny(71));
         let session = SessionBuilder::new(w.left(), w.right())
             .anchors(w.truth().links()[..4].to_vec())
@@ -431,22 +414,39 @@ mod tests {
         let mut counts = Writer::new();
         mcodec::encode_store(&session.counts, &mut counts);
         let counts = counts.into_bytes();
-        let container = |meta: Vec<u8>| {
-            write_container(
-                &MAGIC,
-                FORMAT_VERSION,
-                &[(SECTION_META, meta), (SECTION_COUNTS, counts.clone())],
-            )
-        };
         let mut meta = Writer::new();
         mcodec::encode_feature_set(session.catalog.feature_set(), &mut meta);
-        let meta = meta.into_bytes();
+        let container = move |meta: Vec<u8>| {
+            write_container(&[(SECTION_META, meta), (SECTION_COUNTS, counts.clone())])
+        };
+        (meta.into_bytes(), container)
+    }
+
+    /// META carries exactly its feature-set byte: a byte past it is
+    /// refused like trailing bytes in any other payload, even though
+    /// every CRC in the container is valid.
+    #[test]
+    fn trailing_bytes_after_meta_are_refused() {
+        let (meta, container) = meta_and_container();
         assert!(from_bytes(&container(meta.clone())).is_ok());
 
         let padded = [meta.as_slice(), &[0]].concat();
         assert!(matches!(
             from_bytes(&container(padded)),
             Err(SnapshotError::Decode(BinError::Malformed(_)))
+        ));
+    }
+
+    /// Feature-set byte 4 named a retired word-attribute catalog: META
+    /// refuses it as an unknown tag before the count store is read.
+    #[test]
+    fn retired_feature_set_byte_is_refused() {
+        let (meta, container) = meta_and_container();
+        assert!(from_bytes(&container(meta)).is_ok());
+
+        assert!(matches!(
+            from_bytes(&container(vec![4])),
+            Err(SnapshotError::Decode(BinError::Malformed(msg))) if msg.starts_with("feature set")
         ));
     }
 }

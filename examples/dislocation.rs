@@ -21,7 +21,7 @@ fn main() {
     let moments = ["Aug 2016", "Jan 2017", "May 2017"];
 
     // u(1): (Chicago, Aug 2016), (New York, Jan 2017), (Los Angeles, May 2017)
-    let mut left = HetNetBuilder::new("twitter", 1, 3, 3, 0);
+    let mut left = HetNetBuilder::new("twitter", 1, 3, 3);
     for (loc, ts) in [(0u32, 0u32), (1, 1), (2, 2)] {
         let p = left.add_post(UserId(0)).unwrap();
         left.add_checkin(p, LocationId(loc)).unwrap();
@@ -34,7 +34,7 @@ fn main() {
     let left = left.build();
 
     // u(2): (Los Angeles, Aug 2016), (Chicago, Jan 2017), (New York, May 2017)
-    let mut right = HetNetBuilder::new("foursquare", 1, 3, 3, 0);
+    let mut right = HetNetBuilder::new("foursquare", 1, 3, 3);
     for (loc, ts) in [(2u32, 0u32), (0, 1), (1, 2)] {
         let p = right.add_post(UserId(0)).unwrap();
         right.add_checkin(p, LocationId(loc)).unwrap();

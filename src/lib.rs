@@ -77,8 +77,7 @@ pub mod prelude {
     pub use activeiter::{AlignmentInstance, ModelConfig, Oracle, QueryStrategy, VecOracle};
     pub use datagen::{self, GeneratorConfig};
     pub use eval::{
-        ranking_report, run_experiment, run_fold, CellResult, ExperimentSpec, LinkSet, Method,
-        Metrics, RankingReport, Table,
+        run_experiment, run_fold, CellResult, ExperimentSpec, LinkSet, Method, Metrics, Table,
     };
     pub use hetnet::partition::{PartitionConfig, PartitionMap};
     pub use hetnet::{AlignedPair, AnchorLink, AnchorSet, HetNet, HetNetBuilder, UserId};

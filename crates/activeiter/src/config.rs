@@ -11,8 +11,8 @@
 /// WSDM'17 greedy this step adopts ranks links and selects *relative to the
 /// score scale*; we therefore default to a self-calibrating threshold —
 /// `α ×` the mean score of the currently known positives — and keep the
-/// literal rule available for the ablation benches (DESIGN.md §2 records
-/// this as a reproduction decision).
+/// literal rule available for the ablation benches (the `ablation_accept`
+/// bench bin compares the two).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AcceptRule {
     /// Accept links with `ŷ` above a fixed threshold.

@@ -1,4 +1,4 @@
-//! Acceptance-rule ablation (DESIGN.md §5.1): the literal fixed 0.5
+//! Acceptance-rule ablation: the literal fixed 0.5
 //! threshold the objective implies vs the self-calibrating relative rule
 //! the reproduction defaults to, across α values.
 //!
@@ -87,6 +87,6 @@ fn main() {
     println!(
         "The literal Fixed(0.5) rule degenerates under PU imbalance (selects\n\
          only the labeled positives); the relative rule trades precision for\n\
-         recall as α decreases. See DESIGN.md §5, decision 1."
+         recall as α decreases. See `activeiter::config::AcceptRule`."
     );
 }

@@ -1,51 +1,52 @@
-//! Regenerates **Table II** (dataset statistics) for the synthetic
-//! Foursquare/Twitter stand-in, plus the Table I meta diagram catalog.
+//! Prints the **Table I** meta diagram catalog, then regenerates
+//! **Table II** (dataset statistics) for the synthetic Foursquare/Twitter
+//! stand-in.
 //!
 //! ```sh
-//! cargo run --release -p bench --bin table2 [-- --full] [-- --catalog]
+//! cargo run --release -p bench --bin table2 [-- --full]
 //! ```
 
 use hetnet::stats::{table2, NetworkStats};
 use metadiagram::{Catalog, FeatureSet};
 
 fn main() {
-    let show_catalog = std::env::args().any(|a| a == "--catalog");
     let opts = bench::HarnessOpts::from_args();
 
-    if show_catalog {
+    let catalog = Catalog::new(FeatureSet::Full);
+    println!(
+        "=== Table I: the meta diagram catalog Φ ({} features) ===",
+        catalog.len()
+    );
+    for (i, entry) in catalog.entries().iter().enumerate() {
         println!(
-            "=== Table I: the meta diagram catalog Φ ({} features) ===",
-            Catalog::new(FeatureSet::Full).len()
+            "{:>3}  {:<22} covering = {{{}}}",
+            i + 1,
+            entry.name,
+            entry
+                .diagram
+                .covering_set()
+                .social_paths()
+                .iter()
+                .map(|p| p.name().to_string())
+                .chain(
+                    entry
+                        .diagram
+                        .covering_set()
+                        .attr_paths()
+                        .iter()
+                        .map(|a| a.name().to_string())
+                )
+                .collect::<Vec<_>>()
+                .join(", ")
         );
-        for (i, entry) in Catalog::new(FeatureSet::Full).entries().iter().enumerate() {
-            println!(
-                "{:>3}  {:<22} covering = {{{}}}",
-                i + 1,
-                entry.name,
-                entry
-                    .diagram
-                    .covering_set()
-                    .social_paths()
-                    .iter()
-                    .map(|p| p.name().to_string())
-                    .chain(
-                        entry
-                            .diagram
-                            .covering_set()
-                            .attr_paths()
-                            .iter()
-                            .map(|a| a.name().to_string())
-                    )
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
-        }
-        println!();
     }
+    println!();
 
     let world = opts.world();
     println!("=== Table II: properties of the heterogeneous networks ===");
-    println!("(synthetic stand-in; proportions follow the paper's crawl — see DESIGN.md §2)");
+    println!(
+        "(synthetic stand-in; proportions follow the paper's crawl — see the datagen crate docs)"
+    );
     println!();
     let left = NetworkStats::of(world.left());
     let right = NetworkStats::of(world.right());

@@ -1,7 +1,7 @@
 //! # bench — the table/figure regeneration harness
 //!
-//! One binary per table/figure of the paper (see EXPERIMENTS.md and
-//! `src/bin/`), plus the perf-trajectory record bins (`snapshot`,
+//! One binary per table/figure of the paper (`src/bin/`; the README's
+//! "Regenerating the paper's tables and figures" lists them), plus the perf-trajectory record bins (`snapshot`,
 //! `partition`, `serve`, `session_delta`) and `perf_gate`, which diffs
 //! their records. This library holds the shared plumbing: the benchmark
 //! worlds, experiment presets, the record writer, and a tiny argument

@@ -1,8 +1,8 @@
 //! # datagen — synthetic aligned heterogeneous social networks
 //!
 //! The paper evaluates on a proprietary Foursquare + Twitter crawl
-//! (Table II) that cannot be redistributed. This crate is the documented
-//! substitution (DESIGN.md §2): a **seeded generator** of two aligned
+//! (Table II) that cannot be redistributed. This crate is the
+//! substitution: a **seeded generator** of two aligned
 //! attributed heterogeneous networks whose signal structure exercises every
 //! meta path and meta diagram of the paper:
 //!

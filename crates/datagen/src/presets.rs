@@ -3,8 +3,8 @@
 //! `paper_scale` mirrors the *proportions* of the paper's Table II
 //! (Foursquare + Twitter crawl) at a configurable user count. The absolute
 //! post volume of Twitter (9.49M tweets for 5,223 users ≈ 1,817 per user) is
-//! capped — feature signal saturates long before that, and DESIGN.md
-//! documents the substitution. Follow densities and the shared-user fraction
+//! capped — feature signal saturates long before that, and the
+//! [crate docs](crate) document the substitution. Follow densities and the shared-user fraction
 //! (3,282 / 5,223 ≈ 63%) are preserved.
 
 use crate::config::GeneratorConfig;

@@ -49,9 +49,12 @@
 //!   file and reopens it bit-identically in a fresh process — the full
 //!   catalog count is paid once per *dataset*, not once per process
 //!   (format spec: `docs/SNAPSHOT_FORMAT.md`);
-//! * [`pool`] serves many concurrent sessions in one process — slots
-//!   opened from snapshots, per-slot staged state, batch updates fanned
-//!   out over a bounded worker budget ([`sparsela::map_claimed`]);
+//! * [`pool`] keeps journaled `Counted` sessions in one process — slots
+//!   opened from base snapshots, every update write-ahead journaled,
+//!   journals folded back by a background compactor;
+//! * [`sharded`] splits one alignment along community structure — one
+//!   owned session per matched partition pair, the shards fanned out over
+//!   a worker budget ([`sparsela::map_claimed`]);
 //! * [`serve`] puts pools behind process boundaries — a coordinator
 //!   shards slots across N worker processes over a framed pipe
 //!   protocol, with write-ahead journaling, deadlines, and

@@ -1,28 +1,21 @@
-//! Many concurrent sessions over one process: the snapshot-serving pool.
+//! Journaled [`Counted`] sessions in one process: the pool a serve
+//! worker ([`crate::serve`]) keeps its tenants in.
 //!
-//! The active-alignment serving story (ROADMAP "Session checkpointing /
-//! serving") needs more than one query stream per process: each client —
-//! a fold rotation, a network pair, a tenant — owns an
-//! [`AlignmentSession`] with its own staged state, while the process
-//! bounds how many of them make progress at once. [`SessionPool`] is that
-//! shard manager:
+//! Each client — a fold rotation, a network pair, a tenant — owns one
+//! slot holding an [`AlignmentSession<Counted>`](AlignmentSession), the
+//! stage where anchor feedback can still be folded in:
 //!
 //! * sessions enter the pool either live ([`SessionPool::insert`]) or by
-//!   **opening a base snapshot + ΔA journal** ([`SessionPool::open`] /
-//!   [`SessionPool::open_many`], the latter sharding the replay work
-//!   across the worker budget) — at paper scale, opening is the
-//!   difference between milliseconds and a full catalog recount per
-//!   session (the `snapshot` bench bin measures it);
-//! * each slot tracks its session's **staged state** (`Counted` or
-//!   `Featurized`) behind its own lock, so independent sessions never
-//!   contend and a batch touching one session many times serializes
-//!   correctly;
-//! * batch operations ([`SessionPool::open_many`],
-//!   [`SessionPool::update_many`]) fan out over
-//!   [`sparsela::map_claimed`], the library's one claimed-index fan-out,
-//!   and return results in job order. At one worker the jobs run inline
-//!   in job order, so a serial batch appends to the journals in job order
-//!   too.
+//!   **opening a base snapshot + ΔA journal** ([`SessionPool::open`]) —
+//!   at paper scale, opening is the difference between milliseconds and a
+//!   full catalog recount per session (the `snapshot` bench bin measures
+//!   it);
+//! * each slot sits behind its own lock, so independent slots never
+//!   contend; the background compactor takes a slot's lock only to
+//!   finish a fold;
+//! * [`SessionPool::with_counted`] reads a slot under its lock — a caller
+//!   that needs features clones the session there and featurizes the
+//!   clone outside the pool.
 //!
 //! ## One persistence verb
 //!
@@ -71,9 +64,9 @@
 //! per-slot failures; a failed fold leaves the base+journal pair exactly
 //! as durable as before and re-arms the policy.
 //!
-//! Fitted stages stay out of the pool by design: a fit is a terminal,
-//! read-only artifact ([`AlignmentSession::into_report`]); serving keeps
-//! slots at the stage where anchor feedback can still be folded in.
+//! Featurized and fitted stages stay out of the pool by design: they
+//! are derived artifacts ([`AlignmentSession::into_report`] is terminal)
+//! that a caller re-derives from the counted core.
 //!
 //! ## Example
 //!
@@ -87,23 +80,20 @@
 //!     .count()
 //!     .unwrap();
 //!
-//! let mut pool = SessionPool::new(2);
+//! let mut pool = SessionPool::new();
 //! let a = pool.insert(counted.clone());
 //! let b = pool.insert(counted);
 //! let extra = world.truth().links()[6..10].to_vec();
-//! let results = pool.update_many(&[(a, extra.clone()), (b, extra)]);
-//! assert_eq!(results.len(), 2);
-//! assert_eq!(*results[0].as_ref().unwrap(), 4);
+//! assert_eq!(pool.update_anchors(a, &extra).unwrap(), 4);
+//! assert_eq!(pool.update_anchors(b, &extra).unwrap(), 4);
 //! assert_eq!(pool.stats(b).unwrap().full_counts, 1); // still no recount
 //! ```
 
 use crate::journal::{CompactionPolicy, Journal, JournalError};
 use crate::snapshot;
-use crate::stages::{AlignmentSession, Counted, Featurized};
+use crate::stages::{AlignmentSession, Counted};
 use crate::{AnchorEdge, SessionError};
-use hetnet::UserId;
-use metadiagram::{DeltaCatalogCounts, DeltaStats};
-use sparsela::{map_claimed, Threading};
+use metadiagram::DeltaStats;
 use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -121,15 +111,6 @@ impl SessionId {
     pub fn index(self) -> usize {
         self.0
     }
-
-    /// Rehydrates an id from a slot index — for routing tables that
-    /// persist ids outside the pool (a serving frontend mapping tenants
-    /// to slots). Ids are only meaningful to the pool that issued them;
-    /// an index the pool never issued surfaces as
-    /// [`PoolError::UnknownSession`] on first use.
-    pub fn from_index(index: usize) -> Self {
-        SessionId(index)
-    }
 }
 
 impl fmt::Display for SessionId {
@@ -144,17 +125,9 @@ pub enum PoolError {
     /// The id does not name a slot of this pool.
     UnknownSession(usize),
     /// The slot exists but its session is gone — a panic unwound through
-    /// a stage transition and vacated it. The pool stays usable; only
+    /// an operation on it and vacated it. The pool stays usable; only
     /// this slot is lost.
     Vacated(usize),
-    /// The operation needs the other stage (e.g. featurizing an
-    /// already-featurized session).
-    WrongStage {
-        /// The offending slot.
-        id: usize,
-        /// The stage the operation required.
-        expected: &'static str,
-    },
     /// A journal operation failed (write-ahead append, save, checkpoint,
     /// compaction).
     Journal(JournalError),
@@ -165,15 +138,6 @@ pub enum PoolError {
         /// The base snapshot path that is already open.
         path: PathBuf,
     },
-    /// Opening a specific snapshot file failed — carries the offending
-    /// path so a batch open ([`SessionPool::open_many`]) over dozens of
-    /// shard files names which one refused, not just how.
-    OpenSnapshot {
-        /// The snapshot file that failed to open.
-        path: PathBuf,
-        /// Why it failed (base snapshot or journal replay).
-        source: JournalError,
-    },
     /// The underlying session operation failed.
     Session(SessionError),
 }
@@ -183,20 +147,11 @@ impl fmt::Display for PoolError {
         match self {
             PoolError::UnknownSession(id) => write!(f, "no session #{id} in this pool"),
             PoolError::Vacated(id) => {
-                write!(
-                    f,
-                    "session #{id} was vacated by a panicked stage transition"
-                )
-            }
-            PoolError::WrongStage { id, expected } => {
-                write!(f, "session #{id} is not in the {expected} stage")
+                write!(f, "session #{id} was vacated by a panicked operation")
             }
             PoolError::Journal(e) => write!(f, "pool journal: {e}"),
             PoolError::AlreadyOpen { path } => {
                 write!(f, "a live slot is already journaled at {}", path.display())
-            }
-            PoolError::OpenSnapshot { path, source } => {
-                write!(f, "pool snapshot {}: {source}", path.display())
             }
             PoolError::Session(e) => write!(f, "pool session: {e}"),
         }
@@ -207,7 +162,6 @@ impl std::error::Error for PoolError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PoolError::Journal(e) => Some(e),
-            PoolError::OpenSnapshot { source, .. } => Some(source),
             PoolError::Session(e) => Some(e),
             _ => None,
         }
@@ -226,36 +180,10 @@ impl From<SessionError> for PoolError {
     }
 }
 
-/// A slot's staged state.
-enum Staged {
-    Counted(AlignmentSession<Counted>),
-    Featurized(AlignmentSession<Featurized>),
-}
-
-impl Staged {
-    /// The counted core's snapshot bytes — identical from either stage
-    /// (features and fits are derived artifacts a reopening process
-    /// re-derives).
-    fn core_bytes(&self) -> Vec<u8> {
-        match self {
-            Staged::Counted(s) => snapshot::to_bytes(s),
-            Staged::Featurized(s) => snapshot::counted_core_to_bytes(&s.catalog, &s.counts),
-        }
-    }
-
-    /// The counting core, the same from either stage.
-    fn counts(&self) -> &DeltaCatalogCounts {
-        match self {
-            Staged::Counted(s) => &s.counts,
-            Staged::Featurized(s) => &s.counts,
-        }
-    }
-}
-
 /// One pooled session plus its (optional) write-ahead journal. The two
 /// live under the same lock so append-then-apply is atomic per slot.
 struct Slot {
-    staged: Staged,
+    session: AlignmentSession<Counted>,
     journal: Option<Journal>,
 }
 
@@ -371,11 +299,10 @@ fn run_compaction(job: &CompactionJob, state: &CompactorState) -> Result<(), Jou
     }
 }
 
-/// A bounded shard manager over many [`AlignmentSession`]s; see the
-/// [module docs](self).
+/// A pool of journaled [`Counted`] sessions; see the [module docs](self).
+#[derive(Default)]
 pub struct SessionPool {
     slots: Vec<SlotCell>,
-    workers: usize,
     compaction: CompactionPolicy,
     compactor: Mutex<Option<Compactor>>,
 }
@@ -400,36 +327,14 @@ impl fmt::Debug for SessionPool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SessionPool")
             .field("sessions", &self.slots.len())
-            .field("workers", &self.workers)
             .finish()
     }
 }
 
 impl SessionPool {
-    /// A pool that fans batch operations out over at most `workers`
-    /// threads (`0` = one per available hardware thread). Session
-    /// *states* are bit-identical at any worker budget; so are per-job
-    /// results, except when two jobs in one batch target the same
-    /// session with overlapping edge sets — the final state still
-    /// converges, but which job gets credited with the shared merge
-    /// follows lock order (see [`SessionPool::update_many`]).
-    pub fn new(workers: usize) -> Self {
-        let workers = if workers == 0 {
-            Threading::Auto.resolve()
-        } else {
-            workers
-        };
-        SessionPool {
-            slots: Vec::new(),
-            workers,
-            compaction: CompactionPolicy::Never,
-            compactor: Mutex::new(None),
-        }
-    }
-
-    /// The effective worker budget.
-    pub fn workers(&self) -> usize {
-        self.workers
+    /// An empty pool with [`CompactionPolicy::Never`].
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Sets when a journaled slot's journal is folded back into its base
@@ -449,16 +354,16 @@ impl SessionPool {
         self.slots.is_empty()
     }
 
-    fn push(&mut self, staged: Staged, journal: Option<Journal>) -> SessionId {
+    fn push(&mut self, session: AlignmentSession<Counted>, journal: Option<Journal>) -> SessionId {
         self.slots
-            .push(Arc::new(Mutex::new(Some(Slot { staged, journal }))));
+            .push(Arc::new(Mutex::new(Some(Slot { session, journal }))));
         SessionId(self.slots.len() - 1)
     }
 
     /// Adds a live [`Counted`] session (no journal; the first
     /// [`SessionPool::save`] gives it write-ahead persistence).
     pub fn insert(&mut self, session: AlignmentSession<Counted>) -> SessionId {
-        self.push(Staged::Counted(session), None)
+        self.push(session, None)
     }
 
     /// The base paths live slots other than `except` are journaled at,
@@ -493,41 +398,7 @@ impl SessionPool {
             });
         }
         let (session, journal) = Journal::open(path)?;
-        Ok(self.push(Staged::Counted(session), Some(journal)))
-    }
-
-    /// Opens many base+journal pairs, sharding the decode/replay work
-    /// across the worker budget, and returns one result per path **in
-    /// path order**. Successfully opened sessions are inserted in path
-    /// order too, so ids are deterministic; failed paths consume no slot
-    /// and report [`PoolError::OpenSnapshot`] naming the offending file.
-    /// A path a live slot is journaled at — or one repeated earlier in
-    /// `paths` — is refused with [`PoolError::AlreadyOpen`].
-    pub fn open_many<P: AsRef<Path> + Sync>(
-        &mut self,
-        paths: &[P],
-    ) -> Vec<Result<SessionId, PoolError>> {
-        let mut claimed = self.journaled_paths(None);
-        let admitted: Vec<bool> = paths
-            .iter()
-            .map(|p| claimed.insert(p.as_ref().to_path_buf()))
-            .collect();
-        map_claimed(paths.len(), self.workers, |i| {
-            admitted[i].then(|| Journal::open(paths[i].as_ref()))
-        })
-        .into_iter()
-        .zip(paths)
-        .map(|(r, path)| {
-            let path = path.as_ref().to_path_buf();
-            match r {
-                Some(Ok((session, journal))) => {
-                    Ok(self.push(Staged::Counted(session), Some(journal)))
-                }
-                Some(Err(source)) => Err(PoolError::OpenSnapshot { path, source }),
-                None => Err(PoolError::AlreadyOpen { path }),
-            }
-        })
-        .collect()
+        Ok(self.push(session, Some(journal)))
     }
 
     /// Locks one slot, returning its guard together with the shared
@@ -557,10 +428,8 @@ impl SessionPool {
         self.lock(id).map(|(_, guard)| guard)
     }
 
-    /// Applies newly confirmed anchors to one session, on whichever stage
-    /// it is in (a `Featurized` slot also refreshes its downstream
-    /// artifacts, exactly like
-    /// [`AlignmentSession::update_anchors`]). Returns the number of
+    /// Applies newly confirmed anchors to one session through
+    /// [`AlignmentSession::update_anchors`]. Returns the number of
     /// genuinely new anchors merged.
     ///
     /// On a journaled slot this is **write-ahead**: the batch is
@@ -579,80 +448,19 @@ impl SessionPool {
         let (cell, mut guard) = self.lock(id)?;
         let slot = guard.as_mut().ok_or(PoolError::Vacated(id.0))?;
         if let Some(j) = slot.journal.as_mut() {
-            slot.staged
-                .counts()
+            slot.session
+                .counts
                 .check_links(edges)
                 .map_err(|e| PoolError::Session(e.into()))?;
             j.append(edges)?;
         }
-        let applied = match &mut slot.staged {
-            Staged::Counted(s) => s.update_anchors(edges)?,
-            Staged::Featurized(s) => s.update_anchors(edges)?,
-        };
+        let applied = slot.session.update_anchors(edges)?;
         self.enqueue_if_due(id, slot, cell);
         Ok(applied)
     }
 
-    /// Applies a batch of per-session updates, sharded across the worker
-    /// budget; results come back **in job order**. Jobs naming the same
-    /// session serialize on its slot lock (each worker holds at most one
-    /// lock at a time, so no deadlock is possible); jobs naming distinct
-    /// sessions run concurrently.
-    ///
-    /// Final session states are bit-identical at any worker budget. The
-    /// per-job *returned counts* are too, except when two jobs in the
-    /// batch carry overlapping edges for the same session: the job that
-    /// wins the slot lock merges the shared edge and the other sees it
-    /// as already known, so the attribution (not the outcome) follows
-    /// lock order.
-    pub fn update_many(
-        &self,
-        jobs: &[(SessionId, Vec<AnchorEdge>)],
-    ) -> Vec<Result<usize, PoolError>> {
-        map_claimed(jobs.len(), self.workers, |i| {
-            let (id, edges) = &jobs[i];
-            self.update_anchors(*id, edges)
-        })
-    }
-
-    /// Advances a [`Counted`] slot to [`Featurized`] in place.
-    ///
-    /// # Errors
-    /// [`PoolError::WrongStage`] when the slot is already featurized
-    /// (featurization is a one-way stage transition; re-featurizing with
-    /// different candidates means opening a fresh slot from the same
-    /// snapshot).
-    pub fn featurize(
-        &self,
-        id: SessionId,
-        candidates: Vec<(UserId, UserId)>,
-    ) -> Result<(), PoolError> {
-        let mut guard = self.slot(id)?;
-        let Slot { staged, journal } = guard.take().ok_or(PoolError::Vacated(id.0))?;
-        match staged {
-            Staged::Counted(s) => {
-                *guard = Some(Slot {
-                    staged: Staged::Featurized(s.featurize(candidates)),
-                    journal,
-                });
-                Ok(())
-            }
-            other => {
-                *guard = Some(Slot {
-                    staged: other,
-                    journal,
-                });
-                Err(PoolError::WrongStage {
-                    id: id.0,
-                    expected: "Counted",
-                })
-            }
-        }
-    }
-
-    /// Persists a session — the pool's one persistence verb, valid from
-    /// either stage (features and fits are derived artifacts a reopening
-    /// process re-derives; the counted core is what is expensive).
+    /// Persists a session's counted core — the pool's one persistence
+    /// verb.
     ///
     /// When the slot's journal is based at exactly `path`, this is the
     /// cheap path: an fsynced `Checkpoint` record — O(|ΔA|) — after which
@@ -692,10 +500,10 @@ impl SessionPool {
             // The lock is held across the checkpoint append on purpose:
             // it must be ordered against this slot's write-ahead appends.
             Some(j) if j.base_path() == path => {
-                j.checkpoint(slot.staged.counts().n_anchors())?;
+                j.checkpoint(slot.session.n_anchors())?;
                 self.enqueue_if_due(id, slot, cell);
             }
-            _ => slot.journal = Some(Journal::create(path, &slot.staged.core_bytes())?),
+            _ => slot.journal = Some(Journal::create(path, &snapshot::to_bytes(&slot.session))?),
         }
         Ok(())
     }
@@ -717,7 +525,7 @@ impl SessionPool {
         else {
             return;
         };
-        let bytes = slot.staged.core_bytes();
+        let bytes = snapshot::to_bytes(&slot.session);
         let mut compactor = self
             .compactor
             .lock()
@@ -812,18 +620,6 @@ impl SessionPool {
             .map(|j| (j.base_len(), j.journal_bytes(), j.delta_records())))
     }
 
-    /// True when the slot has been featurized.
-    ///
-    /// # Errors
-    /// Slot errors as elsewhere.
-    pub fn is_featurized(&self, id: SessionId) -> Result<bool, PoolError> {
-        let guard = self.slot(id)?;
-        match &guard.as_ref().ok_or(PoolError::Vacated(id.0))?.staged {
-            Staged::Counted(_) => Ok(false),
-            Staged::Featurized(_) => Ok(true),
-        }
-    }
-
     /// Current anchor count of one session.
     ///
     /// # Errors
@@ -833,8 +629,7 @@ impl SessionPool {
         Ok(guard
             .as_ref()
             .ok_or(PoolError::Vacated(id.0))?
-            .staged
-            .counts()
+            .session
             .n_anchors())
     }
 
@@ -845,48 +640,20 @@ impl SessionPool {
     pub fn stats(&self, id: SessionId) -> Result<DeltaStats, PoolError> {
         let guard = self.slot(id)?;
         let slot = guard.as_ref().ok_or(PoolError::Vacated(id.0))?;
-        Ok(slot.staged.counts().stats())
+        Ok(slot.session.stats())
     }
 
-    /// Runs `f` against a [`Counted`] slot under its lock.
+    /// Runs `f` against a slot's session under its lock.
     ///
     /// # Errors
-    /// [`PoolError::WrongStage`] when the slot is featurized; slot errors
-    /// as elsewhere.
+    /// Slot errors as elsewhere.
     pub fn with_counted<R>(
         &self,
         id: SessionId,
         f: impl FnOnce(&AlignmentSession<Counted>) -> R,
     ) -> Result<R, PoolError> {
         let guard = self.slot(id)?;
-        match &guard.as_ref().ok_or(PoolError::Vacated(id.0))?.staged {
-            Staged::Counted(s) => Ok(f(s)),
-            Staged::Featurized(_) => Err(PoolError::WrongStage {
-                id: id.0,
-                expected: "Counted",
-            }),
-        }
-    }
-
-    /// Runs `f` against a [`Featurized`] slot under its lock (read
-    /// features, score candidates, build instances).
-    ///
-    /// # Errors
-    /// [`PoolError::WrongStage`] when the slot is still counted; slot
-    /// errors as elsewhere.
-    pub fn with_featurized<R>(
-        &self,
-        id: SessionId,
-        f: impl FnOnce(&AlignmentSession<Featurized>) -> R,
-    ) -> Result<R, PoolError> {
-        let guard = self.slot(id)?;
-        match &guard.as_ref().ok_or(PoolError::Vacated(id.0))?.staged {
-            Staged::Featurized(s) => Ok(f(s)),
-            Staged::Counted(_) => Err(PoolError::WrongStage {
-                id: id.0,
-                expected: "Featurized",
-            }),
-        }
+        Ok(f(&guard.as_ref().ok_or(PoolError::Vacated(id.0))?.session))
     }
 }
 
@@ -908,7 +675,7 @@ mod tests {
         let links = w.truth().links();
         let path =
             std::env::temp_dir().join(format!("pool-unit-{}-bg-compact.snap", std::process::id()));
-        let mut pool = SessionPool::new(2);
+        let mut pool = SessionPool::new();
         pool.set_compaction(CompactionPolicy::EveryN(1));
         // Stall each fold for 800 ms between staging and finishing — far
         // longer than any update below takes.

@@ -113,7 +113,7 @@ pub fn run_worker(
     fault: Option<Fault>,
     compaction: CompactionPolicy,
 ) -> i32 {
-    let mut pool = SessionPool::new(1);
+    let mut pool = SessionPool::new();
     pool.set_compaction(compaction);
     let mut slots: HashMap<u64, (SessionId, PathBuf)> = HashMap::new();
 

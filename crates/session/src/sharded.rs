@@ -1,4 +1,4 @@
-//! Partition-sharded alignment: one [`AlignmentSession`](crate::AlignmentSession) per matched
+//! Partition-sharded alignment: one [`AlignmentSession`] per matched
 //! community pair, stitched back into a single result.
 //!
 //! The global pipeline counts, featurizes and fits over the full
@@ -9,8 +9,8 @@
 //! 1. both networks are partitioned ([`hetnet::partition`]), partitions
 //!    are matched across the networks (anchors as hard constraints,
 //!    WL-signature similarity for the rest), and each matched pair gets
-//!    its own induced sub-network pair and its own
-//!    [`AlignmentSession`](crate::AlignmentSession) — a slot on the existing [`SessionPool`];
+//!    its own induced sub-network pair and its own [`AlignmentSession`],
+//!    owned by the sharded session;
 //! 2. training anchors, candidates and confirmed-anchor updates are
 //!    **routed** to the shard owning their partition pair; anchors whose
 //!    endpoints span *unmatched* partitions go to a shared
@@ -18,12 +18,13 @@
 //!    them, but they are confirmed knowledge — they re-enter at stitch
 //!    time as authoritative links);
 //! 3. in-shard updates run through each shard's `C += L·ΔA·R` delta path
-//!    ([`SessionPool::update_many`]), so the active loop stays
+//!    ([`AlignmentSession::update_anchors`]), so the active loop stays
 //!    incremental per shard;
-//! 4. the shard build, featurization and fit each fan out one job per
-//!    shard over the pool's worker budget ([`sparsela::map_claimed`],
-//!    results in shard order), and [`ShardedSession::fit`] **stitches**
-//!    the per-shard positives into one [`StitchedAlignment`]:
+//! 4. the shard build, featurization, updates and fit each fan out one
+//!    job per shard over the [`ShardedConfig::workers`] budget
+//!    ([`sparsela::map_claimed`], results in shard order), and
+//!    [`ShardedSession::fit`] **stitches** the per-shard positives into
+//!    one [`StitchedAlignment`]:
 //!    boundary-ledger anchors win outright, then shard predictions enter
 //!    by descending score under a global one-to-one constraint (conflicts
 //!    at partition boundaries are dropped and counted, not silently
@@ -67,8 +68,7 @@
 //! assert!(!stitched.links.is_empty());
 //! ```
 
-use crate::pool::{PoolError, SessionId, SessionPool};
-use crate::stages::SessionBuilder;
+use crate::stages::{AlignmentSession, Counted, Featurized, SessionBuilder};
 use crate::{AnchorEdge, SessionError};
 use activeiter::driver::ActiveLoop;
 use activeiter::ord::cmp_scores_desc;
@@ -79,14 +79,14 @@ use hetnet::partition::{
 };
 use hetnet::{HetNet, HetNetError, UserId};
 use metadiagram::DeltaStats;
-use sparsela::map_claimed;
+use sparsela::{map_claimed, Threading};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
-/// One shard's candidate batch, claimed exactly once by the worker that
-/// featurizes that shard.
-type CandidateJob = Mutex<Option<Vec<(UserId, UserId)>>>;
+/// One shard's session (owned or borrowed) together with its batch,
+/// claimed exactly once by the worker that runs that shard.
+type ShardJob<S, B> = Mutex<Option<(S, B)>>;
 
 /// WL refinement rounds for partition matching.
 const WL_ROUNDS: usize = 2;
@@ -97,10 +97,8 @@ pub enum ShardedError {
     /// Partitioning or partition matching rejected its input
     /// (out-of-range anchor endpoints).
     Partition(HetNetError),
-    /// Building a shard's session failed.
+    /// Building or updating a shard's session failed.
     Session(SessionError),
-    /// A pooled shard operation failed.
-    Pool(PoolError),
     /// The operation needs the other stage (e.g. fitting before
     /// featurizing).
     WrongStage {
@@ -116,9 +114,9 @@ pub enum ShardedError {
         candidates: usize,
     },
     /// Two structures that must agree have drifted apart — a user
-    /// missing from its own partition's members, or a shard's candidate
-    /// batch claimed twice. A damaged ensemble reports instead of
-    /// aborting the process.
+    /// missing from its own partition's members, or a shard's job
+    /// claimed twice. A damaged ensemble reports instead of aborting the
+    /// process.
     Inconsistent {
         /// Which invariant broke.
         what: &'static str,
@@ -130,7 +128,6 @@ impl fmt::Display for ShardedError {
         match self {
             ShardedError::Partition(e) => write!(f, "sharded partitioning: {e}"),
             ShardedError::Session(e) => write!(f, "sharded session: {e}"),
-            ShardedError::Pool(e) => write!(f, "sharded pool: {e}"),
             ShardedError::WrongStage { expected } => {
                 write!(f, "sharded session is not in the {expected} stage")
             }
@@ -150,7 +147,6 @@ impl std::error::Error for ShardedError {
         match self {
             ShardedError::Partition(e) => Some(e),
             ShardedError::Session(e) => Some(e),
-            ShardedError::Pool(e) => Some(e),
             ShardedError::WrongStage { .. }
             | ShardedError::LabeledOutOfRange { .. }
             | ShardedError::Inconsistent { .. } => None,
@@ -170,12 +166,6 @@ impl From<SessionError> for ShardedError {
     }
 }
 
-impl From<PoolError> for ShardedError {
-    fn from(e: PoolError) -> Self {
-        ShardedError::Pool(e)
-    }
-}
-
 /// Knobs of a [`ShardedSession`]. Everything else is fixed: matching runs
 /// two WL rounds, and each shard counts the full catalog serially with
 /// the [`SessionBuilder`] defaults (shards already run concurrently).
@@ -188,14 +178,12 @@ pub struct ShardedConfig {
     pub workers: usize,
 }
 
-/// One shard: a pooled session over one matched partition pair — pair
-/// `i` of the matching is shard `i`, its local ids index that pair's
-/// member lists.
-#[derive(Debug)]
-struct Shard {
-    session: SessionId,
-    /// Global candidate index per local feature row (set by `featurize`).
-    rows: Vec<usize>,
+/// The shard sessions, one per matched partition pair — pair `i` of the
+/// matching is shard `i`, its local ids index that pair's member lists.
+/// Every shard is in the same stage.
+enum Shards {
+    Counted(Vec<AlignmentSession<Counted>>),
+    Featurized(Vec<AlignmentSession<Featurized>>),
 }
 
 /// Where a global candidate went during routing.
@@ -276,8 +264,12 @@ pub struct StitchedAlignment {
 
 /// The partition-sharded alignment pipeline; see the [module docs](self).
 pub struct ShardedSession {
-    pool: SessionPool,
-    shards: Vec<Shard>,
+    shards: Shards,
+    /// Per shard: the global candidate index per local feature row (set
+    /// by `featurize`).
+    rows: Vec<Vec<usize>>,
+    /// The resolved [`ShardedConfig::workers`] budget.
+    workers: usize,
     left_map: PartitionMap,
     right_map: PartitionMap,
     matching: PartitionMatching,
@@ -287,22 +279,21 @@ pub struct ShardedSession {
     candidates: Vec<(UserId, UserId)>,
     /// Global candidate routes, parallel to `candidates`.
     routes: Vec<Route>,
-    featurized: bool,
 }
 
 impl fmt::Debug for ShardedSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedSession")
-            .field("shards", &self.shards.len())
+            .field("shards", &self.n_shards())
             .field("boundary_anchors", &self.boundary_anchors.len())
-            .field("featurized", &self.featurized)
+            .field("featurized", &matches!(self.shards, Shards::Featurized(_)))
             .finish()
     }
 }
 
 impl ShardedSession {
     /// Detects communities on both networks, matches them, and spins one
-    /// counted [`AlignmentSession`](crate::AlignmentSession) per matched pair.
+    /// counted [`AlignmentSession`] per matched pair.
     ///
     /// # Errors
     /// [`ShardedError::Partition`] on out-of-range anchor endpoints;
@@ -321,7 +312,7 @@ impl ShardedSession {
     /// Like [`ShardedSession::new`] with explicit partition maps — custom
     /// partitioners or [`PartitionMap::trivial`] for the
     /// degenerate single-shard session (bit-identical to a plain
-    /// [`AlignmentSession`](crate::AlignmentSession); the property tests pin this).
+    /// [`AlignmentSession`]; the property tests pin this).
     ///
     /// # Errors
     /// As [`ShardedSession::new`].
@@ -341,8 +332,13 @@ impl ShardedSession {
             .map(|(i, m)| ((m.left, m.right), i))
             .collect();
         let mut sharded = ShardedSession {
-            pool: SessionPool::new(config.workers),
-            shards: Vec::with_capacity(matching.pairs.len()),
+            shards: Shards::Counted(Vec::new()),
+            rows: vec![Vec::new(); matching.pairs.len()],
+            workers: if config.workers == 0 {
+                Threading::Auto.resolve()
+            } else {
+                config.workers
+            },
             left_map,
             right_map,
             matching,
@@ -350,7 +346,6 @@ impl ShardedSession {
             boundary_anchors: Vec::new(),
             candidates: Vec::new(),
             routes: Vec::new(),
-            featurized: false,
         };
         // Route the training anchors: in-shard ones seed their shard's
         // count; pair-spanning ones go to the boundary ledger.
@@ -365,7 +360,7 @@ impl ShardedSession {
         // Build the per-shard counted sessions concurrently — each shard
         // pays a catalog count over its own sub-networks only.
         let s = &sharded;
-        let built = map_claimed(shard_anchors.len(), s.pool.workers(), |i| {
+        let built = map_claimed(shard_anchors.len(), s.workers, |i| {
             let m = &s.matching.pairs[i];
             let sub_left = induce_subnet(left, s.left_map.members(m.left))?;
             let sub_right = induce_subnet(right, s.right_map.members(m.right))?;
@@ -374,13 +369,7 @@ impl ShardedSession {
                 .count()
                 .map_err(ShardedError::Session)
         });
-        for session in built {
-            let session = sharded.pool.insert(session?);
-            sharded.shards.push(Shard {
-                session,
-                rows: Vec::new(),
-            });
-        }
+        sharded.shards = Shards::Counted(built.into_iter().collect::<Result<_, _>>()?);
         Ok(sharded)
     }
 
@@ -420,7 +409,7 @@ impl ShardedSession {
 
     /// Number of shards (matched partition pairs).
     pub fn n_shards(&self) -> usize {
-        self.shards.len()
+        self.rows.len()
     }
 
     /// The left network's partition map.
@@ -447,18 +436,18 @@ impl ShardedSession {
 
     /// Aggregated work counters over all shards (sums of each shard's
     /// [`DeltaStats`]).
-    ///
-    /// # Errors
-    /// [`ShardedError::Pool`] when a shard slot is gone.
-    pub fn stats(&self) -> Result<DeltaStats, ShardedError> {
+    pub fn stats(&self) -> DeltaStats {
+        let per_shard: Vec<DeltaStats> = match &self.shards {
+            Shards::Counted(v) => v.iter().map(AlignmentSession::stats).collect(),
+            Shards::Featurized(v) => v.iter().map(AlignmentSession::stats).collect(),
+        };
         let mut total = DeltaStats::default();
-        for s in &self.shards {
-            let st = self.pool.stats(s.session)?;
+        for st in per_shard {
             total.full_counts += st.full_counts;
             total.delta_updates += st.delta_updates;
             total.anchors_applied += st.anchors_applied;
         }
-        Ok(total)
+        total
     }
 
     /// Routes `candidates` to their shards and featurizes every shard
@@ -467,21 +456,16 @@ impl ShardedSession {
     ///
     /// # Errors
     /// [`ShardedError::WrongStage`] when already featurized;
-    /// [`ShardedError::Partition`] on out-of-range candidate endpoints.
+    /// [`ShardedError::Partition`] on out-of-range candidate endpoints
+    /// (the session is unchanged).
     pub fn featurize(
         &mut self,
         candidates: Vec<(UserId, UserId)>,
     ) -> Result<RoutingSummary, ShardedError> {
-        if self.featurized {
-            return Err(ShardedError::WrongStage {
-                expected: "Counted",
-            });
-        }
-        let mut shard_cands: Vec<Vec<(UserId, UserId)>> = vec![Vec::new(); self.shards.len()];
-        // Row tables are staged locally and committed only after every
-        // shard featurizes, so an error mid-routing (or a failed shard)
-        // leaves the session in its pre-call state.
-        let mut shard_rows: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        // Routing finishes before any shard is touched, so an endpoint
+        // error leaves the session in its pre-call state.
+        let mut shard_cands: Vec<Vec<(UserId, UserId)>> = vec![Vec::new(); self.n_shards()];
+        let mut shard_rows: Vec<Vec<usize>> = vec![Vec::new(); self.n_shards()];
         let mut routes = Vec::with_capacity(candidates.len());
         let mut pruned = 0usize;
         for (gi, &(l, r)) in candidates.iter().enumerate() {
@@ -498,50 +482,40 @@ impl ShardedSession {
             }
         }
         let routed = candidates.len() - pruned;
-        // Fan the featurizations out; each shard's slot lock serializes
-        // against nothing (one job per shard).
-        let jobs: Vec<CandidateJob> = shard_cands
-            .into_iter()
-            .map(|c| Mutex::new(Some(c)))
-            .collect();
-        let results = map_claimed(self.shards.len(), self.pool.workers(), |i| {
-            let cands = jobs[i]
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .take()
-                .ok_or(ShardedError::Inconsistent {
-                    what: "a shard's candidate batch was claimed twice",
-                })?;
-            self.pool
-                .featurize(self.shards[i].session, cands)
-                .map_err(ShardedError::Pool)
-        });
-        for r in results {
-            r?;
-        }
-        for (shard, rows) in self.shards.iter_mut().zip(shard_rows) {
-            shard.rows = rows;
-        }
+        let counted = match std::mem::replace(&mut self.shards, Shards::Counted(Vec::new())) {
+            Shards::Counted(v) => v,
+            featurized => {
+                self.shards = featurized;
+                return Err(ShardedError::WrongStage {
+                    expected: "Counted",
+                });
+            }
+        };
+        let jobs = counted.into_iter().zip(shard_cands).collect();
+        // A claimed-twice job would leave the shards empty: the damaged
+        // ensemble then reports `Inconsistent` instead of aborting.
+        let featurized = claim_each(self.workers, jobs, AlignmentSession::featurize)?;
+        self.shards = Shards::Featurized(featurized);
+        self.rows = shard_rows;
         self.candidates = candidates;
         self.routes = routes;
-        self.featurized = true;
         Ok(RoutingSummary { routed, pruned })
     }
 
     /// Applies newly confirmed anchors: in-shard edges go to their shard's
-    /// `C += L·ΔA·R` delta path (fanned out as one
-    /// [`SessionPool::update_many`] batch, refreshing featurized shards'
-    /// downstream artifacts), pair-spanning edges join the boundary
-    /// ledger once every shard update succeeds.
+    /// `C += L·ΔA·R` delta path (one job per shard, fanned out over the
+    /// worker budget, refreshing featurized shards' downstream artifacts;
+    /// a shard with no edges is a no-op), pair-spanning edges join the
+    /// boundary ledger once every shard update succeeds.
     ///
     /// An endpoint error changes nothing. A later failure can leave
-    /// earlier shards' updates applied; the ledger then stays as it was.
+    /// other shards' updates applied; the ledger then stays as it was.
     ///
     /// # Errors
     /// [`ShardedError::Partition`] on out-of-range endpoints;
-    /// [`ShardedError::Pool`] when a shard update fails.
+    /// [`ShardedError::Session`] when a shard update fails.
     pub fn update_anchors(&mut self, edges: &[AnchorEdge]) -> Result<ShardedUpdate, ShardedError> {
-        let mut per_shard: Vec<Vec<AnchorEdge>> = vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<Vec<AnchorEdge>> = vec![Vec::new(); self.n_shards()];
         let mut boundary_new: Vec<AnchorEdge> = Vec::new();
         for e in edges {
             match self.route(e.left, e.right)? {
@@ -552,14 +526,20 @@ impl ShardedSession {
                 None => {}
             }
         }
-        let jobs: Vec<(SessionId, Vec<AnchorEdge>)> = per_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, edges)| !edges.is_empty())
-            .map(|(si, edges)| (self.shards[si].session, edges))
-            .collect();
+        let results = match &mut self.shards {
+            Shards::Counted(v) => claim_each(
+                self.workers,
+                v.iter_mut().zip(per_shard).collect(),
+                |s, e| s.update_anchors(&e),
+            )?,
+            Shards::Featurized(v) => claim_each(
+                self.workers,
+                v.iter_mut().zip(per_shard).collect(),
+                |s, e| s.update_anchors(&e),
+            )?,
+        };
         let mut applied = 0usize;
-        for r in self.pool.update_many(&jobs) {
+        for r in results {
             applied += r?;
         }
         let boundary = boundary_new.len();
@@ -581,21 +561,20 @@ impl ShardedSession {
     /// # Errors
     /// [`ShardedError::WrongStage`] before featurization;
     /// [`ShardedError::LabeledOutOfRange`] when a `labeled_pos` entry does
-    /// not index the featurized candidates (checked before any shard fits);
-    /// [`ShardedError::Pool`] when a shard slot is gone.
+    /// not index the featurized candidates (checked before any shard fits).
     pub fn fit(
         &self,
         labeled_pos: &[usize],
         oracle: &(dyn Oracle + Sync),
         config: &ModelConfig,
     ) -> Result<StitchedAlignment, ShardedError> {
-        if !self.featurized {
+        let Shards::Featurized(shards) = &self.shards else {
             return Err(ShardedError::WrongStage {
                 expected: "Featurized",
             });
-        }
+        };
         // Translate the global labeled set to per-shard local rows.
-        let mut labeled_local: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
+        let mut labeled_local: Vec<Vec<usize>> = vec![Vec::new(); shards.len()];
         for &gi in labeled_pos {
             match self.routes.get(gi) {
                 Some(Route::Shard(si, row)) => labeled_local[*si].push(*row),
@@ -608,13 +587,13 @@ impl ShardedSession {
                 }
             }
         }
-        let weights: Vec<usize> = self.shards.iter().map(|s| s.rows.len()).collect();
+        let weights: Vec<usize> = self.rows.iter().map(Vec::len).collect();
         let budgets = split_budget(config.budget, &weights);
 
-        let fits = map_claimed(self.shards.len(), self.pool.workers(), |i| {
-            let shard = &self.shards[i];
-            if shard.rows.is_empty() {
-                return Ok(empty_report());
+        let fits = map_claimed(shards.len(), self.workers, |i| {
+            let rows = &self.rows[i];
+            if rows.is_empty() {
+                return empty_report();
             }
             let shard_config = ModelConfig {
                 budget: budgets[i],
@@ -622,24 +601,23 @@ impl ShardedSession {
             };
             let shard_oracle = RowOracle {
                 inner: oracle,
-                rows: &shard.rows,
+                rows,
             };
-            self.pool.with_featurized(shard.session, |s| {
-                let mut strategy =
-                    ConflictQuery::new(shard_config.similar_tau, shard_config.margin_delta);
-                ActiveLoop::new(s.instance(labeled_local[i].clone()), shard_config.clone())
-                    .run(&mut strategy, &shard_oracle)
-            })
+            let mut strategy =
+                ConflictQuery::new(shard_config.similar_tau, shard_config.margin_delta);
+            ActiveLoop::new(shards[i].instance(labeled_local[i].clone()), shard_config)
+                .run(&mut strategy, &shard_oracle)
         });
 
-        let mut shard_reports = Vec::with_capacity(self.shards.len());
-        for (i, fit) in fits.into_iter().enumerate() {
-            shard_reports.push(ShardFitReport {
+        let shard_reports = fits
+            .into_iter()
+            .enumerate()
+            .map(|(i, report)| ShardFitReport {
                 pair: (self.matching.pairs[i].left, self.matching.pairs[i].right),
-                rows: self.shards[i].rows.clone(),
-                report: fit?,
-            });
-        }
+                rows: self.rows[i].clone(),
+                report,
+            })
+            .collect();
         Ok(self.stitch(shard_reports))
     }
 
@@ -702,6 +680,31 @@ impl ShardedSession {
             shard_reports,
         }
     }
+}
+
+/// Runs `f` on every `(session, batch)` job, one claim-once job per
+/// shard fanned over `workers` ([`map_claimed`]); results in shard order.
+///
+/// # Errors
+/// [`ShardedError::Inconsistent`] when a job was claimed twice.
+fn claim_each<S: Send, B: Send, R: Send>(
+    workers: usize,
+    jobs: Vec<(S, B)>,
+    f: impl Fn(S, B) -> R + Sync,
+) -> Result<Vec<R>, ShardedError> {
+    let jobs: Vec<ShardJob<S, B>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
+    map_claimed(jobs.len(), workers, |i| {
+        let (session, batch) = jobs[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .ok_or(ShardedError::Inconsistent {
+                what: "a shard's job was claimed twice",
+            })?;
+        Ok(f(session, batch))
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Splits `total` across `weights` proportionally (largest remainder;

@@ -154,20 +154,11 @@ fn section_name(id: [u8; 4]) -> String {
 }
 
 /// Serializes a [`Counted`] session to snapshot bytes (the exact content
-/// [`save`] writes).
+/// [`save`] writes). The threading knob travels inside the delta store
+/// (single source of truth; the session's own copy is restored from it
+/// on open).
 pub fn to_bytes(session: &AlignmentSession<Counted>) -> Vec<u8> {
-    counted_core_to_bytes(&session.catalog, &session.counts)
-}
-
-/// The stage-agnostic encoder: any stage's counted core (catalog + delta
-/// store) snapshots identically — features and fits are derived
-/// artifacts a reopening process re-derives. The threading knob travels
-/// inside the store (single source of truth; the session's own copy is
-/// restored from it on open).
-pub(crate) fn counted_core_to_bytes(
-    catalog: &Catalog,
-    store: &metadiagram::DeltaCatalogCounts,
-) -> Vec<u8> {
+    let (catalog, store) = (&session.catalog, &session.counts);
     // META: session-level configuration (currently the feature set).
     let mut meta = Writer::new();
     mcodec::encode_feature_set(catalog.feature_set(), &mut meta);

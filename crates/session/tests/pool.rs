@@ -1,6 +1,5 @@
-//! SessionPool integration: open-from-snapshot sharding, per-session
-//! staged state, batch updates across the bounded worker pool, and the
-//! write-ahead journaling contract.
+//! SessionPool integration: opening slots from snapshots, updates that
+//! match a standalone session, and the write-ahead journaling contract.
 
 use session::pool::{PoolError, SessionPool};
 use session::{snapshot, CompactionPolicy, Journal, SessionBuilder};
@@ -29,25 +28,19 @@ fn remove_pair(base: &Path) {
 }
 
 #[test]
-fn open_many_shards_snapshots_and_preserves_path_order() {
+fn reopened_slots_never_recount() {
     let w = world(61);
-    let paths: Vec<PathBuf> = (0..5)
+    let paths: Vec<PathBuf> = (0..3)
         .map(|i| {
-            let s = counted(&w, 5 + i);
-            let p = temp_path(&format!("many-{i}"));
-            snapshot::save(&s, &p).unwrap();
+            let p = temp_path(&format!("reopen-{i}"));
+            snapshot::save(&counted(&w, 5 + i), &p).unwrap();
             p
         })
         .collect();
-    let mut pool = SessionPool::new(3);
-    let ids: Vec<_> = pool
-        .open_many(&paths)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .unwrap();
-    assert_eq!(pool.len(), 5);
-    // Path order ⇒ id order ⇒ anchor counts 5, 6, 7, 8, 9.
-    for (i, &id) in ids.iter().enumerate() {
+    let mut pool = SessionPool::new();
+    // Open order ⇒ id order ⇒ anchor counts 5, 6, 7.
+    for (i, p) in paths.iter().enumerate() {
+        let id = pool.open(p).unwrap();
         assert_eq!(id.index(), i);
         assert_eq!(pool.n_anchors(id).unwrap(), 5 + i);
         assert_eq!(pool.stats(id).unwrap().full_counts, 1, "reopen recounted");
@@ -58,144 +51,71 @@ fn open_many_shards_snapshots_and_preserves_path_order() {
 }
 
 #[test]
-fn open_many_reports_bad_paths_without_consuming_slots() {
+fn open_of_a_missing_path_consumes_no_slot() {
     let w = world(62);
     let good = temp_path("good");
-    let good2 = temp_path("good2");
     snapshot::save(&counted(&w, 6), &good).unwrap();
-    snapshot::save(&counted(&w, 7), &good2).unwrap();
     let missing = temp_path("never-written");
-    let mut pool = SessionPool::new(2);
-    let results = pool.open_many(&[good.clone(), missing.clone(), good2.clone()]);
-    assert!(results[0].is_ok());
-    match &results[1] {
-        Err(PoolError::OpenSnapshot { path, source }) => {
-            assert_eq!(path, &missing, "error must name the offending path");
-            assert!(matches!(
-                source,
-                session::JournalError::Snapshot(session::SnapshotError::Io(_))
-            ));
-        }
-        other => panic!("expected OpenSnapshot error, got {other:?}"),
-    }
-    assert!(
-        results[1]
-            .as_ref()
-            .unwrap_err()
-            .to_string()
-            .contains(missing.to_string_lossy().as_ref()),
-        "display must include the offending path"
-    );
-    assert!(results[2].is_ok());
-    assert_eq!(pool.len(), 2, "failed open must not consume a slot");
+    let mut pool = SessionPool::new();
+    pool.open(&good).unwrap();
+    assert!(matches!(
+        pool.open(&missing),
+        Err(PoolError::Journal(session::JournalError::Snapshot(
+            session::SnapshotError::Io(_)
+        )))
+    ));
+    assert_eq!(pool.len(), 1, "failed open must not consume a slot");
     remove_pair(&good);
-    remove_pair(&good2);
 }
 
 #[test]
 fn pooled_updates_match_a_standalone_session_bit_for_bit() {
     let w = world(63);
     let extra = w.truth().links()[8..16].to_vec();
-    let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
 
     // Standalone reference.
-    let mut reference = counted(&w, 8).featurize(candidates.clone());
+    let mut reference = counted(&w, 8);
     reference.update_anchors(&extra).unwrap();
 
-    // Pooled twin, updated through the batch path.
-    let mut pool = SessionPool::new(4);
+    // Pooled twin.
+    let mut pool = SessionPool::new();
     let id = pool.insert(counted(&w, 8));
-    pool.featurize(id, candidates).unwrap();
-    let results = pool.update_many(&[(id, extra)]);
-    assert_eq!(*results[0].as_ref().unwrap(), 8);
-    pool.with_featurized(id, |s| {
-        assert_eq!(s.features().x.data(), reference.features().x.data());
+    assert_eq!(pool.update_anchors(id, &extra).unwrap(), 8);
+    pool.with_counted(id, |s| {
+        assert_eq!(s.stats(), reference.stats());
         for i in 0..s.catalog().len() {
-            assert_eq!(s.proximity_of(i), reference.proximity_of(i));
+            assert_eq!(s.count_of(i), reference.count_of(i));
+        }
+        // Margins: the proximity a featurization reads from the counts.
+        let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
+        let (pooled, alone) = (
+            s.clone().featurize(candidates.clone()),
+            reference.clone().featurize(candidates),
+        );
+        assert_eq!(pooled.features().x.data(), alone.features().x.data());
+        for i in 0..s.catalog().len() {
+            assert_eq!(pooled.proximity_of(i), alone.proximity_of(i));
         }
     })
     .unwrap();
 }
 
 #[test]
-fn update_many_is_identical_at_any_worker_budget() {
-    let w = world(64);
-    let links = w.truth().links();
-    let jobs_for = |pool: &mut SessionPool| {
-        let a = pool.insert(counted(&w, 6));
-        let b = pool.insert(counted(&w, 6));
-        let c = pool.insert(counted(&w, 6));
-        vec![
-            (a, links[6..9].to_vec()),
-            (b, links[9..12].to_vec()),
-            (c, links[12..15].to_vec()),
-            (a, links[9..12].to_vec()), // same session twice: serializes
-        ]
-    };
-    let mut serial = SessionPool::new(1);
-    let serial_jobs = jobs_for(&mut serial);
-    let serial_results: Vec<usize> = serial
-        .update_many(&serial_jobs)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    let mut wide = SessionPool::new(8);
-    let wide_jobs = jobs_for(&mut wide);
-    let wide_results: Vec<usize> = wide
-        .update_many(&wide_jobs)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    assert_eq!(serial_results, wide_results);
-    for id in [serial_jobs[0].0, serial_jobs[1].0, serial_jobs[2].0] {
-        let s = serial.stats(id).unwrap();
-        let w_ = wide.stats(id).unwrap();
-        assert_eq!(s.anchors_applied, w_.anchors_applied);
-        assert_eq!(s.full_counts, 1);
-        assert_eq!(w_.full_counts, 1);
-    }
-}
-
-#[test]
-fn staged_state_is_tracked_per_slot() {
-    let w = world(65);
-    let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
-    let mut pool = SessionPool::new(2);
-    let a = pool.insert(counted(&w, 6));
-    let b = pool.insert(counted(&w, 6));
-    assert!(!pool.is_featurized(a).unwrap());
-    pool.featurize(a, candidates.clone()).unwrap();
-    assert!(pool.is_featurized(a).unwrap());
-    assert!(!pool.is_featurized(b).unwrap(), "stages are per-slot");
-    // Featurizing twice is a stage error, and the slot survives it.
-    assert!(matches!(
-        pool.featurize(a, candidates),
-        Err(PoolError::WrongStage { .. })
-    ));
-    assert!(pool.is_featurized(a).unwrap());
-    // Stage-specific accessors enforce the stage.
-    assert!(pool.with_counted(a, |_| ()).is_err());
-    assert!(pool.with_counted(b, |_| ()).is_ok());
-    assert!(pool.with_featurized(b, |_| ()).is_err());
-}
-
-#[test]
 fn unknown_ids_and_checkpointing_round_trip() {
     let w = world(66);
-    let mut pool = SessionPool::new(2);
+    let mut pool = SessionPool::new();
     let id = pool.insert(counted(&w, 7));
-    // A foreign id (from another pool) is rejected, not conflated.
-    let mut other = SessionPool::new(1);
+    // An id this pool never issued (from a larger pool) is rejected, not
+    // conflated with a live slot.
+    let mut other = SessionPool::new();
+    other.insert(counted(&w, 5));
     let foreign = other.insert(counted(&w, 5));
-    let _ = foreign;
     assert!(matches!(
-        pool.n_anchors(session::pool::SessionId::from_index(99)),
-        Err(PoolError::UnknownSession(99))
+        pool.n_anchors(foreign),
+        Err(PoolError::UnknownSession(1))
     ));
-    // Checkpoint a pooled session (after featurizing — the counted core
-    // is saved from either stage), reopen it elsewhere, states agree.
-    let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
-    pool.featurize(id, candidates).unwrap();
+    // Checkpoint a pooled session after an update, reopen it elsewhere,
+    // states agree.
     pool.update_anchors(id, &w.truth().links()[7..12]).unwrap();
     let path = temp_path("checkpoint");
     pool.save(id, &path).unwrap();
@@ -213,7 +133,7 @@ fn updates_are_write_ahead_journaled() {
     let w = world(67);
     let links = w.truth().links();
     let path = temp_path("wal");
-    let mut pool = SessionPool::new(2);
+    let mut pool = SessionPool::new();
     let id = pool.insert(counted(&w, 6));
     pool.save(id, &path).unwrap();
 
@@ -256,7 +176,7 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
     let w = world(68);
     let links = w.truth().links();
     let path = temp_path("policy");
-    let mut pool = SessionPool::new(1);
+    let mut pool = SessionPool::new();
     pool.set_compaction(CompactionPolicy::EveryN(2));
     let id = pool.insert(counted(&w, 6));
     pool.save(id, &path).unwrap();
@@ -294,7 +214,7 @@ fn journaled_saves_checkpoint_and_compact_by_policy() {
 #[test]
 fn save_reports_per_slot_failures() {
     let w = world(69);
-    let mut pool = SessionPool::new(2);
+    let mut pool = SessionPool::new();
     let a = pool.insert(counted(&w, 5));
     let b = pool.insert(counted(&w, 6));
     let good_a = temp_path("sm-a");
@@ -321,23 +241,15 @@ fn save_reports_per_slot_failures() {
 fn open_refuses_a_base_a_live_slot_is_journaled_at() {
     let w = world(71);
     let base = temp_path("shared");
-    let other = temp_path("shared-other");
     snapshot::save(&counted(&w, 9), &base).unwrap();
-    snapshot::save(&counted(&w, 7), &other).unwrap();
 
-    let mut pool = SessionPool::new(2);
+    let mut pool = SessionPool::new();
     let a = pool.open(&base).unwrap();
     match pool.open(&base) {
         Err(PoolError::AlreadyOpen { path }) => assert_eq!(path, base),
         other => panic!("expected AlreadyOpen, got {other:?}"),
     }
-    // Batch opens refuse both a live slot's base and a path repeated
-    // within the batch; neither consumes a slot.
-    let results = pool.open_many(&[base.clone(), other.clone(), other.clone()]);
-    assert!(matches!(&results[0], Err(PoolError::AlreadyOpen { path }) if path == &base));
-    assert!(results[1].is_ok());
-    assert!(matches!(&results[2], Err(PoolError::AlreadyOpen { path }) if path == &other));
-    assert_eq!(pool.len(), 2);
+    assert_eq!(pool.len(), 1, "a refused open must not consume a slot");
 
     // The one live slot owns the journal: replay sees its updates only.
     pool.update_anchors(a, &w.truth().links()[9..12]).unwrap();
@@ -345,7 +257,6 @@ fn open_refuses_a_base_a_live_slot_is_journaled_at() {
     assert_eq!(replayed.n_anchors(), 12);
 
     remove_pair(&base);
-    remove_pair(&other);
 }
 
 #[test]
@@ -354,7 +265,7 @@ fn every_n_policy_folds_without_any_save() {
     let links = w.truth().links();
     let base = temp_path("fold-no-save");
     snapshot::save(&counted(&w, 6), &base).unwrap();
-    let mut pool = SessionPool::new(1);
+    let mut pool = SessionPool::new();
     pool.set_compaction(CompactionPolicy::EveryN(2));
     let id = pool.open(&base).unwrap();
     let (base_len0, _, _) = pool.journal_stats(id).unwrap().unwrap();
@@ -378,7 +289,7 @@ fn save_to_another_path_moves_the_slot_home() {
     let old = temp_path("home-old");
     let new = temp_path("home-new");
     snapshot::save(&counted(&w, 6), &old).unwrap();
-    let mut pool = SessionPool::new(1);
+    let mut pool = SessionPool::new();
     let id = pool.open(&old).unwrap();
     pool.update_anchors(id, &links[6..8]).unwrap();
 
@@ -416,7 +327,7 @@ fn save_refuses_a_base_another_live_slot_holds() {
     let held = temp_path("held");
     let own = temp_path("held-own");
     snapshot::save(&counted(&w, 9), &held).unwrap();
-    let mut pool = SessionPool::new(2);
+    let mut pool = SessionPool::new();
     let a = pool.open(&held).unwrap();
     let b = pool.insert(counted(&w, 6));
     pool.save(b, &own).unwrap();

@@ -7,6 +7,8 @@
 //!    re-enter the stitched result as confirmed links.
 //! 3. A labeled position past the featurized candidates is a typed error,
 //!    raised before any shard fits.
+//! 4. A multi-shard featurize → update → fit run is bit-identical at any
+//!    worker budget.
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
@@ -255,7 +257,7 @@ fn boundary_anchors_enter_the_stitched_result_as_confirmed_links() {
     let mut ledger = expected_boundary;
     ledger.extend([boundary_edge, second_boundary]);
     assert_eq!(sharded.boundary_anchors(), ledger.as_slice());
-    assert_eq!(sharded.stats().unwrap().anchors_applied, 1);
+    assert_eq!(sharded.stats().anchors_applied, 1);
 
     // The session fits, and every boundary anchor enters the stitched
     // result as a confirmed link.
@@ -282,4 +284,135 @@ fn boundary_anchors_enter_the_stitched_result_as_confirmed_links() {
         assert_eq!(link.shard, None);
     }
     assert_eq!(stitched.pruned_candidates, routing.pruned);
+}
+
+/// Every float of a stitched run as bits, so the worker-budget comparison
+/// below is exact.
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn multi_shard_updates_and_fit_are_identical_at_any_worker_budget() {
+    let world = datagen::generate(&datagen::presets::community_scale(160, 2, 5));
+    let truth_links = world.truth().links().to_vec();
+    let anchors: Vec<AnchorLink> = truth_links.iter().step_by(3).copied().collect();
+    let fresh: Vec<AnchorLink> = truth_links
+        .iter()
+        .filter(|a| !anchors.contains(a))
+        .copied()
+        .collect();
+    // Candidates: every true pair plus one shifted negative per pair.
+    let mut candidates: Vec<(UserId, UserId)> =
+        truth_links.iter().map(|l| (l.left, l.right)).collect();
+    let n_true = candidates.len();
+    candidates
+        .extend((0..n_true).map(|i| (truth_links[i].left, truth_links[(i + 1) % n_true].right)));
+    let truth: Vec<bool> = (0..candidates.len()).map(|i| i < n_true).collect();
+    let labeled: Vec<usize> = (0..n_true).step_by(3).collect();
+    let config = ModelConfig {
+        budget: 16,
+        ..Default::default()
+    };
+
+    // Planted-block partitions: shared users take their latent block
+    // (right-side ids through the generator's σ permutation); unshared
+    // users spread round-robin.
+    let (n_shared, k) = (160, 2);
+    let left_assign: Vec<usize> = (0..world.left().n_users())
+        .map(|u| {
+            if u < n_shared {
+                datagen::follow::community_of(u, n_shared, k)
+            } else {
+                u % k
+            }
+        })
+        .collect();
+    let mut right_assign: Vec<usize> = (0..world.right().n_users()).map(|u| u % k).collect();
+    for (i, &r) in world.sigma.iter().enumerate() {
+        right_assign[r] = datagen::follow::community_of(i, n_shared, k);
+    }
+
+    let run = |workers: usize| {
+        let mut sharded = ShardedSession::with_partitions(
+            world.left(),
+            world.right(),
+            PartitionMap::from_assignment(&left_assign, world.left()),
+            PartitionMap::from_assignment(&right_assign, world.right()),
+            anchors.clone(),
+            &ShardedConfig {
+                workers,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let n_shards = sharded.n_shards();
+        assert!(n_shards >= 2, "fixture must shard ({n_shards} shards)");
+        sharded.featurize(candidates.clone()).unwrap();
+
+        // One fresh in-shard edge per shard, plus one edge spanning the
+        // left partition of shard 0 and the right partition of shard 1.
+        let pairs = sharded.matching().pairs.clone();
+        let (lp, rp) = (sharded.left_partitions(), sharded.right_partitions());
+        let mut edges: Vec<AnchorLink> = pairs
+            .iter()
+            .filter_map(|m| {
+                fresh
+                    .iter()
+                    .find(|a| lp.part_of(a.left) == m.left && rp.part_of(a.right) == m.right)
+                    .copied()
+            })
+            .collect();
+        assert!(edges.len() >= 2, "fixture must update several shards");
+        let in_shard = edges.len();
+        edges.push(AnchorLink::new(
+            lp.members(pairs[0].left)[0],
+            rp.members(pairs[1].right)[0],
+        ));
+        let update = sharded.update_anchors(&edges).unwrap();
+        assert_eq!(
+            update,
+            ShardedUpdate {
+                applied: in_shard,
+                boundary: 1
+            }
+        );
+
+        let stitched = sharded
+            .fit(&labeled, &VecOracle::new(truth.clone()), &config)
+            .unwrap();
+        let stats = sharded.stats();
+        assert_eq!(stats.full_counts, n_shards, "updates must not recount");
+        assert_eq!(stats.anchors_applied, in_shard);
+        let links: Vec<_> = stitched
+            .links
+            .iter()
+            .map(|l| (l.left, l.right, l.score.to_bits(), l.shard, l.confirmed))
+            .collect();
+        let reports: Vec<_> = stitched
+            .shard_reports
+            .iter()
+            .map(|r| {
+                (
+                    r.pair,
+                    r.rows.clone(),
+                    bits(&r.report.labels),
+                    bits(&r.report.scores),
+                    bits(&r.report.weights),
+                    r.report.queried.clone(),
+                    r.report.rounds.clone(),
+                )
+            })
+            .collect::<Vec<_>>();
+        (links, reports, stitched.dropped_conflicts, stats)
+    };
+
+    let serial = run(1);
+    for workers in [2usize, 8] {
+        let wide = run(workers);
+        assert_eq!(wide.0, serial.0, "stitched links at {workers} workers");
+        assert_eq!(wide.1, serial.1, "shard reports at {workers} workers");
+        assert_eq!(wide.2, serial.2, "dropped conflicts at {workers} workers");
+        assert_eq!(wide.3, serial.3, "stats at {workers} workers");
+    }
 }

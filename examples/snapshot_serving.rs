@@ -14,10 +14,10 @@
 //!    of the count).
 //! 3. **Serve**: a `SessionPool` opens one slot per tenant from that
 //!    tenant's own copy of the snapshot (a pooled slot journals its
-//!    updates beside its base, so each needs a base of its own), fans a
-//!    batch of per-tenant anchor updates over its bounded worker pool,
-//!    and featurizes one tenant for scoring — while every slot's
-//!    `stats()` proves nobody ever recounted.
+//!    updates beside its base, so each needs a base of its own), applies
+//!    a batch of anchor updates per tenant, and featurizes a clone of one
+//!    tenant's session for scoring — while every slot's `stats()` proves
+//!    nobody ever recounted.
 //!
 //! ```sh
 //! cargo run --release --example snapshot_serving
@@ -61,65 +61,49 @@ fn main() {
     // 3. Serve: one slot per tenant, each from its own copy of the
     // snapshot — the pool refuses two live slots on one base.
     let n_tenants = 4;
-    let mut pool = SessionPool::new(0); // 0 = one worker per hardware thread
-    let paths: Vec<_> = (0..n_tenants)
+    let mut pool = SessionPool::new();
+    let t = Instant::now();
+    let ids: Vec<_> = (0..n_tenants)
         .map(|t| {
             let tenant = dir.join(format!("tenant-{t}.snap"));
             std::fs::copy(&path, &tenant).expect("copy tenant base");
-            tenant
+            pool.open(&tenant).expect("open tenant slot")
         })
         .collect();
-    let t = Instant::now();
-    let ids: Vec<_> = pool
-        .open_many(&paths)
-        .into_iter()
-        .collect::<Result<_, _>>()
-        .expect("open tenant slots");
     println!(
-        "pool: opened {n_tenants} tenant sessions in {:.2} ms ({} workers)",
-        t.elapsed().as_secs_f64() * 1e3,
-        pool.workers()
+        "pool: opened {n_tenants} tenant sessions in {:.2} ms",
+        t.elapsed().as_secs_f64() * 1e3
     );
 
-    // Each tenant confirms a different batch of anchors; the pool fans
-    // the updates out and returns results in job order.
+    // Each tenant confirms a different batch of anchors; every update is
+    // journaled beside that tenant's base before it applies.
     let held_out = &links[links.len() / 2..];
-    let jobs: Vec<_> = ids
-        .iter()
-        .enumerate()
-        .map(|(t, &id)| {
-            let chunk = held_out.chunks(held_out.len() / n_tenants).nth(t).unwrap();
-            (id, chunk.to_vec())
-        })
-        .collect();
     let t = Instant::now();
-    let results = pool.update_many(&jobs);
-    let update_ms = t.elapsed().as_secs_f64() * 1e3;
-    for ((id, edges), result) in jobs.iter().zip(&results) {
-        let applied = result.as_ref().expect("update");
+    for (&id, edges) in ids.iter().zip(held_out.chunks(held_out.len() / n_tenants)) {
+        let applied = pool.update_anchors(id, edges).expect("update");
         println!(
             "  {id}: merged {applied}/{} anchors → {} total, full_counts still {}",
             edges.len(),
-            pool.n_anchors(*id).unwrap(),
-            pool.stats(*id).unwrap().full_counts
+            pool.n_anchors(id).unwrap(),
+            pool.stats(id).unwrap().full_counts
         );
     }
+    let update_ms = t.elapsed().as_secs_f64() * 1e3;
     println!("pool: {n_tenants} tenant updates in {update_ms:.2} ms");
 
-    // One tenant advances to scoring; the others stay counted.
+    // One tenant scores: a featurized clone of its session, taken under
+    // the slot lock; the pooled slot stays counted and keeps journaling.
     let candidates: Vec<(UserId, UserId)> = links.iter().map(|l| (l.left, l.right)).collect();
-    pool.featurize(ids[0], candidates)
-        .expect("featurize tenant 0");
-    let n_features = pool
-        .with_featurized(ids[0], |s| s.features().n_features())
-        .expect("tenant 0 is featurized");
+    let scoring = pool
+        .with_counted(ids[0], |s| s.clone().featurize(candidates))
+        .expect("tenant 0 is live");
     println!(
-        "tenant {} featurized: {n_features} features over {} candidates; tenant {} still counted",
+        "tenant {} featurized: {} features over {} candidates; its slot stays counted",
         ids[0],
-        links.len(),
-        ids[1]
+        scoring.features().n_features(),
+        links.len()
     );
-    assert!(!pool.is_featurized(ids[1]).unwrap());
+    assert_eq!(scoring.stats().full_counts, 1, "featurizing never recounts");
 
     std::fs::remove_dir_all(&dir).ok();
 }

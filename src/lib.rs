@@ -36,7 +36,8 @@
 //! | [`eval`] | folds, NP-ratio/sample-ratio protocol, metrics, paper-style tables — thin wrappers over sessions |
 //!
 //! The `bench` crate regenerates every table and figure of the paper's
-//! evaluation section (see EXPERIMENTS.md).
+//! evaluation section (the README's "Regenerating the paper's tables and
+//! figures" lists the bins).
 //!
 //! ## The session API
 //!

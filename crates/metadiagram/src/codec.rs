@@ -25,10 +25,12 @@
 //! **Decode-time validation.** Checksums upstream catch bit-rot; this
 //! layer rejects *semantically* broken payloads, whatever their origin:
 //! the plan fingerprint must match the catalog's, every CSR re-validates
-//! its structural invariants, factor shapes must compose with the anchor
-//! matrix, every count must have the anchor shape, and stored margins
-//! must match their count matrix bit-for-bit. A payload that fails any
-//! check is refused with a typed error — never opened approximately.
+//! its structural invariants, every value of the anchor matrix, the
+//! factors and the counts must be finite and `> 0`, factor shapes must
+//! compose with the anchor matrix, every count must have the anchor shape,
+//! and stored margins must match their count matrix bit-for-bit. A
+//! payload that fails any check is refused with a typed error — never
+//! opened approximately.
 
 use crate::catalog::{Catalog, FeatureSet};
 use crate::delta::{DeltaCatalogCounts, DeltaStats, FactorChain, Node, NodeCount, NodePlan};
@@ -37,7 +39,8 @@ use sparsela::codec::{
     crc32, csr_encoded_len, decode_csr, decode_margins, decode_threading, encode_csr,
     encode_margins, encode_threading, margins_encoded_len, Error, Reader, Writer,
 };
-use sparsela::Threading;
+use sparsela::{CsrMatrix, Threading};
+use std::fmt;
 use std::sync::Arc;
 
 fn feature_set_tag(set: FeatureSet) -> u8 {
@@ -132,10 +135,26 @@ pub fn store_encoded_len(store: &DeltaCatalogCounts) -> usize {
     len + 3 * 8 // stats
 }
 
-/// Reads node `i`'s count and margins: the count must have the anchor
-/// `shape` and the margins must equal it bit for bit.
+/// Reads a matrix whose every stored value must be finite and `> 0`. The
+/// anchor matrix, the factors and the counts all are when built, and
+/// updates rely on it: it makes every increment positive, so a count only
+/// grows ([`CsrMatrix::splice_add`]).
+fn decode_positive(r: &mut Reader<'_>, what: fmt::Arguments<'_>) -> Result<CsrMatrix, Error> {
+    let m = decode_csr(r)?;
+    // A fold without early exit vectorizes: twice as fast as a `find`.
+    let values = m.values().iter();
+    if !values.fold(true, |ok, &v| ok & (v > 0.0) & (v < f64::INFINITY)) {
+        return Err(Error::Malformed(format!(
+            "{what}: holds a value that is not finite and > 0"
+        )));
+    }
+    Ok(m)
+}
+
+/// Reads node `i`'s count and margins: the count must be positive and have
+/// the anchor `shape`, and the margins must equal it bit for bit.
 fn decode_count(r: &mut Reader<'_>, i: usize, shape: (usize, usize)) -> Result<NodeCount, Error> {
-    let count = decode_csr(r)?;
+    let count = decode_positive(r, format_args!("node {i}: count"))?;
     if count.shape() != shape {
         return Err(Error::Malformed(format!(
             "node {i}: count shape {:?} != anchor shape {shape:?}",
@@ -158,16 +177,17 @@ fn decode_count(r: &mut Reader<'_>, i: usize, shape: (usize, usize)) -> Result<N
 /// `update_anchors` produces exactly the bytes the never-persisted store
 /// would. This is the only door a stored store comes in by, and updates
 /// trust what it lets through: a store it returns has its catalog's plan,
-/// every count of the anchor shape, margins equal to their counts, and
-/// chains that compose with the anchor matrix.
+/// finite positive values in its anchor matrix, factors and counts, every
+/// count of the anchor shape, margins equal to their counts, and chains
+/// that compose with the anchor matrix.
 ///
 /// # Errors
 /// EOF/length errors on truncated input; [`Error::Malformed`] when the
 /// plan fingerprint differs from `catalog`'s (checked before any node is
-/// read) or any structural or semantic invariant fails (CSR shape, factor
-/// composition, count shape, margin agreement).
+/// read) or any structural or semantic invariant fails (CSR shape,
+/// positivity, factor composition, count shape, margin agreement).
 pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalogCounts, Error> {
-    let anchor = decode_csr(r)?;
+    let anchor = decode_positive(r, format_args!("anchor matrix"))?;
     let shape @ (n1, n2) = anchor.shape();
     let NodePlan {
         order,
@@ -190,8 +210,8 @@ pub fn decode_store(r: &mut Reader<'_>, catalog: &Catalog) -> Result<DeltaCatalo
         // a built one shares with the other stores of its networks.
         nodes.push(match diagram {
             Diagram::Social(_) | Diagram::SocialPair(..) => {
-                let l = decode_csr(r)?;
-                let rr = decode_csr(r)?;
+                let l = decode_positive(r, format_args!("node {i}: L factor"))?;
+                let rr = decode_positive(r, format_args!("node {i}: R factor"))?;
                 if l.shape() != (n1, n1) || rr.shape() != (n2, n2) {
                     return Err(Error::Malformed(format!(
                         "node {i}: factor chain shapes {:?}/{:?} do not compose with the \
@@ -400,6 +420,59 @@ mod tests {
         assert!(err.contains("count shape"), "{err}");
         // The edits went to private copies: the store they were cloned
         // from still opens.
+        decode_store(&mut Reader::new(&encoded(&store)), &catalog).unwrap();
+    }
+
+    #[test]
+    fn values_that_are_not_finite_and_positive_are_refused() {
+        // Counts only grow, and updates rely on it: a store holding a value
+        // that is not finite and > 0 in a count, an `L` factor or the
+        // anchor matrix is refused by the positivity check.
+        let (store, catalog) = store();
+        let with_first = |m: &CsrMatrix, v: f64| {
+            let mut values = m.values().to_vec();
+            values[0] = v;
+            let (indptr, indices) = (m.indptr().to_vec(), m.indices().to_vec());
+            CsrMatrix::from_parts_unchecked(m.nrows(), m.ncols(), indptr, indices, values)
+        };
+        let refused = |broken: &DeltaCatalogCounts, what: &str| {
+            let err = decode_store(&mut Reader::new(&encoded(broken)), &catalog).unwrap_err();
+            assert!(matches!(err, Error::Malformed(_)), "{what}: {err}");
+            let err = err.to_string();
+            assert!(err.contains(what), "{err}");
+            assert!(err.contains("not finite and > 0"), "{err}");
+        };
+        let counted = store
+            .nodes
+            .iter()
+            .position(|node| node.counted().count.nnz() > 0)
+            .expect("catalog has a nonempty count");
+        let chained = store
+            .nodes
+            .iter()
+            .position(|node| matches!(node, Node::AnchorChain(chain, _) if chain.l.nnz() > 0))
+            .expect("catalog has a chain with a nonempty L");
+        for v in [0.0, -1.0, f64::NAN] {
+            // A count, with margins recomputed from it: they agree, so only
+            // the positivity check can refuse it (and it runs first for NaN,
+            // whose margins never compare equal).
+            let mut broken = store.clone();
+            let own = broken.nodes[counted].counted_mut();
+            own.count = with_first(&own.count, v);
+            own.sums = sparsela::MarginSums::of(&own.count);
+            refused(&broken, &format!("node {counted}: count"));
+            // An `L` factor.
+            let mut broken = store.clone();
+            if let Node::AnchorChain(chain, _) = &mut broken.nodes[chained] {
+                let chain = Arc::make_mut(chain);
+                chain.l = with_first(&chain.l, v);
+            }
+            refused(&broken, &format!("node {chained}: L factor"));
+            // The anchor matrix.
+            let mut broken = store.clone();
+            broken.anchor = with_first(&broken.anchor, v);
+            refused(&broken, "anchor matrix");
+        }
         decode_store(&mut Reader::new(&encoded(&store)), &catalog).unwrap();
     }
 

@@ -16,9 +16,15 @@
 //!   splices its part's increment times the fixed parts, work over
 //!   `ΔC`'s nonempty rows only, with no SpGEMM and no re-Hadamard.
 //!
-//! All arithmetic is exact (counts are small nonnegative integers stored in
-//! `f64`), so the delta path is **bit-equal** to a full recount from the
-//! merged anchor set — property-tested in `tests/delta_props.rs`.
+//! Counts only grow. Anchors are only ever added, and every factor and
+//! count is positive where it stores a value (built from nonnegative
+//! adjacency, and checked by [`crate::codec::decode_store`] for a stored
+//! store), so every increment is positive and is spliced into its count
+//! as it is ([`CsrMatrix::splice_add`]): no entry ever falls to zero and
+//! nothing is pruned. All arithmetic is exact (counts are small positive
+//! integers stored in `f64`), so the delta path is **bit-equal** to a full
+//! recount from the merged anchor set — property-tested in
+//! `tests/delta_props.rs`.
 //!
 //! [`DeltaCatalogCounts::build`] is also the crate's only full count: it
 //! plans each distinct diagram of the catalog once, in dependency order,
@@ -202,12 +208,11 @@ impl NodeCount {
         NodeCount { count, sums }
     }
 
-    /// Adds `delta` into the count, keeping the positive entries, and
-    /// retracts every entry the filter prunes from the margins.
+    /// Adds the positive increment `delta` into the margins and, in
+    /// place, into the count.
     fn splice(&mut self, delta: &CsrMatrix) -> Result<(), SparseError> {
-        let sums = &mut self.sums;
-        self.count
-            .splice_add_positive(delta, |r, c, v| sums.retract(r, c, v))
+        self.sums.accumulate(delta)?;
+        self.count.splice_add(delta)
     }
 }
 
@@ -661,14 +666,12 @@ impl DeltaCatalogCounts {
     /// Every changed node keeps its increment for the rest of the pass. An
     /// anchor chain's increment is `L·ΔA·R`; a stack's is its one changed
     /// part's increment `∘` each fixed part, in part order, so
-    /// `C∘B + ΔC∘B = (C+ΔC)∘B` (exact integers below `2^53`). Each node
-    /// splices its increment in place: the margins fold in the increment's
-    /// sums and every entry the positivity filter prunes is retracted
-    /// entry-locally. A chain cell pruned at `C+ΔC ≤ 0` gives
-    /// `(C+ΔC)·B ≤ 0` in the stack, which its own splice prunes too, so
-    /// every count keeps the exact nnz pattern of a full count without a
-    /// margin rescan. A node's touched region is the pattern of its
-    /// increment.
+    /// `C∘B + ΔC∘B = (C+ΔC)∘B` (exact integers below `2^53`). Factors and
+    /// counts are positive where stored, so every increment is positive:
+    /// each node splices its increment in place and folds its sums into the
+    /// margins, and no entry falls to zero, so every count keeps the exact
+    /// nnz pattern of a full count without a margin rescan. A node's
+    /// touched region is the pattern of its increment.
     ///
     /// # Errors
     /// Kernel-level rejections inside the pass are mapped to
@@ -680,7 +683,6 @@ impl DeltaCatalogCounts {
             match &mut rest[0] {
                 Node::AnchorChain(chain, own) => {
                     let dc = spgemm_lowrank(&chain.lt, delta, &chain.r)?;
-                    own.sums.accumulate(&dc)?;
                     own.splice(&dc)?;
                     increments[i] = Some(dc);
                 }
@@ -705,7 +707,6 @@ impl DeltaCatalogCounts {
                         }
                     }
                     let ds = ds.unwrap_or_else(|| inc.clone());
-                    own.sums.accumulate(&ds)?;
                     own.splice(&ds)?;
                     increments[i] = Some(ds);
                 }
@@ -1017,51 +1018,6 @@ mod tests {
         ));
     }
 
-    /// Regression for the pruning repair: when the low-rank product
-    /// drives entries non-positive, the splice must retract exactly the
-    /// pruned entries from the maintained margins — no full rescan.
-    /// Confirmed-anchor deltas are non-negative, so pruning is forced here
-    /// by negating the chains' `Lᵀ` factors, which makes every low-rank
-    /// product `≤ 0`.
-    #[test]
-    fn pruned_entries_repair_margins_without_a_rescan() {
-        let w = world();
-        let (initial, held_out) = split_links(&w);
-        let other = store(&w, &initial);
-        let mut s = other.clone();
-        for node in &mut s.nodes {
-            if let Node::AnchorChain(chain, _) = node {
-                let chain = Arc::make_mut(chain);
-                let lt = &chain.lt;
-                chain.lt = CsrMatrix::from_parts_unchecked(
-                    lt.nrows(),
-                    lt.ncols(),
-                    lt.indptr().to_vec(),
-                    lt.indices().to_vec(),
-                    lt.values().iter().map(|v| -v).collect(),
-                );
-            }
-        }
-        let nnz = |s: &DeltaCatalogCounts| -> usize {
-            s.nodes.iter().map(|node| node.counted().count.nnz()).sum()
-        };
-        let nnz_before = nnz(&s);
-        s.update_anchors(&held_out).unwrap();
-        for i in 0..s.len() {
-            let c = s.catalog_count(i);
-            assert!(
-                s.catalog_sums(i).matches(c),
-                "entry {i}: margins drifted after pruning"
-            );
-            assert!(c.values().iter().all(|&v| v > 0.0), "entry {i}: residue");
-        }
-        assert!(nnz(&s) < nnz_before, "no entry was actually pruned");
-        // The edits went to private copies: the store `s` was cloned from,
-        // which shares its chains with every other store of the world, is
-        // bit-unchanged.
-        assert_bit_equal(&other, &independent_store(&w, &initial));
-    }
-
     #[test]
     fn each_distinct_diagram_is_materialized_once() {
         fn collect<'d>(d: &'d Diagram, into: &mut HashSet<&'d Diagram>) {
@@ -1236,6 +1192,20 @@ mod tests {
             assert!(same_leaf(x, &y));
         }
         assert_bit_equal(&first, &copy);
+        // An edit to a clone's chains goes to private copies: the store it
+        // was cloned from, which shares its chains with every other store
+        // of the world, is bit-unchanged.
+        let mut edited = first.clone();
+        for node in &mut edited.nodes {
+            if let Node::AnchorChain(chain, _) = node {
+                let chain = Arc::make_mut(chain);
+                chain.lt = CsrMatrix::zeros(chain.lt.nrows(), chain.lt.ncols());
+            }
+        }
+        for ((d, x), (_, y)) in a.iter().zip(leaves(&edited)) {
+            assert_eq!(same_leaf(x, &y), matches!(x, Leaf::Free(_)), "{d}");
+        }
+        assert_bit_equal(&first, &cloned);
     }
 
     #[test]

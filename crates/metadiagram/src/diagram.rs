@@ -160,23 +160,6 @@ impl Diagram {
             }
         }
     }
-
-    /// Number of base-path branches (covering multiplicity, duplicates
-    /// counted once).
-    pub fn arity(&self) -> usize {
-        self.covering_set().len()
-    }
-
-    /// True when the diagram degenerates to a single meta path.
-    pub fn is_path(&self) -> bool {
-        matches!(self, Diagram::Social(_) | Diagram::Attr(_))
-            || match self {
-                Diagram::SocialPair(a, b) => a == b,
-                Diagram::AttrPair(a, b) => a == b,
-                Diagram::Stack(parts) => parts.len() == 1 && parts[0].is_path(),
-                _ => false,
-            }
-    }
 }
 
 impl fmt::Display for Diagram {
@@ -216,26 +199,6 @@ mod tests {
         let c3 = Diagram::psi3().covering_set();
         assert!(c2.is_subset_of(&c3));
         assert!(!c3.is_subset_of(&c2));
-    }
-
-    #[test]
-    fn arity_counts_distinct_paths() {
-        assert_eq!(Diagram::Social(SocialPathId::P1).arity(), 1);
-        assert_eq!(Diagram::psi1().arity(), 2);
-        assert_eq!(Diagram::psi3().arity(), 3);
-        // Duplicate branches collapse in the covering set.
-        let degenerate = Diagram::SocialPair(SocialPathId::P1, SocialPathId::P1);
-        assert_eq!(degenerate.arity(), 1);
-    }
-
-    #[test]
-    fn is_path_detection() {
-        assert!(Diagram::Social(SocialPathId::P3).is_path());
-        assert!(Diagram::Attr(AttrPathId::Location).is_path());
-        assert!(!Diagram::psi1().is_path());
-        assert!(Diagram::SocialPair(SocialPathId::P2, SocialPathId::P2).is_path());
-        assert!(Diagram::Stack(vec![Diagram::Attr(AttrPathId::Timestamp)]).is_path());
-        assert!(!Diagram::psi3().is_path());
     }
 
     #[test]

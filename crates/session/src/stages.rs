@@ -178,7 +178,9 @@ impl UserRows {
     }
 }
 
-/// Stage 3: [`Featurized`] plus a fitted model.
+/// Stage 3: [`Featurized`] plus a fitted model. Terminal: it reads out
+/// the report, candidates and features, and has no `update_anchors`, so a
+/// fit is never observed next to counts it was not trained on.
 #[derive(Debug, Clone)]
 pub struct Fitted {
     pub(crate) featurized: Featurized,
@@ -377,18 +379,6 @@ impl AlignmentSession<Fitted> {
         &self.stage.featurized.features
     }
 
-    /// Invalidates the fit and steps back to [`Featurized`] — the only way
-    /// to apply further anchor updates, which is exactly the point: a
-    /// fitted model can never silently coexist with counts it was not
-    /// trained on.
-    pub fn invalidate_fit(self) -> AlignmentSession<Featurized> {
-        AlignmentSession {
-            catalog: self.catalog,
-            counts: self.counts,
-            stage: self.stage.featurized,
-        }
-    }
-
     /// Consumes the session into the fit report alone.
     pub fn into_report(self) -> activeiter::FitReport {
         self.stage.report
@@ -492,7 +482,7 @@ mod tests {
     }
 
     #[test]
-    fn fit_stage_produces_a_report_and_invalidates_cleanly() {
+    fn fit_stage_produces_a_report_over_its_candidates() {
         let w = world();
         let train = w.truth().links()[..10].to_vec();
         let candidates: Vec<_> = w.truth().iter().map(|l| (l.left, l.right)).collect();
@@ -511,9 +501,6 @@ mod tests {
         let fitted = session.fit(labeled, &VecOracle::new(truth), &config, &mut strategy);
         assert!(fitted.report().queried.len() <= 5);
         assert_eq!(fitted.candidates().len(), fitted.features().n_rows());
-        // Stepping back re-exposes update_anchors; the fit is gone.
-        let mut featurized = fitted.invalidate_fit();
-        assert_eq!(featurized.update_anchors(&[]).unwrap(), 0);
     }
 
     #[test]

@@ -269,78 +269,40 @@ impl CsrMatrix {
         }
     }
 
-    /// Keeps only entries with `value > 0.0`, dropping explicit zeros and
-    /// clamping away negative round-off residue — the invariant repair for
-    /// count matrices, whose entries are nonnegative by construction.
-    /// Returns `None` when no entry violates the invariant, so callers on a
-    /// hot path can skip the rebuild entirely (the scan itself is a cheap
-    /// branch-per-entry pass with no allocation).
-    pub fn positive_part(&self) -> Option<CsrMatrix> {
-        if self.values.iter().all(|&v| v > 0.0) {
-            return None;
-        }
-        let mut indptr = Vec::with_capacity(self.nrows + 1);
-        let mut indices = Vec::with_capacity(self.nnz());
-        let mut values = Vec::with_capacity(self.nnz());
-        indptr.push(0);
-        for r in 0..self.nrows {
-            for (c, v) in self.row(r) {
-                if v > 0.0 {
-                    indices.push(c);
-                    values.push(v);
-                }
-            }
-            indptr.push(indices.len());
-        }
-        Some(CsrMatrix {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            indptr,
-            indices,
-            values,
-        })
-    }
-
-    /// Merges `delta` into `self` **in place**, rewriting only the rows
-    /// where `delta` stores entries and keeping only strictly positive
-    /// merged values. Rows `delta` does not touch are moved wholesale
-    /// (bulk `memmove` of the storage tail) instead of being re-walked
-    /// entry by entry, so the cost is `O(nnz(touched rows) + nnz(delta))`
-    /// merge work plus one splice pass — not the full `O(nnz)` rebuild of
-    /// [`CsrMatrix::add`] + [`CsrMatrix::positive_part`].
+    /// Adds `delta` into `self` **in place**, rewriting only the rows where
+    /// `delta` stores entries. Each touched row is merged into packed
+    /// buffers; a merged row is the union of both patterns, so no row gets
+    /// shorter, and one right-to-left pass then moves the untouched spans
+    /// with bulk copies (`copy_within`) and writes the merged rows into
+    /// place. The cost is `O(nnz(touched rows) + nnz(delta))` merge work
+    /// plus one move of the storage after the first touched row, not the
+    /// full `O(nnz)` rebuild of [`CsrMatrix::add`].
     ///
-    /// Every merged entry the positivity filter drops is reported through
-    /// `on_drop(row, col, merged_value)` so a caller maintaining
-    /// [`crate::MarginSums`] can repair the margins entry-locally
-    /// ([`crate::MarginSums::retract`]) instead of rescanning.
-    ///
-    /// When `self` satisfies the count-matrix invariant (every stored
-    /// value `> 0`), the result is bit-equal to
-    /// `self.add(delta)` followed by `positive_part()`: both keep a merged
-    /// entry exactly when its value is `> 0.0`. If `self` holds a
-    /// non-positive entry in an *untouched* row, that entry is kept here
-    /// but would be dropped by `positive_part` — callers outside the
-    /// count-matrix invariant should use the rebuild pair instead.
+    /// Precondition: every stored value of `delta` is `> 0`
+    /// (debug-asserted), as every count increment `L·ΔA·R` or `ΔC∘B` is.
+    /// With `self` positive too, as every count matrix is, no merged entry
+    /// cancels, so the result is bit-equal to `self.add(delta)`.
     ///
     /// # Errors
     /// [`SparseError::DimMismatch`] when the shapes differ (`self` is not
     /// modified).
-    pub fn splice_add_positive(
-        &mut self,
-        delta: &CsrMatrix,
-        mut on_drop: impl FnMut(usize, usize, f64),
-    ) -> Result<()> {
+    pub fn splice_add(&mut self, delta: &CsrMatrix) -> Result<()> {
         if delta.shape() != self.shape() {
             return Err(SparseError::DimMismatch {
-                op: "splice_add_positive",
+                op: "splice_add",
                 lhs: self.shape(),
                 rhs: delta.shape(),
             });
         }
+        debug_assert!(
+            delta.values.iter().all(|&v| v > 0.0),
+            "splice_add needs a strictly positive delta"
+        );
         let mut rows = Vec::new();
         let mut lens = Vec::new();
         let mut new_indices = Vec::with_capacity(delta.nnz());
         let mut new_values = Vec::with_capacity(delta.nnz());
+        let mut grown = 0usize;
         for r in 0..self.nrows {
             if delta.row_nnz(r) == 0 {
                 continue;
@@ -348,176 +310,64 @@ impl CsrMatrix {
             let before = new_indices.len();
             let mut ia = self.row(r).peekable();
             let mut ib = delta.row(r).peekable();
-            // Same keep-filter as add + positive_part combined: a merged
-            // entry survives iff its value is strictly positive.
-            let mut push = |c: usize, v: f64| {
-                if v > 0.0 {
-                    new_indices.push(c);
-                    new_values.push(v);
-                } else {
-                    on_drop(r, c, v);
-                }
-            };
             loop {
-                match (ia.peek().copied(), ib.peek().copied()) {
+                let next = match (ia.peek().copied(), ib.peek().copied()) {
                     (Some((ca, va)), Some((cb, vb))) => match ca.cmp(&cb) {
-                        std::cmp::Ordering::Less => {
-                            push(ca, va);
-                            ia.next();
-                        }
-                        std::cmp::Ordering::Greater => {
-                            push(cb, vb);
-                            ib.next();
-                        }
+                        std::cmp::Ordering::Less => ia.next(),
+                        std::cmp::Ordering::Greater => ib.next(),
                         std::cmp::Ordering::Equal => {
-                            push(ca, va + vb);
-                            ia.next();
                             ib.next();
+                            ia.next().map(|_| (ca, va + vb))
                         }
                     },
-                    (Some((ca, va)), None) => {
-                        push(ca, va);
-                        ia.next();
-                    }
-                    (None, Some((cb, vb))) => {
-                        push(cb, vb);
-                        ib.next();
-                    }
-                    (None, None) => break,
-                }
+                    (Some(_), None) => ia.next(),
+                    (None, _) => ib.next(),
+                };
+                let Some((c, v)) = next else {
+                    break;
+                };
+                new_indices.push(c);
+                new_values.push(v);
             }
+            let len = new_indices.len() - before;
+            grown += len - self.row_nnz(r);
             rows.push(r);
-            lens.push(new_indices.len() - before);
+            lens.push(len);
         }
-        self.splice_apply(&rows, &lens, &new_indices, &new_values);
-        Ok(())
-    }
-
-    /// Core of [`CsrMatrix::splice_add_positive`]: replaces the contents of `rows` (strictly
-    /// increasing, in range) with the packed rows of `new_indices` /
-    /// `new_values` (`lens[k]` entries for `rows[k]`), shifting the
-    /// untouched spans with bulk copies. Single-direction in-place moves are
-    /// only safe when the cumulative length shift never changes sign — a
-    /// right-to-left pass with a shrinking prefix (or vice versa) would
-    /// overwrite unread data — so mixed grow/shrink splices fall back to a
-    /// rebuild that still bulk-copies every untouched span.
-    fn splice_apply(
-        &mut self,
-        rows: &[usize],
-        lens: &[usize],
-        new_indices: &[usize],
-        new_values: &[f64],
-    ) {
-        debug_assert_eq!(rows.len(), lens.len());
-        debug_assert_eq!(new_indices.len(), new_values.len());
-        debug_assert_eq!(new_indices.len(), lens.iter().sum::<usize>());
-        if rows.is_empty() {
-            return;
-        }
+        // Right to left, so every read stays ahead of the writes. Each
+        // step moves the untouched span after touched row `r` by the
+        // growth of `r` and of the touched rows before it, shifts that
+        // span's row starts, and writes row `r` just before it.
         let old_total = self.indices.len();
-        // Classify the cumulative shift after each touched row.
-        let mut shift = 0isize;
-        let mut any_pos = false;
-        let mut any_neg = false;
-        for (k, &r) in rows.iter().enumerate() {
-            shift += lens[k] as isize - self.row_nnz(r) as isize;
-            any_pos |= shift > 0;
-            any_neg |= shift < 0;
-        }
-        let new_total = (old_total as isize + shift) as usize;
-        if any_pos && any_neg {
-            // Mixed grow/shrink: rebuild with wholesale span copies.
-            let mut indices = Vec::with_capacity(new_total);
-            let mut values = Vec::with_capacity(new_total);
-            let mut read = 0usize;
-            let mut packed = 0usize;
-            for (k, &r) in rows.iter().enumerate() {
-                indices.extend_from_slice(&self.indices[read..self.indptr[r]]);
-                values.extend_from_slice(&self.values[read..self.indptr[r]]);
-                indices.extend_from_slice(&new_indices[packed..packed + lens[k]]);
-                values.extend_from_slice(&new_values[packed..packed + lens[k]]);
-                packed += lens[k];
-                read = self.indptr[r + 1];
-            }
-            indices.extend_from_slice(&self.indices[read..]);
-            values.extend_from_slice(&self.values[read..]);
-            self.indices = indices;
-            self.values = values;
-        } else if any_pos {
-            // Every prefix grows (or is even): move right-to-left so reads
-            // stay ahead of writes.
-            self.indices.resize(new_total, 0);
-            self.values.resize(new_total, 0.0);
-            let mut read_end = old_total;
-            let mut write_end = new_total;
-            let mut packed_end = new_indices.len();
-            for (k, &r) in rows.iter().enumerate().rev() {
-                let seg_start = self.indptr[r + 1];
-                let seg_len = read_end - seg_start;
-                let dst = write_end - seg_len;
-                if seg_len > 0 && dst != seg_start {
-                    self.indices.copy_within(seg_start..read_end, dst);
-                    self.values.copy_within(seg_start..read_end, dst);
+        let new_total = old_total + grown;
+        self.indices.resize(new_total, 0);
+        self.values.resize(new_total, 0.0);
+        let mut read_end = old_total;
+        let mut write_end = new_total;
+        let mut packed_end = new_indices.len();
+        let mut next_row = self.nrows;
+        for (&r, &len) in rows.iter().zip(&lens).rev() {
+            let seg_start = self.indptr[r + 1];
+            let shift = write_end - read_end;
+            if shift > 0 {
+                self.indices
+                    .copy_within(seg_start..read_end, seg_start + shift);
+                self.values
+                    .copy_within(seg_start..read_end, seg_start + shift);
+                for start in &mut self.indptr[r + 1..=next_row] {
+                    *start += shift;
                 }
-                write_end = dst;
-                let len = lens[k];
-                self.indices[write_end - len..write_end]
-                    .copy_from_slice(&new_indices[packed_end - len..packed_end]);
-                self.values[write_end - len..write_end]
-                    .copy_from_slice(&new_values[packed_end - len..packed_end]);
-                write_end -= len;
-                packed_end -= len;
-                read_end = self.indptr[r];
             }
-            debug_assert_eq!(write_end, read_end);
-        } else {
-            // Every prefix shrinks (or is even): move left-to-right.
-            let mut read = self.indptr[rows[0]];
-            let mut write = read;
-            let mut packed = 0usize;
-            for (k, &r) in rows.iter().enumerate() {
-                let gap = self.indptr[r] - read;
-                if gap > 0 && write != read {
-                    self.indices.copy_within(read..read + gap, write);
-                    self.values.copy_within(read..read + gap, write);
-                }
-                write += gap;
-                let len = lens[k];
-                self.indices[write..write + len]
-                    .copy_from_slice(&new_indices[packed..packed + len]);
-                self.values[write..write + len].copy_from_slice(&new_values[packed..packed + len]);
-                write += len;
-                packed += len;
-                read = self.indptr[r + 1];
-            }
-            let tail = old_total - read;
-            if tail > 0 && write != read {
-                self.indices.copy_within(read..old_total, write);
-                self.values.copy_within(read..old_total, write);
-            }
-            write += tail;
-            debug_assert_eq!(write, new_total);
-            self.indices.truncate(new_total);
-            self.values.truncate(new_total);
+            write_end = seg_start + shift - len;
+            self.indices[write_end..write_end + len]
+                .copy_from_slice(&new_indices[packed_end - len..packed_end]);
+            self.values[write_end..write_end + len]
+                .copy_from_slice(&new_values[packed_end - len..packed_end]);
+            packed_end -= len;
+            read_end = self.indptr[r];
+            next_row = r;
         }
-        // Rewrite indptr with the running shift. indptr[r] is read before it
-        // is overwritten and indptr[r + 1] is still the old value at that
-        // point, so old row lengths stay available throughout the pass.
-        let mut shift = 0isize;
-        let mut k = 0usize;
-        for r in rows[0]..self.nrows {
-            let old_start = self.indptr[r];
-            let old_len = self.indptr[r + 1] - old_start;
-            let new_len = if k < rows.len() && rows[k] == r {
-                k += 1;
-                lens[k - 1]
-            } else {
-                old_len
-            };
-            self.indptr[r] = (old_start as isize + shift) as usize;
-            shift += new_len as isize - old_len as isize;
-        }
-        self.indptr[self.nrows] = new_total;
+        debug_assert_eq!(write_end, read_end);
         debug_assert!(
             Self::try_new(
                 self.nrows,
@@ -527,8 +377,9 @@ impl CsrMatrix {
                 self.values.clone()
             )
             .is_ok(),
-            "splice_apply produced malformed CSR"
+            "splice_add produced malformed CSR"
         );
+        Ok(())
     }
 
     /// Converts to a dense matrix (tests and small problems only).
@@ -638,27 +489,6 @@ mod tests {
     }
 
     #[test]
-    fn positive_part_skips_clean_matrices_and_repairs_dirty_ones() {
-        // All-positive: no rebuild.
-        assert!(sample().positive_part().is_none());
-        // Explicit zero and negative residue: both dropped.
-        let dirty = CsrMatrix::try_new(
-            2,
-            3,
-            vec![0, 2, 4],
-            vec![0, 2, 1, 2],
-            vec![1.0, 0.0, -1e-17, 3.0],
-        )
-        .unwrap();
-        let clean = dirty.positive_part().expect("residue must trigger repair");
-        assert_eq!(clean.nnz(), 2);
-        assert_eq!(clean.get(0, 0), 1.0);
-        assert_eq!(clean.get(1, 2), 3.0);
-        assert_eq!(clean.shape(), dirty.shape());
-        assert!(clean.positive_part().is_none());
-    }
-
-    #[test]
     fn dense_round_trip() {
         let m = sample();
         let d = m.to_dense();
@@ -666,89 +496,42 @@ mod tests {
         assert_eq!(back, m);
     }
 
-    /// Reference semantics for `splice_add_positive` on an all-positive base.
-    fn add_then_positive(base: &CsrMatrix, delta: &CsrMatrix) -> CsrMatrix {
-        let merged = base.add(delta).unwrap();
-        merged.positive_part().unwrap_or(merged)
-    }
-
     #[test]
-    fn splice_add_positive_growth_matches_rebuild() {
-        // Rows 0 and 2 gain entries; every cumulative shift is positive
-        // (right-to-left in-place branch).
+    fn splice_add_growth_matches_add() {
+        // Rows 0 and 2 gain entries, and the empty row 1 gains one.
         let base = sample();
-        let delta = CsrMatrix::from_dense(3, 3, &[0.0, 5.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6.0]);
+        let delta = CsrMatrix::from_dense(3, 3, &[0.0, 5.0, 0.0, 7.0, 0.0, 0.0, 0.0, 0.0, 6.0]);
         let mut spliced = base.clone();
-        spliced
-            .splice_add_positive(&delta, |_, _, _| panic!("nothing pruned"))
-            .unwrap();
-        assert_eq!(spliced, add_then_positive(&base, &delta));
-    }
-
-    #[test]
-    fn splice_add_positive_shrink_matches_rebuild() {
-        // Cancellations only: rows shrink (left-to-right in-place branch),
-        // and every drop is reported with its merged value.
-        let base = sample();
-        let delta = CsrMatrix::from_dense(3, 3, &[-1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -4.0, 0.0]);
-        let mut spliced = base.clone();
-        let mut drops = Vec::new();
-        spliced
-            .splice_add_positive(&delta, |r, c, v| drops.push((r, c, v)))
-            .unwrap();
-        assert_eq!(spliced, add_then_positive(&base, &delta));
-        assert_eq!(drops, vec![(0, 0, 0.0), (2, 1, 0.0)]);
-    }
-
-    #[test]
-    fn splice_add_positive_mixed_shift_matches_rebuild() {
-        // Row 0 shrinks, row 2 grows: cumulative shifts change sign, so the
-        // rebuild fallback runs. An empty row gaining entries rides along.
-        let base = sample();
-        let delta = CsrMatrix::from_dense(3, 3, &[-1.0, 0.0, -2.0, 7.0, 0.0, 8.0, 0.0, 1.0, 9.0]);
-        let mut spliced = base.clone();
-        let mut drops = Vec::new();
-        spliced
-            .splice_add_positive(&delta, |r, c, v| drops.push((r, c, v)))
-            .unwrap();
-        assert_eq!(spliced, add_then_positive(&base, &delta));
-        assert_eq!(drops, vec![(0, 0, 0.0), (0, 2, 0.0)]);
+        spliced.splice_add(&delta).unwrap();
+        assert_eq!(spliced, base.add(&delta).unwrap());
         assert_eq!(spliced.get(1, 0), 7.0);
-        assert_eq!(spliced.get(2, 2), 9.0);
     }
 
     #[test]
-    fn splice_add_positive_reports_negative_delta_only_entries() {
-        // A delta entry with no base counterpart that stays non-positive is
-        // dropped and reported with the merged (= delta) value.
+    fn splice_add_that_keeps_every_row_length_matches_add() {
+        // Values change at stored entries only: no row grows, nothing moves.
         let base = sample();
-        let delta = CsrMatrix::from_dense(3, 3, &[0.0, 0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 0.0, 0.0]);
+        let delta = CsrMatrix::from_dense(3, 3, &[2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]);
         let mut spliced = base.clone();
-        let mut drops = Vec::new();
-        spliced
-            .splice_add_positive(&delta, |r, c, v| drops.push((r, c, v)))
-            .unwrap();
-        assert_eq!(spliced, add_then_positive(&base, &delta));
-        assert_eq!(drops, vec![(1, 1, -3.0)]);
+        spliced.splice_add(&delta).unwrap();
+        assert_eq!(spliced, base.add(&delta).unwrap());
+        assert_eq!(spliced.indptr(), base.indptr());
+        assert_eq!(spliced.values(), &[3.0, 2.0, 3.0, 5.0]);
     }
 
     #[test]
-    fn splice_add_positive_empty_delta_is_a_noop() {
+    fn splice_add_empty_delta_is_a_noop() {
         let base = sample();
         let mut spliced = base.clone();
-        spliced
-            .splice_add_positive(&CsrMatrix::zeros(3, 3), |_, _, _| panic!("no drops"))
-            .unwrap();
+        spliced.splice_add(&CsrMatrix::zeros(3, 3)).unwrap();
         assert_eq!(spliced, base);
     }
 
     #[test]
-    fn splice_add_positive_rejects_shape_mismatch() {
+    fn splice_add_rejects_shape_mismatch() {
         let base = sample();
         let mut spliced = base.clone();
-        assert!(spliced
-            .splice_add_positive(&CsrMatrix::zeros(2, 3), |_, _, _| {})
-            .is_err());
+        assert!(spliced.splice_add(&CsrMatrix::zeros(2, 3)).is_err());
         assert_eq!(spliced, base, "failed splice must not mutate");
     }
 

@@ -7,17 +7,17 @@
 //! incremental. [`MarginSums`] keeps both margins as first-class artifacts
 //! that a low-rank count update maintains in `O(nnz(Δ))`:
 //!
-//! * [`MarginSums::accumulate`] folds in the margins of an additive delta
-//!   matrix: the `L·ΔA·R` of an anchor update, or a stack's increment
-//!   `ΔC∘B` (its moving part's increment times its fixed parts);
-//! * [`MarginSums::retract`] takes back each entry the positivity filter
-//!   of [`CsrMatrix::splice_add_positive`] prunes.
+//! [`MarginSums::accumulate`] folds in the margins of an additive delta
+//! matrix: the `L·ΔA·R` of an anchor update, or a stack's increment `ΔC∘B`
+//! (its moving part's increment times its fixed parts). Counts only grow,
+//! so the delta's entries are exactly what [`CsrMatrix::splice_add`] adds
+//! to the count, and nothing has to be taken back.
 //!
-//! **Exactness.** All counts this library manipulates are small nonnegative
+//! **Exactness.** All counts this library manipulates are small positive
 //! integers stored in `f64`, so every margin is an exact integer and the
-//! incremental additions/subtractions are bit-equal to a full rescan as
-//! long as every intermediate stays below `2^53` (far above any realistic
-//! instance count). Property tests in `metadiagram` pin the equality.
+//! incremental additions are bit-equal to a full rescan as long as every
+//! intermediate stays below `2^53` (far above any realistic instance
+//! count). Property tests in `metadiagram` pin the equality.
 //!
 //! Margins are persisted alongside their matrix by the snapshot codec
 //! ([`crate::codec::encode_margins`] / [`crate::codec::decode_margins`]);
@@ -108,19 +108,6 @@ impl MarginSums {
         Ok(())
     }
 
-    /// Subtracts one entry's value from both margins — the entry-local
-    /// repair paired with [`CsrMatrix::splice_add_positive`]'s `on_drop`
-    /// callback: when the positivity filter prunes a merged entry, the
-    /// margins accumulated from the additive delta still include it, and
-    /// retracting exactly the pruned value is bit-equal to a full rescan
-    /// (exact integer arithmetic). Cost `O(1)` per pruned entry, replacing
-    /// the `O(nnz)` [`MarginSums::of`] fallback.
-    #[inline]
-    pub fn retract(&mut self, row: usize, col: usize, value: f64) {
-        self.row[row] -= value;
-        self.col[col] -= value;
-    }
-
     /// True when these margins equal a full rescan of `m` bit-for-bit —
     /// the invariant every incremental maintenance path must preserve.
     pub fn matches(&self, m: &CsrMatrix) -> bool {
@@ -172,25 +159,6 @@ mod tests {
         let before = s.clone();
         assert!(s.accumulate(&CsrMatrix::zeros(2, 4)).is_err());
         assert_eq!(s, before, "failed accumulate must not mutate");
-    }
-
-    #[test]
-    fn retract_repairs_a_pruned_entry() {
-        // Accumulate a delta that cancels (0, 0), then retract the pruned
-        // merged value: the sums must match the spliced matrix exactly.
-        let m = sample();
-        let delta = CsrMatrix::from_dense(
-            3,
-            4,
-            &[-1.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        );
-        let mut s = MarginSums::of(&m);
-        s.accumulate(&delta).unwrap();
-        let mut spliced = m.clone();
-        spliced
-            .splice_add_positive(&delta, |r, c, v| s.retract(r, c, v))
-            .unwrap();
-        assert!(s.matches(&spliced));
     }
 
     #[test]

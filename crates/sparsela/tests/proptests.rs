@@ -252,27 +252,30 @@ proptest! {
     }
 
     #[test]
-    fn splice_add_positive_is_bit_equal_to_rebuild(
-        (r, c, a) in dense_buffer(7),
-        b_seed in proptest::collection::vec(-4i32..=4, 49)
+    fn splice_add_is_bit_equal_to_add(
+        (r, c, cells) in (1..=7usize, 1..=7usize).prop_flat_map(|(r, c)| {
+            let cell = (
+                prop_oneof![3 => Just(0u8), 2 => 1u8..=4],
+                prop_oneof![3 => Just(0u8), 2 => 1u8..=4],
+            );
+            proptest::collection::vec(cell, r * c).prop_map(move |v| (r, c, v))
+        })
     ) {
-        // Base under the count-matrix invariant (all stored values > 0),
-        // delta with arbitrary-signed integer entries: the in-place splice
-        // must equal add + positive_part bit-for-bit, and margins
-        // maintained via accumulate + retract must equal a rescan.
-        let raw = CsrMatrix::from_dense(r, c, &a);
-        let base = raw.positive_part().unwrap_or(raw);
-        let b: Vec<f64> = (0..r * c).map(|i| f64::from(b_seed[i % b_seed.len()])).collect();
-        let delta = CsrMatrix::from_dense(r, c, &b);
+        // A positive base and a positive delta, as every count and every
+        // count increment is: the in-place splice must equal add bit for
+        // bit, and margins maintained via accumulate must equal a rescan.
+        let dense = |f: &dyn Fn(&(u8, u8)) -> f64| -> Vec<f64> { cells.iter().map(f).collect() };
+        let base = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.0)));
+        let delta = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.1)));
         let mut sums = MarginSums::of(&base);
         sums.accumulate(&delta).unwrap();
         let mut spliced = base.clone();
-        spliced
-            .splice_add_positive(&delta, |dr, dc, v| sums.retract(dr, dc, v))
-            .unwrap();
-        let merged = base.add(&delta).unwrap();
-        let reference = merged.positive_part().unwrap_or(merged);
-        prop_assert_eq!(&spliced, &reference);
+        spliced.splice_add(&delta).unwrap();
+        let reference = base.add(&delta).unwrap();
+        prop_assert_eq!(spliced.indptr(), reference.indptr());
+        prop_assert_eq!(spliced.indices(), reference.indices());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&spliced), bits(&reference));
         prop_assert!(sums.matches(&spliced));
         // The spliced matrix must still be structurally valid CSR.
         prop_assert!(CsrMatrix::try_new(
@@ -289,17 +292,17 @@ proptest! {
             let cell = (
                 prop_oneof![3 => Just(0u8), 2 => 1u8..=4],
                 prop_oneof![1 => Just(0u8), 2 => 1u8..=3],
-                prop_oneof![2 => Just(0i8), 3 => -4i8..=4],
+                prop_oneof![2 => Just(0u8), 3 => 1u8..=4],
             );
             proptest::collection::vec(cell, r * c).prop_map(move |v| (r, c, v))
         })
     ) {
-        // A stack S = C∘B over a moving count C (nonnegative integers) and
-        // a fixed part B (strictly positive where stored). Splicing the
-        // signed increment D into C prunes cells that fall to ≤ 0; the
-        // stack gets D∘B with the same splice, and must equal the
-        // re-Hadamard of the spliced C bit for bit, margins included.
-        let dense = |f: &dyn Fn(&(u8, u8, i8)) -> f64| -> Vec<f64> { cells.iter().map(f).collect() };
+        // A stack S = C∘B over a moving count C and a fixed part B, both
+        // positive where stored. Splicing the positive increment D into C
+        // gives the stack the increment D∘B through the same splice, and
+        // the result must equal the re-Hadamard of the spliced C bit for
+        // bit, margins included.
+        let dense = |f: &dyn Fn(&(u8, u8, u8)) -> f64| -> Vec<f64> { cells.iter().map(f).collect() };
         let count = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.0)));
         let fixed = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.1)));
         let inc = CsrMatrix::from_dense(r, c, &dense(&|t| f64::from(t.2)));
@@ -308,12 +311,10 @@ proptest! {
         let mut sums = MarginSums::of(&stack);
         let ds = inc.hadamard(&fixed).unwrap();
         sums.accumulate(&ds).unwrap();
-        stack
-            .splice_add_positive(&ds, |dr, dc, v| sums.retract(dr, dc, v))
-            .unwrap();
+        stack.splice_add(&ds).unwrap();
 
         let mut moved = count.clone();
-        moved.splice_add_positive(&inc, |_, _, _| {}).unwrap();
+        moved.splice_add(&inc).unwrap();
         let want = moved.hadamard(&fixed).unwrap();
         prop_assert_eq!(stack.indptr(), want.indptr());
         prop_assert_eq!(stack.indices(), want.indices());

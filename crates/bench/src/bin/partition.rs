@@ -175,8 +175,8 @@ fn main() {
         let mut sharded = ShardedSession::with_partitions(
             world.left(),
             world.right(),
-            PartitionMap::from_assignment(&left_assign, world.left()),
-            PartitionMap::from_assignment(&right_assign, world.right()),
+            PartitionMap::from_assignment(&left_assign),
+            PartitionMap::from_assignment(&right_assign),
             train.clone(),
             &ShardedConfig {
                 workers: opts.threads,

@@ -28,6 +28,13 @@
 //! shards still share universes with their cross-network partner), which
 //! is exactly what a per-shard `AlignmentSession` consumes.
 //!
+//! Detection reads only the network and its [`PartitionConfig`], so it
+//! runs once per network and config: [`PartitionMap::detect`] keeps each
+//! map on the network it was detected on ([`HetNet::pair_memo`]) for as
+//! long as that network lives, and a later call with an equal config gets
+//! a copy. A clone of a network is a new identity and detects cold.
+//! Matching reads the anchors and runs on every call.
+//!
 //! ## Example
 //!
 //! ```
@@ -63,6 +70,7 @@ use crate::AnchorLink;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Knobs of [`PartitionMap::detect`]. The defaults favor stable,
 /// medium-grained communities; `min_size` exists because a shard smaller
@@ -113,17 +121,10 @@ impl PartitionMap {
     }
 
     /// Builds a map from an explicit per-user assignment (any custom
-    /// partitioner) over `net`'s users, compacting ids.
-    ///
-    /// # Panics
-    /// Panics when `assignment.len() != net.n_users()` — a programming
-    /// error, not a data condition.
-    pub fn from_assignment(assignment: &[usize], net: &HetNet) -> Self {
-        assert_eq!(
-            assignment.len(),
-            net.n_users(),
-            "assignment must cover every user"
-        );
+    /// partitioner), compacting ids: user `u` goes to `assignment[u]`.
+    /// The map covers `assignment.len()` users; [`match_partitions`]
+    /// refuses it for a network of another size.
+    pub fn from_assignment(assignment: &[usize]) -> Self {
         Self::compact(assignment)
     }
 
@@ -131,7 +132,25 @@ impl PartitionMap {
     /// graph, forward and reverse edges both counted (a mutual follow
     /// counts twice, weighting reciprocity). Deterministic per
     /// `(network, config)`; see the module docs.
+    ///
+    /// The map depends only on the network and `cfg`, so the first call
+    /// keeps it on `net`, one map per config ([`HetNet::pair_memo`] of
+    /// the pair `(net, net)`), and every later call with an equal config
+    /// returns a copy of it — bit-equal to detecting afresh. The maps
+    /// live as long as the network; a clone of the network is a new
+    /// identity and detects cold.
     pub fn detect(net: &HetNet, cfg: &PartitionConfig) -> Self {
+        let detected = net.pair_memo::<Detected>(net);
+        if let Some(map) = detected.get(cfg) {
+            return map;
+        }
+        let map = Self::propagate(net, cfg);
+        detected.insert(cfg, &map);
+        map
+    }
+
+    /// The label propagation behind [`PartitionMap::detect`].
+    fn propagate(net: &HetNet, cfg: &PartitionConfig) -> Self {
         let n = net.n_users();
         if n == 0 {
             return PartitionMap::trivial(0);
@@ -254,6 +273,36 @@ impl PartitionMap {
     /// Partition sizes, indexed by partition id.
     pub fn sizes(&self) -> Vec<usize> {
         self.members.iter().map(Vec::len).collect()
+    }
+}
+
+/// The maps [`PartitionMap::detect`] found on one network, one per
+/// config. The lock is held only to find or insert a map, never while
+/// detecting, so a poisoned lock still guards a valid list.
+#[derive(Default)]
+struct Detected(Mutex<Vec<(PartitionConfig, PartitionMap)>>);
+
+impl Detected {
+    fn entries(&self) -> MutexGuard<'_, Vec<(PartitionConfig, PartitionMap)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A copy of the map kept for `cfg`, if any.
+    fn get(&self, cfg: &PartitionConfig) -> Option<PartitionMap> {
+        let entries = self.entries();
+        entries
+            .iter()
+            .find(|(c, _)| c == cfg)
+            .map(|(_, m)| m.clone())
+    }
+
+    /// Keeps `map` for `cfg`, unless a concurrent call kept its equal
+    /// first.
+    fn insert(&self, cfg: &PartitionConfig, map: &PartitionMap) {
+        let mut entries = self.entries();
+        if !entries.iter().any(|(c, _)| c == cfg) {
+            entries.push((cfg.clone(), map.clone()));
+        }
     }
 }
 
@@ -729,6 +778,54 @@ mod tests {
         );
     }
 
+    /// Six 4-cliques in a ring, each joined to the next by one mutual
+    /// follow: label propagation merges neighbouring cliques, and which
+    /// ones merge depends on the seeded visit order.
+    fn ring() -> HetNet {
+        let mut b = HetNetBuilder::new("ring", 24, 1, 1);
+        for c in 0..6u32 {
+            for i in 0..4 {
+                for j in 0..4 {
+                    if i != j {
+                        b.add_follow(UserId(4 * c + i), UserId(4 * c + j)).unwrap();
+                    }
+                }
+            }
+            let next = 4 * ((c + 1) % 6);
+            b.add_follow(UserId(4 * c + 3), UserId(next)).unwrap();
+            b.add_follow(UserId(next), UserId(4 * c + 3)).unwrap();
+        }
+        b.build()
+    }
+
+    #[test]
+    fn a_repeat_detect_equals_a_cold_detect_for_its_own_config() {
+        let (cliques, ring) = (two_cliques(), ring());
+        let split = PartitionConfig {
+            min_size: 2,
+            ..Default::default()
+        };
+        let merged = PartitionConfig {
+            min_size: 6,
+            ..split.clone()
+        };
+        let reseeded = PartitionConfig {
+            seed: 8,
+            ..split.clone()
+        };
+        // The fixture is only a test when each config changes the map.
+        let cold = |net: &HetNet, cfg| PartitionMap::detect(&net.clone(), cfg);
+        assert_ne!(cold(&cliques, &split), cold(&cliques, &merged));
+        assert_ne!(cold(&ring, &split), cold(&ring, &reseeded));
+        for net in [&cliques, &ring] {
+            // Each config detects first, then repeats from the memo; a
+            // clone is a new network and detects cold.
+            for cfg in [&split, &merged, &reseeded, &split, &merged, &reseeded] {
+                assert_eq!(PartitionMap::detect(net, cfg), cold(net, cfg), "{cfg:?}");
+            }
+        }
+    }
+
     #[test]
     fn undersized_partitions_are_dissolved() {
         let net = two_cliques();
@@ -750,9 +847,8 @@ mod tests {
 
     #[test]
     fn from_assignment_compacts_ids() {
-        let net = two_cliques();
         let raw: Vec<usize> = (0..10).map(|u| if u < 5 { 42 } else { 7 }).collect();
-        let map = PartitionMap::from_assignment(&raw, &net);
+        let map = PartitionMap::from_assignment(&raw);
         assert_eq!(map.n_partitions(), 2);
         assert_eq!(map.part_of(UserId(0)), 0, "first appearance wins id 0");
         assert_eq!(map.part_of(UserId(9)), 1);

@@ -34,6 +34,11 @@
 //! drop from one `O(n²)`-shaped problem to `k` problems of size
 //! `O((n/k)²)` that also run concurrently — the `partition` bench bin
 //! measures where the crossover against the global pipeline lands.
+//! Repeat builds over the same two networks — another fold, another
+//! round of anchors — skip detection: [`PartitionMap::detect`] keeps its
+//! map on the network, one per config, for as long as the network lives.
+//! Matching reads the anchors and runs on every build, and every build
+//! induces fresh sub-networks, so its shards count cold.
 //!
 //! A sharded session lives in memory only: the partition maps, the
 //! boundary-anchor ledger and the shard sessions are rebuilt from the
@@ -293,7 +298,8 @@ impl fmt::Debug for ShardedSession {
 
 impl ShardedSession {
     /// Detects communities on both networks, matches them, and spins one
-    /// counted [`AlignmentSession`] per matched pair.
+    /// counted [`AlignmentSession`] per matched pair. Detection is paid
+    /// once per network and config ([`PartitionMap::detect`]).
     ///
     /// # Errors
     /// [`ShardedError::Partition`] on out-of-range anchor endpoints;

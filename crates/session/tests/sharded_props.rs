@@ -9,13 +9,21 @@
 //!    raised before any shard fits.
 //! 4. A multi-shard featurize → update → fit run is bit-identical at any
 //!    worker budget.
+//! 5. A sharded build over networks an earlier build used (warm: it
+//!    reuses the memoized partition maps) is bit-identical to a cold
+//!    build over clones, and the earlier session's anchor update stays
+//!    out of it.
 
 use activeiter::driver::ActiveLoop;
 use activeiter::query::ConflictQuery;
 use activeiter::{FitReport, ModelConfig, Oracle, VecOracle};
 use hetnet::partition::PartitionMap;
+use hetnet::HetNet;
 use hetnet::{AnchorLink, UserId};
-use session::sharded::{ShardedConfig, ShardedError, ShardedSession, ShardedUpdate};
+use metadiagram::DeltaStats;
+use session::sharded::{
+    ShardedConfig, ShardedError, ShardedSession, ShardedUpdate, StitchedAlignment,
+};
 use session::SessionBuilder;
 
 /// The reference pipeline: one global session, the same manual loop the
@@ -194,7 +202,7 @@ fn boundary_anchors_enter_the_stitched_result_as_confirmed_links() {
     // unmatched, so every anchor rooted there lands in the boundary
     // ledger.
     let left_assign: Vec<usize> = (0..n_left).map(|u| usize::from(u >= n_left / 2)).collect();
-    let left_map = PartitionMap::from_assignment(&left_assign, world.left());
+    let left_map = PartitionMap::from_assignment(&left_assign);
     let right_map = PartitionMap::trivial(n_right);
 
     // Seven anchors in the lower half, three in the upper: the lower pair
@@ -286,10 +294,58 @@ fn boundary_anchors_enter_the_stitched_result_as_confirmed_links() {
     assert_eq!(stitched.pruned_candidates, routing.pruned);
 }
 
-/// Every float of a stitched run as bits, so the worker-budget comparison
-/// below is exact.
+/// Every float of a stitched run as bits, so runs compare exactly.
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One shard's fit report with every float as bits.
+type ReportBits = (
+    (usize, usize),
+    Vec<usize>,
+    Vec<u64>,
+    Vec<u64>,
+    Vec<u64>,
+    Vec<(usize, bool)>,
+    Vec<Vec<u64>>,
+);
+
+/// What a fitted sharded session produced, every float as bits.
+#[derive(Debug, PartialEq)]
+struct RunBits {
+    links: Vec<(UserId, UserId, u64, Option<usize>, bool)>,
+    reports: Vec<ReportBits>,
+    dropped_conflicts: usize,
+    stats: DeltaStats,
+}
+
+impl RunBits {
+    fn of(sharded: &ShardedSession, stitched: &StitchedAlignment) -> Self {
+        RunBits {
+            links: stitched
+                .links
+                .iter()
+                .map(|l| (l.left, l.right, l.score.to_bits(), l.shard, l.confirmed))
+                .collect(),
+            reports: stitched
+                .shard_reports
+                .iter()
+                .map(|r| {
+                    (
+                        r.pair,
+                        r.rows.clone(),
+                        bits(&r.report.labels),
+                        bits(&r.report.scores),
+                        bits(&r.report.weights),
+                        r.report.queried.clone(),
+                        r.report.rounds.iter().map(|t| bits(&t.deltas)).collect(),
+                    )
+                })
+                .collect(),
+            dropped_conflicts: stitched.dropped_conflicts,
+            stats: sharded.stats(),
+        }
+    }
 }
 
 #[test]
@@ -337,8 +393,8 @@ fn multi_shard_updates_and_fit_are_identical_at_any_worker_budget() {
         let mut sharded = ShardedSession::with_partitions(
             world.left(),
             world.right(),
-            PartitionMap::from_assignment(&left_assign, world.left()),
-            PartitionMap::from_assignment(&right_assign, world.right()),
+            PartitionMap::from_assignment(&left_assign),
+            PartitionMap::from_assignment(&right_assign),
             anchors.clone(),
             &ShardedConfig {
                 workers,
@@ -381,38 +437,118 @@ fn multi_shard_updates_and_fit_are_identical_at_any_worker_budget() {
         let stitched = sharded
             .fit(&labeled, &VecOracle::new(truth.clone()), &config)
             .unwrap();
-        let stats = sharded.stats();
-        assert_eq!(stats.full_counts, n_shards, "updates must not recount");
-        assert_eq!(stats.anchors_applied, in_shard);
-        let links: Vec<_> = stitched
-            .links
-            .iter()
-            .map(|l| (l.left, l.right, l.score.to_bits(), l.shard, l.confirmed))
-            .collect();
-        let reports: Vec<_> = stitched
-            .shard_reports
-            .iter()
-            .map(|r| {
-                (
-                    r.pair,
-                    r.rows.clone(),
-                    bits(&r.report.labels),
-                    bits(&r.report.scores),
-                    bits(&r.report.weights),
-                    r.report.queried.clone(),
-                    r.report.rounds.clone(),
-                )
-            })
-            .collect::<Vec<_>>();
-        (links, reports, stitched.dropped_conflicts, stats)
+        let run = RunBits::of(&sharded, &stitched);
+        assert_eq!(run.stats.full_counts, n_shards, "updates must not recount");
+        assert_eq!(run.stats.anchors_applied, in_shard);
+        run
     };
 
     let serial = run(1);
     for workers in [2usize, 8] {
         let wide = run(workers);
-        assert_eq!(wide.0, serial.0, "stitched links at {workers} workers");
-        assert_eq!(wide.1, serial.1, "shard reports at {workers} workers");
-        assert_eq!(wide.2, serial.2, "dropped conflicts at {workers} workers");
-        assert_eq!(wide.3, serial.3, "stats at {workers} workers");
+        assert_eq!(
+            wide.links, serial.links,
+            "stitched links at {workers} workers"
+        );
+        assert_eq!(
+            wide.reports, serial.reports,
+            "shard reports at {workers} workers"
+        );
+        assert_eq!(
+            wide.dropped_conflicts, serial.dropped_conflicts,
+            "dropped conflicts at {workers} workers"
+        );
+        assert_eq!(wide.stats, serial.stats, "stats at {workers} workers");
     }
+}
+
+#[test]
+fn warm_shard_builds_are_bit_identical_to_cold_ones_and_isolated() {
+    let world = datagen::generate(&datagen::presets::community_scale(160, 3, 1));
+    let truth_links = world.truth().links().to_vec();
+    // Two training sets from disjoint thirds of the truth links.
+    let anchor_sets: [Vec<AnchorLink>; 2] = [0, 1].map(|offset| {
+        truth_links
+            .iter()
+            .skip(offset)
+            .step_by(3)
+            .copied()
+            .collect()
+    });
+    let fresh: Vec<AnchorLink> = truth_links.iter().skip(2).step_by(3).copied().collect();
+    let mut candidates: Vec<(UserId, UserId)> =
+        truth_links.iter().map(|l| (l.left, l.right)).collect();
+    let n_true = candidates.len();
+    candidates
+        .extend((0..n_true).map(|i| (truth_links[i].left, truth_links[(i + 1) % n_true].right)));
+    let truth: Vec<bool> = (0..candidates.len()).map(|i| i < n_true).collect();
+    let labeled: Vec<usize> = (0..n_true).step_by(3).collect();
+    let config = ModelConfig {
+        budget: 16,
+        ..Default::default()
+    };
+    let finish = |mut sharded: ShardedSession| {
+        sharded.featurize(candidates.clone()).unwrap();
+        let stitched = sharded
+            .fit(&labeled, &VecOracle::new(truth.clone()), &config)
+            .unwrap();
+        RunBits::of(&sharded, &stitched)
+    };
+    // The first session takes one fresh in-shard edge per shard and one
+    // edge no shard owns.
+    let update = |sharded: &mut ShardedSession| {
+        let (lp, rp) = (sharded.left_partitions(), sharded.right_partitions());
+        let owned: Vec<(usize, usize)> = sharded
+            .matching()
+            .pairs
+            .iter()
+            .map(|m| (m.left, m.right))
+            .collect();
+        let shard_of = |a: &AnchorLink| (lp.part_of(a.left), rp.part_of(a.right));
+        let mut edges: Vec<AnchorLink> = owned
+            .iter()
+            .filter_map(|&pair| fresh.iter().find(|a| shard_of(a) == pair).copied())
+            .collect();
+        let in_shard = edges.len();
+        let spanning = (0..lp.n_users())
+            .flat_map(|l| {
+                (0..rp.n_users())
+                    .map(move |r| AnchorLink::new(UserId::from_index(l), UserId::from_index(r)))
+            })
+            .find(|a| !owned.contains(&shard_of(a)))
+            .expect("fixture must leave a partition pair without a shard");
+        edges.push(spanning);
+        let applied = sharded.update_anchors(&edges).unwrap();
+        assert_eq!(
+            applied,
+            ShardedUpdate {
+                applied: in_shard,
+                boundary: 1
+            }
+        );
+        assert!(in_shard >= 1, "fixture must update a shard");
+    };
+    // The second session builds after the first one's update; over the
+    // same two networks it reuses the maps the first build detected.
+    let both = |nets: [(&HetNet, &HetNet); 2]| {
+        let build = |(left, right): (&HetNet, &HetNet), anchors: &Vec<AnchorLink>| {
+            ShardedSession::new(left, right, anchors.clone(), &ShardedConfig::default()).unwrap()
+        };
+        let mut first = build(nets[0], &anchor_sets[0]);
+        update(&mut first);
+        let second = finish(build(nets[1], &anchor_sets[1]));
+        (finish(first), second)
+    };
+
+    let (first_warm, second_warm) = both([(world.left(), world.right()); 2]);
+    // A clone is a new network identity, so every build over one is cold.
+    let clones = [0, 1].map(|_| (world.left().clone(), world.right().clone()));
+    let (first_cold, second_cold) = both([0, 1].map(|k| (&clones[k].0, &clones[k].1)));
+    assert!(
+        second_warm.reports.len() >= 2 && second_warm.stats.full_counts >= 2,
+        "fixture must build several shards"
+    );
+    assert_eq!(second_warm, second_cold, "second session");
+    assert_eq!(first_warm, first_cold, "first session");
+    assert_eq!(second_warm.stats.anchors_applied, 0, "update leaked");
 }
